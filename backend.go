@@ -188,7 +188,7 @@ func ValidateBackends(names []string) error {
 // ParseBackends splits a comma-separated backend list ("talp,extrae") and
 // validates every name against the registry, failing fast with the list of
 // registered names on an unknown one. It is the shared -backend flag parser
-// of cmd/dyncapi, cmd/capi-serve and cmd/capi-bench.
+// of cmd/dyncapi and cmd/capi-serve.
 func ParseBackends(list string) ([]string, error) {
 	var names []string
 	for _, part := range strings.Split(list, ",") {

@@ -22,7 +22,6 @@ import (
 	"capi/internal/core"
 	"capi/internal/dyncapi"
 	"capi/internal/experiments"
-	"capi/internal/ic"
 	"capi/internal/metacg"
 	"capi/internal/mpi"
 	"capi/internal/workload"
@@ -312,105 +311,13 @@ func BenchmarkPatching(b *testing.B) {
 	}
 }
 
-// BenchmarkDispatch compares event-dispatch throughput across measurement
-// backends: one iteration is one enter/exit pair through xray.Dispatch, the
-// DynCaPI handler and the backend. The ordering to expect — and the reason
-// the extrae tracer shards its buffers per rank — is
-//
-//	none < extrae ≪ scorep < talp
-//
-// extrae's lock-free shard append stays within ~2× of the discarding
-// cyg-profile baseline and far below Score-P's call-path aggregation, even
-// though it retains every event.
-func BenchmarkDispatch(b *testing.B) {
-	for _, backend := range []string{
-		experiments.BackendNone,
-		experiments.BackendTALP,
-		experiments.BackendScoreP,
-		experiments.BackendExtrae,
-	} {
-		b.Run(backend, func(b *testing.B) {
-			h, err := experiments.NewDispatchHarness(backend, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.Dispatch(i)
-			}
-		})
-	}
-}
-
-// BenchmarkDispatchMux1 isolates the mux fan-out's own cost: the same
-// extrae backend dispatched directly and behind a mux of one. The delta is
-// one slice iteration plus an interface call — the benchdiff vs_direct gate
-// asserts it stays within the dispatch tolerance of the direct path.
-func BenchmarkDispatchMux1(b *testing.B) {
-	for _, backend := range []string{
-		experiments.BackendExtrae,
-		"mux:" + experiments.BackendExtrae,
-	} {
-		b.Run(backend, func(b *testing.B) {
-			h, err := experiments.NewDispatchHarness(backend, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.Dispatch(i)
-			}
-		})
-	}
-}
-
-// BenchmarkDispatchMux2 measures the multi-backend fan-out hot path: one
-// enter/exit pair delivered to TALP *and* the extrae tracer from the same
-// event stream. The expected cost is roughly the sum of the two direct
-// paths — the mux adds a slice iteration, not a lock.
-func BenchmarkDispatchMux2(b *testing.B) {
-	h, err := experiments.NewDispatchHarness(
-		experiments.BackendTALP+","+experiments.BackendExtrae, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Dispatch(i)
-	}
-}
-
-// BenchmarkDispatchReconfigure measures the extrae hot path while the
-// selection keeps flipping — the worst case for the runtime's atomic
-// active-set lookup, the synthetic-exit hook and the tracer's accounting.
-func BenchmarkDispatchReconfigure(b *testing.B) {
-	h, err := experiments.NewDispatchHarness(experiments.BackendExtrae, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfgs := []*ic.Config{
-		ic.New("dispatchbench", "bench", []string{"k0", "k1", "k2", "k3"}),
-		ic.New("dispatchbench", "bench", []string{"k0", "k1"}),
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Dispatch(i)
-		if i%1024 == 1023 {
-			if _, err := h.RT.Reconfigure(cfgs[(i/1024)%2]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 // BenchmarkDispatchHTTP measures the full middleware request path: one
 // iteration is one webservice request to the hot feed route — pool
 // checkout, the compiled script walk (FunctionActive gate, enter/exit
 // dispatch per instrumented function, virtual-clock work advances) and
 // the endpoint latency accounting. ns/op divided by EventPairs×2 is the
-// per-event cost the benchdiff http_vs_none_cap gate watches: the
-// serving path must amortize its per-request overhead to stay within a
-// small factor of the bare dispatch baseline.
+// reported per-event cost; bench's serve_http workload gates the same
+// path end to end behind real net/http.
 func BenchmarkDispatchHTTP(b *testing.B) {
 	const route = "GET /api/feed"
 	for _, backend := range []string{
@@ -474,80 +381,5 @@ func BenchmarkMPICollectives(b *testing.B) {
 	})
 	if err != nil {
 		b.Fatal(err)
-	}
-}
-
-// BenchmarkDispatchSampled measures the sampling/suppression stage in the
-// dispatch hot path: the same backend dispatched at full rate and behind a
-// 1-in-N stride policy. At 1-in-64 the sampled path must land between the
-// discarding "none" baseline and the full backend cost — the benchdiff
-// vs_none_cap gate enforces ≤ benchcmp.SampledVsNoneLimit (1.3x of none).
-func BenchmarkDispatchSampled(b *testing.B) {
-	for _, backend := range []string{
-		"sampled:" + experiments.BackendNone + "@64",
-		"sampled:" + experiments.BackendExtrae + "@64",
-		"sampled:" + experiments.BackendExtrae + "@8",
-	} {
-		b.Run(backend, func(b *testing.B) {
-			h, err := experiments.NewDispatchHarness(backend, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.Dispatch(i)
-			}
-		})
-	}
-}
-
-// BenchmarkDispatchAsync measures the asynchronous pipeline's hot-path
-// cost: dispatch appends a compact record to the rank's ring and returns,
-// while a consumer goroutine replays the stream through the backend off
-// the hot path. The inline extrae entry runs alongside as the same-run
-// anchor — the benchdiff async_vs_inline_cap gate asserts every async
-// entry stays ≤ benchcmp.AsyncVsInlineLimit (0.6x) of its inline
-// counterpart, the acceptance bar for lifting backends off the hot path.
-func BenchmarkDispatchAsync(b *testing.B) {
-	for _, backend := range []string{
-		experiments.BackendExtrae,
-		"async:" + experiments.BackendExtrae,
-		"async:" + experiments.BackendTALP,
-		"async:" + experiments.BackendScoreP,
-	} {
-		b.Run(backend, func(b *testing.B) {
-			h, err := experiments.NewDispatchHarness(backend, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.Dispatch(i)
-			}
-			b.StopTimer()
-			// Drain and stop the consumer pool outside the timed window:
-			// the benchmark measures the hot-path append, not the drain.
-			h.Close()
-		})
-	}
-}
-
-// BenchmarkDispatchSuppressed measures the timed sampler path: a
-// min-duration policy that suppresses (nearly) every pair still has to
-// read the virtual clock and maintain the timestamp stack per event.
-func BenchmarkDispatchSuppressed(b *testing.B) {
-	h, err := experiments.NewDispatchHarness(experiments.BackendExtrae, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	err = h.RT.SetSampling(dyncapi.SamplingConfig{
-		Default: &dyncapi.SamplePolicy{MinDurationNs: 10 * 1000 * 1000},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Dispatch(i)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"capi/internal/callgraph"
 	"capi/internal/compiler"
 	"capi/internal/core"
+	"capi/internal/deadline"
 	"capi/internal/dyncapi"
 	"capi/internal/exec"
 	"capi/internal/ic"
@@ -496,7 +497,7 @@ func (s *Session) Start(sel *Selection, opts RunOptions) (*Instance, error) {
 		return nil, err
 	}
 	inst := &Instance{s: s, opts: opts, proc: proc, xr: xr, world: world, curWorld: world, wallStart: time.Now()}
-	inst.ttl.wake = make(chan struct{}, 1)
+	inst.ttl.loop = deadline.New(inst.ttlNext, inst.deliverExpiries)
 
 	var cfg *ic.Config
 	if sel != nil {

@@ -8,22 +8,6 @@
 //	capi-bench -table 2 -ranks 4        # instrumentation overhead
 //	capi-bench -facts                   # §VI-B facts (OpenFOAM)
 //	capi-bench -all -scale 0.1          # everything, at call-graph scale 0.1
-//	capi-bench -json                    # machine-readable micro-benchmarks
-//	capi-bench -json -backend talp,extrae  # one multi-backend fan-out entry
-//
-// -json emits a BENCH_*.json-style document: wall-clock dispatch ns/op per
-// measurement backend — the four built-ins, the mux fan-out variants
-// (mux-of-one, talp+extrae), the sampled-dispatch entry
-// (sampled:extrae@64, gated at ≤1.3x of the none baseline) and the
-// async-pipeline entry (async:extrae, gated at ≤0.6x of the same run's
-// inline extrae) — and the coalesced batch-patching statistics, so
-// performance trajectories can accumulate across commits. -backend narrows
-// the dispatch suite to one registry-resolved backend set (comma-separated
-// = fanned out behind the mux), always alongside the "none" baseline the
-// relative gates need; unknown names fail fast with the registered list.
-// -sample N adds a 1-in-N stride-sampled entry for the chosen set,
-// -suppress-ns M a min-duration-suppressed one, -async (optionally with
-// -async-buf N) an async-pipeline one.
 //
 // Scale 1.0 reproduces the paper's 410,666-node OpenFOAM call graph; smaller
 // scales keep turnaround short. Absolute virtual seconds are not comparable
@@ -31,109 +15,33 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"slices"
-	"sort"
-	"strings"
-	"testing"
 
-	capi "capi"
-	"capi/internal/benchcmp"
 	"capi/internal/dyncapi"
 	"capi/internal/experiments"
 	"capi/internal/ic"
 	"capi/internal/report"
 	"capi/internal/talp"
-	"capi/internal/xray"
-	"capi/middleware"
 )
 
 func main() {
 	var (
-		table    = flag.Int("table", 0, "regenerate Table `N` (1 or 2)")
-		facts    = flag.Bool("facts", false, "gather the §VI-B / §VII-A facts")
-		all      = flag.Bool("all", false, "regenerate every artifact")
-		scale    = flag.Float64("scale", 0.1, "OpenFOAM call-graph scale (1.0 = paper size)")
-		ranks    = flag.Int("ranks", 4, "simulated MPI ranks")
-		csv      = flag.Bool("csv", false, "emit CSV instead of aligned text")
-		asJSON   = flag.Bool("json", false, "emit machine-readable micro-benchmark JSON (dispatch ns/op per backend, batch patch stats)")
-		backend  = flag.String("backend", "", "restrict -json dispatch benches to this comma-separated backend set (registry-resolved; several = mux fan-out)")
-		sample   = flag.Int("sample", 0, "add a 1-in-N stride-sampled dispatch entry for the -backend set (default extrae) to the -json suite")
-		suppress = flag.Int64("suppress-ns", 0, "add a min-duration-suppressed dispatch entry (threshold in virtual ns) to the -json suite")
-		async    = flag.Bool("async", false, "add an async-pipeline dispatch entry for the -backend set (default extrae) to the -json suite (the default suite already carries async:extrae)")
-		asyncBuf = flag.Int("async-buf", 0, "async: per-rank ring capacity in events for the -async entry (0 = default 65536)")
-		probe    = flag.Bool("probe", false, "print calibration counters (maintainer tool)")
+		table = flag.Int("table", 0, "regenerate Table `N` (1 or 2)")
+		facts = flag.Bool("facts", false, "gather the §VI-B / §VII-A facts")
+		all   = flag.Bool("all", false, "regenerate every artifact")
+		scale = flag.Float64("scale", 0.1, "OpenFOAM call-graph scale (1.0 = paper size)")
+		ranks = flag.Int("ranks", 4, "simulated MPI ranks")
+		csv   = flag.Bool("csv", false, "emit CSV instead of aligned text")
+		probe = flag.Bool("probe", false, "print calibration counters (maintainer tool)")
 	)
 	flag.Parse()
-	if !*all && *table == 0 && !*facts && !*probe && !*asJSON {
+	if !*all && *table == 0 && !*facts && !*probe {
 		flag.Usage()
 		os.Exit(2)
 	}
 	opts := experiments.Options{Scale: *scale, Ranks: *ranks}
-
-	if *asJSON {
-		suite := []string{
-			experiments.BackendNone,
-			// The sampling stage at the gated rate, measured immediately
-			// after its same-run anchor so machine-state drift between the
-			// two stays minimal: the vs_none_cap gate asserts 1-in-64
-			// dispatch stays ≤1.3x of the none baseline.
-			"sampled:" + experiments.BackendExtrae + "@64",
-			experiments.BackendTALP,
-			experiments.BackendScoreP,
-			experiments.BackendExtrae,
-			// The async pipeline right after its same-run inline anchor:
-			// the async_vs_inline_cap gate asserts the append-only hot path
-			// costs at most 0.6x of inline extrae dispatch.
-			"async:" + experiments.BackendExtrae,
-			// The fan-out variants the benchdiff gates watch: mux-of-one
-			// against the direct extrae path, and the talp+extrae combo.
-			"mux:" + experiments.BackendExtrae,
-			experiments.BackendTALP + "," + experiments.BackendExtrae,
-			// The serving path: one webservice request through
-			// capi/middleware, cost expressed per dispatched event. The
-			// http_vs_none_cap gate asserts the script walk, worker
-			// checkout and latency accounting amortize to within
-			// benchcmp.HTTPVsNoneLimit of the same run's none baseline.
-			"http:" + experiments.BackendNone,
-		}
-		sampleTarget := experiments.BackendExtrae
-		if *backend != "" {
-			names, err := capi.ParseBackends(*backend)
-			if err != nil {
-				fatal(err)
-			}
-			spec := strings.Join(names, ",")
-			suite = []string{experiments.BackendNone}
-			if spec != experiments.BackendNone {
-				suite = append(suite, spec)
-				sampleTarget = spec
-			}
-		}
-		if *sample > 0 {
-			suite = append(suite, fmt.Sprintf("sampled:%s@%d", sampleTarget, *sample))
-		}
-		if *suppress > 0 {
-			suite = append(suite, fmt.Sprintf("suppressed:%s@%d", sampleTarget, *suppress))
-		}
-		if *async || *asyncBuf > 0 {
-			prefix := "async:"
-			if *asyncBuf > 0 {
-				prefix = fmt.Sprintf("async@%d:", *asyncBuf)
-			}
-			entry := prefix + sampleTarget
-			if !slices.Contains(suite, entry) {
-				suite = append(suite, entry)
-			}
-		}
-		if err := runBenchJSON(opts, suite); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	if *all || *table == 1 {
 		rows, err := experiments.Table1(opts)
@@ -161,149 +69,6 @@ func main() {
 			fatal(err)
 		}
 	}
-}
-
-// httpDispatchEntry measures the serving path: one iteration is one
-// webservice request to the hot feed route through capi/middleware —
-// worker checkout, the compiled script walk dispatching every
-// instrumented enter/exit pair, and the endpoint latency accounting. The
-// cost is normalized per dispatched event so the http_vs_none_cap gate
-// can compare it against the bare dispatch baseline of the same run. No
-// adaptation is enabled: the selection (and with it the pairs-per-request
-// divisor) must stay fixed across the timed window.
-func httpDispatchEntry(entry, backendSpec string) (benchcmp.Dispatch, error) {
-	session, err := capi.NewAppSession("webservice", 0)
-	if err != nil {
-		return benchcmp.Dispatch{}, err
-	}
-	inst, err := session.Start(nil, capi.RunOptions{
-		PatchAll:    true,
-		Backends:    strings.Split(backendSpec, ","),
-		Ranks:       1,
-		HTTPWorkers: 1,
-	})
-	if err != nil {
-		return benchcmp.Dispatch{}, err
-	}
-	defer inst.Close()
-	svc, err := middleware.New(inst, session.Program(), capi.WebserviceEndpoints(), middleware.Options{Workers: 1})
-	if err != nil {
-		return benchcmp.Dispatch{}, err
-	}
-	const route = "GET /api/feed"
-	pairs := svc.EventPairs(route)
-	if pairs == 0 {
-		return benchcmp.Dispatch{}, fmt.Errorf("capi-bench: %s compiled to no event pairs", route)
-	}
-	var benchErr error
-	r := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := svc.Do(route); err != nil {
-				benchErr = err
-				b.Fatal(err)
-			}
-		}
-	})
-	if benchErr != nil {
-		return benchcmp.Dispatch{}, benchErr
-	}
-	perReq := float64(r.T.Nanoseconds()) / float64(r.N)
-	return benchcmp.Dispatch{
-		Backend:    entry,
-		NsPerPair:  perReq / float64(pairs),
-		NsPerEvent: perReq / float64(pairs*2),
-		Iters:      r.N,
-	}, nil
-}
-
-// runBenchJSON measures wall-clock dispatch throughput per backend and the
-// batch-patching path, and emits one JSON document on stdout. The document
-// types live in internal/benchcmp — the regression gate (cmd/benchdiff)
-// decodes the same structs, so producer and comparator cannot drift.
-func runBenchJSON(opts experiments.Options, suite []string) error {
-	out := benchcmp.Doc{Schema: benchcmp.Schema, App: "openfoam", Scale: opts.Scale}
-	for _, backend := range suite {
-		if inner, ok := strings.CutPrefix(backend, "http:"); ok {
-			d, err := httpDispatchEntry(backend, inner)
-			if err != nil {
-				return err
-			}
-			out.Dispatch = append(out.Dispatch, d)
-			continue
-		}
-		h, err := experiments.NewDispatchHarness(backend, nil)
-		if err != nil {
-			return err
-		}
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				h.Dispatch(i)
-			}
-		})
-		// Drain and stop any async consumer pool outside the timed window
-		// so pools do not accumulate across suite entries.
-		h.Close()
-		perPair := float64(r.T.Nanoseconds()) / float64(r.N)
-		out.Dispatch = append(out.Dispatch, benchcmp.Dispatch{
-			Backend:    backend,
-			NsPerPair:  perPair,
-			NsPerEvent: perPair / 2,
-			Iters:      r.N,
-		})
-	}
-
-	bundle, err := experiments.PrepareOpenFOAM(opts)
-	if err != nil {
-		return err
-	}
-	byName, err := bundle.Build.StaticPackedIDs()
-	if err != nil {
-		return err
-	}
-	ids := make([]int32, 0, len(byName))
-	for _, id := range byName {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	proc, err := bundle.Build.LoadProcess()
-	if err != nil {
-		return err
-	}
-	xr, err := xray.NewRuntime(proc)
-	if err != nil {
-		return err
-	}
-	delta, err := xr.PatchBatch(ids, true)
-	if err != nil {
-		return err
-	}
-	d2, err := xr.PatchBatch(ids, false)
-	if err != nil {
-		return err
-	}
-	delta.Add(d2)
-	r := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := xr.PatchBatch(ids, true); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := xr.PatchBatch(ids, false); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	out.BatchPatch = benchcmp.BatchPatch{
-		Funcs:          int64(len(ids)),
-		PatchedSleds:   delta.PatchedSleds,
-		UnpatchedSleds: delta.UnpatchedSleds,
-		BatchWindows:   delta.BatchWindows,
-		MprotectCalls:  delta.MprotectCalls,
-		NsPerFunc:      float64(r.T.Nanoseconds()) / float64(r.N) / float64(len(ids)),
-	}
-
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 // runProbe prints per-variant event and TALP-touch counters used to

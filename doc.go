@@ -91,8 +91,9 @@
 //	          from concatenated per-member rank times — a member-labelled
 //	          unified /metrics, and a multiplexed SSE feed tailing every
 //	          member's event stream with reconnect/backoff
-//	benchcmp  benchmark-regression comparator (cmd/benchdiff CI gate
-//	          against BENCH_baseline.json)
+//	deadline  the one lazily-started deadline timer goroutine: TTL'd
+//	          override reverts (ttl.go) and fleet heartbeat evictions
+//	          both supply next/fire and share the loop
 //	lint      stdlib-only static-analysis suite enforcing the //capi:
 //	          source annotations: hotpath (dispatch path must not
 //	          allocate/lock/block), atomicfield (no mixed atomic/plain

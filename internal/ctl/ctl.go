@@ -40,7 +40,8 @@
 //	GET  /metrics       Prometheus text exposition
 //
 // Error bodies are {"error": ..., "field": ...}: a 400 names the request
-// field it rejects and implies nothing was applied.
+// field it rejects and implies nothing was applied; so does the 413 that
+// answers a body over 1 MiB.
 //
 // The server relies on capi.Instance being safe for concurrent control
 // calls against an executing phase: re-selections land mid-run and report
@@ -68,8 +69,21 @@ import (
 	"capi/internal/vtime"
 )
 
-// maxBodyBytes bounds request bodies (spec sources are small).
+// maxBodyBytes bounds request bodies (spec sources are small). ServeHTTP
+// wraps every body in http.MaxBytesReader, so a larger one fails the read
+// instead of being cut to a prefix that might parse.
 const maxBodyBytes = 1 << 20
+
+// BodyErrStatus is the status of a failed body read or decode: 413 when
+// the body ran past the reader's limit, else 400. Either way nothing was
+// applied.
+func BodyErrStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
 
 // Server serves one live instance. Create it with New and mount it on any
 // http.Server (it implements http.Handler).
@@ -80,7 +94,7 @@ type Server struct {
 	started time.Time
 
 	mux *http.ServeMux
-	hub *hub
+	hub *Hub
 
 	// httpSelects counts re-selections applied through POST /v1/select
 	// (the instance's Reconfigs counter also includes controller decisions
@@ -104,7 +118,7 @@ func New(session *capi.Session, inst *capi.Instance, app string) *Server {
 		app:     app,
 		started: time.Now(),
 		mux:     http.NewServeMux(),
-		hub:     newHub(),
+		hub:     NewHub(),
 	}
 	s.mux.HandleFunc("GET /v1/status", s.handleStatus)
 	s.mux.HandleFunc("GET /v1/selection", s.handleSelection)
@@ -121,21 +135,28 @@ func New(session *capi.Session, inst *capi.Instance, app string) *Server {
 	// goroutine / trip goroutine), not in a handler; surface them on the
 	// SSE stream so remote observers see the revert or detach the moment
 	// it happens.
-	inst.SetTTLNotify(func(e capi.TTLExpiry) { s.hub.publish("expired", e) })
-	inst.SetBreakerNotify(func(e capi.BreakerEvent) { s.hub.publish("breaker", e) })
+	inst.SetTTLNotify(func(e capi.TTLExpiry) { s.hub.Publish("expired", e) })
+	inst.SetBreakerNotify(func(e capi.BreakerEvent) { s.hub.Publish("breaker", e) })
 	return s
 }
 
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+// ServeHTTP implements http.Handler. It bounds the body before any handler
+// sees it, so no endpoint can read past maxBodyBytes.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	s.mux.ServeHTTP(w, r)
+}
 
 // Shutdown disconnects the SSE subscribers so their handlers return.
 // Register it with http.Server.RegisterOnShutdown: graceful shutdown waits
 // for in-flight handlers but never cancels their request contexts, so an
 // open /v1/events stream would otherwise hold Shutdown until its timeout.
-func (s *Server) Shutdown() { s.hub.shutdown() }
+func (s *Server) Shutdown() { s.hub.Shutdown() }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON answers code with v as an indented JSON document. With
+// WriteErr and WriteFieldErr it is the reply format of every control-plane
+// endpoint, this server's and the fleet coordinator's.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -143,14 +164,15 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v) //nolint:errcheck // client gone
 }
 
-func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+// WriteErr answers code with an {"error": ...} body.
+func WriteErr(w http.ResponseWriter, code int, format string, args ...any) {
+	WriteJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// writeFieldErr is writeErr with the offending request field named in the
+// WriteFieldErr is WriteErr with the offending request field named in the
 // body — every 400 a client can fix by editing one field uses it.
-func writeFieldErr(w http.ResponseWriter, code int, field, format string, args ...any) {
-	writeJSON(w, code, map[string]string{
+func WriteFieldErr(w http.ResponseWriter, code int, field, format string, args ...any) {
+	WriteJSON(w, code, map[string]string{
 		"error": fmt.Sprintf(format, args...),
 		"field": field,
 	})
@@ -167,7 +189,7 @@ type HealthzResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, HealthzResponse{
+	WriteJSON(w, http.StatusOK, HealthzResponse{
 		OK:            true,
 		App:           s.app,
 		UptimeSeconds: time.Since(s.started).Seconds(),
@@ -213,7 +235,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	resp.LastRun = s.lastRun
 	resp.LastError = s.lastErr
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // SelectionResponse is the GET /v1/selection document.
@@ -224,7 +246,7 @@ type SelectionResponse struct {
 
 func (s *Server) handleSelection(w http.ResponseWriter, r *http.Request) {
 	names := s.inst.ActiveFunctionNames()
-	writeJSON(w, http.StatusOK, SelectionResponse{Count: len(names), Functions: names})
+	WriteJSON(w, http.StatusOK, SelectionResponse{Count: len(names), Functions: names})
 }
 
 // SelectRequest is the POST /v1/select body. At most one selection source
@@ -279,16 +301,16 @@ type SelectResponse struct {
 }
 
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "reading body: %v", err)
+		WriteErr(w, BodyErrStatus(err), "reading body: %v", err)
 		return
 	}
 	var req SelectRequest
 	ctype, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
 	if ctype == "application/json" {
 		if err := json.Unmarshal(body, &req); err != nil {
-			writeFieldErr(w, http.StatusBadRequest, "body", "decoding request: %v", err)
+			WriteFieldErr(w, http.StatusBadRequest, "body", "decoding request: %v", err)
 			return
 		}
 	} else {
@@ -298,7 +320,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	hasSelection := strings.TrimSpace(req.Spec) != "" || req.Builtin != "" ||
 		len(req.Include) > 0 || len(req.IncludeIDs) > 0
 	if !hasSelection && len(req.Backends) == 0 {
-		writeErr(w, http.StatusBadRequest, "empty selection: provide spec source, a builtin name, an include list or a backends swap")
+		WriteErr(w, http.StatusBadRequest, "empty selection: provide spec source, a builtin name, an include list or a backends swap")
 		return
 	}
 	// Parse the TTL before touching the instance: an unparsable (or
@@ -307,20 +329,20 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	if req.TTL != "" {
 		ttl, err = time.ParseDuration(req.TTL)
 		if err != nil {
-			writeFieldErr(w, http.StatusBadRequest, "ttl", "parsing ttl: %v", err)
+			WriteFieldErr(w, http.StatusBadRequest, "ttl", "parsing ttl: %v", err)
 			return
 		}
 		if ttl <= 0 {
-			writeFieldErr(w, http.StatusBadRequest, "ttl", "ttl must be positive, got %q", req.TTL)
+			WriteFieldErr(w, http.StatusBadRequest, "ttl", "ttl must be positive, got %q", req.TTL)
 			return
 		}
 		if !hasSelection {
-			writeFieldErr(w, http.StatusBadRequest, "ttl", "ttl requires a selection to revert from (a backends swap alone cannot expire)")
+			WriteFieldErr(w, http.StatusBadRequest, "ttl", "ttl requires a selection to revert from (a backends swap alone cannot expire)")
 			return
 		}
 	}
 	if !s.inst.Status().Instrumented {
-		writeErr(w, http.StatusConflict, "instance is not instrumented")
+		WriteErr(w, http.StatusConflict, "instance is not instrumented")
 		return
 	}
 
@@ -339,7 +361,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 				specField = "builtin"
 				src, err = experiments.SpecSource(req.Builtin)
 				if err != nil {
-					writeFieldErr(w, http.StatusBadRequest, "builtin", "builtin %q: %v", req.Builtin, err)
+					WriteFieldErr(w, http.StatusBadRequest, "builtin", "builtin %q: %v", req.Builtin, err)
 					return
 				}
 			}
@@ -347,7 +369,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				// The compile error (lexer/parser/selector) goes back verbatim
 				// so the remote user can fix the spec.
-				writeFieldErr(w, http.StatusBadRequest, specField, "compiling spec: %v", err)
+				WriteFieldErr(w, http.StatusBadRequest, specField, "compiling spec: %v", err)
 				return
 			}
 			summary = &SelectionSummary{Pre: sel.Pre, Selected: sel.Selected, Added: sel.Added, Seconds: sel.Seconds}
@@ -356,7 +378,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 			// silently unpatch it — reject unknown names instead, like the spec
 			// path rejects a spec that does not compile.
 			if unknown := s.inst.UnknownFunctionNames(req.Include); len(unknown) > 0 {
-				writeFieldErr(w, http.StatusBadRequest, "include", "unknown function name(s): %s", strings.Join(unknown, ", "))
+				WriteFieldErr(w, http.StatusBadRequest, "include", "unknown function name(s): %s", strings.Join(unknown, ", "))
 				return
 			}
 			cfg := ic.New(s.app, "http", req.Include).WithIncludeIDs(req.IncludeIDs)
@@ -371,14 +393,14 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	if len(req.Backends) > 0 {
 		rep, err := s.inst.SetBackends(req.Backends)
 		if err != nil {
-			writeFieldErr(w, http.StatusBadRequest, "backends", "swapping backends: %v", err)
+			WriteFieldErr(w, http.StatusBadRequest, "backends", "swapping backends: %v", err)
 			return
 		}
 		swap = &rep
-		s.hub.publish("backends", rep)
+		s.hub.Publish("backends", rep)
 	}
 	if !hasSelection {
-		writeJSON(w, http.StatusOK, SelectResponse{
+		WriteJSON(w, http.StatusOK, SelectResponse{
 			Active:      s.inst.ActiveFunctions(),
 			BackendSwap: swap,
 			Backends:    s.inst.Backends(),
@@ -393,16 +415,16 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		rep, err = s.inst.Reconfigure(sel)
 	}
 	if errors.Is(err, capi.ErrNoTTLBase) {
-		writeFieldErr(w, http.StatusConflict, "ttl", "%v", err)
+		WriteFieldErr(w, http.StatusConflict, "ttl", "%v", err)
 		return
 	}
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "reconfigure: %v", err)
+		WriteErr(w, http.StatusInternalServerError, "reconfigure: %v", err)
 		return
 	}
 	s.httpSelects.Add(1)
-	s.hub.publish("reconfigure", rep)
-	writeJSON(w, http.StatusOK, SelectResponse{
+	s.hub.Publish("reconfigure", rep)
+	WriteJSON(w, http.StatusOK, SelectResponse{
 		Report:      rep,
 		Active:      rep.Active,
 		Selection:   summary,
@@ -449,36 +471,36 @@ func summarize(res *capi.RunResult, phase int) *RunSummary {
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "reading body: %v", err)
+		WriteErr(w, BodyErrStatus(err), "reading body: %v", err)
 		return
 	}
 	if len(body) > 0 {
 		if err := json.Unmarshal(body, &req); err != nil {
-			writeErr(w, http.StatusBadRequest, "decoding request: %v", err)
+			WriteErr(w, http.StatusBadRequest, "decoding request: %v", err)
 			return
 		}
 	}
 	if !s.inFlight.CompareAndSwap(false, true) {
-		writeErr(w, http.StatusConflict, "a phase is already executing")
+		WriteErr(w, http.StatusConflict, "a phase is already executing")
 		return
 	}
 	if req.Wait == nil || *req.Wait {
 		defer s.inFlight.Store(false)
 		sum, err := s.runPhase()
 		if err != nil {
-			writeErr(w, http.StatusInternalServerError, "run: %v", err)
+			WriteErr(w, http.StatusInternalServerError, "run: %v", err)
 			return
 		}
-		writeJSON(w, http.StatusOK, sum)
+		WriteJSON(w, http.StatusOK, sum)
 		return
 	}
 	go func() {
 		defer s.inFlight.Store(false)
 		s.runPhase() //nolint:errcheck // recorded in lastErr
 	}()
-	writeJSON(w, http.StatusAccepted, map[string]any{"started": true})
+	WriteJSON(w, http.StatusAccepted, map[string]any{"started": true})
 }
 
 // runPhase executes one phase and records its outcome for /v1/status.
@@ -492,7 +514,7 @@ func (s *Server) runPhase() (*RunSummary, error) {
 	}
 	s.lastErr = ""
 	s.lastRun = summarize(res, s.inst.Runs())
-	s.hub.publish("run", s.lastRun)
+	s.hub.Publish("run", s.lastRun)
 	return s.lastRun, nil
 }
 
@@ -539,16 +561,16 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	for name, rep := range s.inst.Reports() {
 		raw, err := rep.MarshalJSON()
 		if err != nil {
-			writeErr(w, http.StatusInternalServerError, "rendering %s report: %v", name, err)
+			WriteErr(w, http.StatusInternalServerError, "rendering %s report: %v", name, err)
 			return
 		}
 		resp.Reports[name] = ReportEntry{Kind: rep.Kind(), Report: raw}
 	}
 	if len(resp.Reports) == 0 {
-		writeErr(w, http.StatusNotFound, "no report yet (backends: %s)", strings.Join(resp.Backends, ", "))
+		WriteErr(w, http.StatusNotFound, "no report yet (backends: %s)", strings.Join(resp.Backends, ", "))
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // AdaptRequest is the POST /v1/adapt body; zero fields keep their current
@@ -581,8 +603,8 @@ type AdaptResponse struct {
 
 func (s *Server) handleAdapt(w http.ResponseWriter, r *http.Request) {
 	var req AdaptRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "decoding request: %v", err)
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		WriteErr(w, BodyErrStatus(err), "decoding request: %v", err)
 		return
 	}
 	var sloNs int64
@@ -603,7 +625,7 @@ func (s *Server) handleAdapt(w http.ResponseWriter, r *http.Request) {
 		SLOMinSamples:  req.SLOMinSamples,
 	})
 	if err != nil {
-		writeErr(w, http.StatusConflict, "%v", err)
+		WriteErr(w, http.StatusConflict, "%v", err)
 		return
 	}
 	resp := AdaptResponse{
@@ -618,7 +640,7 @@ func (s *Server) handleAdapt(w http.ResponseWriter, r *http.Request) {
 		resp.SLOWindow = got.SLOWindow
 		resp.SLOMinSamples = got.SLOMinSamples
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // SamplingRequest is the POST /v1/sampling body: the default-policy fields
@@ -655,8 +677,8 @@ func samplingField(field string) string {
 
 func (s *Server) handleSampling(w http.ResponseWriter, r *http.Request) {
 	var req SamplingRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		writeFieldErr(w, http.StatusBadRequest, "body", "decoding request: %v", err)
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		WriteFieldErr(w, BodyErrStatus(err), "body", "decoding request: %v", err)
 		return
 	}
 	var ttl time.Duration
@@ -664,16 +686,16 @@ func (s *Server) handleSampling(w http.ResponseWriter, r *http.Request) {
 		var err error
 		ttl, err = time.ParseDuration(req.TTL)
 		if err != nil {
-			writeFieldErr(w, http.StatusBadRequest, "ttl", "parsing ttl: %v", err)
+			WriteFieldErr(w, http.StatusBadRequest, "ttl", "parsing ttl: %v", err)
 			return
 		}
 		if ttl <= 0 {
-			writeFieldErr(w, http.StatusBadRequest, "ttl", "ttl must be positive, got %q", req.TTL)
+			WriteFieldErr(w, http.StatusBadRequest, "ttl", "ttl must be positive, got %q", req.TTL)
 			return
 		}
 	}
 	if !s.inst.Status().Instrumented {
-		writeErr(w, http.StatusConflict, "instance is not instrumented")
+		WriteErr(w, http.StatusConflict, "instance is not instrumented")
 		return
 	}
 	cfg := capi.SamplingOptions{Funcs: req.Functions}
@@ -698,19 +720,19 @@ func (s *Server) handleSampling(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var pe *dyncapi.PolicyError
 		if errors.As(err, &pe) {
-			writeFieldErr(w, http.StatusBadRequest, samplingField(pe.Field), "%v", err)
+			WriteFieldErr(w, http.StatusBadRequest, samplingField(pe.Field), "%v", err)
 			return
 		}
-		writeErr(w, http.StatusBadRequest, "%v", err)
+		WriteErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	snap := s.inst.Sampling()
-	s.hub.publish("sampling", snap)
-	writeJSON(w, http.StatusOK, snap)
+	s.hub.Publish("sampling", snap)
+	WriteJSON(w, http.StatusOK, snap)
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"app": s.app,
 		"endpoints": []string{
 			"GET /v1/status", "GET /v1/selection", "POST /v1/select",
@@ -866,6 +888,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("capi_attached_backends", "Measurement backends attached to the instance.", len(st.Backends))
 	gauge("capi_init_virtual_seconds", "DynCaPI start-up time (T_init), virtual.", st.InitSeconds)
 	counter("capi_reconfig_virtual_seconds_total", "Accumulated virtual re-patch cost of live re-selections.", st.ReconfigSeconds)
-	gauge("capi_sse_clients", "Connected /v1/events subscribers.", s.hub.clients())
+	gauge("capi_sse_clients", "Connected /v1/events subscribers.", s.hub.Clients())
 	io.WriteString(w, b.String()) //nolint:errcheck // client gone
 }

@@ -14,22 +14,25 @@ type event struct {
 	data []byte
 }
 
-// hub fans reconfigure/run notifications out to the connected SSE clients.
-// Publishing never blocks: a subscriber that cannot keep up loses events
-// (its channel is bounded), which is the right trade for a control plane —
-// the authoritative state is always one GET /v1/status away.
-type hub struct {
+// Hub fans named JSON events out to the connected SSE clients: this
+// server's reconfigure/run notifications, and the fleet coordinator's
+// multiplexed member feed. Publishing never blocks: a subscriber that
+// cannot keep up loses events (its channel is bounded), which is the right
+// trade for a control plane — the authoritative state is always one
+// GET /v1/status away.
+type Hub struct {
 	mu     sync.Mutex
 	next   int64                   //capi:guardedby mu
 	closed bool                    //capi:guardedby mu
 	subs   map[chan event]struct{} //capi:guardedby mu
 }
 
-func newHub() *hub {
-	return &hub{subs: map[chan event]struct{}{}}
+// NewHub returns a hub with no subscribers.
+func NewHub() *Hub {
+	return &Hub{subs: map[chan event]struct{}{}}
 }
 
-func (h *hub) subscribe() chan event {
+func (h *Hub) subscribe() chan event {
 	ch := make(chan event, 32)
 	h.mu.Lock()
 	if h.closed {
@@ -41,12 +44,12 @@ func (h *hub) subscribe() chan event {
 	return ch
 }
 
-// shutdown disconnects every subscriber and refuses new ones, so SSE
+// Shutdown disconnects every subscriber and refuses new ones, so SSE
 // handlers return and http.Server.Shutdown can drain. Wire it up with
 // srv.RegisterOnShutdown(ctlServer.Shutdown): Shutdown does not cancel
 // in-flight request contexts, so without this an open `curl -N /v1/events`
 // would block graceful shutdown until its timeout.
-func (h *hub) shutdown() {
+func (h *Hub) Shutdown() {
 	h.mu.Lock()
 	h.closed = true
 	for ch := range h.subs {
@@ -56,20 +59,21 @@ func (h *hub) shutdown() {
 	h.mu.Unlock()
 }
 
-func (h *hub) unsubscribe(ch chan event) {
+func (h *Hub) unsubscribe(ch chan event) {
 	h.mu.Lock()
 	delete(h.subs, ch)
 	h.mu.Unlock()
 }
 
-func (h *hub) clients() int {
+// Clients is the number of connected subscribers.
+func (h *Hub) Clients() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return len(h.subs)
 }
 
-// publish marshals v and delivers it to every subscriber without blocking.
-func (h *hub) publish(name string, v any) {
+// Publish marshals v and delivers it to every subscriber without blocking.
+func (h *Hub) Publish(name string, v any) {
 	data, err := json.Marshal(v)
 	if err != nil {
 		return
@@ -91,19 +95,26 @@ func (h *hub) publish(name string, v any) {
 // event carrying the ReconfigReport; completed phases arrive as "run"
 // events carrying the RunSummary.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
+	s.hub.Stream(w, r, fmt.Sprintf("capi control plane, app %q", s.app))
+}
+
+// Stream serves one text/event-stream client until it disconnects or the
+// hub shuts down: the preamble as an opening comment line, then every
+// published event as an id:/event:/data: block.
+func (h *Hub) Stream(w http.ResponseWriter, r *http.Request, preamble string) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeErr(w, http.StatusInternalServerError, "streaming unsupported")
+		WriteErr(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
-	ch := s.hub.subscribe()
-	defer s.hub.unsubscribe(ch)
+	ch := h.subscribe()
+	defer h.unsubscribe(ch)
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
-	fmt.Fprintf(w, ": capi control plane, app %q\n\n", s.app)
+	fmt.Fprintf(w, ": %s\n\n", preamble)
 	fl.Flush()
 
 	for {

@@ -1,8 +1,6 @@
 package fleet
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,6 +8,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"capi/internal/ctl"
 )
 
 // MemberResult is one member's outcome of a fan-out mutation.
@@ -41,14 +41,14 @@ type FanoutResponse struct {
 // named control path on every live member.
 func (s *Server) fanoutHandler(path string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+		body, err := io.ReadAll(r.Body)
 		if err != nil {
-			writeFieldErr(w, http.StatusBadRequest, "body", "reading request: %v", err)
+			ctl.WriteFieldErr(w, ctl.BodyErrStatus(err), "body", "reading request: %v", err)
 			return
 		}
 		members := s.reg.snapshot()
 		if len(members) == 0 {
-			writeErr(w, http.StatusServiceUnavailable, "fleet has no members")
+			ctl.WriteErr(w, http.StatusServiceUnavailable, "fleet has no members")
 			return
 		}
 		s.fanouts.Add(1)
@@ -90,7 +90,7 @@ func (s *Server) fanoutHandler(path string) http.HandlerFunc {
 			code = http.StatusMultiStatus
 			resp.Divergent = true
 		}
-		writeJSON(w, code, resp)
+		ctl.WriteJSON(w, code, resp)
 	}
 }
 
@@ -123,7 +123,7 @@ func (s *Server) postMember(m memberSnap, path, ctype string, body []byte) Membe
 			}
 			backoff *= 2
 		}
-		status, respBody, err := s.postOnce(m.URL+path, ctype, body)
+		status, respBody, err := s.doMember(http.MethodPost, m.URL+path, ctype, body)
 		if status == 0 {
 			// No status line came back: the member is unreachable.
 			res.Status, res.Error = 0, err.Error()
@@ -150,26 +150,6 @@ func (s *Server) postMember(m memberSnap, path, ctype string, body []byte) Membe
 		}
 	}
 	return res
-}
-
-func (s *Server) postOnce(url, ctype string, body []byte) (int, []byte, error) {
-	ctx, cancel := context.WithTimeout(s.baseCtx, s.opts.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, err
-	}
-	req.Header.Set("Content-Type", ctype)
-	resp, err := s.client.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
-	if err != nil {
-		return resp.StatusCode, nil, err
-	}
-	return resp.StatusCode, respBody, nil
 }
 
 // jsonOrNil relays b only when it is valid JSON — the fan-out response is

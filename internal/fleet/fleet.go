@@ -10,10 +10,9 @@
 // -members list given at start-up, and dynamic self-registration
 // (POST /v1/fleet/register, re-POSTed as a heartbeat). A registered member
 // that misses its heartbeat TTL is evicted by a single lazily-started
-// timer goroutine (the ttl.go pattern: monotonic deadlines, coalesced wake
-// channel, the goroutine exists only while a dynamic member is
-// registered); static members are never evicted, only marked unhealthy by
-// the /v1/healthz liveness prober.
+// timer goroutine (internal/deadline, shared with ttl.go: it exists only
+// while a dynamic member is registered); static members are never
+// evicted, only marked unhealthy by the /v1/healthz liveness prober.
 //
 // Endpoints:
 //
@@ -43,6 +42,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -53,6 +53,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"capi/internal/ctl"
 )
 
 // Defaults for Options zero values.
@@ -109,7 +111,7 @@ type Server struct {
 	opts    Options
 	reg     *registry
 	mux     *http.ServeMux
-	hub     *hub
+	hub     *ctl.Hub
 	client  *http.Client
 	started time.Time
 
@@ -149,7 +151,7 @@ func New(opts Options) (*Server, error) {
 	s := &Server{
 		opts:    opts,
 		mux:     http.NewServeMux(),
-		hub:     newHub(),
+		hub:     ctl.NewHub(),
 		client:  client,
 		started: time.Now(),
 		baseCtx: ctx,
@@ -183,8 +185,12 @@ func New(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+// ServeHTTP implements http.Handler. It bounds the body before any handler
+// sees it: an oversize fan-out is refused, never relayed cut short.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	s.mux.ServeHTTP(w, r)
+}
 
 // Close stops the eviction loop, the prober and every member tailer, and
 // disconnects the SSE subscribers. It blocks until every goroutine the
@@ -192,7 +198,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 func (s *Server) Close() {
 	s.stop()
 	s.reg.close()
-	s.hub.shutdown()
+	s.hub.Shutdown()
 	s.wg.Wait()
 }
 
@@ -203,13 +209,13 @@ func (s *Server) memberJoined(m *member) context.CancelFunc {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	s.wg.Add(1)
 	go s.tailMember(ctx, m)
-	s.hub.publish("fleet", lifecycleEvent{Member: m.name, URL: m.url, State: "registered"})
+	s.hub.Publish("fleet", lifecycleEvent{Member: m.name, URL: m.url, State: "registered"})
 	return cancel
 }
 
 // memberLeft announces an eviction/replacement on the fleet stream.
 func (s *Server) memberLeft(name, reason string) {
-	s.hub.publish("fleet", lifecycleEvent{Member: name, State: reason})
+	s.hub.Publish("fleet", lifecycleEvent{Member: name, State: reason})
 }
 
 // lifecycleEvent is the payload of the fleet's own "fleet" SSE events.
@@ -258,24 +264,24 @@ type RegisterResponse struct {
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		writeFieldErr(w, http.StatusBadRequest, "body", "decoding request: %v", err)
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		ctl.WriteFieldErr(w, ctl.BodyErrStatus(err), "body", "decoding request: %v", err)
 		return
 	}
 	if req.URL == "" {
-		writeFieldErr(w, http.StatusBadRequest, "url", "url is required")
+		ctl.WriteFieldErr(w, http.StatusBadRequest, "url", "url is required")
 		return
 	}
 	name, base, err := normalizeMemberURL(req.URL, req.Name)
 	if err != nil {
-		writeFieldErr(w, http.StatusBadRequest, "url", "%v", err)
+		ctl.WriteFieldErr(w, http.StatusBadRequest, "url", "%v", err)
 		return
 	}
 	if !s.reg.upsert(name, base, req.App, false) {
-		writeErr(w, http.StatusServiceUnavailable, "coordinator is shutting down")
+		ctl.WriteErr(w, http.StatusServiceUnavailable, "coordinator is shutting down")
 		return
 	}
-	writeJSON(w, http.StatusOK, RegisterResponse{
+	ctl.WriteJSON(w, http.StatusOK, RegisterResponse{
 		Name:       name,
 		TTLSeconds: s.opts.TTL.Seconds(),
 		Members:    s.reg.count(),
@@ -290,7 +296,7 @@ type HealthzResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, HealthzResponse{
+	ctl.WriteJSON(w, http.StatusOK, HealthzResponse{
 		OK:            true,
 		Members:       s.reg.count(),
 		UptimeSeconds: time.Since(s.started).Seconds(),
@@ -298,7 +304,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	ctl.WriteJSON(w, http.StatusOK, map[string]any{
 		"fleet": true,
 		"endpoints": []string{
 			"POST /v1/fleet/register", "GET /v1/fleet/status",
@@ -325,7 +331,7 @@ func (s *Server) probeLoop() {
 		case <-t.C:
 		}
 		for _, m := range s.reg.snapshot() {
-			_, code, err := s.getMember(m.URL, "/v1/healthz")
+			code, _, err := s.doMember(http.MethodGet, m.URL+"/v1/healthz", "", nil)
 			if err != nil {
 				s.reg.setHealth(m.Name, false, err.Error(), false)
 			} else if code != http.StatusOK {
@@ -337,44 +343,29 @@ func (s *Server) probeLoop() {
 	}
 }
 
-// getMember GETs one member path under the per-request timeout.
-func (s *Server) getMember(base, path string) ([]byte, int, error) {
+// doMember sends one request to one member under the per-request timeout
+// and reads the bounded response. status is 0 when no response arrived; a
+// body-read failure after the status line keeps the status.
+func (s *Server) doMember(method, url, ctype string, body []byte) (status int, respBody []byte, err error) {
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.opts.Timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+path, nil)
+	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
 	if err != nil {
-		return nil, 0, err
+		return 0, nil, err
+	}
+	if ctype != "" {
+		req.Header.Set("Content-Type", ctype)
 	}
 	resp, err := s.client.Do(req)
 	if err != nil {
-		return nil, 0, err
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+	respBody, err = io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
 	if err != nil {
-		return nil, resp.StatusCode, err
+		return resp.StatusCode, nil, err
 	}
-	return body, resp.StatusCode, nil
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone
-}
-
-func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// writeFieldErr names the request field a 400 rejects, mirroring ctl.
-func writeFieldErr(w http.ResponseWriter, code int, field, format string, args ...any) {
-	writeJSON(w, code, map[string]string{
-		"error": fmt.Sprintf(format, args...),
-		"field": field,
-	})
+	return resp.StatusCode, respBody, nil
 }
 
 // sortedNames returns the map's keys sorted (stable JSON and metrics).

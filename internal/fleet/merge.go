@@ -90,7 +90,7 @@ func (s *Server) handleFleetStatus(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			body, code, err := s.getMember(m.URL, "/v1/status")
+			code, body, err := s.doMember(http.MethodGet, m.URL+"/v1/status", "", nil)
 			if err != nil {
 				rows[i].Error = err.Error()
 				rows[i].Healthy = false
@@ -143,14 +143,14 @@ func (s *Server) handleFleetStatus(w http.ResponseWriter, r *http.Request) {
 	sort.Strings(roll.DetachedBackends)
 	sort.Strings(roll.OpenBreakers)
 
-	writeJSON(w, http.StatusOK, FleetStatusResponse{
+	ctl.WriteJSON(w, http.StatusOK, FleetStatusResponse{
 		Coordinator: CoordinatorStatus{
 			UptimeSeconds:  time.Since(s.started).Seconds(),
 			Registrations:  s.reg.registrations.Load(),
 			Evictions:      s.reg.evictions.Load(),
 			Fanouts:        s.fanouts.Load(),
 			FanoutFailures: s.fanoutFailures.Load(),
-			SSEClients:     s.hub.clients(),
+			SSEClients:     s.hub.Clients(),
 		},
 		Rollup:       roll,
 		MemberStatus: rows,
@@ -211,7 +211,7 @@ type talpDoc struct {
 func (s *Server) handleFleetReport(w http.ResponseWriter, r *http.Request) {
 	members := s.reg.snapshot()
 	if len(members) == 0 {
-		writeErr(w, http.StatusServiceUnavailable, "fleet has no members")
+		ctl.WriteErr(w, http.StatusServiceUnavailable, "fleet has no members")
 		return
 	}
 	type fetched struct {
@@ -226,7 +226,7 @@ func (s *Server) handleFleetReport(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			body, code, err := s.getMember(m.URL, "/v1/report")
+			code, body, err := s.doMember(http.MethodGet, m.URL+"/v1/report", "", nil)
 			switch {
 			case err != nil:
 				results[i].err = err.Error()
@@ -318,5 +318,5 @@ func (s *Server) handleFleetReport(w http.ResponseWriter, r *http.Request) {
 	if len(out.Members) == 0 {
 		code = http.StatusBadGateway
 	}
-	writeJSON(w, code, out)
+	ctl.WriteJSON(w, code, out)
 }

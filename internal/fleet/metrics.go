@@ -25,7 +25,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			body, code, err := s.getMember(m.URL, "/metrics")
+			code, body, err := s.doMember(http.MethodGet, m.URL+"/metrics", "", nil)
 			if err != nil {
 				results[i].err = err
 			} else if code != http.StatusOK {
@@ -62,7 +62,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	own("Per-member application failures across all fan-outs.", "counter",
 		"capi_fleet_fanout_member_failures_total", s.fanoutFailures.Load())
 	own("Connected fleet SSE clients.", "gauge",
-		"capi_fleet_sse_clients", s.hub.clients())
+		"capi_fleet_sse_clients", s.hub.Clients())
 	own("Coordinator uptime.", "gauge",
 		"capi_fleet_uptime_seconds", time.Since(s.started).Seconds())
 

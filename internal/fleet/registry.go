@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"capi/internal/deadline"
 )
 
 // member is one capi-serve endpoint the coordinator knows about. Mutable
@@ -26,34 +28,34 @@ type member struct {
 	cancel   context.CancelFunc //capi:guardedby mu — stops the member's tailer
 }
 
-// registry is the member table plus the heartbeat-TTL eviction loop. The
-// loop follows the ttl.go pattern: one lazily-started timer goroutine
-// that sleeps until the earliest deadline, evicts everything overdue, and
-// exits when no dynamic member remains. Heartbeats only move deadlines
-// and poke the coalesced wake channel — they never spawn goroutines.
+// registry is the member table plus the heartbeat-TTL eviction loop: a
+// deadline.Loop (the one ttl.go runs on) that sleeps until the earliest
+// dynamic deadline, evicts everything overdue, and exits when no dynamic
+// member remains. Heartbeats only move deadlines and kick the loop.
 type registry struct {
 	ttl     time.Duration
 	onJoin  func(*member) context.CancelFunc // start tailer; called under mu
 	onLeave func(name, reason string)        // called after removal, outside mu
 
-	mu       sync.Mutex
-	members  map[string]*member //capi:guardedby mu
-	loopLive bool               //capi:guardedby mu — eviction goroutine running
-	closed   bool               //capi:guardedby mu
-	wake     chan struct{}      // coalesced "deadlines changed" signal, cap 1
+	evict *deadline.Loop
+
+	mu      sync.Mutex
+	members map[string]*member //capi:guardedby mu
+	closed  bool               //capi:guardedby mu
 
 	registrations atomic.Int64 // joins + heartbeats accepted
 	evictions     atomic.Int64 // members evicted by TTL
 }
 
 func newRegistry(ttl time.Duration, onJoin func(*member) context.CancelFunc, onLeave func(name, reason string)) *registry {
-	return &registry{
+	r := &registry{
 		ttl:     ttl,
 		onJoin:  onJoin,
 		onLeave: onLeave,
 		members: make(map[string]*member),
-		wake:    make(chan struct{}, 1),
 	}
+	r.evict = deadline.New(r.nextDeadline, r.expireOverdue)
+	return r
 }
 
 // upsert joins a new member or refreshes an existing one (the heartbeat).
@@ -85,10 +87,6 @@ func (r *registry) upsert(name, url, app string, static bool) bool {
 	m.lastSeen = time.Now()
 	if !static {
 		m.deadline = m.lastSeen.Add(r.ttl)
-		if !r.loopLive {
-			r.loopLive = true
-			go r.evictLoop()
-		}
 	}
 	r.registrations.Add(1)
 	r.mu.Unlock()
@@ -99,67 +97,34 @@ func (r *registry) upsert(name, url, app string, static bool) bool {
 		}
 		r.onLeave(name, "replaced")
 	}
-	// Coalesced poke: the loop re-scans deadlines on the next wake.
-	select {
-	case r.wake <- struct{}{}:
-	default:
+	if !static {
+		r.evict.Kick()
 	}
 	return true
 }
 
-// evictLoop sleeps until the earliest dynamic deadline, evicts everything
-// overdue, and exits once no dynamic member remains (a later registration
-// restarts it). Exactly one instance runs at a time (loopLive).
-func (r *registry) evictLoop() {
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
+// nextDeadline is the eviction loop's next: the earliest heartbeat
+// deadline, or false once no dynamic member remains (a later registration
+// restarts the loop).
+func (r *registry) nextDeadline() (time.Time, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var next time.Time
+	for _, m := range r.members {
+		if m.static || m.deadline.IsZero() {
+			continue
+		}
+		if next.IsZero() || m.deadline.Before(next) {
+			next = m.deadline
+		}
 	}
-	defer timer.Stop()
-	for {
-		r.mu.Lock()
-		if r.closed {
-			r.loopLive = false
-			r.mu.Unlock()
-			return
-		}
-		var next time.Time
-		for _, m := range r.members {
-			if m.static || m.deadline.IsZero() {
-				continue
-			}
-			if next.IsZero() || m.deadline.Before(next) {
-				next = m.deadline
-			}
-		}
-		if next.IsZero() {
-			// No dynamic members left: park until one registers.
-			r.loopLive = false
-			r.mu.Unlock()
-			return
-		}
-		r.mu.Unlock()
-
-		d := time.Until(next)
-		if d < 0 {
-			d = 0
-		}
-		timer.Reset(d)
-		select {
-		case <-timer.C:
-		case <-r.wake:
-			if !timer.Stop() {
-				<-timer.C
-			}
-		}
-		r.expireOverdue()
-	}
+	return next, !next.IsZero()
 }
 
-// expireOverdue removes every dynamic member whose deadline has passed
-// and reports the evictions outside the lock.
-func (r *registry) expireOverdue() {
-	now := time.Now()
+// expireOverdue is the eviction loop's fire: it removes every dynamic
+// member whose deadline has passed and reports the evictions outside the
+// lock.
+func (r *registry) expireOverdue(now time.Time) {
 	type gone struct {
 		name   string
 		cancel context.CancelFunc
@@ -237,8 +202,7 @@ func (r *registry) count() int {
 	return n
 }
 
-// close empties the table and stops every tailer. The eviction loop sees
-// closed on its next wake and exits.
+// close empties the table, stops the eviction loop and every tailer.
 func (r *registry) close() {
 	r.mu.Lock()
 	r.closed = true
@@ -251,10 +215,7 @@ func (r *registry) close() {
 	r.members = make(map[string]*member)
 	r.mu.Unlock()
 
-	select {
-	case r.wake <- struct{}{}:
-	default:
-	}
+	r.evict.Close()
 	for _, c := range cancels {
 		c()
 	}

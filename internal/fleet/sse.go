@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -18,79 +17,6 @@ const (
 	tailBackoffMin = 100 * time.Millisecond
 	tailBackoffMax = 5 * time.Second
 )
-
-// event is one multiplexed server-sent event (same shape as ctl's).
-type event struct {
-	id   int64
-	name string
-	data []byte
-}
-
-// hub fans the multiplexed member events out to the fleet's SSE clients.
-// Same contract as ctl's hub: publishing never blocks, a subscriber that
-// cannot keep up loses events, and the authoritative state is always one
-// GET /v1/fleet/status away.
-type hub struct {
-	mu     sync.Mutex
-	next   int64                   //capi:guardedby mu
-	closed bool                    //capi:guardedby mu
-	subs   map[chan event]struct{} //capi:guardedby mu
-}
-
-func newHub() *hub {
-	return &hub{subs: map[chan event]struct{}{}}
-}
-
-func (h *hub) subscribe() chan event {
-	ch := make(chan event, 32)
-	h.mu.Lock()
-	if h.closed {
-		close(ch)
-	} else {
-		h.subs[ch] = struct{}{}
-	}
-	h.mu.Unlock()
-	return ch
-}
-
-func (h *hub) shutdown() {
-	h.mu.Lock()
-	h.closed = true
-	for ch := range h.subs {
-		close(ch)
-		delete(h.subs, ch)
-	}
-	h.mu.Unlock()
-}
-
-func (h *hub) unsubscribe(ch chan event) {
-	h.mu.Lock()
-	delete(h.subs, ch)
-	h.mu.Unlock()
-}
-
-func (h *hub) clients() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.subs)
-}
-
-func (h *hub) publish(name string, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return
-	}
-	h.mu.Lock()
-	h.next++
-	ev := event{id: h.next, name: name, data: data}
-	for ch := range h.subs {
-		select {
-		case ch <- ev:
-		default: // slow client: drop rather than stall the mux
-		}
-	}
-	h.mu.Unlock()
-}
 
 // MemberEvent is the payload of every relayed fleet SSE event: the origin
 // member plus the member's own event document, verbatim. The event name
@@ -166,7 +92,7 @@ func (s *Server) tailOnce(ctx context.Context, m *member) bool {
 		case line == "":
 			if name != "" && data != "" {
 				m.events.Add(1)
-				s.hub.publish(name, MemberEvent{Member: m.name, Data: jsonOrNil([]byte(data))})
+				s.hub.Publish(name, MemberEvent{Member: m.name, Data: jsonOrNil([]byte(data))})
 			}
 			name, data = "", ""
 		case strings.HasPrefix(line, "event:"):
@@ -183,33 +109,5 @@ func (s *Server) tailOnce(ctx context.Context, m *member) bool {
 // the coordinator's own "fleet" lifecycle events (registered, evicted,
 // replaced).
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeErr(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	ch := s.hub.subscribe()
-	defer s.hub.unsubscribe(ch)
-
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	fmt.Fprintf(w, ": capi fleet mux, %d members\n\n", s.reg.count())
-	fl.Flush()
-
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case ev, ok := <-ch:
-			if !ok {
-				return // hub shut down
-			}
-			if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.id, ev.name, ev.data); err != nil {
-				return
-			}
-			fl.Flush()
-		}
-	}
+	s.hub.Stream(w, r, fmt.Sprintf("capi fleet mux, %d members", s.reg.count()))
 }

@@ -4,10 +4,10 @@ package capi
 // auto-reverts to the pre-override snapshot when the TTL expires — the
 // Diagnose library's "probes have a lifespan" promise. Expiry is delivered
 // as a perfectly ordinary Reconfigure/SetSampling (same locks, same
-// accounting, same SSE visibility), driven by a single timer goroutine
-// that exists only while a revert is pending: deadlines are monotonic
-// (time.Time retains the monotonic reading), and when both a select and a
-// sampling TTL are pending the goroutine sleeps until the earlier one.
+// accounting, same SSE visibility), driven by a deadline.Loop: a single
+// timer goroutine that exists only while a revert is pending, and when
+// both a select and a sampling TTL are pending sleeps until the earlier
+// one.
 //
 // Composition with manual control: an explicit Reconfigure/SetSampling
 // landing before expiry *cancels* the pending revert — the newest explicit
@@ -27,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"capi/internal/deadline"
 	"capi/internal/ic"
 )
 
@@ -51,22 +52,16 @@ type pendingRevert struct {
 }
 
 // ttlState is the ephemeral-probe scheduler embedded in Instance. Its
-// mutex is independent of Instance.mu; the timer goroutine only runs while
-// a revert is pending.
+// mutex is independent of Instance.mu; loop's timer goroutine only runs
+// while a revert is pending.
 type ttlState struct {
-	mu sync.Mutex
-	// wake nudges the timer goroutine to recompute its deadline (schedule
-	// changes, cancellations, shutdown). Buffered so nudges never block.
-	wake chan struct{}
+	mu   sync.Mutex
+	loop *deadline.Loop
 
 	//capi:guardedby mu
 	sel *pendingRevert // pending selection revert
 	//capi:guardedby mu
 	smp *pendingRevert // pending sampling revert
-	//capi:guardedby mu
-	loopLive bool
-	//capi:guardedby mu
-	closed bool
 	//capi:guardedby mu
 	notify func(TTLExpiry)
 	// userIC / lastSampling are the explicit base snapshots a TTL'd
@@ -212,7 +207,7 @@ func maxSeconds(d time.Duration) float64 {
 
 // scheduleRevert installs p into the kind's slot (keeping an existing
 // pending revert's base — overlap coalesces to the original snapshot) and
-// makes sure the timer goroutine runs.
+// makes sure the timer goroutine runs and sees the new deadline.
 func (i *Instance) scheduleRevert(kind ttlKind, p *pendingRevert, ttl time.Duration) {
 	p.deadline = time.Now().Add(ttl)
 	i.ttl.mu.Lock()
@@ -223,17 +218,8 @@ func (i *Instance) scheduleRevert(kind ttlKind, p *pendingRevert, ttl time.Durat
 		i.ttl.smp = p
 	}
 	i.ttl.scheduled++
-	start := false
-	if !i.ttl.loopLive && !i.ttl.closed {
-		i.ttl.loopLive = true
-		start = true
-	}
 	i.ttl.mu.Unlock()
-	if start {
-		go i.ttlLoop()
-	} else {
-		i.ttlWake()
-	}
+	i.ttl.loop.Kick()
 }
 
 // ttlExplicitSelect records an explicit selection as the new revert base
@@ -245,9 +231,9 @@ func (i *Instance) ttlExplicitSelect(cfg *ic.Config) {
 	if i.ttl.sel != nil {
 		i.ttl.sel = nil
 		i.ttl.canceled++
+		i.ttl.loop.Kick() // lets the goroutine that slept for it exit
 	}
 	i.ttl.mu.Unlock()
-	i.ttlWake()
 }
 
 // ttlExplicitSampling records an explicit table as the new revert base and
@@ -258,68 +244,42 @@ func (i *Instance) ttlExplicitSampling(cfg SamplingOptions) {
 	if i.ttl.smp != nil {
 		i.ttl.smp = nil
 		i.ttl.canceled++
+		i.ttl.loop.Kick() // lets the goroutine that slept for it exit
 	}
 	i.ttl.mu.Unlock()
-	i.ttlWake()
-}
-
-// ttlWake nudges the timer goroutine without blocking.
-func (i *Instance) ttlWake() {
-	select {
-	case i.ttl.wake <- struct{}{}:
-	default:
-	}
 }
 
 // ttlStop shuts the scheduler down (Close): pending reverts are dropped
-// undelivered and the timer goroutine, if any, exits at its next wake.
+// undelivered and the timer goroutine, if any, has exited on return.
 func (i *Instance) ttlStop() {
 	i.ttl.mu.Lock()
-	i.ttl.closed = true
 	i.ttl.sel = nil
 	i.ttl.smp = nil
 	i.ttl.mu.Unlock()
-	i.ttlWake()
+	i.ttl.loop.Close()
 }
 
-// ttlLoop is the single timer goroutine: it sleeps until the earliest
-// pending deadline (re-armed on every wake nudge) and exits as soon as
-// nothing is pending — an instance that never uses TTLs never runs it.
-func (i *Instance) ttlLoop() {
-	for {
-		i.ttl.mu.Lock()
-		if i.ttl.closed || (i.ttl.sel == nil && i.ttl.smp == nil) {
-			i.ttl.loopLive = false
-			i.ttl.mu.Unlock()
-			return
-		}
-		var next time.Time
-		if p := i.ttl.sel; p != nil {
-			next = p.deadline
-		}
-		if p := i.ttl.smp; p != nil && (next.IsZero() || p.deadline.Before(next)) {
-			next = p.deadline
-		}
-		i.ttl.mu.Unlock()
-		if d := time.Until(next); d > 0 {
-			t := time.NewTimer(d)
-			select {
-			case <-t.C:
-			case <-i.ttl.wake:
-				t.Stop()
-				continue // schedule changed: recompute (or exit)
-			}
-		}
-		i.deliverExpiries()
+// ttlNext is the scheduler's deadline.Loop next: the earlier of the two
+// pending reverts.
+func (i *Instance) ttlNext() (time.Time, bool) {
+	i.ttl.mu.Lock()
+	defer i.ttl.mu.Unlock()
+	var next time.Time
+	if p := i.ttl.sel; p != nil {
+		next = p.deadline
 	}
+	if p := i.ttl.smp; p != nil && (next.IsZero() || p.deadline.Before(next)) {
+		next = p.deadline
+	}
+	return next, !next.IsZero()
 }
 
-// deliverExpiries pops every due revert and applies it outside the TTL
-// lock, through the same internal apply helpers the explicit calls use —
-// but without the cancel step, so delivering a revert never cancels the
-// other slot's pending revert.
-func (i *Instance) deliverExpiries() {
-	now := time.Now()
+// deliverExpiries is the scheduler's deadline.Loop fire: it pops every
+// revert due at now and applies it outside the TTL lock, through the same
+// internal apply helpers the explicit calls use — but without the cancel
+// step, so delivering a revert never cancels the other slot's pending
+// revert.
+func (i *Instance) deliverExpiries(now time.Time) {
 	var sel, smp *pendingRevert
 	i.ttl.mu.Lock()
 	if p := i.ttl.sel; p != nil && !p.deadline.After(now) {
