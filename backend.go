@@ -71,7 +71,8 @@ func (r JSONReport) MarshalJSON() ([]byte, error) { return json.Marshal(r.Value)
 // BackendConfig is everything a backend factory gets to build one backend
 // instance for a starting (or live) run.
 type BackendConfig struct {
-	// Ranks is the simulated MPI world size of the run.
+	// Ranks is how many dispatch ranks per-rank state must cover: the MPI
+	// world plus the HTTP middleware's worker ranks.
 	Ranks int
 	// Proc is the loaded process image, for address→symbol resolution.
 	Proc *Process
@@ -81,7 +82,7 @@ type BackendConfig struct {
 	// EmulateTALPBug enables TALP's re-entry bug compat mode (§VI-B(b)).
 	EmulateTALPBug bool
 	// Trace tunes trace-style backends (ring size, retention, wrap); nil
-	// uses defaults. Ranks is already filled in.
+	// uses defaults. Shard over Ranks above, not over its Ranks field.
 	Trace *TraceOptions
 }
 
@@ -169,8 +170,8 @@ func unknownBackendError(name string) error {
 }
 
 // ValidateBackends checks every name against the registry and rejects
-// duplicates (reports are keyed by name). An empty list is valid — it means
-// the RunOptions.Backend shim (or the "none" default) decides.
+// duplicates (reports are keyed by name). An empty list is valid: Start
+// reads it as {"none"}.
 func ValidateBackends(names []string) error {
 	seen := make(map[string]bool, len(names))
 	for _, name := range names {

@@ -105,7 +105,7 @@ func TestBackendValidation(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "twice") {
 		t.Fatalf("duplicate backend error = %v", err)
 	}
-	_, err = s.Start(sel, capi.RunOptions{Backend: "bogus", Ranks: 2})
+	_, err = s.Start(sel, capi.RunOptions{Backends: []string{"bogus"}, Ranks: 2})
 	if err == nil {
 		t.Fatal("unknown shim backend must fail")
 	}
@@ -129,7 +129,7 @@ func TestInstanceSetBackendsLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := s.Start(sel, capi.RunOptions{Backend: capi.BackendTALP, Ranks: 2})
+	inst, err := s.Start(sel, capi.RunOptions{Backends: []string{"talp"}, Ranks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

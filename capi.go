@@ -265,12 +265,8 @@ type RunOptions struct {
 	// several names, a fan-out mux delivers every enter/exit event to each
 	// of them — one run records TALP efficiency *and* an Extrae trace from
 	// the same event stream. Order is delivery (and report) order. Empty
-	// falls back to the single-Backend shim below.
+	// means {"none"}.
 	Backends []string
-	// Backend selects a single measurement system (default BackendNone).
-	// It is the one-element shim over Backends and is ignored when
-	// Backends is non-empty.
-	Backend Backend
 	// Ranks is the simulated MPI world size (default 4).
 	Ranks int
 	// PatchAll patches every sled regardless of the selection (the
@@ -285,8 +281,9 @@ type RunOptions struct {
 	// exceeds the budget. nil disables adaptation.
 	Adapt *AdaptOptions
 	// Trace tunes the extrae backend's sharded buffer; nil uses defaults
-	// (4096-event rings, unbounded retention). Ranks is filled in from
-	// RunOptions.Ranks. Ignored for other backends.
+	// (4096-event rings, unbounded retention). Its Ranks field is ignored:
+	// the buffer is sharded over Ranks + HTTPWorkers. Ignored for other
+	// backends.
 	Trace *TraceOptions
 	// Sampling installs an initial sampling/suppression table: per-function
 	// 1-in-N stride sampling, min-duration suppression and redundancy
@@ -318,21 +315,6 @@ type RunOptions struct {
 	// a measurement tool did. 0 uses DefaultPanicLimit; negative keeps the
 	// barrier (panics recovered and counted) but never detaches.
 	PanicLimit int
-}
-
-// backendNames resolves the configured backend set: Backends verbatim when
-// set, otherwise the single Backend shim (default "none"). Validation
-// against the registry happens in buildMeasurementBackends, the single
-// place every backend list goes through.
-func (o RunOptions) backendNames() []string {
-	if len(o.Backends) > 0 {
-		return o.Backends
-	}
-	name := string(o.Backend)
-	if name == "" {
-		name = string(BackendNone)
-	}
-	return []string{name}
 }
 
 // RunResult is the outcome of one measured execution.
@@ -507,15 +489,11 @@ func (s *Session) Start(sel *Selection, opts RunOptions) (*Instance, error) {
 		return inst, nil // uninstrumented baseline
 	}
 
-	backends, backend, err := buildMeasurementBackends(opts.backendNames(), BackendConfig{
-		// Per-rank backend state (scorep, extrae) is sized to cover the
-		// middleware's worker ranks too — they dispatch past the MPI world.
-		Ranks:          opts.Ranks + opts.HTTPWorkers,
-		Proc:           proc,
-		World:          world,
-		EmulateTALPBug: opts.EmulateTALPBug,
-		Trace:          traceOptionsFor(opts),
-	}, inst.guardOptions())
+	names := opts.Backends
+	if len(names) == 0 {
+		names = []string{string(BackendNone)}
+	}
+	backends, backend, err := inst.buildBackends(names, world)
 	if err != nil {
 		return nil, err
 	}
@@ -564,10 +542,18 @@ func (s *Session) Start(sel *Selection, opts RunOptions) (*Instance, error) {
 	return inst, nil
 }
 
-// guardOptions builds the panic-barrier configuration shared by Start and
-// SetBackends.
-func (i *Instance) guardOptions() dyncapi.GuardOptions {
-	return dyncapi.GuardOptions{PanicLimit: i.opts.PanicLimit, OnTrip: i.onBreakerTrip}
+// buildBackends builds the named backend set for this instance, each behind
+// its panic barrier — the one config Start and SetBackends share. Per-rank
+// backend state (scorep, extrae) is sized to cover the middleware's worker
+// ranks too: they dispatch past the MPI world.
+func (i *Instance) buildBackends(names []string, world *mpi.World) ([]MeasurementBackend, dyncapi.Backend, error) {
+	return buildMeasurementBackends(names, BackendConfig{
+		Ranks:          i.opts.Ranks + i.opts.HTTPWorkers,
+		Proc:           i.proc,
+		World:          world,
+		EmulateTALPBug: i.opts.EmulateTALPBug,
+		Trace:          i.opts.Trace,
+	}, dyncapi.GuardOptions{PanicLimit: i.opts.PanicLimit, OnTrip: i.onBreakerTrip})
 }
 
 // Reconfigure applies a new selection to the live instance: the currently
@@ -685,10 +671,6 @@ func (i *Instance) FlushSampling() {
 	}
 }
 
-// Adaptive reports whether the instance runs under the overhead-budget
-// controller.
-func (i *Instance) Adaptive() bool { return i.ctrl != nil }
-
 // InitSeconds returns the DynCaPI start-up time (T_init) in virtual
 // seconds, or -1 for an uninstrumented instance.
 func (i *Instance) InitSeconds() float64 {
@@ -712,17 +694,6 @@ func (i *Instance) Reconfigs() int {
 		return 0
 	}
 	return i.rt.Reconfigs()
-}
-
-// traceOptionsFor copies the run's trace tuning with Ranks filled in
-// (including the middleware worker ranks, which shard like MPI ranks).
-func traceOptionsFor(opts RunOptions) *TraceOptions {
-	t := trace.Options{}
-	if opts.Trace != nil {
-		t = *opts.Trace
-	}
-	t.Ranks = opts.Ranks + opts.HTTPWorkers
-	return &t
 }
 
 // measurementBackends snapshots the attached backend set.
@@ -800,20 +771,6 @@ func (i *Instance) Backends() []string {
 	return names
 }
 
-// Backend returns the first attached measurement backend's name — the whole
-// set for a single-backend run.
-//
-// Deprecated: use Backends; a multi-backend instance has more than one.
-func (i *Instance) Backend() Backend {
-	if names := i.Backends(); len(names) > 0 {
-		return Backend(names[0])
-	}
-	if i.opts.Backend != "" {
-		return i.opts.Backend
-	}
-	return BackendNone
-}
-
 // SetBackends swaps the attached measurement-backend set while the instance
 // is live: the patched sleds and the selection are untouched, the event
 // stream simply starts feeding the new set. Detaching backends close their
@@ -834,13 +791,7 @@ func (i *Instance) SetBackends(names []string) (BackendSwapReport, error) {
 	}
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	backends, sink, err := buildMeasurementBackends(names, BackendConfig{
-		Ranks:          i.opts.Ranks,
-		Proc:           i.proc,
-		World:          i.curWorld,
-		EmulateTALPBug: i.opts.EmulateTALPBug,
-		Trace:          traceOptionsFor(i.opts),
-	}, i.guardOptions())
+	backends, sink, err := i.buildBackends(names, i.curWorld)
 	if err != nil {
 		return BackendSwapReport{}, err
 	}
@@ -856,9 +807,6 @@ func (i *Instance) SetBackends(names []string) (BackendSwapReport, error) {
 
 // Ranks returns the simulated MPI world size.
 func (i *Instance) Ranks() int { return i.opts.Ranks }
-
-// Session returns the session the instance was started from.
-func (i *Instance) Session() *Session { return i.s }
 
 // Runs returns how many phases have completed.
 func (i *Instance) Runs() int {
@@ -893,17 +841,8 @@ func (i *Instance) ActiveFunctionNames() []string {
 // table is immutable after Start, so this is safe mid-phase.
 func (i *Instance) UnknownFunctionNames(names []string) []string {
 	var unknown []string
-	if i.rt == nil {
-		return append(unknown, names...)
-	}
-	known := make(map[string]bool)
-	for _, rf := range i.rt.Funcs() {
-		if rf.Name != "" {
-			known[rf.Name] = true
-		}
-	}
 	for _, n := range names {
-		if !known[n] {
+		if _, ok := i.ResolveFunctionName(n); !ok {
 			unknown = append(unknown, n)
 		}
 	}
@@ -913,11 +852,9 @@ func (i *Instance) UnknownFunctionNames(names []string) []string {
 // InstanceStatus is a point-in-time snapshot of a live instance — what the
 // control plane serves on GET /v1/status and exports as Prometheus gauges.
 type InstanceStatus struct {
-	// Backend is the first attached backend's name (legacy shim); Backends
-	// is the full attached set in delivery order. Ranks echoes the start
-	// configuration; Adaptive tells whether the overhead-budget controller
-	// is attached.
-	Backend  Backend  `json:"backend"`
+	// Backends is the attached set in delivery order. Ranks echoes the
+	// start configuration; Adaptive tells whether the overhead-budget
+	// controller is attached.
 	Backends []string `json:"backends"`
 	Ranks    int      `json:"ranks"`
 	Adaptive bool     `json:"adaptive"`
@@ -981,7 +918,6 @@ type InstanceStatus struct {
 // Safe to call concurrently with Run and Reconfigure.
 func (i *Instance) Status() InstanceStatus {
 	st := InstanceStatus{
-		Backend:  i.Backend(),
 		Backends: i.Backends(),
 		Ranks:    i.opts.Ranks,
 		Adaptive: i.ctrl != nil,
@@ -1053,20 +989,6 @@ func (i *Instance) SyntheticExits() int64 {
 		return 0
 	}
 	return i.rt.SyntheticExits()
-}
-
-// Async reports whether the instance runs the asynchronous event pipeline.
-func (i *Instance) Async() bool {
-	return i.rt != nil && i.rt.AsyncEnabled()
-}
-
-// PipelineDepth returns the number of events currently queued in the async
-// pipeline's per-rank rings (0 for inline or uninstrumented instances).
-func (i *Instance) PipelineDepth() int64 {
-	if i.rt == nil {
-		return 0
-	}
-	return i.rt.PipelineDepth()
 }
 
 // DroppedAsync returns how many enter/exit pairs the async pipeline rejected

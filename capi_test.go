@@ -73,7 +73,7 @@ func TestSessionRunBackends(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	talpRes, err := s.Run(sel, capi.RunOptions{Backend: capi.BackendTALP, Ranks: 2})
+	talpRes, err := s.Run(sel, capi.RunOptions{Backends: []string{"talp"}, Ranks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestSessionRunBackends(t *testing.T) {
 		t.Fatalf("instrumented run %v not above vanilla %v", talpRes.TotalSeconds, van)
 	}
 
-	spRes, err := s.Run(sel, capi.RunOptions{Backend: capi.BackendScoreP, Ranks: 2})
+	spRes, err := s.Run(sel, capi.RunOptions{Backends: []string{"scorep"}, Ranks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestSessionRunInactiveSledsNearVanilla(t *testing.T) {
 
 func TestSessionRunPatchAll(t *testing.T) {
 	s := newQuickSession(t)
-	full, err := s.Run(nil, capi.RunOptions{Backend: capi.BackendTALP, Ranks: 2, PatchAll: true})
+	full, err := s.Run(nil, capi.RunOptions{Backends: []string{"talp"}, Ranks: 2, PatchAll: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestSessionRunPatchAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	filtered, err := s.Run(sel, capi.RunOptions{Backend: capi.BackendTALP, Ranks: 2})
+	filtered, err := s.Run(sel, capi.RunOptions{Backends: []string{"talp"}, Ranks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ subtract(callPathTo(flops(">=", 10, %%)), %excluded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run1, err := s.Run(sel1, capi.RunOptions{Backend: capi.BackendScoreP, Ranks: 2})
+	run1, err := s.Run(sel1, capi.RunOptions{Backends: []string{"scorep"}, Ranks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ subtract(subtract(callPathTo(flops(">=", 10, %%)), %excluded), %hot)
 	if sel2.IC.Len() >= sel1.IC.Len() {
 		t.Fatalf("refined IC %d not smaller than %d", sel2.IC.Len(), sel1.IC.Len())
 	}
-	run2, err := s.Run(sel2, capi.RunOptions{Backend: capi.BackendScoreP, Ranks: 2})
+	run2, err := s.Run(sel2, capi.RunOptions{Backends: []string{"scorep"}, Ranks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestSessionUnknownBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(sel, capi.RunOptions{Backend: "vampir", Ranks: 2}); err == nil ||
+	if _, err := s.Run(sel, capi.RunOptions{Backends: []string{"vampir"}, Ranks: 2}); err == nil ||
 		!strings.Contains(err.Error(), "backend") {
 		t.Fatalf("unknown backend error missing, got %v", err)
 	}
@@ -267,7 +267,7 @@ func TestLiveInstanceReconfigure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := s.Start(sel1, capi.RunOptions{Backend: capi.BackendTALP, Ranks: 2})
+	inst, err := s.Start(sel1, capi.RunOptions{Backends: []string{"talp"}, Ranks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestScorePProfileIsPerPhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := s.Start(sel, capi.RunOptions{Backend: capi.BackendScoreP, Ranks: 2})
+	inst, err := s.Start(sel, capi.RunOptions{Backends: []string{"scorep"}, Ranks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +427,7 @@ func TestRunWithExtraeTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run(sel, capi.RunOptions{Backend: capi.BackendExtrae, Ranks: 2})
+	res, err := s.Run(sel, capi.RunOptions{Backends: []string{"extrae"}, Ranks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,9 +470,9 @@ func TestExtraeTraceBoundedBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	inst, err := s.Start(sel, capi.RunOptions{
-		Backend: capi.BackendExtrae,
-		Ranks:   2,
-		Trace:   &capi.TraceOptions{BufEvents: 8, MaxEvents: 32, Wrap: true},
+		Backends: []string{"extrae"},
+		Ranks:    2,
+		Trace:    &capi.TraceOptions{BufEvents: 8, MaxEvents: 32, Wrap: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -570,7 +570,7 @@ func TestRunWithSamplingOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	inst, err := s.Start(sel, capi.RunOptions{
-		Backend:  capi.BackendTALP,
+		Backends: []string{"talp"},
 		Ranks:    2,
 		Sampling: &capi.SamplingOptions{Default: &capi.SamplingPolicy{Stride: 4}},
 	})

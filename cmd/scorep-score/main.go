@@ -35,7 +35,7 @@ func main() {
 	}
 	// Full instrumentation profile — the expensive survey run.
 	res, err := session.Run(nil, capi.RunOptions{
-		Backend:  capi.BackendScoreP,
+		Backends: []string{"scorep"},
 		Ranks:    *ranks,
 		PatchAll: true,
 	})

@@ -80,17 +80,17 @@
 //	          (RunOptions.HTTPWorkers: dedicated ranks past the MPI world)
 //	ctl       HTTP/JSON control plane over a live instance: remote
 //	          re-selection (optionally TTL'd: ephemeral probes that
-//	          auto-revert), phase execution, report scrapes, Prometheus
-//	          metrics, SSE reconfigure/expired/breaker events (served by
-//	          cmd/capi-serve)
+//	          auto-revert), phase execution, report scrapes, /metrics
+//	          rendered from the /v1/status document, SSE reconfigure/
+//	          expired/breaker events (served by cmd/capi-serve)
 //	fleet     federated control plane over many capi-serve members
 //	          (cmd/capi-fleet): registration with heartbeat-TTL eviction,
 //	          cluster-wide fan-out of select/sampling/adapt with
 //	          partial-failure accounting (all-or-report-divergence),
 //	          merged status/report — fleet-wide POP metrics re-derived
-//	          from concatenated per-member rank times — a member-labelled
-//	          unified /metrics, and a multiplexed SSE feed tailing every
-//	          member's event stream with reconnect/backoff
+//	          from concatenated per-member rank times — a unified /metrics
+//	          rendered from the members' status (member="…" first), and a
+//	          multiplexed SSE feed tailing every member's event stream
 //	deadline  the one lazily-started deadline timer goroutine: TTL'd
 //	          override reverts (ttl.go) and fleet heartbeat evictions
 //	          both supply next/fire and share the loop
@@ -113,7 +113,7 @@
 //	sel, _ := s.Select(`!import("mpi.capi")
 //	excluded = join(inSystemHeader(%%), inlineSpecified(%%))
 //	subtract(%mpi_comm, %excluded)`)
-//	res, _ := s.Run(sel, capi.RunOptions{Backend: capi.BackendScoreP, Ranks: 4})
+//	res, _ := s.Run(sel, capi.RunOptions{Backends: []string{"scorep"}, Ranks: 4})
 //	res.Profile.WriteText(os.Stdout)
 //
 // # Live re-selection
@@ -125,7 +125,7 @@
 // an overhead-budget controller (internal/adapt) narrow the selection
 // automatically at virtual-time epoch boundaries while the workload runs:
 //
-//	inst, _ := s.Start(sel, capi.RunOptions{Backend: capi.BackendTALP})
+//	inst, _ := s.Start(sel, capi.RunOptions{Backends: []string{"talp"}})
 //	res1, _ := inst.Run()               // pays T_init once
 //	sel2, _ := s.Select(refinedSpec)
 //	inst.Reconfigure(sel2)              // delta re-patch, runtime stays up
@@ -171,7 +171,7 @@
 // delivery stays balanced across rate changes):
 //
 //	inst, _ := s.Start(sel, capi.RunOptions{
-//		Backend:  capi.BackendTALP,
+//		Backends: []string{"talp"},
 //		Sampling: &capi.SamplingOptions{Default: &capi.SamplingPolicy{Stride: 64}},
 //	})
 //
@@ -208,7 +208,8 @@
 // status, the current selection, live re-selection (POST a spec, get the
 // ReconfigReport), phase execution, measurement reports, adaptive-controller
 // retuning, Prometheus metrics and an SSE stream of reconfigure events.
-// Instance.Status returns the consistent snapshot those endpoints expose.
+// Instance.Status returns the consistent snapshot those endpoints expose;
+// /metrics is that snapshot rendered as series.
 //
 // Above the single process sits the federated control plane: cmd/capi-fleet
 // (internal/fleet) aggregates many capi-serve members — capi-serve -fleet

@@ -45,7 +45,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	inst, err := session.Start(sel, capi.RunOptions{Backend: capi.BackendTALP, Ranks: 4})
+	inst, err := session.Start(sel, capi.RunOptions{Backends: []string{"talp"}, Ranks: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -32,8 +32,8 @@ subtract(%mpi_comm, %excluded)
 	fmt.Printf("selected %d functions for tracing\n", sel.IC.Len())
 
 	inst, err := session.Start(sel, capi.RunOptions{
-		Backend: capi.BackendExtrae,
-		Ranks:   4,
+		Backends: []string{"extrae"},
+		Ranks:    4,
 		// A deliberately small wrap-mode budget: 2048-event rings, 16k
 		// retained events per rank, oldest segment discarded first.
 		Trace: &capi.TraceOptions{BufEvents: 2048, MaxEvents: 16384, Wrap: true},

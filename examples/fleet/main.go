@@ -118,7 +118,7 @@ func startMember(name string) string {
 	if err != nil {
 		log.Fatal(err)
 	}
-	inst, err := session.Start(sel, capi.RunOptions{Backend: capi.BackendTALP, Ranks: 4})
+	inst, err := session.Start(sel, capi.RunOptions{Backends: []string{"talp"}, Ranks: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

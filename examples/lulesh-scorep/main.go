@@ -35,7 +35,7 @@ func main() {
 		sel.Pre, sel.Selected, sel.Added)
 	fmt.Printf("  removed (inlined at -O3): %v\n", sel.RemovedInlined)
 
-	run1, err := session.Run(sel, capi.RunOptions{Backend: capi.BackendScoreP, Ranks: 4})
+	run1, err := session.Run(sel, capi.RunOptions{Backends: []string{"scorep"}, Ranks: 4})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	run2, err := session.Run(sel2, capi.RunOptions{Backend: capi.BackendScoreP, Ranks: 4})
+	run2, err := session.Run(sel2, capi.RunOptions{Backends: []string{"scorep"}, Ranks: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -47,7 +47,7 @@ coarse(%sel, %kernels)
 		log.Fatal("coarse selector failed: Amul kernel dropped")
 	}
 
-	res, err := session.Run(sel, capi.RunOptions{Backend: capi.BackendTALP, Ranks: 4})
+	res, err := session.Run(sel, capi.RunOptions{Backends: []string{"talp"}, Ranks: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

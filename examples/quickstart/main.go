@@ -38,7 +38,7 @@ subtract(%mpi_comm, %excluded)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := session.Run(sel, capi.RunOptions{Backend: capi.BackendScoreP, Ranks: 4})
+	res, err := session.Run(sel, capi.RunOptions{Backends: []string{"scorep"}, Ranks: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

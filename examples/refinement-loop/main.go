@@ -63,7 +63,7 @@ func main() {
 		}
 		if inst == nil {
 			// First iteration: start the instance and pay T_init once.
-			inst, err = session.Start(sel, capi.RunOptions{Backend: capi.BackendTALP, Ranks: 4})
+			inst, err = session.Start(sel, capi.RunOptions{Backends: []string{"talp"}, Ranks: 4})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -55,7 +55,7 @@ func TestAsyncAdaptIncompatible(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = s.Start(sel, capi.RunOptions{
-		Backend: capi.BackendTALP, Ranks: 2,
+		Backends: []string{"talp"}, Ranks: 2,
 		Async: true, Adapt: &capi.AdaptOptions{Budget: 0.01},
 	})
 	if err == nil {
@@ -92,7 +92,7 @@ func TestInstanceAsyncRunFlushBarrier(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer inst.Close()
-	if !inst.Async() {
+	if !inst.Status().Async {
 		t.Fatal("pipeline not attached")
 	}
 
@@ -114,7 +114,7 @@ func TestInstanceAsyncRunFlushBarrier(t *testing.T) {
 		t.Fatalf("at Run return the backend saw %d enters, sampler delivered %d — phase-end flush barrier broken",
 			got, c.Delivered)
 	}
-	if d := inst.PipelineDepth(); d != 0 {
+	if d := inst.Status().PipelineDepth; d != 0 {
 		t.Fatalf("pipeline depth %d at Run return, want 0", d)
 	}
 }
@@ -231,7 +231,6 @@ func TestInstanceAsyncConservationUnderRace(t *testing.T) {
 				t.Error("status lost the async flag")
 				return
 			}
-			inst.PipelineDepth()
 			inst.DroppedAsync()
 			inst.Sampling()
 			inst.Reports()

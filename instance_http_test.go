@@ -262,3 +262,55 @@ func TestHTTPServeConservationInterleavings(t *testing.T) {
 		})
 	}
 }
+
+// TestSetBackendsCoversWorkerRanks swaps the backend set of a serving
+// instance to the two backends that keep per-rank arrays and drives events
+// on the middleware's worker ranks, which sit past the MPI world: the
+// swapped-in backends must be sized for them like the ones Start built.
+func TestSetBackendsCoversWorkerRanks(t *testing.T) {
+	session, err := capi.NewAppSession("quickstart", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := session.Start(nil, capi.RunOptions{
+		PatchAll:    true,
+		Ranks:       2,
+		HTTPWorkers: 2,
+		Sampling:    &capi.SamplingOptions{Default: &capi.SamplingPolicy{Stride: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Close()
+	id, ok := inst.ResolveFunctionName(inst.ActiveFunctionNames()[0])
+	if !ok {
+		t.Fatal("active function does not resolve")
+	}
+	workers, err := inst.NewRequestContexts(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var enters int64
+	for _, backend := range []string{"scorep", "extrae"} {
+		if _, err := inst.SetBackends([]string{backend}); err != nil {
+			t.Fatal(err)
+		}
+		for range 10 {
+			for _, rc := range workers {
+				rc.Enter(id)
+				rc.Advance(1000)
+				rc.Exit(id)
+				enters++
+			}
+		}
+		st := inst.Status()
+		if st.DroppedPanicked != 0 || len(st.Breaker) != 0 || len(st.DetachedBackends) != 0 {
+			t.Fatalf("%s on worker ranks: droppedPanicked=%d breaker=%+v detached=%v",
+				backend, st.DroppedPanicked, st.Breaker, st.DetachedBackends)
+		}
+	}
+	inst.FlushSampling()
+	if c := inst.Sampling().Counters; c.Enters != enters || c.Delivered != enters {
+		t.Fatalf("enters=%d delivered=%d, want %d each", c.Enters, c.Delivered, enters)
+	}
+}

@@ -262,7 +262,7 @@ func TestInstanceConcurrentRunsSerialize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := s.Start(sel, capi.RunOptions{Backend: capi.BackendTALP, Ranks: 2})
+	inst, err := s.Start(sel, capi.RunOptions{Backends: []string{"talp"}, Ranks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

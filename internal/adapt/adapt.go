@@ -222,14 +222,8 @@ type Controller struct {
 	dropped   []string //capi:guardedby mu
 	// demoted is the LIFO of currently demoted functions (most recent
 	// last) and demotedSet its membership index; both guarded by mu.
-	demoted    []demotion     //capi:guardedby mu
+	demoted    []victim       //capi:guardedby mu
 	demotedSet map[int32]bool //capi:guardedby mu
-}
-
-// demotion records one demote-ladder entry.
-type demotion struct {
-	id   int32
-	name string
 }
 
 // New wraps a measurement backend with the adaptive controller.
@@ -448,15 +442,11 @@ func (c *Controller) runEpoch(rt *dyncapi.Runtime, tc xray.ThreadCtx, now int64)
 	budget := int64(opts.Budget * float64(elapsed) * float64(ranks))
 	ep := Epoch{AtNs: now, Rank: tc.RankID(), Events: events, OverheadNs: overhead, BudgetNs: budget}
 
-	c.mu.Lock()
-	limited := opts.MaxReconfigs > 0 && c.reconfigs >= opts.MaxReconfigs
-	c.mu.Unlock()
-
 	if overhead > budget {
 		// MaxReconfigs bounds *re-selections*; the demote ladder changes
 		// only sampling rates (no re-patch), so it keeps working when the
 		// reconfiguration budget is exhausted.
-		c.narrow(rt, tc, &ep, overhead-budget, !limited)
+		c.narrow(rt, tc, &ep, overhead-budget, !c.limited(opts))
 	} else if opts.PromoteBelow > 0 && overhead <= int64(opts.PromoteBelow*float64(budget)) {
 		// Hysteresis re-promotion: well under budget, restore the most
 		// recently demoted function to full rate — one per epoch, and only
@@ -470,11 +460,7 @@ func (c *Controller) runEpoch(rt *dyncapi.Runtime, tc xray.ThreadCtx, now int64)
 		v.(*funcStat).epochEvents.Store(0)
 		return true
 	})
-
-	c.mu.Lock()
-	ep.Seq = len(c.epochs) + 1
-	c.epochs = append(c.epochs, ep)
-	c.mu.Unlock()
+	c.appendEpoch(ep)
 }
 
 // isDemoted reports whether the function sits on the demote ladder.
@@ -482,6 +468,116 @@ func (c *Controller) isDemoted(id int32) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.demotedSet[id]
+}
+
+// The rungs both policies climb — budget epochs (narrow/promote) and SLO
+// evaluations (sloNarrow/sloWiden) differ in when they step and how far,
+// not in what a step is.
+
+// victim is one candidate for a ladder step.
+type victim struct {
+	id     int32
+	name   string
+	events int64 // the policy's heat signal: this epoch's events, or all-time
+	meanNs int64
+}
+
+// sortVictims orders candidates cheapest-information-first: the
+// low-duration class before everything else, then by event count
+// descending, ID ascending for determinism. A function with no completed
+// invocation yet (mean -1) has an unknown duration and is conservatively
+// treated as not low-duration.
+func sortVictims(cands []victim, opts *Options) {
+	lowDur := func(mean int64) bool { return mean >= 0 && mean < opts.MinMeanNs }
+	sort.Slice(cands, func(i, j int) bool {
+		li, lj := lowDur(cands[i].meanNs), lowDur(cands[j].meanNs)
+		if li != lj {
+			return li
+		}
+		if cands[i].events != cands[j].events {
+			return cands[i].events > cands[j].events
+		}
+		return cands[i].id < cands[j].id
+	})
+}
+
+// limited reports whether MaxReconfigs forbids another re-selection.
+func (c *Controller) limited(opts *Options) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return opts.MaxReconfigs > 0 && c.reconfigs >= opts.MaxReconfigs
+}
+
+// demote puts v on the ladder at 1-in-DemoteStride and records the step in
+// ep; false when the sampler refused the policy.
+func (c *Controller) demote(rt *dyncapi.Runtime, v victim, opts *Options, ep *Epoch) bool {
+	if err := rt.SetFuncSampling(v.id, &dyncapi.SamplePolicy{Stride: opts.DemoteStride}); err != nil {
+		return false
+	}
+	c.mu.Lock()
+	c.demoted = append(c.demoted, v)
+	c.demotedSet[v.id] = true
+	c.mu.Unlock()
+	ep.Demoted = append(ep.Demoted, displayName(v.name, v.id))
+	ep.DemotedIDs = append(ep.DemotedIDs, v.id)
+	return true
+}
+
+// undemoteLocked takes ids off the ladder's bookkeeping and returns the
+// ones that were on it.
+//
+//capi:locked mu
+func (c *Controller) undemoteLocked(ids map[int32]bool) []int32 {
+	var gone []int32
+	kept := c.demoted[:0]
+	for _, d := range c.demoted {
+		if ids[d.id] {
+			delete(c.demotedSet, d.id)
+			gone = append(gone, d.id)
+		} else {
+			kept = append(kept, d)
+		}
+	}
+	c.demoted = kept
+	return gone
+}
+
+// reselect re-patches to active minus drop, plus add when it names a
+// function, as an IC stamped with the deciding policy; a re-selection that
+// went through is counted and reported in ep.
+func (c *Controller) reselect(rt *dyncapi.Runtime, policy string, active []*dyncapi.ResolvedFunc, drop map[int32]bool, add *victim, ep *Epoch) error {
+	var names []string
+	var ids []int32
+	include := func(id int32, name string) {
+		if name != "" {
+			names = append(names, name)
+		}
+		ids = append(ids, id)
+	}
+	for _, rf := range active {
+		if !drop[rf.PackedID] {
+			include(rf.PackedID, rf.Name)
+		}
+	}
+	if add != nil {
+		include(add.id, add.name)
+	}
+	app, spec := "", policy
+	if cfg := rt.Config(); cfg != nil {
+		app = cfg.App
+		if cfg.Spec != "" {
+			spec = cfg.Spec + "+" + policy
+		}
+	}
+	rep, err := rt.Reconfigure(ic.New(app, spec, names).WithIncludeIDs(ids))
+	if err != nil {
+		return err
+	}
+	ep.Reconfigured, ep.Report = true, rep
+	c.mu.Lock()
+	c.reconfigs++
+	c.mu.Unlock()
+	return nil
 }
 
 // promote restores the most recently demoted function to full rate.
@@ -560,14 +656,8 @@ func displayName(name string, id int32) string {
 // allowDrop false (reconfiguration budget exhausted) restricts the walk to
 // demotions.
 func (c *Controller) narrow(rt *dyncapi.Runtime, tc xray.ThreadCtx, ep *Epoch, excess int64, allowDrop bool) {
-	type cand struct {
-		id          int32
-		name        string
-		epochEvents int64
-		meanNs      int64
-	}
 	active := rt.ActiveFuncs()
-	var cands []cand
+	var cands []victim
 	for _, rf := range active {
 		v, ok := c.stats.Load(rf.PackedID)
 		if !ok {
@@ -578,24 +668,10 @@ func (c *Controller) narrow(rt *dyncapi.Runtime, tc xray.ThreadCtx, ep *Epoch, e
 		if ev == 0 {
 			continue
 		}
-		cands = append(cands, cand{id: rf.PackedID, name: rf.Name, epochEvents: ev, meanNs: st.meanNs()})
+		cands = append(cands, victim{id: rf.PackedID, name: rf.Name, events: ev, meanNs: st.meanNs()})
 	}
-	// Hottest low-duration first: the low-duration class before everything
-	// else, then by event count descending, ID ascending for determinism.
-	// A function with no completed invocation yet (mean -1) has an unknown
-	// duration and is conservatively treated as not low-duration.
 	opts := c.opts.Load()
-	lowDur := func(mean int64) bool { return mean >= 0 && mean < opts.MinMeanNs }
-	sort.Slice(cands, func(i, j int) bool {
-		li, lj := lowDur(cands[i].meanNs), lowDur(cands[j].meanNs)
-		if li != lj {
-			return li
-		}
-		if cands[i].epochEvents != cands[j].epochEvents {
-			return cands[i].epochEvents > cands[j].epochEvents
-		}
-		return cands[i].id < cands[j].id
-	})
+	sortVictims(cands, opts)
 	ladder := opts.DemoteStride > 0
 	drop := map[int32]bool{}
 	for _, cd := range cands {
@@ -605,76 +681,34 @@ func (c *Controller) narrow(rt *dyncapi.Runtime, tc xray.ThreadCtx, ep *Epoch, e
 		if ladder && !c.isDemoted(cd.id) {
 			// Demote to 1-in-N: the gentler knob. Projected saving is the
 			// sampled-out share of the candidate's epoch events.
-			if err := rt.SetFuncSampling(cd.id, &dyncapi.SamplePolicy{Stride: opts.DemoteStride}); err != nil {
-				continue
+			if c.demote(rt, cd, opts, ep) {
+				excess -= cd.events * opts.PerEventNs * int64(opts.DemoteStride-1) / int64(opts.DemoteStride)
 			}
-			c.mu.Lock()
-			c.demoted = append(c.demoted, demotion{id: cd.id, name: cd.name})
-			c.demotedSet[cd.id] = true
-			c.mu.Unlock()
-			ep.Demoted = append(ep.Demoted, displayName(cd.name, cd.id))
-			ep.DemotedIDs = append(ep.DemotedIDs, cd.id)
-			excess -= cd.epochEvents * opts.PerEventNs * int64(opts.DemoteStride-1) / int64(opts.DemoteStride)
 			continue
 		}
 		if !allowDrop {
 			continue
 		}
 		drop[cd.id] = true
-		excess -= cd.epochEvents * opts.PerEventNs
+		excess -= cd.events * opts.PerEventNs
 		ep.Dropped = append(ep.Dropped, displayName(cd.name, cd.id))
 		ep.DroppedIDs = append(ep.DroppedIDs, cd.id)
 	}
 	if len(drop) == 0 {
 		return
 	}
-
-	var names []string
-	var keepIDs []int32
-	for _, rf := range active {
-		if drop[rf.PackedID] {
-			continue
-		}
-		if rf.Name != "" {
-			names = append(names, rf.Name)
-		}
-		keepIDs = append(keepIDs, rf.PackedID)
-	}
-	app, spec := "", "adapt"
-	if cfg := rt.Config(); cfg != nil {
-		app = cfg.App
-		if cfg.Spec != "" {
-			spec = cfg.Spec + "+adapt"
-		}
-	}
-	rep, err := rt.Reconfigure(ic.New(app, spec, names).WithIncludeIDs(keepIDs))
-	if err != nil {
+	if c.reselect(rt, "adapt", active, drop, nil, ep) != nil {
 		return
 	}
 	// The re-patch is real work: charge it to the rank that performed it.
-	tc.Clock().Advance(rep.VirtualNs)
-	ep.Reconfigured = true
-	ep.Report = rep
+	tc.Clock().Advance(ep.Report.VirtualNs)
 
-	c.mu.Lock()
-	c.reconfigs++
-	c.dropped = append(c.dropped, ep.Dropped...)
 	// Dropped functions leave the ladder: keep the demotion bookkeeping in
 	// sync and clear their sampler policies, so a later manual
 	// re-selection measures them at full rate again.
-	var clear []int32
-	if len(drop) > 0 && len(c.demoted) > 0 {
-		kept := c.demoted[:0]
-		for _, d := range c.demoted {
-			if drop[d.id] {
-				delete(c.demotedSet, d.id)
-				clear = append(clear, d.id)
-			} else {
-				kept = append(kept, d)
-			}
-		}
-		c.demoted = kept
-	}
+	c.mu.Lock()
+	c.dropped = append(c.dropped, ep.Dropped...)
+	clear := c.undemoteLocked(drop)
 	c.mu.Unlock()
 	for _, id := range clear {
 		rt.SetFuncSampling(id, nil) //nolint:errcheck // best-effort cleanup

@@ -23,7 +23,6 @@ import (
 	"sync/atomic"
 
 	"capi/internal/dyncapi"
-	"capi/internal/ic"
 )
 
 const (
@@ -55,8 +54,7 @@ const (
 // be undone in LIFO order when the endpoint has headroom again.
 type sloAction struct {
 	drop bool // false: demoted to 1-in-N; true: deselected
-	id   int32
-	name string
+	victim
 }
 
 // endpointStat is the controller's per-endpoint accumulator: the route's
@@ -77,6 +75,13 @@ type endpointStat struct {
 	evals     int         //capi:guardedby mu — evaluations run for this endpoint
 	lastWiden int         //capi:guardedby mu — evals value at the last widen (0 = never)
 	widenWait int         //capi:guardedby mu — evals to wait between widens (backoff)
+}
+
+// push records a ladder step as the endpoint's most recent.
+func (es *endpointStat) push(act sloAction) {
+	es.mu.Lock()
+	es.actions = append(es.actions, act)
+	es.mu.Unlock()
 }
 
 // RegisterEndpoint declares one endpoint's instrumented function set. The
@@ -203,13 +208,8 @@ func percentileNs(window []int64, q float64) int64 {
 // before another is taken.
 func (c *Controller) sloNarrow(rt *dyncapi.Runtime, es *endpointStat, p99, target int64, opts *Options) {
 	ep := Epoch{Rank: -1, Endpoint: es.name, P99Ns: p99, TargetNs: target}
-	type cand struct {
-		id     int32
-		name   string
-		events int64
-		meanNs int64
-	}
-	var cands []cand
+	defer func() { c.appendEpoch(ep) }()
+	var cands []victim
 	for _, id := range es.funcIDs {
 		if !rt.Active(id) {
 			continue
@@ -218,7 +218,7 @@ func (c *Controller) sloNarrow(rt *dyncapi.Runtime, es *endpointStat, p99, targe
 		if rf == nil {
 			continue
 		}
-		cd := cand{id: id, name: rf.Name}
+		cd := victim{id: id, name: rf.Name}
 		if v, ok := c.stats.Load(id); ok {
 			st := v.(*funcStat)
 			cd.events = st.events.Load()
@@ -227,98 +227,41 @@ func (c *Controller) sloNarrow(rt *dyncapi.Runtime, es *endpointStat, p99, targe
 		cands = append(cands, cd)
 	}
 	if len(cands) == 0 {
-		c.appendEpoch(ep)
 		return
 	}
-	// Same victim order as budget narrowing: low-duration functions first
-	// (least measurement value per event), then hottest, then by ID.
-	lowDur := func(mean int64) bool { return mean >= 0 && mean < opts.MinMeanNs }
-	sort.Slice(cands, func(i, j int) bool {
-		li, lj := lowDur(cands[i].meanNs), lowDur(cands[j].meanNs)
-		if li != lj {
-			return li
-		}
-		if cands[i].events != cands[j].events {
-			return cands[i].events > cands[j].events
-		}
-		return cands[i].id < cands[j].id
-	})
+	sortVictims(cands, opts)
 
 	if opts.DemoteStride > 0 {
 		for _, cd := range cands {
-			if c.isDemoted(cd.id) {
-				continue
+			if !c.isDemoted(cd.id) && c.demote(rt, cd, opts, &ep) {
+				es.push(sloAction{victim: cd})
+				return
 			}
-			if err := rt.SetFuncSampling(cd.id, &dyncapi.SamplePolicy{Stride: opts.DemoteStride}); err != nil {
-				continue
-			}
-			c.mu.Lock()
-			c.demoted = append(c.demoted, demotion{id: cd.id, name: cd.name})
-			c.demotedSet[cd.id] = true
-			c.mu.Unlock()
-			es.mu.Lock()
-			es.actions = append(es.actions, sloAction{id: cd.id, name: cd.name})
-			es.mu.Unlock()
-			ep.Demoted = append(ep.Demoted, displayName(cd.name, cd.id))
-			ep.DemotedIDs = append(ep.DemotedIDs, cd.id)
-			c.appendEpoch(ep)
-			return
 		}
 	}
 
 	// Every endpoint function still instrumented is already demoted:
 	// deselect the hottest one. MaxReconfigs bounds re-selections exactly
 	// as in budget mode.
-	c.mu.Lock()
-	limited := opts.MaxReconfigs > 0 && c.reconfigs >= opts.MaxReconfigs
-	c.mu.Unlock()
-	if limited {
-		c.appendEpoch(ep)
+	if c.limited(opts) {
 		return
 	}
-	victim := cands[0]
-	var names []string
-	var keepIDs []int32
-	for _, rf := range rt.ActiveFuncs() {
-		if rf.PackedID == victim.id {
-			continue
-		}
-		if rf.Name != "" {
-			names = append(names, rf.Name)
-		}
-		keepIDs = append(keepIDs, rf.PackedID)
-	}
-	rep, err := rt.Reconfigure(c.sloIC(rt, names).WithIncludeIDs(keepIDs))
-	if err != nil {
-		c.appendEpoch(ep)
+	gone := cands[0]
+	drop := map[int32]bool{gone.id: true}
+	if c.reselect(rt, "slo", rt.ActiveFuncs(), drop, nil, &ep) != nil {
 		return
 	}
-	ep.Dropped = append(ep.Dropped, displayName(victim.name, victim.id))
-	ep.DroppedIDs = append(ep.DroppedIDs, victim.id)
-	ep.Reconfigured = true
-	ep.Report = rep
+	ep.Dropped = append(ep.Dropped, displayName(gone.name, gone.id))
+	ep.DroppedIDs = append(ep.DroppedIDs, gone.id)
 
 	c.mu.Lock()
-	c.reconfigs++
 	c.dropped = append(c.dropped, ep.Dropped...)
-	if c.demotedSet[victim.id] {
-		delete(c.demotedSet, victim.id)
-		kept := c.demoted[:0]
-		for _, d := range c.demoted {
-			if d.id != victim.id {
-				kept = append(kept, d)
-			}
-		}
-		c.demoted = kept
-	}
+	c.undemoteLocked(drop)
 	c.mu.Unlock()
 	// A deselected function leaves the sampler ladder so a later widen or
 	// manual re-selection measures it at full rate.
-	rt.SetFuncSampling(victim.id, nil) //nolint:errcheck // best-effort cleanup
-	es.mu.Lock()
-	es.actions = append(es.actions, sloAction{drop: true, id: victim.id, name: victim.name})
-	es.mu.Unlock()
-	c.appendEpoch(ep)
+	rt.SetFuncSampling(gone.id, nil) //nolint:errcheck // best-effort cleanup
+	es.push(sloAction{drop: true, victim: gone})
 }
 
 // sloWiden undoes the endpoint's most recent ladder step — max coverage
@@ -339,16 +282,7 @@ func (c *Controller) sloWiden(rt *dyncapi.Runtime, es *endpointStat, p99, target
 	if !act.drop {
 		if err := rt.SetFuncSampling(act.id, nil); err == nil {
 			c.mu.Lock()
-			if c.demotedSet[act.id] {
-				delete(c.demotedSet, act.id)
-				kept := c.demoted[:0]
-				for _, d := range c.demoted {
-					if d.id != act.id {
-						kept = append(kept, d)
-					}
-				}
-				c.demoted = kept
-			}
+			c.undemoteLocked(map[int32]bool{act.id: true})
 			c.mu.Unlock()
 			ep.Promoted = append(ep.Promoted, displayName(act.name, act.id))
 			c.appendEpoch(ep)
@@ -356,60 +290,20 @@ func (c *Controller) sloWiden(rt *dyncapi.Runtime, es *endpointStat, p99, target
 		return
 	}
 
-	c.mu.Lock()
-	limited := opts.MaxReconfigs > 0 && c.reconfigs >= opts.MaxReconfigs
-	c.mu.Unlock()
-	if limited {
-		// Cannot re-patch: put the action back so a lifted bound can still
-		// undo it later.
-		es.mu.Lock()
-		es.actions = append(es.actions, act)
-		es.mu.Unlock()
+	// When the re-patch is not allowed or fails, put the action back so a
+	// lifted bound can still undo it later.
+	if c.limited(opts) {
+		es.push(act)
 		return
 	}
-	var names []string
-	var keepIDs []int32
-	for _, rf := range rt.ActiveFuncs() {
-		if rf.PackedID == act.id {
-			continue // already back somehow; the Reconfigure below is then a no-op re-add
-		}
-		if rf.Name != "" {
-			names = append(names, rf.Name)
-		}
-		keepIDs = append(keepIDs, rf.PackedID)
-	}
-	if act.name != "" {
-		names = append(names, act.name)
-	}
-	keepIDs = append(keepIDs, act.id)
-	rep, err := rt.Reconfigure(c.sloIC(rt, names).WithIncludeIDs(keepIDs))
-	if err != nil {
-		es.mu.Lock()
-		es.actions = append(es.actions, act)
-		es.mu.Unlock()
+	// Skipping the function in the active set first makes the Reconfigure a
+	// no-op re-add should it be back already.
+	if c.reselect(rt, "slo", rt.ActiveFuncs(), map[int32]bool{act.id: true}, &act.victim, &ep) != nil {
+		es.push(act)
 		return
 	}
-	c.mu.Lock()
-	c.reconfigs++
-	c.mu.Unlock()
 	ep.Readded = append(ep.Readded, displayName(act.name, act.id))
-	ep.Reconfigured = true
-	ep.Report = rep
 	c.appendEpoch(ep)
-}
-
-// sloIC builds the instrumentation configuration document for an SLO
-// reconfiguration, stamped like budget-mode narrowing but with the slo
-// spec suffix so /v1/status shows which controller produced it.
-func (c *Controller) sloIC(rt *dyncapi.Runtime, names []string) *ic.Config {
-	app, spec := "", "slo"
-	if cfg := rt.Config(); cfg != nil {
-		app = cfg.App
-		if cfg.Spec != "" {
-			spec = cfg.Spec + "+slo"
-		}
-	}
-	return ic.New(app, spec, names)
 }
 
 func (c *Controller) appendEpoch(ep Epoch) {

@@ -14,7 +14,7 @@ import (
 // body at the limit, instead of failing the read, would apply it.
 func TestOversizeBodyIs413AndAppliesNothing(t *testing.T) {
 	ts, _, inst := newServer(t, capi.Quickstart(), "quickstart",
-		capi.RunOptions{Backend: capi.BackendTALP, Ranks: 2})
+		capi.RunOptions{Backends: []string{"talp"}, Ranks: 2})
 	activeBefore := inst.ActiveFunctions()
 
 	const limit = 1 << 20

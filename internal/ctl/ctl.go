@@ -37,7 +37,7 @@
 //	                    circuit breaker tripped)
 //	GET  /v1/healthz    liveness probe (no instance lock — answers even
 //	                    mid-reconfigure; what a fleet coordinator polls)
-//	GET  /metrics       Prometheus text exposition
+//	GET  /metrics       the /v1/status document as Prometheus series
 //
 // Error bodies are {"error": ..., "field": ...}: a 400 names the request
 // field it rejects and implies nothing was applied; so does the 413 that
@@ -55,8 +55,6 @@ import (
 	"io"
 	"mime"
 	"net/http"
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -196,12 +194,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// StatusResponse is the GET /v1/status document.
+// StatusResponse is the GET /v1/status document, and the read model GET
+// /metrics is rendered from (metrics.go).
 type StatusResponse struct {
 	App string `json:"app"`
 	capi.InstanceStatus
 	HTTPSelects   int64   `json:"httpSelects"`
 	UptimeSeconds float64 `json:"uptimeSeconds"`
+	SSEClients    int     `json:"sseClients"`
 	// PipelineHint appears when the async pipeline has shed load
 	// (droppedAsync > 0): ring-sizing guidance naming the next
 	// power-of-two -async-buf. The rings cannot grow on a live run — the
@@ -218,11 +218,16 @@ type StatusResponse struct {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
+	WriteJSON(w, http.StatusOK, s.status())
+}
+
+func (s *Server) status() StatusResponse {
 	resp := StatusResponse{
 		App:            s.app,
 		InstanceStatus: s.inst.Status(),
 		HTTPSelects:    s.httpSelects.Load(),
 		UptimeSeconds:  time.Since(s.started).Seconds(),
+		SSEClients:     s.hub.Clients(),
 	}
 	if resp.Async && resp.DroppedAsync > 0 && resp.AsyncBuf > 0 {
 		// AsyncBuf is already a power of two (the pipeline rounds up), so
@@ -235,7 +240,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	resp.LastRun = s.lastRun
 	resp.LastError = s.lastErr
 	s.mu.Unlock()
-	WriteJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 // SelectionResponse is the GET /v1/selection document.
@@ -527,12 +532,10 @@ type ReportEntry struct {
 
 // ReportResponse is the GET /v1/report envelope: one entry per attached
 // measurement backend that has produced a report, keyed by backend name.
-// Backend echoes the first attached backend for pre-envelope clients.
 // Sampling carries the sampler's policies and conservation counters when a
 // sampling table is (or was) installed — every attached backend sees the
 // same sampled stream, so the counters apply to each entry alike.
 type ReportResponse struct {
-	Backend  capi.Backend           `json:"backend"`
 	Backends []string               `json:"backends"`
 	Reports  map[string]ReportEntry `json:"reports"`
 	Sampling *capi.SamplingSnapshot `json:"sampling,omitempty"`
@@ -546,18 +549,15 @@ type ReportResponse struct {
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	resp := ReportResponse{
-		Backend:  s.inst.Backend(),
-		Backends: s.inst.Backends(),
-		Reports:  map[string]ReportEntry{},
-	}
-	if snap := s.inst.Sampling(); snap.Configured || snap.Counters.Enters > 0 {
-		resp.Sampling = &snap
-	}
 	st := s.inst.Status()
-	resp.Breaker = st.Breaker
-	resp.DetachedBackends = st.DetachedBackends
-	resp.DroppedPanicked = st.DroppedPanicked
+	resp := ReportResponse{
+		Backends:         st.Backends,
+		Reports:          map[string]ReportEntry{},
+		Sampling:         st.Sampling,
+		Breaker:          st.Breaker,
+		DetachedBackends: st.DetachedBackends,
+		DroppedPanicked:  st.DroppedPanicked,
+	}
 	for name, rep := range s.inst.Reports() {
 		raw, err := rep.MarshalJSON()
 		if err != nil {
@@ -743,151 +743,11 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleMetrics renders the Prometheus text exposition format (0.0.4).
+// handleMetrics renders the status document as Prometheus series.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	st := s.inst.Status()
-	running := 0
-	if st.Running {
-		running = 1
-	}
+	st := s.status()
+	var e Exposition
+	e.Status("", &st)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var b strings.Builder
-	gauge := func(name, help string, val any) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, val)
-	}
-	counter := func(name, help string, val any) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %v\n", name, help, name, name, val)
-	}
-	gauge("capi_active_functions", "Current selection size.", st.ActiveFunctions)
-	gauge("capi_patched_functions", "Functions patched at DynCaPI start-up.", st.Patched)
-	gauge("capi_running", "1 while a phase is executing.", running)
-	counter("capi_reconfigs_total", "Live re-selections applied (HTTP, in-process and controller).", st.Reconfigs)
-	counter("capi_http_selects_total", "Re-selections applied through POST /v1/select.", s.httpSelects.Load())
-	counter("capi_runs_total", "Completed phases.", st.Runs)
-	counter("capi_events_total", "Instrumentation events dispatched across completed phases.", st.Events)
-	fmt.Fprintf(&b, "# HELP capi_dropped_events_total Events dropped outside the active selection.\n# TYPE capi_dropped_events_total counter\n")
-	fmt.Fprintf(&b, "capi_dropped_events_total{class=\"in_flight\"} %d\n", st.DroppedInFlight)
-	fmt.Fprintf(&b, "capi_dropped_events_total{class=\"unpatched\"} %d\n", st.DroppedUnpatched)
-	counter("capi_synthetic_exits_total", "Dangling enters closed by the backends on deselection.", st.SyntheticExits)
-	// Async pipeline: the async gauge is static per instance, the depth
-	// breathes with the consumer pool's lag, the drop counter only moves
-	// when back-pressure rejects whole enter/exit pairs.
-	asyncOn := 0
-	if st.Async {
-		asyncOn = 1
-	}
-	gauge("capi_pipeline_async", "1 when the asynchronous event pipeline is attached.", asyncOn)
-	gauge("capi_pipeline_depth", "Events currently queued in the async pipeline's per-rank rings.", st.PipelineDepth)
-	counter("capi_pipeline_dropped_total", "Enter/exit pairs rejected by async pipeline back-pressure (bounded rings).", st.DroppedAsync)
-	if len(st.SyntheticExitsByBackend) > 0 {
-		names := make([]string, 0, len(st.SyntheticExitsByBackend))
-		for name := range st.SyntheticExitsByBackend {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		fmt.Fprintf(&b, "# HELP capi_backend_synthetic_exits_total Dangling enters closed, per measurement backend.\n# TYPE capi_backend_synthetic_exits_total counter\n")
-		for _, name := range names {
-			fmt.Fprintf(&b, "capi_backend_synthetic_exits_total{backend=%q} %d\n", name, st.SyntheticExitsByBackend[name])
-		}
-	}
-	// Sampling: the default-stride gauge moves the moment a table is
-	// POSTed (before any event flows), the counters as sampled phases run.
-	defaultStride := 0
-	if st.Sampling != nil && st.Sampling.Default != nil {
-		defaultStride = st.Sampling.Default.Stride
-	}
-	gauge("capi_sampling_default_stride", "Default 1-in-N sampling stride (0 = unsampled).", defaultStride)
-	if st.Sampling != nil {
-		gauge("capi_sampling_func_policies", "Per-function sampling policy overrides installed.", st.Sampling.FuncPolicies)
-		c := st.Sampling.Counters
-		counter("capi_sampled_events_total", "Enters dropped by 1-in-N stride sampling.", c.SampledEvents)
-		counter("capi_suppressed_pairs_total", "Enter/exit pairs dropped by min-duration suppression.", c.SuppressedPairs)
-		counter("capi_suppressed_virtual_ns_total", "Virtual ns of min-duration-suppressed pairs (exact accounting).", c.SuppressedNs)
-		counter("capi_collapsed_calls_total", "Repeated identical short calls collapsed by redundancy suppression.", c.CollapsedCalls)
-		counter("capi_sampler_delivered_total", "Enters delivered through the sampler to the backend chain.", c.Delivered)
-	}
-	// Ephemeral probes: the pending gauges flip while a TTL'd override is
-	// live, the counters record the scheduler's full history.
-	ttlPending := func(pending bool) int {
-		if pending {
-			return 1
-		}
-		return 0
-	}
-	fmt.Fprintf(&b, "# HELP capi_ttl_pending 1 while a TTL'd override awaits its auto-revert, per kind.\n# TYPE capi_ttl_pending gauge\n")
-	fmt.Fprintf(&b, "capi_ttl_pending{kind=\"select\"} %d\n", ttlPending(st.TTL.SelectPending))
-	fmt.Fprintf(&b, "capi_ttl_pending{kind=\"sampling\"} %d\n", ttlPending(st.TTL.SamplingPending))
-	counter("capi_ttl_scheduled_total", "TTL'd overrides accepted (select and sampling).", st.TTL.Scheduled)
-	counter("capi_ttl_expired_total", "TTL auto-reverts delivered.", st.TTL.Expired)
-	counter("capi_ttl_canceled_total", "Pending TTL reverts canceled by a newer explicit select/sampling call.", st.TTL.Canceled)
-	// Panic barrier: totals always, the per-backend breakdown only for
-	// backends that ever panicked (label cardinality stays bounded by the
-	// attached set).
-	counter("capi_dropped_panicked_total", "Enters swallowed by the per-backend panic barriers (panicking delivery or open breaker).", st.DroppedPanicked)
-	gauge("capi_detached_backends", "Backends the circuit breaker removed from the live instance.", len(st.DetachedBackends))
-	if len(st.Breaker) > 0 {
-		fmt.Fprintf(&b, "# HELP capi_backend_panics_total Panics recovered in a backend's delivery paths.\n# TYPE capi_backend_panics_total counter\n")
-		for _, bs := range st.Breaker {
-			fmt.Fprintf(&b, "capi_backend_panics_total{backend=%q} %d\n", bs.Backend, bs.Panics)
-		}
-		fmt.Fprintf(&b, "# HELP capi_breaker_tripped 1 when the backend's circuit breaker is open.\n# TYPE capi_breaker_tripped gauge\n")
-		for _, bs := range st.Breaker {
-			tripped := 0
-			if bs.Tripped {
-				tripped = 1
-			}
-			fmt.Fprintf(&b, "capi_breaker_tripped{backend=%q} %d\n", bs.Backend, tripped)
-		}
-	}
-	// Serving traffic: per-endpoint request counters and latency
-	// histograms appear once the middleware registered endpoints; the SLO
-	// series once the controller runs in tail-latency mode.
-	if st.HTTP != nil {
-		gauge("capi_http_workers", "Request contexts checked out by the HTTP middleware.", st.HTTP.Workers)
-		fmt.Fprintf(&b, "# HELP capi_http_requests_total Requests observed per endpoint.\n# TYPE capi_http_requests_total counter\n")
-		for _, ep := range st.HTTP.Endpoints {
-			fmt.Fprintf(&b, "capi_http_requests_total{endpoint=%q} %d\n", ep.Endpoint, ep.Requests)
-		}
-		fmt.Fprintf(&b, "# HELP capi_http_request_latency_ms Request latency per endpoint.\n# TYPE capi_http_request_latency_ms histogram\n")
-		for _, ep := range st.HTTP.Endpoints {
-			for _, bk := range ep.Buckets {
-				fmt.Fprintf(&b, "capi_http_request_latency_ms_bucket{endpoint=%q,le=%q} %d\n", ep.Endpoint, strconv.FormatFloat(bk.LeMs, 'g', -1, 64), bk.Count)
-			}
-			fmt.Fprintf(&b, "capi_http_request_latency_ms_bucket{endpoint=%q,le=\"+Inf\"} %d\n", ep.Endpoint, ep.Requests)
-			fmt.Fprintf(&b, "capi_http_request_latency_ms_sum{endpoint=%q} %g\n", ep.Endpoint, ep.SumMs)
-			fmt.Fprintf(&b, "capi_http_request_latency_ms_count{endpoint=%q} %d\n", ep.Endpoint, ep.Requests)
-		}
-		fmt.Fprintf(&b, "# HELP capi_http_endpoint_active_functions Instrumented functions still selected in the endpoint's call tree.\n# TYPE capi_http_endpoint_active_functions gauge\n")
-		for _, ep := range st.HTTP.Endpoints {
-			fmt.Fprintf(&b, "capi_http_endpoint_active_functions{endpoint=%q} %d\n", ep.Endpoint, ep.ActiveFunctions)
-		}
-		fmt.Fprintf(&b, "# HELP capi_http_endpoint_demoted_functions Selected functions running at a reduced sampling stride.\n# TYPE capi_http_endpoint_demoted_functions gauge\n")
-		for _, ep := range st.HTTP.Endpoints {
-			fmt.Fprintf(&b, "capi_http_endpoint_demoted_functions{endpoint=%q} %d\n", ep.Endpoint, ep.DemotedFunctions)
-		}
-	}
-	if st.SLO != nil {
-		gauge("capi_slo_target_p99_ms", "Tail-latency SLO target the controller narrows toward (0 = budget mode).", st.SLO.TargetP99Ms)
-		fmt.Fprintf(&b, "# HELP capi_slo_met 1 when the endpoint's recent p99 meets the SLO target.\n# TYPE capi_slo_met gauge\n")
-		for _, ep := range st.SLO.Endpoints {
-			met := 0
-			if ep.Met {
-				met = 1
-			}
-			fmt.Fprintf(&b, "capi_slo_met{endpoint=%q} %d\n", ep.Endpoint, met)
-		}
-		fmt.Fprintf(&b, "# HELP capi_slo_p99_ms Endpoint p99 over the controller's recent-latency window.\n# TYPE capi_slo_p99_ms gauge\n")
-		for _, ep := range st.SLO.Endpoints {
-			fmt.Fprintf(&b, "capi_slo_p99_ms{endpoint=%q} %g\n", ep.Endpoint, ep.P99Ms)
-		}
-		fmt.Fprintf(&b, "# HELP capi_slo_ladder_steps Demote/deselect steps the controller currently holds for the endpoint.\n# TYPE capi_slo_ladder_steps gauge\n")
-		for _, ep := range st.SLO.Endpoints {
-			fmt.Fprintf(&b, "capi_slo_ladder_steps{endpoint=%q} %d\n", ep.Endpoint, ep.Steps)
-		}
-	}
-	gauge("capi_attached_backends", "Measurement backends attached to the instance.", len(st.Backends))
-	gauge("capi_init_virtual_seconds", "DynCaPI start-up time (T_init), virtual.", st.InitSeconds)
-	counter("capi_reconfig_virtual_seconds_total", "Accumulated virtual re-patch cost of live re-selections.", st.ReconfigSeconds)
-	gauge("capi_sse_clients", "Connected /v1/events subscribers.", s.hub.Clients())
-	io.WriteString(w, b.String()) //nolint:errcheck // client gone
+	e.Write(w)
 }

@@ -127,10 +127,10 @@ func scrapeReconfigs(t *testing.T, base string) int {
 
 func TestStatusAndSelection(t *testing.T) {
 	ts, _, inst := newServer(t, capi.Quickstart(), "quickstart",
-		capi.RunOptions{Backend: capi.BackendTALP, Ranks: 2})
+		capi.RunOptions{Backends: []string{"talp"}, Ranks: 2})
 	var st ctl.StatusResponse
 	getJSON(t, ts.URL+"/v1/status", &st)
-	if st.App != "quickstart" || !st.Instrumented || st.Backend != capi.BackendTALP || st.Ranks != 2 {
+	if st.App != "quickstart" || !st.Instrumented || len(st.Backends) != 1 || st.Backends[0] != "talp" || st.Ranks != 2 {
 		t.Fatalf("status = %+v", st)
 	}
 	if st.ActiveFunctions != inst.ActiveFunctions() || st.ActiveFunctions == 0 {
@@ -145,7 +145,7 @@ func TestStatusAndSelection(t *testing.T) {
 
 func TestSelectMalformedSpecReturns400WithParseError(t *testing.T) {
 	ts, _, _ := newServer(t, capi.Quickstart(), "quickstart",
-		capi.RunOptions{Backend: capi.BackendTALP, Ranks: 2})
+		capi.RunOptions{Backends: []string{"talp"}, Ranks: 2})
 	resp, err := http.Post(ts.URL+"/v1/select", "text/plain",
 		strings.NewReader("this = is(not a valid((( spec"))
 	if err != nil {
@@ -169,7 +169,7 @@ func TestSelectMalformedSpecReturns400WithParseError(t *testing.T) {
 
 func TestSelectByIncludeListAndBuiltin(t *testing.T) {
 	ts, _, inst := newServer(t, capi.Quickstart(), "quickstart",
-		capi.RunOptions{Backend: capi.BackendTALP, Ranks: 2})
+		capi.RunOptions{Backends: []string{"talp"}, Ranks: 2})
 	names := inst.ActiveFunctionNames()
 	if len(names) < 3 {
 		t.Fatalf("too few active functions: %v", names)
@@ -217,7 +217,7 @@ func TestSelectByIncludeListAndBuiltin(t *testing.T) {
 
 func TestRunPhaseAndReport(t *testing.T) {
 	ts, _, _ := newServer(t, capi.Quickstart(), "quickstart",
-		capi.RunOptions{Backend: capi.BackendTALP, Ranks: 2})
+		capi.RunOptions{Backends: []string{"talp"}, Ranks: 2})
 	resp, body := postJSON(t, ts.URL+"/v1/run", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("run: %d %s", resp.StatusCode, body)
@@ -231,7 +231,7 @@ func TestRunPhaseAndReport(t *testing.T) {
 	}
 	var rep ctl.ReportResponse
 	getJSON(t, ts.URL+"/v1/report", &rep)
-	if rep.Backend != capi.BackendTALP || len(rep.Backends) != 1 || rep.Backends[0] != "talp" {
+	if len(rep.Backends) != 1 || rep.Backends[0] != "talp" {
 		t.Fatalf("report = %+v", rep)
 	}
 	entry, ok := rep.Reports["talp"]
@@ -248,14 +248,14 @@ func TestRunPhaseAndReport(t *testing.T) {
 func TestAdaptRetuneOverHTTP(t *testing.T) {
 	// Without a controller: 409.
 	ts, _, _ := newServer(t, capi.Quickstart(), "quickstart",
-		capi.RunOptions{Backend: capi.BackendTALP, Ranks: 2})
+		capi.RunOptions{Backends: []string{"talp"}, Ranks: 2})
 	resp, body := postJSON(t, ts.URL+"/v1/adapt", ctl.AdaptRequest{Budget: 0.2})
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("adapt without controller: %d %s", resp.StatusCode, body)
 	}
 	// With one: the retune round-trips.
 	ts2, _, _ := newServer(t, capi.Quickstart(), "quickstart",
-		capi.RunOptions{Backend: capi.BackendTALP, Ranks: 2, Adapt: &capi.AdaptOptions{Budget: 0.05}})
+		capi.RunOptions{Backends: []string{"talp"}, Ranks: 2, Adapt: &capi.AdaptOptions{Budget: 0.05}})
 	resp, body = postJSON(t, ts2.URL+"/v1/adapt", ctl.AdaptRequest{Budget: 0.2, EpochSeconds: 0.002})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("adapt: %d %s", resp.StatusCode, body)
@@ -278,7 +278,7 @@ func TestRemoteReselectionMidPhase(t *testing.T) {
 	// lands (the delta assertions hold either way — whether genuine overlap
 	// was achieved is detected below and gates the mid-phase assertion).
 	ts, _, inst := newServer(t, capi.Lulesh(capi.LuleshOptions{Timesteps: 12000}), "lulesh",
-		capi.RunOptions{Backend: capi.BackendTALP, Ranks: 2})
+		capi.RunOptions{Backends: []string{"talp"}, Ranks: 2})
 	activeBefore := inst.ActiveFunctions()
 	if before := scrapeReconfigs(t, ts.URL); before != 0 {
 		t.Fatalf("fresh instance reports %d reconfigs", before)
@@ -398,7 +398,7 @@ func TestMultiBackendReportEnvelope(t *testing.T) {
 // and unknown names come back as a 400 listing the registry.
 func TestBackendSwapOverHTTP(t *testing.T) {
 	ts, _, inst := newServer(t, capi.Quickstart(), "quickstart",
-		capi.RunOptions{Backend: capi.BackendTALP, Ranks: 2})
+		capi.RunOptions{Backends: []string{"talp"}, Ranks: 2})
 	resp, body := postJSON(t, ts.URL+"/v1/select", ctl.SelectRequest{Backends: []string{"scorep", "extrae"}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("swap: %d %s", resp.StatusCode, body)
@@ -436,7 +436,7 @@ func TestBackendSwapOverHTTP(t *testing.T) {
 	}
 	// An adaptive instance refuses the swap: the controller owns the chain.
 	ts2, _, _ := newServer(t, capi.Quickstart(), "quickstart",
-		capi.RunOptions{Backend: capi.BackendTALP, Ranks: 2, Adapt: &capi.AdaptOptions{Budget: 0.5}})
+		capi.RunOptions{Backends: []string{"talp"}, Ranks: 2, Adapt: &capi.AdaptOptions{Budget: 0.5}})
 	resp, body = postJSON(t, ts2.URL+"/v1/select", ctl.SelectRequest{Backends: []string{"extrae"}})
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "adaptive") {
 		t.Fatalf("adaptive swap: %d %s", resp.StatusCode, body)
@@ -541,7 +541,7 @@ func TestRemoteReselectionMidPhaseMultiBackend(t *testing.T) {
 // increasing sequence numbers must arrive.
 func TestSSEDeliversOneEventPerReconfigure(t *testing.T) {
 	ts, _, _ := newServer(t, capi.Quickstart(), "quickstart",
-		capi.RunOptions{Backend: capi.BackendTALP, Ranks: 2})
+		capi.RunOptions{Backends: []string{"talp"}, Ranks: 2})
 
 	req, err := http.NewRequest("GET", ts.URL+"/v1/events", nil)
 	if err != nil {
@@ -638,7 +638,7 @@ func TestShutdownDisconnectsSSEClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := session.Start(sel, capi.RunOptions{Backend: capi.BackendTALP, Ranks: 2})
+	inst, err := session.Start(sel, capi.RunOptions{Backends: []string{"talp"}, Ranks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -679,7 +679,7 @@ func TestShutdownDisconnectsSSEClients(t *testing.T) {
 
 func TestIndexListsEndpoints(t *testing.T) {
 	ts, _, _ := newServer(t, capi.Quickstart(), "quickstart",
-		capi.RunOptions{Backend: capi.BackendTALP, Ranks: 2})
+		capi.RunOptions{Backends: []string{"talp"}, Ranks: 2})
 	var idx struct {
 		App       string   `json:"app"`
 		Endpoints []string `json:"endpoints"`
@@ -705,7 +705,7 @@ func TestIndexListsEndpoints(t *testing.T) {
 // contends on the instance lock.
 func TestHealthz(t *testing.T) {
 	ts, _, _ := newServer(t, capi.Quickstart(), "quickstart",
-		capi.RunOptions{Backend: capi.BackendTALP, Ranks: 2})
+		capi.RunOptions{Backends: []string{"talp"}, Ranks: 2})
 	var hz ctl.HealthzResponse
 	getJSON(t, ts.URL+"/v1/healthz", &hz)
 	if !hz.OK || hz.App != "quickstart" || hz.UptimeSeconds < 0 {
@@ -730,7 +730,7 @@ func TestHealthz(t *testing.T) {
 // the conservation counters back through the report envelope.
 func TestSamplingEndpoint(t *testing.T) {
 	ts, _, inst := newServer(t, capi.Quickstart(), "quickstart",
-		capi.RunOptions{Backend: capi.BackendTALP, Ranks: 2})
+		capi.RunOptions{Backends: []string{"talp"}, Ranks: 2})
 
 	// The gauge starts at 0 (unsampled).
 	if got := scrapeMetric(t, ts.URL, "capi_sampling_default_stride"); got != 0 {
@@ -792,7 +792,7 @@ func TestSamplingEndpoint(t *testing.T) {
 // as it was.
 func TestSamplingInvalidSpecLeavesStateUntouched(t *testing.T) {
 	ts, _, inst := newServer(t, capi.Quickstart(), "quickstart",
-		capi.RunOptions{Backend: capi.BackendTALP, Ranks: 2})
+		capi.RunOptions{Backends: []string{"talp"}, Ranks: 2})
 	resp, body := postJSON(t, ts.URL+"/v1/sampling", ctl.SamplingRequest{Stride: 8})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("install: %d %s", resp.StatusCode, body)
@@ -844,7 +844,7 @@ func TestSamplingInvalidSpecLeavesStateUntouched(t *testing.T) {
 // fails must not apply an accompanying (valid) selection.
 func TestSelect400LeavesInstanceUntouched(t *testing.T) {
 	ts, _, inst := newServer(t, capi.Quickstart(), "quickstart",
-		capi.RunOptions{Backend: capi.BackendTALP, Ranks: 2})
+		capi.RunOptions{Backends: []string{"talp"}, Ranks: 2})
 	activeBefore := inst.ActiveFunctions()
 	backendsBefore := inst.Backends()
 	names := inst.ActiveFunctionNames()
@@ -981,7 +981,7 @@ func TestAsyncPipelineOverHTTP(t *testing.T) {
 	// The synchronous path advertises itself too: a plain instance reports
 	// async 0 so dashboards can tell the modes apart.
 	ts2, _, _ := newServer(t, capi.Quickstart(), "quickstart",
-		capi.RunOptions{Backend: capi.BackendTALP, Ranks: 2})
+		capi.RunOptions{Backends: []string{"talp"}, Ranks: 2})
 	if got := scrapeMetric(t, ts2.URL, "capi_pipeline_async"); got != 0 {
 		t.Fatalf("inline instance reports capi_pipeline_async = %d", got)
 	}
@@ -1053,7 +1053,7 @@ func subscribeSSE(t *testing.T, ts *httptest.Server) chan [2]string {
 // pre-override base, and the capi_ttl_* series advance.
 func TestTTLSelectOverHTTP(t *testing.T) {
 	ts, _, inst := newServer(t, capi.Quickstart(), "quickstart",
-		capi.RunOptions{Backend: capi.BackendTALP, Ranks: 2})
+		capi.RunOptions{Backends: []string{"talp"}, Ranks: 2})
 	wideActive := inst.ActiveFunctions()
 	events := subscribeSSE(t, ts)
 
@@ -1121,7 +1121,7 @@ func TestTTLSelectOverHTTP(t *testing.T) {
 // select cancels a pending revert (counted, visible in /v1/status).
 func TestTTLRequestValidation(t *testing.T) {
 	ts, _, inst := newServer(t, capi.Quickstart(), "quickstart",
-		capi.RunOptions{Backend: capi.BackendTALP, Ranks: 2})
+		capi.RunOptions{Backends: []string{"talp"}, Ranks: 2})
 	for _, bad := range []ctl.SelectRequest{
 		{Spec: narrowSpec, TTL: "soon"},           // unparsable
 		{Spec: narrowSpec, TTL: "-3s"},            // non-positive

@@ -1,0 +1,118 @@
+package ctl
+
+import (
+	"bytes"
+	"os"
+	"testing"
+
+	capi "capi"
+)
+
+// goldenStatus is a status document with every optional section populated
+// — HTTP endpoints, SLO, breaker, sampling, TTL, synthetic exits — and
+// values that exercise each number format (large counters, small and large
+// floats, a label that needs quoting).
+func goldenStatus() StatusResponse {
+	buckets := func(counts ...int64) []capi.HTTPBucket {
+		les := []float64{0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000}
+		out := make([]capi.HTTPBucket, len(les))
+		for i, le := range les {
+			out[i] = capi.HTTPBucket{LeMs: le, Count: counts[i]}
+		}
+		return out
+	}
+	return StatusResponse{
+		App:           "webservice",
+		HTTPSelects:   7,
+		UptimeSeconds: 12.5,
+		SSEClients:    2,
+		InstanceStatus: capi.InstanceStatus{
+			Backends:                []string{"talp", "extrae"},
+			Ranks:                   4,
+			Adaptive:                true,
+			Instrumented:            true,
+			Runs:                    3,
+			Running:                 true,
+			Events:                  12345678901,
+			ActiveFunctions:         41,
+			Patched:                 10337,
+			Reconfigs:               9,
+			InitSeconds:             0.000123,
+			ReconfigSeconds:         1.5e-05,
+			PendingSeconds:          0.25,
+			DroppedInFlight:         17,
+			DroppedUnpatched:        3,
+			SyntheticExits:          6,
+			SyntheticExitsByBackend: map[string]int64{"talp": 2, "extrae": 4},
+			Async:                   true,
+			PipelineDepth:           128,
+			DroppedAsync:            5,
+			AsyncBuf:                4096,
+			Sampling: &capi.SamplingSnapshot{
+				Configured:   true,
+				Default:      &capi.SamplingPolicy{Stride: 8},
+				FuncPolicies: 2,
+				Counters: capi.SamplingCounters{
+					Enters:          1000000,
+					Delivered:       125000,
+					SampledEvents:   870000,
+					SuppressedPairs: 4000,
+					SuppressedNs:    9876543210,
+					CollapsedCalls:  1000,
+					CollapsedNs:     55555,
+				},
+			},
+			DroppedPanicked:  40,
+			DetachedBackends: []string{"flaky"},
+			Breaker: []capi.BreakerStatus{
+				{Backend: "flaky", Panics: 3, DroppedPanicked: 40, Tripped: true, LastPanic: "boom"},
+				{Backend: "extrae", Panics: 1},
+			},
+			TTL: capi.TTLStatus{SelectPending: true, SelectRemainingSeconds: 1.5, Scheduled: 4, Expired: 2, Canceled: 1},
+			HTTP: &capi.HTTPStatus{
+				Workers:  3,
+				Requests: 1300,
+				Endpoints: []capi.HTTPEndpointStatus{
+					{
+						Endpoint: "GET /feed", Requests: 1000, SumMs: 1.2345678e+06, P50Ms: 2.25, P99Ms: 48.5,
+						Buckets:        buckets(10, 200, 600, 800, 900, 950, 990, 995, 998, 999, 1000),
+						TotalFunctions: 16, ActiveFunctions: 13, DemotedFunctions: 2,
+					},
+					{
+						Endpoint: `say "hi"`, Requests: 300, SumMs: 0.00042, P50Ms: 0.1, P99Ms: 0.4,
+						Buckets:        buckets(300, 300, 300, 300, 300, 300, 300, 300, 300, 300, 300),
+						TotalFunctions: 4, ActiveFunctions: 4,
+					},
+				},
+			},
+			SLO: &capi.SLOStatus{
+				TargetP99Ms: 5,
+				Window:      512,
+				MinSamples:  64,
+				Endpoints: []capi.SLOEndpoint{
+					{Endpoint: "GET /feed", Requests: 1000, P99Ms: 48.5, Steps: 3, Demoted: []string{"a", "b"}, Dropped: []string{"c"}},
+					{Endpoint: `say "hi"`, Requests: 300, P99Ms: 0.4, Met: true},
+				},
+			},
+		},
+	}
+}
+
+// TestMetricsGolden pins the member exposition byte for byte:
+// testdata/metrics.golden is what the hand-rolled handler this writer
+// replaced printed for goldenStatus, and CI's serve-smoke greps exact lines
+// of it.
+func TestMetricsGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/metrics.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := goldenStatus()
+	var e Exposition
+	e.Status("", &st)
+	var got bytes.Buffer
+	e.Write(&got)
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("exposition differs from testdata/metrics.golden\n--- got ---\n%s", got.String())
+	}
+}

@@ -1027,9 +1027,6 @@ func (rt *Runtime) InitSeconds() float64 {
 	return float64(rt.report.InitVirtualNs) / float64(vtime.Second)
 }
 
-// AsyncEnabled reports whether the asynchronous event pipeline is attached.
-func (rt *Runtime) AsyncEnabled() bool { return rt.pipe != nil }
-
 // DrainPipeline blocks until every event dispatched before the call has been
 // delivered through the backend chain. A no-op in inline mode. Phase-end
 // code must call it before reading backend reports or flushing sampling
@@ -1038,15 +1035,6 @@ func (rt *Runtime) DrainPipeline() {
 	if rt.pipe != nil {
 		rt.pipe.drain()
 	}
-}
-
-// PipelineDepth returns the number of events currently queued in the async
-// rings (0 in inline mode).
-func (rt *Runtime) PipelineDepth() int64 {
-	if rt.pipe == nil {
-		return 0
-	}
-	return rt.pipe.depthNow()
 }
 
 // DroppedAsync counts the enter/exit pairs the async pipeline rejected under

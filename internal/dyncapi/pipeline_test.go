@@ -124,7 +124,7 @@ func asyncSetup(t *testing.T, back Backend, buf int) (*Runtime, *xray.Runtime, *
 func TestAsyncPipelineDeliversEverything(t *testing.T) {
 	back := &asyncLogBackend{}
 	rt, xr, tc, kernel, dso := asyncSetup(t, back, 0)
-	if !rt.AsyncEnabled() {
+	if !rt.Snapshot().Async {
 		t.Fatal("pipeline not attached")
 	}
 	const pairs = 500
@@ -140,7 +140,7 @@ func TestAsyncPipelineDeliversEverything(t *testing.T) {
 	if e, x := back.enters.Load(), back.exits.Load(); e != pairs || x != pairs {
 		t.Fatalf("delivered %d enters / %d exits, want %d each", e, x, pairs)
 	}
-	if d := rt.PipelineDepth(); d != 0 {
+	if d := rt.Snapshot().AsyncDepth; d != 0 {
 		t.Fatalf("depth %d after drain, want 0", d)
 	}
 	if n := rt.DroppedAsync(); n != 0 {
@@ -337,7 +337,7 @@ func TestAsyncRankBeyondShardsDeliversInline(t *testing.T) {
 	if e := back.enters.Load(); e != 10 {
 		t.Fatalf("inline fallback delivered %d enters, want 10", e)
 	}
-	if d := rt.PipelineDepth(); d != 0 {
+	if d := rt.Snapshot().AsyncDepth; d != 0 {
 		t.Fatalf("fallback events queued (%d), want inline delivery", d)
 	}
 	if n := rt.DroppedAsync(); n != 0 {

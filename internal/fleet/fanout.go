@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
-	"sync"
 	"time"
 
 	"capi/internal/ctl"
@@ -59,16 +57,9 @@ func (s *Server) fanoutHandler(path string) http.HandlerFunc {
 		if ctype == "" {
 			ctype = "application/json"
 		}
-		results := make([]MemberResult, len(members))
-		var wg sync.WaitGroup
-		for i, m := range members {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				results[i] = s.postMember(m, path, ctype, body)
-			}()
-		}
-		wg.Wait()
+		results := eachMember(members, func(m memberSnap) MemberResult {
+			return s.postMember(m, path, ctype, body)
+		})
 
 		resp := FanoutResponse{Path: path, Members: len(members)}
 		for _, res := range results {
@@ -79,8 +70,6 @@ func (s *Server) fanoutHandler(path string) http.HandlerFunc {
 				s.fanoutFailures.Add(1)
 			}
 		}
-		sort.Slice(resp.Applied, func(i, j int) bool { return resp.Applied[i].Member < resp.Applied[j].Member })
-		sort.Slice(resp.Failed, func(i, j int) bool { return resp.Failed[i].Member < resp.Failed[j].Member })
 
 		code := http.StatusOK
 		switch {

@@ -28,8 +28,8 @@
 //	POST /v1/sampling         fan-out to every member    ├ timeout/retry/
 //	POST /v1/adapt            fan-out to every member   ─┘ backoff
 //	GET  /v1/healthz          the coordinator's own liveness probe
-//	GET  /metrics             fleet series + every member's exposition,
-//	                          re-labelled with member="<name>"
+//	GET  /metrics             fleet series + every member's /v1/status
+//	                          rendered as series labelled member="<name>"
 //
 // Fan-out is all-or-report-divergence: the response lists exactly which
 // members applied the change (applied) and which did not (failed, with the
@@ -49,7 +49,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -368,12 +367,35 @@ func (s *Server) doMember(method, url, ctype string, body []byte) (status int, r
 	return resp.StatusCode, respBody, nil
 }
 
-// sortedNames returns the map's keys sorted (stable JSON and metrics).
-func sortedNames[V any](m map[string]V) []string {
-	names := make([]string, 0, len(m))
-	for name := range m {
-		names = append(names, name)
+// memberJSON GETs path from one member and decodes the 200 body into v.
+// status is what the member answered, 0 when it did not.
+func (s *Server) memberJSON(m memberSnap, path string, v any) (status int, err error) {
+	status, body, err := s.doMember(http.MethodGet, m.URL+path, "", nil)
+	if err != nil {
+		return status, err
 	}
-	sort.Strings(names)
-	return names
+	if status != http.StatusOK {
+		return status, fmt.Errorf("status %d from member", status)
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		return status, fmt.Errorf("decoding member %s: %v", path, err)
+	}
+	return status, nil
+}
+
+// eachMember runs f for every member at once and returns the results in
+// member order, which a registry snapshot sorts by name — the one fan-out
+// loop behind every cluster-wide request.
+func eachMember[T any](members []memberSnap, f func(memberSnap) T) []T {
+	out := make([]T, len(members))
+	var wg sync.WaitGroup
+	for i, m := range members {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i] = f(m)
+		}()
+	}
+	wg.Wait()
+	return out
 }

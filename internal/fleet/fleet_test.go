@@ -66,7 +66,7 @@ func newQuickstart(t *testing.T, ranks int) (*capi.Session, *capi.Instance) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := session.Start(sel, capi.RunOptions{Backend: capi.BackendTALP, Ranks: ranks})
+	inst, err := session.Start(sel, capi.RunOptions{Backends: []string{"talp"}, Ranks: ranks})
 	if err != nil {
 		t.Fatal(err)
 	}

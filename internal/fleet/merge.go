@@ -2,10 +2,10 @@ package fleet
 
 import (
 	"encoding/json"
-	"fmt"
+	"maps"
 	"net/http"
+	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"capi/internal/ctl"
@@ -69,12 +69,12 @@ type CoordinatorStatus struct {
 	SSEClients     int     `json:"sseClients"`
 }
 
-func (s *Server) handleFleetStatus(w http.ResponseWriter, r *http.Request) {
-	members := s.reg.snapshot()
+// memberStatuses fetches every member's /v1/status document: the rows of
+// the fleet status table, and the read model the merged /metrics is
+// rendered from.
+func (s *Server) memberStatuses(members []memberSnap) []MemberStatus {
 	now := time.Now()
-	rows := make([]MemberStatus, len(members))
-	var wg sync.WaitGroup
-	for i, m := range members {
+	return eachMember(members, func(m memberSnap) MemberStatus {
 		row := MemberStatus{
 			Member:          m.Name,
 			URL:             m.URL,
@@ -86,32 +86,21 @@ func (s *Server) handleFleetStatus(w http.ResponseWriter, r *http.Request) {
 		if !m.Static && !m.Deadline.IsZero() {
 			row.TTLSeconds = time.Until(m.Deadline).Seconds()
 		}
-		rows[i] = row
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			code, body, err := s.doMember(http.MethodGet, m.URL+"/v1/status", "", nil)
-			if err != nil {
-				rows[i].Error = err.Error()
-				rows[i].Healthy = false
-				return
-			}
+		var st ctl.StatusResponse
+		if code, err := s.memberJSON(m, "/v1/status", &st); err != nil {
+			row.Error = err.Error()
 			if code != http.StatusOK {
-				rows[i].Error = fmt.Sprintf("status %d from member", code)
-				rows[i].Healthy = false
-				return
+				row.Healthy = false
 			}
-			var st ctl.StatusResponse
-			if err := json.Unmarshal(body, &st); err != nil {
-				rows[i].Error = fmt.Sprintf("decoding member status: %v", err)
-				return
-			}
-			rows[i].Status = &st
-			rows[i].Healthy = true
-		}()
-	}
-	wg.Wait()
+			return row
+		}
+		row.Status, row.Healthy = &st, true
+		return row
+	})
+}
 
+func (s *Server) handleFleetStatus(w http.ResponseWriter, r *http.Request) {
+	rows := s.memberStatuses(s.reg.snapshot())
 	roll := Rollup{Members: len(rows)}
 	for _, row := range rows {
 		if row.Status == nil {
@@ -219,32 +208,17 @@ func (s *Server) handleFleetReport(w http.ResponseWriter, r *http.Request) {
 		resp   *ctl.ReportResponse
 		err    string
 	}
-	results := make([]fetched, len(members))
-	var wg sync.WaitGroup
-	for i, m := range members {
-		results[i].member = m.Name
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			code, body, err := s.doMember(http.MethodGet, m.URL+"/v1/report", "", nil)
-			switch {
-			case err != nil:
-				results[i].err = err.Error()
-			case code == http.StatusNotFound:
-				results[i].err = "no report yet"
-			case code != http.StatusOK:
-				results[i].err = fmt.Sprintf("status %d from member", code)
-			default:
-				var rep ctl.ReportResponse
-				if err := json.Unmarshal(body, &rep); err != nil {
-					results[i].err = fmt.Sprintf("decoding member report: %v", err)
-				} else {
-					results[i].resp = &rep
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	results := eachMember(members, func(m memberSnap) fetched {
+		var rep ctl.ReportResponse
+		code, err := s.memberJSON(m, "/v1/report", &rep)
+		switch {
+		case code == http.StatusNotFound:
+			return fetched{member: m.Name, err: "no report yet"}
+		case err != nil:
+			return fetched{member: m.Name, err: err.Error()}
+		}
+		return fetched{member: m.Name, resp: &rep}
+	})
 
 	out := FleetReportResponse{Backends: map[string]BackendReports{}}
 	type regionAcc struct {
@@ -293,13 +267,11 @@ func (s *Server) handleFleetReport(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	sort.Strings(out.Members)
 
-	for _, name := range sortedNames(regions) {
+	for _, name := range slices.Sorted(maps.Keys(regions)) {
 		acc := regions[name]
 		merged := pop.Merge(acc.sets...)
 		m := pop.Compute(merged)
-		sort.Strings(acc.members)
 		out.Regions = append(out.Regions, RegionPOP{
 			Name:                    name,
 			Members:                 acc.members,

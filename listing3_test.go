@@ -48,7 +48,7 @@ coarse(%sel, %kernels)
 		}
 	}
 
-	res, err := s.Run(sel, capi.RunOptions{Backend: capi.BackendTALP, Ranks: 2})
+	res, err := s.Run(sel, capi.RunOptions{Backends: []string{"talp"}, Ranks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

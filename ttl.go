@@ -175,9 +175,7 @@ func (i *Instance) SetTTLNotify(fn func(TTLExpiry)) {
 	i.ttl.mu.Unlock()
 }
 
-// TTLStatus returns the scheduler's current state.
-func (i *Instance) TTLStatus() TTLStatus { return i.ttlStatus() }
-
+// ttlStatus returns the scheduler's current state.
 func (i *Instance) ttlStatus() TTLStatus {
 	now := time.Now()
 	i.ttl.mu.Lock()

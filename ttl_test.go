@@ -77,7 +77,7 @@ func TestTTLManualReselectInterleavings(t *testing.T) {
 			if _, err := f.inst.ReconfigureTTL(f.narrow, time.Hour); err != nil {
 				t.Fatal(err)
 			}
-			if st := f.inst.TTLStatus(); !st.SelectPending || st.Scheduled != 1 {
+			if st := f.inst.Status().TTL; !st.SelectPending || st.Scheduled != 1 {
 				t.Fatalf("after ttl'd select: %+v", st)
 			}
 			if got := f.activeLen(t); got != f.narrow.IC.Len() {
@@ -86,7 +86,7 @@ func TestTTLManualReselectInterleavings(t *testing.T) {
 			if _, err := f.inst.Reconfigure(f.wide); err != nil {
 				t.Fatal(err)
 			}
-			st := f.inst.TTLStatus()
+			st := f.inst.Status().TTL
 			if st.SelectPending || st.Canceled != 1 || st.Expired != 0 {
 				t.Fatalf("explicit select did not cancel the revert: %+v", st)
 			}
@@ -111,7 +111,7 @@ func TestTTLManualReselectInterleavings(t *testing.T) {
 			if got := f.activeLen(t); got != f.wide.IC.Len() {
 				t.Fatalf("reverted to %d active functions, want the original base %d", got, f.wide.IC.Len())
 			}
-			st := f.inst.TTLStatus()
+			st := f.inst.Status().TTL
 			if st.Scheduled != 2 || st.Expired != 1 || st.SelectPending {
 				t.Fatalf("counters after coalesced expiry: %+v", st)
 			}
@@ -163,13 +163,13 @@ func TestTTLManualReselectInterleavings(t *testing.T) {
 			if err := f.inst.SetSamplingTTL(stride(64), time.Hour); err != nil {
 				t.Fatal(err)
 			}
-			if st := f.inst.TTLStatus(); !st.SamplingPending {
+			if st := f.inst.Status().TTL; !st.SamplingPending {
 				t.Fatalf("no pending sampling revert: %+v", st)
 			}
 			if err := f.inst.SetSampling(stride(8)); err != nil {
 				t.Fatal(err)
 			}
-			st := f.inst.TTLStatus()
+			st := f.inst.Status().TTL
 			if st.SamplingPending || st.Canceled != 1 {
 				t.Fatalf("explicit table did not cancel the revert: %+v", st)
 			}
@@ -185,7 +185,7 @@ func TestTTLManualReselectInterleavings(t *testing.T) {
 				t.Fatal(err)
 			}
 			f.waitExpiry(t, "select")
-			st := f.inst.TTLStatus()
+			st := f.inst.Status().TTL
 			if !st.SamplingPending || st.Expired != 1 {
 				t.Fatalf("select expiry disturbed the sampling slot: %+v", st)
 			}
@@ -226,7 +226,7 @@ func TestReconfigureTTLNeedsBase(t *testing.T) {
 	if _, err := inst.ReconfigureTTL(narrow, time.Minute); err != nil {
 		t.Fatalf("ttl'd select after explicit base: %v", err)
 	}
-	if st := inst.TTLStatus(); !st.SelectPending {
+	if st := inst.Status().TTL; !st.SelectPending {
 		t.Fatalf("no pending revert: %+v", st)
 	}
 }
