@@ -20,12 +20,15 @@
 //	spec      the CaPI selection DSL        ─┐
 //	selector  selector implementations       ├─ "Selection"
 //	core      pipeline engine + post-passes ─┘
-//	ic        instrumentation configuration (IC) files
+//	ic        instrumentation configuration (IC) files; a Config is
+//	          immutable once built and may be shared between goroutines
 //	compiler  Clang/-fxray-instrument model: inlining, symbols, sleds
 //	obj/mem   object images, dynamic loader, page protection
 //	xray      sled patching runtime with packed DSO/function IDs (Fig. 4)
 //	dyncapi   the DynCaPI runtime: ID resolution, patching, event bridge,
-//	          live re-selection (Reconfigure: delta re-patch in place),
+//	          live re-selection (Reconfigure: delta re-patch in place —
+//	          an IC is looked up through a name index built at start-up,
+//	          the delta is a merge of two ID-sorted selections),
 //	          multi-backend fan-out (Mux: every event to N backends, with
 //	          per-backend synthetic-exit delivery), live backend swaps,
 //	          and the sampling/suppression stage (sampler.go): per-function

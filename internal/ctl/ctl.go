@@ -49,6 +49,7 @@
 package ctl
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -90,6 +91,9 @@ type Server struct {
 	inst    *capi.Instance
 	app     string
 	started time.Time
+	// instrumented is fixed at Start: read once here, not from a status
+	// snapshot per request.
+	instrumented bool
 
 	mux *http.ServeMux
 	hub *Hub
@@ -117,6 +121,8 @@ func New(session *capi.Session, inst *capi.Instance, app string) *Server {
 		started: time.Now(),
 		mux:     http.NewServeMux(),
 		hub:     NewHub(),
+
+		instrumented: inst.Status().Instrumented,
 	}
 	s.mux.HandleFunc("GET /v1/status", s.handleStatus)
 	s.mux.HandleFunc("GET /v1/selection", s.handleSelection)
@@ -157,10 +163,33 @@ func (s *Server) Shutdown() { s.hub.Shutdown() }
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone
+	e := replyPool.Get().(*replyEncoder)
+	e.buf.Reset()
+	if e.enc.Encode(v) == nil {
+		w.Write(e.buf.Bytes()) //nolint:errcheck // client gone
+	}
+	if e.buf.Cap() <= maxPooledReply {
+		replyPool.Put(e)
+	}
 }
+
+// replyEncoder is an indenting encoder with the storage it encodes into. A
+// select reply is ~75 KB at openfoam scale; encoding each into fresh buffers
+// was a third of the handler.
+type replyEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// maxPooledReply keeps one outsized reply from pinning its buffer.
+const maxPooledReply = 1 << 20
+
+var replyPool = sync.Pool{New: func() any {
+	e := &replyEncoder{}
+	e.enc = json.NewEncoder(&e.buf)
+	e.enc.SetIndent("", "  ")
+	return e
+}}
 
 // WriteErr answers code with an {"error": ...} body.
 func WriteErr(w http.ResponseWriter, code int, format string, args ...any) {
@@ -346,7 +375,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if !s.inst.Status().Instrumented {
+	if !s.instrumented {
 		WriteErr(w, http.StatusConflict, "instance is not instrumented")
 		return
 	}
@@ -694,7 +723,7 @@ func (s *Server) handleSampling(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if !s.inst.Status().Instrumented {
+	if !s.instrumented {
 		WriteErr(w, http.StatusConflict, "instance is not instrumented")
 		return
 	}

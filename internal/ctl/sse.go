@@ -72,14 +72,20 @@ func (h *Hub) Clients() int {
 	return len(h.subs)
 }
 
-// Publish marshals v and delivers it to every subscriber without blocking.
+// Publish delivers v, marshalled, to every subscriber without blocking. An
+// event nobody is subscribed to takes its id and is not marshalled.
 func (h *Hub) Publish(name string, v any) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.next++
+	if len(h.subs) == 0 {
+		return
+	}
+	// Marshalled under the lock: ids reach every subscriber in order.
 	data, err := json.Marshal(v)
 	if err != nil {
 		return
 	}
-	h.mu.Lock()
-	h.next++
 	ev := event{id: h.next, name: name, data: data}
 	for ch := range h.subs {
 		select {
@@ -87,7 +93,6 @@ func (h *Hub) Publish(name string, v any) {
 		default: // slow client: drop rather than stall the control plane
 		}
 	}
-	h.mu.Unlock()
 }
 
 // handleEvents streams hub events as text/event-stream. Every live

@@ -16,9 +16,10 @@
 package dyncapi
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -184,7 +185,9 @@ type Runtime struct {
 	// deselected holds the map[int32]struct{} of functions removed by the
 	// most recent Reconfigure, so the handler can tell a deselected
 	// in-flight drop apart from a spurious event for an unpatched-but-known
-	// function. Swapped atomically alongside active.
+	// function; a function that a later Reconfigure selected again stays in
+	// it while it stays selected (see Reconfigure). Swapped atomically
+	// alongside active.
 	deselected atomic.Value
 
 	// droppedInFlight counts events that arrived for functions removed by
@@ -218,6 +221,19 @@ type Runtime struct {
 	// New before the handler is installed and never reassigned, so handlers
 	// and accessors may read it without synchronization.
 	pipe *pipeline
+
+	// The re-selection state below sits after everything the handlers read,
+	// whose layout it therefore does not move.
+
+	// byName indexes the resolved functions by symbol name (one name may
+	// resolve in several objects), built with byID and as immutable: a
+	// selection is looked up from its ~10^3 names, not by probing it once
+	// for each of the ~10^4 functions.
+	byName map[string][]*ResolvedFunc
+	// activeFuncs is the current selection sorted by packed ID — the keys
+	// and values of the published active map, kept so the next delta is a
+	// merge of two sorted slices.
+	activeFuncs []*ResolvedFunc //capi:guardedby mu
 }
 
 // backendBox wraps the backend interface value for atomic.Value, which
@@ -253,6 +269,7 @@ func New(proc *obj.Process, xr *xray.Runtime, cfg *ic.Config, backend Backend, o
 		cfg:            cfg,
 		opts:           opts,
 		byID:           map[int32]*ResolvedFunc{},
+		byName:         map[string][]*ResolvedFunc{},
 		synthByBackend: map[string]int64{},
 		sampleRanks:    opts.Ranks,
 	}
@@ -391,6 +408,7 @@ func (rt *Runtime) resolve() error {
 			rf := &ResolvedFunc{PackedID: packed, Addr: addr}
 			if name, ok := byOffset[addr-lo.Base]; ok {
 				rf.Name = name
+				rt.byName[name] = append(rt.byName[name], rf)
 				rt.report.FunctionsResolved++
 			} else {
 				rt.report.Unresolved++
@@ -407,21 +425,41 @@ func (rt *Runtime) resolve() error {
 }
 
 // wantSet computes the subset of resolved functions the given configuration
-// selects. A function is selected either by resolved name or — the §VI-B(a)
-// extension — by a statically determined packed ID carried in the IC, which
-// also covers hidden DSO symbols that name resolution cannot reach.
-func (rt *Runtime) wantSet(cfg *ic.Config, patchAll bool) map[int32]*ResolvedFunc {
-	want := make(map[int32]*ResolvedFunc)
-	for packed, rf := range rt.byID {
-		w := patchAll
-		if !w && cfg != nil {
-			w = cfg.ContainsID(packed) || (rf.Name != "" && cfg.Contains(rf.Name))
+// selects, sorted by packed ID. A function is selected either by resolved
+// name or — the §VI-B(a) extension — by a statically determined packed ID
+// carried in the IC, which also covers hidden DSO symbols that name
+// resolution cannot reach.
+func (rt *Runtime) wantSet(cfg *ic.Config, patchAll bool) []*ResolvedFunc {
+	var want []*ResolvedFunc
+	switch {
+	case patchAll:
+		want = make([]*ResolvedFunc, 0, len(rt.byID))
+		for _, rf := range rt.byID {
+			want = append(want, rf)
 		}
-		if w {
-			want[packed] = rf
+	case cfg != nil:
+		want = make([]*ResolvedFunc, 0, len(cfg.Include)+len(cfg.IncludeIDs))
+		for _, name := range cfg.Include {
+			want = append(want, rt.byName[name]...)
+		}
+		for _, id := range cfg.IncludeIDs {
+			if rf := rt.byID[id]; rf != nil {
+				want = append(want, rf)
+			}
 		}
 	}
-	return want
+	slices.SortFunc(want, func(a, b *ResolvedFunc) int { return cmp.Compare(a.PackedID, b.PackedID) })
+	// A function selected by name and by ID appears twice.
+	return slices.Compact(want)
+}
+
+// byPackedID builds the map the handlers read from a sorted selection.
+func byPackedID(want []*ResolvedFunc) map[int32]*ResolvedFunc {
+	active := make(map[int32]*ResolvedFunc, len(want))
+	for _, rf := range want {
+		active[rf.PackedID] = rf
+	}
+	return active
 }
 
 func sortedIDs(set map[int32]*ResolvedFunc) []int32 {
@@ -429,7 +467,7 @@ func sortedIDs(set map[int32]*ResolvedFunc) []int32 {
 	for id := range set {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -438,20 +476,22 @@ func sortedIDs(set map[int32]*ResolvedFunc) []int32 {
 func (rt *Runtime) patch() error {
 	//capi:unguarded-ok patch runs inside New, before the runtime is published to any other goroutine
 	want := rt.wantSet(rt.cfg, rt.opts.PatchAll)
-	ids := sortedIDs(want)
+	ids := make([]int32, len(want))
+	for i, rf := range want {
+		ids[i] = rf.PackedID
+		if rf.Name == "" {
+			rt.report.PatchedByID++
+		}
+	}
 	if len(ids) > 0 {
 		if _, err := rt.xr.PatchBatch(ids, true); err != nil {
 			return fmt.Errorf("dyncapi: patching %d functions: %w", len(ids), err)
 		}
 	}
-	for _, id := range ids {
-		if want[id].Name == "" {
-			rt.report.PatchedByID++
-		}
-	}
 	rt.report.Patched = len(ids)
 	rt.report.InitVirtualNs += int64(len(ids)) * rt.opts.Costs.PerPatch
-	rt.active.Store(want)
+	rt.activeFuncs = want //capi:unguarded-ok patch runs inside New, before the runtime is published to any other goroutine
+	rt.active.Store(byPackedID(want))
 	return nil
 }
 
@@ -608,24 +648,24 @@ func (rt *Runtime) Reconfigure(cfg *ic.Config) (ReconfigReport, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 
-	want := rt.wantSet(cfg, false)
-	cur, _ := rt.active.Load().(map[int32]*ResolvedFunc)
-	var toPatch, toUnpatch []int32
+	// Both selections are sorted by packed ID: the delta is one merge.
+	want, cur := rt.wantSet(cfg, false), rt.activeFuncs
+	toPatch, toUnpatch := make([]int32, 0, len(want)), make([]int32, 0, len(cur))
 	kept := 0
-	for id := range want {
-		if _, ok := cur[id]; ok {
+	for i, j := 0, 0; i < len(want) || j < len(cur); {
+		switch {
+		case j == len(cur) || (i < len(want) && want[i].PackedID < cur[j].PackedID):
+			toPatch = append(toPatch, want[i].PackedID)
+			i++
+		case i == len(want) || cur[j].PackedID < want[i].PackedID:
+			toUnpatch = append(toUnpatch, cur[j].PackedID)
+			j++
+		default:
 			kept++
-		} else {
-			toPatch = append(toPatch, id)
+			i++
+			j++
 		}
 	}
-	for id := range cur {
-		if _, ok := want[id]; !ok {
-			toUnpatch = append(toUnpatch, id)
-		}
-	}
-	sort.Slice(toPatch, func(i, j int) bool { return toPatch[i] < toPatch[j] })
-	sort.Slice(toUnpatch, func(i, j int) bool { return toUnpatch[i] < toUnpatch[j] })
 
 	rep := ReconfigReport{
 		Patched:   len(toPatch),
@@ -640,12 +680,30 @@ func (rt *Runtime) Reconfigure(cfg *ic.Config) (ReconfigReport, error) {
 	// The deselected set is published before the active set so a handler
 	// observing the new selection always classifies a straggler as an
 	// in-flight drop, never as a spurious sled hit.
+	// Both maps are built before either is stored: between the two stores a
+	// straggler of the *previous* re-selection finds itself in neither.
+	//
+	// A handler reads the active set and then the deselected set, and may
+	// pair the former from before this re-selection with the latter from
+	// after it. A function the previous re-selection removed and this one
+	// brings back would then be in neither and count as a spurious sled hit
+	// although it is selected — so it stays in the deselected set while it
+	// stays selected (the handlers only consult that set for a function
+	// missing from the active one).
+	active := byPackedID(want)
 	desel := make(map[int32]struct{}, len(toUnpatch))
 	for _, id := range toUnpatch {
 		desel[id] = struct{}{}
 	}
+	prev, _ := rt.deselected.Load().(map[int32]struct{})
+	for id := range prev {
+		if active[id] != nil {
+			desel[id] = struct{}{}
+		}
+	}
 	rt.deselected.Store(desel)
-	rt.active.Store(want)
+	rt.active.Store(active)
+	rt.activeFuncs = want
 	if len(toUnpatch) > 0 {
 		d, err := rt.xr.PatchBatch(toUnpatch, false)
 		rep.Batch.Add(d)

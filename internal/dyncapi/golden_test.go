@@ -1,0 +1,113 @@
+package dyncapi
+
+import (
+	"reflect"
+	"testing"
+
+	"capi/internal/ic"
+	"capi/internal/xray"
+)
+
+// reportGolden is the part of a ReconfigReport that is a pure function of
+// (resolution table, previous selection, new IC) — what a rewrite of the
+// delta computation must reproduce field for field.
+type reportGolden struct {
+	Patched, Unpatched, Kept, Active int
+	Added, Removed                   []string
+	Batch                            xray.Stats
+}
+
+func goldenOf(rep ReconfigReport) reportGolden {
+	return reportGolden{rep.Patched, rep.Unpatched, rep.Kept, rep.Active, rep.AddedNames, rep.RemovedNames, rep.Batch}
+}
+
+// TestReconfigureReportGolden replays one sequence of re-selections over the
+// four-function fixture — by name, by static ID only, through a hidden DSO
+// symbol, and with one symbol name defined in two objects — against the
+// reports the map-rebuilding Reconfigure (before PR 19) produced for it.
+func TestReconfigureReportGolden(t *testing.T) {
+	b := buildProg(t)
+	// lib.so's dso_fn becomes a second "kernel": one name, two objects.
+	for i, s := range b.Image("lib.so").Symbols {
+		if s.Name == "dso_fn" {
+			b.Image("lib.so").Symbols[i].Name = "kernel"
+		}
+	}
+	proc, xr := setup(t, b)
+	static, err := b.StaticPackedIDs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hidden, main := static["hidden_fn"], static["main"]
+
+	rt, err := New(proc, xr, ic.New("app", "s", []string{"main"}), &CygBackend{}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	win := func(patched, unpatched, pages, calls, batches, funcs, windows int64) xray.Stats {
+		return xray.Stats{PatchedSleds: patched, UnpatchedSleds: unpatched, MprotectPages: pages,
+			MprotectCalls: calls, BatchCalls: batches, BatchFuncs: funcs, BatchWindows: windows}
+	}
+	steps := []struct {
+		name string
+		cfg  *ic.Config
+		want reportGolden
+	}{
+		{"duplicate name selects both objects", ic.New("app", "s", []string{"kernel"}),
+			reportGolden{2, 1, 0, 2, []string{"kernel"}, []string{"main"}, win(4, 2, 3, 6, 2, 3, 3)}},
+		{"hidden symbol by name resolves to nothing", ic.New("app", "s", []string{"hidden_fn", "kernel"}),
+			reportGolden{0, 0, 2, 2, []string{"hidden_fn"}, nil, win(0, 0, 0, 0, 0, 0, 0)}},
+		{"hidden symbol by static ID", ic.New("app", "s", []string{"hidden_fn"}).WithIDs(static),
+			reportGolden{1, 2, 0, 1, nil, []string{"kernel"}, win(2, 4, 3, 6, 2, 3, 3)}},
+		{"IDs only, unsorted, duplicated, one unknown", ic.New("app", "s", nil).WithIncludeIDs([]int32{main, hidden, main, 1 << 30}),
+			reportGolden{1, 0, 1, 2, nil, []string{"hidden_fn"}, win(2, 0, 1, 2, 1, 1, 1)}},
+		{"name and ID naming the same function", ic.New("app", "s", []string{"main", "kernel"}).WithIncludeIDs([]int32{main}),
+			reportGolden{2, 1, 1, 3, []string{"kernel", "main"}, nil, win(4, 2, 3, 6, 2, 3, 3)}},
+		{"empty IC", ic.New("app", "s", nil),
+			reportGolden{0, 3, 0, 0, nil, []string{"kernel", "main"}, win(0, 6, 2, 4, 1, 3, 2)}},
+	}
+	for i, st := range steps {
+		rep, err := rt.Reconfigure(st.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if got := goldenOf(rep); !reflect.DeepEqual(got, st.want) {
+			t.Errorf("%s:\n got %+v\nwant %+v", st.name, got, st.want)
+		}
+		if rep.Seq != i+1 || len(rt.ActiveIDs()) != rep.Active {
+			t.Errorf("%s: seq %d, %d active IDs for Active=%d", st.name, rep.Seq, len(rt.ActiveIDs()), rep.Active)
+		}
+	}
+}
+
+// TestReselectedStaysDeselected: a handler may pair the active set from
+// before a re-selection with the deselected set from after it. A function
+// removed by one re-selection and brought back by the next must not fall
+// between the two (it would count as a spurious sled hit while selected), so
+// it stays in the deselected set until it is removed for good.
+func TestReselectedStaysDeselected(t *testing.T) {
+	b := buildProg(t)
+	proc, xr := setup(t, b)
+	rt, err := New(proc, xr, ic.New("app", "s", []string{"kernel", "main"}), &CygBackend{}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kernel, main := packedOf(t, b, xr, proc, "kernel"), packedOf(t, b, xr, proc, "main")
+	steps := []struct {
+		include []string
+		want    map[int32]struct{}
+	}{
+		{[]string{"main"}, map[int32]struct{}{kernel: {}}},           // kernel removed
+		{[]string{"main", "kernel"}, map[int32]struct{}{kernel: {}}}, // and brought back: carried
+		{[]string{"kernel"}, map[int32]struct{}{kernel: {}, main: {}}},
+		{[]string{"dso_fn"}, map[int32]struct{}{kernel: {}}}, // main was removed a step ago and stays out: gone
+	}
+	for i, st := range steps {
+		if _, err := rt.Reconfigure(ic.New("app", "s", st.include)); err != nil {
+			t.Fatal(err)
+		}
+		if got := rt.deselected.Load().(map[int32]struct{}); !reflect.DeepEqual(got, st.want) {
+			t.Fatalf("step %d (%v): deselected = %v, want %v", i, st.include, got, st.want)
+		}
+	}
+}

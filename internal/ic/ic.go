@@ -12,12 +12,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 )
 
 // Config is an instrumentation configuration: the set of functions to
 // instrument, plus provenance for reports.
+//
+// A Config is immutable once a constructor (New, WithIDs, WithIncludeIDs,
+// ReadJSON, ReadScorePFilter) returned it, and therefore safe to share
+// between goroutines — one Selection may start several instances, and an
+// instance keeps the IC for its TTL revert timer while handlers read it. Do
+// not write to Include or IncludeIDs; derive a changed copy instead.
 type Config struct {
 	// App is the application the IC was computed for.
 	App string `json:"app,omitempty"`
@@ -26,8 +33,8 @@ type Config struct {
 	// Include lists the functions to instrument, sorted.
 	Include []string `json:"include"`
 	// IncludeIDs optionally lists packed XRay function IDs to instrument,
-	// determined statically from the build. This is the extension the
-	// paper proposes for hidden DSO symbols (§VI-B(a)): the runtime can
+	// sorted, determined statically from the build. This is the extension
+	// the paper proposes for hidden DSO symbols (§VI-B(a)): the runtime can
 	// patch these without resolving any name at start-up.
 	IncludeIDs []int32 `json:"includeIDs,omitempty"`
 
@@ -46,38 +53,35 @@ func New(app, spec string, include []string) *Config {
 		}
 	}
 	sort.Strings(c.Include)
+	// Clipped, so an append by one holder cannot land in storage another
+	// holder shares.
+	c.Include = slices.Clip(c.Include)
 	c.members = seen
 	return c
+}
+
+// withIDs returns a copy of c whose IncludeIDs are ids, sorted and
+// deduplicated in place.
+func (c *Config) withIDs(ids []int32) *Config {
+	out := New(c.App, c.Spec, c.Include)
+	slices.Sort(ids)
+	out.IncludeIDs = slices.Clip(slices.Compact(ids))
+	out.idSet = make(map[int32]bool, len(out.IncludeIDs))
+	for _, id := range out.IncludeIDs {
+		out.idSet[id] = true
+	}
+	return out
 }
 
 // Len returns the number of included functions.
 func (c *Config) Len() int { return len(c.Include) }
 
 // Contains reports whether the named function is instrumented.
-func (c *Config) Contains(name string) bool {
-	if c.members == nil {
-		c.members = make(map[string]bool, len(c.Include))
-		for _, n := range c.Include {
-			c.members[n] = true
-		}
-	}
-	return c.members[name]
-}
+func (c *Config) Contains(name string) bool { return c.members[name] }
 
 // ContainsID reports whether the packed function ID is instrumented via
 // the static ID list.
-func (c *Config) ContainsID(id int32) bool {
-	if c.idSet == nil {
-		if len(c.IncludeIDs) == 0 {
-			return false
-		}
-		c.idSet = make(map[int32]bool, len(c.IncludeIDs))
-		for _, v := range c.IncludeIDs {
-			c.idSet[v] = true
-		}
-	}
-	return c.idSet[id]
-}
+func (c *Config) ContainsID(id int32) bool { return c.idSet[id] }
 
 // WithIDs returns a copy of the configuration whose IncludeIDs carry the
 // packed IDs of every included function found in the static mapping
@@ -86,14 +90,13 @@ func (c *Config) ContainsID(id int32) bool {
 // DynCaPI runtime can patch hidden DSO functions it cannot resolve by
 // name — the §VI-B(a) extension.
 func (c *Config) WithIDs(ids map[string]int32) *Config {
-	out := New(c.App, c.Spec, c.Include)
-	for _, name := range out.Include {
+	var found []int32
+	for _, name := range c.Include {
 		if id, ok := ids[name]; ok {
-			out.IncludeIDs = append(out.IncludeIDs, id)
+			found = append(found, id)
 		}
 	}
-	sort.Slice(out.IncludeIDs, func(i, j int) bool { return out.IncludeIDs[i] < out.IncludeIDs[j] })
-	return out
+	return c.withIDs(found)
 }
 
 // Diff compares two configurations by included function name. It returns
@@ -102,23 +105,29 @@ func (c *Config) WithIDs(ids map[string]int32) *Config {
 // reports every included name as added. The DynCaPI runtime uses this to
 // report what a live re-selection changed.
 func Diff(a, b *Config) (added, removed []string) {
-	if b != nil {
-		for _, n := range b.Include {
-			if a == nil || !a.Contains(n) {
-				added = append(added, n)
-			}
-		}
-	}
+	var as, bs []string
 	if a != nil {
-		for _, n := range a.Include {
-			if b == nil || !b.Contains(n) {
-				removed = append(removed, n)
-			}
+		as = a.Include
+	}
+	if b != nil {
+		bs = b.Include
+	}
+	// Both lists are sorted and free of duplicates: one merge pass.
+	i, j := 0, 0
+	for i < len(as) && j < len(bs) {
+		switch c := strings.Compare(as[i], bs[j]); {
+		case c < 0:
+			removed = append(removed, as[i])
+			i++
+		case c > 0:
+			added = append(added, bs[j])
+			j++
+		default:
+			i++
+			j++
 		}
 	}
-	sort.Strings(added)
-	sort.Strings(removed)
-	return added, removed
+	return append(added, bs[j:]...), append(removed, as[i:]...)
 }
 
 // WithIncludeIDs returns a copy of c whose IncludeIDs are exactly the given
@@ -127,16 +136,7 @@ func Diff(a, b *Config) (added, removed []string) {
 // of functions it keeps, including ones that were only ever selected by ID
 // (hidden DSO symbols).
 func (c *Config) WithIncludeIDs(ids []int32) *Config {
-	out := New(c.App, c.Spec, c.Include)
-	seen := make(map[int32]bool, len(ids))
-	for _, id := range ids {
-		if !seen[id] {
-			seen[id] = true
-			out.IncludeIDs = append(out.IncludeIDs, id)
-		}
-	}
-	sort.Slice(out.IncludeIDs, func(i, j int) bool { return out.IncludeIDs[i] < out.IncludeIDs[j] })
-	return out
+	return c.withIDs(slices.Clone(ids))
 }
 
 // WriteJSON serializes the configuration as JSON.
@@ -152,9 +152,7 @@ func ReadJSON(r io.Reader) (*Config, error) {
 	if err := json.NewDecoder(r).Decode(&c); err != nil {
 		return nil, fmt.Errorf("ic: parsing JSON config: %w", err)
 	}
-	out := New(c.App, c.Spec, c.Include)
-	out.IncludeIDs = c.IncludeIDs
-	return out, nil
+	return New(c.App, c.Spec, c.Include).withIDs(c.IncludeIDs), nil
 }
 
 // Score-P filter file markers.

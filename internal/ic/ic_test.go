@@ -3,6 +3,7 @@ package ic
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -20,10 +21,37 @@ func TestNewDedupSort(t *testing.T) {
 	}
 }
 
-func TestContainsLazyIndex(t *testing.T) {
-	c := &Config{Include: []string{"x", "y"}}
-	if !c.Contains("x") || c.Contains("q") {
-		t.Fatal("lazy Contains wrong")
+// TestConfigSharedReadOnly: every constructor returns a Config whose lookups
+// only read, so goroutines may share it (run under -race).
+func TestConfigSharedReadOnly(t *testing.T) {
+	base := New("app", "s", []string{"x", "y"})
+	var buf bytes.Buffer
+	if err := base.WithIncludeIDs([]int32{9, 7, 9}).WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	read, err := ReadJSON(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*Config{base.WithIncludeIDs([]int32{7, 9}), base.WithIDs(map[string]int32{"x": 7, "y": 9}), read} {
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if !c.Contains("x") || c.Contains("q") || c.ContainsID(8) {
+					t.Error("Contains wrong")
+				}
+				if !c.ContainsID(7) || !c.ContainsID(9) || len(c.IncludeIDs) != 2 {
+					t.Errorf("IDs wrong: %v", c.IncludeIDs)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	// An append by one holder must not reach storage another holder shares.
+	if n := New("app", "s", []string{"a", "b", "c"}); cap(n.Include) != len(n.Include) {
+		t.Fatalf("Include has spare capacity %d", cap(n.Include)-len(n.Include))
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"regexp"
 	"sort"
+	"strings"
 
 	"capi/internal/callgraph"
 )
@@ -120,6 +121,19 @@ func compare(a float64, op string, b float64) (bool, error) {
 	default:
 		return false, fmt.Errorf("selector: unknown comparison operator %q", op)
 	}
+}
+
+// matcher compiles pat for the named selector. Every match of a pattern
+// begins with its literal prefix ("MPI_" for "^MPI_"), so a string that does
+// not contain the prefix is rejected without running the regexp — over a
+// whole-program graph that is nearly every string.
+func matcher(name, pat string) (func(string) bool, error) {
+	re, err := regexp.Compile(pat)
+	if err != nil {
+		return nil, fmt.Errorf("selector %s: bad pattern %q: %w", name, pat, err)
+	}
+	prefix, _ := re.LiteralPrefix()
+	return func(s string) bool { return strings.Contains(s, prefix) && re.MatchString(s) }, nil
 }
 
 // filterSet returns the members of in satisfying pred.
@@ -294,12 +308,12 @@ func (r *Registry) registerBuiltins() {
 			if err != nil {
 				return nil, err
 			}
-			re, err := regexp.Compile(pat)
+			match, err := matcher("byName", pat)
 			if err != nil {
-				return nil, fmt.Errorf("selector byName: bad pattern %q: %w", pat, err)
+				return nil, err
 			}
 			return filterSet(in, func(n *callgraph.Node) bool {
-				return re.MatchString(n.Name) || re.MatchString(n.Display)
+				return match(n.Name) || (n.Display != n.Name && match(n.Display))
 			}), nil
 		},
 	})
@@ -332,11 +346,11 @@ func (r *Registry) registerBuiltins() {
 			if err != nil {
 				return nil, err
 			}
-			re, err := regexp.Compile(pat)
+			match, err := matcher("byTU", pat)
 			if err != nil {
-				return nil, fmt.Errorf("selector byTU: bad pattern %q: %w", pat, err)
+				return nil, err
 			}
-			return filterSet(in, func(n *callgraph.Node) bool { return re.MatchString(n.Meta.TU) }), nil
+			return filterSet(in, func(n *callgraph.Node) bool { return match(n.Meta.TU) }), nil
 		},
 	})
 

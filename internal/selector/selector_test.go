@@ -1,6 +1,7 @@
 package selector
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 
@@ -119,6 +120,25 @@ func TestCompareBadOperator(t *testing.T) {
 func TestByName(t *testing.T) {
 	wantMembers(t, eval(t, "byName", "^MPI_"), "MPI_Send")
 	wantMembers(t, eval(t, "byName", "ker"), "kernel")
+}
+
+// TestMatcherEqualsRegexp: the literal-prefix shortcut never changes what a
+// pattern matches — anchored or not, case-folded, alternated, empty.
+func TestMatcherEqualsRegexp(t *testing.T) {
+	pats := []string{"^MPI_", "MPI_", "^MPI_(Send|Recv)$", "(?i)^mpi_", "(?m)^MPI_", "MPI_|PMPI_", "^$", "", "_Send$", "^.PI_", "Foam::.*::solve", "a{2}b", "\\.C$", "^MPI_Send"}
+	subjects := []string{"", "MPI_Send", "PMPI_Send", "mpi_send", "xMPI_", "MPI", "a\nMPI_Recv", "Foam::fvMatrix::solve", "aab", "ab", "solve.C", "MPI_Sendrecv"}
+	for _, pat := range pats {
+		match, err := matcher("byName", pat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		re := regexp.MustCompile(pat)
+		for _, s := range subjects {
+			if match(s) != re.MatchString(s) {
+				t.Errorf("pattern %q on %q: matcher says %v", pat, s, match(s))
+			}
+		}
+	}
 }
 
 func TestByNameBadPattern(t *testing.T) {

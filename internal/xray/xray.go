@@ -18,8 +18,9 @@
 package xray
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -372,47 +373,61 @@ func (rt *Runtime) addStats(delta Stats) {
 // All IDs are validated before any sled is touched, so an invalid ID leaves
 // the sled state unchanged.
 func (rt *Runtime) PatchBatch(ids []int32, patch bool) (Stats, error) {
-	type objSleds struct {
-		st    *objectState
-		sleds []int
+	// DynCaPI hands over sorted, duplicate-free IDs; any other list is made
+	// so. Sorted, the IDs of one object are adjacent.
+	if !strictlyIncreasing(ids) {
+		ids = slices.Clone(ids)
+		slices.Sort(ids)
+		ids = slices.Compact(ids)
 	}
-	var order []*objSleds
-	byState := map[*objectState]*objSleds{}
-	funcs := 0
-	seen := map[int32]bool{}
-	for _, id := range ids {
-		if seen[id] {
-			continue
-		}
-		seen[id] = true
-		st, fn, err := rt.objectFor(id)
+	// All IDs are validated, object by object, before any sled is touched.
+	type objRun struct {
+		st  *objectState
+		ids []int32
+	}
+	var runs []objRun
+	maxSleds := 0
+	for i := 0; i < len(ids); {
+		st, _, err := rt.objectFor(ids[i])
 		if err != nil {
 			return Stats{}, err
 		}
-		sleds := st.lo.Image.FuncSleds(fn)
-		if len(sleds) == 0 {
-			return Stats{}, fmt.Errorf("xray: object %q has no sleds for function %d", st.lo.Image.Name, fn)
+		object, _ := UnpackID(ids[i])
+		j, nSleds := i, 0
+		for ; j < len(ids); j++ {
+			o, fn := UnpackID(ids[j])
+			if o != object {
+				break
+			}
+			if fn >= st.lo.Image.NumFuncIDs {
+				return Stats{}, fmt.Errorf("xray: object %q has no function ID %d", st.lo.Image.Name, fn)
+			}
+			n := len(st.lo.Image.FuncSleds(fn))
+			if n == 0 {
+				return Stats{}, fmt.Errorf("xray: object %q has no sleds for function %d", st.lo.Image.Name, fn)
+			}
+			nSleds += n
 		}
-		os, ok := byState[st]
-		if !ok {
-			os = &objSleds{st: st}
-			byState[st] = os
-			order = append(order, os)
-		}
-		os.sleds = append(os.sleds, sleds...)
-		funcs++
+		runs = append(runs, objRun{st, ids[i:j]})
+		maxSleds = max(maxSleds, nSleds)
+		i = j
 	}
 
 	rt.patchMu.Lock()
 	defer rt.patchMu.Unlock()
 	var delta Stats
 	delta.BatchCalls = 1
-	delta.BatchFuncs = int64(funcs)
+	delta.BatchFuncs = int64(len(ids))
 	var firstErr error
-	for _, os := range order {
-		st := os.st
-		sleds := os.sleds
-		sort.Slice(sleds, func(i, j int) bool { return st.lo.SledAddr(sleds[i]) < st.lo.SledAddr(sleds[j]) })
+	sleds := make([]int, 0, maxSleds)
+	for _, run := range runs {
+		st := run.st
+		sleds = sleds[:0]
+		for _, id := range run.ids {
+			_, fn := UnpackID(id)
+			sleds = append(sleds, st.lo.Image.FuncSleds(fn)...)
+		}
+		slices.SortFunc(sleds, func(a, b int) int { return cmp.Compare(st.lo.SledAddr(a), st.lo.SledAddr(b)) })
 		// Split into runs of contiguous pages: a gap of one or more whole
 		// pages between consecutive sleds closes the current window, so the
 		// batch never opens write access on pages it does not rewrite.
@@ -440,6 +455,15 @@ func (rt *Runtime) PatchBatch(ids []int32, patch bool) (Stats, error) {
 	}
 	rt.addStats(delta)
 	return delta, firstErr
+}
+
+func strictlyIncreasing(ids []int32) bool {
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 func (rt *Runtime) objectFor(id int32) (*objectState, uint32, error) {

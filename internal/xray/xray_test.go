@@ -2,6 +2,8 @@ package xray
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -450,6 +452,41 @@ func TestPatchBatchDeduplicatesIDs(t *testing.T) {
 	}
 	if delta.BatchFuncs != 1 || delta.PatchedSleds != 2 {
 		t.Fatalf("duplicate IDs not deduplicated: %+v", delta)
+	}
+}
+
+// TestPatchBatchAnyOrder: a list in any order, with repeats, across two
+// objects does the work of the sorted duplicate-free list DynCaPI sends, and
+// is left as the caller passed it.
+func TestPatchBatchAnyOrder(t *testing.T) {
+	const n = 64
+	want := func() Stats {
+		p, rt := newProc(t, 1, n)
+		libID, _ := rt.ObjectID(p.Object("lib0.so"))
+		d, err := rt.PatchBatch(append(batchIDs(t, 0, n), batchIDs(t, libID, n)...), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}()
+	p, rt := newProc(t, 1, n)
+	libID, _ := rt.ObjectID(p.Object("lib0.so"))
+	ids := append(batchIDs(t, libID, n), batchIDs(t, 0, n)...)
+	ids = append(ids, ids[:n/2]...)
+	rand.New(rand.NewSource(1)).Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	passed := append([]int32(nil), ids...)
+	got, err := rt.PatchBatch(ids, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("shuffled batch did %+v, sorted batch %+v", got, want)
+	}
+	if !reflect.DeepEqual(ids, passed) {
+		t.Fatal("PatchBatch reordered the caller's slice")
+	}
+	if p.Executable().NumPatched() != 2*n || p.Object("lib0.so").NumPatched() != 2*n {
+		t.Fatalf("patched %d/%d sleds, want %d each", p.Executable().NumPatched(), p.Object("lib0.so").NumPatched(), 2*n)
 	}
 }
 
