@@ -25,10 +25,16 @@
 //	compiler  Clang/-fxray-instrument model: inlining, symbols, sleds
 //	obj/mem   object images, dynamic loader, page protection
 //	xray      sled patching runtime with packed DSO/function IDs (Fig. 4)
-//	dyncapi   the DynCaPI runtime: ID resolution, patching, event bridge,
+//	dyncapi   the DynCaPI runtime: ID resolution, patching, event bridge
+//	          (one handler, inline and async: it indexes a per-object
+//	          dense table of slots by function ID and reads the slot's
+//	          atomic state word — active, deselected by the latest
+//	          re-selection, or unpatched — so a lookup or a miss is two
+//	          bounds checks and one load, never a hash),
 //	          live re-selection (Reconfigure: delta re-patch in place —
 //	          an IC is looked up through a name index built at start-up,
-//	          the delta is a merge of two ID-sorted selections),
+//	          the delta is a merge of two ID-sorted selections, and only
+//	          the delta's state words are flipped, before the sleds),
 //	          multi-backend fan-out (Mux: every event to N backends, with
 //	          per-backend synthetic-exit delivery), live backend swaps,
 //	          and the sampling/suppression stage (sampler.go): per-function
@@ -99,7 +105,7 @@
 //	          both supply next/fire and share the loop
 //	lint      stdlib-only static-analysis suite enforcing the //capi:
 //	          source annotations: hotpath (dispatch path must not
-//	          allocate/lock/block), atomicfield (no mixed atomic/plain
+//	          allocate/lock/block/hash), atomicfield (no mixed atomic/plain
 //	          access), guardedby (mutex discipline), noexit (library code
 //	          never aborts the process) — run by cmd/capi-lint as a
 //	          required CI gate

@@ -50,7 +50,6 @@ const httpLatencyRing = 1024
 type httpState struct {
 	mu        sync.Mutex
 	allocated int                      //capi:guardedby mu — request-context ranks handed out
-	nameToID  map[string]int32         //capi:guardedby mu — lazy function-name index
 	endpoints map[string]*httpEndpoint //capi:guardedby mu — map itself; values have own sync
 }
 
@@ -77,10 +76,15 @@ type httpEndpoint struct {
 // exact same handler chain — sampler, async pipeline, backends — as the
 // workload's ranks. NOT safe for concurrent use; the middleware enforces
 // exclusivity with a checkout pool.
+//
+// Every event writes its context's clock, so a context is padded to one
+// 64-byte cache line (which is also its allocation class): two workers never
+// write the same line.
 type RequestContext struct {
 	inst   *Instance
 	rankID int
 	clk    vtime.Clock
+	_      [32]byte
 }
 
 // RankID implements the dispatch thread context.
@@ -127,29 +131,18 @@ func (i *Instance) NewRequestContexts(n int) ([]*RequestContext, error) {
 	return out, nil
 }
 
-// ResolveFunctionName maps a function name to its packed XRay ID. The
-// index over the resolved set is built lazily on first use. Ambiguous
-// names (several instrumented copies) resolve to the lowest ID.
+// ResolveFunctionName maps a function name to its packed XRay ID, from the
+// runtime's name index. Ambiguous names (several instrumented copies)
+// resolve to the lowest ID.
 func (i *Instance) ResolveFunctionName(name string) (int32, bool) {
 	if i.rt == nil {
 		return 0, false
 	}
-	i.http.mu.Lock()
-	if i.http.nameToID == nil {
-		idx := map[string]int32{}
-		for _, rf := range i.rt.Funcs() {
-			if rf.Name == "" {
-				continue
-			}
-			if _, ok := idx[rf.Name]; !ok {
-				idx[rf.Name] = rf.PackedID
-			}
-		}
-		i.http.nameToID = idx
+	funcs := i.rt.ByName(name)
+	if len(funcs) == 0 {
+		return 0, false
 	}
-	id, ok := i.http.nameToID[name]
-	i.http.mu.Unlock()
-	return id, ok
+	return funcs[0].PackedID, true
 }
 
 // FunctionActive reports whether the function is in the current

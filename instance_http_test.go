@@ -5,9 +5,11 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	capi "capi"
 	"capi/internal/ic"
+	"capi/internal/prog"
 	"capi/middleware"
 )
 
@@ -312,5 +314,86 @@ func TestSetBackendsCoversWorkerRanks(t *testing.T) {
 	inst.FlushSampling()
 	if c := inst.Sampling().Counters; c.Enters != enters || c.Delivered != enters {
 		t.Fatalf("enters=%d delivered=%d, want %d each", c.Enters, c.Delivered, enters)
+	}
+}
+
+// TestRequestContextsOwnCacheLines: every event writes its context's clock,
+// so no two contexts — of one NewRequestContexts call or of consecutive
+// calls — may share a 64-byte line (a sharing pair of workers costs 84 →
+// 300 ns/event, bench/noise.md).
+func TestRequestContextsOwnCacheLines(t *testing.T) {
+	session, err := capi.NewAppSession("quickstart", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := session.Start(nil, capi.RunOptions{PatchAll: true, Ranks: 1, HTTPWorkers: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Close()
+	lines := map[uintptr]int{}
+	for _, n := range []int{1, 8, 3, 12} {
+		rcs, err := inst.NewRequestContexts(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rc := range rcs {
+			line := uintptr(unsafe.Pointer(rc)) >> 6
+			if other, shared := lines[line]; shared {
+				t.Fatalf("request contexts of ranks %d and %d share cache line %#x", other, rc.RankID(), line<<6)
+			}
+			if end := (uintptr(unsafe.Pointer(rc)) + unsafe.Sizeof(*rc) - 1) >> 6; end != line {
+				t.Fatalf("request context of rank %d straddles two cache lines", rc.RankID())
+			}
+			lines[line] = rc.RankID()
+		}
+	}
+}
+
+// TestResolveFunctionNameDuplicateSymbol: a name with instrumented copies in
+// two objects resolves — through the runtime's own name index — to the
+// lowest packed ID, and an unknown or hidden name to nothing.
+func TestResolveFunctionNameDuplicateSymbol(t *testing.T) {
+	p := prog.New("app", "main")
+	p.MustAddUnit("app.exe", prog.Executable)
+	p.MustAddUnit("lib.so", prog.SharedObject)
+	p.MustAddFunc(&prog.Function{Name: "main", Unit: "app.exe", Statements: 30,
+		Ops: []prog.Op{prog.Call("kernel", 1), prog.Call("dso_fn", 1), prog.Call("hidden_fn", 1)}})
+	p.MustAddFunc(&prog.Function{Name: "kernel", Unit: "app.exe", Statements: 40})
+	p.MustAddFunc(&prog.Function{Name: "dso_fn", Unit: "lib.so", Statements: 50})
+	p.MustAddFunc(&prog.Function{Name: "hidden_fn", Unit: "lib.so", Statements: 50, Visibility: prog.Hidden})
+	session, err := capi.NewSession(p, capi.SessionOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// lib.so's dso_fn becomes a second "kernel": one name, two objects.
+	lib := session.Build().Image("lib.so")
+	for i, s := range lib.Symbols {
+		if s.Name == "dso_fn" {
+			lib.Symbols[i].Name = "kernel"
+		}
+	}
+	static, err := session.Build().StaticPackedIDs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := session.Start(nil, capi.RunOptions{PatchAll: true, Ranks: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Close()
+	if static["kernel"] >= static["dso_fn"] {
+		t.Fatalf("fixture: the executable's kernel (%#x) should pack below lib.so's (%#x)", static["kernel"], static["dso_fn"])
+	}
+	if id, ok := inst.ResolveFunctionName("kernel"); !ok || id != static["kernel"] {
+		t.Fatalf("ResolveFunctionName(kernel) = %#x, %v; want the executable's %#x", id, ok, static["kernel"])
+	}
+	if id, ok := inst.ResolveFunctionName("main"); !ok || id != static["main"] {
+		t.Fatalf("ResolveFunctionName(main) = %#x, %v; want %#x", id, ok, static["main"])
+	}
+	for _, name := range []string{"dso_fn", "hidden_fn", "nope"} {
+		if id, ok := inst.ResolveFunctionName(name); ok {
+			t.Fatalf("ResolveFunctionName(%s) = %#x, want no match", name, id)
+		}
 	}
 }

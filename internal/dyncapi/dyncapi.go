@@ -18,6 +18,7 @@ package dyncapi
 import (
 	"cmp"
 	"fmt"
+	"iter"
 	"reflect"
 	"slices"
 	"sync"
@@ -29,24 +30,49 @@ import (
 	"capi/internal/xray"
 )
 
-// ResolvedFunc is one instrumentable function as seen by the runtime.
-// Always handle it by pointer: the runtime hangs per-function hot-path
-// state off it.
+// ResolvedFunc is one instrumentable function as seen by the runtime — and
+// one slot of the per-object dense table the handler indexes (Runtime.tables).
+// Always handle it by pointer: the runtime keeps per-function hot-path state
+// in it. The three words the handler reads come first, so a lookup, its
+// miss classification and the policy fetch touch 16 adjacent bytes.
 type ResolvedFunc struct {
 	PackedID int32
-	Addr     uint64
-	// Name is empty when the function ID could not be resolved to a
-	// symbol (hidden visibility in a DSO).
-	Name string
+
+	// state is the function's selection state (stateUnpatched, stateActive
+	// or stateDeselected). The handler loads it once per event; Reconfigure
+	// stores it under Runtime.mu, for the functions in its delta only.
+	state atomic.Uint32
 
 	// sample points at the function's sampling/suppression state once a
 	// policy has ever been installed (nil = deliver everything, the fast
-	// path). The handler loads it atomically right after the active-set
-	// lookup, so changing a function's sampling rate never locks the hot
-	// path. Set under Runtime.mu, never cleared back to nil — a cleared
-	// policy keeps the pairing stacks so open pairs stay balanced.
+	// path). The handler loads it atomically right after the state word, so
+	// changing a function's sampling rate never locks the hot path. Set
+	// under Runtime.mu, never cleared back to nil — a cleared policy keeps
+	// the pairing stacks so open pairs stay balanced.
 	sample atomic.Pointer[funcSampleState]
+
+	Addr uint64
+	// Name is empty when the function ID could not be resolved to a
+	// symbol (hidden visibility in a DSO).
+	Name string
 }
+
+// The selection states of a slot. A function's sleds are patched only while
+// it is stateActive or — for the moment between a re-selection publishing
+// its states and restoring the sleds — stateDeselected, so an event that
+// finds stateUnpatched is a sled hit that should not have happened.
+const (
+	// stateUnpatched: not selected, and not removed by the latest
+	// re-selection. Events count in DroppedUnpatched.
+	stateUnpatched uint32 = iota
+	// stateActive: selected; events go to the sampler and the sink.
+	stateActive
+	// stateDeselected: removed by the latest re-selection. Stragglers that
+	// fired before the sled restore took effect count in DroppedInFlight.
+	// The next re-selection moves the slot to stateActive (selected again)
+	// or stateUnpatched (still out).
+	stateDeselected
+)
 
 // Backend is a measurement tool attached to the instrumentation. OnEnter
 // and OnExit run inside the XRay handler on the executing rank; fn.Name may
@@ -73,7 +99,7 @@ type SymbolInjector interface {
 // simulated call stack forever and TALP would never balance the start.
 //
 // OnDeselect is invoked under the reconfigure lock, once per deselected
-// function, after the new active set is published and the delta sleds are
+// function, after the new selection is published and the delta sleds are
 // re-patched. It returns the number of dangling enters it closed (the
 // synthetic exits delivered); the total is reported in
 // ReconfigReport.SyntheticExits. Backends whose per-event state needs no
@@ -143,24 +169,46 @@ type Report struct {
 // Runtime is one initialized DynCaPI instance.
 //
 // A Runtime is safe for concurrent use: XRay handler execution (events
-// firing on every rank) may overlap with Reconfigure. The full resolution
-// table (byID) is immutable after New; the handler looks up the *currently
-// selected* subset through an atomically swapped map, and all mutating
-// operations (Reconfigure) serialize on an internal mutex.
+// firing on every rank) may overlap with Reconfigure. The resolution tables
+// are laid out once in New and never move; the handler indexes them by the
+// packed ID's object and function parts and reads the slot's selection state
+// with one atomic load. All mutating operations (Reconfigure, SwapBackend,
+// the sampling setters) serialize on an internal mutex and publish through
+// the slots' atomic words.
 type Runtime struct {
 	proc *obj.Process
 	xr   *xray.Runtime
 	opts Options
 
+	// tables holds one dense slice of slots per XRay object ID, indexed by
+	// the object-local function ID (xray.PackID: object<<24 | fn; IDs are
+	// dense per object by construction, Fig. 4). An object that was not
+	// registered at New has a nil table, so an unknown object, an
+	// out-of-range function ID and an object ID past the last registered
+	// one all fail the same two bounds checks in slot.
+	tables [][]ResolvedFunc
+	// objOrder lists the registered object IDs in packed-ID order: objects
+	// 128 and up fill the sign bit and so sort first.
+	objOrder []uint8
+
 	// backend holds the attached measurement backend (possibly a Mux
-	// fan-out, possibly wrapped by the adapt controller). The handler loads
-	// it atomically on every event so SwapBackend can exchange the whole
-	// backend set while ranks execute.
+	// fan-out, possibly wrapped by the adapt controller). It is loaded
+	// atomically for every delivered event so SwapBackend can exchange the
+	// whole backend set while ranks execute.
 	backend atomic.Value // of backendBox
 
-	// byID is the full function-ID → resolution table. It is built once in
-	// New and never mutated afterwards, so handlers may read it lock-free.
-	byID   map[int32]*ResolvedFunc
+	// pipe is the asynchronous event pipeline (nil in inline mode): the sink
+	// the handler hands admitted events to. Set in New before the handler is
+	// installed and never reassigned, so handlers and accessors may read it
+	// without synchronization.
+	pipe *pipeline
+
+	// defaultSample publishes the sampling table's default policy to the
+	// handler, which materializes per-function state lazily on a function's
+	// first event — a table-wide default never allocates for functions that
+	// never fire (see sampler.go).
+	defaultSample atomic.Pointer[SamplePolicy]
+
 	report Report
 
 	// dsoSyms records the DSO function symbols scanned at initialization so
@@ -175,27 +223,21 @@ type Runtime struct {
 	reconfigs  int        //capi:guardedby mu
 	reconfigNs int64      //capi:guardedby mu
 
-	// active holds the map[int32]*ResolvedFunc of currently selected
-	// functions. The handler loads it atomically on every event;
-	// Reconfigure swaps in a fresh map (copy-on-write), so in-flight events
-	// for freshly deselected functions are dropped instead of racing the
-	// sled rewrite.
-	active atomic.Value
-
-	// deselected holds the map[int32]struct{} of functions removed by the
-	// most recent Reconfigure, so the handler can tell a deselected
-	// in-flight drop apart from a spurious event for an unpatched-but-known
-	// function; a function that a later Reconfigure selected again stays in
-	// it while it stays selected (see Reconfigure). Swapped atomically
-	// alongside active.
-	deselected atomic.Value
+	// active is the current selection sorted by packed ID — the slots in
+	// stateActive. Reconfigure publishes a fresh slice (never mutated
+	// afterwards) so the next delta is a merge of two sorted slices and the
+	// Active* accessors read it without the lock.
+	active atomic.Pointer[[]*ResolvedFunc]
+	// deselected lists the slots the latest Reconfigure left in
+	// stateDeselected; the next one retires those still in it.
+	deselected []*ResolvedFunc //capi:guardedby mu
 
 	// droppedInFlight counts events that arrived for functions removed by
 	// the latest re-selection — the window between publishing the new
-	// active set and the sled restore taking effect. droppedUnpatched
-	// counts events for known functions outside both the active set and
-	// that window (a sled hit that should not have happened). The split
-	// lets trace completeness be asserted: dispatched events ==
+	// states and the sled restore taking effect. droppedUnpatched counts
+	// events for known functions outside both the selection and that
+	// window (a sled hit that should not have happened). The split lets
+	// trace completeness be asserted: dispatched events ==
 	// delivered + droppedInFlight + droppedUnpatched.
 	droppedInFlight  atomic.Int64
 	droppedUnpatched atomic.Int64
@@ -206,34 +248,19 @@ type Runtime struct {
 	synthExits     int64            //capi:guardedby mu
 	synthByBackend map[string]int64 //capi:guardedby mu
 
-	// Sampling state (see sampler.go). samplePolicies holds the explicit
-	// per-ID overrides and sampleDefault the table's default policy (both
-	// guarded by mu); defaultSample publishes the default to the handler,
-	// which materializes per-function state lazily on a function's first
-	// event — a table-wide default never allocates for functions that
-	// never fire. sampleRanks sizes the preallocated per-rank slots.
-	samplePolicies map[int32]SamplePolicy //capi:guardedby mu
-	sampleDefault  *SamplePolicy          //capi:guardedby mu
-	defaultSample  atomic.Pointer[SamplePolicy]
-	sampleRanks    int
+	// Sampling configuration (see sampler.go): sampleOverrides counts the
+	// explicit per-function overrides (the states flagged override) and
+	// sampleDefault is the table's default policy, the lock-side copy of
+	// defaultSample. sampleRanks sizes the preallocated per-rank slots.
+	sampleOverrides int           //capi:guardedby mu
+	sampleDefault   *SamplePolicy //capi:guardedby mu
+	sampleRanks     int
 
-	// pipe is the asynchronous event pipeline (nil in inline mode). Set in
-	// New before the handler is installed and never reassigned, so handlers
-	// and accessors may read it without synchronization.
-	pipe *pipeline
-
-	// The re-selection state below sits after everything the handlers read,
-	// whose layout it therefore does not move.
-
-	// byName indexes the resolved functions by symbol name (one name may
-	// resolve in several objects), built with byID and as immutable: a
-	// selection is looked up from its ~10^3 names, not by probing it once
-	// for each of the ~10^4 functions.
+	// byName indexes the resolved functions by symbol name, each entry
+	// sorted by packed ID (one name may resolve in several objects). Built
+	// with the tables and as immutable: a selection is looked up from its
+	// ~10^3 names, not by probing it once for each of the ~10^4 functions.
 	byName map[string][]*ResolvedFunc
-	// activeFuncs is the current selection sorted by packed ID — the keys
-	// and values of the published active map, kept so the next delta is a
-	// merge of two sorted slices.
-	activeFuncs []*ResolvedFunc //capi:guardedby mu
 }
 
 // backendBox wraps the backend interface value for atomic.Value, which
@@ -268,7 +295,6 @@ func New(proc *obj.Process, xr *xray.Runtime, cfg *ic.Config, backend Backend, o
 		xr:             xr,
 		cfg:            cfg,
 		opts:           opts,
-		byID:           map[int32]*ResolvedFunc{},
 		byName:         map[string][]*ResolvedFunc{},
 		synthByBackend: map[string]int64{},
 		sampleRanks:    opts.Ranks,
@@ -285,7 +311,7 @@ func New(proc *obj.Process, xr *xray.Runtime, cfg *ic.Config, backend Backend, o
 	if opts.Async {
 		rt.pipe = newPipeline(rt, opts.Ranks, opts.AsyncBuf)
 	}
-	rt.installHandler()
+	rt.xr.SetHandler(rt.dispatch)
 	return rt, nil
 }
 
@@ -352,12 +378,23 @@ func deselectors(b Backend) []namedDeselector {
 	return out
 }
 
-// resolve builds the function-ID → name mapping per object. The executable
-// is resolved from its full symbol table; DSOs only expose their dynamic
-// symbols, so hidden functions stay unresolved (§VI-B(a)).
+// resolve lays out the per-object slot tables and fills in the function-ID
+// → name mapping. The executable is resolved from its full symbol table;
+// DSOs only expose their dynamic symbols, so hidden functions stay
+// unresolved (§VI-B(a)). Objects are visited in packed-ID order, which is
+// what keeps every byName entry sorted.
 func (rt *Runtime) resolve() error {
 	injectors := symbolInjectors(rt.loadBackend())
-	for objID, lo := range rt.xr.Objects() {
+	objects := rt.xr.Objects()
+	for objID := range objects {
+		rt.objOrder = append(rt.objOrder, objID)
+	}
+	slices.SortFunc(rt.objOrder, func(a, b uint8) int { return cmp.Compare(int8(a), int8(b)) })
+	if len(objects) > 0 {
+		rt.tables = make([][]ResolvedFunc, int(slices.Max(rt.objOrder))+1)
+	}
+	for _, objID := range rt.objOrder {
+		lo := objects[objID]
 		rt.report.Objects++
 		var syms []obj.Symbol
 		if lo.Image.Exe {
@@ -396,8 +433,10 @@ func (rt *Runtime) resolve() error {
 		}
 		rt.report.InitVirtualNs += int64(len(syms)) * rt.opts.Costs.PerSymbolNM
 
-		for fn := uint32(0); fn < lo.Image.NumFuncIDs; fn++ {
-			packed, err := xray.PackID(objID, fn)
+		table := make([]ResolvedFunc, lo.Image.NumFuncIDs)
+		rt.tables[objID] = table
+		for fn := range table {
+			packed, err := xray.PackID(objID, uint32(fn))
 			if err != nil {
 				return fmt.Errorf("dyncapi: object %q: %w", lo.Image.Name, err)
 			}
@@ -405,7 +444,8 @@ func (rt *Runtime) resolve() error {
 			if err != nil {
 				return fmt.Errorf("dyncapi: resolving %q fn %d: %w", lo.Image.Name, fn, err)
 			}
-			rf := &ResolvedFunc{PackedID: packed, Addr: addr}
+			rf := &table[fn]
+			rf.PackedID, rf.Addr = packed, addr
 			if name, ok := byOffset[addr-lo.Base]; ok {
 				rf.Name = name
 				rt.byName[name] = append(rt.byName[name], rf)
@@ -417,11 +457,37 @@ func (rt *Runtime) resolve() error {
 					rt.report.UnresolvedSelected++
 				}
 			}
-			rt.byID[packed] = rf
 			rt.report.InitVirtualNs += rt.opts.Costs.PerSledResolve
 		}
 	}
 	return nil
+}
+
+// slot returns the table slot of a packed ID, or nil when the runtime never
+// resolved it: an object that was not registered at New (its table is nil or
+// past the end) or a function ID beyond the object's sled count. Two bounds
+// checks and no hash — the whole lookup of the event hot path.
+func (rt *Runtime) slot(id int32) *ResolvedFunc {
+	if o := uint32(id) >> 24; o < uint32(len(rt.tables)) {
+		if t, fn := rt.tables[o], uint32(id)&xray.MaxFuncID; fn < uint32(len(t)) {
+			return &t[fn]
+		}
+	}
+	return nil
+}
+
+// all yields every resolved function in packed-ID order.
+func (rt *Runtime) all() iter.Seq[*ResolvedFunc] {
+	return func(yield func(*ResolvedFunc) bool) {
+		for _, o := range rt.objOrder {
+			t := rt.tables[o]
+			for i := range t {
+				if !yield(&t[i]) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // wantSet computes the subset of resolved functions the given configuration
@@ -430,22 +496,19 @@ func (rt *Runtime) resolve() error {
 // carried in the IC, which also covers hidden DSO symbols that name
 // resolution cannot reach.
 func (rt *Runtime) wantSet(cfg *ic.Config, patchAll bool) []*ResolvedFunc {
-	var want []*ResolvedFunc
-	switch {
-	case patchAll:
-		want = make([]*ResolvedFunc, 0, len(rt.byID))
-		for _, rf := range rt.byID {
+	if patchAll {
+		return rt.Funcs()
+	}
+	if cfg == nil {
+		return nil
+	}
+	want := make([]*ResolvedFunc, 0, len(cfg.Include)+len(cfg.IncludeIDs))
+	for _, name := range cfg.Include {
+		want = append(want, rt.byName[name]...)
+	}
+	for _, id := range cfg.IncludeIDs {
+		if rf := rt.slot(id); rf != nil {
 			want = append(want, rf)
-		}
-	case cfg != nil:
-		want = make([]*ResolvedFunc, 0, len(cfg.Include)+len(cfg.IncludeIDs))
-		for _, name := range cfg.Include {
-			want = append(want, rt.byName[name]...)
-		}
-		for _, id := range cfg.IncludeIDs {
-			if rf := rt.byID[id]; rf != nil {
-				want = append(want, rf)
-			}
 		}
 	}
 	slices.SortFunc(want, func(a, b *ResolvedFunc) int { return cmp.Compare(a.PackedID, b.PackedID) })
@@ -453,85 +516,68 @@ func (rt *Runtime) wantSet(cfg *ic.Config, patchAll bool) []*ResolvedFunc {
 	return slices.Compact(want)
 }
 
-// byPackedID builds the map the handlers read from a sorted selection.
-func byPackedID(want []*ResolvedFunc) map[int32]*ResolvedFunc {
-	active := make(map[int32]*ResolvedFunc, len(want))
-	for _, rf := range want {
-		active[rf.PackedID] = rf
+// packedIDs lists the packed IDs of a selection, in its order.
+func packedIDs(funcs []*ResolvedFunc) []int32 {
+	ids := make([]int32, len(funcs))
+	for i, rf := range funcs {
+		ids[i] = rf.PackedID
 	}
-	return active
-}
-
-func sortedIDs(set map[int32]*ResolvedFunc) []int32 {
-	ids := make([]int32, 0, len(set))
-	for id := range set {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
 	return ids
 }
 
 // patch applies the initial IC (or patches everything) in one coalesced
-// batch and publishes the active set.
+// batch and publishes the selection.
 func (rt *Runtime) patch() error {
 	//capi:unguarded-ok patch runs inside New, before the runtime is published to any other goroutine
 	want := rt.wantSet(rt.cfg, rt.opts.PatchAll)
-	ids := make([]int32, len(want))
-	for i, rf := range want {
-		ids[i] = rf.PackedID
+	for _, rf := range want {
 		if rf.Name == "" {
 			rt.report.PatchedByID++
 		}
+		rf.state.Store(stateActive)
 	}
-	if len(ids) > 0 {
-		if _, err := rt.xr.PatchBatch(ids, true); err != nil {
-			return fmt.Errorf("dyncapi: patching %d functions: %w", len(ids), err)
+	rt.active.Store(&want)
+	if len(want) > 0 {
+		if _, err := rt.xr.PatchBatch(packedIDs(want), true); err != nil {
+			return fmt.Errorf("dyncapi: patching %d functions: %w", len(want), err)
 		}
 	}
-	rt.report.Patched = len(ids)
-	rt.report.InitVirtualNs += int64(len(ids)) * rt.opts.Costs.PerPatch
-	rt.activeFuncs = want //capi:unguarded-ok patch runs inside New, before the runtime is published to any other goroutine
-	rt.active.Store(byPackedID(want))
+	rt.report.Patched = len(want)
+	rt.report.InitVirtualNs += int64(len(want)) * rt.opts.Costs.PerPatch
 	return nil
 }
 
-func (rt *Runtime) installHandler() {
-	if rt.pipe != nil {
-		rt.xr.SetHandler(rt.dispatchAsync)
-		return
-	}
-	rt.xr.SetHandler(rt.dispatch)
-}
-
-// dispatch is the XRay event handler — the per-event hot path: active-set
-// lookup, drop classification, sampler admission, backend delivery. Two
-// atomic loads plus two map reads on the fast path; everything it calls
-// stays allocation- and lock-free (the lint hotpath analyzer walks it from
-// this annotation).
+// dispatch is the XRay event handler — the per-event hot path, inline and
+// async alike: slot lookup, drop classification, sampler admission, hand-off
+// to the sink fixed at New. The lookup is two bounds checks and one atomic
+// load of the slot's state word, on the cache line that also holds the
+// sampler pointer; an event the runtime throws away costs no more than that
+// and one counter. Everything dispatch calls stays allocation-, lock- and
+// hash-free (the lint hotpath analyzer walks it from this annotation).
 //
 //capi:hotpath
 func (rt *Runtime) dispatch(tc xray.ThreadCtx, id int32, kind xray.EntryType) {
-	m, _ := rt.active.Load().(map[int32]*ResolvedFunc)
-	rf := m[id]
+	rf := rt.slot(id)
 	if rf == nil {
-		if rt.byID[id] != nil {
-			if d, _ := rt.deselected.Load().(map[int32]struct{}); d != nil {
-				if _, ok := d[id]; ok {
-					rt.droppedInFlight.Add(1)
-					return
-				}
-			}
+		return // not a function of any object registered at New
+	}
+	if state := rf.state.Load(); state != stateActive {
+		if state == stateDeselected {
+			rt.droppedInFlight.Add(1)
+		} else {
 			rt.droppedUnpatched.Add(1)
 		}
 		return
 	}
-	// The sampling/suppression stage: two atomic loads on the fast
+	// The sampling/suppression stage: one more atomic load on the fast
 	// (no-policy) path; with a policy installed, the per-rank decision
 	// logic drops sampled-out / suppressed / collapsed pairs before
-	// they reach the backend chain. A table-wide default policy is
-	// materialized into per-function state here, on the function's
-	// first event (lazySampleState), so installing a default never
-	// allocates for functions that never fire.
+	// they reach the sink. A table-wide default policy is materialized
+	// into per-function state here, on the function's first event
+	// (lazySampleState), so installing a default never allocates for
+	// functions that never fire. The decision is made here in async mode
+	// too, synchronously, so the pairing stacks see every event in program
+	// order and the conservation identity survives asynchrony.
 	st := rf.sample.Load()
 	if st == nil {
 		if dp := rt.defaultSample.Load(); dp != nil {
@@ -539,6 +585,13 @@ func (rt *Runtime) dispatch(tc xray.ThreadCtx, id int32, kind xray.EntryType) {
 		}
 	}
 	if st != nil && !st.admit(tc, kind) {
+		return
+	}
+	// The sink: the rank's ring when a pipeline is attached (the backends
+	// consume off the hot path), the backend chain otherwise — and for a
+	// rank the pipeline has no ring for, so a misconfigured world size
+	// degrades to inline delivery instead of corrupting a neighbour's ring.
+	if rt.pipe != nil && rt.pipe.append(tc, rf, kind) {
 		return
 	}
 	backend := rt.loadBackend()
@@ -547,42 +600,6 @@ func (rt *Runtime) dispatch(tc xray.ThreadCtx, id int32, kind xray.EntryType) {
 	} else {
 		backend.OnExit(tc, rf)
 	}
-}
-
-// dispatchAsync is the XRay event handler in async mode: the same active-set
-// lookup, drop classification and sampler admission as dispatch, but instead
-// of running the backend chain it appends a fixed-size record to the rank's
-// ring (pipeline.go) and returns — the backends consume off the hot path.
-// The sampling decision is still made here, synchronously, so the pairing
-// stacks see every event in program order and the conservation identity
-// survives asynchrony.
-//
-//capi:hotpath
-func (rt *Runtime) dispatchAsync(tc xray.ThreadCtx, id int32, kind xray.EntryType) {
-	m, _ := rt.active.Load().(map[int32]*ResolvedFunc)
-	rf := m[id]
-	if rf == nil {
-		if rt.byID[id] != nil {
-			if d, _ := rt.deselected.Load().(map[int32]struct{}); d != nil {
-				if _, ok := d[id]; ok {
-					rt.droppedInFlight.Add(1)
-					return
-				}
-			}
-			rt.droppedUnpatched.Add(1)
-		}
-		return
-	}
-	st := rf.sample.Load()
-	if st == nil {
-		if dp := rt.defaultSample.Load(); dp != nil {
-			st = rt.lazySampleState(rf, dp)
-		}
-	}
-	if st != nil && !st.admit(tc, kind) {
-		return
-	}
-	rt.pipe.append(tc, rf, kind)
 }
 
 // ReconfigReport summarizes one live re-selection (Reconfigure call).
@@ -626,11 +643,15 @@ type ReconfigReport struct {
 // Reconfigure applies a new instrumentation configuration to the running
 // instance without tearing anything down: it diffs the currently selected
 // set against the new IC and re-patches only the delta, in coalesced
-// batches. The new active set is published to the event handler *before*
-// sleds change, so events for deselected functions stop being delivered
-// immediately (in-flight sled hits are counted in DroppedEvents).
-// Reconfigure is safe to call while handlers execute on other ranks; it
-// always replaces a PatchAll selection.
+// batches. The delta's state words are flipped *before* sleds change, so
+// events for deselected functions stop being delivered immediately
+// (in-flight sled hits are counted in DroppedInFlight). The flip is per
+// function, not one swap of a whole set: a rank may find one function in its
+// new state and another still in its old one. Nothing depends on more — a
+// function's enter and its exit were always separate lookups, and pairing is
+// the sampler's and the backends' business. Reconfigure is safe to call
+// while handlers execute on other ranks; it always replaces a PatchAll
+// selection.
 //
 // A rank that is *inside* a deselected function when its exit sled is
 // restored never fires that exit event (the same is true of real XRay
@@ -639,8 +660,7 @@ type ReconfigReport struct {
 // implementing Deselector now receive an OnDeselect call per removed
 // function — under the reconfigure lock, after the sleds changed — and
 // close those dangling enters with synthetic exits; the count is reported
-// in ReconfigReport.SyntheticExits. Events still in flight during the
-// active-set swap are dropped and counted in DroppedInFlight.
+// in ReconfigReport.SyntheticExits.
 func (rt *Runtime) Reconfigure(cfg *ic.Config) (ReconfigReport, error) {
 	if cfg == nil {
 		return ReconfigReport{}, fmt.Errorf("dyncapi: reconfigure requires an instrumentation configuration")
@@ -649,16 +669,16 @@ func (rt *Runtime) Reconfigure(cfg *ic.Config) (ReconfigReport, error) {
 	defer rt.mu.Unlock()
 
 	// Both selections are sorted by packed ID: the delta is one merge.
-	want, cur := rt.wantSet(cfg, false), rt.activeFuncs
-	toPatch, toUnpatch := make([]int32, 0, len(want)), make([]int32, 0, len(cur))
+	want, cur := rt.wantSet(cfg, false), *rt.active.Load()
+	toPatch, toUnpatch := make([]*ResolvedFunc, 0, len(want)), make([]*ResolvedFunc, 0, len(cur))
 	kept := 0
 	for i, j := 0, 0; i < len(want) || j < len(cur); {
 		switch {
 		case j == len(cur) || (i < len(want) && want[i].PackedID < cur[j].PackedID):
-			toPatch = append(toPatch, want[i].PackedID)
+			toPatch = append(toPatch, want[i])
 			i++
 		case i == len(want) || cur[j].PackedID < want[i].PackedID:
-			toUnpatch = append(toUnpatch, cur[j].PackedID)
+			toUnpatch = append(toUnpatch, cur[j])
 			j++
 		default:
 			kept++
@@ -675,44 +695,38 @@ func (rt *Runtime) Reconfigure(cfg *ic.Config) (ReconfigReport, error) {
 	}
 	rep.AddedNames, rep.RemovedNames = ic.Diff(rt.cfg, cfg)
 
-	// Publish the new selection first: deselected functions go silent now,
-	// newly selected ones only produce events once their sleds are patched.
-	// The deselected set is published before the active set so a handler
-	// observing the new selection always classifies a straggler as an
-	// in-flight drop, never as a spurious sled hit.
-	// Both maps are built before either is stored: between the two stores a
-	// straggler of the *previous* re-selection finds itself in neither.
-	//
-	// A handler reads the active set and then the deselected set, and may
-	// pair the former from before this re-selection with the latter from
-	// after it. A function the previous re-selection removed and this one
-	// brings back would then be in neither and count as a spurious sled hit
-	// although it is selected — so it stays in the deselected set while it
-	// stays selected (the handlers only consult that set for a function
-	// missing from the active one).
-	active := byPackedID(want)
-	desel := make(map[int32]struct{}, len(toUnpatch))
-	for _, id := range toUnpatch {
-		desel[id] = struct{}{}
+	// Publish the new selection first, by flipping the state words of the
+	// delta: deselected functions go silent now, newly selected ones only
+	// produce events once their sleds are patched. No order of the three
+	// steps can show a function whose sleds are still patched as unpatched:
+	// the patched ones are the current selection, which either stays active
+	// or turns deselected here, before its sleds are restored below; the
+	// ones turning active are not patched yet; and what the previous
+	// re-selection removed had its sleds restored before that call returned,
+	// so retiring it to unpatched (unless this selection just brought it
+	// back) only reclassifies stragglers two re-selections late.
+	for _, rf := range toUnpatch {
+		rf.state.Store(stateDeselected)
 	}
-	prev, _ := rt.deselected.Load().(map[int32]struct{})
-	for id := range prev {
-		if active[id] != nil {
-			desel[id] = struct{}{}
+	for _, rf := range toPatch {
+		rf.state.Store(stateActive)
+	}
+	for _, rf := range rt.deselected {
+		if rf.state.Load() == stateDeselected {
+			rf.state.Store(stateUnpatched)
 		}
 	}
-	rt.deselected.Store(desel)
-	rt.active.Store(active)
-	rt.activeFuncs = want
+	rt.deselected = toUnpatch
+	rt.active.Store(&want)
 	if len(toUnpatch) > 0 {
-		d, err := rt.xr.PatchBatch(toUnpatch, false)
+		d, err := rt.xr.PatchBatch(packedIDs(toUnpatch), false)
 		rep.Batch.Add(d)
 		if err != nil {
 			return rep, fmt.Errorf("dyncapi: unpatching %d functions: %w", len(toUnpatch), err)
 		}
 	}
 	if len(toPatch) > 0 {
-		d, err := rt.xr.PatchBatch(toPatch, true)
+		d, err := rt.xr.PatchBatch(packedIDs(toPatch), true)
 		rep.Batch.Add(d)
 		if err != nil {
 			return rep, fmt.Errorf("dyncapi: patching %d functions: %w", len(toPatch), err)
@@ -721,7 +735,7 @@ func (rt *Runtime) Reconfigure(cfg *ic.Config) (ReconfigReport, error) {
 	rep.VirtualNs = int64(len(toPatch)+len(toUnpatch)) * rt.opts.Costs.PerPatch
 
 	// In async mode, drain the pipeline before closing dangling state:
-	// deselected functions went silent when the new active set was published
+	// deselected functions went silent when the new states were published
 	// above, so waiting for the rings to empty guarantees every already
 	// dispatched event has reached the backends before their synthetic exits
 	// are delivered — otherwise a queued real exit could arrive after the
@@ -737,9 +751,9 @@ func (rt *Runtime) Reconfigure(cfg *ic.Config) (ReconfigReport, error) {
 	// dangling state, and the closures are counted per backend.
 	if len(toUnpatch) > 0 {
 		dss := deselectors(rt.loadBackend())
-		for _, id := range toUnpatch {
+		for _, rf := range toUnpatch {
 			for _, nd := range dss {
-				if n := nd.ds.OnDeselect(rt.byID[id]); n > 0 {
+				if n := nd.ds.OnDeselect(rf); n > 0 {
 					rep.SyntheticExits += n
 					if rep.SyntheticExitsByBackend == nil {
 						rep.SyntheticExitsByBackend = map[string]int{}
@@ -762,7 +776,7 @@ func (rt *Runtime) Reconfigure(cfg *ic.Config) (ReconfigReport, error) {
 	if rt.pipe != nil {
 		rep.DroppedAsync = rt.pipe.dropped()
 	}
-	if rt.sampleDefault != nil || len(rt.samplePolicies) > 0 {
+	if rt.sampleDefault != nil || rt.sampleOverrides > 0 {
 		var c SamplingCounters
 		for _, st := range rt.sampleStatesSnapshot() {
 			c.add(st.counters())
@@ -834,8 +848,7 @@ func (rt *Runtime) Snapshot() Snapshot {
 		}
 	}
 	rt.mu.Unlock()
-	m, _ := rt.active.Load().(map[int32]*ResolvedFunc)
-	snap.Active = len(m)
+	snap.Active = rt.ActiveCount()
 	snap.Patched = rt.report.Patched
 	snap.InitVirtualNs = rt.report.InitVirtualNs
 	snap.DroppedInFlight = rt.droppedInFlight.Load()
@@ -920,7 +933,7 @@ func (rt *Runtime) SwapBackend(b Backend) (BackendSwapReport, error) {
 	// re-selection path tolerates), not against every event dispatched
 	// while N OnDeselect calls run.
 	rt.backend.Store(backendBox{b})
-	active, _ := rt.active.Load().(map[int32]*ResolvedFunc)
+	active := *rt.active.Load()
 	for _, nd := range deselectors(old) {
 		if keep[any(nd.ds)] {
 			// Staying attached: its open state remains live in the new chain.
@@ -968,17 +981,20 @@ func (rt *Runtime) SwapBackend(b Backend) (BackendSwapReport, error) {
 	return rep, nil
 }
 
-// Resolved returns the resolved function record for a packed ID.
-func (rt *Runtime) Resolved(id int32) *ResolvedFunc { return rt.byID[id] }
+// Resolved returns the resolved function record for a packed ID, nil for
+// an ID the runtime never resolved.
+func (rt *Runtime) Resolved(id int32) *ResolvedFunc { return rt.slot(id) }
 
 // Funcs returns every resolved function, sorted by packed ID.
 func (rt *Runtime) Funcs() []*ResolvedFunc {
-	out := make([]*ResolvedFunc, 0, len(rt.byID))
-	for _, id := range sortedIDs(rt.byID) {
-		out = append(out, rt.byID[id])
-	}
-	return out
+	out := make([]*ResolvedFunc, 0, rt.report.FunctionsResolved+rt.report.Unresolved)
+	return slices.AppendSeq(out, rt.all())
 }
+
+// ByName returns the resolved functions carrying the symbol name, sorted by
+// packed ID — several when instrumented copies live in several objects, none
+// for an unknown name. The slice is the runtime's index: do not modify it.
+func (rt *Runtime) ByName(name string) []*ResolvedFunc { return rt.byName[name] }
 
 // Config returns the currently applied instrumentation configuration (nil
 // when running under PatchAll and never reconfigured).
@@ -990,8 +1006,8 @@ func (rt *Runtime) Config() *ic.Config {
 
 // Active reports whether the function is in the current selection.
 func (rt *Runtime) Active(id int32) bool {
-	m, _ := rt.active.Load().(map[int32]*ResolvedFunc)
-	return m[id] != nil
+	rf := rt.slot(id)
+	return rf != nil && rf.state.Load() == stateActive
 }
 
 // FuncStride returns the function's effective 1-in-N delivery stride:
@@ -1001,7 +1017,7 @@ func (rt *Runtime) Active(id int32) bool {
 // the ID is unknown. Lock-free; the HTTP middleware reads it per event to
 // model a demoted function's reduced backend cost.
 func (rt *Runtime) FuncStride(id int32) int {
-	rf := rt.byID[id]
+	rf := rt.slot(id)
 	if rf == nil {
 		return 1
 	}
@@ -1018,27 +1034,14 @@ func (rt *Runtime) FuncStride(id int32) int {
 }
 
 // ActiveIDs returns the packed IDs of the current selection, sorted.
-func (rt *Runtime) ActiveIDs() []int32 {
-	m, _ := rt.active.Load().(map[int32]*ResolvedFunc)
-	return sortedIDs(m)
-}
+func (rt *Runtime) ActiveIDs() []int32 { return packedIDs(*rt.active.Load()) }
 
 // ActiveCount returns the current selection size.
-func (rt *Runtime) ActiveCount() int {
-	m, _ := rt.active.Load().(map[int32]*ResolvedFunc)
-	return len(m)
-}
+func (rt *Runtime) ActiveCount() int { return len(*rt.active.Load()) }
 
 // ActiveFuncs returns the resolved records of the current selection, sorted
 // by packed ID.
-func (rt *Runtime) ActiveFuncs() []*ResolvedFunc {
-	m, _ := rt.active.Load().(map[int32]*ResolvedFunc)
-	out := make([]*ResolvedFunc, 0, len(m))
-	for _, id := range sortedIDs(m) {
-		out = append(out, m[id])
-	}
-	return out
-}
+func (rt *Runtime) ActiveFuncs() []*ResolvedFunc { return slices.Clone(*rt.active.Load()) }
 
 // Reconfigs returns how many live re-selections have been applied.
 func (rt *Runtime) Reconfigs() int {
@@ -1062,7 +1065,7 @@ func (rt *Runtime) DroppedEvents() int64 {
 }
 
 // DroppedInFlight counts events dropped in the window between the latest
-// re-selection publishing its active set and the sled restore taking
+// re-selection publishing its state words and the sled restore taking
 // effect — the expected, documented drop class.
 func (rt *Runtime) DroppedInFlight() int64 { return rt.droppedInFlight.Load() }
 

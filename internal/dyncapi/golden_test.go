@@ -80,11 +80,12 @@ func TestReconfigureReportGolden(t *testing.T) {
 	}
 }
 
-// TestReselectedStaysDeselected: a handler may pair the active set from
-// before a re-selection with the deselected set from after it. A function
-// removed by one re-selection and brought back by the next must not fall
-// between the two (it would count as a spurious sled hit while selected), so
-// it stays in the deselected set until it is removed for good.
+// TestReselectedStaysDeselected: a function removed by one re-selection and
+// brought back by the next must never read as unpatched while it is selected
+// (its stragglers would count as spurious sled hits). With one state word per
+// slot there is no second set to pair it with: it is deselected until the
+// re-selection that brings it back makes it active, and a function that stays
+// out is retired to unpatched one re-selection later.
 func TestReselectedStaysDeselected(t *testing.T) {
 	b := buildProg(t)
 	proc, xr := setup(t, b)
@@ -94,20 +95,20 @@ func TestReselectedStaysDeselected(t *testing.T) {
 	}
 	kernel, main := packedOf(t, b, xr, proc, "kernel"), packedOf(t, b, xr, proc, "main")
 	steps := []struct {
-		include []string
-		want    map[int32]struct{}
+		include      []string
+		kernel, main uint32
 	}{
-		{[]string{"main"}, map[int32]struct{}{kernel: {}}},           // kernel removed
-		{[]string{"main", "kernel"}, map[int32]struct{}{kernel: {}}}, // and brought back: carried
-		{[]string{"kernel"}, map[int32]struct{}{kernel: {}, main: {}}},
-		{[]string{"dso_fn"}, map[int32]struct{}{kernel: {}}}, // main was removed a step ago and stays out: gone
+		{[]string{"main"}, stateDeselected, stateActive},       // kernel removed
+		{[]string{"main", "kernel"}, stateActive, stateActive}, // and brought back
+		{[]string{"kernel"}, stateActive, stateDeselected},
+		{[]string{"dso_fn"}, stateDeselected, stateUnpatched}, // main was removed a step ago and stays out: gone
 	}
 	for i, st := range steps {
 		if _, err := rt.Reconfigure(ic.New("app", "s", st.include)); err != nil {
 			t.Fatal(err)
 		}
-		if got := rt.deselected.Load().(map[int32]struct{}); !reflect.DeepEqual(got, st.want) {
-			t.Fatalf("step %d (%v): deselected = %v, want %v", i, st.include, got, st.want)
+		if k, m := rt.slot(kernel).state.Load(), rt.slot(main).state.Load(); k != st.kernel || m != st.main {
+			t.Fatalf("step %d (%v): kernel/main state = %d/%d, want %d/%d", i, st.include, k, m, st.kernel, st.main)
 		}
 	}
 }

@@ -198,16 +198,16 @@ func newPipeline(rt *Runtime, ranks, buf int) *pipeline {
 // append records one admitted event into the rank's ring — the entire
 // per-event cost async mode adds to the hot path: a handful of plain field
 // operations plus two atomic loads and one atomic store. Only the rank's own
-// goroutine may call it for its shard. Events for rank IDs beyond the
-// preallocated shards take the cold fallback (delivered inline, correct but
-// slow), so a misconfigured world size degrades instead of corrupting.
+// goroutine may call it for its shard. It reports false, having done nothing,
+// for a rank ID beyond the preallocated shards: the handler then delivers the
+// event inline (correct but slow), so a misconfigured world size degrades
+// instead of corrupting.
 //
 //capi:hotpath
-func (p *pipeline) append(tc xray.ThreadCtx, rf *ResolvedFunc, kind xray.EntryType) {
+func (p *pipeline) append(tc xray.ThreadCtx, rf *ResolvedFunc, kind xray.EntryType) bool {
 	rank := tc.RankID()
 	if uint(rank) >= uint(len(p.shards)) {
-		p.rt.deliverInline(tc, rf, kind)
-		return
+		return false
 	}
 	s := p.shards[rank]
 	head := s.head.Load()
@@ -224,7 +224,7 @@ func (p *pipeline) append(tc xray.ThreadCtx, rf *ResolvedFunc, kind xray.EntryTy
 			s.cachedTail = s.tail.Load()
 			if uint64(len(s.ring))-(head-s.cachedTail) < uint64(s.depth)+2 {
 				s.droppedPairs.Add(1)
-				return
+				return true
 			}
 		}
 		s.bits |= 1
@@ -234,7 +234,7 @@ func (p *pipeline) append(tc xray.ThreadCtx, rf *ResolvedFunc, kind xray.EntryTy
 			s.bits >>= 1
 			s.depth--
 			if !appended {
-				return // its enter was dropped; the pair was counted there
+				return true // its enter was dropped; the pair was counted there
 			}
 		} else if uint64(len(s.ring))-(head-s.cachedTail) == 0 {
 			s.cachedTail = s.tail.Load()
@@ -242,7 +242,7 @@ func (p *pipeline) append(tc xray.ThreadCtx, rf *ResolvedFunc, kind xray.EntryTy
 				// An exit with no recorded enter (sled patched mid-call) and
 				// a full ring: drop it — there is no reservation to honor.
 				s.droppedExits.Add(1)
-				return
+				return true
 			}
 		}
 	}
@@ -267,20 +267,7 @@ func (p *pipeline) append(tc xray.ThreadCtx, rf *ResolvedFunc, kind xray.EntryTy
 	ev.mpiNs = mpiNs
 	ev.flags = flags
 	s.head.Store(head + 1)
-}
-
-// deliverInline is the cold fallback for rank IDs without a shard: the event
-// runs through the backend chain on the executing goroutine, exactly like
-// inline mode.
-//
-//capi:coldpath
-func (rt *Runtime) deliverInline(tc xray.ThreadCtx, rf *ResolvedFunc, kind xray.EntryType) {
-	backend := rt.loadBackend()
-	if kind == xray.Entry {
-		backend.OnEnter(tc, rf)
-	} else {
-		backend.OnExit(tc, rf)
-	}
+	return true
 }
 
 // consume is one pool worker's loop: drain every owned shard, sleep briefly
@@ -331,7 +318,7 @@ func (p *pipeline) drainShard(s *pipeShard) int {
 	rt := p.rt
 	for i := tail; i != head; i++ {
 		ev := &s.ring[i&s.mask]
-		rf := rt.byID[ev.id]
+		rf := rt.slot(ev.id)
 		var tc xray.ThreadCtx
 		if ev.flags&evHasRank != 0 {
 			r := s.rankCtx.rank

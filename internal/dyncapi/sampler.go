@@ -18,8 +18,8 @@
 //     Instrumentation", arXiv:1703.02873).
 //
 // Policies are configured per function ID and published atomically: the
-// handler reads one per-function pointer (hung off the ResolvedFunc the
-// active-set lookup already produced) and plain-loads the policy fields, so
+// handler reads one per-function pointer (in the slot the lookup already
+// produced, beside its state word) and plain-loads the policy fields, so
 // Reconfigure / SetSampling / the adapt controller can change rates on a
 // live run without ever locking the hot path.
 //
@@ -236,6 +236,11 @@ type funcSampleState struct {
 	minDur atomic.Int64
 	// gapNs > 0 means redundancy collapse is enabled with that gap.
 	gapNs atomic.Int64
+
+	// override marks a policy installed for this function explicitly (by
+	// name, by ID or by the adapt controller) rather than inherited from the
+	// table default. Guarded by Runtime.mu; the handler never reads it.
+	override bool
 
 	// slots is indexed by rank ID; ranks beyond the preallocated range go
 	// through the overflow map (slower, but correct).
@@ -599,83 +604,73 @@ func (rt *Runtime) SetSampling(cfg SamplingConfig) error {
 	// Resolve names first: unknown names (or IDs) reject the whole config
 	// before any policy is touched — the control plane's no-mutation-on-400
 	// guarantee rests on this.
-	idsByName := make(map[string][]int32)
-	if len(cfg.Funcs) > 0 {
-		for id, rf := range rt.byID {
-			if rf.Name != "" {
-				idsByName[rf.Name] = append(idsByName[rf.Name], id)
-			}
-		}
-		var unknown []string
-		for name := range cfg.Funcs {
-			if len(idsByName[name]) == 0 {
-				unknown = append(unknown, name)
-			}
-		}
-		if len(unknown) > 0 {
-			sort.Strings(unknown)
-			return &PolicyError{Field: "funcs", Msg: fmt.Sprintf("dyncapi: unknown function name(s) in sampling config: %s", strings.Join(unknown, ", "))}
+	var unknown []string
+	for name := range cfg.Funcs {
+		if len(rt.byName[name]) == 0 {
+			unknown = append(unknown, name)
 		}
 	}
+	if len(unknown) > 0 {
+		sort.Strings(unknown)
+		return &PolicyError{Field: "funcs", Msg: fmt.Sprintf("dyncapi: unknown function name(s) in sampling config: %s", strings.Join(unknown, ", "))}
+	}
 	for id := range cfg.IDs {
-		if rt.byID[id] == nil {
+		if rt.slot(id) == nil {
 			return &PolicyError{Field: "ids", Msg: fmt.Sprintf("dyncapi: unknown function id %d in sampling config", id)}
 		}
 	}
 
-	// The explicit per-ID overrides (by name or ID). The default policy is
-	// NOT expanded per function here: it is published as one atomic
+	// The explicit per-function overrides (by name, then by ID). The default
+	// policy is NOT expanded per function here: it is published as one atomic
 	// pointer and materialized into per-function state lazily, on a
 	// function's first event — a table-wide default over a paper-scale
 	// call graph (~410k functions) must not allocate per-function slots
 	// for functions that never fire.
-	overrides := make(map[int32]SamplePolicy)
+	overrides := make(map[*ResolvedFunc]SamplePolicy)
 	for name, p := range cfg.Funcs {
-		for _, id := range idsByName[name] {
-			overrides[id] = p
+		for _, rf := range rt.byName[name] {
+			overrides[rf] = p
 		}
 	}
 	for id, p := range cfg.IDs {
-		overrides[id] = p
+		overrides[rt.slot(id)] = p
 	}
 
-	if cfg.Default != nil {
-		p := *cfg.Default
-		rt.sampleDefault = &p
-		// Publish the new default before re-pointing existing states so a
-		// concurrent lazy creation can never resurrect the old table.
-		rt.defaultSample.Store(&p)
-	} else {
-		rt.sampleDefault = nil
-		// A clear keeps the accounting, not just the existing states: the
-		// published default stays non-nil (zero policy: deliver everything)
-		// so a function first firing *after* the clear still materializes a
-		// counting state. Publishing nil here would let such functions
-		// deliver uncounted events, breaking the independently verified
-		// identity backendEnters == delivered for the clear windows of a
-		// live rate-change sequence.
-		rt.defaultSample.Store(&SamplePolicy{})
-	}
-	// Overridden functions get their state eagerly (there are few).
-	for id, p := range overrides {
-		rt.sampleState(rt.byID[id]).setPolicy(p)
-	}
-	// Every other function that already has a state — lazily materialized
-	// defaults from the previous table, cleared overrides, adapt
-	// demotions — is re-pointed at the new default (or cleared).
 	def := SamplePolicy{}
 	if cfg.Default != nil {
 		def = *cfg.Default
+		rt.sampleDefault = &def
+	} else {
+		rt.sampleDefault = nil
 	}
-	for id, rf := range rt.byID {
-		if _, ok := overrides[id]; ok {
-			continue
-		}
+	// Publish the new default before re-pointing existing states so a
+	// concurrent lazy creation can never resurrect the old table. A clear
+	// keeps the accounting, not just the existing states: the published
+	// default stays non-nil (zero policy: deliver everything) so a function
+	// first firing *after* the clear still materializes a counting state.
+	// Publishing nil here would let such functions deliver uncounted events,
+	// breaking the independently verified identity backendEnters ==
+	// delivered for the clear windows of a live rate-change sequence.
+	rt.defaultSample.Store(&def)
+	// Every function that already has a state and no override in this table
+	// — lazily materialized defaults from the previous one, cleared
+	// overrides, adapt demotions — is re-pointed at the new default (or
+	// cleared).
+	for rf := range rt.all() {
 		if st := rf.sample.Load(); st != nil {
-			st.setPolicy(def)
+			if _, ok := overrides[rf]; !ok {
+				st.setPolicy(def)
+				st.override = false
+			}
 		}
 	}
-	rt.samplePolicies = overrides
+	// Overridden functions get their state eagerly (there are few).
+	for rf, p := range overrides {
+		st := rt.sampleState(rf)
+		st.setPolicy(p)
+		st.override = true
+	}
+	rt.sampleOverrides = len(overrides)
 	return nil
 }
 
@@ -693,7 +688,7 @@ func (rt *Runtime) SetFuncSampling(id int32, p *SamplePolicy) error {
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	rf := rt.byID[id]
+	rf := rt.slot(id)
 	if rf == nil {
 		return fmt.Errorf("dyncapi: unknown function id %d", id)
 	}
@@ -704,15 +699,19 @@ func (rt *Runtime) SetFuncSampling(id int32, p *SamplePolicy) error {
 			} else {
 				st.setPolicy(SamplePolicy{})
 			}
+			if st.override {
+				st.override = false
+				rt.sampleOverrides--
+			}
 		}
-		delete(rt.samplePolicies, id)
 		return nil
 	}
-	rt.sampleState(rf).setPolicy(*p)
-	if rt.samplePolicies == nil {
-		rt.samplePolicies = make(map[int32]SamplePolicy)
+	st := rt.sampleState(rf)
+	st.setPolicy(*p)
+	if !st.override {
+		st.override = true
+		rt.sampleOverrides++
 	}
-	rt.samplePolicies[id] = *p
 	return nil
 }
 
@@ -747,13 +746,13 @@ func (rt *Runtime) FlushSamplingRanks(n int) {
 	}
 }
 
-// sampleStatesSnapshot collects every materialized sampling state. byID is
-// immutable after New and the per-function pointers are atomic, so no lock
-// is needed; states created during the walk are simply picked up by the
-// next snapshot.
+// sampleStatesSnapshot collects every materialized sampling state. The
+// tables never move after New and the per-function pointers are atomic, so
+// no lock is needed; states created during the walk are simply picked up by
+// the next snapshot.
 func (rt *Runtime) sampleStatesSnapshot() []*funcSampleState {
 	var out []*funcSampleState
-	for _, rf := range rt.byID {
+	for rf := range rt.all() {
 		if st := rf.sample.Load(); st != nil {
 			out = append(out, st)
 		}
@@ -767,8 +766,8 @@ func (rt *Runtime) sampleStatesSnapshot() []*funcSampleState {
 func (rt *Runtime) SamplingSnapshot() SamplingSnapshot {
 	rt.mu.Lock()
 	snap := SamplingSnapshot{
-		Configured:   rt.sampleDefault != nil || len(rt.samplePolicies) > 0,
-		FuncPolicies: len(rt.samplePolicies),
+		Configured:   rt.sampleDefault != nil || rt.sampleOverrides > 0,
+		FuncPolicies: rt.sampleOverrides,
 	}
 	if rt.sampleDefault != nil {
 		p := *rt.sampleDefault
@@ -785,8 +784,7 @@ func (rt *Runtime) SamplingSnapshot() SamplingSnapshot {
 // ID, for functions that currently have a policy or ever counted an enter.
 func (rt *Runtime) SamplingByFunc() []FuncSampling {
 	var out []FuncSampling
-	for _, id := range sortedIDs(rt.byID) {
-		rf := rt.byID[id]
+	for rf := range rt.all() {
 		st := rf.sample.Load()
 		if st == nil {
 			continue
@@ -796,7 +794,7 @@ func (rt *Runtime) SamplingByFunc() []FuncSampling {
 		if c.Enters == 0 && p.isZero() {
 			continue
 		}
-		out = append(out, FuncSampling{ID: id, Name: rf.Name, Policy: p, Counters: c})
+		out = append(out, FuncSampling{ID: rf.PackedID, Name: rf.Name, Policy: p, Counters: c})
 	}
 	return out
 }

@@ -8,9 +8,11 @@
 //	             the sampler decision path, the trace ring append, the mux
 //	             fan-out — and their transitive in-module callees must not
 //	             allocate (make/new, growing append, map writes, closures,
-//	             interface boxing, string building), take locks, spawn
-//	             goroutines, touch channels, or call into stdlib packages
-//	             that may allocate or block. Deliberate out-of-line slow
+//	             interface boxing, string building), hash (map reads,
+//	             range over a map — the dispatch path indexes dense
+//	             tables), take locks, spawn goroutines, touch channels, or
+//	             call into stdlib packages that may allocate or block.
+//	             Deliberate out-of-line slow
 //	             paths are annotated //capi:coldpath (the traversal stops
 //	             there); single reviewed operations carry a
 //	             //capi:hotpath-ok <reason> line comment. The analyzer

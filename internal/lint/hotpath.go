@@ -11,8 +11,9 @@ import (
 // dispatch path. Functions annotated //capi:hotpath and their transitive
 // statically-resolvable in-module callees must not allocate, take locks,
 // spawn goroutines, touch channels, or call into stdlib packages that may
-// do any of that. Dynamic calls (interface methods, func values) stop the
-// traversal: they are the designed backend boundary. //capi:coldpath on a
+// do any of that — nor hash: the dispatch path indexes dense tables, so a
+// map read or a range over a map there is an error like the rest. Dynamic
+// calls (interface methods, func values) stop the traversal: they are the designed backend boundary. //capi:coldpath on a
 // callee marks a reviewed out-of-line slow path and stops the traversal;
 // //capi:hotpath-ok on (or directly above) an offending line waives one
 // reviewed operation.
@@ -210,11 +211,33 @@ func checkHotFunc(pass *Pass, ix *moduleIndex, fi *funcInfo, root string) []*fun
 		return true
 	})
 
+	isMap := func(e ast.Expr) bool {
+		t := info.Types[e].Type
+		if t == nil {
+			return false
+		}
+		_, ok := t.Underlying().(*types.Map)
+		return ok
+	}
+	// mapWrite reports a store through a map index and remembers the index
+	// expression, so the read rule below does not flag the same entry twice.
+	written := map[*ast.IndexExpr]bool{}
+	mapWrite := func(target ast.Expr) {
+		if idx, ok := ast.Unparen(target).(*ast.IndexExpr); ok && isMap(idx.X) {
+			written[idx] = true
+			report(target.Pos(), "map write may rehash and allocate")
+		}
+	}
+
 	var callees []*funcInfo
 	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			callees = append(callees, checkHotCall(info, ix, n, report)...)
+		case *ast.IndexExpr:
+			if isMap(n.X) && !written[n] {
+				report(n.Pos(), "map read hashes the key; index a dense table instead")
+			}
 		case *ast.GoStmt:
 			report(n.Pos(), "go statement spawns a goroutine")
 		case *ast.SendStmt:
@@ -232,8 +255,11 @@ func checkHotFunc(pass *Pass, ix *moduleIndex, fi *funcInfo, root string) []*fun
 			}
 		case *ast.RangeStmt:
 			if t := info.Types[n.X].Type; t != nil {
-				if _, ok := t.Underlying().(*types.Chan); ok {
+				switch t.Underlying().(type) {
+				case *types.Chan:
 					report(n.Pos(), "range over channel may block")
+				case *types.Map:
+					report(n.Pos(), "range over map walks the hash table")
 				}
 			}
 		case *ast.CompositeLit:
@@ -256,13 +282,7 @@ func checkHotFunc(pass *Pass, ix *moduleIndex, fi *funcInfo, root string) []*fun
 			}
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
-				if idx, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
-					if t := info.Types[idx.X].Type; t != nil {
-						if _, ok := t.Underlying().(*types.Map); ok {
-							report(lhs.Pos(), "map write may rehash and allocate")
-						}
-					}
-				}
+				mapWrite(lhs)
 			}
 			if n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs) {
 				for i := range n.Lhs {
@@ -272,13 +292,7 @@ func checkHotFunc(pass *Pass, ix *moduleIndex, fi *funcInfo, root string) []*fun
 				}
 			}
 		case *ast.IncDecStmt:
-			if idx, ok := ast.Unparen(n.X).(*ast.IndexExpr); ok {
-				if t := info.Types[idx.X].Type; t != nil {
-					if _, ok := t.Underlying().(*types.Map); ok {
-						report(n.Pos(), "map write may rehash and allocate")
-					}
-				}
-			}
+			mapWrite(n.X)
 		case *ast.ReturnStmt:
 			results := fi.fn.Signature().Results()
 			if len(n.Results) == results.Len() {

@@ -76,7 +76,6 @@ func TestRepoClean(t *testing.T) {
 var hotRoots = []string{
 	"capi/internal/xray.Runtime.Dispatch",
 	"capi/internal/dyncapi.Runtime.dispatch",
-	"capi/internal/dyncapi.Runtime.dispatchAsync",
 	"capi/internal/dyncapi.pipeline.append",
 	"capi/internal/dyncapi.Mux.OnEnter",
 	"capi/internal/dyncapi.Mux.OnExit",

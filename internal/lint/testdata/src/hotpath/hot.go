@@ -88,13 +88,37 @@ func (rt *Runtime) admitTimed(now int64) {
 	atomic.AddInt64(&rt.events, 1)
 }
 
-// count is a fully compliant hot function: atomics, map reads, and
+// count is a fully compliant hot function: atomics, slice indexing and
 // non-interface returns are all free.
 //
 //capi:hotpath
 func (rt *Runtime) count(id int32) bool {
 	atomic.AddInt64(&rt.events, 1)
-	return rt.seen[id]
+	return uint(id) < uint(len(rt.starts)) && rt.starts[id] != 0
+}
+
+// lookup is the dispatch path before the dense tables: every way of
+// reading a map hashes, in the root and in what it reaches; a store is
+// reported once, as a write; the waiver and the cold path still apply.
+//
+//capi:hotpath
+func (rt *Runtime) lookup(id int32) bool {
+	if rt.seen[id] { // want "hot path \\(//capi:hotpath Runtime.lookup\\): map read hashes the key"
+		return true
+	}
+	_, ok := rt.seen[id] // want "map read hashes the key"
+	for range rt.seen {  // want "range over map walks the hash table"
+	}
+	rt.seen[id] = ok // want "map write may rehash and allocate"
+	//capi:hotpath-ok reviewed: a two-entry map on a path taken once per phase
+	ok = rt.seen[id+1]
+	rt.overflow(id)
+	return ok || rt.classify(id)
+}
+
+// classify is reached from lookup: the rule follows callees.
+func (rt *Runtime) classify(id int32) bool {
+	return rt.seen[id] // want "hot path \\(Runtime.classify, reached from //capi:hotpath Runtime.lookup\\): map read hashes the key"
 }
 
 var sink any
