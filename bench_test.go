@@ -280,6 +280,22 @@ func BenchmarkCallGraphConstruction(b *testing.B) {
 	b.ReportMetric(float64(g.Len()), "nodes")
 }
 
+// BenchmarkSessionBuild measures what a user waits on before the first
+// event: generating, validating, analysing and compiling openfoam at the
+// repo benchmark's scale (bench/ layer setup.session_s). B/op is the build's
+// garbage plus the 45 MB a built session keeps.
+func BenchmarkSessionBuild(b *testing.B) {
+	b.ReportAllocs()
+	var sess *capi.Session
+	for i := 0; i < b.N; i++ {
+		var err error
+		if sess, err = capi.NewAppSession("openfoam", 0.1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(sess.Graph().Len()), "nodes")
+}
+
 // BenchmarkPatching measures the xray sled patch/unpatch cycle under
 // mprotect over the executable and all DSOs (§V-A/B).
 func BenchmarkPatching(b *testing.B) {

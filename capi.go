@@ -139,11 +139,25 @@ type SessionOptions struct {
 // compiled once with XRay sleds everywhere. The Fig. 1 loop then iterates
 // Select and Run without ever rebuilding.
 type Session struct {
-	prog    *prog.Program
-	graph   *callgraph.Graph
-	build   *compiler.Build
-	vanilla *compiler.Build // built lazily for baselines
-	opts    SessionOptions
+	prog  *prog.Program
+	graph *callgraph.Graph
+	build *compiler.Build
+	opts  SessionOptions
+	stats BuildStats
+
+	// The uninstrumented build for baselines, compiled on first use.
+	vanillaOnce sync.Once
+	vanilla     *compiler.Build
+	vanillaErr  error
+}
+
+// BuildStats is the wall-clock time NewSession spent, by stage. The call
+// graph and the compile run side by side, so Total is less than the sum.
+type BuildStats struct {
+	ValidateSeconds  float64 `json:"validateSeconds"`
+	CallGraphSeconds float64 `json:"callGraphSeconds"`
+	CompileSeconds   float64 `json:"compileSeconds"`
+	TotalSeconds     float64 `json:"totalSeconds"`
 }
 
 // NewAppSession prepares a session over one of the named stand-in
@@ -166,25 +180,44 @@ func NewAppSession(app string, scale float64) (*Session, error) {
 	}
 }
 
-// NewSession analyses and compiles the program for dynamic instrumentation.
+// NewSession analyses and compiles the program for dynamic instrumentation:
+// it validates the program once, then builds the whole-program call graph
+// and the XRay build side by side — both only read the validated program.
 func NewSession(p *Program, opts SessionOptions) (*Session, error) {
 	if p == nil {
 		return nil, fmt.Errorf("capi: nil program")
 	}
+	s := &Session{prog: p, opts: opts}
+	start := time.Now()
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("capi: %w", err)
 	}
-	g := metacg.BuildWholeProgram(p, metacg.Options{})
-	b, err := compiler.Compile(p, compiler.Options{
+	s.stats.ValidateSeconds = time.Since(start).Seconds()
+	graphed := make(chan struct{})
+	go func() {
+		defer close(graphed)
+		t0 := time.Now()
+		s.graph = metacg.BuildWholeProgram(p, metacg.Options{})
+		s.stats.CallGraphSeconds = time.Since(t0).Seconds()
+	}()
+	t0 := time.Now()
+	b, err := compiler.CompileValidated(p, compiler.Options{
 		XRay:          true,
 		XRayThreshold: opts.XRayThreshold,
 		OptLevel:      opts.OptLevel,
 	})
+	s.stats.CompileSeconds = time.Since(t0).Seconds()
+	<-graphed
 	if err != nil {
 		return nil, fmt.Errorf("capi: %w", err)
 	}
-	return &Session{prog: p, graph: g, build: b, opts: opts}, nil
+	s.build = b
+	s.stats.TotalSeconds = time.Since(start).Seconds()
+	return s, nil
 }
+
+// BuildStats returns how long NewSession took, by stage.
+func (s *Session) BuildStats() BuildStats { return s.stats }
 
 // Graph returns the whole-program call graph.
 func (s *Session) Graph() *Graph { return s.graph }
@@ -1188,14 +1221,14 @@ func (s *Session) Run(sel *Selection, opts RunOptions) (*RunResult, error) {
 
 // RunVanilla executes the uninstrumented build (no sleds at all) and
 // returns the virtual runtime — the Table II baseline. The vanilla build is
-// compiled on first use and cached.
+// compiled on first use and kept; concurrent callers share it, and its
+// error if it failed.
 func (s *Session) RunVanilla(ranks int) (float64, error) {
-	if s.vanilla == nil {
-		vb, err := compiler.Compile(s.prog, compiler.Options{OptLevel: s.opts.OptLevel})
-		if err != nil {
-			return 0, err
-		}
-		s.vanilla = vb
+	s.vanillaOnce.Do(func() {
+		s.vanilla, s.vanillaErr = compiler.CompileValidated(s.prog, compiler.Options{OptLevel: s.opts.OptLevel})
+	})
+	if s.vanillaErr != nil {
+		return 0, s.vanillaErr
 	}
 	if ranks <= 0 {
 		ranks = 4

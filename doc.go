@@ -112,10 +112,10 @@
 //
 // # The Fig. 1 loop
 //
-// A Session wraps an application prepared for runtime-adaptable
-// instrumentation. The user iterates: Select (evaluate a spec into an IC),
-// Run (patch at start-up, measure), inspect, adjust the spec, repeat — no
-// recompilation between iterations:
+// NewSession prepares an application in three stages: validate once, then
+// the call graph (per TU on every core, merged in TU order) beside the XRay
+// compile. The user then iterates: Select (a spec into an IC), Run (patch at
+// start-up, measure), inspect, adjust the spec — no recompilation between:
 //
 //	app := capi.Lulesh(capi.LuleshOptions{})
 //	s, _ := capi.NewSession(app, capi.SessionOptions{OptLevel: 3})

@@ -9,7 +9,7 @@ import (
 // diamond builds main -> {l, r} -> sink, plus an isolated node "iso" and a
 // cycle c1 <-> c2 reachable from r.
 func diamond() *Graph {
-	g := New("diamond")
+	g := New("diamond", 0)
 	g.Main = "main"
 	g.AddEdge("main", "l")
 	g.AddEdge("main", "r")
@@ -71,7 +71,7 @@ func TestOnCallPath(t *testing.T) {
 }
 
 func TestOnCallPathThroughCycle(t *testing.T) {
-	g := New("g")
+	g := New("g", 0)
 	g.AddEdge("main", "a")
 	g.AddEdge("a", "b")
 	g.AddEdge("b", "a") // recursion
@@ -109,7 +109,7 @@ func TestSCC(t *testing.T) {
 func TestSCCRandomizedTopoProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
-		g := New("rand")
+		g := New("rand", 0)
 		n := 50
 		for i := 0; i < n; i++ {
 			g.AddNode(fmt.Sprintf("f%d", i), Meta{})
@@ -131,7 +131,7 @@ func TestSCCRandomizedTopoProperty(t *testing.T) {
 
 func TestStatementAggregation(t *testing.T) {
 	// main(10) -> a(5) -> b(3); main -> b directly too.
-	g := New("agg")
+	g := New("agg", 0)
 	g.AddNode("main", Meta{Statements: 10})
 	g.AddNode("a", Meta{Statements: 5})
 	g.AddNode("b", Meta{Statements: 3})
@@ -152,7 +152,7 @@ func TestStatementAggregation(t *testing.T) {
 }
 
 func TestStatementAggregationCycle(t *testing.T) {
-	g := New("aggc")
+	g := New("aggc", 0)
 	g.AddNode("main", Meta{Statements: 1})
 	g.AddNode("x", Meta{Statements: 2})
 	g.AddNode("y", Meta{Statements: 4})
@@ -183,7 +183,7 @@ func TestStatementAggregationCycle(t *testing.T) {
 // listing3 builds the OpenFOAM solve chain from the paper's Listing 3:
 // a single-caller chain solve -> s1 -> s2 -> s3 -> s4 -> Amul.
 func listing3() *Graph {
-	g := New("listing3")
+	g := New("listing3", 0)
 	g.Main = "main"
 	g.AddEdge("main", "solve")
 	g.AddEdge("solve", "s1")
@@ -224,7 +224,7 @@ func TestCoarseWithoutCriticalPrunesLeaf(t *testing.T) {
 }
 
 func TestCoarseKeepsMultiCallerCallees(t *testing.T) {
-	g := New("g")
+	g := New("g", 0)
 	g.Main = "main"
 	g.AddEdge("main", "a")
 	g.AddEdge("main", "b")

@@ -10,6 +10,7 @@ package callgraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -57,17 +58,27 @@ type Graph struct {
 
 	nodes map[string]*Node
 	order []*Node
-
-	edgeSeen map[[2]int]struct{}
+	edges int
 }
 
-// New returns an empty graph.
-func New(name string) *Graph {
+// New returns an empty graph with room for about nodes nodes (0: unknown).
+func New(name string, nodes int) *Graph {
 	return &Graph{
-		Name:     name,
-		nodes:    map[string]*Node{},
-		edgeSeen: map[[2]int]struct{}{},
+		Name:  name,
+		nodes: make(map[string]*Node, nodes),
+		order: make([]*Node, 0, nodes),
 	}
+}
+
+// hasEdge looks the edge up in the shorter of its two adjacency lists. No
+// edge index is kept: a hub's many edges end at nodes with few callers (and
+// the many callers of a hub have few callees), so the scan is short, and
+// over all E edges of any graph it is bounded by O(E·√E).
+func hasEdge(from, to *Node) bool {
+	if len(to.callers) < len(from.callees) {
+		return slices.Contains(to.callers, from)
+	}
+	return slices.Contains(from.callees, to)
 }
 
 // AddNode inserts a node with the given metadata and returns it. If the node
@@ -77,7 +88,12 @@ func (g *Graph) AddNode(name string, meta Meta) *Node {
 	if n, ok := g.nodes[name]; ok {
 		return n
 	}
-	n := &Node{id: len(g.order), Name: name, Display: name, Meta: meta}
+	return g.newNode(name, name, meta)
+}
+
+// newNode appends a node whose name the caller has found absent.
+func (g *Graph) newNode(name, display string, meta Meta) *Node {
+	n := &Node{id: len(g.order), Name: name, Display: display, Meta: meta}
 	g.nodes[name] = n
 	g.order = append(g.order, n)
 	return n
@@ -115,13 +131,14 @@ func (g *Graph) NodeByID(id int) *Node {
 // AddEdge inserts a caller→callee edge, creating missing nodes with empty
 // metadata (declaration stubs). Duplicate edges are ignored.
 func (g *Graph) AddEdge(caller, callee string) {
-	from := g.AddNode(caller, Meta{})
-	to := g.AddNode(callee, Meta{})
-	key := [2]int{from.id, to.id}
-	if _, dup := g.edgeSeen[key]; dup {
+	g.addEdge(g.AddNode(caller, Meta{}), g.AddNode(callee, Meta{}))
+}
+
+func (g *Graph) addEdge(from, to *Node) {
+	if hasEdge(from, to) {
 		return
 	}
-	g.edgeSeen[key] = struct{}{}
+	g.edges++
 	from.callees = append(from.callees, to)
 	to.callers = append(to.callers, from)
 }
@@ -129,15 +146,11 @@ func (g *Graph) AddEdge(caller, callee string) {
 // HasEdge reports whether the caller→callee edge exists.
 func (g *Graph) HasEdge(caller, callee string) bool {
 	from, to := g.nodes[caller], g.nodes[callee]
-	if from == nil || to == nil {
-		return false
-	}
-	_, ok := g.edgeSeen[[2]int{from.id, to.id}]
-	return ok
+	return from != nil && to != nil && hasEdge(from, to)
 }
 
 // NumEdges returns the number of distinct edges.
-func (g *Graph) NumEdges() int { return len(g.edgeSeen) }
+func (g *Graph) NumEdges() int { return g.edges }
 
 // MainNode returns the entry-point node, or nil if unset/unknown.
 func (g *Graph) MainNode() *Node {
@@ -152,21 +165,24 @@ func (g *Graph) MainNode() *Node {
 // This implements the whole-program merge step of the MetaCG workflow
 // (Fig. 2 step 4).
 func (g *Graph) Merge(other *Graph) {
-	for _, n := range other.order {
+	// Each of other's nodes is looked up by name once; its edges then go
+	// from node to node through this table, indexed by other's node IDs.
+	mine := make([]*Node, len(other.order))
+	for i, n := range other.order {
 		existing, ok := g.nodes[n.Name]
 		if !ok {
-			nn := g.AddNode(n.Name, n.Meta)
-			nn.Display = n.Display
-			continue
-		}
-		if existing.Meta == (Meta{}) && n.Meta != (Meta{}) {
+			existing = g.newNode(n.Name, n.Display, n.Meta)
+		} else if existing.Meta == (Meta{}) && n.Meta != (Meta{}) {
 			existing.Meta = n.Meta
 			existing.Display = n.Display
 		}
+		existing.callees = slices.Grow(existing.callees, len(n.callees))
+		existing.callers = slices.Grow(existing.callers, len(n.callers))
+		mine[i] = existing
 	}
-	for _, n := range other.order {
+	for i, n := range other.order {
 		for _, c := range n.callees {
-			g.AddEdge(n.Name, c.Name)
+			g.addEdge(mine[i], mine[c.id])
 		}
 	}
 	if g.Main == "" {

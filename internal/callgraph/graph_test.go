@@ -8,7 +8,7 @@ import (
 // chain builds a -> b -> c -> d.
 func chain(t *testing.T) *Graph {
 	t.Helper()
-	g := New("chain")
+	g := New("chain", 0)
 	g.Main = "a"
 	g.AddEdge("a", "b")
 	g.AddEdge("b", "c")
@@ -17,7 +17,7 @@ func chain(t *testing.T) *Graph {
 }
 
 func TestAddNodeIdempotent(t *testing.T) {
-	g := New("g")
+	g := New("g", 0)
 	n1 := g.AddNode("f", Meta{Statements: 5})
 	n2 := g.AddNode("f", Meta{Statements: 99})
 	if n1 != n2 {
@@ -32,7 +32,7 @@ func TestAddNodeIdempotent(t *testing.T) {
 }
 
 func TestSetMeta(t *testing.T) {
-	g := New("g")
+	g := New("g", 0)
 	g.AddNode("f", Meta{})
 	if !g.SetMeta("f", Meta{Flops: 7}) {
 		t.Fatal("SetMeta on existing node returned false")
@@ -46,7 +46,7 @@ func TestSetMeta(t *testing.T) {
 }
 
 func TestEdgesDeduplicated(t *testing.T) {
-	g := New("g")
+	g := New("g", 0)
 	g.AddEdge("a", "b")
 	g.AddEdge("a", "b")
 	if g.NumEdges() != 1 {
@@ -80,7 +80,7 @@ func TestValidateAndMainNode(t *testing.T) {
 	if g.MainNode() == nil || g.MainNode().Name != "a" {
 		t.Fatal("MainNode wrong")
 	}
-	g2 := New("x")
+	g2 := New("x", 0)
 	if g2.MainNode() != nil {
 		t.Fatal("MainNode of empty graph should be nil")
 	}
@@ -88,11 +88,11 @@ func TestValidateAndMainNode(t *testing.T) {
 
 func TestMerge(t *testing.T) {
 	// TU 1 defines a (calls b); b is a stub.
-	g1 := New("tu1")
+	g1 := New("tu1", 0)
 	g1.AddNode("a", Meta{Statements: 3})
 	g1.AddEdge("a", "b")
 	// TU 2 defines b (calls c).
-	g2 := New("tu2")
+	g2 := New("tu2", 0)
 	g2.AddNode("b", Meta{Statements: 8})
 	g2.AddEdge("b", "c")
 	g2.Main = "b"
@@ -116,13 +116,42 @@ func TestMerge(t *testing.T) {
 }
 
 func TestMergeKeepsExistingMeta(t *testing.T) {
-	g1 := New("a")
+	g1 := New("a", 0)
 	g1.AddNode("f", Meta{Statements: 3})
-	g2 := New("b")
+	g2 := New("b", 0)
 	g2.AddNode("f", Meta{Statements: 99})
 	g1.Merge(g2)
 	if g1.Node("f").Meta.Statements != 3 {
 		t.Fatal("merge must not overwrite non-empty metadata")
+	}
+}
+
+// TestMergeTwiceAddsNothing: duplicates are found from either end of an edge
+// — a hub's callee list is long and its callees' caller lists short, a
+// hotspot's the other way round — and a second merge of the same graph
+// changes neither the edge count nor any adjacency order.
+func TestMergeTwiceAddsNothing(t *testing.T) {
+	tu := New("tu", 0)
+	for _, leaf := range []string{"l0", "l1", "l2", "l3"} {
+		tu.AddEdge("hub", leaf)     // one caller, many callees
+		tu.AddEdge(leaf, "hotspot") // many callers, one callee
+	}
+	g := New("whole", 0)
+	g.AddEdge("main", "hub")
+	g.Merge(tu)
+	callees, callers := len(g.Node("hub").Callees()), len(g.Node("hotspot").Callers())
+	g.Merge(tu)
+	g.AddEdge("hub", "l2")
+	g.AddEdge("l1", "hotspot")
+	if g.NumEdges() != 9 || len(g.Node("hub").Callees()) != callees || len(g.Node("hotspot").Callers()) != callers {
+		t.Fatalf("second merge grew the graph: %d edges, hub has %d callees, hotspot %d callers",
+			g.NumEdges(), len(g.Node("hub").Callees()), len(g.Node("hotspot").Callers()))
+	}
+	if c := g.Node("hotspot").Callers(); c[0].Name != "l0" || c[3].Name != "l3" {
+		t.Fatalf("caller order changed: %v", c)
+	}
+	if !g.HasEdge("hub", "l3") || !g.HasEdge("l3", "hotspot") || g.HasEdge("hotspot", "hub") || g.HasEdge("main", "l0") {
+		t.Fatal("HasEdge wrong")
 	}
 }
 

@@ -67,7 +67,7 @@ func ReadJSON(r io.Reader) (*Graph, error) {
 	if ff.MetaCG.Version == "" {
 		return nil, fmt.Errorf("callgraph: missing _MetaCG stamp")
 	}
-	g := New("")
+	g := New("", len(ff.CG))
 	g.Main = ff.Main
 	// Insert nodes in sorted name order for deterministic IDs.
 	names := make([]string, 0, len(ff.CG))

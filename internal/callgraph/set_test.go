@@ -8,7 +8,7 @@ import (
 
 // lineGraph returns a graph with n isolated nodes named "f0".."f(n-1)".
 func lineGraph(n int) *Graph {
-	g := New("line")
+	g := New("line", 0)
 	for i := 0; i < n; i++ {
 		g.AddNode(fmt.Sprintf("f%d", i), Meta{})
 	}

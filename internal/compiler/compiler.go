@@ -175,11 +175,17 @@ func (b *Build) StaticPackedIDs() (map[string]int32, error) {
 // align16 rounds up to the next multiple of 16 (function alignment).
 func align16(n uint64) uint64 { return (n + 15) &^ 15 }
 
-// Compile builds the program into object images.
+// Compile validates the program and builds it into object images.
 func Compile(p *prog.Program, opts Options) (*Build, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("compiler: %w", err)
 	}
+	return CompileValidated(p, opts)
+}
+
+// CompileValidated is Compile for a caller that has already seen
+// p.Validate succeed and has not modified the program since. It only reads p.
+func CompileValidated(p *prog.Program, opts Options) (*Build, error) {
 	opts = opts.withDefaults()
 	b := &Build{
 		Prog:        p,
@@ -189,20 +195,7 @@ func Compile(p *prog.Program, opts Options) (*Build, error) {
 	}
 	autoInline := autoInlineMaxStatements(opts.OptLevel)
 
-	// Pass 1: inlining decisions (before sled insertion, as in LLVM).
-	inlined := make(map[string]bool, p.NumFunctions())
-	for _, name := range p.Functions() {
-		f := p.Func(name)
-		u := p.Unit(f.Unit)
-		if u.Kind == prog.SystemLibrary || f.StaticInit || f.Virtual || f.AddressTaken || name == p.Main {
-			continue
-		}
-		if f.Inline || f.Statements <= autoInline {
-			inlined[name] = true
-		}
-	}
-
-	// Pass 2: per-unit code generation.
+	// Per-unit code generation.
 	for _, u := range p.Units() {
 		im := &obj.Image{
 			Name:      u.Name,
@@ -210,9 +203,14 @@ func Compile(p *prog.Program, opts Options) (*Build, error) {
 			Patchable: opts.XRay && u.Kind != prog.SystemLibrary,
 		}
 		var off uint64
-		for _, name := range u.Funcs {
+		lays := make([]FuncLayout, len(u.Funcs)) // one allocation per unit
+		for i, name := range u.Funcs {
 			f := p.Func(name)
-			lay := &FuncLayout{Name: name, Unit: u.Name, Inlined: inlined[name]}
+			// The inlining decision comes before sled insertion, as in LLVM.
+			inlined := (f.Inline || f.Statements <= autoInline) &&
+				u.Kind != prog.SystemLibrary && !f.StaticInit && !f.Virtual && !f.AddressTaken && name != p.Main
+			lay := &lays[i]
+			*lay = FuncLayout{Name: name, Unit: u.Name, Inlined: inlined}
 			b.Layout[name] = lay
 
 			// An inlined function keeps an out-of-line copy (and hence a

@@ -15,7 +15,7 @@ import (
 //	loop -> exchange -> MPI_Sendrecv
 //	main -> teardown
 func mpiGraph() *callgraph.Graph {
-	g := callgraph.New("t")
+	g := callgraph.New("t", 0)
 	g.Main = "main"
 	g.AddNode("main", callgraph.Meta{Statements: 20})
 	g.AddNode("init", callgraph.Meta{Statements: 5})
@@ -133,7 +133,7 @@ func TestInlineCompensation(t *testing.T) {
 
 func TestInlineCompensationWalksThroughInlinedCallers(t *testing.T) {
 	// main -> a (no symbol) -> b (no symbol, selected).
-	g := callgraph.New("g")
+	g := callgraph.New("g", 0)
 	g.Main = "main"
 	g.AddNode("main", callgraph.Meta{})
 	g.AddNode("a", callgraph.Meta{})

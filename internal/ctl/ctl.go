@@ -231,6 +231,8 @@ type StatusResponse struct {
 	HTTPSelects   int64   `json:"httpSelects"`
 	UptimeSeconds float64 `json:"uptimeSeconds"`
 	SSEClients    int     `json:"sseClients"`
+	// SessionBuild is the wall-clock time the session's start-up took.
+	SessionBuild capi.BuildStats `json:"sessionBuild"`
 	// PipelineHint appears when the async pipeline has shed load
 	// (droppedAsync > 0): ring-sizing guidance naming the next
 	// power-of-two -async-buf. The rings cannot grow on a live run — the
@@ -257,6 +259,7 @@ func (s *Server) status() StatusResponse {
 		HTTPSelects:    s.httpSelects.Load(),
 		UptimeSeconds:  time.Since(s.started).Seconds(),
 		SSEClients:     s.hub.Clients(),
+		SessionBuild:   s.session.BuildStats(),
 	}
 	if resp.Async && resp.DroppedAsync > 0 && resp.AsyncBuf > 0 {
 		// AsyncBuf is already a power of two (the pipeline rounds up), so

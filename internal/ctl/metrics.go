@@ -173,4 +173,11 @@ func (e *Exposition) Status(member string, st *StatusResponse) {
 	e.Gauge("capi_init_virtual_seconds", "DynCaPI start-up time (T_init), virtual.", st.InitSeconds)
 	e.Counter("capi_reconfig_virtual_seconds_total", "Accumulated virtual re-patch cost of live re-selections.", st.ReconfigSeconds)
 	e.Gauge("capi_sse_clients", "Connected /v1/events subscribers.", st.SSEClients)
+	// The tool times itself: call graph and compile overlap, so total is
+	// less than the sum of the stages.
+	const buildHelp = "Wall-clock seconds the session build took, per stage."
+	e.Gauge("capi_session_build_seconds", buildHelp, st.SessionBuild.ValidateSeconds, "stage", "validate")
+	e.Gauge("capi_session_build_seconds", buildHelp, st.SessionBuild.CallGraphSeconds, "stage", "callgraph")
+	e.Gauge("capi_session_build_seconds", buildHelp, st.SessionBuild.CompileSeconds, "stage", "compile")
+	e.Gauge("capi_session_build_seconds", buildHelp, st.SessionBuild.TotalSeconds, "stage", "total")
 }

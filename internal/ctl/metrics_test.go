@@ -2,6 +2,7 @@ package ctl
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"testing"
 
@@ -26,6 +27,7 @@ func goldenStatus() StatusResponse {
 		HTTPSelects:   7,
 		UptimeSeconds: 12.5,
 		SSEClients:    2,
+		SessionBuild:  capi.BuildStats{ValidateSeconds: 0.0042, CallGraphSeconds: 0.031, CompileSeconds: 0.024, TotalSeconds: 0.0365},
 		InstanceStatus: capi.InstanceStatus{
 			Backends:                []string{"talp", "extrae"},
 			Ranks:                   4,
@@ -114,5 +116,47 @@ func TestMetricsGolden(t *testing.T) {
 	e.Write(&got)
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("exposition differs from testdata/metrics.golden\n--- got ---\n%s", got.String())
+	}
+}
+
+// TestSessionBuildSeries: the session's own build times reach /v1/status and
+// /metrics through the one read model — the status document carries what
+// Session.BuildStats says, and the exposition renders exactly that.
+func TestSessionBuildSeries(t *testing.T) {
+	session, err := capi.NewSession(capi.Quickstart(), capi.SessionOptions{OptLevel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := session.Start(nil, capi.RunOptions{Backends: []string{"talp"}, Ranks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Close()
+	srv := New(session, inst, "quickstart")
+	defer srv.Shutdown()
+
+	bs := session.BuildStats()
+	if bs.TotalSeconds <= 0 || bs.ValidateSeconds <= 0 || bs.CallGraphSeconds <= 0 || bs.CompileSeconds <= 0 {
+		t.Fatalf("a stage took no time: %+v", bs)
+	}
+	if longest := max(bs.CallGraphSeconds, bs.CompileSeconds); bs.TotalSeconds < bs.ValidateSeconds+longest {
+		t.Errorf("total %v is less than validate + the longer parallel stage: %+v", bs.TotalSeconds, bs)
+	}
+	st := srv.status()
+	if st.SessionBuild != bs {
+		t.Fatalf("status carries %+v, session says %+v", st.SessionBuild, bs)
+	}
+	var e Exposition
+	e.Status("m0", &st)
+	var got bytes.Buffer
+	e.Write(&got)
+	for stage, v := range map[string]float64{
+		"validate": bs.ValidateSeconds, "callgraph": bs.CallGraphSeconds,
+		"compile": bs.CompileSeconds, "total": bs.TotalSeconds,
+	} {
+		want := fmt.Sprintf("capi_session_build_seconds{member=\"m0\",stage=%q} %v\n", stage, v)
+		if !bytes.Contains(got.Bytes(), []byte(want)) {
+			t.Errorf("exposition lacks %q", want)
+		}
 	}
 }

@@ -240,11 +240,13 @@ func (b *TALPBackend) FailedRegions() int {
 
 // ExtraeBackend records every event as a timestamped trace record in a
 // per-rank sharded buffer (Extrae-style tracing): the enter/exit hot path
-// appends to the executing rank's own shard without taking any lock, full
-// rings are flushed as batched segments, and the end-of-run report merges
-// the shards into one virtual-time-ordered timeline. It is the cheapest
-// per-event backend after the discarding cyg-profile interface — the
-// sharding is what keeps it that way under many ranks.
+// appends to the executing rank's own shard under that shard's mutex —
+// uncontended, a shard having one writer; only a mid-run Report snapshot
+// ever waits on it — full rings are flushed as batched segments, and the
+// end-of-run report merges the shards into one virtual-time-ordered
+// timeline. It is the cheapest per-event backend after the discarding
+// cyg-profile interface — the sharding is what keeps it that way under many
+// ranks.
 //
 // The backend does not implement Deselector: a trace has no open state to
 // close, and completeness of the event stream is asserted through the

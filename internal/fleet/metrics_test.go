@@ -139,6 +139,15 @@ func TestMetricsWellFormed(t *testing.T) {
 		t.Error("coordinator lost the histogram TYPE line")
 	}
 
+	// Each member's own build times arrive member-labelled, nothing merged.
+	for _, m := range []string{"w0", "w1"} {
+		for _, stage := range []string{"validate", "callgraph", "compile", "total"} {
+			if !strings.Contains(fleetText, `capi_session_build_seconds{member="`+m+`",stage="`+stage+`"} `) {
+				t.Errorf("coordinator /metrics lacks member %s's session build stage %s", m, stage)
+			}
+		}
+	}
+
 	// The members are idle, so two scrapes agree on every series but
 	// capi_sse_clients, which moves when the coordinator's tailer connects.
 	memberText := scrape(t, w0.URL())

@@ -1,0 +1,106 @@
+package metacg
+
+import (
+	"runtime"
+	"slices"
+	"testing"
+
+	"capi/internal/callgraph"
+	"capi/internal/prog"
+	"capi/internal/workload"
+)
+
+// serialWholeProgram is the reference BuildWholeProgram is held to: one
+// TU-local graph after the other, merged in TranslationUnits order, then the
+// definition, virtual and pointer passes — the serial build as it was before
+// the worker pool.
+func serialWholeProgram(p *prog.Program) *callgraph.Graph {
+	g := callgraph.New(p.Name, 0)
+	g.Main = p.Main
+	for _, tu := range p.TranslationUnits() {
+		g.Merge(BuildLocalTU(p, tu))
+	}
+	for _, name := range p.Functions() {
+		f := p.Func(name)
+		n := g.AddNode(name, metaOf(f))
+		if n.Meta == (callgraph.Meta{}) {
+			n.Meta = metaOf(f)
+		}
+		n.Display = f.Display()
+	}
+	for _, name := range p.Functions() {
+		for _, op := range p.Func(name).Ops {
+			if op.Kind == prog.OpCall && op.Virtual {
+				for _, impl := range p.VirtualImpls[op.Callee] {
+					g.AddEdge(name, impl)
+				}
+			}
+		}
+	}
+	for _, name := range p.Functions() {
+		for _, op := range p.Func(name).Ops {
+			if op.Kind == prog.OpCall && op.ViaPointer && p.StaticPointerSlots[op.Callee] {
+				for _, tgt := range p.PointerTargets[op.Callee] {
+					g.AddEdge(name, tgt)
+				}
+			}
+		}
+	}
+	return g
+}
+
+func ids(ns []*callgraph.Node) []int {
+	out := make([]int, len(ns))
+	for i, n := range ns {
+		out[i] = n.ID()
+	}
+	return out
+}
+
+// sameGraph compares everything a selector can observe.
+func sameGraph(t *testing.T, what string, got, want *callgraph.Graph) {
+	t.Helper()
+	if got.Name != want.Name || got.Main != want.Main || got.Len() != want.Len() || got.NumEdges() != want.NumEdges() {
+		t.Fatalf("%s: %q main %q %d nodes %d edges, want %q %q %d %d", what,
+			got.Name, got.Main, got.Len(), got.NumEdges(), want.Name, want.Main, want.Len(), want.NumEdges())
+	}
+	if err := got.Validate(); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	for i, w := range want.Nodes() {
+		g := got.Nodes()[i]
+		if g.ID() != w.ID() || g.Name != w.Name || g.Display != w.Display || g.Meta != w.Meta {
+			t.Fatalf("%s: node %d is %d %q (%q) %+v, want %d %q (%q) %+v", what, i,
+				g.ID(), g.Name, g.Display, g.Meta, w.ID(), w.Name, w.Display, w.Meta)
+		}
+		if gc, wc := ids(g.Callees()), ids(w.Callees()); !slices.Equal(gc, wc) {
+			t.Fatalf("%s: callees of %q are %v, want %v", what, w.Name, gc, wc)
+		}
+		if gc, wc := ids(g.Callers()), ids(w.Callers()); !slices.Equal(gc, wc) {
+			t.Fatalf("%s: callers of %q are %v, want %v", what, w.Name, gc, wc)
+		}
+	}
+}
+
+// TestBuildWholeProgramEqualsSerial: for all four apps the pooled build
+// equals the serial reference node for node and edge for edge, at one worker
+// and at four, twenty times over — scheduling must not leak into the graph.
+// CI runs it under -race.
+func TestBuildWholeProgramEqualsSerial(t *testing.T) {
+	apps := map[string]*prog.Program{
+		"quickstart": workload.Quickstart(),
+		"lulesh":     workload.Lulesh(workload.LuleshOptions{}),
+		"openfoam":   workload.OpenFOAM(workload.OpenFOAMOptions{Scale: 0.05}),
+		"webservice": workload.Webservice(),
+	}
+	for name, p := range apps {
+		want := serialWholeProgram(p)
+		for _, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			for rep := 0; rep < 20; rep++ {
+				sameGraph(t, name, BuildWholeProgram(p, Options{}), want)
+			}
+			runtime.GOMAXPROCS(prev)
+		}
+	}
+}

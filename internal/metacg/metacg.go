@@ -12,6 +12,9 @@
 package metacg
 
 import (
+	"runtime"
+	"sync/atomic"
+
 	"capi/internal/callgraph"
 	"capi/internal/prog"
 )
@@ -45,13 +48,20 @@ func metaOf(f *prog.Function) callgraph.Meta {
 // to the base method / slot placeholder only; whole-program expansion
 // happens during the merge.
 func BuildLocalTU(p *prog.Program, tu string) *callgraph.Graph {
-	g := callgraph.New(p.Name + ":" + tu)
+	var fns []*prog.Function
 	for _, name := range p.FunctionsInTU(tu) {
-		f := p.Func(name)
-		n := g.AddNode(name, metaOf(f))
+		fns = append(fns, p.Func(name))
+	}
+	return buildLocal(p, prog.TU{Name: tu, Funcs: fns})
+}
+
+func buildLocal(p *prog.Program, tu prog.TU) *callgraph.Graph {
+	g := callgraph.New(p.Name+":"+tu.Name, len(tu.Funcs))
+	for _, f := range tu.Funcs {
+		n := g.AddNode(f.Name, metaOf(f))
 		n.Display = f.Display()
-		if name == p.Main {
-			g.Main = name
+		if f.Name == p.Main {
+			g.Main = f.Name
 		}
 		for _, op := range f.Ops {
 			switch op.Kind {
@@ -59,9 +69,9 @@ func BuildLocalTU(p *prog.Program, tu string) *callgraph.Graph {
 				if op.ViaPointer {
 					continue // unresolved at TU scope
 				}
-				g.AddEdge(name, op.Callee) // virtual: edge to base method
+				g.AddEdge(f.Name, op.Callee) // virtual: edge to base method
 			case prog.OpMPI:
-				g.AddEdge(name, op.MPI)
+				g.AddEdge(f.Name, op.MPI)
 			}
 		}
 	}
@@ -70,43 +80,57 @@ func BuildLocalTU(p *prog.Program, tu string) *callgraph.Graph {
 
 // BuildWholeProgram constructs the whole-program call graph by merging all
 // translation-unit-local graphs and applying virtual-call over-approximation
-// and static pointer resolution.
+// and static pointer resolution. The local graphs are built on up to
+// GOMAXPROCS goroutines and merged in sorted TU order as they arrive, so the
+// result — node IDs, callee and caller order — does not depend on scheduling.
+// The program must not be modified meanwhile.
 func BuildWholeProgram(p *prog.Program, opts Options) *callgraph.Graph {
-	g := callgraph.New(p.Name)
+	g := callgraph.New(p.Name, p.NumFunctions())
 	g.Main = p.Main
-	for _, tu := range p.TranslationUnits() {
-		g.Merge(BuildLocalTU(p, tu))
+	tus := p.ByTU()
+	// One slot per TU, filled exactly once: a send never blocks, so the
+	// workers finish whether or not the merge below keeps up.
+	locals := make([]chan *callgraph.Graph, len(tus))
+	for i := range locals {
+		locals[i] = make(chan *callgraph.Graph, 1)
+	}
+	var next atomic.Int64
+	for w := min(runtime.GOMAXPROCS(0), len(tus)); w > 0; w-- {
+		go func() {
+			for i := int(next.Add(1)) - 1; i < len(tus); i = int(next.Add(1)) - 1 {
+				locals[i] <- buildLocal(p, tus[i])
+			}
+		}()
+	}
+	for _, local := range locals {
+		g.Merge(<-local)
 	}
 	// Ensure every definition has its metadata even if only seen as a stub
 	// during merging order.
-	for _, name := range p.Functions() {
-		f := p.Func(name)
-		if n := g.Node(name); n != nil {
-			if n.Meta == (callgraph.Meta{}) {
-				n.Meta = metaOf(f)
-			}
-			n.Display = f.Display()
-		} else {
-			n := g.AddNode(name, metaOf(f))
-			n.Display = f.Display()
+	for _, f := range p.Funcs() {
+		meta := metaOf(f)
+		n := g.AddNode(f.Name, meta)
+		if n.Meta == (callgraph.Meta{}) {
+			n.Meta = meta
 		}
+		n.Display = f.Display()
 	}
 	// Virtual-call over-approximation: for every virtual callsite, insert
 	// edges to all known inheriting definitions.
-	for _, name := range p.Functions() {
-		for _, op := range p.Func(name).Ops {
+	for _, f := range p.Funcs() {
+		for _, op := range f.Ops {
 			if op.Kind != prog.OpCall || !op.Virtual {
 				continue
 			}
 			for _, impl := range p.VirtualImpls[op.Callee] {
-				g.AddEdge(name, impl)
+				g.AddEdge(f.Name, impl)
 			}
 		}
 	}
 	// Static function-pointer resolution.
 	if !opts.SkipPointerResolution {
-		for _, name := range p.Functions() {
-			for _, op := range p.Func(name).Ops {
+		for _, f := range p.Funcs() {
+			for _, op := range f.Ops {
 				if op.Kind != prog.OpCall || !op.ViaPointer {
 					continue
 				}
@@ -114,7 +138,7 @@ func BuildWholeProgram(p *prog.Program, opts Options) *callgraph.Graph {
 					continue
 				}
 				for _, tgt := range p.PointerTargets[op.Callee] {
-					g.AddEdge(name, tgt)
+					g.AddEdge(f.Name, tgt)
 				}
 			}
 		}

@@ -19,6 +19,8 @@ package prog
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 )
 
@@ -209,7 +211,8 @@ type Program struct {
 	unitIndex map[string]*Unit
 
 	funcs map[string]*Function
-	order []string // insertion order, the canonical iteration order
+	order []string    // insertion order, the canonical iteration order
+	fns   []*Function // the same order, for passes that need no name lookup
 
 	// VirtualImpls maps a virtual base method name to all overriding
 	// implementations (the base itself included when it has a body).
@@ -235,6 +238,16 @@ func New(name, main string) *Program {
 		PointerTargets:     map[string][]string{},
 		StaticPointerSlots: map[string]bool{},
 	}
+}
+
+// Reserve makes room for n functions in all, so that a generator that knows
+// its size up front does not pay for growing the tables n times over.
+func (p *Program) Reserve(n int) {
+	funcs := make(map[string]*Function, n)
+	maps.Copy(funcs, p.funcs)
+	p.funcs = funcs
+	p.order = slices.Grow(p.order, max(0, n-len(p.order)))
+	p.fns = slices.Grow(p.fns, max(0, n-len(p.fns)))
 }
 
 // AddUnit registers a link unit. Adding a unit twice is an error.
@@ -272,6 +285,7 @@ func (p *Program) AddFunc(f *Function) error {
 	}
 	p.funcs[f.Name] = f
 	p.order = append(p.order, f.Name)
+	p.fns = append(p.fns, f)
 	u.Funcs = append(u.Funcs, f.Name)
 	return nil
 }
@@ -291,6 +305,10 @@ func (p *Program) Func(name string) *Function { return p.funcs[name] }
 // Functions returns all functions in insertion order. The returned slice is
 // shared; callers must not modify it.
 func (p *Program) Functions() []string { return p.order }
+
+// Funcs returns all function definitions in insertion order. The returned
+// slice is shared; callers must not modify it.
+func (p *Program) Funcs() []*Function { return p.fns }
 
 // NumFunctions returns the number of function definitions.
 func (p *Program) NumFunctions() int { return len(p.order) }
@@ -342,8 +360,8 @@ func (p *Program) Validate() error {
 	if p.Func(p.Main) == nil {
 		return fmt.Errorf("prog %q: entry point %q not defined", p.Name, p.Main)
 	}
-	for _, name := range p.order {
-		f := p.funcs[name]
+	for _, f := range p.fns {
+		name := f.Name
 		for i, op := range f.Ops {
 			switch op.Kind {
 			case OpCall:
@@ -402,33 +420,56 @@ func (p *Program) Validate() error {
 // uses it for its build-time model.
 func (p *Program) TotalStatements() int {
 	total := 0
-	for _, name := range p.order {
-		total += p.funcs[name].Statements
+	for _, f := range p.fns {
+		total += f.Statements
 	}
 	return total
 }
 
+// TU is one translation unit: its name and the functions defined in it, in
+// insertion order.
+type TU struct {
+	Name  string
+	Funcs []*Function
+}
+
+// ByTU groups all functions by translation unit in one pass and returns the
+// groups sorted by name. It reads Function.TU as it is now — generators may
+// set it after AddFunc — so nothing is cached between calls.
+func (p *Program) ByTU() []TU {
+	var tus []TU
+	index := map[string]int{}
+	for _, f := range p.fns {
+		i, ok := index[f.TU]
+		if !ok {
+			i = len(tus)
+			index[f.TU] = i
+			tus = append(tus, TU{Name: f.TU})
+		}
+		tus[i].Funcs = append(tus[i].Funcs, f)
+	}
+	sort.Slice(tus, func(i, j int) bool { return tus[i].Name < tus[j].Name })
+	return tus
+}
+
 // TranslationUnits returns the sorted set of TU names present in the program.
 func (p *Program) TranslationUnits() []string {
-	seen := map[string]bool{}
-	for _, name := range p.order {
-		seen[p.funcs[name].TU] = true
+	tus := p.ByTU()
+	out := make([]string, len(tus))
+	for i := range tus {
+		out[i] = tus[i].Name
 	}
-	out := make([]string, 0, len(seen))
-	for tu := range seen {
-		out = append(out, tu)
-	}
-	sort.Strings(out)
 	return out
 }
 
 // FunctionsInTU returns the functions defined in the given translation unit,
-// in insertion order.
+// in insertion order. Callers that want every unit use ByTU: one pass there,
+// one pass per unit here.
 func (p *Program) FunctionsInTU(tu string) []string {
 	var out []string
-	for _, name := range p.order {
-		if p.funcs[name].TU == tu {
-			out = append(out, name)
+	for _, f := range p.fns {
+		if f.TU == tu {
+			out = append(out, f.Name)
 		}
 	}
 	return out

@@ -1,6 +1,8 @@
 package prog
 
 import (
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -191,6 +193,39 @@ func TestTranslationUnits(t *testing.T) {
 	}
 	if fns := p.FunctionsInTU("foo.cc"); len(fns) != 1 || fns[0] != "compute" {
 		t.Fatalf("FunctionsInTU(foo.cc) = %v", fns)
+	}
+}
+
+// TestByTUReadsTUAtCallTime: the grouping is sorted by unit name, keeps
+// insertion order inside a unit, agrees with FunctionsInTU, follows a TU a
+// generator sets after AddFunc, and survives Reserve on a program that
+// already has functions.
+func TestByTUReadsTUAtCallTime(t *testing.T) {
+	p := buildValid(t)
+	p.Reserve(16)
+	late := p.MustAddFunc(&Function{Name: "helper", Unit: "app.exe", TU: "main.cc"})
+	p.MustAddFunc(&Function{Name: "kernel", Unit: "libfoo.so", TU: "foo.cc"})
+	check := func(want map[string][]string) {
+		t.Helper()
+		tus := p.ByTU()
+		if len(tus) != len(want) || !sort.SliceIsSorted(tus, func(i, j int) bool { return tus[i].Name < tus[j].Name }) {
+			t.Fatalf("ByTU = %v, want the %d units of %v sorted", tus, len(want), want)
+		}
+		for _, tu := range tus {
+			var names []string
+			for _, f := range tu.Funcs {
+				names = append(names, f.Name)
+			}
+			if !slices.Equal(names, want[tu.Name]) || !slices.Equal(p.FunctionsInTU(tu.Name), names) {
+				t.Fatalf("unit %q holds %v (FunctionsInTU: %v), want %v", tu.Name, names, p.FunctionsInTU(tu.Name), want[tu.Name])
+			}
+		}
+	}
+	check(map[string][]string{"": {"MPI_Allreduce"}, "main.cc": {"main", "helper"}, "foo.cc": {"compute", "kernel"}})
+	late.TU = "foo.cc"
+	check(map[string][]string{"": {"MPI_Allreduce"}, "main.cc": {"main"}, "foo.cc": {"compute", "helper", "kernel"}})
+	if p.Func("main") == nil || p.NumFunctions() != 5 || len(p.Funcs()) != 5 {
+		t.Fatal("Reserve lost functions")
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 //	driver -> MPI_Send
 //	kernel -> helper (system header, inline)
 func testGraph() *callgraph.Graph {
-	g := callgraph.New("t")
+	g := callgraph.New("t", 0)
 	g.Main = "main"
 	g.AddNode("main", callgraph.Meta{Statements: 10, Unit: "exe", TU: "main.cc"})
 	g.AddNode("driver", callgraph.Meta{Statements: 6, Unit: "exe", TU: "drv.cc"})

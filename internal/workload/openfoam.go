@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"capi/internal/prog"
 	"capi/internal/vtime"
@@ -96,6 +97,7 @@ const (
 func OpenFOAM(opts OpenFOAMOptions) *prog.Program {
 	opts = opts.withDefaults()
 	b := newBuilder("openfoam-icoFoam", "main", 956416)
+	b.p.Reserve(int(math.Round(ofTotalNodes * opts.Scale)))
 	for _, u := range ofUnitWeights {
 		b.p.MustAddUnit(u.name, u.kind)
 	}
@@ -453,9 +455,10 @@ func buildOFModules(b *builder, opts OpenFOAMOptions, c *ofCore) {
 			}
 		}
 		// Remainder: plain template filler.
+		fillerPrefix := "Foam::" + unitTag(u.name) + "::filler_"
 		for i := 0; i < filler; i++ {
 			b.fn(&prog.Function{
-				Name: fmt.Sprintf("Foam::%s::filler_%05d", unitTag(u.name), i),
+				Name: numbered(fillerPrefix, i, 5),
 				Unit: u.name, TU: "templates.H",
 				Statements: b.between(1, 4), Inline: true, SystemHeader: i%2 == 0, VagueLinkage: true,
 				Ops: []prog.Op{prog.Work(5)},
@@ -487,6 +490,18 @@ func buildOFModules(b *builder, opts OpenFOAMOptions, c *ofCore) {
 	}
 }
 
+// numbered returns prefix followed by n (>= 0) zero-padded to width, what
+// fmt prints for prefix%0<width>d, in one allocation.
+func numbered(prefix string, n, width int) string {
+	var num [20]byte
+	digits := strconv.AppendInt(num[:0], int64(n), 10)
+	buf := append(make([]byte, 0, 96), prefix...)
+	for i := len(digits); i < width; i++ {
+		buf = append(buf, '0')
+	}
+	return string(append(buf, digits...))
+}
+
 // unitTag shortens a unit name for symbol generation.
 func unitTag(unit string) string {
 	tag := unit
@@ -509,7 +524,8 @@ func unitTag(unit string) string {
 // module is "plain" (neither comm nor algebra) — plain modules are the
 // candidates for runtime execution.
 func buildOFModule(b *builder, c *ofCore, unit string, idx int, hiddenLeft int) (int, string, bool) {
-	tag := fmt.Sprintf("Foam::%s::mod%03d", unitTag(unit), idx)
+	tag := numbered("Foam::"+unitTag(unit)+"::mod", idx, 3)
+	tu, leafPrefix, midPrefix := tag+".C", tag+"::leaf_", tag+"::mid_"
 	isComm := b.rng.Float64() < ofCommModuleFrac
 	isAlgebra := b.rng.Float64() < ofAlgebraModFrac
 
@@ -519,9 +535,9 @@ func buildOFModule(b *builder, c *ofCore, unit string, idx int, hiddenLeft int) 
 	var mpiLeaves []string
 	var kernelLeaves []string
 	for i := 0; i < ofModuleLeaves; i++ {
-		name := fmt.Sprintf("%s::leaf_%03d", tag, i)
+		name := numbered(leafPrefix, i, 3)
 		leafNames = append(leafNames, name)
-		f := &prog.Function{Name: name, Unit: unit, TU: tag + ".C",
+		f := &prog.Function{Name: name, Unit: unit, TU: tu,
 			Ops: []prog.Op{prog.Work(int64(b.between(100, 600)))}}
 		r := b.rng.Float64()
 		switch {
@@ -583,21 +599,30 @@ func buildOFModule(b *builder, c *ofCore, unit string, idx int, hiddenLeft int) 
 	// caller (a neighbouring mid), so the coarse selector keeps them.
 	midNames := make([]string, 0, ofModuleMids)
 	for m := 0; m < ofModuleMids; m++ {
-		name := fmt.Sprintf("%s::mid_%02d", tag, m)
+		name := numbered(midPrefix, m, 2)
 		midNames = append(midNames, name)
-		ops := []prog.Op{prog.Work(int64(b.between(1000, 4000)))}
+		work := prog.Work(int64(b.between(1000, 4000)))
+		// Shared helpers from the neighbouring mid's range, drawn before the
+		// body is built so that it is allocated once, at its size.
+		var shared [ofLeavesPerMid]bool
+		nShared := 0
+		for l := range shared {
+			if shared[l] = b.rng.Float64() < 0.55; shared[l] {
+				nShared++
+			}
+		}
+		ops := append(make([]prog.Op, 0, 1+ofLeavesPerMid+nShared), work)
 		for l := 0; l < ofLeavesPerMid; l++ {
 			ops = append(ops, prog.Call(leafNames[m*ofLeavesPerMid+l], 1))
 		}
-		// Shared helpers from the neighbouring mid's range.
 		next := (m + 1) % ofModuleMids
-		for l := 0; l < ofLeavesPerMid; l++ {
-			if b.rng.Float64() < 0.55 {
+		for l, yes := range shared {
+			if yes {
 				ops = append(ops, prog.Call(leafNames[next*ofLeavesPerMid+l], 1))
 			}
 		}
 		b.fn(&prog.Function{
-			Name: name, Unit: unit, TU: tag + ".C",
+			Name: name, Unit: unit, TU: tu,
 			Statements: b.between(16, 30), Cyclomatic: b.between(3, 9),
 			Ops: ops,
 		})
@@ -623,12 +648,13 @@ func buildOFModule(b *builder, c *ofCore, unit string, idx int, hiddenLeft int) 
 
 	// Root: virtual functionObject implementation calling all mids.
 	rootName := tag + "::execute"
-	rootOps := []prog.Op{prog.Work(int64(b.between(2000, 5000)))}
+	rootOps := make([]prog.Op, 0, 1+ofModuleMids)
+	rootOps = append(rootOps, prog.Work(int64(b.between(2000, 5000))))
 	for _, mid := range midNames {
 		rootOps = append(rootOps, prog.Call(mid, 1))
 	}
 	b.fn(&prog.Function{
-		Name: rootName, Unit: unit, TU: tag + ".C",
+		Name: rootName, Unit: unit, TU: tu,
 		Statements: b.between(18, 34), Virtual: true, Cyclomatic: 5,
 		Ops: rootOps,
 	})
@@ -642,14 +668,15 @@ func buildOFModule(b *builder, c *ofCore, unit string, idx int, hiddenLeft int) 
 	// they were the first symbol-bearing caller of an inlined selected
 	// function (#added grows under coarse, Table I).
 	writeName := tag + "::writeState"
-	writeOps := []prog.Op{prog.Work(int64(b.between(1000, 3000)))}
+	writeOps := make([]prog.Op, 0, 1+ofModuleMids)
+	writeOps = append(writeOps, prog.Work(int64(b.between(1000, 3000))))
 	for m, mid := range midNames {
 		if m%5 != 4 { // every fifth mid stays single-caller
 			writeOps = append(writeOps, prog.Call(mid, 1))
 		}
 	}
 	b.fn(&prog.Function{
-		Name: writeName, Unit: unit, TU: tag + ".C",
+		Name: writeName, Unit: unit, TU: tu,
 		Statements: b.between(14, 24), Virtual: true, Cyclomatic: 3,
 		Ops: writeOps,
 	})
