@@ -1,7 +1,6 @@
 package capi
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -67,6 +66,20 @@ func (r JSONReport) Kind() string { return r.ReportKind }
 
 // MarshalJSON implements Report.
 func (r JSONReport) MarshalJSON() ([]byte, error) { return json.Marshal(r.Value) }
+
+// ReportOf is the typed read of the report envelope: the named backend's
+// report as a T, e.g. ReportOf[*TALPReport](res.Reports, "talp"). It looks
+// through a JSONReport to its Value; false when the backend filed no report
+// or the report is not a T.
+func ReportOf[T any](reports map[string]Report, backend string) (T, bool) {
+	rep := reports[backend]
+	if jr, ok := rep.(JSONReport); ok {
+		v, ok := jr.Value.(T)
+		return v, ok
+	}
+	v, ok := rep.(T)
+	return v, ok
+}
 
 // BackendConfig is everything a backend factory gets to build one backend
 // instance for a starting (or live) run.
@@ -293,33 +306,10 @@ func (b *talpBackend) StartPhase(world *World) error {
 }
 
 func (b *talpBackend) Report() Report {
-	if rep := b.talpReport(); rep != nil {
-		return talpEnvelope{rep}
-	}
-	return nil
-}
-
-func (b *talpBackend) talpReport() *talp.Report {
 	b.mu.Lock()
 	mon := b.mon
 	b.mu.Unlock()
-	if mon == nil {
-		return nil
-	}
-	return mon.Report()
-}
-
-// talpEnvelope adapts talp.Report (a WriteJSON writer) to the envelope.
-type talpEnvelope struct{ r *talp.Report }
-
-func (e talpEnvelope) Kind() string { return "talp" }
-
-func (e talpEnvelope) MarshalJSON() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := e.r.WriteJSON(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return JSONReport{ReportKind: "talp", Value: mon.Report()}
 }
 
 // scorepBackend records call-path profiles. The resolver (with the DSO
@@ -361,20 +351,10 @@ func (b *scorepBackend) StartPhase(*World) error {
 }
 
 func (b *scorepBackend) Report() Report {
-	if p := b.profile(); p != nil {
-		return JSONReport{ReportKind: "profile", Value: p}
-	}
-	return nil
-}
-
-func (b *scorepBackend) profile() *scorep.Profile {
 	b.mu.Lock()
 	m := b.meas
 	b.mu.Unlock()
-	if m == nil {
-		return nil
-	}
-	return m.Profile()
+	return JSONReport{ReportKind: "profile", Value: m.Profile()}
 }
 
 // extraeBackend records a per-rank sharded event trace with a merged
@@ -416,18 +396,8 @@ func (b *extraeBackend) StartPhase(*World) error {
 }
 
 func (b *extraeBackend) Report() Report {
-	if rep := b.traceReport(); rep != nil {
-		return JSONReport{ReportKind: "trace", Value: rep}
-	}
-	return nil
-}
-
-func (b *extraeBackend) traceReport() *trace.Report {
 	b.mu.Lock()
 	buf := b.buf
 	b.mu.Unlock()
-	if buf == nil {
-		return nil
-	}
-	return buf.Report()
+	return JSONReport{ReportKind: "trace", Value: buf.Report()}
 }

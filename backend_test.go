@@ -66,7 +66,7 @@ func TestCustomRegisteredBackendEndToEnd(t *testing.T) {
 		t.Fatalf("run backends = %v", res.Backends)
 	}
 	// Both the built-in and the custom backend fed from one event stream.
-	if res.TALP == nil || res.Reports["talp"] == nil {
+	if talpOf(res) == nil || res.Reports["talp"] == nil {
 		t.Fatal("talp report missing from the fan-out run")
 	}
 	rep := res.Reports["test-counter"]
@@ -136,7 +136,7 @@ func TestInstanceSetBackendsLive(t *testing.T) {
 	if _, err := inst.Run(); err != nil {
 		t.Fatal(err)
 	}
-	active := inst.ActiveFunctions()
+	active := inst.Status().ActiveFunctions
 	swap, err := inst.SetBackends([]string{"extrae"})
 	if err != nil {
 		t.Fatal(err)
@@ -144,20 +144,20 @@ func TestInstanceSetBackendsLive(t *testing.T) {
 	if swap.From != "talp" || swap.To != "extrae" || swap.VirtualNs <= 0 {
 		t.Fatalf("swap report = %+v", swap)
 	}
-	if inst.ActiveFunctions() != active {
-		t.Fatalf("swap changed the selection: %d -> %d", active, inst.ActiveFunctions())
+	if inst.Status().ActiveFunctions != active {
+		t.Fatalf("swap changed the selection: %d -> %d", active, inst.Status().ActiveFunctions)
 	}
-	if inst.TALPReport() != nil {
+	if inst.Reports()["talp"] != nil {
 		t.Fatal("detached talp backend still visible")
 	}
 	res, err := inst.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Trace == nil || res.Reports["extrae"] == nil {
+	if traceOf(res) == nil || res.Reports["extrae"] == nil {
 		t.Fatal("no trace from the swapped-in backend")
 	}
-	if res.TALP != nil {
+	if talpOf(res) != nil {
 		t.Fatal("detached backend produced a report")
 	}
 	// The swap's virtual cost was billed to the phase that followed it.

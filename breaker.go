@@ -56,9 +56,8 @@ func newGuardedBackend(mb MeasurementBackend, gopts dyncapi.GuardOptions) *guard
 	return &guardedBackend{inner: mb, g: dyncapi.NewGuard(mb.Events(), gopts)}
 }
 
-func (b *guardedBackend) Name() string               { return b.inner.Name() }
-func (b *guardedBackend) Events() EventBackend       { return b.g.Sink() }
-func (b *guardedBackend) Unwrap() MeasurementBackend { return b.inner }
+func (b *guardedBackend) Name() string         { return b.inner.Name() }
+func (b *guardedBackend) Events() EventBackend { return b.g.Sink() }
 
 func (b *guardedBackend) StartPhase(w *World) (err error) {
 	if b.g.Tripped() {
@@ -84,16 +83,6 @@ func (b *guardedBackend) Report() (rep Report) {
 		}
 	}()
 	return b.inner.Report()
-}
-
-// unwrapBackend looks through the panic-barrier wrapper to the
-// registry-built backend, for the typed built-in report paths
-// (TraceReport, TALPReport, Profile and the Run envelope).
-func unwrapBackend(mb MeasurementBackend) MeasurementBackend {
-	if gb, ok := mb.(*guardedBackend); ok {
-		return gb.inner
-	}
-	return mb
 }
 
 // guardsOf collects the guards of a freshly built backend set.

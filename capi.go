@@ -411,18 +411,6 @@ type RunResult struct {
 	// name (backends that produced nothing are absent).
 	Backends []string
 	Reports  map[string]Report
-	// TALP carries the region report when the talp backend was attached.
-	//
-	// Deprecated: read Reports["talp"] (the unified envelope) instead.
-	TALP *TALPReport
-	// Profile carries the profile when the scorep backend was attached.
-	//
-	// Deprecated: read Reports["scorep"] instead.
-	Profile *Profile
-	// Trace carries the trace summary when the extrae backend was attached.
-	//
-	// Deprecated: read Reports["extrae"] instead.
-	Trace *TraceReport
 	// WallSeconds is the real time the simulation took (diagnostics).
 	WallSeconds float64
 }
@@ -436,7 +424,7 @@ type RunResult struct {
 // the instrumentation — the Fig. 1 loop without leaving the process.
 //
 // An Instance is safe for concurrent use: Reconfigure, Retune and every
-// accessor (Status, TraceReport, TALPReport, Profile, …) may be called from
+// accessor (Status, Reports, Sampling, …) may be called from
 // other goroutines while a Run executes — this is what lets the HTTP
 // control plane (internal/ctl) drive a live instance remotely. Concurrent
 // Run calls serialize: phases never overlap.
@@ -704,31 +692,6 @@ func (i *Instance) FlushSampling() {
 	}
 }
 
-// InitSeconds returns the DynCaPI start-up time (T_init) in virtual
-// seconds, or -1 for an uninstrumented instance.
-func (i *Instance) InitSeconds() float64 {
-	if i.rt == nil {
-		return -1
-	}
-	return i.rt.InitSeconds()
-}
-
-// ActiveFunctions returns the current selection size.
-func (i *Instance) ActiveFunctions() int {
-	if i.rt == nil {
-		return 0
-	}
-	return i.rt.ActiveCount()
-}
-
-// Reconfigs returns how many live re-selections have been applied.
-func (i *Instance) Reconfigs() int {
-	if i.rt == nil {
-		return 0
-	}
-	return i.rt.Reconfigs()
-}
-
 // measurementBackends snapshots the attached backend set.
 func (i *Instance) measurementBackends() []MeasurementBackend {
 	i.mu.Lock()
@@ -749,48 +712,6 @@ func (i *Instance) Reports() map[string]Report {
 		}
 	}
 	return out
-}
-
-// TraceReport returns the extrae backend's current trace summary, or nil
-// when the instance does not trace. Safe to call mid-phase.
-//
-// Deprecated: use Reports (the unified envelope keyed by backend name);
-// this accessor only sees the built-in extrae backend.
-func (i *Instance) TraceReport() *TraceReport {
-	for _, mb := range i.measurementBackends() {
-		if eb, ok := unwrapBackend(mb).(*extraeBackend); ok {
-			return eb.traceReport()
-		}
-	}
-	return nil
-}
-
-// TALPReport returns the TALP backend's current region report, or nil when
-// the instance does not run under TALP. Safe to call mid-phase.
-//
-// Deprecated: use Reports (the unified envelope keyed by backend name);
-// this accessor only sees the built-in talp backend.
-func (i *Instance) TALPReport() *TALPReport {
-	for _, mb := range i.measurementBackends() {
-		if tb, ok := unwrapBackend(mb).(*talpBackend); ok {
-			return tb.talpReport()
-		}
-	}
-	return nil
-}
-
-// Profile returns the Score-P backend's current call-path profile, or nil
-// when the instance does not profile. Safe to call mid-phase.
-//
-// Deprecated: use Reports (the unified envelope keyed by backend name);
-// this accessor only sees the built-in scorep backend.
-func (i *Instance) Profile() *Profile {
-	for _, mb := range i.measurementBackends() {
-		if sb, ok := unwrapBackend(mb).(*scorepBackend); ok {
-			return sb.profile()
-		}
-	}
-	return nil
 }
 
 // Backends returns the names of the attached measurement backends, in
@@ -836,16 +757,6 @@ func (i *Instance) SetBackends(names []string) (BackendSwapReport, error) {
 	i.guards = append(i.guards, guardsOf(backends)...)
 	i.pendingNs += rep.VirtualNs
 	return rep, nil
-}
-
-// Ranks returns the simulated MPI world size.
-func (i *Instance) Ranks() int { return i.opts.Ranks }
-
-// Runs returns how many phases have completed.
-func (i *Instance) Runs() int {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.runs
 }
 
 // ActiveFunctionNames returns the names of the currently selected
@@ -992,38 +903,6 @@ func (i *Instance) Status() InstanceStatus {
 	return st
 }
 
-// SyntheticExitsByBackend returns the per-backend-name breakdown of the
-// synthetic exits closed across all live re-selections and backend swaps.
-// Empty when nothing was ever closed.
-func (i *Instance) SyntheticExitsByBackend() map[string]int64 {
-	if i.rt == nil {
-		return nil
-	}
-	return i.rt.Snapshot().SyntheticExitsByBackend
-}
-
-// DroppedEvents returns the split drop accounting of the live runtime:
-// inFlight counts events dropped in the window between the latest
-// re-selection and its sled restore (the documented drop class), unpatched
-// counts sled hits for known functions outside any such window. Both are 0
-// for an uninstrumented instance.
-func (i *Instance) DroppedEvents() (inFlight, unpatched int64) {
-	if i.rt == nil {
-		return 0, 0
-	}
-	return i.rt.DroppedInFlight(), i.rt.DroppedUnpatched()
-}
-
-// SyntheticExits returns how many dangling enters the measurement backend
-// closed across all live re-selections (ranks caught inside a function when
-// it was deselected).
-func (i *Instance) SyntheticExits() int64 {
-	if i.rt == nil {
-		return 0
-	}
-	return i.rt.SyntheticExits()
-}
-
 // DroppedAsync returns how many enter/exit pairs the async pipeline rejected
 // under back-pressure (0 for inline or uninstrumented instances).
 func (i *Instance) DroppedAsync() int64 {
@@ -1138,10 +1017,15 @@ func (i *Instance) Run() (*RunResult, error) {
 	out := &RunResult{InitSeconds: -1}
 	i.mu.Lock()
 	if i.rt != nil {
+		snap := i.rt.Snapshot()
 		out.InitSeconds = float64(i.pendingNs) / 1e9
-		out.Patched = i.rt.Report().Patched
-		out.ActiveFuncs = i.rt.ActiveCount()
-		out.Reconfigs = i.rt.Reconfigs()
+		out.Patched = snap.Patched
+		out.ActiveFuncs = snap.Active
+		out.Reconfigs = snap.Reconfigs
+		if snap.Sampling.Configured || snap.Sampling.Counters.Enters > 0 {
+			out.Sampling = &snap.Sampling
+		}
+		out.DroppedAsync = snap.DroppedAsync
 	}
 	for _, r := range world.Ranks() {
 		if sec := r.Clock().Seconds(); sec > out.TotalSeconds {
@@ -1157,12 +1041,6 @@ func (i *Instance) Run() (*RunResult, error) {
 		out.DemotedFuncs = i.ctrl.Demoted()
 		out.AdaptEpochs = i.ctrl.Epochs()
 	}
-	if i.rt != nil {
-		if snap := i.rt.SamplingSnapshot(); snap.Configured || snap.Counters.Enters > 0 {
-			out.Sampling = &snap
-		}
-		out.DroppedAsync = i.rt.DroppedAsync()
-	}
 	backends := i.backends
 	out.Breaker, out.DetachedBackends, out.DroppedPanicked = i.breakerSnapshotLocked()
 	out.WallSeconds = time.Since(i.wallStart).Seconds()
@@ -1171,36 +1049,12 @@ func (i *Instance) Run() (*RunResult, error) {
 	i.events += out.Events
 	i.mu.Unlock()
 	// The backends' own reports lock internally; build them outside i.mu.
-	// Each built-in report is computed once and serves both the envelope
-	// entry and the deprecated typed field (Score-P's call-path aggregation
-	// in particular is too expensive to run twice per phase). The built-ins
-	// are looked up through their panic barrier (unwrapBackend); custom
-	// backends report through the guarded wrapper, so a panicking Report
-	// degrades to an absent envelope entry instead of unwinding the phase.
+	// Each reports through its panic barrier, so a panicking Report degrades
+	// to an absent envelope entry instead of unwinding the phase.
 	out.Reports = map[string]Report{}
 	for _, mb := range backends {
 		out.Backends = append(out.Backends, mb.Name())
-		var rep Report
-		switch b := unwrapBackend(mb).(type) {
-		case *talpBackend:
-			if r := b.talpReport(); r != nil {
-				out.TALP = r
-				rep = talpEnvelope{r}
-			}
-		case *scorepBackend:
-			if p := b.profile(); p != nil {
-				out.Profile = p
-				rep = JSONReport{ReportKind: "profile", Value: p}
-			}
-		case *extraeBackend:
-			if tr := b.traceReport(); tr != nil {
-				out.Trace = tr
-				rep = JSONReport{ReportKind: "trace", Value: tr}
-			}
-		default:
-			rep = mb.Report()
-		}
-		if rep != nil {
+		if rep := mb.Report(); rep != nil {
 			out.Reports[mb.Name()] = rep
 		}
 	}

@@ -21,6 +21,23 @@ func newQuickSession(t *testing.T) *capi.Session {
 	return s
 }
 
+// talpOf, profileOf and traceOf are the typed reads of a result's built-in
+// reports; nil when the backend was not attached.
+func talpOf(res *capi.RunResult) *capi.TALPReport {
+	rep, _ := capi.ReportOf[*capi.TALPReport](res.Reports, "talp")
+	return rep
+}
+
+func profileOf(res *capi.RunResult) *capi.Profile {
+	rep, _ := capi.ReportOf[*capi.Profile](res.Reports, "scorep")
+	return rep
+}
+
+func traceOf(res *capi.RunResult) *capi.TraceReport {
+	rep, _ := capi.ReportOf[*capi.TraceReport](res.Reports, "extrae")
+	return rep
+}
+
 func TestNewSessionValidation(t *testing.T) {
 	if _, err := capi.NewSession(nil, capi.SessionOptions{}); err == nil {
 		t.Fatal("nil program must fail")
@@ -77,10 +94,10 @@ func TestSessionRunBackends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if talpRes.TALP == nil {
+	if talpOf(talpRes) == nil {
 		t.Fatal("no TALP report")
 	}
-	if talpRes.TALP.Region("exchange_halo") == nil {
+	if talpOf(talpRes).Region("exchange_halo") == nil {
 		t.Fatal("exchange_halo region not measured by TALP")
 	}
 	if talpRes.TotalSeconds <= van {
@@ -91,10 +108,10 @@ func TestSessionRunBackends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spRes.Profile == nil {
+	if profileOf(spRes) == nil {
 		t.Fatal("no Score-P profile")
 	}
-	if spRes.Profile.Region("compute_residual") == nil {
+	if profileOf(spRes).Region("compute_residual") == nil {
 		t.Fatal("compute_residual not in profile")
 	}
 }
@@ -278,7 +295,7 @@ func TestLiveInstanceReconfigure(t *testing.T) {
 	if res1.Events == 0 || res1.InitSeconds <= 0 {
 		t.Fatalf("phase 1: events %d, init %v", res1.Events, res1.InitSeconds)
 	}
-	if res1.TALP == nil {
+	if talpOf(res1) == nil {
 		t.Fatal("phase 1: no TALP report")
 	}
 
@@ -311,13 +328,13 @@ coarse(subtract(%mpi_comm, %excluded))
 	if res2.InitSeconds >= res1.InitSeconds {
 		t.Fatalf("live turnaround %v not below T_init %v", res2.InitSeconds, res1.InitSeconds)
 	}
-	if res2.TALP == nil {
+	if talpOf(res2) == nil {
 		t.Fatal("phase 2: no TALP report")
 	}
-	if inst.Reconfigs() != 1 {
-		t.Fatalf("reconfigs = %d", inst.Reconfigs())
+	if inst.Status().Reconfigs != 1 {
+		t.Fatalf("reconfigs = %d", inst.Status().Reconfigs)
 	}
-	if got := inst.ActiveFunctions(); got != res2.ActiveFuncs || got == 0 {
+	if got := inst.Status().ActiveFunctions; got != res2.ActiveFuncs || got == 0 {
 		t.Fatalf("active functions = %d (result says %d)", got, res2.ActiveFuncs)
 	}
 }
@@ -409,7 +426,7 @@ func TestScorePProfileIsPerPhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, r2 := res1.Profile.Region("exchange_halo"), res2.Profile.Region("exchange_halo")
+	r1, r2 := profileOf(res1).Region("exchange_halo"), profileOf(res2).Region("exchange_halo")
 	if r1 == nil || r2 == nil {
 		t.Fatal("exchange_halo missing from a phase profile")
 	}
@@ -431,28 +448,28 @@ func TestRunWithExtraeTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Trace == nil {
+	if traceOf(res) == nil {
 		t.Fatal("no trace report")
 	}
-	if res.Trace.Recorded != res.Events {
-		t.Fatalf("trace recorded %d of %d dispatched events", res.Trace.Recorded, res.Events)
+	if traceOf(res).Recorded != res.Events {
+		t.Fatalf("trace recorded %d of %d dispatched events", traceOf(res).Recorded, res.Events)
 	}
-	if res.Trace.Dropped != 0 || res.Trace.Wrapped != 0 {
-		t.Fatalf("unbounded buffer dropped/wrapped events: %+v", res.Trace)
+	if traceOf(res).Dropped != 0 || traceOf(res).Wrapped != 0 {
+		t.Fatalf("unbounded buffer dropped/wrapped events: %+v", traceOf(res))
 	}
-	if len(res.Trace.Ranks) != 2 {
-		t.Fatalf("rank summaries = %d", len(res.Trace.Ranks))
+	if len(traceOf(res).Ranks) != 2 {
+		t.Fatalf("rank summaries = %d", len(traceOf(res).Ranks))
 	}
-	for _, rs := range res.Trace.Ranks {
+	for _, rs := range traceOf(res).Ranks {
 		if rs.Enters != rs.Exits {
 			t.Fatalf("rank %d unbalanced: %d enters, %d exits", rs.Rank, rs.Enters, rs.Exits)
 		}
 	}
-	if int64(len(res.Trace.Timeline)) != res.Trace.Recorded {
-		t.Fatalf("timeline %d records, recorded %d", len(res.Trace.Timeline), res.Trace.Recorded)
+	if int64(len(traceOf(res).Timeline)) != traceOf(res).Recorded {
+		t.Fatalf("timeline %d records, recorded %d", len(traceOf(res).Timeline), traceOf(res).Recorded)
 	}
-	for i := 1; i < len(res.Trace.Timeline); i++ {
-		if res.Trace.Timeline[i].TimeNs < res.Trace.Timeline[i-1].TimeNs {
+	for i := 1; i < len(traceOf(res).Timeline); i++ {
+		if traceOf(res).Timeline[i].TimeNs < traceOf(res).Timeline[i-1].TimeNs {
 			t.Fatal("merged timeline not virtual-time-ordered")
 		}
 	}
@@ -481,26 +498,26 @@ func TestExtraeTraceBoundedBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Trace.Recorded != res.Events {
-		t.Fatalf("wrap mode rejected events: recorded %d of %d", res.Trace.Recorded, res.Events)
+	if traceOf(res).Recorded != res.Events {
+		t.Fatalf("wrap mode rejected events: recorded %d of %d", traceOf(res).Recorded, res.Events)
 	}
-	if res.Trace.Wrapped == 0 {
+	if traceOf(res).Wrapped == 0 {
 		t.Fatal("tiny buffer never wrapped")
 	}
-	if res.Trace.Recorded != res.Trace.Retained+res.Trace.Wrapped {
+	if traceOf(res).Recorded != traceOf(res).Retained+traceOf(res).Wrapped {
 		t.Fatalf("accounting: recorded %d != retained %d + wrapped %d",
-			res.Trace.Recorded, res.Trace.Retained, res.Trace.Wrapped)
+			traceOf(res).Recorded, traceOf(res).Retained, traceOf(res).Wrapped)
 	}
 	// A second phase starts from a fresh buffer.
 	res2, err := inst.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Trace.Recorded != res2.Events {
-		t.Fatalf("phase 2 trace incomplete: %d of %d", res2.Trace.Recorded, res2.Events)
+	if traceOf(res2).Recorded != res2.Events {
+		t.Fatalf("phase 2 trace incomplete: %d of %d", traceOf(res2).Recorded, res2.Events)
 	}
-	if inFlight, unpatched := inst.DroppedEvents(); inFlight != 0 || unpatched != 0 {
-		t.Fatalf("drops without any reconfigure: %d/%d", inFlight, unpatched)
+	if st := inst.Status(); st.DroppedInFlight != 0 || st.DroppedUnpatched != 0 {
+		t.Fatalf("drops without any reconfigure: %d/%d", st.DroppedInFlight, st.DroppedUnpatched)
 	}
 }
 
@@ -599,7 +616,7 @@ func TestRunWithSamplingOptions(t *testing.T) {
 	// Delivered events reach the backend; sampled-out ones do not: the
 	// engine dispatched more events than the phase total says? No — the
 	// engine count is dispatch-level, so it must exceed what TALP saw.
-	if res1.TALP == nil {
+	if talpOf(res1) == nil {
 		t.Fatal("no TALP report under sampling")
 	}
 	// Live change: clear the table; the next phase delivers everything.

@@ -140,8 +140,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	st := inst.Status()
 	fmt.Fprintf(os.Stderr, "capi-serve: %s up: %d functions patched, T_init %.2fs (virtual)\n",
-		*app, inst.Status().Patched, inst.InitSeconds())
+		*app, st.Patched, st.InitSeconds)
 
 	cp := ctl.New(session, inst, *app)
 	var handler http.Handler = cp

@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	capi "capi"
@@ -184,8 +185,9 @@ func main() {
 		}
 		return
 	}
-	// Text mode: every backend's report, in delivery order. Custom backends
-	// without a text renderer fall back to their JSON envelope.
+	// Text mode: every backend's report, in delivery order. A report value
+	// without a text renderer falls back to its JSON envelope.
+	type textReport interface{ WriteText(io.Writer) error }
 	for _, name := range res.Backends {
 		rep, ok := res.Reports[name]
 		if !ok {
@@ -195,14 +197,9 @@ func main() {
 			fmt.Printf("== %s (%s) ==\n", name, rep.Kind())
 		}
 		var err error
-		switch name {
-		case string(capi.BackendTALP):
-			err = res.TALP.WriteText(os.Stdout)
-		case string(capi.BackendScoreP):
-			err = res.Profile.WriteText(os.Stdout)
-		case string(capi.BackendExtrae):
-			err = res.Trace.WriteText(os.Stdout)
-		default:
+		if tr, ok := capi.ReportOf[textReport](res.Reports, name); ok {
+			err = tr.WriteText(os.Stdout)
+		} else {
 			var raw []byte
 			if raw, err = rep.MarshalJSON(); err == nil {
 				_, err = fmt.Printf("%s\n", raw)

@@ -42,14 +42,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	profile, _ := capi.ReportOf[*capi.Profile](res.Reports, "scorep")
 	fmt.Fprintf(os.Stderr, "scorep-score: survey run %.2fs (virtual), %d events, %d regions\n",
-		res.TotalSeconds, res.Events, len(res.Profile.Regions))
+		res.TotalSeconds, res.Events, len(profile.Regions))
 
 	opts := scorep.DefaultScoreOptions()
 	if *minVisit > 0 {
 		opts.MinVisits = *minVisit
 	}
-	sug, filter := scorep.SuggestFilter(res.Profile, opts)
+	sug, filter := scorep.SuggestFilter(profile, opts)
 	fmt.Fprintf(os.Stderr, "scorep-score: excluding %d regions removes ~%d event pairs\n",
 		len(sug.Exclude), sug.EventsRemoved)
 	for i, name := range sug.Exclude {

@@ -54,9 +54,8 @@
 //	          by a tombstone that keeps drop accounting (DroppedPanicked)
 //	          exact for the rest of the run
 //	capi      backend registry (RegisterBackend / RunOptions.Backends):
-//	          measurement systems are named factories behind the public
-//	          MeasurementBackend interface, reporting through one
-//	          self-describing envelope (Instance.Reports)
+//	          named factories behind the public MeasurementBackend
+//	          interface, one report envelope (Instance.Reports, ReportOf)
 //	adapt     overhead-budget controller: adapts the selection at epoch
 //	          boundaries while the program runs — hottest low-duration
 //	          functions first demoted to 1-in-N sampling (the gentler
@@ -123,7 +122,8 @@
 //	excluded = join(inSystemHeader(%%), inlineSpecified(%%))
 //	subtract(%mpi_comm, %excluded)`)
 //	res, _ := s.Run(sel, capi.RunOptions{Backends: []string{"scorep"}, Ranks: 4})
-//	res.Profile.WriteText(os.Stdout)
+//	profile, _ := capi.ReportOf[*capi.Profile](res.Reports, "scorep")
+//	profile.WriteText(os.Stdout)
 //
 // # Live re-selection
 //
@@ -166,9 +166,8 @@
 //	res.Reports["extrae"] // kind "trace" — merged timeline
 //
 // Instance.SetBackends swaps the attached set mid-run (detaching backends
-// close their open state with synthetic exits); the control plane exposes
-// the same swap on POST /v1/select via a "backends" list, and GET
-// /v1/report serves the envelope keyed by backend name.
+// close their open state with synthetic exits); POST /v1/select takes the
+// same swap as a "backends" list, and GET /v1/report serves the envelope.
 //
 // # Sampling and redundancy suppression
 //

@@ -91,5 +91,6 @@ func main() {
 		}
 	}
 	report("after 30000 requests")
-	fmt.Printf("reconfigs: %d, events: %d\n", inst.Reconfigs(), inst.Status().Events)
+	st := inst.Status()
+	fmt.Printf("reconfigs: %d, events: %d\n", st.Reconfigs, st.Events)
 }

@@ -50,7 +50,8 @@ func main() {
 	// time? (What scorep-score flags as filter candidates.)
 	var worst string
 	var worstVisits int64
-	for _, r := range run1.Profile.Regions {
+	profile1, _ := capi.ReportOf[*capi.Profile](run1.Reports, "scorep")
+	for _, r := range profile1.Regions {
 		if r.Name == "main" {
 			continue
 		}
@@ -77,7 +78,8 @@ func main() {
 		run2.TotalSeconds, 100*(run2.TotalSeconds-vanilla)/vanilla, run2.Events,
 		run2.InitSeconds, session.RecompileSeconds())
 
-	if err := run2.Profile.WriteCallTree(os.Stdout); err != nil {
+	profile2, _ := capi.ReportOf[*capi.Profile](run2.Reports, "scorep")
+	if err := profile2.WriteCallTree(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }

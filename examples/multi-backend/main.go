@@ -53,8 +53,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	st := inst.Status()
 	fmt.Printf("attached: %v — %d functions patched, T_init %.2fs (virtual)\n\n",
-		inst.Backends(), inst.Status().Patched, inst.InitSeconds())
+		st.Backends, st.Patched, st.InitSeconds)
 
 	// Execute the phase on its own goroutine and narrow the selection while
 	// the ranks are provably inside it — the Fig. 1 loop without leaving
@@ -67,7 +68,7 @@ func main() {
 		}
 		phase <- res
 	}()
-	for !inst.Status().Running && inst.Runs() == 0 {
+	for st = inst.Status(); !st.Running && st.Runs == 0; st = inst.Status() {
 		time.Sleep(time.Millisecond)
 	}
 	rep, err := inst.Reconfigure(narrow)
@@ -91,25 +92,27 @@ func main() {
 		fmt.Printf("== %s (kind %q) ==\n", name, rep.Kind())
 	}
 	fmt.Println()
-	if err := res.TALP.WriteText(os.Stdout); err != nil {
+	talp, _ := capi.ReportOf[*capi.TALPReport](res.Reports, "talp")
+	if err := talp.WriteText(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println()
-	if err := res.Trace.WriteText(os.Stdout); err != nil {
+	trace, _ := capi.ReportOf[*capi.TraceReport](res.Reports, "extrae")
+	if err := trace.WriteText(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 
 	// Consistency across the fan-out: TALP closed every region the
 	// re-selection left dangling, and the trace accounting is exact — every
 	// dispatched event reached both backends or is in an explicit drop class.
-	inFlight, unpatched := inst.DroppedEvents()
-	delivered := res.Trace.Recorded + res.Trace.Dropped
+	st = inst.Status()
+	delivered := trace.Recorded + trace.Dropped
 	fmt.Printf("\ncompleteness: %d dispatched = %d traced + %d in-flight drops + %d spurious\n",
-		res.Events, delivered, inFlight, unpatched)
-	if delivered+inFlight+unpatched != res.Events {
-		log.Fatalf("event accounting broken: %d != %d", delivered+inFlight+unpatched, res.Events)
+		res.Events, delivered, st.DroppedInFlight, st.DroppedUnpatched)
+	if delivered+st.DroppedInFlight+st.DroppedUnpatched != res.Events {
+		log.Fatalf("event accounting broken: %d != %d", delivered+st.DroppedInFlight+st.DroppedUnpatched, res.Events)
 	}
-	if by := inst.SyntheticExitsByBackend(); len(by) > 0 {
+	if by := st.SyntheticExitsByBackend; len(by) > 0 {
 		fmt.Printf("dangling enters closed per backend: %v\n", by)
 	}
 }

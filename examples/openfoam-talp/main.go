@@ -53,12 +53,13 @@ coarse(%sel, %kernels)
 	}
 	fmt.Printf("T_init %.2fs, T_total %.2fs (virtual), %d regions patched\n",
 		res.InitSeconds, res.TotalSeconds, res.Patched)
-	if len(res.TALP.FailedPreInit) > 0 {
+	talp, _ := capi.ReportOf[*capi.TALPReport](res.Reports, "talp")
+	if len(talp.FailedPreInit) > 0 {
 		fmt.Printf("regions entered before MPI_Init (not recorded, §VI-B): %v\n",
-			res.TALP.FailedPreInit)
+			talp.FailedPreInit)
 	}
 	fmt.Println()
-	if err := res.TALP.WriteText(os.Stdout); err != nil {
+	if err := talp.WriteText(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }

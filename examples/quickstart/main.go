@@ -45,7 +45,8 @@ subtract(%mpi_comm, %excluded)
 	fmt.Printf("vanilla %.3fs | instrumented %.3fs (T_init %.3fs, %d events)\n\n",
 		vanilla, res.TotalSeconds, res.InitSeconds, res.Events)
 
-	if err := res.Profile.WriteText(os.Stdout); err != nil {
+	profile, _ := capi.ReportOf[*capi.Profile](res.Reports, "scorep")
+	if err := profile.WriteText(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }

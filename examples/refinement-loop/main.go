@@ -90,5 +90,5 @@ func main() {
 	}
 	fmt.Printf("\nafter %d refinements: static workflow %.0fs of rebuilds, live workflow %.4fs of (re-)patching (%.0fx faster)\n",
 		len(iterations), staticCost, dynamicCost, staticCost/dynamicCost)
-	fmt.Printf("the instance was never torn down: %d live re-selections on one DynCaPI runtime\n", inst.Reconfigs())
+	fmt.Printf("the instance was never torn down: %d live re-selections on one DynCaPI runtime\n", inst.Status().Reconfigs)
 }

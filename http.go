@@ -21,6 +21,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"capi/internal/adapt"
 	"capi/internal/vtime"
 	"capi/internal/xray"
 )
@@ -277,8 +278,8 @@ func (i *Instance) HTTPSnapshot() *HTTPStatus {
 		ep.mu.Unlock()
 		if n > 0 {
 			sort.Slice(window, func(a, b int) bool { return window[a] < window[b] })
-			row.P50Ms = float64(quantileOf(window, 0.50)) / 1e6
-			row.P99Ms = float64(quantileOf(window, 0.99)) / 1e6
+			row.P50Ms = float64(adapt.Quantile(window, 0.50)) / 1e6
+			row.P99Ms = float64(adapt.Quantile(window, 0.99)) / 1e6
 		}
 		row.TotalFunctions = len(ep.funcIDs)
 		for _, id := range ep.funcIDs {
@@ -295,16 +296,4 @@ func (i *Instance) HTTPSnapshot() *HTTPStatus {
 	}
 	sort.Slice(out.Endpoints, func(a, b int) bool { return out.Endpoints[a].Endpoint < out.Endpoints[b].Endpoint })
 	return out
-}
-
-// quantileOf reads the q-quantile from an already sorted window.
-func quantileOf(sorted []int64, q float64) int64 {
-	idx := int(q*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }

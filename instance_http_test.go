@@ -53,7 +53,7 @@ func TestHTTPSLONarrowsToTarget(t *testing.T) {
 		Sampling:    &capi.SamplingOptions{Default: &capi.SamplingPolicy{Stride: 1}},
 	}, 4)
 
-	full := inst.ActiveFunctions()
+	full := inst.Status().ActiveFunctions
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 30000; i++ {
 		if _, err := svc.Do(svc.RandomRoute(rng)); err != nil {
@@ -83,10 +83,10 @@ func TestHTTPSLONarrowsToTarget(t *testing.T) {
 
 	// The controller must actually have narrowed — and stopped short of
 	// stripping the instrumentation entirely (max coverage under the SLO).
-	if inst.Reconfigs() == 0 {
+	if inst.Status().Reconfigs == 0 {
 		t.Error("SLO controller never reconfigured the selection")
 	}
-	active := inst.ActiveFunctions()
+	active := inst.Status().ActiveFunctions
 	if active >= full {
 		t.Errorf("selection never narrowed: %d active of %d at start", active, full)
 	}

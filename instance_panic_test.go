@@ -95,7 +95,6 @@ func TestPanickingBackendPhaseSurvives(t *testing.T) {
 						return
 					}
 					inst.Reports()
-					inst.TALPReport()
 				}
 			}()
 

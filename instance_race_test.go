@@ -87,14 +87,8 @@ func TestInstanceConcurrentControlPlane(t *testing.T) {
 						t.Errorf("status backends = %v, want %v", st.Backends, c.backends)
 						return
 					}
-					inst.TraceReport()
-					inst.TALPReport()
-					inst.Profile()
 					inst.Reports()
 					inst.ActiveFunctionNames()
-					inst.DroppedEvents()
-					inst.SyntheticExits()
-					inst.SyntheticExitsByBackend()
 				}
 			}()
 
@@ -181,7 +175,7 @@ func TestInstanceMultiBackendSyntheticExitsUnderRace(t *testing.T) {
 	}
 
 	satisfied := func() bool {
-		by := inst.SyntheticExitsByBackend()
+		by := inst.Status().SyntheticExitsByBackend
 		return by["talp"] > 0 && by["scorep"] > 0
 	}
 
@@ -230,10 +224,10 @@ func TestInstanceMultiBackendSyntheticExitsUnderRace(t *testing.T) {
 		}
 	}
 
-	by := inst.SyntheticExitsByBackend()
+	by := inst.Status().SyntheticExitsByBackend
 	if by["talp"] == 0 || by["scorep"] == 0 {
 		t.Fatalf("synthetic exits not delivered to every mux backend: %v (total %d)",
-			by, inst.SyntheticExits())
+			by, inst.Status().SyntheticExits)
 	}
 	if _, ok := by["extrae"]; ok {
 		t.Fatalf("extrae (no open state) appears in the breakdown: %v", by)
@@ -242,8 +236,8 @@ func TestInstanceMultiBackendSyntheticExitsUnderRace(t *testing.T) {
 	for _, n := range by {
 		sum += n
 	}
-	if sum != inst.SyntheticExits() {
-		t.Fatalf("breakdown %v sums to %d, total says %d", by, sum, inst.SyntheticExits())
+	if sum != inst.Status().SyntheticExits {
+		t.Fatalf("breakdown %v sums to %d, total says %d", by, sum, inst.Status().SyntheticExits)
 	}
 	// All three backends measured the same phases from one event stream.
 	reports := inst.Reports()
@@ -284,7 +278,7 @@ func TestInstanceConcurrentRunsSerialize(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := inst.Runs(); got != phases {
+	if got := inst.Status().Runs; got != phases {
 		t.Fatalf("runs = %d, want %d", got, phases)
 	}
 }
@@ -440,7 +434,7 @@ func TestInstanceSamplingConservationUnderRace(t *testing.T) {
 			inst.Sampling()
 			inst.Reports()
 			inst.ActiveFunctionNames()
-			inst.DroppedEvents()
+			inst.Status()
 		}
 	}()
 

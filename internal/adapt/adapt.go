@@ -31,6 +31,7 @@ package adapt
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -220,16 +221,16 @@ type Controller struct {
 	epochs    []Epoch  //capi:guardedby mu
 	reconfigs int      //capi:guardedby mu
 	dropped   []string //capi:guardedby mu
-	// demoted is the LIFO of currently demoted functions (most recent
-	// last) and demotedSet its membership index; both guarded by mu.
-	demoted    []victim       //capi:guardedby mu
-	demotedSet map[int32]bool //capi:guardedby mu
+	// ladder is the LIFO of steps in effect (most recent last): every
+	// demotion of either mode, and the SLO-mode deselections an endpoint
+	// may undo. A step is booked here and nowhere else.
+	ladder []step //capi:guardedby mu
 }
 
 // New wraps a measurement backend with the adaptive controller.
 func New(inner dyncapi.Backend, opts Options) *Controller {
 	opts.fill()
-	c := &Controller{inner: inner, demotedSet: map[int32]bool{}}
+	c := &Controller{inner: inner}
 	c.opts.Store(&opts)
 	return c
 }
@@ -467,7 +468,7 @@ func (c *Controller) runEpoch(rt *dyncapi.Runtime, tc xray.ThreadCtx, now int64)
 func (c *Controller) isDemoted(id int32) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.demotedSet[id]
+	return slices.ContainsFunc(c.ladder, func(st step) bool { return !st.drop && st.id == id })
 }
 
 // The rungs both policies climb — budget epochs (narrow/promote) and SLO
@@ -480,6 +481,15 @@ type victim struct {
 	name   string
 	events int64 // the policy's heat signal: this epoch's events, or all-time
 	meanNs int64
+}
+
+// step is one ladder step in effect: the victim demoted to 1-in-N or, with
+// drop, deselected. owner is the SLO endpoint whose evaluation took the step and
+// may undo it; budget-mode demotions have none.
+type step struct {
+	victim
+	drop  bool
+	owner *endpointStat
 }
 
 // sortVictims orders candidates cheapest-information-first: the
@@ -508,37 +518,46 @@ func (c *Controller) limited(opts *Options) bool {
 	return opts.MaxReconfigs > 0 && c.reconfigs >= opts.MaxReconfigs
 }
 
-// demote puts v on the ladder at 1-in-DemoteStride and records the step in
-// ep; false when the sampler refused the policy.
-func (c *Controller) demote(rt *dyncapi.Runtime, v victim, opts *Options, ep *Epoch) bool {
+// demote puts v on the ladder at 1-in-DemoteStride for owner and records
+// the step in ep; false when the sampler refused the policy.
+func (c *Controller) demote(rt *dyncapi.Runtime, v victim, owner *endpointStat, opts *Options, ep *Epoch) bool {
 	if err := rt.SetFuncSampling(v.id, &dyncapi.SamplePolicy{Stride: opts.DemoteStride}); err != nil {
 		return false
 	}
 	c.mu.Lock()
-	c.demoted = append(c.demoted, v)
-	c.demotedSet[v.id] = true
+	c.ladder = append(c.ladder, step{victim: v, owner: owner})
 	c.mu.Unlock()
 	ep.Demoted = append(ep.Demoted, displayName(v.name, v.id))
 	ep.DemotedIDs = append(ep.DemotedIDs, v.id)
 	return true
 }
 
-// undemoteLocked takes ids off the ladder's bookkeeping and returns the
-// ones that were on it.
-//
-//capi:locked mu
-func (c *Controller) undemoteLocked(ids map[int32]bool) []int32 {
-	var gone []int32
-	kept := c.demoted[:0]
-	for _, d := range c.demoted {
-		if ids[d.id] {
-			delete(c.demotedSet, d.id)
-			gone = append(gone, d.id)
-		} else {
-			kept = append(kept, d)
+// popStep takes the most recent step that match accepts off the ladder.
+func (c *Controller) popStep(match func(step) bool) (step, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i := len(c.ladder) - 1; i >= 0; i-- {
+		if st := c.ladder[i]; match(st) {
+			c.ladder = slices.Delete(c.ladder, i, i+1)
+			return st, true
 		}
 	}
-	c.demoted = kept
+	return step{}, false
+}
+
+// forgetDemotionsLocked takes the demotions of the functions in ids off the
+// ladder and returns the IDs that had one.
+//
+//capi:locked mu
+func (c *Controller) forgetDemotionsLocked(ids map[int32]bool) []int32 {
+	var gone []int32
+	c.ladder = slices.DeleteFunc(c.ladder, func(st step) bool {
+		if st.drop || !ids[st.id] {
+			return false
+		}
+		gone = append(gone, st.id)
+		return true
+	})
 	return gone
 }
 
@@ -582,17 +601,8 @@ func (c *Controller) reselect(rt *dyncapi.Runtime, policy string, active []*dync
 
 // promote restores the most recently demoted function to full rate.
 func (c *Controller) promote(rt *dyncapi.Runtime, ep *Epoch) {
-	c.mu.Lock()
-	n := len(c.demoted)
-	if n == 0 {
-		c.mu.Unlock()
-		return
-	}
-	d := c.demoted[n-1]
-	c.demoted = c.demoted[:n-1]
-	delete(c.demotedSet, d.id)
-	c.mu.Unlock()
-	if err := rt.SetFuncSampling(d.id, nil); err != nil {
+	d, ok := c.popStep(func(st step) bool { return !st.drop })
+	if !ok || rt.SetFuncSampling(d.id, nil) != nil {
 		return
 	}
 	ep.Promoted = append(ep.Promoted, displayName(d.name, d.id))
@@ -605,27 +615,11 @@ func (c *Controller) promote(rt *dyncapi.Runtime, ep *Epoch) {
 // demote rung and deselect outright — and a later promotion would clobber
 // whatever policy the new table gave the function.
 func (c *Controller) ResetLadder() {
+	// Deselections stay: the sampling table replacement did not touch the
+	// selection, so those steps are still in effect and must stay undoable.
 	c.mu.Lock()
-	c.demoted = nil
-	c.demotedSet = map[int32]bool{}
+	c.ladder = slices.DeleteFunc(c.ladder, func(st step) bool { return !st.drop })
 	c.mu.Unlock()
-	// SLO endpoint ladders reference the same wiped sampling policies:
-	// forget their demote steps too, but keep deselections — the sampling
-	// table replacement did not touch the selection, so those steps are
-	// still in effect and must stay undoable.
-	c.endpoints.Range(func(_, v any) bool {
-		es := v.(*endpointStat)
-		es.mu.Lock()
-		kept := es.actions[:0]
-		for _, act := range es.actions {
-			if act.drop {
-				kept = append(kept, act)
-			}
-		}
-		es.actions = kept
-		es.mu.Unlock()
-		return true
-	})
 }
 
 // Demoted returns the functions currently demoted to 1-in-N sampling, in
@@ -633,9 +627,11 @@ func (c *Controller) ResetLadder() {
 func (c *Controller) Demoted() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.demoted))
-	for _, d := range c.demoted {
-		out = append(out, displayName(d.name, d.id))
+	out := []string{}
+	for _, st := range c.ladder {
+		if !st.drop {
+			out = append(out, displayName(st.name, st.id))
+		}
 	}
 	return out
 }
@@ -681,7 +677,7 @@ func (c *Controller) narrow(rt *dyncapi.Runtime, tc xray.ThreadCtx, ep *Epoch, e
 		if ladder && !c.isDemoted(cd.id) {
 			// Demote to 1-in-N: the gentler knob. Projected saving is the
 			// sampled-out share of the candidate's epoch events.
-			if c.demote(rt, cd, opts, ep) {
+			if c.demote(rt, cd, nil, opts, ep) {
 				excess -= cd.events * opts.PerEventNs * int64(opts.DemoteStride-1) / int64(opts.DemoteStride)
 			}
 			continue
@@ -708,7 +704,7 @@ func (c *Controller) narrow(rt *dyncapi.Runtime, tc xray.ThreadCtx, ep *Epoch, e
 	// re-selection measures them at full rate again.
 	c.mu.Lock()
 	c.dropped = append(c.dropped, ep.Dropped...)
-	clear := c.undemoteLocked(drop)
+	clear := c.forgetDemotionsLocked(drop)
 	c.mu.Unlock()
 	for _, id := range clear {
 		rt.SetFuncSampling(id, nil) //nolint:errcheck // best-effort cleanup

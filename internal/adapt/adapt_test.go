@@ -87,7 +87,7 @@ func TestControllerUnderBudgetKeepsSelection(t *testing.T) {
 	xr.Dispatch(tc, hot, xray.Entry)
 	xr.Dispatch(tc, hot, xray.Exit)
 
-	if ctrl.Reconfigs() != 0 || rt.Reconfigs() != 0 {
+	if ctrl.Reconfigs() != 0 || rt.Snapshot().Reconfigs != 0 {
 		t.Fatalf("reconfigured although under budget: %d", ctrl.Reconfigs())
 	}
 	eps := ctrl.Epochs()
@@ -243,8 +243,8 @@ func TestAdaptiveNarrowingMidRun(t *testing.T) {
 	if ctrl.Reconfigs() < 1 {
 		t.Fatal("controller never reconfigured although over budget")
 	}
-	if rt.Reconfigs() != ctrl.Reconfigs() {
-		t.Fatalf("runtime saw %d reconfigs, controller %d", rt.Reconfigs(), ctrl.Reconfigs())
+	if rt.Snapshot().Reconfigs != ctrl.Reconfigs() {
+		t.Fatalf("runtime saw %d reconfigs, controller %d", rt.Snapshot().Reconfigs, ctrl.Reconfigs())
 	}
 	if rt.Active(hotID) || xr.Patched(hotID) {
 		t.Fatal("hot must be deselected and unpatched mid-run")
@@ -303,7 +303,7 @@ func TestAdaptiveNarrowingMidRun(t *testing.T) {
 	if rt.Report().Patched != 2 {
 		t.Fatalf("init report mutated: %+v", rt.Report())
 	}
-	if rt.InitSeconds() <= 0 {
+	if rt.Report().InitVirtualNs <= 0 {
 		t.Fatal("init accounting lost")
 	}
 }
@@ -441,7 +441,7 @@ func TestControllerCountsAgreeWithTraceTotals(t *testing.T) {
 	}
 	// Runtime-level drops (post-deselection stragglers) are outside both
 	// counts by design: controller and tracer sit behind the active check.
-	if rt.DroppedInFlight() == 0 {
+	if rt.Snapshot().DroppedInFlight == 0 {
 		t.Fatal("narrowing produced no in-flight drops — test not exercising the window")
 	}
 }
@@ -596,44 +596,125 @@ func TestControllerPromotesWithHysteresis(t *testing.T) {
 
 // TestResetLadderForgetsDemotions: when the sampling table is replaced
 // wholesale (Instance.SetSampling), the controller's demotion bookkeeping
-// is reset — the next over-budget epoch must demote again rather than
-// treat the (no longer demoted) function as ladder-exhausted and deselect
-// it outright.
+// is reset — the next narrowing step must demote again rather than treat
+// the (no longer demoted) function as ladder-exhausted and deselect it
+// outright. That holds for a budget-mode step, which nobody owns, and for
+// a step an SLO endpoint owns.
 func TestResetLadderForgetsDemotions(t *testing.T) {
-	b, proc, xr, rt, ctrl := twoFuncSetup(t,
-		Options{Epoch: vtime.Millisecond, Budget: 0.0001, DemoteStride: 4}, &dyncapi.CygBackend{})
+	for _, mode := range []struct {
+		name string
+		opts Options
+	}{
+		{"budget", Options{Epoch: vtime.Millisecond, Budget: 0.0001, DemoteStride: 4}},
+		{"slo", Options{DemoteStride: 4, SLOTargetP99Ns: vtime.Millisecond, SLOWindow: sloEvalEvery, SLOMinSamples: sloEvalEvery}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			b, proc, xr, rt, ctrl := twoFuncSetup(t, mode.opts, &dyncapi.CygBackend{})
+			hot := packedOf(t, b, xr, proc, "hot")
+			slow := packedOf(t, b, xr, proc, "slow")
+			tc := &fakeCtx{}
+			// narrow takes one step down: an over-budget epoch, or one
+			// evaluation of an endpoint (hot alone) missing its target.
+			narrow := func() {
+				for i := 0; i < 210; i++ {
+					xr.Dispatch(tc, hot, xray.Entry)
+					tc.clk.Advance(100)
+					xr.Dispatch(tc, hot, xray.Exit)
+				}
+				xr.Dispatch(tc, slow, xray.Entry)
+				tc.clk.Advance(vtime.Millisecond)
+				xr.Dispatch(tc, slow, xray.Exit)
+			}
+			if mode.opts.SLOTargetP99Ns > 0 {
+				ctrl.RegisterEndpoint("GET /hot", []int32{hot})
+				narrow = func() {
+					for i := 0; i < sloEvalEvery; i++ {
+						ctrl.ObserveRequest("GET /hot", 2*vtime.Millisecond)
+					}
+				}
+			}
+			narrow()
+			if got := ctrl.Demoted(); len(got) == 0 {
+				t.Fatalf("precondition: nothing demoted (%v)", got)
+			}
+			ctrl.ResetLadder()
+			if got := ctrl.Demoted(); len(got) != 0 {
+				t.Fatalf("ladder not reset: %v", got)
+			}
+			if st := ctrl.SLOSnapshot(); st != nil && st.Endpoints[0].Steps != 0 {
+				t.Fatalf("endpoint still owns a step after the reset: %+v", st.Endpoints[0])
+			}
+			// The next step demotes afresh instead of deselecting.
+			narrow()
+			if ctrl.Reconfigs() != 0 {
+				t.Fatalf("reset ladder escalated straight to deselection (%d reconfigs)", ctrl.Reconfigs())
+			}
+			eps := ctrl.Epochs()
+			last := eps[len(eps)-1]
+			if len(last.Demoted) == 0 || len(last.Dropped) != 0 {
+				t.Fatalf("post-reset epoch = demoted %v dropped %v, want fresh demotion", last.Demoted, last.Dropped)
+			}
+			if !rt.Active(hot) {
+				t.Fatal("hot deselected after ladder reset")
+			}
+		})
+	}
+}
+
+// TestLadderSurvivesModeRoundTrip: a step is booked once, so the mode that
+// undoes it need not be the mode that took it. SLO mode demotes hot, a
+// retune to budget mode lets an idle epoch promote it, and after the
+// retune back the endpoint must not still list the step — at every stage
+// its row, Demoted() and the stride the runtime applies agree, and a
+// widening evaluation finds nothing left to undo.
+func TestLadderSurvivesModeRoundTrip(t *testing.T) {
+	b, proc, xr, rt, ctrl := twoFuncSetup(t, Options{
+		Epoch: vtime.Millisecond, Budget: 0.01, DemoteStride: 4, PromoteBelow: 0.5,
+		SLOTargetP99Ns: vtime.Millisecond, SLOWindow: sloEvalEvery, SLOMinSamples: sloEvalEvery,
+	}, &dyncapi.CygBackend{})
 	hot := packedOf(t, b, xr, proc, "hot")
 	slow := packedOf(t, b, xr, proc, "slow")
-	tc := &fakeCtx{}
-	overBudgetEpoch := func() {
-		for i := 0; i < 210; i++ {
-			xr.Dispatch(tc, hot, xray.Entry)
-			tc.clk.Advance(100)
-			xr.Dispatch(tc, hot, xray.Exit)
+	ctrl.RegisterEndpoint("GET /hot", []int32{hot})
+	evaluate := func(latencyNs int64) {
+		for i := 0; i < sloEvalEvery; i++ {
+			ctrl.ObserveRequest("GET /hot", latencyNs)
 		}
-		xr.Dispatch(tc, slow, xray.Entry)
-		tc.clk.Advance(vtime.Millisecond)
-		xr.Dispatch(tc, slow, xray.Exit)
 	}
-	overBudgetEpoch()
-	if got := ctrl.Demoted(); len(got) == 0 {
-		t.Fatalf("precondition: nothing demoted (%v)", got)
+	agree := func(stage string, demoted bool) {
+		t.Helper()
+		if got := rt.FuncStride(hot) > 1; got != demoted {
+			t.Fatalf("%s: hot runs at stride %d, want demoted=%v", stage, rt.FuncStride(hot), demoted)
+		}
+		if got := ctrl.Demoted(); (len(got) == 1) != demoted {
+			t.Fatalf("%s: Demoted() = %v, want demoted=%v", stage, got, demoted)
+		}
+		if st := ctrl.SLOSnapshot(); st != nil {
+			if row := st.Endpoints[0]; (row.Steps == 1) != demoted || (len(row.Demoted) == 1) != demoted {
+				t.Fatalf("%s: endpoint row %+v, want demoted=%v", stage, row, demoted)
+			}
+		}
 	}
-	ctrl.ResetLadder()
-	if got := ctrl.Demoted(); len(got) != 0 {
-		t.Fatalf("ladder not reset: %v", got)
+
+	evaluate(2 * vtime.Millisecond) // misses the 1 ms target: one step down
+	agree("after the SLO demotion", true)
+
+	ctrl.Retune(Options{SLOTargetP99Ns: -1})
+	agree("in budget mode", true)
+	tc := &fakeCtx{}
+	xr.Dispatch(tc, slow, xray.Entry)
+	tc.clk.Advance(vtime.Millisecond + vtime.Millisecond/2)
+	xr.Dispatch(tc, slow, xray.Exit) // an idle epoch: inside the promotion band
+	if eps := ctrl.Epochs(); len(eps[len(eps)-1].Promoted) != 1 {
+		t.Fatalf("idle budget epoch did not promote: %+v", eps[len(eps)-1])
 	}
-	// The next over-budget boundary demotes afresh instead of deselecting.
-	overBudgetEpoch()
-	if ctrl.Reconfigs() != 0 {
-		t.Fatalf("reset ladder escalated straight to deselection (%d reconfigs)", ctrl.Reconfigs())
+	agree("after the budget promotion", false)
+
+	ctrl.Retune(Options{SLOTargetP99Ns: vtime.Millisecond})
+	agree("back in SLO mode", false)
+	before := len(ctrl.Epochs())
+	evaluate(vtime.Millisecond / 10) // well under target: would widen
+	if eps := ctrl.Epochs(); len(eps) != before {
+		t.Fatalf("widening undid a step that was not in effect: %+v", eps[before:])
 	}
-	eps := ctrl.Epochs()
-	last := eps[len(eps)-1]
-	if len(last.Demoted) == 0 || len(last.Dropped) != 0 {
-		t.Fatalf("post-reset epoch = demoted %v dropped %v, want fresh demotion", last.Demoted, last.Dropped)
-	}
-	if !rt.Active(hot) {
-		t.Fatal("hot deselected after ladder reset")
-	}
+	agree("after the widening evaluation", false)
 }

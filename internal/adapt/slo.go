@@ -18,6 +18,7 @@
 package adapt
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -50,16 +51,9 @@ const (
 	sloWidenWaitMax = 256
 )
 
-// sloAction is one ladder step taken for an endpoint, recorded so it can
-// be undone in LIFO order when the endpoint has headroom again.
-type sloAction struct {
-	drop bool // false: demoted to 1-in-N; true: deselected
-	victim
-}
-
 // endpointStat is the controller's per-endpoint accumulator: the route's
-// instrumented function set, a ring of recent request latencies, and the
-// stack of ladder steps currently in effect for it.
+// instrumented function set and a ring of recent request latencies. The
+// ladder steps it owns are on the controller's one ladder.
 type endpointStat struct {
 	name    string
 	funcIDs []int32 // sorted, deduplicated; immutable after registration
@@ -68,20 +62,12 @@ type endpointStat struct {
 	lastP99  atomic.Int64 // most recently computed window p99 (0 = none yet)
 
 	mu        sync.Mutex
-	ring      []int64     //capi:guardedby mu
-	written   int         //capi:guardedby mu
-	sinceEval int         //capi:guardedby mu
-	actions   []sloAction //capi:guardedby mu
-	evals     int         //capi:guardedby mu — evaluations run for this endpoint
-	lastWiden int         //capi:guardedby mu — evals value at the last widen (0 = never)
-	widenWait int         //capi:guardedby mu — evals to wait between widens (backoff)
-}
-
-// push records a ladder step as the endpoint's most recent.
-func (es *endpointStat) push(act sloAction) {
-	es.mu.Lock()
-	es.actions = append(es.actions, act)
-	es.mu.Unlock()
+	ring      []int64 //capi:guardedby mu
+	written   int     //capi:guardedby mu
+	sinceEval int     //capi:guardedby mu
+	evals     int     //capi:guardedby mu — evaluations run for this endpoint
+	lastWiden int     //capi:guardedby mu — evals value at the last widen (0 = never)
+	widenWait int     //capi:guardedby mu — evals to wait between widens (backoff)
 }
 
 // RegisterEndpoint declares one endpoint's instrumented function set. The
@@ -89,9 +75,7 @@ func (es *endpointStat) push(act sloAction) {
 // name replaces the function set but keeps the latency window and ladder
 // state. Unregistered endpoints' observations are ignored.
 func (c *Controller) RegisterEndpoint(name string, funcIDs []int32) {
-	ids := append([]int32(nil), funcIDs...)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	ids = slicesCompactInt32(ids)
+	ids := slices.Compact(slices.Sorted(slices.Values(funcIDs)))
 	if v, ok := c.endpoints.Load(name); ok {
 		es := v.(*endpointStat)
 		es.mu.Lock()
@@ -100,16 +84,6 @@ func (c *Controller) RegisterEndpoint(name string, funcIDs []int32) {
 		return
 	}
 	c.endpoints.LoadOrStore(name, &endpointStat{name: name, funcIDs: ids})
-}
-
-func slicesCompactInt32(ids []int32) []int32 {
-	out := ids[:0]
-	for i, id := range ids {
-		if i == 0 || id != ids[i-1] {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // ObserveRequest records one completed request's latency for an endpoint
@@ -153,7 +127,8 @@ func (c *Controller) ObserveRequest(endpoint string, latencyNs int64) {
 		return
 	}
 
-	p99 := percentileNs(window, 0.99)
+	slices.Sort(window)
+	p99 := Quantile(window, 0.99)
 	es.lastP99.Store(p99)
 	rt := c.rt.Load()
 	if rt == nil {
@@ -186,18 +161,17 @@ func (c *Controller) ObserveRequest(endpoint string, latencyNs int64) {
 	}
 }
 
-// percentileNs returns the q-quantile of window by sorting a copy; window
-// is owned by the caller and may be clobbered.
-func percentileNs(window []int64, q float64) int64 {
-	sort.Slice(window, func(i, j int) bool { return window[i] < window[j] })
-	idx := int(q*float64(len(window))+0.5) - 1
+// Quantile reads the nearest-rank q-quantile from a sorted, non-empty
+// window.
+func Quantile(sorted []int64, q float64) int64 {
+	idx := int(q*float64(len(sorted))+0.5) - 1
 	if idx < 0 {
 		idx = 0
 	}
-	if idx >= len(window) {
-		idx = len(window) - 1
+	if idx >= len(sorted) {
+		idx = len(sorted) - 1
 	}
-	return window[idx]
+	return sorted[idx]
 }
 
 // sloNarrow takes one ladder step down for an endpoint missing its
@@ -233,8 +207,7 @@ func (c *Controller) sloNarrow(rt *dyncapi.Runtime, es *endpointStat, p99, targe
 
 	if opts.DemoteStride > 0 {
 		for _, cd := range cands {
-			if !c.isDemoted(cd.id) && c.demote(rt, cd, opts, &ep) {
-				es.push(sloAction{victim: cd})
+			if !c.isDemoted(cd.id) && c.demote(rt, cd, es, opts, &ep) {
 				return
 			}
 		}
@@ -256,53 +229,41 @@ func (c *Controller) sloNarrow(rt *dyncapi.Runtime, es *endpointStat, p99, targe
 
 	c.mu.Lock()
 	c.dropped = append(c.dropped, ep.Dropped...)
-	c.undemoteLocked(drop)
+	c.forgetDemotionsLocked(drop)
+	c.ladder = append(c.ladder, step{victim: gone, drop: true, owner: es})
 	c.mu.Unlock()
 	// A deselected function leaves the sampler ladder so a later widen or
 	// manual re-selection measures it at full rate.
 	rt.SetFuncSampling(gone.id, nil) //nolint:errcheck // best-effort cleanup
-	es.push(sloAction{drop: true, victim: gone})
 }
 
 // sloWiden undoes the endpoint's most recent ladder step — max coverage
 // is the objective, so headroom under the target is spent on restoring
 // instrumentation, one step per evaluation.
 func (c *Controller) sloWiden(rt *dyncapi.Runtime, es *endpointStat, p99, target int64, opts *Options) {
-	es.mu.Lock()
-	n := len(es.actions)
-	if n == 0 {
-		es.mu.Unlock()
+	st, ok := c.popStep(func(st step) bool { return st.owner == es })
+	if !ok {
 		return
 	}
-	act := es.actions[n-1]
-	es.actions = es.actions[:n-1]
-	es.mu.Unlock()
-
 	ep := Epoch{Rank: -1, Endpoint: es.name, P99Ns: p99, TargetNs: target}
-	if !act.drop {
-		if err := rt.SetFuncSampling(act.id, nil); err == nil {
-			c.mu.Lock()
-			c.undemoteLocked(map[int32]bool{act.id: true})
-			c.mu.Unlock()
-			ep.Promoted = append(ep.Promoted, displayName(act.name, act.id))
+	if !st.drop {
+		if rt.SetFuncSampling(st.id, nil) == nil {
+			ep.Promoted = append(ep.Promoted, displayName(st.name, st.id))
 			c.appendEpoch(ep)
 		}
 		return
 	}
-
-	// When the re-patch is not allowed or fails, put the action back so a
-	// lifted bound can still undo it later.
-	if c.limited(opts) {
-		es.push(act)
+	// When the re-patch is not allowed or fails, put the step back so a
+	// lifted bound can still undo it later. Skipping the function in the
+	// active set first makes the Reconfigure a no-op re-add should it be
+	// back already.
+	if c.limited(opts) || c.reselect(rt, "slo", rt.ActiveFuncs(), map[int32]bool{st.id: true}, &st.victim, &ep) != nil {
+		c.mu.Lock()
+		c.ladder = append(c.ladder, st)
+		c.mu.Unlock()
 		return
 	}
-	// Skipping the function in the active set first makes the Reconfigure a
-	// no-op re-add should it be back already.
-	if c.reselect(rt, "slo", rt.ActiveFuncs(), map[int32]bool{act.id: true}, &act.victim, &ep) != nil {
-		es.push(act)
-		return
-	}
-	ep.Readded = append(ep.Readded, displayName(act.name, act.id))
+	ep.Readded = append(ep.Readded, displayName(st.name, st.id))
 	c.appendEpoch(ep)
 }
 
@@ -349,6 +310,9 @@ func (c *Controller) SLOSnapshot() *SLOStatus {
 		Window:      opts.SLOWindow,
 		MinSamples:  opts.SLOMinSamples,
 	}
+	c.mu.Lock()
+	ladder := slices.Clone(c.ladder)
+	c.mu.Unlock()
 	c.endpoints.Range(func(_, v any) bool {
 		es := v.(*endpointStat)
 		row := SLOEndpoint{Endpoint: es.name, Requests: es.requests.Load()}
@@ -356,16 +320,17 @@ func (c *Controller) SLOSnapshot() *SLOStatus {
 			row.P99Ms = float64(p99) / 1e6
 			row.Met = p99 <= opts.SLOTargetP99Ns
 		}
-		es.mu.Lock()
-		row.Steps = len(es.actions)
-		for _, act := range es.actions {
-			if act.drop {
-				row.Dropped = append(row.Dropped, displayName(act.name, act.id))
+		for _, st := range ladder {
+			if st.owner != es {
+				continue
+			}
+			row.Steps++
+			if st.drop {
+				row.Dropped = append(row.Dropped, displayName(st.name, st.id))
 			} else {
-				row.Demoted = append(row.Demoted, displayName(act.name, act.id))
+				row.Demoted = append(row.Demoted, displayName(st.name, st.id))
 			}
 		}
-		es.mu.Unlock()
 		out.Endpoints = append(out.Endpoints, row)
 		return true
 	})

@@ -11,7 +11,6 @@ package callgraph
 import (
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // Meta is the per-function static metadata carried by a node. It mirrors the
@@ -188,17 +187,6 @@ func (g *Graph) Merge(other *Graph) {
 	if g.Main == "" {
 		g.Main = other.Main
 	}
-}
-
-// SortedNames returns all node names sorted lexicographically (for stable
-// test output).
-func (g *Graph) SortedNames() []string {
-	out := make([]string, len(g.order))
-	for i, n := range g.order {
-		out[i] = n.Name
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Validate performs internal consistency checks and is used by tests.

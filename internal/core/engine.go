@@ -71,11 +71,6 @@ func NewEngine(g *callgraph.Graph) *Engine {
 	return &Engine{graph: g, reg: selector.NewRegistry()}
 }
 
-// NewEngineWithRegistry returns an engine using a custom selector registry.
-func NewEngineWithRegistry(g *callgraph.Graph, reg *selector.Registry) *Engine {
-	return &Engine{graph: g, reg: reg}
-}
-
 // Graph returns the call graph the engine operates on.
 func (e *Engine) Graph() *callgraph.Graph { return e.graph }
 

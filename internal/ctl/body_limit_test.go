@@ -15,7 +15,7 @@ import (
 func TestOversizeBodyIs413AndAppliesNothing(t *testing.T) {
 	ts, _, inst := newServer(t, capi.Quickstart(), "quickstart",
 		capi.RunOptions{Backends: []string{"talp"}, Ranks: 2})
-	activeBefore := inst.ActiveFunctions()
+	activeBefore := inst.Status().ActiveFunctions
 
 	const limit = 1 << 20
 	pad := strings.Repeat("# padding\n", limit/10+1)
@@ -38,13 +38,13 @@ func TestOversizeBodyIs413AndAppliesNothing(t *testing.T) {
 			t.Errorf("POST %s (%s, %d bytes): status %d, want 413", tc.path, tc.ctype, len(tc.body), resp.StatusCode)
 		}
 	}
-	if got := inst.Reconfigs(); got != 0 {
+	if got := inst.Status().Reconfigs; got != 0 {
 		t.Errorf("reconfigs = %d after oversize requests, want 0", got)
 	}
-	if got := inst.ActiveFunctions(); got != activeBefore {
+	if got := inst.Status().ActiveFunctions; got != activeBefore {
 		t.Errorf("oversize select changed the selection: %d -> %d", activeBefore, got)
 	}
-	if got := inst.Runs(); got != 0 {
+	if got := inst.Status().Runs; got != 0 {
 		t.Errorf("runs = %d after an oversize run request, want 0", got)
 	}
 	if got := inst.Sampling(); got.Configured {

@@ -437,10 +437,11 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		s.hub.Publish("backends", rep)
 	}
 	if !hasSelection {
+		st := s.inst.Status()
 		WriteJSON(w, http.StatusOK, SelectResponse{
-			Active:      s.inst.ActiveFunctions(),
+			Active:      st.ActiveFunctions,
 			BackendSwap: swap,
-			Backends:    s.inst.Backends(),
+			Backends:    st.Backends,
 		})
 		return
 	}
@@ -543,6 +544,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // runPhase executes one phase and records its outcome for /v1/status.
 func (s *Server) runPhase() (*RunSummary, error) {
 	res, err := s.inst.Run()
+	phase := s.inst.Status().Runs
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err != nil {
@@ -550,7 +552,7 @@ func (s *Server) runPhase() (*RunSummary, error) {
 		return nil, err
 	}
 	s.lastErr = ""
-	s.lastRun = summarize(res, s.inst.Runs())
+	s.lastRun = summarize(res, phase)
 	s.hub.Publish("run", s.lastRun)
 	return s.lastRun, nil
 }

@@ -224,20 +224,6 @@ func (b *TALPBackend) OnDeselect(fn *ResolvedFunc) int {
 	return mon.CloseOpen(st.reg)
 }
 
-// FailedRegions returns how many functions could not be registered
-// (entered before MPI_Init).
-func (b *TALPBackend) FailedRegions() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	n := 0
-	for _, st := range b.regions {
-		if st.failed {
-			n++
-		}
-	}
-	return n
-}
-
 // ExtraeBackend records every event as a timestamped trace record in a
 // per-rank sharded buffer (Extrae-style tracing): the enter/exit hot path
 // appends to the executing rank's own shard under that shard's mutex —

@@ -48,8 +48,8 @@ func TestReconfigureClosesDanglingScorePRegions(t *testing.T) {
 	if rep.SyntheticExits != 1 {
 		t.Fatalf("synthetic exits = %d, want 1 (kernel)", rep.SyntheticExits)
 	}
-	if rt.SyntheticExits() != 1 {
-		t.Fatalf("cumulative synthetic exits = %d", rt.SyntheticExits())
+	if rt.Snapshot().SyntheticExits != 1 {
+		t.Fatalf("cumulative synthetic exits = %d", rt.Snapshot().SyntheticExits)
 	}
 	// kernel's frame is gone; the still-selected dso_fn frame survives and
 	// its real exit stays balanced.
@@ -148,8 +148,8 @@ func TestDroppedEventCounterSplit(t *testing.T) {
 
 	// dso_fn is known but was never selected: a hit is a spurious sled.
 	xr.Dispatch(tc, dso, xray.Entry)
-	if rt.DroppedUnpatched() != 1 || rt.DroppedInFlight() != 0 {
-		t.Fatalf("unpatched/inflight = %d/%d, want 1/0", rt.DroppedUnpatched(), rt.DroppedInFlight())
+	if rt.Snapshot().DroppedUnpatched != 1 || rt.Snapshot().DroppedInFlight != 0 {
+		t.Fatalf("unpatched/inflight = %d/%d, want 1/0", rt.Snapshot().DroppedUnpatched, rt.Snapshot().DroppedInFlight)
 	}
 
 	if _, err := rt.Reconfigure(ic.New("app", "s", []string{"dso_fn"})); err != nil {
@@ -158,8 +158,8 @@ func TestDroppedEventCounterSplit(t *testing.T) {
 	// kernel was removed by the latest re-selection: a straggler event is
 	// an expected in-flight drop.
 	xr.Dispatch(tc, kernel, xray.Entry)
-	if rt.DroppedInFlight() != 1 {
-		t.Fatalf("inflight = %d, want 1", rt.DroppedInFlight())
+	if rt.Snapshot().DroppedInFlight != 1 {
+		t.Fatalf("inflight = %d, want 1", rt.Snapshot().DroppedInFlight)
 	}
 	// A later re-selection supersedes the window: kernel straggler events
 	// are no longer "in flight".
@@ -167,11 +167,8 @@ func TestDroppedEventCounterSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	xr.Dispatch(tc, kernel, xray.Entry)
-	if rt.DroppedUnpatched() != 2 {
-		t.Fatalf("unpatched = %d, want 2", rt.DroppedUnpatched())
-	}
-	if rt.DroppedEvents() != 3 {
-		t.Fatalf("total dropped = %d, want 3", rt.DroppedEvents())
+	if rt.Snapshot().DroppedUnpatched != 2 {
+		t.Fatalf("unpatched = %d, want 2", rt.Snapshot().DroppedUnpatched)
 	}
 }
 
@@ -233,10 +230,12 @@ func TestConcurrentDispatchReconfigureExtrae(t *testing.T) {
 
 	rep := buf.Report()
 	dispatched := int64(ranks * itersPerRank * 2)
-	accounted := rep.Recorded + rep.Dropped + rt.DroppedEvents()
+	snap := rt.Snapshot()
+	droppedEvents := snap.DroppedInFlight + snap.DroppedUnpatched
+	accounted := rep.Recorded + rep.Dropped + droppedEvents
 	if accounted != dispatched {
 		t.Fatalf("events unaccounted for: recorded %d + buffer-dropped %d + runtime-dropped %d = %d, dispatched %d",
-			rep.Recorded, rep.Dropped, rt.DroppedEvents(), accounted, dispatched)
+			rep.Recorded, rep.Dropped, droppedEvents, accounted, dispatched)
 	}
 	if rep.Recorded == 0 {
 		t.Fatal("no events traced during concurrent reconfiguration")

@@ -1033,60 +1033,12 @@ func (rt *Runtime) FuncStride(id int32) int {
 	return 1
 }
 
-// ActiveIDs returns the packed IDs of the current selection, sorted.
-func (rt *Runtime) ActiveIDs() []int32 { return packedIDs(*rt.active.Load()) }
-
 // ActiveCount returns the current selection size.
 func (rt *Runtime) ActiveCount() int { return len(*rt.active.Load()) }
 
 // ActiveFuncs returns the resolved records of the current selection, sorted
 // by packed ID.
 func (rt *Runtime) ActiveFuncs() []*ResolvedFunc { return slices.Clone(*rt.active.Load()) }
-
-// Reconfigs returns how many live re-selections have been applied.
-func (rt *Runtime) Reconfigs() int {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.reconfigs
-}
-
-// ReconfigVirtualNs returns the accumulated virtual-time cost of all
-// Reconfigure calls (not part of T_init).
-func (rt *Runtime) ReconfigVirtualNs() int64 {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.reconfigNs
-}
-
-// DroppedEvents counts every event that fired for a known function outside
-// the active selection — the sum of DroppedInFlight and DroppedUnpatched.
-func (rt *Runtime) DroppedEvents() int64 {
-	return rt.droppedInFlight.Load() + rt.droppedUnpatched.Load()
-}
-
-// DroppedInFlight counts events dropped in the window between the latest
-// re-selection publishing its state words and the sled restore taking
-// effect — the expected, documented drop class.
-func (rt *Runtime) DroppedInFlight() int64 { return rt.droppedInFlight.Load() }
-
-// DroppedUnpatched counts events for known functions that were neither
-// active nor removed by the latest re-selection — sled hits that should not
-// have happened (e.g. a stale patch). A nonzero value indicates a
-// patching bug, so trace completeness checks can assert on it separately.
-func (rt *Runtime) DroppedUnpatched() int64 { return rt.droppedUnpatched.Load() }
-
-// SyntheticExits returns the accumulated dangling enters closed through the
-// Deselector hook across all reconfigurations.
-func (rt *Runtime) SyntheticExits() int64 {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.synthExits
-}
-
-// InitSeconds returns T_init in (virtual) seconds.
-func (rt *Runtime) InitSeconds() float64 {
-	return float64(rt.report.InitVirtualNs) / float64(vtime.Second)
-}
 
 // DrainPipeline blocks until every event dispatched before the call has been
 // delivered through the backend chain. A no-op in inline mode. Phase-end

@@ -74,8 +74,8 @@ func TestReconfigureReportGolden(t *testing.T) {
 		if got := goldenOf(rep); !reflect.DeepEqual(got, st.want) {
 			t.Errorf("%s:\n got %+v\nwant %+v", st.name, got, st.want)
 		}
-		if rep.Seq != i+1 || len(rt.ActiveIDs()) != rep.Active {
-			t.Errorf("%s: seq %d, %d active IDs for Active=%d", st.name, rep.Seq, len(rt.ActiveIDs()), rep.Active)
+		if rep.Seq != i+1 || rt.ActiveCount() != rep.Active {
+			t.Errorf("%s: seq %d, %d active IDs for Active=%d", st.name, rep.Seq, rt.ActiveCount(), rep.Active)
 		}
 	}
 }

@@ -96,11 +96,6 @@ func NewGuard(inner Backend, opts GuardOptions) *Guard {
 // lifetime, so SwapBackend's arrival/departure diff recognizes it.
 func (g *Guard) Sink() Backend { return g.sink }
 
-// InnerBackend returns the wrapped backend. (Deliberately not named Inner:
-// that would implement backendUnwrapper, and walkBackends would descend
-// past the barrier — see type comment.)
-func (g *Guard) InnerBackend() Backend { return g.inner }
-
 // Name reports the wrapped backend's name: the guard is transparent in
 // all per-backend accounting (synthetic exits, reports, mux naming).
 func (g *Guard) Name() string { return g.inner.Name() }

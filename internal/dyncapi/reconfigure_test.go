@@ -25,8 +25,8 @@ func TestReconfigureAppliesDelta(t *testing.T) {
 	if rep.Patched != 1 || rep.Unpatched != 1 || rep.Kept != 1 || rep.Active != 2 {
 		t.Fatalf("report = %+v", rep)
 	}
-	if rep.Seq != 1 || rt.Reconfigs() != 1 {
-		t.Fatalf("seq = %d, reconfigs = %d", rep.Seq, rt.Reconfigs())
+	if rep.Seq != 1 || rt.Snapshot().Reconfigs != 1 {
+		t.Fatalf("seq = %d, reconfigs = %d", rep.Seq, rt.Snapshot().Reconfigs)
 	}
 	// Only the delta was re-patched: one function's sleds each way.
 	if rep.Batch.PatchedSleds != 2 || rep.Batch.UnpatchedSleds != 2 {
@@ -57,7 +57,7 @@ func TestReconfigureAppliesDelta(t *testing.T) {
 	if !rt.Active(packedOf(t, b, xr, proc, "main")) || rt.Active(packedOf(t, b, xr, proc, "kernel")) {
 		t.Fatal("active set wrong")
 	}
-	if got := len(rt.ActiveIDs()); got != 2 {
+	if got := rt.ActiveCount(); got != 2 {
 		t.Fatalf("active = %d, want 2", got)
 	}
 	if rt.Config().Contains("kernel") {
@@ -92,8 +92,8 @@ func TestReconfigureStopsEventsForDeselected(t *testing.T) {
 	if events.Load() != 1 {
 		t.Fatalf("deselected function still delivered events: %d", events.Load())
 	}
-	if rt.DroppedEvents() != 1 {
-		t.Fatalf("dropped = %d, want 1", rt.DroppedEvents())
+	if snap := rt.Snapshot(); snap.DroppedInFlight+snap.DroppedUnpatched != 1 {
+		t.Fatalf("dropped = %d in flight + %d unpatched, want 1", snap.DroppedInFlight, snap.DroppedUnpatched)
 	}
 }
 
@@ -185,8 +185,8 @@ func TestReconfigureConcurrentWithHandler(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	if rt.Reconfigs() != 200 {
-		t.Fatalf("reconfigs = %d", rt.Reconfigs())
+	if rt.Snapshot().Reconfigs != 200 {
+		t.Fatalf("reconfigs = %d", rt.Snapshot().Reconfigs)
 	}
 	if events.Load() == 0 {
 		t.Fatal("no events delivered during concurrent reconfiguration")

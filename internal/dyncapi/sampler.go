@@ -170,15 +170,6 @@ func (c *SamplingCounters) add(o SamplingCounters) {
 	c.CollapsedNs += o.CollapsedNs
 }
 
-// FuncSampling is one function's sampling accounting, for per-function
-// reports.
-type FuncSampling struct {
-	ID       int32            `json:"id"`
-	Name     string           `json:"name,omitempty"`
-	Policy   SamplePolicy     `json:"policy"`
-	Counters SamplingCounters `json:"counters"`
-}
-
 // SamplingSnapshot is the point-in-time sampling view served on /v1/status
 // and carried in the report envelope.
 type SamplingSnapshot struct {
@@ -277,19 +268,6 @@ func (st *funcSampleState) setPolicy(p SamplePolicy) {
 	st.minDur.Store(p.MinDurationNs)
 	st.gapNs.Store(gap)
 	st.flags.Store(flags)
-}
-
-// policy reads the current policy back (for snapshots).
-func (st *funcSampleState) policy() SamplePolicy {
-	p := SamplePolicy{MinDurationNs: st.minDur.Load()}
-	if s := st.stride.Load(); s > 1 {
-		p.Stride = int(s)
-	}
-	if gap := st.gapNs.Load(); gap > 0 {
-		p.CollapseRedundant = true
-		p.RedundantGapNs = gap
-	}
-	return p
 }
 
 // sampleSlot is one (function, rank) sampling state. The plain fields are
@@ -778,23 +756,4 @@ func (rt *Runtime) SamplingSnapshot() SamplingSnapshot {
 		snap.Counters.add(st.counters())
 	}
 	return snap
-}
-
-// SamplingByFunc returns per-function sampling accounting, sorted by packed
-// ID, for functions that currently have a policy or ever counted an enter.
-func (rt *Runtime) SamplingByFunc() []FuncSampling {
-	var out []FuncSampling
-	for rf := range rt.all() {
-		st := rf.sample.Load()
-		if st == nil {
-			continue
-		}
-		c := st.counters()
-		p := st.policy()
-		if c.Enters == 0 && p.isZero() {
-			continue
-		}
-		out = append(out, FuncSampling{ID: rf.PackedID, Name: rf.Name, Policy: p, Counters: c})
-	}
-	return out
 }

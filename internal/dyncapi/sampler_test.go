@@ -341,9 +341,6 @@ func TestSetFuncSamplingDemotePromote(t *testing.T) {
 		t.Fatalf("after promotion under a stride-2 default: delivered %d of 8, want 4", got)
 	}
 	conserve(t, rt)
-	if fs := rt.SamplingByFunc(); len(fs) != 1 || fs[0].ID != kernel || fs[0].Counters.Enters == 0 {
-		t.Fatalf("per-func accounting = %+v", fs)
-	}
 }
 
 func TestSamplingSurfacesInSnapshotAndReconfigReport(t *testing.T) {

@@ -123,9 +123,9 @@ func checkSequence(t *testing.T, b *compiler.Build, initial int, seq []int) {
 			if rt.Active(id) != (want == stateActive) {
 				t.Fatalf("%06b: Active(%s) = %v", seq[:step+1], sixFuncs[i], rt.Active(id))
 			}
-			before := [3]int64{rt.DroppedUnpatched(), back.events.Load(), rt.DroppedInFlight()}
+			before := [3]int64{rt.droppedUnpatched.Load(), back.events.Load(), rt.droppedInFlight.Load()}
 			xr.Dispatch(tc, id, xray.Entry)
-			after := [3]int64{rt.DroppedUnpatched(), back.events.Load(), rt.DroppedInFlight()}
+			after := [3]int64{rt.droppedUnpatched.Load(), back.events.Load(), rt.droppedInFlight.Load()}
 			moved := before
 			moved[want]++ // the state values index the three classes in this order
 			if after != moved {
@@ -139,7 +139,7 @@ func checkSequence(t *testing.T, b *compiler.Build, initial int, seq []int) {
 			}
 		}
 		slices.Sort(wantIDs)
-		if got := rt.ActiveIDs(); !slices.Equal(got, wantIDs) || rt.ActiveCount() != len(wantIDs) {
+		if got := packedIDs(rt.ActiveFuncs()); !slices.Equal(got, wantIDs) || rt.ActiveCount() != len(wantIDs) {
 			t.Fatalf("%06b: ActiveIDs = %v (count %d), want %v", seq[:step+1], got, rt.ActiveCount(), wantIDs)
 		}
 		prev = mask
@@ -274,7 +274,7 @@ func FuzzDispatchID(f *testing.F) {
 		if rt.DroppedAsync() != 0 {
 			t.Fatalf("%d pairs dropped at a ring of %d events", rt.DroppedAsync(), DefaultAsyncBuf)
 		}
-		delivered, inFlight, unpatched := back.events.Load(), rt.DroppedInFlight(), rt.DroppedUnpatched()
+		delivered, inFlight, unpatched := back.events.Load(), rt.droppedInFlight.Load(), rt.droppedUnpatched.Load()
 		if dispatched != delivered+inFlight+unpatched+ignored {
 			t.Fatalf("id %#x: dispatched %d != delivered %d + in flight %d + unpatched %d + unknown %d",
 				uint32(id), dispatched, delivered, inFlight, unpatched, ignored)

@@ -120,7 +120,7 @@ func RunVariant(bundle *AppBundle, backend, variant string, cfg *ic.Config, opts
 		}
 		out.Dyn = dynRT.Report()
 		out.Backend = back
-		out.Row.InitSeconds = dynRT.InitSeconds()
+		out.Row.InitSeconds = float64(out.Dyn.InitVirtualNs) / 1e9
 	}
 
 	eng, err := exec.New(exec.Config{
@@ -256,7 +256,7 @@ func RunRuntimeFiltered(bundle *AppBundle, cfg *ic.Config, opts Options) (*RunOu
 	}
 	out.Dyn = dynRT.Report()
 	out.Backend = back
-	out.Row.InitSeconds = dynRT.InitSeconds()
+	out.Row.InitSeconds = float64(out.Dyn.InitVirtualNs) / 1e9
 
 	eng, err := exec.New(exec.Config{
 		Build:        bundle.Build,

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -55,9 +57,13 @@ func (m *testMember) kill() {
 	m.ts.Close()
 }
 
-// newQuickstart builds one live quickstart instance.
-func newQuickstart(t *testing.T, ranks int) (*capi.Session, *capi.Instance) {
+// newQuickstart builds one live quickstart instance, under talp unless
+// backends names another set.
+func newQuickstart(t *testing.T, ranks int, backends ...string) (*capi.Session, *capi.Instance) {
 	t.Helper()
+	if len(backends) == 0 {
+		backends = []string{"talp"}
+	}
 	session, err := capi.NewSession(capi.Quickstart(), capi.SessionOptions{OptLevel: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -66,16 +72,16 @@ func newQuickstart(t *testing.T, ranks int) (*capi.Session, *capi.Instance) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := session.Start(sel, capi.RunOptions{Backends: []string{"talp"}, Ranks: ranks})
+	inst, err := session.Start(sel, capi.RunOptions{Backends: backends, Ranks: ranks})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return session, inst
 }
 
-func newMember(t *testing.T, ranks int) *testMember {
+func newMember(t *testing.T, ranks int, backends ...string) *testMember {
 	t.Helper()
-	session, inst := newQuickstart(t, ranks)
+	session, inst := newQuickstart(t, ranks, backends...)
 	cp := ctl.New(session, inst, "quickstart")
 	m := &testMember{ts: httptest.NewServer(cp), cp: cp, inst: inst}
 	t.Cleanup(m.kill)
@@ -460,5 +466,37 @@ func TestMetricsMerged(t *testing.T) {
 	// one valid exposition.
 	if n := strings.Count(text, "# TYPE capi_active_functions"); n > 1 {
 		t.Errorf("family header emitted %d times, want once", n)
+	}
+}
+
+// TestFleetReportWireGolden pins GET /v1/fleet/report byte for byte: two
+// single-rank quickstart members under talp,extrae after one phase each
+// (see ctl's TestReportWireGolden for why one rank), recorded at the
+// parent of the commit that made the coordinator decode the TALP document
+// through internal/talp's own type.
+func TestFleetReportWireGolden(t *testing.T) {
+	_, coordTS := newCoordinator(t, fastOpts())
+	for i := range 2 {
+		m := newMember(t, 1, "talp", "extrae")
+		register(t, coordTS.URL, m.URL(), fmt.Sprintf("m%d", i))
+		if code := post(t, m.URL()+"/v1/run", "application/json", `{"wait":true}`, nil); code != http.StatusOK {
+			t.Fatalf("member run: status %d", code)
+		}
+	}
+	resp, err := http.Get(coordTS.URL + "/v1/fleet/report")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/fleet_report.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("/v1/fleet/report differs from testdata/fleet_report.golden\n--- got ---\n%s", got)
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"capi/internal/ctl"
 	"capi/internal/pop"
+	"capi/internal/talp"
 )
 
 // MemberStatus is one row of the GET /v1/fleet/status member table: the
@@ -183,20 +184,6 @@ type FleetReportResponse struct {
 	Regions   []RegionPOP `json:"regions,omitempty"`
 }
 
-// talpDoc mirrors the fields of internal/talp's WriteJSON document that
-// the merge needs: the world size and each region's raw per-rank times.
-type talpDoc struct {
-	WorldSize int `json:"worldSize"`
-	Regions   []struct {
-		Name    string `json:"name"`
-		Visits  int64  `json:"visits"`
-		PerRank []struct {
-			UsefulNs int64 `json:"usefulNs"`
-			MPINs    int64 `json:"mpiNs"`
-		} `json:"perRank"`
-	} `json:"regions"`
-}
-
 func (s *Server) handleFleetReport(w http.ResponseWriter, r *http.Request) {
 	members := s.reg.snapshot()
 	if len(members) == 0 {
@@ -246,7 +233,7 @@ func (s *Server) handleFleetReport(w http.ResponseWriter, r *http.Request) {
 			if backend != "talp" {
 				continue
 			}
-			var doc talpDoc
+			var doc talp.Document
 			if err := json.Unmarshal(entry.Report, &doc); err != nil {
 				continue // per-member document stays readable verbatim
 			}

@@ -414,10 +414,6 @@ func (r *Rank) Irecv(src, tag, bytes int) error {
 	})
 }
 
-// PendingRequests returns the number of posted, not-yet-completed
-// non-blocking receives.
-func (r *Rank) PendingRequests() int { return len(r.pending) }
-
 // Waitall completes every pending non-blocking receive, advancing the clock
 // to the latest message arrival. It is a no-op when nothing is pending.
 func (r *Rank) Waitall() error {

@@ -1,6 +1,7 @@
 package talp
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -47,36 +48,40 @@ func (r *Report) WriteText(w io.Writer) error {
 	return nil
 }
 
+// Document is the report's JSON form — what WriteJSON writes and a
+// federated aggregator (internal/fleet) decodes. Each region carries its
+// ranks' raw time breakdown beside the derived metrics: efficiencies cannot
+// be merged across processes, only the underlying times can.
+type Document struct {
+	WorldSize     int              `json:"worldSize"`
+	Regions       []regionDocument `json:"regions"`
+	FailedPreInit []string         `json:"failedPreInit,omitempty"`
+	FailedEntries []string         `json:"failedEntries,omitempty"`
+}
+
+type regionDocument struct {
+	Name        string         `json:"name"`
+	Visits      int64          `json:"visits"`
+	ElapsedNs   int64          `json:"elapsedNs"`
+	ParallelEff float64        `json:"parallelEfficiency"`
+	CommEff     float64        `json:"communicationEfficiency"`
+	LoadBalance float64        `json:"loadBalance"`
+	AvgUsefulNs int64          `json:"avgUsefulNs"`
+	MaxUsefulNs int64          `json:"maxUsefulNs"`
+	PerRank     []rankDocument `json:"perRank"`
+}
+
+type rankDocument struct {
+	UsefulNs int64 `json:"usefulNs"`
+	MPINs    int64 `json:"mpiNs"`
+}
+
 // WriteJSON renders the report as JSON (the runtime-queryable form the
 // paper mentions: schedulers/resource managers can consume the metrics).
 func (r *Report) WriteJSON(w io.Writer) error {
-	// rankJSON is one rank's raw time breakdown. It rides in the JSON form
-	// so a federated aggregator can re-derive POP metrics over the union of
-	// many processes' ranks (pop.ComputeMerged) — the derived efficiencies
-	// alone cannot be merged, only the underlying times can.
-	type rankJSON struct {
-		UsefulNs int64 `json:"usefulNs"`
-		MPINs    int64 `json:"mpiNs"`
-	}
-	type regionJSON struct {
-		Name        string     `json:"name"`
-		Visits      int64      `json:"visits"`
-		ElapsedNs   int64      `json:"elapsedNs"`
-		ParallelEff float64    `json:"parallelEfficiency"`
-		CommEff     float64    `json:"communicationEfficiency"`
-		LoadBalance float64    `json:"loadBalance"`
-		AvgUsefulNs int64      `json:"avgUsefulNs"`
-		MaxUsefulNs int64      `json:"maxUsefulNs"`
-		PerRank     []rankJSON `json:"perRank"`
-	}
-	out := struct {
-		WorldSize     int          `json:"worldSize"`
-		Regions       []regionJSON `json:"regions"`
-		FailedPreInit []string     `json:"failedPreInit,omitempty"`
-		FailedEntries []string     `json:"failedEntries,omitempty"`
-	}{WorldSize: r.WorldSize, FailedPreInit: r.FailedPreInit, FailedEntries: r.FailedEntries}
+	out := Document{WorldSize: r.WorldSize, FailedPreInit: r.FailedPreInit, FailedEntries: r.FailedEntries}
 	for _, reg := range r.Regions {
-		rj := regionJSON{
+		rd := regionDocument{
 			Name:        reg.Name,
 			Visits:      reg.Visits,
 			ElapsedNs:   reg.Elapsed,
@@ -85,16 +90,25 @@ func (r *Report) WriteJSON(w io.Writer) error {
 			LoadBalance: reg.Metrics.LoadBalance,
 			AvgUsefulNs: reg.Metrics.AvgUseful,
 			MaxUsefulNs: reg.Metrics.MaxUseful,
-			PerRank:     make([]rankJSON, 0, len(reg.PerRank)),
+			PerRank:     make([]rankDocument, 0, len(reg.PerRank)),
 		}
 		for _, rt := range reg.PerRank {
-			rj.PerRank = append(rj.PerRank, rankJSON{UsefulNs: rt.Useful, MPINs: rt.MPI})
+			rd.PerRank = append(rd.PerRank, rankDocument{UsefulNs: rt.Useful, MPINs: rt.MPI})
 		}
-		out.Regions = append(out.Regions, rj)
+		out.Regions = append(out.Regions, rd)
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
+}
+
+// MarshalJSON makes the report its own JSON value: the WriteJSON document.
+func (r *Report) MarshalJSON() ([]byte, error) {
+	var buf bytes.Buffer
+	if err := r.WriteJSON(&buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // Region returns the report entry for the named region, or nil.

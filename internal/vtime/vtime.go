@@ -60,9 +60,6 @@ func (c *Clock) AdvanceTo(t int64) bool {
 // timestamps.
 func (c *Clock) Pin() { c.pinned = true }
 
-// Pinned reports whether the clock is pinned.
-func (c *Clock) Pinned() bool { return c.pinned }
-
 // Jump sets the clock to the given time, forwards or backwards, regardless
 // of pinning. Replay owners use it to align the clock with each recorded
 // event's timestamp; ordinary simulation code never calls it.

@@ -52,7 +52,7 @@ coarse(%sel, %kernels)
 	if err != nil {
 		t.Fatal(err)
 	}
-	amul := res.TALP.Region("Foam::lduMatrix::Amul")
+	amul := talpOf(res).Region("Foam::lduMatrix::Amul")
 	if amul == nil {
 		t.Fatal("Amul not measured as a TALP region")
 	}
@@ -60,13 +60,13 @@ coarse(%sel, %kernels)
 		t.Fatal("Amul region never entered")
 	}
 	// The parallel-efficiency metrics are well-formed probabilities.
-	for _, r := range res.TALP.Regions {
+	for _, r := range talpOf(res).Regions {
 		if pe := r.Metrics.ParallelEfficiency; pe < 0 || pe > 1.000001 {
 			t.Errorf("region %s: parallel efficiency %f out of range", r.Name, pe)
 		}
 	}
 	// None of the dropped wrappers shows up in the report.
-	if res.TALP.Region("Foam::fvMatrix::solveSegregated") != nil {
+	if talpOf(res).Region("Foam::fvMatrix::solveSegregated") != nil {
 		t.Error("dropped wrapper measured anyway")
 	}
 }

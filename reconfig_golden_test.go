@@ -54,8 +54,8 @@ func TestReconfigureOpenFOAMGolden(t *testing.T) {
 		if got != want[b] {
 			t.Errorf("round %d, to %s:\n got %s\nwant %s", i, b, got, want[b])
 		}
-		if rep.Seq != i+1 || inst.ActiveFunctions() != sels[b].IC.Len() {
-			t.Errorf("round %d: seq %d, %d active for an IC of %d", i, rep.Seq, inst.ActiveFunctions(), sels[b].IC.Len())
+		if rep.Seq != i+1 || inst.Status().ActiveFunctions != sels[b].IC.Len() {
+			t.Errorf("round %d: seq %d, %d active for an IC of %d", i, rep.Seq, inst.Status().ActiveFunctions, sels[b].IC.Len())
 		}
 	}
 }
