@@ -8,9 +8,10 @@
 //     hidden-symbol handling, patching)
 //   - BenchmarkAblation*        — design-choice ablations from DESIGN.md
 //
-// The workloads are scaled down (Scale, timesteps) so a full -bench=. pass
-// stays in CI budgets; `cmd/capi-bench -scale 1.0` reproduces paper-scale
-// counts. Shapes (who wins, by what factor) are scale-independent.
+// Every run goes through capi sessions. The workloads are scaled down
+// (Scale, timesteps) so a full -bench=. pass stays in CI budgets;
+// `go run ./cmd/capi-bench -scale 1.0` prints the tables at paper scale.
+// Shapes (who wins, by what factor) are scale-independent.
 package capi_test
 
 import (
@@ -24,43 +25,71 @@ import (
 	"capi/internal/experiments"
 	"capi/internal/metacg"
 	"capi/internal/mpi"
+	"capi/internal/scorep"
 	"capi/internal/workload"
 	"capi/internal/xray"
 	"capi/middleware"
 )
 
-// benchOpts keeps every benchmark iteration bounded.
-var benchOpts = experiments.Options{
-	Scale:           0.02,
-	Ranks:           2,
-	LuleshTimesteps: 10,
-	OFTimesteps:     2,
-	PCGIters:        4,
+// benchRanks sizes every benchmark's MPI world.
+const benchRanks = 2
+
+// benchSession prepares one of the paper's two test cases ("lulesh" or
+// "openfoam") at a size that keeps every benchmark iteration bounded.
+func benchSession(b *testing.B, app string) *capi.Session {
+	b.Helper()
+	var (
+		s   *capi.Session
+		err error
+	)
+	if app == "lulesh" {
+		s, err = capi.NewSession(capi.Lulesh(capi.LuleshOptions{Timesteps: 10}), capi.SessionOptions{
+			OptLevel: workload.LuleshOptLevel, RankWorkSkew: workload.LuleshRankSkew(benchRanks)})
+	} else {
+		s, err = capi.NewSession(capi.OpenFOAM(capi.OpenFOAMOptions{Scale: 0.02, Timesteps: 2, PCGIters: 4}), capi.SessionOptions{
+			OptLevel: workload.OpenFOAMOptLevel, RankWorkSkew: workload.OpenFOAMRankSkew(benchRanks)})
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s
+}
+
+// benchSelect evaluates one of the paper's named specifications.
+func benchSelect(b *testing.B, s *capi.Session, spec string) *capi.Selection {
+	b.Helper()
+	src, err := experiments.SpecSource(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sel, err := s.Select(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sel
+}
+
+// benchRun runs one measured phase and returns its virtual T_total.
+func benchRun(b *testing.B, s *capi.Session, sel *capi.Selection, opts capi.RunOptions) float64 {
+	b.Helper()
+	opts.Ranks = benchRanks
+	res, err := s.Run(sel, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.TotalSeconds
 }
 
 // BenchmarkTable1Selection regenerates Table I: one sub-benchmark per
 // application × specification, timing the full selection pipeline
 // (parse, evaluate, post-process) per iteration.
 func BenchmarkTable1Selection(b *testing.B) {
-	for _, prep := range []struct {
-		name string
-		fn   func(experiments.Options) (*experiments.AppBundle, error)
-	}{
-		{"lulesh", experiments.PrepareLulesh},
-		{"openfoam", experiments.PrepareOpenFOAM},
-	} {
-		bundle, err := prep.fn(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
+	for _, app := range []string{"lulesh", "openfoam"} {
+		s := benchSession(b, app)
 		for _, spec := range experiments.SpecNames {
-			b.Run(prep.name+"/"+spec, func(b *testing.B) {
+			b.Run(app+"/"+spec, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					row, err := experiments.RunSelection(bundle, spec)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if row.Selected == 0 {
+					if sel := benchSelect(b, s, spec); sel.Selected == 0 {
 						b.Fatal("empty selection")
 					}
 				}
@@ -73,46 +102,31 @@ func BenchmarkTable1Selection(b *testing.B) {
 // application × backend × variant, executing the instrumented run per
 // iteration and reporting the virtual overhead as a custom metric.
 func BenchmarkTable2Overhead(b *testing.B) {
-	for _, prep := range []struct {
-		name string
-		fn   func(experiments.Options) (*experiments.AppBundle, error)
-	}{
-		{"lulesh", experiments.PrepareLulesh},
-		{"openfoam", experiments.PrepareOpenFOAM},
-	} {
-		bundle, err := prep.fn(benchOpts)
+	for _, app := range []string{"lulesh", "openfoam"} {
+		s := benchSession(b, app)
+		vanSec, err := s.RunVanilla(benchRanks)
 		if err != nil {
 			b.Fatal(err)
 		}
-		van, err := experiments.RunVariant(bundle, experiments.BackendNone, experiments.VariantVanilla, nil, benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		vanSec := van.Row.TotalSeconds
-
-		variants := []string{experiments.VariantInactive, experiments.VariantFull, "mpi", "kernels"}
-		for _, backend := range []string{experiments.BackendTALP, experiments.BackendScoreP} {
-			for _, variant := range variants {
-				if variant == experiments.VariantInactive && backend != experiments.BackendTALP {
-					continue // backend-independent; bench once
-				}
-				name := prep.name + "/" + backend + "/" + variant
-				var cfg = (*capi.IC)(nil)
-				if variant != experiments.VariantInactive && variant != experiments.VariantFull {
-					row, err := experiments.RunSelection(bundle, variant)
-					if err != nil {
-						b.Fatal(err)
+		for _, backend := range []string{"talp", "scorep"} {
+			for _, variant := range []string{"xray inactive", "xray full", "mpi", "kernels"} {
+				opts := capi.RunOptions{Backends: []string{backend}}
+				var sel *capi.Selection
+				switch variant {
+				case "xray inactive":
+					if backend != "talp" {
+						continue // backend-independent; bench once
 					}
-					cfg = row.IC
+					opts = capi.RunOptions{}
+				case "xray full":
+					opts.PatchAll = true
+				default:
+					sel = benchSelect(b, s, variant)
 				}
-				b.Run(name, func(b *testing.B) {
+				b.Run(app+"/"+backend+"/"+variant, func(b *testing.B) {
 					var overhead float64
 					for i := 0; i < b.N; i++ {
-						run, err := experiments.RunVariant(bundle, backend, variant, cfg, benchOpts)
-						if err != nil {
-							b.Fatal(err)
-						}
-						overhead = (run.Row.TotalSeconds - vanSec) / vanSec
+						overhead = (benchRun(b, s, sel, opts) - vanSec) / vanSec
 					}
 					b.ReportMetric(100*overhead, "overhead%")
 				})
@@ -153,47 +167,29 @@ func BenchmarkFig4PackedID(b *testing.B) {
 // function-ID resolution across 6 DSOs (with unresolvable hidden symbols)
 // plus sled patching, the §VI-B(a) path and the dominant T_init component.
 func BenchmarkFactsInit(b *testing.B) {
-	bundle, err := experiments.PrepareOpenFOAM(benchOpts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	row, err := experiments.RunSelection(bundle, "mpi")
-	if err != nil {
-		b.Fatal(err)
-	}
+	s := benchSession(b, "openfoam")
+	sel := benchSelect(b, s, "mpi")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		proc, err := bundle.Build.LoadProcess()
+		inst, err := s.Start(sel, capi.RunOptions{Ranks: benchRanks})
 		if err != nil {
 			b.Fatal(err)
 		}
-		xr, err := xray.NewRuntime(proc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rt, err := dyncapi.New(proc, xr, row.IC, &dyncapi.CygBackend{}, dyncapi.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rt.Report().Patched == 0 {
+		if inst.Status().Patched == 0 {
 			b.Fatal("nothing patched")
 		}
+		inst.Close()
 	}
 }
 
 // BenchmarkAblationCoarse isolates the coarse selector (§V-D): the same
 // openfoam mpi pipeline with and without the final coarse stage.
 func BenchmarkAblationCoarse(b *testing.B) {
-	bundle, err := experiments.PrepareOpenFOAM(benchOpts)
-	if err != nil {
-		b.Fatal(err)
-	}
+	s := benchSession(b, "openfoam")
 	for _, spec := range []string{"mpi", "mpi coarse"} {
 		b.Run(spec, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.RunSelection(bundle, spec); err != nil {
-					b.Fatal(err)
-				}
+				benchSelect(b, s, spec)
 			}
 		})
 	}
@@ -202,7 +198,7 @@ func BenchmarkAblationCoarse(b *testing.B) {
 // BenchmarkAblationInliningCompensation isolates the §V-E post-pass by
 // running the same pipeline with and without a symbol oracle.
 func BenchmarkAblationInliningCompensation(b *testing.B) {
-	p := workload.OpenFOAM(workload.OpenFOAMOptions{Scale: benchOpts.Scale, Timesteps: 2, PCGIters: 4})
+	p := workload.OpenFOAM(workload.OpenFOAMOptions{Scale: 0.02, Timesteps: 2, PCGIters: 4})
 	g := metacg.BuildWholeProgram(p, metacg.Options{})
 	build, err := compiler.Compile(p, compiler.Options{XRay: true, OptLevel: workload.OpenFOAMOptLevel})
 	if err != nil {
@@ -230,38 +226,57 @@ func BenchmarkAblationInliningCompensation(b *testing.B) {
 	}
 }
 
+// benchFilterIC is the IC the runtime-filter backend admits; set before
+// each run (benchmarks run one at a time).
+var benchFilterIC *capi.IC
+
+// runtimeFilterBackend is the §II-B baseline as a custom backend: Score-P
+// whose runtime filter drops every region outside benchFilterIC.
+type runtimeFilterBackend struct {
+	ev *dyncapi.ScorePBackend
+	m  *scorep.Measurement
+}
+
+func (f *runtimeFilterBackend) Name() string                 { return "scorep-runtime-filter" }
+func (f *runtimeFilterBackend) Events() capi.EventBackend    { return f.ev }
+func (f *runtimeFilterBackend) StartPhase(*capi.World) error { return nil } // Session.Run is one phase
+func (f *runtimeFilterBackend) Report() capi.Report {
+	return capi.JSONReport{ReportKind: "profile", Value: f.m.Profile()}
+}
+
+func init() {
+	capi.RegisterBackend("scorep-runtime-filter", func(cfg capi.BackendConfig) (capi.MeasurementBackend, error) {
+		filter := scorep.NewFilter().Exclude("*")
+		for _, name := range benchFilterIC.Include {
+			filter.Include(name)
+		}
+		m, err := scorep.New(scorep.Options{Ranks: cfg.Ranks, RuntimeFilter: filter})
+		if err != nil {
+			return nil, err
+		}
+		return &runtimeFilterBackend{ev: dyncapi.NewScorePBackend(m, scorep.NewResolverFromExecutable(cfg.Proc)), m: m}, nil
+	})
+}
+
 // BenchmarkAblationRuntimeFilter compares patch-time selection (the
 // paper's approach) against Score-P runtime filtering with every sled
 // patched (§II-B: "the overhead of invoking the probe and cross-checking
 // the filter list is retained").
 func BenchmarkAblationRuntimeFilter(b *testing.B) {
-	bundle, err := experiments.PrepareOpenFOAM(benchOpts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	row, err := experiments.RunSelection(bundle, "kernels")
-	if err != nil {
-		b.Fatal(err)
-	}
+	s := benchSession(b, "openfoam")
+	sel := benchSelect(b, s, "kernels")
 	b.Run("patch-selected", func(b *testing.B) {
 		var virtual float64
 		for i := 0; i < b.N; i++ {
-			run, err := experiments.RunVariant(bundle, experiments.BackendScoreP, "kernels", row.IC, benchOpts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			virtual = run.Row.TotalSeconds
+			virtual = benchRun(b, s, sel, capi.RunOptions{Backends: []string{"scorep"}})
 		}
 		b.ReportMetric(virtual, "virtual-s")
 	})
 	b.Run("runtime-filter", func(b *testing.B) {
+		benchFilterIC = sel.IC
 		var virtual float64
 		for i := 0; i < b.N; i++ {
-			run, err := experiments.RunRuntimeFiltered(bundle, row.IC, benchOpts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			virtual = run.Row.TotalSeconds
+			virtual = benchRun(b, s, nil, capi.RunOptions{Backends: []string{"scorep-runtime-filter"}, PatchAll: true})
 		}
 		b.ReportMetric(virtual, "virtual-s")
 	})
@@ -271,7 +286,7 @@ func BenchmarkAblationRuntimeFilter(b *testing.B) {
 // (Fig. 2 steps 3–4), the preparation-phase cost Table I's Time column sits
 // on top of.
 func BenchmarkCallGraphConstruction(b *testing.B) {
-	p := workload.OpenFOAM(workload.OpenFOAMOptions{Scale: benchOpts.Scale, Timesteps: 2, PCGIters: 4})
+	p := workload.OpenFOAM(workload.OpenFOAMOptions{Scale: 0.02, Timesteps: 2, PCGIters: 4})
 	b.ResetTimer()
 	var g *callgraph.Graph
 	for i := 0; i < b.N; i++ {
@@ -299,11 +314,7 @@ func BenchmarkSessionBuild(b *testing.B) {
 // BenchmarkPatching measures the xray sled patch/unpatch cycle under
 // mprotect over the executable and all DSOs (§V-A/B).
 func BenchmarkPatching(b *testing.B) {
-	bundle, err := experiments.PrepareOpenFOAM(benchOpts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	proc, err := bundle.Build.LoadProcess()
+	proc, err := benchSession(b, "openfoam").Build().LoadProcess()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -336,10 +347,7 @@ func BenchmarkPatching(b *testing.B) {
 // path end to end behind real net/http.
 func BenchmarkDispatchHTTP(b *testing.B) {
 	const route = "GET /api/feed"
-	for _, backend := range []string{
-		experiments.BackendNone,
-		experiments.BackendExtrae,
-	} {
+	for _, backend := range []string{string(capi.BackendNone), string(capi.BackendExtrae)} {
 		b.Run(backend, func(b *testing.B) {
 			session, err := capi.NewAppSession("webservice", 0)
 			if err != nil {

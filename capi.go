@@ -1073,10 +1073,10 @@ func (s *Session) Run(sel *Selection, opts RunOptions) (*RunResult, error) {
 	return inst.Run()
 }
 
-// RunVanilla executes the uninstrumented build (no sleds at all) and
-// returns the virtual runtime — the Table II baseline. The vanilla build is
-// compiled on first use and kept; concurrent callers share it, and its
-// error if it failed.
+// RunVanilla executes the uninstrumented build (no sleds at all) under the
+// session's RankWorkSkew and returns the virtual runtime — the Table II
+// baseline. The vanilla build is compiled on first use and kept;
+// concurrent callers share it, and its error if it failed.
 func (s *Session) RunVanilla(ranks int) (float64, error) {
 	s.vanillaOnce.Do(func() {
 		s.vanilla, s.vanillaErr = compiler.CompileValidated(s.prog, compiler.Options{OptLevel: s.opts.OptLevel})
@@ -1087,7 +1087,7 @@ func (s *Session) RunVanilla(ranks int) (float64, error) {
 	if ranks <= 0 {
 		ranks = 4
 	}
-	return workload.RunVanilla(s.vanilla, ranks)
+	return workload.RunVanilla(s.vanilla, ranks, s.opts.RankWorkSkew)
 }
 
 // RecompileSeconds returns the modelled wall-clock cost of a full rebuild —

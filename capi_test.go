@@ -136,6 +136,28 @@ func TestSessionRunInactiveSledsNearVanilla(t *testing.T) {
 	}
 }
 
+// TestRunVanillaHonoursSkew: the vanilla baseline runs under the session's
+// per-rank load imbalance, as every instrumented run does — otherwise a
+// skewed session reports the skew as sled overhead.
+func TestRunVanillaHonoursSkew(t *testing.T) {
+	s, err := capi.NewSession(capi.Lulesh(capi.LuleshOptions{Timesteps: 8}),
+		capi.SessionOptions{OptLevel: 3, RankWorkSkew: []float64{1.0, 1.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	van, err := s.RunVanilla(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run(nil, capi.RunOptions{Ranks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := (res.TotalSeconds - van) / res.TotalSeconds; d < -0.01 || d > 0.01 {
+		t.Fatalf("vanilla %.2fs vs xray inactive %.2fs: not within 1%%", van, res.TotalSeconds)
+	}
+}
+
 func TestSessionRunPatchAll(t *testing.T) {
 	s := newQuickSession(t)
 	full, err := s.Run(nil, capi.RunOptions{Backends: []string{"talp"}, Ranks: 2, PatchAll: true})

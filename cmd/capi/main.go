@@ -8,9 +8,9 @@
 //	capi -app openfoam -builtin "kernels coarse" -format scorep -o of.filter
 //	capi -cg lulesh.cg.json -builtin mpi          # no inlining compensation
 //
-// When -app is given the workload is recompiled in-memory so the inlining
-// compensation post-pass (§V-E) can consult the symbol tables; with -cg the
-// pass is skipped and a note is printed.
+// When -app is given the workload is prepared as a capi session so the
+// inlining compensation post-pass (§V-E) can consult the symbol tables; with
+// -cg the pass is skipped and a note is printed.
 package main
 
 import (
@@ -18,13 +18,11 @@ import (
 	"fmt"
 	"os"
 
+	capi "capi"
 	"capi/internal/callgraph"
-	"capi/internal/compiler"
 	"capi/internal/core"
 	"capi/internal/experiments"
-	"capi/internal/metacg"
-	"capi/internal/prog"
-	"capi/internal/workload"
+	"capi/internal/ic"
 )
 
 func main() {
@@ -44,50 +42,40 @@ func main() {
 		fatal(err)
 	}
 
-	var (
-		g       *callgraph.Graph
-		symbols core.SymbolOracle
-		appName string
-	)
+	var sel *capi.Selection
 	switch {
 	case *app != "":
-		p, optLevel, err := buildApp(*app, *scale)
+		s, err := capi.NewAppSession(*app, *scale)
 		if err != nil {
 			fatal(err)
 		}
-		g = metacg.BuildWholeProgram(p, metacg.Options{})
-		b, err := compiler.Compile(p, compiler.Options{XRay: true, OptLevel: optLevel})
-		if err != nil {
+		if sel, err = s.Select(src); err != nil {
 			fatal(err)
 		}
-		symbols = b
-		appName = p.Name
 	case *cgFile != "":
 		f, err := os.Open(*cgFile)
 		if err != nil {
 			fatal(err)
 		}
-		g, err = callgraph.ReadJSON(f)
+		g, err := callgraph.ReadJSON(f)
 		f.Close()
 		if err != nil {
 			fatal(err)
 		}
-		appName = g.Name
 		fmt.Fprintln(os.Stderr, "capi: note: -cg given, inlining compensation skipped (no symbol tables)")
+		res, err := core.NewEngine(g).RunSource(src, core.Options{})
+		if err != nil {
+			fatal(err)
+		}
+		sel = &capi.Selection{IC: res.IC(g.Name, ""), Pre: res.Pre.Count(), Selected: res.Selected.Count(),
+			Added: len(res.AddedCompensation), Seconds: res.SelectionTime.Seconds()}
 	default:
 		fatal(fmt.Errorf("one of -app or -cg is required"))
 	}
-
-	eng := core.NewEngine(g)
-	res, err := eng.RunSource(src, core.Options{Symbols: symbols})
-	if err != nil {
-		fatal(err)
-	}
 	fmt.Fprintf(os.Stderr, "capi: %d pre, %d selected, %d added (%.2fs)\n",
-		res.Pre.Count(), res.Selected.Count(), len(res.AddedCompensation),
-		res.SelectionTime.Seconds())
+		sel.Pre, sel.Selected, sel.Added, sel.Seconds)
 
-	cfg := res.IC(appName, *specFile+*builtin)
+	cfg := ic.New(sel.IC.App, *specFile+*builtin, sel.IC.Include)
 	w := os.Stdout
 	if *out != "" {
 		f, err := os.Create(*out)
@@ -124,19 +112,6 @@ func specSource(specFile, builtin string) (string, error) {
 		return experiments.SpecSource(builtin)
 	default:
 		return "", fmt.Errorf("one of -spec or -builtin is required")
-	}
-}
-
-func buildApp(app string, scale float64) (*prog.Program, int, error) {
-	switch app {
-	case "quickstart":
-		return workload.Quickstart(), 2, nil
-	case "lulesh":
-		return workload.Lulesh(workload.LuleshOptions{}), workload.LuleshOptLevel, nil
-	case "openfoam":
-		return workload.OpenFOAM(workload.OpenFOAMOptions{Scale: scale}), workload.OpenFOAMOptLevel, nil
-	default:
-		return nil, 0, fmt.Errorf("unknown app %q", app)
 	}
 }
 

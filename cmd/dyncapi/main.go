@@ -52,7 +52,7 @@ func main() {
 		traceBuf = flag.Int("trace-buf", 0, "extrae: ring capacity per rank in events (0 = default 4096)")
 		traceMax = flag.Int("trace-max", 0, "extrae: retained events per rank (0 = unbounded)")
 		traceWrp = flag.Bool("trace-wrap", false, "extrae: wrap (discard oldest segment) instead of dropping new events when -trace-max is exceeded")
-		talpBug  = flag.Bool("talp-bug", false, "emulate the TALP re-entry bug (§VI-B(b))")
+		talpBug  = flag.Bool("talp-bug", false, "emulate the TALP re-entry bug (§VI-B(b)): talp reports list the regions that fail on re-entry as failedEntries")
 		asJSON   = flag.Bool("json", false, "emit the tool report as JSON")
 		adapt    = flag.Bool("adapt", false, "enable live overhead-budget adaptation")
 		budget   = flag.Float64("budget", 0, "overhead budget per epoch as a fraction (implies -adapt)")

@@ -1,25 +1,21 @@
 // Package experiments is the reproduction harness: it regenerates the
 // paper's evaluation artifacts — Table I (selection results), Table II
 // (instrumentation overhead) and the in-text §VI-B facts — from the
-// synthetic workloads, and renders them via internal/report.
+// synthetic workloads, and renders them via internal/report. Every run goes
+// through the public capi Session/Instance API, the same wiring the tools
+// and examples use.
 //
 // Absolute virtual seconds differ from the paper's wall-clock numbers (our
 // substrate is a simulator and the default workload scales are reduced);
 // the *shape* — which selection wins, by what factor, where TALP and
-// Score-P cross over — is the reproduction target. EXPERIMENTS.md records
-// paper-vs-measured for every row.
+// Score-P cross over — is the reproduction target. TestPaperTables pins
+// the rendered tables and asserts those shapes.
 package experiments
 
 import (
 	"fmt"
-	"time"
 
-	"capi/internal/callgraph"
-	"capi/internal/compiler"
-	"capi/internal/core"
-	"capi/internal/ic"
-	"capi/internal/metacg"
-	"capi/internal/prog"
+	capi "capi"
 	"capi/internal/workload"
 )
 
@@ -76,15 +72,6 @@ type Options struct {
 	PCGIters        int
 	// LuleshCGNodes overrides the LULESH graph size (default 3,360).
 	LuleshCGNodes int
-	// EmulateTALPBug turns on the TALP re-entry bug compat mode for the
-	// facts run (§VI-B(b)).
-	EmulateTALPBug bool
-	// TALPBugModulus / TALPBugMinRegions tune the emulation; zero keeps
-	// the talp package defaults. The facts harness lowers them to match
-	// the simulator's compressed dynamic footprint (far fewer distinct
-	// executed regions than the real applications).
-	TALPBugModulus    uint32
-	TALPBugMinRegions int
 }
 
 func (o Options) withDefaults() Options {
@@ -97,74 +84,39 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// AppBundle is a prepared application: program, whole-program call graph
-// and both builds (vanilla and XRay-instrumented).
-type AppBundle struct {
-	Name         string
-	Prog         *prog.Program
-	Graph        *callgraph.Graph
-	Build        *compiler.Build // XRay build (sleds everywhere)
-	VanillaBuild *compiler.Build
-	OptLevel     int
-	Skew         []float64
-	GraphTime    time.Duration
-}
+// apps lists the paper's two test cases in presentation order.
+var apps = []string{"lulesh", "openfoam"}
 
-// PrepareLulesh generates, analyses and compiles the LULESH case.
-func PrepareLulesh(opts Options) (*AppBundle, error) {
+// newSession prepares one of the paper's test cases, sized by opts, with
+// the paper's optimization level and the case's per-rank load imbalance.
+func newSession(app string, opts Options) (*capi.Session, error) {
 	opts = opts.withDefaults()
-	p := workload.Lulesh(workload.LuleshOptions{
-		Timesteps: opts.LuleshTimesteps,
-		CGNodes:   opts.LuleshCGNodes,
-	})
-	return prepare("lulesh", p, workload.LuleshOptLevel, workload.LuleshRankSkew(opts.Ranks))
-}
-
-// PrepareOpenFOAM generates, analyses and compiles the OpenFOAM case.
-func PrepareOpenFOAM(opts Options) (*AppBundle, error) {
-	opts = opts.withDefaults()
-	p := workload.OpenFOAM(workload.OpenFOAMOptions{
+	if app == "lulesh" {
+		return capi.NewSession(capi.Lulesh(capi.LuleshOptions{
+			Timesteps: opts.LuleshTimesteps,
+			CGNodes:   opts.LuleshCGNodes,
+		}), capi.SessionOptions{
+			OptLevel:     workload.LuleshOptLevel,
+			RankWorkSkew: workload.LuleshRankSkew(opts.Ranks),
+		})
+	}
+	return capi.NewSession(capi.OpenFOAM(capi.OpenFOAMOptions{
 		Scale:     opts.Scale,
 		Timesteps: opts.OFTimesteps,
 		PCGIters:  opts.PCGIters,
+	}), capi.SessionOptions{
+		OptLevel:     workload.OpenFOAMOptLevel,
+		RankWorkSkew: workload.OpenFOAMRankSkew(opts.Ranks),
 	})
-	return prepare("openfoam", p, workload.OpenFOAMOptLevel, workload.OpenFOAMRankSkew(opts.Ranks))
 }
 
-func prepare(name string, p *prog.Program, optLevel int, skew []float64) (*AppBundle, error) {
-	t0 := time.Now()
-	g := metacg.BuildWholeProgram(p, metacg.Options{})
-	graphTime := time.Since(t0)
-	xb, err := compiler.Compile(p, compiler.Options{XRay: true, OptLevel: optLevel})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s xray build: %w", name, err)
-	}
-	vb, err := compiler.Compile(p, compiler.Options{OptLevel: optLevel})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s vanilla build: %w", name, err)
-	}
-	return &AppBundle{
-		Name:         name,
-		Prog:         p,
-		Graph:        g,
-		Build:        xb,
-		VanillaBuild: vb,
-		OptLevel:     optLevel,
-		Skew:         skew,
-		GraphTime:    graphTime,
-	}, nil
-}
-
-// SelectionRow is one Table I row.
+// SelectionRow is one Table I row: the selection's counts and wall-clock
+// time (Table I's Time column) for one app and spec.
 type SelectionRow struct {
-	App      string
-	Spec     string
-	Seconds  float64 // wall-clock selection time
-	Pre      int     // #selected pre (before post-processing)
-	Selected int     // #selected (after removing inlined functions)
-	Added    int     // #added (inlining compensation)
-	Total    int     // call-graph size, for the percentage columns
-	IC       *ic.Config
+	App   string
+	Spec  string
+	Total int // call-graph size, for the percentage columns
+	*capi.Selection
 }
 
 // PrePct returns Pre as a percentage of the graph size.
@@ -175,44 +127,33 @@ func (r SelectionRow) SelectedPct() float64 {
 	return 100 * float64(r.Selected) / float64(r.Total)
 }
 
-// RunSelection evaluates one specification against a prepared bundle.
-func RunSelection(bundle *AppBundle, specName string) (*SelectionRow, error) {
-	src, err := SpecSource(specName)
+// selectSpec evaluates one named specification on a session.
+func selectSpec(app string, s *capi.Session, spec string) (SelectionRow, error) {
+	src, err := SpecSource(spec)
 	if err != nil {
-		return nil, err
+		return SelectionRow{}, err
 	}
-	eng := core.NewEngine(bundle.Graph)
-	res, err := eng.RunSource(src, core.Options{Symbols: bundle.Build})
+	sel, err := s.Select(src)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: %s/%s: %w", bundle.Name, specName, err)
+		return SelectionRow{}, fmt.Errorf("experiments: %s/%s: %w", app, spec, err)
 	}
-	return &SelectionRow{
-		App:      bundle.Name,
-		Spec:     specName,
-		Seconds:  res.SelectionTime.Seconds(),
-		Pre:      res.Pre.Count(),
-		Selected: res.Selected.Count(),
-		Added:    len(res.AddedCompensation),
-		Total:    bundle.Graph.Len(),
-		IC:       res.IC(bundle.Name, specName),
-	}, nil
+	return SelectionRow{App: app, Spec: spec, Total: s.Graph().Len(), Selection: sel}, nil
 }
 
 // Table1 regenerates Table I for both applications.
 func Table1(opts Options) ([]SelectionRow, error) {
-	opts = opts.withDefaults()
 	var rows []SelectionRow
-	for _, prep := range []func(Options) (*AppBundle, error){PrepareLulesh, PrepareOpenFOAM} {
-		bundle, err := prep(opts)
+	for _, app := range apps {
+		s, err := newSession(app, opts)
 		if err != nil {
 			return nil, err
 		}
 		for _, spec := range SpecNames {
-			row, err := RunSelection(bundle, spec)
+			row, err := selectSpec(app, s, spec)
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, *row)
+			rows = append(rows, row)
 		}
 	}
 	return rows, nil

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	capi "capi"
 	"capi/internal/obj"
 )
 
@@ -33,30 +34,19 @@ type Facts struct {
 }
 
 // GatherFacts runs the OpenFOAM case end-to-end and extracts the §VI-B /
-// §VII-A numbers. The TALP re-entry bug emulation is forced on so the
-// failure signature of the paper is observable regardless of opts.
+// §VII-A numbers. The TALP re-entry bug emulation is on, so the failure
+// signature of the paper is observable.
 func GatherFacts(opts Options) (*Facts, error) {
 	opts = opts.withDefaults()
-	opts.EmulateTALPBug = true
-	if opts.TALPBugModulus == 0 {
-		// The real failure rate was 24 of 16,956 *registered* regions; our
-		// dynamic footprint registers far fewer distinct regions (one
-		// simulated function stands in for many real ones), so the hash
-		// modulus is compressed accordingly.
-		opts.TALPBugModulus = 6
-	}
-	if opts.TALPBugMinRegions == 0 {
-		opts.TALPBugMinRegions = 10
-	}
-
-	bundle, err := PrepareOpenFOAM(opts)
+	s, err := newSession("openfoam", opts)
 	if err != nil {
 		return nil, err
 	}
-	f := &Facts{App: bundle.Name, Scale: opts.Scale}
+	build := s.Build()
+	f := &Facts{App: "openfoam", Scale: opts.Scale}
 
 	// Patchable DSOs and the largest object by function-ID count.
-	for _, im := range bundle.Build.PatchableImages() {
+	for _, im := range build.PatchableImages() {
 		if im.Exe {
 			continue
 		}
@@ -68,45 +58,46 @@ func GatherFacts(opts Options) (*Facts, error) {
 	}
 	// Hidden DSO symbols (static initializers etc.) that the nm-based
 	// resolution cannot see.
-	for _, im := range bundle.Build.Images {
+	for _, im := range build.Images {
 		if im.Exe || !im.Patchable {
 			continue
 		}
-		for _, s := range im.Symbols {
-			if s.Hidden && s.Kind == obj.SymFunc {
+		for _, sym := range im.Symbols {
+			if sym.Hidden && sym.Kind == obj.SymFunc {
 				f.HiddenUnresolvable++
 			}
 		}
 	}
 
 	// Run the mpi IC under TALP.
-	sel, err := RunSelection(bundle, "mpi")
+	row, err := selectSpec(f.App, s, "mpi")
 	if err != nil {
 		return nil, err
 	}
-	f.MPIRegions = sel.IC.Len()
-	for _, name := range sel.IC.Include {
-		lay := bundle.Build.Layout[name]
+	f.MPIRegions = row.IC.Len()
+	for _, name := range row.IC.Include {
+		lay := build.Layout[name]
 		if lay != nil && lay.HasSymbol && !lay.HasSleds {
 			continue
 		}
 		if lay != nil && lay.HasSymbol {
-			if sym := findSymbol(bundle, name); sym != nil && sym.Hidden {
+			if sym := findSymbol(build, name); sym != nil && sym.Hidden {
 				f.HiddenSelected++
 			}
 		}
 	}
-	run, err := RunVariant(bundle, BackendTALP, "mpi", sel.IC, opts)
+	talp := string(capi.BackendTALP)
+	res, err := s.Run(row.Selection, capi.RunOptions{Ranks: opts.Ranks, Backends: []string{talp}, EmulateTALPBug: true})
 	if err != nil {
 		return nil, err
 	}
-	if run.TALPReport != nil {
-		f.FailedPreInit = len(run.TALPReport.FailedPreInit)
-		f.FailedReentry = len(run.TALPReport.FailedEntries)
+	if rep, ok := capi.ReportOf[*capi.TALPReport](res.Reports, talp); ok {
+		f.FailedPreInit = len(rep.FailedPreInit)
+		f.FailedReentry = len(rep.FailedEntries)
 	}
 
 	// §VII-A turnaround with the same IC.
-	ta, err := Turnaround(bundle, sel.IC, opts)
+	ta, err := Turnaround(s, row.Selection, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -115,9 +106,9 @@ func GatherFacts(opts Options) (*Facts, error) {
 	return f, nil
 }
 
-// findSymbol locates a function symbol across the bundle's images.
-func findSymbol(bundle *AppBundle, name string) *obj.Symbol {
-	for _, im := range bundle.Build.Images {
+// findSymbol locates a function symbol across the build's images.
+func findSymbol(build *capi.Build, name string) *obj.Symbol {
+	for _, im := range build.Images {
 		for i := range im.Symbols {
 			if im.Symbols[i].Name == name && im.Symbols[i].Kind == obj.SymFunc {
 				return &im.Symbols[i]

@@ -3,7 +3,15 @@ package experiments
 import (
 	"fmt"
 
+	capi "capi"
 	"capi/internal/report"
+)
+
+// Table II row labels of the three runs that are not a selection.
+const (
+	variantVanilla  = "vanilla"
+	variantInactive = "xray inactive"
+	variantFull     = "xray full"
 )
 
 // RenderTable1 renders Table I rows in the paper's layout: selection time,
@@ -37,7 +45,7 @@ func RenderTable2(rows []OverheadRow) *report.Table {
 		AlignRight(1, 2, 3)
 	vanilla := map[string]float64{}
 	for _, r := range rows {
-		if r.Variant == VariantVanilla {
+		if r.Variant == variantVanilla {
 			vanilla[r.App] = r.TotalSeconds
 		}
 	}
@@ -47,7 +55,7 @@ func RenderTable2(rows []OverheadRow) *report.Table {
 			app, backend = r.App, ""
 			t.AddRow(r.App)
 		}
-		if r.Backend != backend && r.Backend != BackendNone {
+		if r.Backend != backend && r.Backend != string(capi.BackendNone) {
 			backend = r.Backend
 			t.AddRow("  [" + backend + "]")
 		}
@@ -56,7 +64,7 @@ func RenderTable2(rows []OverheadRow) *report.Table {
 			init = fmt.Sprintf("%.2f", r.InitSeconds)
 		}
 		over := ""
-		if base := vanilla[r.App]; base > 0 && r.Variant != VariantVanilla {
+		if base := vanilla[r.App]; base > 0 && r.Variant != variantVanilla {
 			over = fmt.Sprintf("%+.0f%%", 100*(r.TotalSeconds-base)/base)
 		}
 		t.AddRow(

@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	capi "capi"
 	"capi/internal/compiler"
 	"capi/internal/exec"
 	"capi/internal/mpi"
@@ -21,24 +22,22 @@ func TestStaticDynamicEquivalence(t *testing.T) {
 	const ranks = 2
 
 	// One shared selection.
-	bundle, err := prepare("lulesh", p, workload.LuleshOptLevel, nil)
+	s, err := capi.NewSession(p, capi.SessionOptions{OptLevel: workload.LuleshOptLevel})
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, err := RunSelection(bundle, "mpi")
+	row, err := selectSpec("lulesh", s, "mpi")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := row.IC
 
 	// --- dynamic: XRay build, patch at startup, Score-P via addresses ---
-	dynProfile := func() *scorep.Profile {
-		run, err := RunVariant(bundle, BackendScoreP, "mpi", cfg, Options{Ranks: ranks})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return run.Profile
-	}()
+	run, err := s.Run(row.Selection, capi.RunOptions{Ranks: ranks, Backends: []string{"scorep"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dynProfile, _ := capi.ReportOf[*capi.Profile](run.Reports, "scorep")
 
 	// --- static: recompile with the IC baked in, hooks by name ---
 	staticBuild, err := compiler.Compile(p, compiler.Options{

@@ -1,9 +1,8 @@
-// Package report renders fixed-width text tables and CSV for the
+// Package report renders fixed-width text tables for the
 // reproduction harness (Tables I and II of the paper).
 package report
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"strings"
@@ -136,21 +135,6 @@ func (t *Table) Write(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// WriteCSV renders the table as CSV (headers first).
-func (t *Table) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(t.Headers); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // String renders the table to a string (for tests and logs).

@@ -1,7 +1,6 @@
 package report
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -43,18 +42,4 @@ func TestShortRowsPadded(t *testing.T) {
 	}
 	// Must not panic when rendering.
 	_ = tab.String()
-}
-
-func TestCSV(t *testing.T) {
-	tab := New("t", "x", "y")
-	tab.AddRow("1", "2")
-	tab.AddRow("a,b", "c")
-	var buf bytes.Buffer
-	if err := tab.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	want := "x,y\n1,2\n\"a,b\",c\n"
-	if buf.String() != want {
-		t.Fatalf("csv = %q, want %q", buf.String(), want)
-	}
 }

@@ -259,15 +259,6 @@ func (m *Measurement) ExitID(tc ThreadCtx, region int) {
 	rs.mu.Unlock()
 }
 
-// CallTreeSize returns the number of calling-context-tree nodes recorded on
-// one rank (the quantity driving TreePressureCost).
-func (m *Measurement) CallTreeSize(rank int) int {
-	rs := m.ranks[rank]
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return len(rs.nodes)
-}
-
 // OpenRegions returns the number of frames currently open on a rank's
 // simulated call stack.
 func (m *Measurement) OpenRegions(rank int) int {

@@ -68,15 +68,18 @@ type Options struct {
 	Costs CostModel
 	// EmulateReentryBug enables the bug-compat mode described above.
 	EmulateReentryBug bool
-	// BugModulus controls how many regions the emulated bug hits:
-	// a region fails on re-entry iff fnv32(name) % BugModulus == 0.
-	// Defaults to 707 (≈24 failures out of 16,956 regions, as observed).
-	BugModulus uint32
-	// BugMinRegions: the bug only manifests when at least this many
-	// regions are registered (the paper correlates it with the very high
-	// region count). Defaults to 1000.
-	BugMinRegions int
 }
+
+// The emulated re-entry bug hits a region iff fnv32(name) % bugModulus == 0,
+// and only once at least bugMinRegions regions are registered (the paper
+// correlates it with the very high region count). The paper saw 24 failures
+// among 16,956 registered regions; one simulated function stands in for
+// many real ones, so the simulator registers far fewer distinct regions and
+// both constants are compressed accordingly.
+const (
+	bugModulus    = 6
+	bugMinRegions = 10
+)
 
 // Region is a registered monitoring region handle (dlb_monitor_t).
 type Region struct {
@@ -120,11 +123,6 @@ type rankState struct {
 	// clock directly).
 	lastNs  int64
 	lastMPI int64
-
-	// calibration / diagnostics counters
-	startStops    int64 // Start + Stop invocations
-	regionTouches int64 // Σ over MPI calls of open regions touched
-	mpiCalls      int64
 }
 
 // Monitor is one TALP instance attached to an MPI world.
@@ -150,12 +148,6 @@ type Monitor struct {
 func New(w *mpi.World, opts Options) *Monitor {
 	if opts.Costs == (CostModel{}) {
 		opts.Costs = DefaultCostModel()
-	}
-	if opts.BugModulus == 0 {
-		opts.BugModulus = 707
-	}
-	if opts.BugMinRegions == 0 {
-		opts.BugMinRegions = 1000
 	}
 	m := &Monitor{
 		opts:          opts,
@@ -190,13 +182,9 @@ func (m *Monitor) attach(r *mpi.Rank) {
 		Pre: func(rk *mpi.Rank, op mpi.Op, bytes int) {
 			rs := m.perRank[rk.ID()]
 			rs.mu.Lock()
-			rs.mpiCalls++
 			open := rs.openCount
-			// TALP touches every open monitor inside the PMPI wrapper.
-			if open > 0 {
-				rs.regionTouches += int64(open)
-			}
 			rs.mu.Unlock()
+			// TALP touches every open monitor inside the PMPI wrapper.
 			if open > 0 {
 				rk.Clock().Advance(int64(open) * m.opts.Costs.PerOpenRegionMPI)
 			}
@@ -256,29 +244,14 @@ func (m *Monitor) bugHits(name string) bool {
 		return false
 	}
 	m.mu.Lock()
-	enough := len(m.regions) >= m.opts.BugMinRegions
+	enough := len(m.regions) >= bugMinRegions
 	m.mu.Unlock()
 	if !enough {
 		return false
 	}
 	h := fnv.New32a()
 	h.Write([]byte(name))
-	return h.Sum32()%m.opts.BugModulus == 0
-}
-
-// Stats carries the per-rank activity counters (calibration/diagnostics).
-type Stats struct {
-	StartStops    int64 // Start + Stop invocations
-	MPICalls      int64 // intercepted MPI calls
-	RegionTouches int64 // Σ over MPI calls of open regions touched
-}
-
-// RankStats returns the activity counters of one rank.
-func (m *Monitor) RankStats(rank int) Stats {
-	rs := m.perRank[rank]
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return Stats{StartStops: rs.startStops, MPICalls: rs.mpiCalls, RegionTouches: rs.regionTouches}
+	return h.Sum32()%bugModulus == 0
 }
 
 // Start enters a monitoring region on the calling rank. Nested and
@@ -288,10 +261,6 @@ func (m *Monitor) Start(r *mpi.Rank, reg *Region) error {
 	if reg == nil {
 		return fmt.Errorf("talp: Start with nil region")
 	}
-	rs := m.perRank[r.ID()]
-	rs.mu.Lock()
-	rs.startStops++
-	rs.mu.Unlock()
 	r.Clock().Advance(m.opts.Costs.StartCost)
 	if reg != m.global && m.bugHits(reg.name) {
 		m.mu.Lock()
@@ -334,10 +303,6 @@ func (m *Monitor) Stop(r *mpi.Rank, reg *Region) error {
 	if reg == nil {
 		return fmt.Errorf("talp: Stop with nil region")
 	}
-	rs := m.perRank[r.ID()]
-	rs.mu.Lock()
-	rs.startStops++
-	rs.mu.Unlock()
 	r.Clock().Advance(m.opts.Costs.StopCost)
 	if !m.stopOn(r, reg) {
 		return fmt.Errorf("talp: Stop of region %q which is not open on rank %d", reg.name, r.ID())

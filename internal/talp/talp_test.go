@@ -263,7 +263,7 @@ func TestPerOpenRegionMPICost(t *testing.T) {
 
 func TestReentryBugEmulation(t *testing.T) {
 	w := newWorld(t, 1)
-	m := New(w, Options{EmulateReentryBug: true, BugModulus: 2, BugMinRegions: 3})
+	m := New(w, Options{EmulateReentryBug: true})
 	err := w.Run(func(r *mpi.Rank) error {
 		if err := r.Init(); err != nil {
 			return err

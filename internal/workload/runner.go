@@ -10,10 +10,10 @@ import (
 
 // RunVanilla executes a build without any instrumentation runtime and
 // returns the total virtual seconds (max over ranks) — the Table II
-// "vanilla" baseline. The full instrumented-run pipeline lives in
-// internal/experiments; this helper serves generators' smoke tests and the
-// examples.
-func RunVanilla(b *compiler.Build, ranks int) (float64, error) {
+// "vanilla" baseline. skew scales per-rank work as exec.Config.RankWorkSkew
+// does (nil = balanced). Instrumented runs go through capi.Session; this
+// helper serves Session.RunVanilla and the generators' smoke tests.
+func RunVanilla(b *compiler.Build, ranks int, skew []float64) (float64, error) {
 	proc, err := b.LoadProcess()
 	if err != nil {
 		return 0, err
@@ -22,7 +22,7 @@ func RunVanilla(b *compiler.Build, ranks int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	eng, err := exec.New(exec.Config{Build: b, Proc: proc, World: world})
+	eng, err := exec.New(exec.Config{Build: b, Proc: proc, World: world, RankWorkSkew: skew})
 	if err != nil {
 		return 0, err
 	}

@@ -212,7 +212,7 @@ func TestOpenFOAMRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunVanilla(b, 2)
+	res, err := RunVanilla(b, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestRunVanillaLulesh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seconds, err := RunVanilla(b, 2)
+	seconds, err := RunVanilla(b, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
