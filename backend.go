@@ -222,36 +222,57 @@ func ParseBackends(list string) ([]string, error) {
 	return names, nil
 }
 
-// buildMeasurementBackends resolves names through the registry, builds one
-// MeasurementBackend per name, wraps each in its panic barrier
-// (guardedBackend — registry backends are untrusted code running inside
-// the host's dispatch path) and wires the event path: the single backend's
-// guarded sink directly, or a Mux fanning out to all of them (in list
-// order) when several are attached.
-func buildMeasurementBackends(names []string, cfg BackendConfig, gopts dyncapi.GuardOptions) ([]MeasurementBackend, dyncapi.Backend, error) {
+// buildBackends resolves names through the registry and builds one
+// MeasurementBackend per name for this instance, each wrapped in its panic
+// barrier (guardedBackend — registry backends are untrusted code running
+// inside the host's dispatch path). Per-rank backend state (scorep, extrae)
+// is sized to cover the middleware's worker ranks too: they dispatch past
+// the MPI world.
+func (i *Instance) buildBackends(names []string, world *mpi.World) ([]MeasurementBackend, error) {
 	if err := ValidateBackends(names); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	cfg := BackendConfig{
+		Ranks:          i.opts.Ranks + i.opts.HTTPWorkers,
+		Proc:           i.proc,
+		World:          world,
+		EmulateTALPBug: i.opts.EmulateTALPBug,
+		Trace:          i.opts.Trace,
+	}
+	gopts := dyncapi.GuardOptions{PanicLimit: i.opts.PanicLimit, OnTrip: i.onBreakerTrip}
 	backends := make([]MeasurementBackend, 0, len(names))
 	for _, name := range names {
 		factory, _ := backendFactory(name)
 		mb, err := factory(cfg)
 		if err != nil {
-			return nil, nil, fmt.Errorf("capi: building backend %q: %w", name, err)
+			return nil, fmt.Errorf("capi: building backend %q: %w", name, err)
 		}
 		if mb == nil || mb.Events() == nil {
-			return nil, nil, fmt.Errorf("capi: backend %q factory returned no event sink", name)
+			return nil, fmt.Errorf("capi: backend %q factory returned no event sink", name)
 		}
 		backends = append(backends, newGuardedBackend(mb, gopts))
 	}
-	if len(backends) == 1 {
-		return backends, backends[0].Events(), nil
+	return backends, nil
+}
+
+// chain wires the event path every instance uses — at Start, on
+// SetBackends and on a breaker detach: the backends' sinks in delivery
+// order, then the tombstones of detached ones, then the adaptation
+// controller, which observes what the sinks have already seen. A single
+// sink is its own chain; several share a Mux.
+func (i *Instance) chain(backends []MeasurementBackend, tombstones ...dyncapi.Backend) dyncapi.Backend {
+	sinks := make([]dyncapi.Backend, 0, len(backends)+len(tombstones)+1)
+	for _, mb := range backends {
+		sinks = append(sinks, mb.Events())
 	}
-	sinks := make([]dyncapi.Backend, len(backends))
-	for i, mb := range backends {
-		sinks[i] = mb.Events()
+	sinks = append(sinks, tombstones...)
+	if i.ctrl != nil {
+		sinks = append(sinks, i.ctrl)
 	}
-	return backends, dyncapi.NewMux(sinks...), nil
+	if len(sinks) == 1 {
+		return sinks[0]
+	}
+	return dyncapi.NewMux(sinks...)
 }
 
 // The four built-in backends self-register, exactly like a third-party

@@ -31,10 +31,9 @@ type BreakerEvent struct {
 	Panics    int64  `json:"panics"`
 	LastPanic string `json:"lastPanic,omitempty"`
 	// Detached reports whether the backend was removed from the live event
-	// chain. On adaptive instances the chain is owned by the controller,
-	// so the backend stays in place with its (open) breaker
-	// short-circuiting delivery; it is still removed from the phase
-	// lifecycle and the report set.
+	// chain; it is false only when the trip came before the runtime
+	// existed or the swap failed. The backend leaves the phase lifecycle
+	// and the report set either way.
 	Detached bool `json:"detached"`
 	// SyntheticExits counts the dangling enters closed when the detach
 	// swapped the backend out of the chain.
@@ -116,13 +115,11 @@ func (i *Instance) SetBreakerNotify(fn func(BreakerEvent)) {
 	i.mu.Unlock()
 }
 
-// breakerDetach removes the tripped backend from the live instance:
-// non-adaptive chains are swapped (via the SwapBackend diff machinery — it
-// closes only the departing backend's dangling state) to the remaining
-// guarded sinks plus the tripped guard's tombstone, which keeps the drop
-// accounting exact for the rest of the run. Adaptive chains are owned by
-// the controller, so only the phase/report lifecycle is detached — the
-// open breaker already short-circuits (and counts) event delivery.
+// breakerDetach removes the tripped backend from the live instance: the
+// chain is swapped (via the SwapBackend diff machinery — it closes only the
+// departing backend's dangling state) to the remaining backends plus the
+// tripped guard's tombstone, which keeps the drop accounting exact for the
+// rest of the run.
 func (i *Instance) breakerDetach(name string) BreakerEvent {
 	i.mu.Lock()
 	defer i.mu.Unlock()
@@ -130,7 +127,6 @@ func (i *Instance) breakerDetach(name string) BreakerEvent {
 	ev := BreakerEvent{Backend: name}
 	var tripped *guardedBackend
 	remaining := make([]MeasurementBackend, 0, len(i.backends))
-	sinks := make([]dyncapi.Backend, 0, len(i.backends))
 	for _, mb := range i.backends {
 		gb, ok := mb.(*guardedBackend)
 		if tripped == nil && ok && gb.Name() == name && gb.g.Tripped() {
@@ -138,7 +134,6 @@ func (i *Instance) breakerDetach(name string) BreakerEvent {
 			continue
 		}
 		remaining = append(remaining, mb)
-		sinks = append(sinks, mb.Events())
 	}
 	if tripped == nil {
 		// Already detached, or the backend set was swapped away underneath
@@ -148,21 +143,14 @@ func (i *Instance) breakerDetach(name string) BreakerEvent {
 	st := tripped.g.Stats()
 	ev.Panics, ev.LastPanic = st.Panics, st.LastPanic
 
-	if i.ctrl == nil && i.rt != nil {
-		sinks = append(sinks, tripped.g.Tombstone())
-		var sink dyncapi.Backend
-		if len(sinks) == 1 {
-			sink = sinks[0]
-		} else {
-			sink = dyncapi.NewMux(sinks...)
+	// A trip during Start (a panicking InitCost or symbol injection) can
+	// land before the runtime exists.
+	if i.rt != nil {
+		if rep, err := i.rt.SwapBackend(i.chain(remaining, tripped.g.Tombstone())); err == nil {
+			i.pendingNs += rep.VirtualNs
+			ev.Detached = true
+			ev.SyntheticExits = rep.SyntheticExits
 		}
-		rep, err := i.rt.SwapBackend(sink)
-		if err != nil {
-			return ev
-		}
-		i.pendingNs += rep.VirtualNs
-		ev.Detached = true
-		ev.SyntheticExits = rep.SyntheticExits
 	}
 	i.backends = remaining
 	i.detached = append(i.detached, name)

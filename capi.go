@@ -514,7 +514,7 @@ func (s *Session) Start(sel *Selection, opts RunOptions) (*Instance, error) {
 	if len(names) == 0 {
 		names = []string{string(BackendNone)}
 	}
-	backends, backend, err := inst.buildBackends(names, world)
+	backends, err := inst.buildBackends(names, world)
 	if err != nil {
 		return nil, err
 	}
@@ -528,10 +528,9 @@ func (s *Session) Start(sel *Selection, opts RunOptions) (*Instance, error) {
 			// events, so replay does not starve the controller.
 			return nil, fmt.Errorf("capi: Async and Adapt are incompatible: the overhead-budget controller detects epoch boundaries on live rank clocks, which the replayed pipeline events do not advance")
 		}
-		inst.ctrl = adapt.New(backend, *opts.Adapt)
-		backend = inst.ctrl
+		inst.ctrl = adapt.New(*opts.Adapt)
 	}
-	rt, err := dyncapi.New(proc, xr, cfg, backend, dyncapi.Options{
+	rt, err := dyncapi.New(proc, xr, cfg, inst.chain(backends), dyncapi.Options{
 		PatchAll: opts.PatchAll,
 		// HTTP middleware workers are extra dispatch ranks past the MPI
 		// world: sized here so each gets its own pipeline shard and sampler
@@ -561,20 +560,6 @@ func (s *Session) Start(sel *Selection, opts RunOptions) (*Instance, error) {
 		inst.ttl.lastSampling = copySamplingConfig(*opts.Sampling) //capi:unguarded-ok pre-publication init in Start
 	}
 	return inst, nil
-}
-
-// buildBackends builds the named backend set for this instance, each behind
-// its panic barrier — the one config Start and SetBackends share. Per-rank
-// backend state (scorep, extrae) is sized to cover the middleware's worker
-// ranks too: they dispatch past the MPI world.
-func (i *Instance) buildBackends(names []string, world *mpi.World) ([]MeasurementBackend, dyncapi.Backend, error) {
-	return buildMeasurementBackends(names, BackendConfig{
-		Ranks:          i.opts.Ranks + i.opts.HTTPWorkers,
-		Proc:           i.proc,
-		World:          world,
-		EmulateTALPBug: i.opts.EmulateTALPBug,
-		Trace:          i.opts.Trace,
-	}, dyncapi.GuardOptions{PanicLimit: i.opts.PanicLimit, OnTrip: i.onBreakerTrip})
 }
 
 // Reconfigure applies a new selection to the live instance: the currently
@@ -731,25 +716,22 @@ func (i *Instance) Backends() []string {
 // open state with synthetic exits (counted per backend in the returned
 // BackendSwapReport) because an enter they recorded can never be balanced
 // after the detach; the new set's virtual start-up cost is charged to the
-// next (or current) phase. Swapping is not supported on an adaptive
-// instance — the controller owns the backend chain there.
+// next (or current) phase. On an adaptive instance the controller stays
+// attached, behind the new set, and keeps deciding.
 func (i *Instance) SetBackends(names []string) (BackendSwapReport, error) {
 	if i.rt == nil {
 		return BackendSwapReport{}, fmt.Errorf("capi: instance is not instrumented")
-	}
-	if i.ctrl != nil {
-		return BackendSwapReport{}, fmt.Errorf("capi: cannot swap backends on an adaptive instance")
 	}
 	if len(names) == 0 {
 		return BackendSwapReport{}, fmt.Errorf("capi: empty backend list")
 	}
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	backends, sink, err := i.buildBackends(names, i.curWorld)
+	backends, err := i.buildBackends(names, i.curWorld)
 	if err != nil {
 		return BackendSwapReport{}, err
 	}
-	rep, err := i.rt.SwapBackend(sink)
+	rep, err := i.rt.SwapBackend(i.chain(backends))
 	if err != nil {
 		return rep, err
 	}
@@ -896,7 +878,7 @@ func (i *Instance) Status() InstanceStatus {
 		sampling := snap.Sampling
 		st.Sampling = &sampling
 	}
-	st.HTTP = i.HTTPSnapshot()
+	st.HTTP = i.httpSnapshot()
 	if i.ctrl != nil {
 		st.SLO = i.ctrl.SLOSnapshot()
 	}
@@ -970,7 +952,7 @@ func (i *Instance) Run() (*RunResult, error) {
 			}
 		}
 		if i.ctrl != nil {
-			i.ctrl.NewPhase()
+			i.ctrl.NewPhase(i.opts.Ranks)
 		}
 	}
 	i.curWorld = world

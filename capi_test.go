@@ -362,15 +362,15 @@ coarse(subtract(%mpi_comm, %excluded))
 }
 
 // TestRunWithAdaptController exercises the public Adapt wiring: a tight
-// budget must trigger live narrowing during a plain Session.Run. The
-// demote ladder is disabled here to pin the direct deselect path;
-// TestAdaptDemoteLadderEndToEnd covers the default ladder.
+// budget must trigger live narrowing during a plain Session.Run — past the
+// demote rung, down to deselection; TestAdaptDemoteLadderEndToEnd follows
+// the ladder rung by rung.
 func TestRunWithAdaptController(t *testing.T) {
 	s := newQuickSession(t)
 	res, err := s.Run(nil, capi.RunOptions{
 		Ranks:    2,
 		PatchAll: true,
-		Adapt:    &capi.AdaptOptions{Budget: 0.0001, DemoteStride: -1},
+		Adapt:    &capi.AdaptOptions{Budget: 0.000001},
 	})
 	if err != nil {
 		t.Fatal(err)

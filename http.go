@@ -250,9 +250,9 @@ type HTTPStatus struct {
 	Endpoints []HTTPEndpointStatus `json:"endpoints"`
 }
 
-// HTTPSnapshot returns the per-endpoint request/latency view, or nil when
+// httpSnapshot returns the per-endpoint request/latency view, or nil when
 // no endpoint was ever registered (no middleware attached).
-func (i *Instance) HTTPSnapshot() *HTTPStatus {
+func (i *Instance) httpSnapshot() *HTTPStatus {
 	i.http.mu.Lock()
 	eps := make([]*httpEndpoint, 0, len(i.http.endpoints))
 	for _, ep := range i.http.endpoints {

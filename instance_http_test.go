@@ -265,6 +265,61 @@ func TestHTTPServeConservationInterleavings(t *testing.T) {
 	}
 }
 
+// TestAdaptivePhasesUnderTraffic runs three phases of an SLO-adaptive
+// serving instance while request traffic keeps dispatching on the worker
+// ranks. Every phase after the first re-arms the controller for the fresh
+// world; that must leave the worker ranks' state to the workers. Run with
+// -race.
+func TestAdaptivePhasesUnderTraffic(t *testing.T) {
+	inst, svc := startWebService(t, capi.RunOptions{
+		PatchAll:    true,
+		Ranks:       2,
+		HTTPWorkers: 2,
+		Adapt:       &capi.AdaptOptions{SLOTargetP99Ns: int64(5 * time.Millisecond)},
+		Sampling:    &capi.SamplingOptions{Default: &capi.SamplingPolicy{Stride: 1}},
+	}, 2)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for d := range 2 {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := svc.Do(svc.RandomRoute(rng)); err != nil {
+					t.Errorf("do: %v", err)
+					return
+				}
+			}
+		}(int64(d + 1))
+	}
+	var runErr error
+	for range 3 {
+		if _, runErr = inst.Run(); runErr != nil {
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	st := inst.Status()
+	if st.Runs != 3 || st.HTTP == nil || st.HTTP.Requests == 0 {
+		t.Fatalf("runs %d, http %+v", st.Runs, st.HTTP)
+	}
+	inst.FlushSampling()
+	c := inst.Sampling().Counters
+	if got := c.Delivered + c.SampledEvents + c.SuppressedPairs + c.CollapsedCalls; c.Enters == 0 || got != c.Enters {
+		t.Fatalf("conservation broken: %+v", c)
+	}
+}
+
 // TestSetBackendsCoversWorkerRanks swaps the backend set of a serving
 // instance to the two backends that keep per-rank arrays and drives events
 // on the middleware's worker ranks, which sit past the MPI world: the

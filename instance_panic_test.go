@@ -172,6 +172,56 @@ func TestPanickingBackendPhaseSurvives(t *testing.T) {
 	}
 }
 
+// TestPanickingBackendOnAdaptiveInstance: the breaker detaches a tripping
+// backend from an adaptive instance's chain exactly as from any other, the
+// controller keeps deciding on the rebuilt chain, and the conservation
+// identity stays exact.
+func TestPanickingBackendOnAdaptiveInstance(t *testing.T) {
+	s := newQuickSession(t)
+	inst, err := s.Start(nil, capi.RunOptions{
+		Backends: []string{"talp", "test-panic"},
+		Ranks:    2,
+		PatchAll: true,
+		Adapt:    &capi.AdaptOptions{Budget: 0.0001},
+		Sampling: &capi.SamplingOptions{Default: &capi.SamplingPolicy{Stride: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(inst.Close)
+	trips := make(chan capi.BreakerEvent, 1)
+	inst.SetBreakerNotify(func(ev capi.BreakerEvent) { trips <- ev })
+
+	res1, err := inst.Run()
+	if err != nil {
+		t.Fatalf("first phase failed: %v", err)
+	}
+	select {
+	case ev := <-trips:
+		if ev.Backend != "test-panic" || !ev.Detached {
+			t.Fatalf("breaker event = %+v, want test-panic detached", ev)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("breaker never tripped")
+	}
+	res2, err := inst.Run()
+	if err != nil {
+		t.Fatalf("second phase failed: %v", err)
+	}
+	if len(res2.AdaptEpochs) <= len(res1.AdaptEpochs) || res2.Reports["talp"] == nil {
+		t.Fatalf("after the detach: epochs %d → %d, reports %v", len(res1.AdaptEpochs), len(res2.AdaptEpochs), res2.Backends)
+	}
+
+	st := inst.Status()
+	cnt := st.Sampling.Counters
+	if got := cnt.Delivered + cnt.SampledEvents + cnt.SuppressedPairs + cnt.CollapsedCalls; cnt.Enters == 0 || got != cnt.Enters {
+		t.Fatalf("conservation broken: %+v", cnt)
+	}
+	if st.DroppedPanicked != cnt.Delivered {
+		t.Fatalf("droppedPanicked = %d, want every delivered enter (%d)", st.DroppedPanicked, cnt.Delivered)
+	}
+}
+
 // TestPanickingStartPhaseDegrades: a StartPhase panic is recovered into
 // the same breaker (the phase proceeds without the backend's phase hook)
 // and a Report panic degrades to a missing envelope entry, not a crash.

@@ -1,20 +1,22 @@
-// Package adapt implements the overhead-budget controller that makes the
-// instrumentation genuinely *runtime-adaptable*: instead of the user
-// refining the selection between runs (the paper's §VII-A workflow), the
-// controller refines it *during* the run.
+// Package adapt implements the controller that makes the instrumentation
+// genuinely *runtime-adaptable*: instead of the user refining the selection
+// between runs (the paper's §VII-A workflow), the controller refines it
+// *during* the run.
 //
-// The controller is a measurement-backend bridge: it wraps the real backend
-// (cyg-profile, Score-P or TALP), forwards every event, and keeps
-// per-function enter/exit counts and inclusive durations. At every epoch
-// boundary of the virtual-time executor — the first event whose rank clock
-// crosses the boundary triggers the evaluation — it compares the epoch's
-// instrumentation overhead (events × modelled per-event cost) against the
-// configured budget. When the budget is exceeded it generates a narrowed
-// instrumentation configuration, dropping the hottest low-duration
-// functions first (the functions the paper's refinement loop removes by
-// hand, à la Fig. 1), and applies it in place through
-// dyncapi.Runtime.Reconfigure — only the delta sleds are re-patched, under
-// coalesced mprotect windows, and the run is never torn down.
+// The controller observes the event stream: it is a backend of its own,
+// placed last in the runtime's fan-out after the measurement backends, and
+// keeps per-function enter/exit counts and inclusive durations. Two policies
+// decide when to act. In budget mode, at every epoch boundary of the
+// virtual-time executor — the first event whose rank clock crosses the
+// boundary triggers the evaluation — the epoch's instrumentation overhead
+// (events × modelled per-event cost) is compared against the configured
+// budget; in SLO mode (slo.go) each endpoint's request p99 is compared
+// against a target. Both climb one ladder: a hot low-duration function is
+// first demoted to 1-in-64 sampling, and only an already demoted one is
+// deselected — the functions the paper's refinement loop removes by hand, à
+// la Fig. 1 — through dyncapi.Runtime.Reconfigure, which re-patches only the
+// delta sleds, under coalesced mprotect windows, and never tears the run
+// down. When pressure subsides the ladder is climbed back up.
 //
 // This closes the loop related work points at: Mertz & Nunes
 // (arXiv:2305.01039) adapt monitoring online to bound overhead, and Arafa
@@ -62,22 +64,6 @@ type Options struct {
 	MinMeanNs int64
 	// MaxReconfigs bounds the number of live re-selections (0 = unlimited).
 	MaxReconfigs int
-	// DemoteStride enables the demote ladder: before deselecting a hot
-	// low-duration function, the controller first *demotes* it to 1-in-N
-	// stride sampling (dyncapi.SetFuncSampling) — the hook stays patched,
-	// the function keeps being measured at reduced rate, and no re-patch
-	// is paid. Only a function that is already demoted and still pushes
-	// the overhead over budget is deselected. 0 uses the default (64);
-	// negative disables the ladder (deselect directly, the pre-sampling
-	// behaviour).
-	DemoteStride int
-	// PromoteBelow is the re-promotion hysteresis band: when an epoch's
-	// overhead lands at or below PromoteBelow × budget, the most recently
-	// demoted function is promoted back to full rate (one per epoch, so
-	// promotion cannot oscillate against demotion, which only triggers
-	// above the full budget). 0 uses the default (0.25); negative disables
-	// re-promotion.
-	PromoteBelow float64
 	// SLOTargetP99Ns switches the controller to SLO mode (see slo.go):
 	// instead of evaluating the overhead budget at epoch boundaries, the
 	// ladder is walked per endpoint so each endpoint's measured request
@@ -92,9 +78,16 @@ type Options struct {
 	SLOMinSamples int
 }
 
-// DefaultDemoteStride is the 1-in-N sampling rate the demote ladder
-// applies when Options.DemoteStride is 0.
-const DefaultDemoteStride = 64
+const (
+	// demoteStride is the 1-in-N sampling rate of the ladder's demote rung.
+	demoteStride = 64
+	// promoteBelow is budget mode's re-promotion hysteresis band: an epoch
+	// whose overhead lands at or below promoteBelow × budget promotes the
+	// most recent demotion back to full rate — one per epoch, so promotion
+	// cannot oscillate against demotion, which triggers only above the
+	// full budget.
+	promoteBelow = 0.25
+)
 
 func (o *Options) fill() {
 	if o.Epoch <= 0 {
@@ -108,12 +101,6 @@ func (o *Options) fill() {
 	}
 	if o.MinMeanNs <= 0 {
 		o.MinMeanNs = 10 * vtime.Microsecond
-	}
-	if o.DemoteStride == 0 {
-		o.DemoteStride = DefaultDemoteStride
-	}
-	if o.PromoteBelow == 0 {
-		o.PromoteBelow = 0.25
 	}
 	if o.SLOWindow <= 0 {
 		o.SLOWindow = DefaultSLOWindow
@@ -145,15 +132,13 @@ type Epoch struct {
 	OverheadNs int64
 	BudgetNs   int64
 	// Demoted lists the functions demoted to 1-in-N sampling at this
-	// boundary, Promoted the ones restored to full rate (hysteresis), and
-	// Dropped the ones deselected (empty when the budget held or demotion
-	// absorbed the excess). Reconfigured tells whether a live re-selection
-	// was applied; Report is its delta summary.
+	// boundary, Promoted the ones restored to full rate, and Dropped the
+	// ones a re-selection deselected (empty when the budget held or
+	// demotion absorbed the excess). Reconfigured tells whether a live
+	// re-selection was applied; Report is its delta summary.
 	Demoted      []string
-	DemotedIDs   []int32
 	Promoted     []string
 	Dropped      []string
-	DroppedIDs   []int32
 	Reconfigured bool
 	Report       dyncapi.ReconfigReport
 	// SLO-mode decisions (Rank -1) additionally carry the endpoint whose
@@ -196,12 +181,11 @@ type openCall struct {
 	startNs int64
 }
 
-// Controller is the adaptive bridge backend. Create it with New, pass it to
-// dyncapi.New as the measurement backend, then Attach the resulting runtime
-// so the controller can reconfigure it.
+// Controller is the adaptive controller: a dyncapi.Backend that measures
+// nothing and observes every event. Create it with New, put it last in the
+// backend chain handed to dyncapi.New, then Attach the resulting runtime so
+// the controller can reconfigure it.
 type Controller struct {
-	inner dyncapi.Backend
-
 	// opts is swapped atomically so Retune can adjust the budget/epoch while
 	// handlers are evaluating boundaries on other ranks.
 	opts atomic.Pointer[Options]
@@ -217,20 +201,20 @@ type Controller struct {
 	lastNs    atomic.Int64 // clock value of the previous evaluation
 	inEpoch   atomic.Bool
 
-	mu        sync.Mutex
-	epochs    []Epoch  //capi:guardedby mu
-	reconfigs int      //capi:guardedby mu
-	dropped   []string //capi:guardedby mu
+	mu sync.Mutex
+	// epochs is the decision log, and the one record of what was dropped
+	// and how many re-selections were applied.
+	epochs []Epoch //capi:guardedby mu
 	// ladder is the LIFO of steps in effect (most recent last): every
-	// demotion of either mode, and the SLO-mode deselections an endpoint
-	// may undo. A step is booked here and nowhere else.
+	// demotion and deselection of either mode. A step is booked here and
+	// nowhere else.
 	ladder []step //capi:guardedby mu
 }
 
-// New wraps a measurement backend with the adaptive controller.
-func New(inner dyncapi.Backend, opts Options) *Controller {
+// New creates a controller with the given tuning.
+func New(opts Options) *Controller {
 	opts.fill()
-	c := &Controller{inner: inner}
+	c := &Controller{}
 	c.opts.Store(&opts)
 	return c
 }
@@ -279,12 +263,6 @@ func (c *Controller) Retune(o Options) Options {
 	} else if o.MaxReconfigs < 0 {
 		cur.MaxReconfigs = 0
 	}
-	if o.DemoteStride != 0 {
-		cur.DemoteStride = o.DemoteStride
-	}
-	if o.PromoteBelow != 0 {
-		cur.PromoteBelow = o.PromoteBelow
-	}
 	// SLOTargetP99Ns > 0 enters (or retargets) SLO mode; negative returns
 	// to budget mode — 0 must mean "keep", mirroring the other fields.
 	if o.SLOTargetP99Ns > 0 {
@@ -305,11 +283,12 @@ func (c *Controller) Retune(o Options) Options {
 	return cur
 }
 
-// NewPhase re-arms the controller for an execution phase whose rank clocks
-// restart at zero (a fresh world): the epoch boundary is reset, the event
-// window cleared and open invocations from the previous phase forgotten.
-// Call it only between phases, never while handlers are executing.
-func (c *Controller) NewPhase() {
+// NewPhase re-arms the controller for an execution phase whose world of
+// worldRanks ranks restarts its clocks at zero: the epoch boundary is reset,
+// the event window cleared and the world ranks' open invocations forgotten.
+// Ranks past the world (HTTP middleware workers) keep dispatching across
+// phases, so their state stays theirs. Call it only between phases.
+func (c *Controller) NewPhase(worldRanks int) {
 	c.nextEpoch.Store(c.opts.Load().Epoch)
 	c.lastNs.Store(0)
 	c.events.Store(0)
@@ -317,20 +296,19 @@ func (c *Controller) NewPhase() {
 		v.(*funcStat).epochEvents.Store(0)
 		return true
 	})
-	c.ranks.Range(func(_, v any) bool {
-		v.(*rankState).open = map[int32]*openCall{}
+	c.ranks.Range(func(k, v any) bool {
+		if k.(int) < worldRanks {
+			v.(*rankState).open = map[int32]*openCall{}
+		}
 		return true
 	})
 }
 
-// Inner returns the wrapped measurement backend.
-func (c *Controller) Inner() dyncapi.Backend { return c.inner }
-
 // Name implements dyncapi.Backend.
-func (c *Controller) Name() string { return "adapt+" + c.inner.Name() }
+func (c *Controller) Name() string { return "adapt" }
 
-// InitCost implements dyncapi.Backend.
-func (c *Controller) InitCost(symbols int) int64 { return c.inner.InitCost(symbols) }
+// InitCost implements dyncapi.Backend: the controller initializes nothing.
+func (c *Controller) InitCost(int) int64 { return 0 }
 
 func (c *Controller) stat(fn *dyncapi.ResolvedFunc) *funcStat {
 	if v, ok := c.stats.Load(fn.PackedID); ok {
@@ -348,7 +326,8 @@ func (c *Controller) rank(id int) *rankState {
 	return v.(*rankState)
 }
 
-// OnEnter implements dyncapi.Backend: count, forward, check the epoch.
+// OnEnter implements dyncapi.Backend: count, open the invocation, check the
+// epoch.
 func (c *Controller) OnEnter(tc xray.ThreadCtx, fn *dyncapi.ResolvedFunc) {
 	st := c.stat(fn)
 	st.calls.Add(1)
@@ -365,7 +344,6 @@ func (c *Controller) OnEnter(tc xray.ThreadCtx, fn *dyncapi.ResolvedFunc) {
 		oc.startNs = tc.Clock().Now()
 	}
 	oc.depth++
-	c.inner.OnEnter(tc, fn)
 	c.maybeEpoch(tc)
 }
 
@@ -383,7 +361,6 @@ func (c *Controller) OnExit(tc xray.ThreadCtx, fn *dyncapi.ResolvedFunc) {
 			st.completions.Add(1)
 		}
 	}
-	c.inner.OnExit(tc, fn)
 	c.maybeEpoch(tc)
 }
 
@@ -420,6 +397,9 @@ func (c *Controller) maybeEpoch(tc xray.ThreadCtx) {
 	c.nextEpoch.Store(now + c.opts.Load().Epoch)
 }
 
+// runEpoch is budget mode's decision: over budget, walk the hottest
+// candidates down the ladder until the projected excess is covered; well
+// under it, promote the most recent demotion.
 func (c *Controller) runEpoch(rt *dyncapi.Runtime, tc xray.ThreadCtx, now int64) {
 	opts := c.opts.Load()
 	events := c.events.Swap(0)
@@ -444,16 +424,11 @@ func (c *Controller) runEpoch(rt *dyncapi.Runtime, tc xray.ThreadCtx, now int64)
 	ep := Epoch{AtNs: now, Rank: tc.RankID(), Events: events, OverheadNs: overhead, BudgetNs: budget}
 
 	if overhead > budget {
-		// MaxReconfigs bounds *re-selections*; the demote ladder changes
-		// only sampling rates (no re-patch), so it keeps working when the
-		// reconfiguration budget is exhausted.
-		c.narrow(rt, tc, &ep, overhead-budget, !c.limited(opts))
-	} else if opts.PromoteBelow > 0 && overhead <= int64(opts.PromoteBelow*float64(budget)) {
-		// Hysteresis re-promotion: well under budget, restore the most
-		// recently demoted function to full rate — one per epoch, and only
-		// inside the PromoteBelow band, so promotion cannot oscillate
-		// against demotion (which triggers above the full budget).
-		c.promote(rt, &ep)
+		c.narrow(rt, c.candidates(rt.ActiveFuncs(), true), nil, &ep, overhead-budget)
+		// A re-patch is real work: charge it to the rank that performed it.
+		tc.Clock().Advance(ep.Report.VirtualNs)
+	} else if overhead <= int64(promoteBelow*float64(budget)) {
+		c.stepUp(rt, func(st step) bool { return !st.drop }, &ep)
 	}
 
 	// Reset the per-epoch counters for the next window.
@@ -464,16 +439,8 @@ func (c *Controller) runEpoch(rt *dyncapi.Runtime, tc xray.ThreadCtx, now int64)
 	c.appendEpoch(ep)
 }
 
-// isDemoted reports whether the function sits on the demote ladder.
-func (c *Controller) isDemoted(id int32) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return slices.ContainsFunc(c.ladder, func(st step) bool { return !st.drop && st.id == id })
-}
-
-// The rungs both policies climb — budget epochs (narrow/promote) and SLO
-// evaluations (sloNarrow/sloWiden) differ in when they step and how far,
-// not in what a step is.
+// The ladder both policies climb. They differ in scope and heat signal
+// (candidates) and in their stopping rule, not in what a step is.
 
 // victim is one candidate for a ladder step.
 type victim struct {
@@ -484,21 +451,39 @@ type victim struct {
 }
 
 // step is one ladder step in effect: the victim demoted to 1-in-N or, with
-// drop, deselected. owner is the SLO endpoint whose evaluation took the step and
-// may undo it; budget-mode demotions have none.
+// drop, deselected. owner is the SLO endpoint whose evaluation took the step
+// and may undo it; budget-mode steps have none.
 type step struct {
 	victim
 	drop  bool
 	owner *endpointStat
 }
 
-// sortVictims orders candidates cheapest-information-first: the
-// low-duration class before everything else, then by event count
-// descending, ID ascending for determinism. A function with no completed
-// invocation yet (mean -1) has an unknown duration and is conservatively
-// treated as not low-duration.
-func sortVictims(cands []victim, opts *Options) {
-	lowDur := func(mean int64) bool { return mean >= 0 && mean < opts.MinMeanNs }
+// candidates orders scope's functions for a ladder walk by the policy's
+// heat signal: this epoch's events in budget mode (a function silent this
+// epoch costs nothing and is left out), all-time events in SLO mode. The
+// order is cheapest-information-first: the low-duration class before
+// everything else, then by heat descending, ID ascending for determinism. A
+// function with no completed invocation yet (mean -1) has an unknown
+// duration and is conservatively treated as not low-duration.
+func (c *Controller) candidates(scope []*dyncapi.ResolvedFunc, epochHeat bool) []victim {
+	var cands []victim
+	for _, rf := range scope {
+		v := victim{id: rf.PackedID, name: rf.Name}
+		if s, ok := c.stats.Load(rf.PackedID); ok {
+			st := s.(*funcStat)
+			v.events, v.meanNs = st.events.Load(), st.meanNs()
+			if epochHeat {
+				v.events = st.epochEvents.Load()
+			}
+		}
+		if epochHeat && v.events == 0 {
+			continue
+		}
+		cands = append(cands, v)
+	}
+	minMean := c.opts.Load().MinMeanNs
+	lowDur := func(mean int64) bool { return mean >= 0 && mean < minMean }
 	sort.Slice(cands, func(i, j int) bool {
 		li, lj := lowDur(cands[i].meanNs), lowDur(cands[j].meanNs)
 		if li != lj {
@@ -509,26 +494,105 @@ func sortVictims(cands []victim, opts *Options) {
 		}
 		return cands[i].id < cands[j].id
 	})
+	return cands
 }
 
-// limited reports whether MaxReconfigs forbids another re-selection.
-func (c *Controller) limited(opts *Options) bool {
+// narrow takes cands down the ladder in order, one rung each, until their
+// projected saving covers excessNs: a candidate at full rate is demoted to
+// 1-in-demoteStride sampling — its hook stays patched, no re-patch is paid,
+// and it is still measured at the reduced rate — and one already demoted is
+// deselected. The walk's deselections are applied as one re-selection
+// (delta sleds only) and booked on the ladder for owner. Once MaxReconfigs
+// is reached the walk only demotes.
+func (c *Controller) narrow(rt *dyncapi.Runtime, cands []victim, owner *endpointStat, ep *Epoch, excessNs int64) {
+	opts := c.opts.Load()
+	allowDrop := !c.limited(opts)
+	var saved int64
+	var drops []victim
+	for _, v := range cands {
+		if saved >= excessNs {
+			break
+		}
+		if !c.isDemoted(v.id) {
+			if c.demote(rt, v, owner, ep) {
+				saved += v.events * opts.PerEventNs * (demoteStride - 1) / demoteStride
+			}
+		} else if allowDrop {
+			drops = append(drops, v)
+			saved += v.events * opts.PerEventNs
+		}
+	}
+	if len(drops) == 0 {
+		return
+	}
+	gone := make(map[int32]bool, len(drops))
+	for _, v := range drops {
+		gone[v.id] = true
+	}
+	if c.reselect(rt, owner, gone, nil, ep) != nil {
+		return
+	}
+	// A deselected function's demotion gives way to its deselection, and
+	// its sampler policy is cleared, so a re-add or a manual re-selection
+	// measures it at full rate again.
+	c.mu.Lock()
+	c.ladder = slices.DeleteFunc(c.ladder, func(st step) bool { return !st.drop && gone[st.id] })
+	for _, v := range drops {
+		c.ladder = append(c.ladder, step{victim: v, drop: true, owner: owner})
+	}
+	c.mu.Unlock()
+	for _, v := range drops {
+		ep.Dropped = append(ep.Dropped, displayName(v.name, v.id))
+		rt.SetFuncSampling(v.id, nil) //nolint:errcheck // best-effort cleanup
+	}
+}
+
+// stepUp undoes the most recent ladder step match accepts: a demotion is
+// promoted back to full rate, a deselection re-added by a re-selection. A
+// re-add that MaxReconfigs forbids or that fails goes back on the ladder,
+// so a lifted bound can still undo it later. It reports whether a step was
+// undone.
+func (c *Controller) stepUp(rt *dyncapi.Runtime, match func(step) bool, ep *Epoch) bool {
+	st, ok := c.popStep(match)
+	if !ok {
+		return false
+	}
+	if !st.drop {
+		if rt.SetFuncSampling(st.id, nil) != nil {
+			return false
+		}
+		ep.Promoted = append(ep.Promoted, displayName(st.name, st.id))
+		return true
+	}
+	// Skipping the function in the active set first makes the re-selection
+	// a no-op re-add should it be back already.
+	if c.limited(c.opts.Load()) || c.reselect(rt, st.owner, map[int32]bool{st.id: true}, &st.victim, ep) != nil {
+		c.mu.Lock()
+		c.ladder = append(c.ladder, st)
+		c.mu.Unlock()
+		return false
+	}
+	ep.Readded = append(ep.Readded, displayName(st.name, st.id))
+	return true
+}
+
+// isDemoted reports whether the function sits on the demote rung.
+func (c *Controller) isDemoted(id int32) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return opts.MaxReconfigs > 0 && c.reconfigs >= opts.MaxReconfigs
+	return slices.ContainsFunc(c.ladder, func(st step) bool { return !st.drop && st.id == id })
 }
 
-// demote puts v on the ladder at 1-in-DemoteStride for owner and records
+// demote puts v on the ladder at 1-in-demoteStride for owner and records
 // the step in ep; false when the sampler refused the policy.
-func (c *Controller) demote(rt *dyncapi.Runtime, v victim, owner *endpointStat, opts *Options, ep *Epoch) bool {
-	if err := rt.SetFuncSampling(v.id, &dyncapi.SamplePolicy{Stride: opts.DemoteStride}); err != nil {
+func (c *Controller) demote(rt *dyncapi.Runtime, v victim, owner *endpointStat, ep *Epoch) bool {
+	if err := rt.SetFuncSampling(v.id, &dyncapi.SamplePolicy{Stride: demoteStride}); err != nil {
 		return false
 	}
 	c.mu.Lock()
 	c.ladder = append(c.ladder, step{victim: v, owner: owner})
 	c.mu.Unlock()
 	ep.Demoted = append(ep.Demoted, displayName(v.name, v.id))
-	ep.DemotedIDs = append(ep.DemotedIDs, v.id)
 	return true
 }
 
@@ -545,26 +609,16 @@ func (c *Controller) popStep(match func(step) bool) (step, bool) {
 	return step{}, false
 }
 
-// forgetDemotionsLocked takes the demotions of the functions in ids off the
-// ladder and returns the IDs that had one.
-//
-//capi:locked mu
-func (c *Controller) forgetDemotionsLocked(ids map[int32]bool) []int32 {
-	var gone []int32
-	c.ladder = slices.DeleteFunc(c.ladder, func(st step) bool {
-		if st.drop || !ids[st.id] {
-			return false
-		}
-		gone = append(gone, st.id)
-		return true
-	})
-	return gone
+// limited reports whether MaxReconfigs forbids another re-selection.
+func (c *Controller) limited(opts *Options) bool {
+	return opts.MaxReconfigs > 0 && c.Reconfigs() >= opts.MaxReconfigs
 }
 
-// reselect re-patches to active minus drop, plus add when it names a
-// function, as an IC stamped with the deciding policy; a re-selection that
-// went through is counted and reported in ep.
-func (c *Controller) reselect(rt *dyncapi.Runtime, policy string, active []*dyncapi.ResolvedFunc, drop map[int32]bool, add *victim, ep *Epoch) error {
+// reselect re-patches to the active set minus drop, plus add when it names
+// a function, as an IC stamped with the deciding policy (an endpoint's
+// steps are SLO mode's); a re-selection that went through is reported in
+// ep.
+func (c *Controller) reselect(rt *dyncapi.Runtime, owner *endpointStat, drop map[int32]bool, add *victim, ep *Epoch) error {
 	var names []string
 	var ids []int32
 	include := func(id int32, name string) {
@@ -573,13 +627,17 @@ func (c *Controller) reselect(rt *dyncapi.Runtime, policy string, active []*dync
 		}
 		ids = append(ids, id)
 	}
-	for _, rf := range active {
+	for _, rf := range rt.ActiveFuncs() {
 		if !drop[rf.PackedID] {
 			include(rf.PackedID, rf.Name)
 		}
 	}
 	if add != nil {
 		include(add.id, add.name)
+	}
+	policy := "adapt"
+	if owner != nil {
+		policy = "slo"
 	}
 	app, spec := "", policy
 	if cfg := rt.Config(); cfg != nil {
@@ -593,19 +651,7 @@ func (c *Controller) reselect(rt *dyncapi.Runtime, policy string, active []*dync
 		return err
 	}
 	ep.Reconfigured, ep.Report = true, rep
-	c.mu.Lock()
-	c.reconfigs++
-	c.mu.Unlock()
 	return nil
-}
-
-// promote restores the most recently demoted function to full rate.
-func (c *Controller) promote(rt *dyncapi.Runtime, ep *Epoch) {
-	d, ok := c.popStep(func(st step) bool { return !st.drop })
-	if !ok || rt.SetFuncSampling(d.id, nil) != nil {
-		return
-	}
-	ep.Promoted = append(ep.Promoted, displayName(d.name, d.id))
 }
 
 // ResetLadder forgets the controller's demotion bookkeeping. Called when
@@ -643,72 +689,11 @@ func displayName(name string, id int32) string {
 	return fmt.Sprintf("id:%d", id)
 }
 
-// narrow reduces the projected overhead until it fits the budget, walking
-// the hottest low-duration functions first. Each candidate climbs the
-// ladder: first *demoted* to 1-in-DemoteStride sampling (the hook stays
-// patched, no re-patch cost, the function keeps being measured at reduced
-// rate); a candidate that is already demoted and still over budget is
-// *deselected* — the narrowed IC is applied in place, delta sleds only.
-// allowDrop false (reconfiguration budget exhausted) restricts the walk to
-// demotions.
-func (c *Controller) narrow(rt *dyncapi.Runtime, tc xray.ThreadCtx, ep *Epoch, excess int64, allowDrop bool) {
-	active := rt.ActiveFuncs()
-	var cands []victim
-	for _, rf := range active {
-		v, ok := c.stats.Load(rf.PackedID)
-		if !ok {
-			continue
-		}
-		st := v.(*funcStat)
-		ev := st.epochEvents.Load()
-		if ev == 0 {
-			continue
-		}
-		cands = append(cands, victim{id: rf.PackedID, name: rf.Name, events: ev, meanNs: st.meanNs()})
-	}
-	opts := c.opts.Load()
-	sortVictims(cands, opts)
-	ladder := opts.DemoteStride > 0
-	drop := map[int32]bool{}
-	for _, cd := range cands {
-		if excess <= 0 {
-			break
-		}
-		if ladder && !c.isDemoted(cd.id) {
-			// Demote to 1-in-N: the gentler knob. Projected saving is the
-			// sampled-out share of the candidate's epoch events.
-			if c.demote(rt, cd, nil, opts, ep) {
-				excess -= cd.events * opts.PerEventNs * int64(opts.DemoteStride-1) / int64(opts.DemoteStride)
-			}
-			continue
-		}
-		if !allowDrop {
-			continue
-		}
-		drop[cd.id] = true
-		excess -= cd.events * opts.PerEventNs
-		ep.Dropped = append(ep.Dropped, displayName(cd.name, cd.id))
-		ep.DroppedIDs = append(ep.DroppedIDs, cd.id)
-	}
-	if len(drop) == 0 {
-		return
-	}
-	if c.reselect(rt, "adapt", active, drop, nil, ep) != nil {
-		return
-	}
-	// The re-patch is real work: charge it to the rank that performed it.
-	tc.Clock().Advance(ep.Report.VirtualNs)
-
-	// Dropped functions leave the ladder: keep the demotion bookkeeping in
-	// sync and clear their sampler policies, so a later manual
-	// re-selection measures them at full rate again.
+func (c *Controller) appendEpoch(ep Epoch) {
 	c.mu.Lock()
-	c.dropped = append(c.dropped, ep.Dropped...)
-	clear := c.forgetDemotionsLocked(drop)
+	ep.Seq = len(c.epochs) + 1
+	c.epochs = append(c.epochs, ep)
 	c.mu.Unlock()
-	for _, id := range clear {
-		rt.SetFuncSampling(id, nil) //nolint:errcheck // best-effort cleanup
-	}
 }
 
 // Epochs returns the recorded control decisions.
@@ -722,7 +707,13 @@ func (c *Controller) Epochs() []Epoch {
 func (c *Controller) Reconfigs() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.reconfigs
+	n := 0
+	for _, ep := range c.epochs {
+		if ep.Reconfigured {
+			n++
+		}
+	}
+	return n
 }
 
 // Dropped returns every function the controller has deselected, in drop
@@ -730,7 +721,11 @@ func (c *Controller) Reconfigs() int {
 func (c *Controller) Dropped() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]string(nil), c.dropped...)
+	var out []string
+	for _, ep := range c.epochs {
+		out = append(out, ep.Dropped...)
+	}
+	return out
 }
 
 // Stats returns per-function snapshots sorted by packed ID.

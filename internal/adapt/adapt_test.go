@@ -25,7 +25,8 @@ func (f *fakeCtx) RankID() int         { return f.rank }
 func (f *fakeCtx) Clock() *vtime.Clock { return &f.clk }
 
 // twoFuncSetup builds exe{main, hot, slow}, an XRay runtime and a DynCaPI
-// runtime instrumenting hot+slow through a controller wrapping inner.
+// runtime instrumenting hot+slow into inner, with a controller observing
+// behind it.
 func twoFuncSetup(t *testing.T, opts Options, inner dyncapi.Backend) (*compiler.Build, *obj.Process, *xray.Runtime, *dyncapi.Runtime, *Controller) {
 	t.Helper()
 	p := prog.New("app", "main")
@@ -46,8 +47,8 @@ func twoFuncSetup(t *testing.T, opts Options, inner dyncapi.Backend) (*compiler.
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl := New(inner, opts)
-	rt, err := dyncapi.New(proc, xr, ic.New("app", "s", []string{"hot", "slow"}), ctrl, dyncapi.Options{})
+	ctrl := New(opts)
+	rt, err := dyncapi.New(proc, xr, ic.New("app", "s", []string{"hot", "slow"}), dyncapi.NewMux(inner, ctrl), dyncapi.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,19 +107,21 @@ func TestControllerUnderBudgetKeepsSelection(t *testing.T) {
 }
 
 func TestControllerDropsHottestLowDurationFirst(t *testing.T) {
-	b, proc, xr, rt, ctrl := twoFuncSetup(t, Options{Epoch: vtime.Millisecond, Budget: 0.01, DemoteStride: -1}, &dyncapi.CygBackend{})
+	b, proc, xr, rt, ctrl := twoFuncSetup(t, Options{Epoch: vtime.Millisecond, Budget: 0.0001}, &dyncapi.CygBackend{})
 	hot := packedOf(t, b, xr, proc, "hot")
 	slow := packedOf(t, b, xr, proc, "slow")
+	demoteFirst(t, ctrl, rt, hot)
 	tc := &fakeCtx{}
-	// 210 hot invocations of 100ns each: hot and low-duration.
+	// 210 hot invocations of 100ns each: hot and low-duration; at 1-in-64,
+	// four of them reach the controller.
 	for i := 0; i < 210; i++ {
 		xr.Dispatch(tc, hot, xray.Entry)
 		tc.clk.Advance(100)
 		xr.Dispatch(tc, hot, xray.Exit)
 	}
 	// One slow invocation of 1ms: its exit crosses the epoch boundary with
-	// 422 events ≈ 10550ns overhead against a ≈10210ns elapsed-scaled
-	// budget (1% of the 1.021ms window).
+	// 10 events = 250ns overhead against a ≈102ns elapsed-scaled budget
+	// (0.01% of the 1.021ms window).
 	xr.Dispatch(tc, slow, xray.Entry)
 	tc.clk.Advance(vtime.Millisecond)
 	xr.Dispatch(tc, slow, xray.Exit)
@@ -156,7 +159,7 @@ func TestControllerDropsHottestLowDurationFirst(t *testing.T) {
 
 func TestControllerRespectsMaxReconfigs(t *testing.T) {
 	b, proc, xr, rt, ctrl := twoFuncSetup(t, Options{
-		Epoch: vtime.Millisecond, Budget: 0.0001, MaxReconfigs: 1, DemoteStride: -1,
+		Epoch: vtime.Millisecond, Budget: 0.0001, MaxReconfigs: 1,
 	}, &dyncapi.CygBackend{})
 	hot := packedOf(t, b, xr, proc, "hot")
 	slow := packedOf(t, b, xr, proc, "slow")
@@ -215,7 +218,7 @@ func TestAdaptiveNarrowingMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl := New(&dyncapi.CygBackend{}, Options{Epoch: 100 * vtime.Microsecond, Budget: 0.01, DemoteStride: -1})
+	ctrl := New(Options{Epoch: 100 * vtime.Microsecond, Budget: 0.001})
 	rt, err := dyncapi.New(proc, xr, ic.New("adaptapp", "test", []string{"hot", "medium"}), ctrl, dyncapi.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -265,11 +268,11 @@ func TestAdaptiveNarrowingMidRun(t *testing.T) {
 		t.Fatal("no reconfigured epoch recorded")
 	}
 	rep := reconfigured.Report
-	if int64(len(reconfigured.DroppedIDs)) != rep.Batch.BatchFuncs {
+	if int64(len(reconfigured.Dropped)) != rep.Batch.BatchFuncs {
 		t.Fatalf("batch touched %d funcs, dropped %d — not delta-only",
-			rep.Batch.BatchFuncs, len(reconfigured.DroppedIDs))
+			rep.Batch.BatchFuncs, len(reconfigured.Dropped))
 	}
-	if rep.Patched != 0 || rep.Unpatched != len(reconfigured.DroppedIDs) {
+	if rep.Patched != 0 || rep.Unpatched != len(reconfigured.Dropped) {
 		t.Fatalf("report = %+v", rep)
 	}
 	if rep.Batch.PatchedSleds != 0 {
@@ -308,6 +311,17 @@ func TestAdaptiveNarrowingMidRun(t *testing.T) {
 	}
 }
 
+// demoteFirst takes the functions one rung down the ladder, as an earlier
+// over-budget epoch would have, so the next narrowing step deselects them.
+func demoteFirst(t *testing.T, ctrl *Controller, rt *dyncapi.Runtime, ids ...int32) {
+	t.Helper()
+	for _, id := range ids {
+		if !ctrl.demote(rt, victim{id: id, name: rt.Resolved(id).Name}, nil, &Epoch{}) {
+			t.Fatalf("demoting %d failed", id)
+		}
+	}
+}
+
 func funcEvents(c *Controller, id int32) int64 {
 	for _, fs := range c.Stats() {
 		if fs.ID == id {
@@ -318,8 +332,8 @@ func funcEvents(c *Controller, id int32) int64 {
 }
 
 // TestControllerForwardsSymbolInjection is the regression for the adapt
-// wrapper silently disabling Score-P's DSO symbol injection: DynCaPI must
-// find the SymbolInjector through the bridge.
+// controller silently disabling Score-P's DSO symbol injection: DynCaPI must
+// find the SymbolInjector beside the controller in the fan-out.
 func TestControllerForwardsSymbolInjection(t *testing.T) {
 	p := prog.New("app", "main")
 	p.MustAddUnit("app.exe", prog.Executable)
@@ -343,14 +357,15 @@ func TestControllerForwardsSymbolInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl := New(dyncapi.NewScorePBackend(m, scorep.NewResolverFromExecutable(proc)), Options{})
-	rt, err := dyncapi.New(proc, xr, ic.New("app", "s", []string{"dso_fn"}), ctrl, dyncapi.Options{})
+	ctrl := New(Options{})
+	chain := dyncapi.NewMux(dyncapi.NewScorePBackend(m, scorep.NewResolverFromExecutable(proc)), ctrl)
+	rt, err := dyncapi.New(proc, xr, ic.New("app", "s", []string{"dso_fn"}), chain, dyncapi.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctrl.Attach(rt)
 	if rt.Report().SymbolsInjected == 0 {
-		t.Fatal("DSO symbols not injected through the adapt bridge")
+		t.Fatal("DSO symbols not injected beside the adapt controller")
 	}
 }
 
@@ -358,11 +373,13 @@ func TestControllerForwardsSymbolInjection(t *testing.T) {
 // the mean-duration denominator: nested (recursive) entries must not
 // dilute a long function's mean into the "low-duration" class.
 func TestRecursiveLongFunctionNotDroppedAsLowDuration(t *testing.T) {
-	b, proc, xr, rt, ctrl := twoFuncSetup(t, Options{Epoch: vtime.Millisecond, Budget: 0.01, DemoteStride: -1}, &dyncapi.CygBackend{})
+	b, proc, xr, rt, ctrl := twoFuncSetup(t, Options{Epoch: vtime.Millisecond, Budget: 0.005}, &dyncapi.CygBackend{})
 	hot := packedOf(t, b, xr, proc, "hot")
 	slow := packedOf(t, b, xr, proc, "slow")
+	demoteFirst(t, ctrl, rt, hot)
 	tc := &fakeCtx{}
-	// hot: 150 tiny invocations (clearly low-duration).
+	// hot: 150 tiny invocations (clearly low-duration), three of them
+	// delivered at 1-in-64.
 	for i := 0; i < 150; i++ {
 		xr.Dispatch(tc, hot, xray.Entry)
 		tc.clk.Advance(100)
@@ -371,8 +388,8 @@ func TestRecursiveLongFunctionNotDroppedAsLowDuration(t *testing.T) {
 	// slow: ONE outer invocation of 1.75ms that recurses into itself 350
 	// times. The epoch boundary fires mid-recursion, when slow has more
 	// epoch events than hot — but its outer invocation is long (and still
-	// open), so it must not be classified low-duration and hot must be
-	// dropped first.
+	// open), so it must not be classified low-duration: hot is dropped
+	// first, and slow only takes the demote rung.
 	xr.Dispatch(tc, slow, xray.Entry)
 	for j := 0; j < 350; j++ {
 		xr.Dispatch(tc, slow, xray.Entry)
@@ -400,17 +417,17 @@ func TestRecursiveLongFunctionNotDroppedAsLowDuration(t *testing.T) {
 
 // TestControllerCountsAgreeWithTraceTotals pins the controller/tracer
 // interop contract: the adaptive controller and the extrae backend observe
-// the same event stream (the controller forwards every event it counts), so
-// the controller's per-function totals must equal the trace buffer's
-// recorded + policy-dropped accounting — even across a live narrowing that
-// deselects a function mid-trace.
+// the same event stream (siblings in one fan-out), so the controller's
+// per-function totals must equal the trace buffer's recorded +
+// policy-dropped accounting — even across a live narrowing that deselects a
+// function mid-trace.
 func TestControllerCountsAgreeWithTraceTotals(t *testing.T) {
 	buf, err := trace.New(trace.Options{Ranks: 1, BufEvents: 32, MaxEvents: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
 	b, proc, xr, rt, ctrl := twoFuncSetup(t,
-		Options{Epoch: vtime.Millisecond, Budget: 0.000001, MinMeanNs: vtime.Second, DemoteStride: -1},
+		Options{Epoch: vtime.Millisecond, Budget: 0.000001, MinMeanNs: vtime.Second},
 		dyncapi.NewExtraeBackend(buf))
 	hot := packedOf(t, b, xr, proc, "hot")
 	slow := packedOf(t, b, xr, proc, "slow")
@@ -447,7 +464,7 @@ func TestControllerCountsAgreeWithTraceTotals(t *testing.T) {
 }
 
 func TestRetuneAdjustsOptionsLive(t *testing.T) {
-	c := New(&dyncapi.CygBackend{}, Options{Budget: 0.05, Epoch: 10 * vtime.Millisecond})
+	c := New(Options{Budget: 0.05, Epoch: 10 * vtime.Millisecond})
 	got := c.Retune(Options{Budget: 0.2})
 	if got.Budget != 0.2 {
 		t.Fatalf("Budget = %v, want 0.2", got.Budget)
@@ -487,7 +504,7 @@ func TestRetuneAdjustsOptionsLive(t *testing.T) {
 // overhead over budget is deselected at a later boundary.
 func TestControllerDemotesBeforeDropping(t *testing.T) {
 	b, proc, xr, rt, ctrl := twoFuncSetup(t,
-		Options{Epoch: vtime.Millisecond, Budget: 0.0001, DemoteStride: 4}, &dyncapi.CygBackend{})
+		Options{Epoch: vtime.Millisecond, Budget: 0.0001}, &dyncapi.CygBackend{})
 	hot := packedOf(t, b, xr, proc, "hot")
 	slow := packedOf(t, b, xr, proc, "slow")
 	tc := &fakeCtx{}
@@ -553,12 +570,12 @@ func TestControllerDemotesBeforeDropping(t *testing.T) {
 }
 
 // TestControllerPromotesWithHysteresis: once the overhead falls into the
-// PromoteBelow band (well under budget), the most recently demoted
+// promoteBelow band (well under budget), the most recently demoted
 // function is restored to full rate — the hysteresis that re-promotes when
 // pressure subsides.
 func TestControllerPromotesWithHysteresis(t *testing.T) {
 	b, proc, xr, rt, ctrl := twoFuncSetup(t,
-		Options{Epoch: vtime.Millisecond, Budget: 0.01, DemoteStride: 4, PromoteBelow: 0.5},
+		Options{Epoch: vtime.Millisecond, Budget: 0.01},
 		&dyncapi.CygBackend{})
 	hot := packedOf(t, b, xr, proc, "hot")
 	slow := packedOf(t, b, xr, proc, "slow")
@@ -605,8 +622,8 @@ func TestResetLadderForgetsDemotions(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"budget", Options{Epoch: vtime.Millisecond, Budget: 0.0001, DemoteStride: 4}},
-		{"slo", Options{DemoteStride: 4, SLOTargetP99Ns: vtime.Millisecond, SLOWindow: sloEvalEvery, SLOMinSamples: sloEvalEvery}},
+		{"budget", Options{Epoch: vtime.Millisecond, Budget: 0.0001}},
+		{"slo", Options{SLOTargetP99Ns: vtime.Millisecond, SLOWindow: sloEvalEvery, SLOMinSamples: sloEvalEvery}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			b, proc, xr, rt, ctrl := twoFuncSetup(t, mode.opts, &dyncapi.CygBackend{})
@@ -669,7 +686,7 @@ func TestResetLadderForgetsDemotions(t *testing.T) {
 // widening evaluation finds nothing left to undo.
 func TestLadderSurvivesModeRoundTrip(t *testing.T) {
 	b, proc, xr, rt, ctrl := twoFuncSetup(t, Options{
-		Epoch: vtime.Millisecond, Budget: 0.01, DemoteStride: 4, PromoteBelow: 0.5,
+		Epoch: vtime.Millisecond, Budget: 0.01,
 		SLOTargetP99Ns: vtime.Millisecond, SLOWindow: sloEvalEvery, SLOMinSamples: sloEvalEvery,
 	}, &dyncapi.CygBackend{})
 	hot := packedOf(t, b, xr, proc, "hot")

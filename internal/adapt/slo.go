@@ -1,12 +1,12 @@
 // SLO mode: when Options.SLOTargetP99Ns is set the controller stops
-// steering by the overhead budget (maybeEpoch disarms) and instead walks
-// the demote→deselect ladder *per endpoint*, driven by measured tail
-// latency. The objective is inverted relative to budget mode: "p99 ≤ X
-// with max instrumentation coverage" — narrowing only while the endpoint
-// misses its target, and un-walking the ladder (LIFO) to restore coverage
-// once the tail sits comfortably under it. The cost signal is the real
-// one users care about — request latency including instrumentation — not
-// a modelled events×ns estimate.
+// steering by the overhead budget (maybeEpoch disarms) and instead climbs
+// the ladder *per endpoint*, driven by measured tail latency. The objective
+// is inverted relative to budget mode: "p99 ≤ X with max instrumentation
+// coverage" — narrowing only while the endpoint misses its target, and
+// undoing the endpoint's steps (LIFO) to restore coverage once the tail sits
+// comfortably under it. The cost signal is the real one users care about —
+// request latency including instrumentation — not a modelled events×ns
+// estimate.
 //
 // The HTTP middleware feeds the controller: it registers each route's
 // instrumented call tree (RegisterEndpoint) and reports every completed
@@ -18,6 +18,7 @@
 package adapt
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -37,18 +38,18 @@ const (
 	// evaluations: frequent enough to react within ~a window, rare enough
 	// that the sort never shows up in request latency.
 	sloEvalEvery = 32
-	// sloWidenHeadroom is the hysteresis band for restoring coverage: the
+	// widenHeadroom is the hysteresis band for restoring coverage: the
 	// ladder is un-walked only while p99 ≤ headroom × target, so widening
 	// (which triggers well under target) cannot oscillate against
 	// narrowing (which triggers only above it).
-	sloWidenHeadroom = 0.75
-	// sloWidenWaitMax caps the widen backoff (in evaluations). The
+	widenHeadroom = 0.75
+	// widenWaitMax caps the widen backoff (in evaluations). The
 	// headroom band alone cannot prevent oscillation when one ladder
 	// action swings the endpoint's p99 by more than the band's width (a
 	// dropped subtree can be worth many ms), so every widen that is
 	// punished by a narrow within the next two evaluations doubles the
 	// endpoint's wait before it may widen again.
-	sloWidenWaitMax = 256
+	widenWaitMax = 256
 )
 
 // endpointStat is the controller's per-endpoint accumulator: the route's
@@ -142,19 +143,41 @@ func (c *Controller) ObserveRequest(endpoint string, latencyNs int64) {
 	}
 	defer c.inEpoch.Store(false)
 	target := opts.SLOTargetP99Ns
+	ep := Epoch{Rank: -1, Endpoint: es.name, P99Ns: p99, TargetNs: target}
 	switch {
 	case p99 > target:
-		c.sloNarrow(rt, es, p99, target, opts)
+		// One step down per evaluation, so the next window measures its
+		// effect before another is taken — gentlest first: the hottest of
+		// the endpoint's functions still at full rate is demoted, and only
+		// when all are demoted is the hottest one deselected.
+		var scope []*dyncapi.ResolvedFunc
+		for _, id := range es.funcIDs {
+			if rt.Active(id) {
+				scope = append(scope, rt.Resolved(id))
+			}
+		}
+		if cands := c.candidates(scope, false); len(cands) > 0 {
+			pick := slices.IndexFunc(cands, func(v victim) bool { return !c.isDemoted(v.id) })
+			if pick < 0 {
+				pick = 0
+			}
+			c.narrow(rt, cands[pick:pick+1], es, &ep, math.MaxInt64)
+		}
+		c.appendEpoch(ep)
 		// A violation right after a widen means the restored coverage is
 		// what broke the SLO: back the endpoint's widen cadence off so the
 		// ladder settles instead of ping-ponging one action forever.
 		es.mu.Lock()
 		if es.lastWiden > 0 && evalNo-es.lastWiden <= 2 {
-			es.widenWait = min(max(es.widenWait, 1)*2, sloWidenWaitMax)
+			es.widenWait = min(max(es.widenWait, 1)*2, widenWaitMax)
 		}
 		es.mu.Unlock()
-	case float64(p99) <= sloWidenHeadroom*float64(target) && widenOK:
-		c.sloWiden(rt, es, p99, target, opts)
+	case float64(p99) <= widenHeadroom*float64(target) && widenOK:
+		// Max coverage is the objective: headroom under the target is spent
+		// on undoing the endpoint's most recent step.
+		if c.stepUp(rt, func(st step) bool { return st.owner == es }, &ep) {
+			c.appendEpoch(ep)
+		}
 		es.mu.Lock()
 		es.lastWiden = evalNo
 		es.mu.Unlock()
@@ -172,106 +195,6 @@ func Quantile(sorted []int64, q float64) int64 {
 		idx = len(sorted) - 1
 	}
 	return sorted[idx]
-}
-
-// sloNarrow takes one ladder step down for an endpoint missing its
-// target: demote the endpoint's hottest still-full-rate function, or —
-// when every candidate is already demoted (or the ladder is disabled) —
-// deselect the hottest one outright. One step per evaluation keeps the
-// controller observable: the next window measures the step's effect
-// before another is taken.
-func (c *Controller) sloNarrow(rt *dyncapi.Runtime, es *endpointStat, p99, target int64, opts *Options) {
-	ep := Epoch{Rank: -1, Endpoint: es.name, P99Ns: p99, TargetNs: target}
-	defer func() { c.appendEpoch(ep) }()
-	var cands []victim
-	for _, id := range es.funcIDs {
-		if !rt.Active(id) {
-			continue
-		}
-		rf := rt.Resolved(id)
-		if rf == nil {
-			continue
-		}
-		cd := victim{id: id, name: rf.Name}
-		if v, ok := c.stats.Load(id); ok {
-			st := v.(*funcStat)
-			cd.events = st.events.Load()
-			cd.meanNs = st.meanNs()
-		}
-		cands = append(cands, cd)
-	}
-	if len(cands) == 0 {
-		return
-	}
-	sortVictims(cands, opts)
-
-	if opts.DemoteStride > 0 {
-		for _, cd := range cands {
-			if !c.isDemoted(cd.id) && c.demote(rt, cd, es, opts, &ep) {
-				return
-			}
-		}
-	}
-
-	// Every endpoint function still instrumented is already demoted:
-	// deselect the hottest one. MaxReconfigs bounds re-selections exactly
-	// as in budget mode.
-	if c.limited(opts) {
-		return
-	}
-	gone := cands[0]
-	drop := map[int32]bool{gone.id: true}
-	if c.reselect(rt, "slo", rt.ActiveFuncs(), drop, nil, &ep) != nil {
-		return
-	}
-	ep.Dropped = append(ep.Dropped, displayName(gone.name, gone.id))
-	ep.DroppedIDs = append(ep.DroppedIDs, gone.id)
-
-	c.mu.Lock()
-	c.dropped = append(c.dropped, ep.Dropped...)
-	c.forgetDemotionsLocked(drop)
-	c.ladder = append(c.ladder, step{victim: gone, drop: true, owner: es})
-	c.mu.Unlock()
-	// A deselected function leaves the sampler ladder so a later widen or
-	// manual re-selection measures it at full rate.
-	rt.SetFuncSampling(gone.id, nil) //nolint:errcheck // best-effort cleanup
-}
-
-// sloWiden undoes the endpoint's most recent ladder step — max coverage
-// is the objective, so headroom under the target is spent on restoring
-// instrumentation, one step per evaluation.
-func (c *Controller) sloWiden(rt *dyncapi.Runtime, es *endpointStat, p99, target int64, opts *Options) {
-	st, ok := c.popStep(func(st step) bool { return st.owner == es })
-	if !ok {
-		return
-	}
-	ep := Epoch{Rank: -1, Endpoint: es.name, P99Ns: p99, TargetNs: target}
-	if !st.drop {
-		if rt.SetFuncSampling(st.id, nil) == nil {
-			ep.Promoted = append(ep.Promoted, displayName(st.name, st.id))
-			c.appendEpoch(ep)
-		}
-		return
-	}
-	// When the re-patch is not allowed or fails, put the step back so a
-	// lifted bound can still undo it later. Skipping the function in the
-	// active set first makes the Reconfigure a no-op re-add should it be
-	// back already.
-	if c.limited(opts) || c.reselect(rt, "slo", rt.ActiveFuncs(), map[int32]bool{st.id: true}, &st.victim, &ep) != nil {
-		c.mu.Lock()
-		c.ladder = append(c.ladder, st)
-		c.mu.Unlock()
-		return
-	}
-	ep.Readded = append(ep.Readded, displayName(st.name, st.id))
-	c.appendEpoch(ep)
-}
-
-func (c *Controller) appendEpoch(ep Epoch) {
-	c.mu.Lock()
-	ep.Seq = len(c.epochs) + 1
-	c.epochs = append(c.epochs, ep)
-	c.mu.Unlock()
 }
 
 // SLOEndpoint is one endpoint row of the SLO status document.

@@ -432,12 +432,20 @@ func TestBackendSwapOverHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "registered:") {
 		t.Fatalf("unknown backend swap: %d %s", resp.StatusCode, body)
 	}
-	// An adaptive instance refuses the swap: the controller owns the chain.
-	ts2, _, _ := newServer(t, capi.Quickstart(), "quickstart",
+	// An adaptive instance swaps like any other, and its controller keeps
+	// deciding on the new chain.
+	ts2, _, inst2 := newServer(t, capi.Quickstart(), "quickstart",
 		capi.RunOptions{Backends: []string{"talp"}, Ranks: 2, Adapt: &capi.AdaptOptions{Budget: 0.5}})
 	resp, body = postJSON(t, ts2.URL+"/v1/select", ctl.SelectRequest{Backends: []string{"extrae"}})
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "adaptive") {
+	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("adaptive swap: %d %s", resp.StatusCode, body)
+	}
+	res, err := inst2.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.AdaptEpochs) == 0 || res.Reports["extrae"] == nil {
+		t.Fatalf("after the swap: %d controller epochs, backends %v", len(res.AdaptEpochs), res.Backends)
 	}
 }
 

@@ -192,7 +192,7 @@ type Runtime struct {
 	objOrder []uint8
 
 	// backend holds the attached measurement backend (possibly a Mux
-	// fan-out, possibly wrapped by the adapt controller). It is loaded
+	// fan-out, the adapt controller among its children). It is loaded
 	// atomically for every delivered event so SwapBackend can exchange the
 	// whole backend set while ranks execute.
 	backend atomic.Value // of backendBox
@@ -320,16 +320,10 @@ func (rt *Runtime) loadBackend() Backend {
 	return rt.backend.Load().(backendBox).b
 }
 
-// backendUnwrapper is implemented by bridge backends (the adaptive
-// controller) that wrap the real measurement backend.
-type backendUnwrapper interface {
-	Inner() Backend
-}
-
 // symbolInjectors finds every SymbolInjector in the backend graph, looking
-// through bridge backends (the adapt controller) and fan-outs (Mux) so
-// wrapping or multiplexing (e.g. the controller around a talp+scorep mux)
-// does not silently disable DSO symbol injection for any consumer.
+// through fan-outs (Mux) so multiplexing (e.g. talp+scorep, or a measurement
+// backend plus the adapt controller) does not silently disable DSO symbol
+// injection for any consumer.
 func symbolInjectors(b Backend) []SymbolInjector {
 	var out []SymbolInjector
 	walkBackends(b, func(b Backend) {
@@ -340,23 +334,14 @@ func symbolInjectors(b Backend) []SymbolInjector {
 	return out
 }
 
-// walkBackends visits every backend in the graph rooted at b: b itself,
-// the inner backend of every bridge (backendUnwrapper) and the children of
-// every fan-out (Mux), depth-first in delivery order.
+// walkBackends visits every backend in the graph rooted at b: b itself and
+// the children of every fan-out (Mux), depth-first in delivery order.
 func walkBackends(b Backend, visit func(Backend)) {
-	for b != nil {
-		visit(b)
-		if f, ok := b.(fanout); ok {
-			for _, c := range f.Children() {
-				walkBackends(c, visit)
-			}
-			return
+	visit(b)
+	if f, ok := b.(fanout); ok {
+		for _, c := range f.Children() {
+			walkBackends(c, visit)
 		}
-		w, ok := b.(backendUnwrapper)
-		if !ok {
-			return
-		}
-		b = w.Inner()
 	}
 }
 
@@ -746,9 +731,9 @@ func (rt *Runtime) Reconfigure(cfg *ic.Config) (ReconfigReport, error) {
 
 	// Deliver synthetic exits for ranks caught inside a deselected
 	// function: the sleds are restored, so no real exit can arrive anymore.
-	// Every Deselector in the backend graph (the adapt controller may wrap
-	// the measurement backend; a Mux fans out to several) gets to close its
-	// dangling state, and the closures are counted per backend.
+	// Every Deselector in the backend graph (a Mux fans out to several)
+	// gets to close its dangling state, and the closures are counted per
+	// backend.
 	if len(toUnpatch) > 0 {
 		dss := deselectors(rt.loadBackend())
 		for _, rf := range toUnpatch {
@@ -866,7 +851,7 @@ func (rt *Runtime) Snapshot() Snapshot {
 }
 
 // Backend returns the currently attached measurement backend (a *Mux when
-// several are attached, the adapt controller when adaptation wraps them).
+// several are attached, the adapt controller among them).
 func (rt *Runtime) Backend() Backend { return rt.loadBackend() }
 
 // BackendSwapReport summarizes one live backend-set swap (SwapBackend).
@@ -963,14 +948,10 @@ func (rt *Runtime) SwapBackend(b Backend) (BackendSwapReport, error) {
 			injector.InjectSymbol(s.addr, s.name)
 		}
 	}
-	// Start-up cost: only arriving leaves pay. Fan-outs and bridges are
-	// skipped so a mux's children are not charged twice (Mux.InitCost sums
-	// them already).
+	// Start-up cost: only arriving leaves pay. Fan-outs are skipped so a
+	// mux's children are not charged twice (Mux.InitCost sums them already).
 	walkBackends(b, func(c Backend) {
 		if _, isFan := c.(fanout); isFan {
-			return
-		}
-		if _, isBridge := c.(backendUnwrapper); isBridge {
 			return
 		}
 		if reflect.TypeOf(c).Comparable() && oldSet[c] {

@@ -42,10 +42,10 @@ type GuardOptions struct {
 // whose optional capabilities (Deselector, SymbolInjector) mirror the
 // wrapped backend's — all of them guarded.
 //
-// Guard deliberately does NOT implement the backendUnwrapper interface:
-// walkBackends descends through Inner(), and a walker that reached the raw
-// backend (symbol injection, deselector collection) would bypass the
-// barrier.
+// A guarded sink is a leaf of the backend graph: walkBackends descends only
+// into fan-outs, so the walks (symbol injection, deselector collection)
+// reach the wrapped backend through the guarded capabilities above and
+// never around the barrier.
 //
 // Accounting: DroppedPanicked counts enter events (in the identity's enter
 // units) that did not reach the backend — the enter that panicked plus

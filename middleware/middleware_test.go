@@ -129,7 +129,7 @@ func TestTapWrap(t *testing.T) {
 	tap2.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {})).
 		ServeHTTP(rec, httptest.NewRequest("GET", "/other", nil))
 
-	snap := inst.HTTPSnapshot()
+	snap := inst.Status().HTTP
 	if snap == nil {
 		t.Fatal("no HTTP snapshot after tap traffic")
 	}
