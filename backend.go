@@ -201,8 +201,8 @@ func ValidateBackends(names []string) error {
 
 // ParseBackends splits a comma-separated backend list ("talp,extrae") and
 // validates every name against the registry, failing fast with the list of
-// registered names on an unknown one. It is the shared -backend flag parser
-// of cmd/dyncapi and cmd/capi-serve.
+// registered names on an unknown one. It parses the -backend flag of
+// capi run and capi serve.
 func ParseBackends(list string) ([]string, error) {
 	var names []string
 	for _, part := range strings.Split(list, ",") {

@@ -10,7 +10,7 @@
 //
 // Every run goes through capi sessions. The workloads are scaled down
 // (Scale, timesteps) so a full -bench=. pass stays in CI budgets;
-// `go run ./cmd/capi-bench -scale 1.0` prints the tables at paper scale.
+// `go run ./cmd/capi paper -scale 1.0` prints the tables at paper scale.
 // Shapes (who wins, by what factor) are scale-independent.
 package capi_test
 

@@ -328,8 +328,8 @@ type RunOptions struct {
 	// and returns; a consumer pool replays the records through the backend
 	// chain asynchronously. Phase-end results are exact (Run drains the
 	// pipeline before capturing them); overload drops whole enter/exit
-	// pairs, counted in DroppedAsync. Incompatible with Adapt (the
-	// controller needs events on live rank clocks).
+	// pairs, counted in DroppedAsync. Incompatible with budget-mode Adapt
+	// (epochs are detected on live rank clocks); SLO-mode Adapt works.
 	Async bool
 	// AsyncBuf is the per-rank ring capacity in events (0 = the
 	// dyncapi.DefaultAsyncBuf default). Only meaningful with Async.

@@ -90,9 +90,9 @@
 //	          re-selection (optionally TTL'd: ephemeral probes that
 //	          auto-revert), phase execution, report scrapes, /metrics
 //	          rendered from the /v1/status document, SSE reconfigure/
-//	          expired/breaker events (served by cmd/capi-serve)
-//	fleet     federated control plane over many capi-serve members
-//	          (cmd/capi-fleet): registration with heartbeat-TTL eviction,
+//	          expired/breaker events (served by capi serve)
+//	fleet     federated control plane over many capi serve members
+//	          (capi fleet): registration with heartbeat-TTL eviction,
 //	          cluster-wide fan-out of select/sampling/adapt with
 //	          partial-failure accounting (all-or-report-divergence),
 //	          merged status/report — fleet-wide POP metrics re-derived
@@ -106,7 +106,7 @@
 //	          source annotations: hotpath (dispatch path must not
 //	          allocate/lock/block/hash), atomicfield (no mixed atomic/plain
 //	          access), guardedby (mutex discipline), noexit (library code
-//	          never aborts the process) — run by cmd/capi-lint as a
+//	          never aborts the process) — run by capi-lint as a
 //	          required CI gate
 //
 // # The Fig. 1 loop
@@ -212,15 +212,15 @@
 //
 // An Instance is safe for concurrent control calls against an executing
 // phase, which lets the selection be driven from *outside* the process:
-// cmd/capi-serve mounts internal/ctl over a live instance and serves
+// capi serve (cmd/capi) mounts internal/ctl over a live instance and serves
 // status, the current selection, live re-selection (POST a spec, get the
 // ReconfigReport), phase execution, measurement reports, adaptive-controller
 // retuning, Prometheus metrics and an SSE stream of reconfigure events.
 // Instance.Status returns the consistent snapshot those endpoints expose;
 // /metrics is that snapshot rendered as series.
 //
-// Above the single process sits the federated control plane: cmd/capi-fleet
-// (internal/fleet) aggregates many capi-serve members — capi-serve -fleet
+// Above the single process sits the federated control plane: capi fleet
+// (internal/fleet) aggregates many capi serve members — capi serve -fleet
 // self-registers and heartbeats — fanning control mutations out
 // cluster-wide with explicit partial-failure reporting and merging the
 // members' status, reports (fleet-wide POP efficiency over the union of

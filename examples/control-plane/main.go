@@ -51,7 +51,7 @@ func main() {
 	}
 
 	// Mount the control plane on a loopback listener — in production this
-	// is `capi-serve`, a separate long-lived process.
+	// is `capi serve`, a separate long-lived process.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

@@ -1,4 +1,4 @@
-// Fleet federation demo: one coordinator steering three capi-serve
+// Fleet federation demo: one coordinator steering three capi serve
 // instances as a single system.
 //
 // Three members run the LULESH stand-in (4 simulated ranks each) behind
@@ -37,7 +37,7 @@ coarse(subtract(%mpi_comm, %excluded))
 `
 
 func main() {
-	// The coordinator. In production this is `capi-fleet`, a separate
+	// The coordinator. In production this is `capi fleet`, a separate
 	// long-lived process.
 	coord, err := fleet.New(fleet.Options{TTL: 10 * time.Second})
 	if err != nil {
@@ -50,7 +50,7 @@ func main() {
 	fmt.Printf("coordinator on %s\n", coordURL)
 
 	// Three members, each its own session + instance + control plane —
-	// in production three `capi-serve -fleet <coordinator>` processes.
+	// in production three `capi serve -fleet <coordinator>` processes.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var bases []string

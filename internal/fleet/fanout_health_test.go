@@ -12,7 +12,7 @@ import (
 	"capi/internal/fleet"
 )
 
-// scriptedMember is a fake capi-serve whose behavior is switched per test
+// scriptedMember is a fake capi serve whose behavior is switched per test
 // step: "down" aborts the connection (transport error, no status line),
 // "reject" answers a clean 400, and the truncate modes promise a large
 // Content-Length but write a short body, so the coordinator receives the

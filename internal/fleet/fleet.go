@@ -1,12 +1,12 @@
 // Package fleet is the federated control plane: one coordinator over many
-// capi-serve instances. The single-instance control plane (internal/ctl)
+// capi serve instances. The single-instance control plane (internal/ctl)
 // drives exactly one in-process Instance; the paper's own setting is a
 // multi-rank MPI job steered as one system (TALP/DLB coordinate across
 // ranks at runtime), and selection decisions are only meaningful
 // fleet-wide — a global overhead budget must be split and enforced across
-// members, not per process. cmd/capi-fleet mounts this server.
+// members, not per process. capi fleet mounts this server.
 //
-// Members are capi-serve endpoints, discovered two ways: a static
+// Members are capi serve endpoints, discovered two ways: a static
 // -members list given at start-up, and dynamic self-registration
 // (POST /v1/fleet/register, re-POSTed as a heartbeat). A registered member
 // that misses its heartbeat TTL is evicted by a single lazily-started

@@ -37,7 +37,7 @@ func fastOpts() fleet.Options {
 	}
 }
 
-// testMember is one in-process capi-serve: a live quickstart instance
+// testMember is one in-process capi serve: a live quickstart instance
 // behind its own control plane.
 type testMember struct {
 	ts   *httptest.Server
@@ -187,7 +187,7 @@ func memberTALP(t *testing.T, memberURL string) map[string][]pop.RankTimes {
 	return out
 }
 
-// TestFleetFederation is the end-to-end path: three in-process capi-serve
+// TestFleetFederation is the end-to-end path: three in-process capi serve
 // instances federated under one coordinator — registration, fan-out that
 // reaches every live member, a killed member reported as failed (never
 // silently dropped), and a merged report whose POP metrics equal

@@ -15,7 +15,7 @@ import (
 // immediately, then on the tick; transitions between reachable and
 // unreachable are reported once through logf (never per-beat, so a
 // coordinator outage does not flood the member's log). Intended to run as
-// one goroutine inside capi-serve's -fleet mode; it never terminates the
+// one goroutine inside capi serve's -fleet mode; it never terminates the
 // process — losing the coordinator only stops the member from being
 // steered fleet-wide, the local control plane keeps working.
 func Heartbeat(ctx context.Context, fleetURL string, reg RegisterRequest, interval time.Duration, logf func(format string, args ...any)) {

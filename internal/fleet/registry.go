@@ -10,7 +10,7 @@ import (
 	"capi/internal/deadline"
 )
 
-// member is one capi-serve endpoint the coordinator knows about. Mutable
+// member is one capi serve endpoint the coordinator knows about. Mutable
 // fields are guarded by the owning registry's mutex; events is written by
 // the member's tailer goroutine, so it stays atomic.
 type member struct {

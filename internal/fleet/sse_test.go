@@ -87,7 +87,7 @@ func (s *sseTail) waitFor(t *testing.T, what string, timeout time.Duration, pred
 }
 
 // restartableMember is a member whose HTTP server can die and come back
-// on the same address — a capi-serve process restart as the coordinator's
+// on the same address — a capi serve process restart as the coordinator's
 // tailer sees it.
 type restartableMember struct {
 	t    *testing.T
