@@ -6,7 +6,8 @@
 //   - BenchmarkFig4PackedID     — Fig. 4 (packed ID encode/decode)
 //   - BenchmarkFactsInit        — §VI-B DynCaPI initialization (resolution,
 //     hidden-symbol handling, patching)
-//   - BenchmarkAblation*        — design-choice ablations from DESIGN.md
+//   - BenchmarkAblation*        — design-choice ablations: coarse selector,
+//     inlining compensation, runtime filter vs. patch-time selection
 //
 // Every run goes through capi sessions. The workloads are scaled down
 // (Scale, timesteps) so a full -bench=. pass stays in CI budgets;

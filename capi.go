@@ -487,6 +487,11 @@ func (s *Session) Start(sel *Selection, opts RunOptions) (*Instance, error) {
 	if opts.Ranks <= 0 {
 		opts.Ranks = 4
 	}
+	if opts.Adapt != nil {
+		if err := checkAdapt(*opts.Adapt); err != nil {
+			return nil, err
+		}
+	}
 	proc, err := s.build.LoadProcess()
 	if err != nil {
 		return nil, err
@@ -605,12 +610,26 @@ func (i *Instance) applySelection(cfg *ic.Config) (ReconfigReport, error) {
 // Retune adjusts the live overhead-budget controller's tuning (budget,
 // epoch length, reconfiguration bound) while the workload executes. Zero
 // fields keep their current value; a negative MaxReconfigs lifts the bound.
-// It fails when the instance was started without RunOptions.Adapt.
+// It fails when the instance was started without RunOptions.Adapt, and
+// applies nothing when a field is out of range.
 func (i *Instance) Retune(opts AdaptOptions) (AdaptOptions, error) {
 	if i.ctrl == nil {
 		return AdaptOptions{}, fmt.Errorf("capi: instance is not adaptive (start with RunOptions.Adapt)")
 	}
+	if err := checkAdapt(opts); err != nil {
+		return AdaptOptions{}, err
+	}
 	return i.ctrl.Retune(opts), nil
+}
+
+// checkAdapt rejects controller tuning out of range. The SLO window sizes a
+// per-endpoint allocation, so it is capped at the latency window /v1/status
+// keeps per endpoint.
+func checkAdapt(o AdaptOptions) error {
+	if o.SLOWindow > httpLatencyRing {
+		return &dyncapi.PolicyError{Field: "sloWindow", Msg: fmt.Sprintf("capi: SLO window %d exceeds %d requests", o.SLOWindow, httpLatencyRing)}
+	}
+	return nil
 }
 
 // SetSampling replaces the live instance's sampling/suppression table:

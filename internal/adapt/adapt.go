@@ -55,9 +55,6 @@ type Options struct {
 	// the allowance by the number of ranks it has observed, since the
 	// event counts it watches aggregate all ranks. Default: 0.01.
 	Budget float64
-	// PerEventNs is the modelled cost of one dispatched event (trampoline +
-	// handler). Default: 25, the execution engine's dispatch cost.
-	PerEventNs int64
 	// MinMeanNs classifies functions as "low-duration": a function whose
 	// mean inclusive duration is below this threshold carries little
 	// measurement value per event and is dropped first. Default: 10µs.
@@ -95,9 +92,6 @@ func (o *Options) fill() {
 	}
 	if o.Budget <= 0 {
 		o.Budget = 0.01
-	}
-	if o.PerEventNs <= 0 {
-		o.PerEventNs = 25
 	}
 	if o.MinMeanNs <= 0 {
 		o.MinMeanNs = 10 * vtime.Microsecond
@@ -252,9 +246,6 @@ func (c *Controller) Retune(o Options) Options {
 	if o.Budget > 0 {
 		cur.Budget = o.Budget
 	}
-	if o.PerEventNs > 0 {
-		cur.PerEventNs = o.PerEventNs
-	}
 	if o.MinMeanNs > 0 {
 		cur.MinMeanNs = o.MinMeanNs
 	}
@@ -403,7 +394,7 @@ func (c *Controller) maybeEpoch(tc xray.ThreadCtx) {
 func (c *Controller) runEpoch(rt *dyncapi.Runtime, tc xray.ThreadCtx, now int64) {
 	opts := c.opts.Load()
 	events := c.events.Swap(0)
-	overhead := events * opts.PerEventNs
+	overhead := events * xray.DispatchCostNs
 	// The window since the previous evaluation may span several epochs
 	// (collectives can advance a clock far past a boundary); the budget
 	// covers the whole elapsed window, not a single epoch, so catch-up
@@ -515,11 +506,11 @@ func (c *Controller) narrow(rt *dyncapi.Runtime, cands []victim, owner *endpoint
 		}
 		if !c.isDemoted(v.id) {
 			if c.demote(rt, v, owner, ep) {
-				saved += v.events * opts.PerEventNs * (demoteStride - 1) / demoteStride
+				saved += v.events * xray.DispatchCostNs * (demoteStride - 1) / demoteStride
 			}
 		} else if allowDrop {
 			drops = append(drops, v)
-			saved += v.events * opts.PerEventNs
+			saved += v.events * xray.DispatchCostNs
 		}
 	}
 	if len(drops) == 0 {

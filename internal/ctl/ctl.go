@@ -615,7 +615,6 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 type AdaptRequest struct {
 	Budget         float64 `json:"budget,omitempty"`
 	EpochSeconds   float64 `json:"epochSeconds,omitempty"`
-	PerEventNs     int64   `json:"perEventNs,omitempty"`
 	MinMeanNs      int64   `json:"minMeanNs,omitempty"`
 	MaxReconfigs   int     `json:"maxReconfigs,omitempty"`
 	SLOTargetP99Ms float64 `json:"sloTargetP99Ms,omitempty"`
@@ -627,7 +626,6 @@ type AdaptRequest struct {
 type AdaptResponse struct {
 	Budget         float64 `json:"budget"`
 	EpochSeconds   float64 `json:"epochSeconds"`
-	PerEventNs     int64   `json:"perEventNs"`
 	MinMeanNs      int64   `json:"minMeanNs"`
 	MaxReconfigs   int     `json:"maxReconfigs"`
 	SLOTargetP99Ms float64 `json:"sloTargetP99Ms,omitempty"`
@@ -651,13 +649,17 @@ func (s *Server) handleAdapt(w http.ResponseWriter, r *http.Request) {
 	got, err := s.inst.Retune(capi.AdaptOptions{
 		Budget:         req.Budget,
 		Epoch:          vtime.Seconds(req.EpochSeconds),
-		PerEventNs:     req.PerEventNs,
 		MinMeanNs:      req.MinMeanNs,
 		MaxReconfigs:   req.MaxReconfigs,
 		SLOTargetP99Ns: sloNs,
 		SLOWindow:      req.SLOWindow,
 		SLOMinSamples:  req.SLOMinSamples,
 	})
+	var pe *dyncapi.PolicyError
+	if errors.As(err, &pe) {
+		WriteFieldErr(w, http.StatusBadRequest, pe.Field, "%v", err)
+		return
+	}
 	if err != nil {
 		WriteErr(w, http.StatusConflict, "%v", err)
 		return
@@ -665,7 +667,6 @@ func (s *Server) handleAdapt(w http.ResponseWriter, r *http.Request) {
 	resp := AdaptResponse{
 		Budget:       got.Budget,
 		EpochSeconds: float64(got.Epoch) / float64(vtime.Second),
-		PerEventNs:   got.PerEventNs,
 		MinMeanNs:    got.MinMeanNs,
 		MaxReconfigs: got.MaxReconfigs,
 	}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -17,6 +18,7 @@ import (
 
 	capi "capi"
 	"capi/internal/ctl"
+	"capi/middleware"
 )
 
 const wideSpec = `!import("mpi.capi")
@@ -267,6 +269,64 @@ func TestAdaptRetuneOverHTTP(t *testing.T) {
 	}
 	if ar.Budget != 0.2 || ar.EpochSeconds != 0.002 {
 		t.Fatalf("effective tuning = %+v", ar)
+	}
+}
+
+// TestAdaptRejectsOversizeSLOWindow: the SLO window sizes a per-endpoint
+// allocation, so a window past /v1/status's own 1024-request latency window
+// is refused — by Start, and by POST /v1/adapt with a 400 that names the
+// field and applies nothing — and the next request still completes.
+func TestAdaptRejectsOversizeSLOWindow(t *testing.T) {
+	session, err := capi.NewAppSession("webservice", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := capi.RunOptions{PatchAll: true, Ranks: 1, HTTPWorkers: 1,
+		Adapt: &capi.AdaptOptions{SLOTargetP99Ns: int64(5 * time.Millisecond), SLOWindow: 1025}}
+	if _, err := session.Start(nil, opts); err == nil {
+		t.Fatal("Start accepted SLOWindow 1025")
+	}
+	opts.Adapt.SLOWindow = 0
+	inst, err := session.Start(nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(inst.Close)
+	svc, err := middleware.New(inst, session.Program(), capi.WebserviceEndpoints(), middleware.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(ctl.New(session, inst, "webservice"))
+	t.Cleanup(ts.Close)
+	rng := rand.New(rand.NewSource(1))
+	if _, err := svc.Do(svc.RandomRoute(rng)); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, body := postJSON(t, ts.URL+"/v1/adapt", ctl.AdaptRequest{SLOWindow: 1 << 62})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("oversize sloWindow: %d %s, want 400", resp.StatusCode, body)
+	}
+	if f := errorField(t, body); f != "sloWindow" {
+		t.Fatalf("error field %q, want sloWindow", f)
+	}
+	var st ctl.StatusResponse
+	getJSON(t, ts.URL+"/v1/status", &st)
+	if st.SLO == nil || st.SLO.Window != 256 {
+		t.Fatalf("SLO status after the rejected retune = %+v, want window 256", st.SLO)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := svc.Do(svc.RandomRoute(rng))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("the request after the rejected retune did not complete")
 	}
 }
 

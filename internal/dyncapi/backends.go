@@ -7,6 +7,7 @@ import (
 	"capi/internal/scorep"
 	"capi/internal/talp"
 	"capi/internal/trace"
+	"capi/internal/vtime"
 	"capi/internal/xray"
 )
 
@@ -24,8 +25,6 @@ type CygBackend struct {
 	// __cyg_profile_func_enter(void *fn, void *callsite).
 	EnterFunc func(tc xray.ThreadCtx, addr uint64)
 	ExitFunc  func(tc xray.ThreadCtx, addr uint64)
-	// Init is the backend's fixed start-up cost (virtual ns).
-	Init int64
 }
 
 // Name implements Backend.
@@ -45,8 +44,8 @@ func (b *CygBackend) OnExit(tc xray.ThreadCtx, fn *ResolvedFunc) {
 	}
 }
 
-// InitCost implements Backend.
-func (b *CygBackend) InitCost(int) int64 { return b.Init }
+// InitCost implements Backend: the callbacks need no start-up.
+func (b *CygBackend) InitCost(int) int64 { return 0 }
 
 // ScorePBackend drives a Score-P measurement through the generic
 // address-based interface: every event passes the function address to
@@ -239,20 +238,34 @@ func (b *TALPBackend) OnDeselect(fn *ResolvedFunc) int {
 // runtime's split drop counters (DroppedInFlight/DroppedUnpatched) plus the
 // buffer's own drop/wrap accounting.
 type ExtraeBackend struct {
-	Buf   *trace.Buffer
-	costs trace.CostModel
+	Buf *trace.Buffer
 }
+
+// Virtual-time costs of tracing, calibrated against the other backends:
+// per-event cost is far below TALP's start/stop pair and Score-P's call-path
+// upkeep — a trace write is a timestamp plus a buffer store — while the flush
+// stall is paid once per BufEvents events. Costs carry the simulator's
+// call-compression factor like the other backends' costs.
+const (
+	// extraeEventCost is charged per recorded event (timestamp + buffer
+	// write).
+	extraeEventCost = 140 * vtime.Microsecond
+	// extraeFlushCost is charged to the rank whose ring filled up, once per
+	// flushed segment (the batched write-out stall).
+	extraeFlushCost = 2 * vtime.Millisecond
+	// extraeInitBase is the tracer's fixed start-up cost.
+	extraeInitBase = 400 * vtime.Millisecond
+)
 
 // NewExtraeBackend wraps a sharded trace buffer.
 func NewExtraeBackend(buf *trace.Buffer) *ExtraeBackend {
-	return &ExtraeBackend{Buf: buf, costs: buf.Costs()}
+	return &ExtraeBackend{Buf: buf}
 }
 
 // Reset attaches a fresh buffer for the next execution phase. Call it only
 // between phases, never while handlers are executing.
 func (b *ExtraeBackend) Reset(buf *trace.Buffer) {
 	b.Buf = buf
-	b.costs = buf.Costs()
 }
 
 // Name implements Backend.
@@ -264,9 +277,9 @@ func (b *ExtraeBackend) Name() string { return "extrae" }
 //capi:hotpath
 func (b *ExtraeBackend) OnEnter(tc xray.ThreadCtx, fn *ResolvedFunc) {
 	c := tc.Clock()
-	c.Advance(b.costs.EventCost)
+	c.Advance(extraeEventCost)
 	if b.Buf.Append(tc.RankID(), c.Now(), fn.PackedID, fn.Name, trace.Enter) {
-		c.Advance(b.costs.FlushCost)
+		c.Advance(extraeFlushCost)
 	}
 }
 
@@ -277,11 +290,11 @@ func (b *ExtraeBackend) OnEnter(tc xray.ThreadCtx, fn *ResolvedFunc) {
 func (b *ExtraeBackend) OnExit(tc xray.ThreadCtx, fn *ResolvedFunc) {
 	c := tc.Clock()
 	t := c.Now()
-	c.Advance(b.costs.EventCost)
+	c.Advance(extraeEventCost)
 	if b.Buf.Append(tc.RankID(), t, fn.PackedID, fn.Name, trace.Exit) {
-		c.Advance(b.costs.FlushCost)
+		c.Advance(extraeFlushCost)
 	}
 }
 
 // InitCost implements Backend.
-func (b *ExtraeBackend) InitCost(int) int64 { return b.costs.InitBase }
+func (b *ExtraeBackend) InitCost(int) int64 { return extraeInitBase }

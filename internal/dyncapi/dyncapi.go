@@ -110,34 +110,23 @@ type Deselector interface {
 	OnDeselect(fn *ResolvedFunc) int
 }
 
-// CostModel holds the virtual-time costs of runtime initialization.
-type CostModel struct {
-	// PerSledResolve: determining address and name of one function ID.
-	PerSledResolve int64
-	// PerSymbolNM: scanning one symbol from an object file.
-	PerSymbolNM int64
-	// PerPatch: patching one function's sleds (mprotect amortized).
-	PerPatch int64
-	// Base: fixed start-up cost of the DynCaPI library itself.
-	Base int64
-}
-
-// DefaultCostModel is calibrated so that full-scale OpenFOAM lands in the
-// paper's T_init ballpark (seconds, §VI-C).
-func DefaultCostModel() CostModel {
-	return CostModel{
-		PerSledResolve: 12 * vtime.Microsecond,
-		PerSymbolNM:    2 * vtime.Microsecond,
-		PerPatch:       12 * vtime.Microsecond,
-		Base:           25 * vtime.Millisecond,
-	}
-}
+// Virtual-time costs of runtime initialization, calibrated so that
+// full-scale OpenFOAM lands in the paper's T_init ballpark (seconds, §VI-C).
+const (
+	// perSledResolve: determining address and name of one function ID.
+	perSledResolve = 12 * vtime.Microsecond
+	// perSymbolNM: scanning one symbol from an object file.
+	perSymbolNM = 2 * vtime.Microsecond
+	// perPatch: patching one function's sleds (mprotect amortized).
+	perPatch = 12 * vtime.Microsecond
+	// initBase: fixed start-up cost of the DynCaPI library itself.
+	initBase = 25 * vtime.Millisecond
+)
 
 // Options configures the runtime.
 type Options struct {
 	// PatchAll ignores the IC and patches every sled ("xray full").
 	PatchAll bool
-	Costs    CostModel
 	// Ranks sizes the sampler's preallocated per-rank slots (the simulated
 	// MPI world size). Rank IDs beyond it still work through a slower
 	// overflow path; 0 defaults to 16.
@@ -284,9 +273,6 @@ func New(proc *obj.Process, xr *xray.Runtime, cfg *ic.Config, backend Backend, o
 	if cfg == nil && !opts.PatchAll {
 		return nil, fmt.Errorf("dyncapi: an instrumentation configuration is required unless PatchAll is set")
 	}
-	if opts.Costs == (CostModel{}) {
-		opts.Costs = DefaultCostModel()
-	}
 	if opts.Ranks <= 0 {
 		opts.Ranks = 16
 	}
@@ -306,7 +292,7 @@ func New(proc *obj.Process, xr *xray.Runtime, cfg *ic.Config, backend Backend, o
 	if err := rt.patch(); err != nil {
 		return nil, err
 	}
-	rt.report.InitVirtualNs += opts.Costs.Base
+	rt.report.InitVirtualNs += initBase
 	rt.report.InitVirtualNs += backend.InitCost(rt.report.SymbolsScanned)
 	if opts.Async {
 		rt.pipe = newPipeline(rt, opts.Ranks, opts.AsyncBuf)
@@ -363,6 +349,28 @@ func deselectors(b Backend) []namedDeselector {
 	return out
 }
 
+// closeDangling has every deselector close the dangling enters of fns,
+// books the synthetic exits on the runtime's totals and returns them, in
+// all and per backend name, for the caller's report.
+//
+//capi:locked mu
+func (rt *Runtime) closeDangling(dss []namedDeselector, fns []*ResolvedFunc) (total int, byBackend map[string]int) {
+	for _, nd := range dss {
+		for _, rf := range fns {
+			if n := nd.ds.OnDeselect(rf); n > 0 {
+				total += n
+				if byBackend == nil {
+					byBackend = map[string]int{}
+				}
+				byBackend[nd.name] += n
+				rt.synthByBackend[nd.name] += int64(n)
+			}
+		}
+	}
+	rt.synthExits += int64(total)
+	return total, byBackend
+}
+
 // resolve lays out the per-object slot tables and fills in the function-ID
 // → name mapping. The executable is resolved from its full symbol table;
 // DSOs only expose their dynamic symbols, so hidden functions stay
@@ -416,7 +424,7 @@ func (rt *Runtime) resolve() error {
 				}
 			}
 		}
-		rt.report.InitVirtualNs += int64(len(syms)) * rt.opts.Costs.PerSymbolNM
+		rt.report.InitVirtualNs += int64(len(syms)) * perSymbolNM
 
 		table := make([]ResolvedFunc, lo.Image.NumFuncIDs)
 		rt.tables[objID] = table
@@ -442,7 +450,7 @@ func (rt *Runtime) resolve() error {
 					rt.report.UnresolvedSelected++
 				}
 			}
-			rt.report.InitVirtualNs += rt.opts.Costs.PerSledResolve
+			rt.report.InitVirtualNs += perSledResolve
 		}
 	}
 	return nil
@@ -528,7 +536,7 @@ func (rt *Runtime) patch() error {
 		}
 	}
 	rt.report.Patched = len(want)
-	rt.report.InitVirtualNs += int64(len(want)) * rt.opts.Costs.PerPatch
+	rt.report.InitVirtualNs += int64(len(want)) * perPatch
 	return nil
 }
 
@@ -621,7 +629,8 @@ type ReconfigReport struct {
 	// pipeline rejected under back-pressure, as of this re-selection
 	// (0 in inline mode).
 	DroppedAsync int64 `json:"DroppedAsync,omitempty"`
-	// VirtualNs is the virtual-time cost of the re-patch per the CostModel.
+	// VirtualNs is the virtual-time cost of the re-patch: the per-function
+	// patch cost times the functions patched or restored.
 	VirtualNs int64
 }
 
@@ -717,7 +726,7 @@ func (rt *Runtime) Reconfigure(cfg *ic.Config) (ReconfigReport, error) {
 			return rep, fmt.Errorf("dyncapi: patching %d functions: %w", len(toPatch), err)
 		}
 	}
-	rep.VirtualNs = int64(len(toPatch)+len(toUnpatch)) * rt.opts.Costs.PerPatch
+	rep.VirtualNs = int64(len(toPatch)+len(toUnpatch)) * perPatch
 
 	// In async mode, drain the pipeline before closing dangling state:
 	// deselected functions went silent when the new states were published
@@ -735,22 +744,7 @@ func (rt *Runtime) Reconfigure(cfg *ic.Config) (ReconfigReport, error) {
 	// gets to close its dangling state, and the closures are counted per
 	// backend.
 	if len(toUnpatch) > 0 {
-		dss := deselectors(rt.loadBackend())
-		for _, rf := range toUnpatch {
-			for _, nd := range dss {
-				if n := nd.ds.OnDeselect(rf); n > 0 {
-					rep.SyntheticExits += n
-					if rep.SyntheticExitsByBackend == nil {
-						rep.SyntheticExitsByBackend = map[string]int{}
-					}
-					rep.SyntheticExitsByBackend[nd.name] += n
-				}
-			}
-		}
-		rt.synthExits += int64(rep.SyntheticExits)
-		for name, n := range rep.SyntheticExitsByBackend {
-			rt.synthByBackend[name] += int64(n)
-		}
+		rep.SyntheticExits, rep.SyntheticExitsByBackend = rt.closeDangling(deselectors(rt.loadBackend()), toUnpatch)
 	}
 
 	rt.cfg = cfg
@@ -918,26 +912,14 @@ func (rt *Runtime) SwapBackend(b Backend) (BackendSwapReport, error) {
 	// re-selection path tolerates), not against every event dispatched
 	// while N OnDeselect calls run.
 	rt.backend.Store(backendBox{b})
-	active := *rt.active.Load()
+	var leaving []namedDeselector
 	for _, nd := range deselectors(old) {
-		if keep[any(nd.ds)] {
-			// Staying attached: its open state remains live in the new chain.
-			continue
-		}
-		for _, rf := range active {
-			if n := nd.ds.OnDeselect(rf); n > 0 {
-				rep.SyntheticExits += n
-				if rep.SyntheticExitsByBackend == nil {
-					rep.SyntheticExitsByBackend = map[string]int{}
-				}
-				rep.SyntheticExitsByBackend[nd.name] += n
-			}
+		// One staying attached keeps its open state live in the new chain.
+		if !keep[any(nd.ds)] {
+			leaving = append(leaving, nd)
 		}
 	}
-	rt.synthExits += int64(rep.SyntheticExits)
-	for name, n := range rep.SyntheticExitsByBackend {
-		rt.synthByBackend[name] += int64(n)
-	}
+	rep.SyntheticExits, rep.SyntheticExitsByBackend = rt.closeDangling(leaving, *rt.active.Load())
 
 	for _, injector := range symbolInjectors(b) {
 		if oldSet[any(injector)] {

@@ -39,7 +39,7 @@ func TestReconfigureAppliesDelta(t *testing.T) {
 	if got := after.PatchedSleds - before.PatchedSleds; got != 2 {
 		t.Fatalf("global patched-sled delta = %d, want 2", got)
 	}
-	if rep.VirtualNs != 2*DefaultCostModel().PerPatch {
+	if rep.VirtualNs != 2*perPatch {
 		t.Fatalf("virtual cost = %d", rep.VirtualNs)
 	}
 	if len(rep.AddedNames) != 1 || rep.AddedNames[0] != "main" ||

@@ -86,12 +86,13 @@ type SamplePolicy struct {
 	RedundantGapNs int64 `json:"redundantGapNs,omitempty"`
 }
 
-// PolicyError is a sampling-config validation failure, carrying the JSON
-// field that caused it so the control plane can name the offending field
-// in its 400 body (errors.As-able through any wrapping).
+// PolicyError is a validation failure of a sampling config (or of the adapt
+// controller's tuning), carrying the JSON field that caused it so the control
+// plane can name the offending field in its 400 body (errors.As-able through
+// any wrapping).
 type PolicyError struct {
 	// Field is the offending field's JSON name: "stride", "minDurationNs",
-	// "redundantGapNs", "funcs" or "ids".
+	// "redundantGapNs", "funcs", "ids" or "sloWindow".
 	Field string
 	Msg   string
 }

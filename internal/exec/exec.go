@@ -24,6 +24,16 @@ import (
 // (compiled-in hooks, the original CaPI workflow).
 type StaticHandler func(tc xray.ThreadCtx, fn string, kind xray.EntryType)
 
+// Virtual-time costs the engine charges itself; a patched sled additionally
+// pays xray.DispatchCostNs per event.
+const (
+	// sledNopCost is the virtual cost of executing an unpatched sled — the
+	// near-zero inactive overhead.
+	sledNopCost = 1 * vtime.Nanosecond
+	// callCost is the intrinsic cost of any function call.
+	callCost = 2 * vtime.Nanosecond
+)
+
 // Config assembles an executable engine.
 type Config struct {
 	Build *compiler.Build
@@ -33,15 +43,6 @@ type Config struct {
 
 	// MaxDepth bounds the simulated call stack (default 512).
 	MaxDepth int
-	// SledNopCost is the virtual cost of executing an unpatched sled
-	// (default 1ns — the near-zero inactive overhead).
-	SledNopCost int64
-	// DispatchCost is the trampoline + handler-invocation overhead paid
-	// per event when a sled is patched (default 25ns), on top of whatever
-	// the handler itself charges.
-	DispatchCost int64
-	// CallCost is the intrinsic cost of any function call (default 2ns).
-	CallCost int64
 	// StaticHook receives events from statically instrumented functions.
 	StaticHook StaticHandler
 	// RankWorkSkew scales every OpWork duration per rank (index = rank),
@@ -109,15 +110,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.MaxDepth <= 0 {
 		cfg.MaxDepth = 512
-	}
-	if cfg.SledNopCost == 0 {
-		cfg.SledNopCost = 1
-	}
-	if cfg.DispatchCost == 0 {
-		cfg.DispatchCost = 25
-	}
-	if cfg.CallCost == 0 {
-		cfg.CallCost = 2
 	}
 	p := cfg.Build.Prog
 	e := &Engine{cfg: cfg, funcs: make(map[string]*cfunc, p.NumFunctions())}
@@ -223,15 +215,15 @@ func (e *Engine) instrument(t *Task, fn *cfunc, kind xray.EntryType) {
 			idx = fn.lay.ExitSled
 		}
 		if fn.lo.SledPatched(idx) {
-			clk.Advance(e.cfg.DispatchCost)
+			clk.Advance(xray.DispatchCostNs)
 			t.events++
 			e.cfg.XRay.Dispatch(t, fn.packed, kind)
 		} else {
-			clk.Advance(e.cfg.SledNopCost)
+			clk.Advance(sledNopCost)
 		}
 	}
 	if fn.lay != nil && fn.lay.StaticInstr && e.cfg.StaticHook != nil {
-		clk.Advance(e.cfg.DispatchCost)
+		clk.Advance(xray.DispatchCostNs)
 		t.events++
 		e.cfg.StaticHook(t, fn.name, kind)
 	}
@@ -245,7 +237,7 @@ func (e *Engine) call(t *Task, fn *cfunc) error {
 	t.depth++
 	t.calls++
 	clk := t.rank.Clock()
-	clk.Advance(e.cfg.CallCost)
+	clk.Advance(callCost)
 
 	inlined := fn.lay != nil && fn.lay.Inlined
 	if !inlined {

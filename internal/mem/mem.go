@@ -2,9 +2,8 @@
 // bits and an mprotect operation. XRay's sled patching (§V-A of the paper)
 // works by marking the text pages containing sleds writable, rewriting the
 // placeholder instructions, and restoring the protection; this package
-// provides exactly that substrate. Go cannot rewrite its own text segment
-// (see DESIGN.md on the eBPF-uprobes fallback the repro hint mentions), so
-// patching targets this modelled address space instead.
+// provides exactly that substrate. Go cannot rewrite its own text segment,
+// so patching targets this modelled address space instead.
 package mem
 
 import (

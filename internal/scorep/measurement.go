@@ -22,58 +22,44 @@ type ThreadCtx interface {
 	Clock() *vtime.Clock
 }
 
-// CostModel holds the virtual-time costs of the measurement runtime.
-type CostModel struct {
-	// EnterCost/ExitCost are charged per recorded event: timestamping,
+// Virtual-time costs of the measurement runtime, calibrated for Table II's
+// shape: a Score-P enter/exit pair costs ≈2× a TALP start/stop pair, which is
+// what makes Score-P the slower backend under full instrumentation, and the
+// symbol-map construction makes its T_init larger. Costs are inflated by the
+// simulator's call-compression factor (one simulated call stands in for
+// roughly a thousand real invocations, see workload.scaleWork), which keeps
+// Table II's ratios while executing far fewer simulated calls than the real
+// applications perform.
+const (
+	// enterCost/exitCost are charged per recorded event: timestamping,
 	// call-tree descent and metric accumulation. Score-P's per-event cost
 	// is noticeably higher than TALP's region lookup — the reason its
 	// full-instrumentation overhead exceeds TALP's in Table II.
-	EnterCost int64
-	ExitCost  int64
-	// ResolveCost is the address-to-region lookup of the generic
+	enterCost = 372 * vtime.Microsecond
+	exitCost  = 372 * vtime.Microsecond
+	// resolveCost is the address-to-region lookup of the generic
 	// -finstrument-functions interface, charged per event.
-	ResolveCost int64
-	// FilterCheckCost is charged per event when runtime filtering is
+	resolveCost = 100 * vtime.Microsecond
+	// filterCheckCost is charged per event when runtime filtering is
 	// active — "the overhead of invoking the probe and cross-checking the
 	// filter list is retained" (§II-B).
-	FilterCheckCost int64
-	// TreePressureCost is charged per event per call-tree node of the
+	filterCheckCost = 60 * vtime.Microsecond
+	// treePressureCost is charged per event per call-tree node of the
 	// rank's profile: as the calling-context tree grows (full
 	// instrumentation of a large application), every event pays more for
 	// child lookup, metric storage and cache pressure. This is the term
 	// that makes Score-P's *full* overhead exceed TALP's while its
 	// filtered ICs stay cheaper (Table II's crossover).
-	TreePressureCost int64
-	// InitBase and InitPerSymbol model measurement initialization: the
+	treePressureCost = 2100 * vtime.Nanosecond
+	// initBase and initPerSymbol model measurement initialization: the
 	// runtime builds a map of all function names and addresses (§V-C1).
-	InitBase      int64
-	InitPerSymbol int64
-}
-
-// DefaultCostModel returns per-event costs calibrated for Table II's shape
-// (see DESIGN.md): a Score-P enter/exit pair costs ≈2× a TALP start/stop
-// pair, which is what makes Score-P the slower backend under full
-// instrumentation, and the symbol-map construction makes its T_init larger.
-// Costs are inflated by the simulator's call-compression factor (one
-// simulated call stands in for roughly a thousand real invocations, see
-// workload.scaleWork), which keeps Table II's ratios while executing far
-// fewer simulated calls than the real applications perform.
-func DefaultCostModel() CostModel {
-	return CostModel{
-		EnterCost:        372 * vtime.Microsecond,
-		ExitCost:         372 * vtime.Microsecond,
-		ResolveCost:      100 * vtime.Microsecond,
-		FilterCheckCost:  60 * vtime.Microsecond,
-		TreePressureCost: 2100 * vtime.Nanosecond,
-		InitBase:         1850 * vtime.Millisecond,
-		InitPerSymbol:    7 * vtime.Microsecond,
-	}
-}
+	initBase      = 1850 * vtime.Millisecond
+	initPerSymbol = 7 * vtime.Microsecond
+)
 
 // Options configures a measurement.
 type Options struct {
 	Ranks int
-	Costs CostModel
 	// RuntimeFilter keeps probes active but discards events for excluded
 	// regions after a (charged) filter check.
 	RuntimeFilter *Filter
@@ -140,9 +126,6 @@ func New(opts Options) (*Measurement, error) {
 	if opts.Ranks < 1 {
 		return nil, fmt.Errorf("scorep: ranks %d < 1", opts.Ranks)
 	}
-	if opts.Costs == (CostModel{}) {
-		opts.Costs = DefaultCostModel()
-	}
 	m := &Measurement{
 		opts:      opts,
 		regionIdx: map[string]int{},
@@ -157,13 +140,10 @@ func New(opts Options) (*Measurement, error) {
 	return m, nil
 }
 
-// Costs returns the active cost model.
-func (m *Measurement) Costs() CostModel { return m.opts.Costs }
-
 // InitCost returns the virtual init cost for a symbol map of the given
 // size; callers (DynCaPI) charge it to the process start-up time.
 func (m *Measurement) InitCost(symbols int) int64 {
-	return m.opts.Costs.InitBase + int64(symbols)*m.opts.Costs.InitPerSymbol
+	return initBase + int64(symbols)*initPerSymbol
 }
 
 // RegionHandle registers (or finds) a region by name and returns its
@@ -212,7 +192,7 @@ func (m *Measurement) filtered(tc ThreadCtx, name string) bool {
 	if m.opts.RuntimeFilter == nil {
 		return false
 	}
-	tc.Clock().Advance(m.opts.Costs.FilterCheckCost)
+	tc.Clock().Advance(filterCheckCost)
 	if m.opts.RuntimeFilter.Excluded(name) {
 		rs := m.rank(tc)
 		rs.mu.Lock()
@@ -225,7 +205,7 @@ func (m *Measurement) filtered(tc ThreadCtx, name string) bool {
 
 // pressure returns the call-tree-pressure cost of one event on this rank.
 func (m *Measurement) pressure(rs *rankState) int64 {
-	return m.opts.Costs.TreePressureCost * int64(len(rs.nodes))
+	return treePressureCost * int64(len(rs.nodes))
 }
 
 // EnterID records a region entry by handle.
@@ -233,7 +213,7 @@ func (m *Measurement) EnterID(tc ThreadCtx, region int) {
 	c := tc.Clock()
 	rs := m.rank(tc)
 	rs.mu.Lock()
-	c.Advance(m.opts.Costs.EnterCost + m.pressure(rs))
+	c.Advance(enterCost + m.pressure(rs))
 	m.push(rs, region, c.Now())
 	if rs.trace != nil || m.opts.TraceCapacity > 0 {
 		m.traceEvent(rs, c.Now(), region, true)
@@ -251,7 +231,7 @@ func (m *Measurement) ExitID(tc ThreadCtx, region int) {
 	rs := m.rank(tc)
 	rs.mu.Lock()
 	m.pop(rs, region, c.Now())
-	c.Advance(m.opts.Costs.ExitCost + m.pressure(rs))
+	c.Advance(exitCost + m.pressure(rs))
 	if rs.trace != nil || m.opts.TraceCapacity > 0 {
 		m.traceEvent(rs, c.Now(), region, false)
 	}
@@ -289,7 +269,7 @@ func (m *Measurement) Exit(tc ThreadCtx, name string) {
 // addresses (DSO functions without symbol injection) land in the UNKNOWN
 // region (§V-C1).
 func (m *Measurement) CygEnter(tc ThreadCtx, r *Resolver, addr uint64) {
-	tc.Clock().Advance(m.opts.Costs.ResolveCost)
+	tc.Clock().Advance(resolveCost)
 	name, ok := r.Resolve(addr)
 	if !ok {
 		m.countUnknown(tc)
@@ -301,7 +281,7 @@ func (m *Measurement) CygEnter(tc ThreadCtx, r *Resolver, addr uint64) {
 
 // CygExit is the -finstrument-functions exit hook.
 func (m *Measurement) CygExit(tc ThreadCtx, r *Resolver, addr uint64) {
-	tc.Clock().Advance(m.opts.Costs.ResolveCost)
+	tc.Clock().Advance(resolveCost)
 	name, ok := r.Resolve(addr)
 	if !ok {
 		m.countUnknown(tc)

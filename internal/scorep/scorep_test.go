@@ -104,7 +104,7 @@ func TestEventCostsCharged(t *testing.T) {
 	m.Exit(tc, "r")
 	// The enter sees an empty call tree (no pressure yet); the exit sees
 	// the one node the enter created.
-	want := m.Costs().EnterCost + m.Costs().ExitCost + m.Costs().TreePressureCost
+	want := enterCost + exitCost + treePressureCost
 	if tc.clk.Now() != want {
 		t.Fatalf("charged %d, want %d", tc.clk.Now(), want)
 	}
@@ -189,7 +189,7 @@ func TestRuntimeFilter(t *testing.T) {
 		t.Fatalf("filtered events = %d", p.FilteredEvents)
 	}
 	// The filter check cost is retained even for filtered events (§II-B).
-	minCost := 2*m.Costs().FilterCheckCost + m.Costs().EnterCost + m.Costs().ExitCost
+	minCost := 2*filterCheckCost + enterCost + exitCost
 	if tc.clk.Now() < minCost {
 		t.Fatalf("clock %d < %d: filter check cost not retained", tc.clk.Now(), minCost)
 	}

@@ -28,44 +28,32 @@ import (
 	"capi/internal/vtime"
 )
 
-// CostModel holds TALP's virtual-time costs.
-type CostModel struct {
-	// RegisterCost is charged once per region registration.
-	RegisterCost int64
-	// StartCost/StopCost are charged per region entry/exit — a region-map
+// TALP's virtual-time costs, calibrated for Table II's shape: TALP's
+// per-event pair is cheaper than Score-P's, but its PMPI wrapper pays per
+// *open* region on every MPI call — which is what makes the call-path-shaped
+// `mpi` IC more expensive under TALP than Score-P. Costs are inflated by the
+// simulator's call-compression factor (one simulated call stands in for
+// roughly a thousand real invocations, see workload.scaleWork), preserving
+// Table II's ratios.
+const (
+	// registerCost is charged once per region registration.
+	registerCost = 2 * vtime.Microsecond
+	// startCost/stopCost are charged per region entry/exit — a region-map
 	// lookup plus timestamping, cheaper than Score-P's call-path upkeep.
-	StartCost int64
-	StopCost  int64
-	// PerOpenRegionMPI is charged at every MPI call for each region open
+	startCost = 900 * vtime.Microsecond
+	stopCost  = 900 * vtime.Microsecond
+	// perOpenRegionMPI is charged at every MPI call for each region open
 	// on the rank: TALP updates every open monitor's in-flight
 	// accumulators inside the PMPI wrapper. This makes call-path-shaped
 	// ICs (the paper's `mpi` spec) expensive under TALP — whole call
 	// chains to MPI operations are open at every MPI call.
-	PerOpenRegionMPI int64
-	// InitBase is the DLB/TALP start-up cost.
-	InitBase int64
-}
-
-// DefaultCostModel returns costs calibrated for Table II's shape (see
-// DESIGN.md): TALP's per-event pair is cheaper than Score-P's, but its PMPI
-// wrapper pays per *open* region on every MPI call — which is what makes
-// the call-path-shaped `mpi` IC more expensive under TALP than Score-P.
-// Costs are inflated by the simulator's call-compression factor (one
-// simulated call stands in for roughly a thousand real invocations, see
-// workload.scaleWork), preserving Table II's ratios.
-func DefaultCostModel() CostModel {
-	return CostModel{
-		RegisterCost:     2 * vtime.Microsecond,
-		StartCost:        900 * vtime.Microsecond,
-		StopCost:         900 * vtime.Microsecond,
-		PerOpenRegionMPI: 80 * vtime.Microsecond,
-		InitBase:         550 * vtime.Millisecond,
-	}
-}
+	perOpenRegionMPI = 80 * vtime.Microsecond
+	// initBase is the DLB/TALP start-up cost.
+	initBase = 550 * vtime.Millisecond
+)
 
 // Options configures a monitor.
 type Options struct {
-	Costs CostModel
 	// EmulateReentryBug enables the bug-compat mode described above.
 	EmulateReentryBug bool
 }
@@ -146,9 +134,6 @@ type Monitor struct {
 // every rank, and the implicit global region is started right after
 // MPI_Init and stopped right before MPI_Finalize.
 func New(w *mpi.World, opts Options) *Monitor {
-	if opts.Costs == (CostModel{}) {
-		opts.Costs = DefaultCostModel()
-	}
 	m := &Monitor{
 		opts:          opts,
 		world:         w,
@@ -171,11 +156,8 @@ func New(w *mpi.World, opts Options) *Monitor {
 	return m
 }
 
-// Costs returns the active cost model.
-func (m *Monitor) Costs() CostModel { return m.opts.Costs }
-
 // InitCost returns the virtual start-up cost DynCaPI charges.
-func (m *Monitor) InitCost() int64 { return m.opts.Costs.InitBase }
+func (m *Monitor) InitCost() int64 { return initBase }
 
 func (m *Monitor) attach(r *mpi.Rank) {
 	r.AddHook(mpi.Hook{
@@ -186,7 +168,7 @@ func (m *Monitor) attach(r *mpi.Rank) {
 			rs.mu.Unlock()
 			// TALP touches every open monitor inside the PMPI wrapper.
 			if open > 0 {
-				rk.Clock().Advance(int64(open) * m.opts.Costs.PerOpenRegionMPI)
+				rk.Clock().Advance(int64(open) * perOpenRegionMPI)
 			}
 			rs.mu.Lock()
 			rs.lastNs = rk.Clock().Now()
@@ -226,7 +208,7 @@ func (m *Monitor) Register(r *mpi.Rank, name string) (*Region, error) {
 		m.mu.Unlock()
 		return nil, fmt.Errorf("talp: cannot register region %q: MPI not initialized on rank %d", name, r.ID())
 	}
-	r.Clock().Advance(m.opts.Costs.RegisterCost)
+	r.Clock().Advance(registerCost)
 	return m.registerLocked(name), nil
 }
 
@@ -261,7 +243,7 @@ func (m *Monitor) Start(r *mpi.Rank, reg *Region) error {
 	if reg == nil {
 		return fmt.Errorf("talp: Start with nil region")
 	}
-	r.Clock().Advance(m.opts.Costs.StartCost)
+	r.Clock().Advance(startCost)
 	if reg != m.global && m.bugHits(reg.name) {
 		m.mu.Lock()
 		m.failedEntries[reg.name] = struct{}{}
@@ -303,7 +285,7 @@ func (m *Monitor) Stop(r *mpi.Rank, reg *Region) error {
 	if reg == nil {
 		return fmt.Errorf("talp: Stop with nil region")
 	}
-	r.Clock().Advance(m.opts.Costs.StopCost)
+	r.Clock().Advance(stopCost)
 	if !m.stopOn(r, reg) {
 		return fmt.Errorf("talp: Stop of region %q which is not open on rank %d", reg.name, r.ID())
 	}

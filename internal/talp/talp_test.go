@@ -254,8 +254,8 @@ func TestPerOpenRegionMPICost(t *testing.T) {
 	}
 	closed := run(0)
 	open := run(20)
-	// 20 regions x 100 barriers x PerOpenRegionMPI plus start/stop costs.
-	minDelta := 20 * 100 * DefaultCostModel().PerOpenRegionMPI
+	// 20 regions x 100 barriers x perOpenRegionMPI plus start/stop costs.
+	minDelta := 20 * 100 * perOpenRegionMPI
 	if open-closed < minDelta {
 		t.Fatalf("open-region overhead %d < %d", open-closed, minDelta)
 	}

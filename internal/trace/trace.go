@@ -62,32 +62,6 @@ type Event struct {
 	Name   string
 }
 
-// CostModel holds the virtual-time costs of tracing. Per-event cost is far
-// below TALP's start/stop pair and Score-P's call-path upkeep — a trace
-// write is a timestamp plus a buffer store — while the flush cost models
-// the batched segment write-out. Costs carry the simulator's
-// call-compression factor like the other backends' models.
-type CostModel struct {
-	// EventCost is charged per recorded event (timestamp + buffer write).
-	EventCost int64
-	// FlushCost is charged to the rank whose ring filled up, once per
-	// flushed segment (the batched write-out stall).
-	FlushCost int64
-	// InitBase is the tracer's fixed start-up cost.
-	InitBase int64
-}
-
-// DefaultCostModel returns costs calibrated against the other backends:
-// tracing is the cheapest per event, and the flush stall is paid once per
-// BufEvents events.
-func DefaultCostModel() CostModel {
-	return CostModel{
-		EventCost: 140 * vtime.Microsecond,
-		FlushCost: 2 * vtime.Millisecond,
-		InitBase:  400 * vtime.Millisecond,
-	}
-}
-
 // Options configures a Buffer.
 type Options struct {
 	// Ranks is the number of shards (one per simulated rank).
@@ -105,8 +79,6 @@ type Options struct {
 	// new events (counted per shard), true discards the oldest flushed
 	// segment (a wrap, also counted) so the trace keeps the newest window.
 	Wrap bool
-	// Costs is the virtual-time cost model (zero value = defaults).
-	Costs CostModel
 }
 
 // shard is one rank's private trace state. Single-writer: only the owning
@@ -155,9 +127,6 @@ func New(opts Options) (*Buffer, error) {
 	if opts.MaxEvents > 0 && opts.BufEvents > opts.MaxEvents {
 		opts.BufEvents = opts.MaxEvents
 	}
-	if opts.Costs == (CostModel{}) {
-		opts.Costs = DefaultCostModel()
-	}
 	b := &Buffer{opts: opts, dropLimit: int64(^uint64(0) >> 1)}
 	if opts.MaxEvents > 0 && !opts.Wrap {
 		b.dropLimit = int64(opts.MaxEvents)
@@ -167,9 +136,6 @@ func New(opts Options) (*Buffer, error) {
 	}
 	return b, nil
 }
-
-// Costs returns the active cost model.
-func (b *Buffer) Costs() CostModel { return b.opts.Costs }
 
 // Ranks returns the number of shards.
 func (b *Buffer) Ranks() int { return len(b.shards) }

@@ -169,9 +169,6 @@ func TestNewValidatesOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Costs() == (CostModel{}) {
-		t.Fatal("default cost model not applied")
-	}
 	if b.Ranks() != 1 {
 		t.Fatal("ranks accessor")
 	}

@@ -5,7 +5,7 @@
 // per-rank Clock by modelled costs. Virtual time makes the evaluation
 // deterministic and portable — the paper's evaluation compares overhead
 // *ratios*, which survive the substitution of wall-clock time by an explicit
-// cost accounting (see DESIGN.md).
+// cost accounting.
 package vtime
 
 import "fmt"

@@ -13,8 +13,9 @@
 //     a process-wide event handler.
 //
 // Handlers receive an explicit ThreadCtx (rank + virtual clock) instead of
-// reading TLS — the one deliberate API deviation from real XRay, documented
-// in DESIGN.md.
+// reading TLS — the one deliberate API deviation from real XRay: simulated
+// ranks are goroutines, which have no thread-local storage, and the handler
+// needs the executing rank's virtual clock to charge its costs.
 package xray
 
 import (
@@ -28,6 +29,12 @@ import (
 	"capi/internal/obj"
 	"capi/internal/vtime"
 )
+
+// DispatchCostNs is the virtual trampoline + handler-invocation overhead
+// paid per event when a sled is patched, on top of whatever the handler
+// itself charges. The execution engine charges it per event, and the adapt
+// controller budgets events at it.
+const DispatchCostNs = 25 * vtime.Nanosecond
 
 // Packed-ID layout (Fig. 4): 8-bit object ID, 24-bit function ID.
 const (

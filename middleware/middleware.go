@@ -45,9 +45,6 @@ type Options struct {
 
 	// Seed seeds the per-worker latency-spread generators. Default 1.
 	Seed int64
-	// ClampMultiplier caps the lognormal work multiplier so the synthetic
-	// tail stays bounded (test determinism). Default 3.5.
-	ClampMultiplier float64
 }
 
 func (o *Options) fill() {
@@ -56,9 +53,6 @@ func (o *Options) fill() {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.ClampMultiplier <= 0 {
-		o.ClampMultiplier = 3.5
 	}
 }
 

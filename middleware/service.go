@@ -57,7 +57,6 @@ type worker struct {
 // measured tail; with the async pipeline the request path pays nothing.
 type Service struct {
 	inst   *capi.Instance
-	opts   Options
 	pool   chan *worker
 	routes map[string]*route
 	mux    *http.ServeMux
@@ -75,7 +74,6 @@ func New(inst *capi.Instance, p *capi.Program, endpoints []capi.WebEndpoint, opt
 	}
 	s := &Service{
 		inst:   inst,
-		opts:   opts,
 		pool:   make(chan *worker, opts.Workers),
 		routes: make(map[string]*route, len(endpoints)),
 		mux:    http.NewServeMux(),
@@ -186,7 +184,7 @@ func (s *Service) Do(routeName string) (int64, error) {
 // RequestContext.Enter/Exit, not to the request framing around it.
 func (s *Service) run(rt *route) int64 {
 	wk := <-s.pool
-	mult := wk.multiplier(rt.ep, s.opts.ClampMultiplier)
+	mult := wk.multiplier(rt.ep)
 	rc := wk.rc
 	start := rc.Now()
 	for _, st := range rt.steps {
@@ -211,13 +209,16 @@ func (s *Service) run(rt *route) int64 {
 	return lat
 }
 
+// maxMultiplier caps the lognormal work multiplier so the synthetic tail
+// stays bounded (test determinism).
+const maxMultiplier = 3.5
+
 // multiplier draws the request's lognormal work multiplier: median
-// exp(LatMu) with spread LatSigma, clamped so the synthetic tail stays
-// bounded.
-func (wk *worker) multiplier(ep capi.WebEndpoint, clamp float64) float64 {
+// exp(LatMu) with spread LatSigma, clamped at maxMultiplier.
+func (wk *worker) multiplier(ep capi.WebEndpoint) float64 {
 	m := math.Exp(ep.LatMu + ep.LatSigma*wk.rng.NormFloat64())
-	if m > clamp {
-		m = clamp
+	if m > maxMultiplier {
+		m = maxMultiplier
 	}
 	return m
 }
