@@ -622,12 +622,12 @@ func (i *Instance) Retune(opts AdaptOptions) (AdaptOptions, error) {
 	return i.ctrl.Retune(opts), nil
 }
 
-// checkAdapt rejects controller tuning out of range. The SLO window sizes a
-// per-endpoint allocation, so it is capped at the latency window /v1/status
-// keeps per endpoint.
+// checkAdapt rejects controller tuning out of range. The SLO window is read
+// from each endpoint's record, which keeps the newest adapt.EndpointWindow
+// latencies, so a larger window could never fill.
 func checkAdapt(o AdaptOptions) error {
-	if o.SLOWindow > httpLatencyRing {
-		return &dyncapi.PolicyError{Field: "sloWindow", Msg: fmt.Sprintf("capi: SLO window %d exceeds %d requests", o.SLOWindow, httpLatencyRing)}
+	if o.SLOWindow > adapt.EndpointWindow {
+		return &dyncapi.PolicyError{Field: "sloWindow", Msg: fmt.Sprintf("capi: SLO window %d exceeds %d requests", o.SLOWindow, adapt.EndpointWindow)}
 	}
 	return nil
 }
@@ -897,9 +897,10 @@ func (i *Instance) Status() InstanceStatus {
 		sampling := snap.Sampling
 		st.Sampling = &sampling
 	}
-	st.HTTP = i.httpSnapshot()
+	var endpoints []*adapt.Endpoint
+	st.HTTP, endpoints = i.httpSnapshot()
 	if i.ctrl != nil {
-		st.SLO = i.ctrl.SLOSnapshot()
+		st.SLO = i.ctrl.SLOSnapshot(endpoints)
 	}
 	return st
 }

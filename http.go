@@ -10,10 +10,10 @@ package capi
 // backend (an MPI-region tool) skips its events by design, while none,
 // scorep and extrae receive them like any rank's.
 //
-// The Instance additionally keeps per-endpoint request accounting —
-// fixed-boundary latency histograms plus a recent-window ring for
-// p50/p99 — and, on an SLO-adaptive instance, forwards every observed
-// request latency to the adapt controller as its tail-latency signal.
+// The Instance additionally keeps the one per-endpoint request record, an
+// adapt.Endpoint plus a fixed-boundary latency histogram, and on an
+// SLO-adaptive instance hands that record to the adapt controller after
+// every request as its tail-latency signal.
 
 import (
 	"fmt"
@@ -43,10 +43,6 @@ var httpBucketBoundsNs = [...]int64{
 	1000 * vtime.Millisecond,
 }
 
-// httpLatencyRing is the per-endpoint recent-latency window the snapshot
-// percentiles are computed over.
-const httpLatencyRing = 1024
-
 // httpState is the Instance's middleware support state.
 type httpState struct {
 	mu        sync.Mutex
@@ -54,21 +50,14 @@ type httpState struct {
 	endpoints map[string]*httpEndpoint //capi:guardedby mu — map itself; values have own sync
 }
 
-// httpEndpoint is one endpoint's request accounting. The hot-path fields
-// are atomics (many workers observe concurrently); the percentile ring
-// has its own small lock.
+// httpEndpoint is one endpoint's request record plus its latency
+// histogram. The histogram fields are atomics (many workers observe
+// concurrently).
 type httpEndpoint struct {
-	name    string
-	funcIDs []int32 // sorted; replaced wholesale under httpState.mu
+	*adapt.Endpoint
 
-	requests atomic.Int64
-	sumNs    atomic.Int64
-	buckets  [len(httpBucketBoundsNs)]atomic.Int64 // raw per-bucket counts (not cumulative)
-	overflow atomic.Int64                          // > largest boundary
-
-	mu      sync.Mutex
-	ring    [httpLatencyRing]int64 //capi:guardedby mu
-	written int                    //capi:guardedby mu
+	sumNs   atomic.Int64
+	buckets [len(httpBucketBoundsNs)]atomic.Int64 // raw per-bucket counts (not cumulative); the rest is +Inf
 }
 
 // RequestContext is one middleware worker's exclusive dispatch context: a
@@ -163,27 +152,21 @@ func (i *Instance) FunctionStride(id int32) int {
 }
 
 // RegisterHTTPEndpoint declares one served endpoint and the packed IDs of
-// its instrumented call tree. On an SLO-adaptive instance the endpoint is
-// also registered with the controller, scoping its ladder to these
-// functions. Re-registering a name replaces the function set but keeps
-// the accumulated latency accounting.
+// its instrumented call tree; on an SLO-adaptive instance they scope the
+// endpoint's ladder. Re-registering a name, even while it serves, replaces
+// the function set but keeps the accumulated latency accounting.
 func (i *Instance) RegisterHTTPEndpoint(name string, funcIDs []int32) {
-	ids := append([]int32(nil), funcIDs...)
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 	i.http.mu.Lock()
+	defer i.http.mu.Unlock()
 	if i.http.endpoints == nil {
 		i.http.endpoints = map[string]*httpEndpoint{}
 	}
 	ep, ok := i.http.endpoints[name]
 	if !ok {
-		ep = &httpEndpoint{name: name}
+		ep = &httpEndpoint{Endpoint: adapt.NewEndpoint(name)}
 		i.http.endpoints[name] = ep
 	}
-	ep.funcIDs = ids
-	i.http.mu.Unlock()
-	if i.ctrl != nil {
-		i.ctrl.RegisterEndpoint(name, ids)
-	}
+	ep.SetFuncIDs(funcIDs)
 }
 
 // ObserveHTTPRequest records one completed request's latency for a
@@ -197,20 +180,14 @@ func (i *Instance) ObserveHTTPRequest(endpoint string, latencyNs int64) {
 	if ep == nil {
 		return
 	}
-	ep.requests.Add(1)
+	ep.Record(latencyNs)
 	ep.sumNs.Add(latencyNs)
 	slot := sort.Search(len(httpBucketBoundsNs), func(k int) bool { return latencyNs <= httpBucketBoundsNs[k] })
 	if slot < len(httpBucketBoundsNs) {
 		ep.buckets[slot].Add(1)
-	} else {
-		ep.overflow.Add(1)
 	}
-	ep.mu.Lock()
-	ep.ring[ep.written%httpLatencyRing] = latencyNs
-	ep.written++
-	ep.mu.Unlock()
 	if i.ctrl != nil {
-		i.ctrl.ObserveRequest(endpoint, latencyNs)
+		i.ctrl.ObserveRequest(ep.Endpoint)
 	}
 }
 
@@ -250,9 +227,10 @@ type HTTPStatus struct {
 	Endpoints []HTTPEndpointStatus `json:"endpoints"`
 }
 
-// httpSnapshot returns the per-endpoint request/latency view, or nil when
-// no endpoint was ever registered (no middleware attached).
-func (i *Instance) httpSnapshot() *HTTPStatus {
+// httpSnapshot returns the per-endpoint request/latency view and the
+// endpoint records it read, both in name order, or nil when no endpoint was
+// ever registered (no middleware attached).
+func (i *Instance) httpSnapshot() (*HTTPStatus, []*adapt.Endpoint) {
 	i.http.mu.Lock()
 	eps := make([]*httpEndpoint, 0, len(i.http.endpoints))
 	for _, ep := range i.http.endpoints {
@@ -261,28 +239,27 @@ func (i *Instance) httpSnapshot() *HTTPStatus {
 	workers := i.http.allocated
 	i.http.mu.Unlock()
 	if len(eps) == 0 {
-		return nil
+		return nil, nil
 	}
+	sort.Slice(eps, func(a, b int) bool { return eps[a].Name < eps[b].Name })
 	out := &HTTPStatus{Workers: workers}
+	records := make([]*adapt.Endpoint, 0, len(eps))
 	for _, ep := range eps {
-		row := HTTPEndpointStatus{Endpoint: ep.name, Requests: ep.requests.Load()}
+		records = append(records, ep.Endpoint)
+		row := HTTPEndpointStatus{Endpoint: ep.Name, Requests: ep.Requests()}
 		row.SumMs = float64(ep.sumNs.Load()) / 1e6
 		var cum int64
 		for k, bound := range httpBucketBoundsNs {
 			cum += ep.buckets[k].Load()
 			row.Buckets = append(row.Buckets, HTTPBucket{LeMs: float64(bound) / 1e6, Count: cum})
 		}
-		ep.mu.Lock()
-		n := min(ep.written, httpLatencyRing)
-		window := append([]int64(nil), ep.ring[:n]...)
-		ep.mu.Unlock()
-		if n > 0 {
-			sort.Slice(window, func(a, b int) bool { return window[a] < window[b] })
+		if window := ep.Window(adapt.EndpointWindow); len(window) > 0 {
 			row.P50Ms = float64(adapt.Quantile(window, 0.50)) / 1e6
 			row.P99Ms = float64(adapt.Quantile(window, 0.99)) / 1e6
 		}
-		row.TotalFunctions = len(ep.funcIDs)
-		for _, id := range ep.funcIDs {
+		ids := ep.FuncIDs()
+		row.TotalFunctions = len(ids)
+		for _, id := range ids {
 			if !i.FunctionActive(id) {
 				continue
 			}
@@ -294,6 +271,5 @@ func (i *Instance) httpSnapshot() *HTTPStatus {
 		out.Requests += row.Requests
 		out.Endpoints = append(out.Endpoints, row)
 	}
-	sort.Slice(out.Endpoints, func(a, b int) bool { return out.Endpoints[a].Endpoint < out.Endpoints[b].Endpoint })
-	return out
+	return out, records
 }

@@ -452,3 +452,104 @@ func TestResolveFunctionNameDuplicateSymbol(t *testing.T) {
 		}
 	}
 }
+
+// TestReregisterEndpointWhileServing re-registers a route over and over
+// while requests are recorded into it, the SLO controller evaluates it and
+// status readers render it. The route's function set is published whole,
+// so no reader sees it half written; run with -race.
+func TestReregisterEndpointWhileServing(t *testing.T) {
+	inst, svc := startWebService(t, capi.RunOptions{
+		PatchAll:    true,
+		Ranks:       1,
+		HTTPWorkers: 2,
+		// Every evaluation misses the target, so each one reads the
+		// endpoint's function set to pick its step.
+		Adapt: &capi.AdaptOptions{SLOTargetP99Ns: int64(time.Microsecond)},
+	}, 2)
+	route := capi.WebserviceEndpoints()[0].Route
+	distinct := map[int32]bool{}
+	var ids []int32
+	for _, name := range inst.ActiveFunctionNames() {
+		if id, ok := inst.ResolveFunctionName(name); ok {
+			ids = append(ids, id)
+			distinct[id] = true
+		}
+	}
+	const requests = 1000
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	loop := func(body func(k int)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; ; k++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				body(k)
+			}
+		}()
+	}
+	loop(func(k int) { inst.RegisterHTTPEndpoint(route, ids[:1+k%len(ids)]) })
+	loop(func(int) { inst.Status() })
+	for range requests {
+		if _, err := svc.Do(route); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	inst.RegisterHTTPEndpoint(route, ids)
+	st := inst.Status()
+	for _, row := range st.HTTP.Endpoints {
+		if row.Endpoint != route {
+			continue
+		}
+		if row.Requests != requests || row.TotalFunctions != len(distinct) {
+			t.Fatalf("%s: %d requests over %d functions, want %d over %d", route, row.Requests, row.TotalFunctions, requests, len(distinct))
+		}
+		return
+	}
+	t.Fatalf("%s missing from status: %+v", route, st.HTTP.Endpoints)
+}
+
+// TestSLOWindowRetuneReadsRecordedRequests: the SLO window is the newest N
+// of the latencies the endpoint already recorded, so a window retune is a
+// warm start like a target retune. After 300 requests under a target
+// nothing misses, a retune to a 128-request window and a target every
+// request misses must take a ladder step within the next evaluation's 32
+// requests, without waiting for the window to refill.
+func TestSLOWindowRetuneReadsRecordedRequests(t *testing.T) {
+	inst, svc := startWebService(t, capi.RunOptions{
+		PatchAll:    true,
+		Ranks:       1,
+		HTTPWorkers: 1,
+		Adapt:       &capi.AdaptOptions{SLOTargetP99Ns: int64(time.Hour)},
+	}, 1)
+	route := capi.WebserviceEndpoints()[0].Route
+	serve := func(n int) {
+		t.Helper()
+		for range n {
+			if _, err := svc.Do(route); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	serve(300)
+	if _, err := inst.Retune(capi.AdaptOptions{SLOWindow: 128, SLOTargetP99Ns: int64(time.Microsecond)}); err != nil {
+		t.Fatal(err)
+	}
+	serve(32)
+	for _, row := range inst.Status().SLO.Endpoints {
+		if row.Endpoint == route {
+			if row.Steps == 0 {
+				t.Fatalf("%s holds no ladder step 32 requests after the retune: %+v", route, row)
+			}
+			return
+		}
+	}
+	t.Fatalf("%s missing from the SLO status", route)
+}

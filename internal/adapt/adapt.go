@@ -67,8 +67,9 @@ type Options struct {
 	// p99 meets this target with maximum instrumentation coverage.
 	// 0 keeps budget mode.
 	SLOTargetP99Ns int64
-	// SLOWindow is the per-endpoint latency window (requests) the p99 is
-	// computed over. Default: 256.
+	// SLOWindow is how many of an endpoint's newest recorded latencies (of
+	// the EndpointWindow its record keeps) the p99 is computed over.
+	// Default: 256.
 	SLOWindow int
 	// SLOMinSamples gates SLO evaluation until the window holds at least
 	// this many requests. Default: 64.
@@ -186,10 +187,9 @@ type Controller struct {
 
 	rt atomic.Pointer[dyncapi.Runtime]
 
-	stats     sync.Map // int32 -> *funcStat
-	ranks     sync.Map // int -> *rankState
-	endpoints sync.Map // string -> *endpointStat (SLO mode, see slo.go)
-	events    atomic.Int64
+	stats  sync.Map // int32 -> *funcStat
+	ranks  sync.Map // int -> *rankState
+	events atomic.Int64
 
 	nextEpoch atomic.Int64
 	lastNs    atomic.Int64 // clock value of the previous evaluation
@@ -447,7 +447,7 @@ type victim struct {
 type step struct {
 	victim
 	drop  bool
-	owner *endpointStat
+	owner *Endpoint
 }
 
 // candidates orders scope's functions for a ladder walk by the policy's
@@ -495,7 +495,7 @@ func (c *Controller) candidates(scope []*dyncapi.ResolvedFunc, epochHeat bool) [
 // deselected. The walk's deselections are applied as one re-selection
 // (delta sleds only) and booked on the ladder for owner. Once MaxReconfigs
 // is reached the walk only demotes.
-func (c *Controller) narrow(rt *dyncapi.Runtime, cands []victim, owner *endpointStat, ep *Epoch, excessNs int64) {
+func (c *Controller) narrow(rt *dyncapi.Runtime, cands []victim, owner *Endpoint, ep *Epoch, excessNs int64) {
 	opts := c.opts.Load()
 	allowDrop := !c.limited(opts)
 	var saved int64
@@ -576,7 +576,7 @@ func (c *Controller) isDemoted(id int32) bool {
 
 // demote puts v on the ladder at 1-in-demoteStride for owner and records
 // the step in ep; false when the sampler refused the policy.
-func (c *Controller) demote(rt *dyncapi.Runtime, v victim, owner *endpointStat, ep *Epoch) bool {
+func (c *Controller) demote(rt *dyncapi.Runtime, v victim, owner *Endpoint, ep *Epoch) bool {
 	if err := rt.SetFuncSampling(v.id, &dyncapi.SamplePolicy{Stride: demoteStride}); err != nil {
 		return false
 	}
@@ -609,7 +609,7 @@ func (c *Controller) limited(opts *Options) bool {
 // a function, as an IC stamped with the deciding policy (an endpoint's
 // steps are SLO mode's); a re-selection that went through is reported in
 // ep.
-func (c *Controller) reselect(rt *dyncapi.Runtime, owner *endpointStat, drop map[int32]bool, add *victim, ep *Epoch) error {
+func (c *Controller) reselect(rt *dyncapi.Runtime, owner *Endpoint, drop map[int32]bool, add *victim, ep *Epoch) error {
 	var names []string
 	var ids []int32
 	include := func(id int32, name string) {

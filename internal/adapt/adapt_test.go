@@ -642,11 +642,13 @@ func TestResetLadderForgetsDemotions(t *testing.T) {
 				tc.clk.Advance(vtime.Millisecond)
 				xr.Dispatch(tc, slow, xray.Exit)
 			}
+			ep := NewEndpoint("GET /hot")
 			if mode.opts.SLOTargetP99Ns > 0 {
-				ctrl.RegisterEndpoint("GET /hot", []int32{hot})
+				ep.SetFuncIDs([]int32{hot})
 				narrow = func() {
 					for i := 0; i < sloEvalEvery; i++ {
-						ctrl.ObserveRequest("GET /hot", 2*vtime.Millisecond)
+						ep.Record(2 * vtime.Millisecond)
+						ctrl.ObserveRequest(ep)
 					}
 				}
 			}
@@ -658,7 +660,7 @@ func TestResetLadderForgetsDemotions(t *testing.T) {
 			if got := ctrl.Demoted(); len(got) != 0 {
 				t.Fatalf("ladder not reset: %v", got)
 			}
-			if st := ctrl.SLOSnapshot(); st != nil && st.Endpoints[0].Steps != 0 {
+			if st := ctrl.SLOSnapshot([]*Endpoint{ep}); st != nil && st.Endpoints[0].Steps != 0 {
 				t.Fatalf("endpoint still owns a step after the reset: %+v", st.Endpoints[0])
 			}
 			// The next step demotes afresh instead of deselecting.
@@ -691,10 +693,12 @@ func TestLadderSurvivesModeRoundTrip(t *testing.T) {
 	}, &dyncapi.CygBackend{})
 	hot := packedOf(t, b, xr, proc, "hot")
 	slow := packedOf(t, b, xr, proc, "slow")
-	ctrl.RegisterEndpoint("GET /hot", []int32{hot})
+	ep := NewEndpoint("GET /hot")
+	ep.SetFuncIDs([]int32{hot})
 	evaluate := func(latencyNs int64) {
 		for i := 0; i < sloEvalEvery; i++ {
-			ctrl.ObserveRequest("GET /hot", latencyNs)
+			ep.Record(latencyNs)
+			ctrl.ObserveRequest(ep)
 		}
 	}
 	agree := func(stage string, demoted bool) {
@@ -705,7 +709,7 @@ func TestLadderSurvivesModeRoundTrip(t *testing.T) {
 		if got := ctrl.Demoted(); (len(got) == 1) != demoted {
 			t.Fatalf("%s: Demoted() = %v, want demoted=%v", stage, got, demoted)
 		}
-		if st := ctrl.SLOSnapshot(); st != nil {
+		if st := ctrl.SLOSnapshot([]*Endpoint{ep}); st != nil {
 			if row := st.Endpoints[0]; (row.Steps == 1) != demoted || (len(row.Demoted) == 1) != demoted {
 				t.Fatalf("%s: endpoint row %+v, want demoted=%v", stage, row, demoted)
 			}

@@ -8,19 +8,19 @@
 // request latency including instrumentation — not a modelled events×ns
 // estimate.
 //
-// The HTTP middleware feeds the controller: it registers each route's
-// instrumented call tree (RegisterEndpoint) and reports every completed
-// request's latency (ObserveRequest). Evaluation happens on the request
-// path but is cheap and rare: one ring-buffer write per request, a p99
-// sort every sloEvalEvery requests per endpoint, and at most one ladder
-// step per evaluation, serialized with budget epochs through the same
-// inEpoch gate.
+// The controller keeps no request record of its own. The instance records
+// every request into the route's Endpoint (its instrumented call tree and
+// a ring of recent latencies) and then hands the controller that record
+// (ObserveRequest). Evaluation happens on the request path but is cheap
+// and rare: a counter check per request, a p99 sort of the newest
+// SLOWindow latencies every sloEvalEvery requests per endpoint, and at
+// most one ladder step per evaluation, serialized with budget epochs
+// through the same inEpoch gate.
 package adapt
 
 import (
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -52,84 +52,99 @@ const (
 	widenWaitMax = 256
 )
 
-// endpointStat is the controller's per-endpoint accumulator: the route's
-// instrumented function set and a ring of recent request latencies. The
-// ladder steps it owns are on the controller's one ladder.
-type endpointStat struct {
-	name    string
-	funcIDs []int32 // sorted, deduplicated; immutable after registration
+// EndpointWindow is how many of an endpoint's most recent request
+// latencies its record keeps: the window /v1/status reads p50/p99 over, and
+// the bound on Options.SLOWindow.
+const EndpointWindow = 1024
 
+// Endpoint is one served route's request record: its instrumented function
+// set, request count, newest EndpointWindow latencies and SLO ladder state.
+// The instance keeps the only one per route; the controller reads the same
+// ring, and the steps an endpoint owns are on the controller's one ladder.
+type Endpoint struct {
+	Name string // immutable
+
+	funcIDs  atomic.Pointer[[]int32] // sorted, deduplicated; replaced wholesale
 	requests atomic.Int64
-	lastP99  atomic.Int64 // most recently computed window p99 (0 = none yet)
+	lastP99  atomic.Int64 // most recently evaluated window p99 (0 = none yet)
 
 	mu        sync.Mutex
-	ring      []int64 //capi:guardedby mu
-	written   int     //capi:guardedby mu
-	sinceEval int     //capi:guardedby mu
-	evals     int     //capi:guardedby mu — evaluations run for this endpoint
-	lastWiden int     //capi:guardedby mu — evals value at the last widen (0 = never)
-	widenWait int     //capi:guardedby mu — evals to wait between widens (backoff)
+	ring      [EndpointWindow]int64 //capi:guardedby mu
+	written   int                   //capi:guardedby mu
+	sinceEval int                   //capi:guardedby mu
+	evals     int                   //capi:guardedby mu — evaluations run for this endpoint
+	lastWiden int                   //capi:guardedby mu — evals value at the last widen (0 = never)
+	widenWait int                   //capi:guardedby mu — evals to wait between widens (backoff)
 }
 
-// RegisterEndpoint declares one endpoint's instrumented function set. The
-// middleware calls it once per route at construction; re-registering a
-// name replaces the function set but keeps the latency window and ladder
-// state. Unregistered endpoints' observations are ignored.
-func (c *Controller) RegisterEndpoint(name string, funcIDs []int32) {
-	ids := slices.Compact(slices.Sorted(slices.Values(funcIDs)))
-	if v, ok := c.endpoints.Load(name); ok {
-		es := v.(*endpointStat)
-		es.mu.Lock()
-		es.funcIDs = ids
+// NewEndpoint returns an empty record for the named route.
+func NewEndpoint(name string) *Endpoint {
+	e := &Endpoint{Name: name}
+	e.SetFuncIDs(nil)
+	return e
+}
+
+// SetFuncIDs replaces the endpoint's instrumented function set. Readers
+// see the old set or the new one, never a mix, so a route may be
+// re-registered while it serves.
+func (e *Endpoint) SetFuncIDs(ids []int32) {
+	ids = slices.Compact(slices.Sorted(slices.Values(ids)))
+	e.funcIDs.Store(&ids)
+}
+
+// FuncIDs returns the endpoint's function set, sorted; callers must not
+// modify it.
+func (e *Endpoint) FuncIDs() []int32 { return *e.funcIDs.Load() }
+
+// Requests returns how many requests were recorded.
+func (e *Endpoint) Requests() int64 { return e.requests.Load() }
+
+// Record books one completed request's latency. Safe for concurrent use.
+func (e *Endpoint) Record(latencyNs int64) {
+	e.requests.Add(1)
+	e.mu.Lock()
+	e.ring[e.written%EndpointWindow] = latencyNs
+	e.written++
+	e.sinceEval++
+	e.mu.Unlock()
+}
+
+// Window returns the newest n recorded latencies (fewer while fewer were
+// recorded) as a sorted copy.
+func (e *Endpoint) Window(n int) []int64 {
+	e.mu.Lock()
+	out := make([]int64, min(n, e.written, EndpointWindow))
+	for k := range out {
+		out[k] = e.ring[(e.written-1-k)%EndpointWindow]
+	}
+	e.mu.Unlock()
+	slices.Sort(out)
+	return out
+}
+
+// ObserveRequest is the controller's look at an endpoint after a request
+// was recorded into it: every sloEvalEvery requests once the window is
+// warm, it evaluates the p99 of the endpoint's newest SLOWindow latencies
+// against the SLO target and walks the ladder one step in whichever
+// direction the tail demands. With no SLO target set it takes no decision;
+// the record keeps filling, so a later Retune starts from warm state.
+func (c *Controller) ObserveRequest(es *Endpoint) {
+	opts := c.opts.Load()
+	if opts.SLOTargetP99Ns <= 0 {
+		return
+	}
+	es.mu.Lock()
+	if es.sinceEval < sloEvalEvery || min(es.written, opts.SLOWindow) < min(opts.SLOMinSamples, opts.SLOWindow) {
 		es.mu.Unlock()
 		return
 	}
-	c.endpoints.LoadOrStore(name, &endpointStat{name: name, funcIDs: ids})
-}
-
-// ObserveRequest records one completed request's latency for an endpoint
-// and, every sloEvalEvery requests once the window is warm, evaluates the
-// endpoint's p99 against the SLO target and walks the ladder one step in
-// whichever direction the tail demands. With no SLO target set the window
-// still fills (so a later Retune starts from warm state) but no decisions
-// are taken.
-func (c *Controller) ObserveRequest(endpoint string, latencyNs int64) {
-	v, ok := c.endpoints.Load(endpoint)
-	if !ok {
-		return
-	}
-	es := v.(*endpointStat)
-	es.requests.Add(1)
-	opts := c.opts.Load()
-
-	es.mu.Lock()
-	if len(es.ring) != opts.SLOWindow {
-		// First observation, or the window was retuned: restart the ring.
-		es.ring = make([]int64, opts.SLOWindow)
-		es.written, es.sinceEval = 0, 0
-	}
-	es.ring[es.written%len(es.ring)] = latencyNs
-	es.written++
-	es.sinceEval++
-	filled := min(es.written, len(es.ring))
-	var window []int64
-	var evalNo int
-	widenOK := false
-	if opts.SLOTargetP99Ns > 0 && es.sinceEval >= sloEvalEvery && filled >= min(opts.SLOMinSamples, len(es.ring)) {
-		es.sinceEval = 0
-		window = append([]int64(nil), es.ring[:filled]...)
-		es.evals++
-		evalNo = es.evals
-		wait := max(es.widenWait, 1)
-		widenOK = es.lastWiden == 0 || evalNo-es.lastWiden >= wait
-	}
+	es.sinceEval = 0
+	es.evals++
+	evalNo := es.evals
+	widenOK := es.lastWiden == 0 || evalNo-es.lastWiden >= max(es.widenWait, 1)
 	es.mu.Unlock()
-	if window == nil {
-		return
-	}
 
-	slices.Sort(window)
-	p99 := Quantile(window, 0.99)
+	p99 := Quantile(es.Window(opts.SLOWindow), 0.99)
 	es.lastP99.Store(p99)
 	rt := c.rt.Load()
 	if rt == nil {
@@ -143,7 +158,7 @@ func (c *Controller) ObserveRequest(endpoint string, latencyNs int64) {
 	}
 	defer c.inEpoch.Store(false)
 	target := opts.SLOTargetP99Ns
-	ep := Epoch{Rank: -1, Endpoint: es.name, P99Ns: p99, TargetNs: target}
+	ep := Epoch{Rank: -1, Endpoint: es.Name, P99Ns: p99, TargetNs: target}
 	switch {
 	case p99 > target:
 		// One step down per evaluation, so the next window measures its
@@ -151,7 +166,7 @@ func (c *Controller) ObserveRequest(endpoint string, latencyNs int64) {
 		// the endpoint's functions still at full rate is demoted, and only
 		// when all are demoted is the hottest one deselected.
 		var scope []*dyncapi.ResolvedFunc
-		for _, id := range es.funcIDs {
+		for _, id := range es.FuncIDs() {
 			if rt.Active(id) {
 				scope = append(scope, rt.Resolved(id))
 			}
@@ -221,9 +236,10 @@ type SLOStatus struct {
 	Endpoints   []SLOEndpoint `json:"endpoints,omitempty"`
 }
 
-// SLOSnapshot returns the SLO-mode status, or nil when no SLO target is
-// set (budget mode).
-func (c *Controller) SLOSnapshot() *SLOStatus {
+// SLOSnapshot returns the SLO-mode status with one row per endpoint
+// record, in the given order, or nil when no SLO target is set (budget
+// mode).
+func (c *Controller) SLOSnapshot(endpoints []*Endpoint) *SLOStatus {
 	opts := c.opts.Load()
 	if opts.SLOTargetP99Ns <= 0 {
 		return nil
@@ -236,9 +252,8 @@ func (c *Controller) SLOSnapshot() *SLOStatus {
 	c.mu.Lock()
 	ladder := slices.Clone(c.ladder)
 	c.mu.Unlock()
-	c.endpoints.Range(func(_, v any) bool {
-		es := v.(*endpointStat)
-		row := SLOEndpoint{Endpoint: es.name, Requests: es.requests.Load()}
+	for _, es := range endpoints {
+		row := SLOEndpoint{Endpoint: es.Name, Requests: es.Requests()}
 		if p99 := es.lastP99.Load(); p99 > 0 {
 			row.P99Ms = float64(p99) / 1e6
 			row.Met = p99 <= opts.SLOTargetP99Ns
@@ -255,8 +270,6 @@ func (c *Controller) SLOSnapshot() *SLOStatus {
 			}
 		}
 		out.Endpoints = append(out.Endpoints, row)
-		return true
-	})
-	sort.Slice(out.Endpoints, func(i, j int) bool { return out.Endpoints[i].Endpoint < out.Endpoints[j].Endpoint })
+	}
 	return out
 }

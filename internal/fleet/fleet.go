@@ -20,8 +20,9 @@
 //	GET  /v1/fleet/status     member table + rollup counters (runs, events,
 //	                          droppedAsync, droppedPanicked, breaker state)
 //	GET  /v1/fleet/report     per-backend envelope merge across members;
-//	                          TALP per-rank times are re-derived through
-//	                          pop.ComputeMerged into fleet-wide POP metrics
+//	                          TALP per-rank times are concatenated
+//	                          (pop.Merge) and POP metrics recomputed over
+//	                          the fleet's ranks (pop.Compute)
 //	GET  /v1/fleet/events     SSE mux: every member's event stream, tailed
 //	                          with reconnect/backoff, tagged by member
 //	POST /v1/select           fan-out to every member   ─┐ per-member

@@ -40,15 +40,6 @@ func Merge(sets ...[]RankTimes) []RankTimes {
 	return out
 }
 
-// ComputeMerged derives POP metrics over the concatenation of per-process
-// rank sets — the multi-process analogue of Compute, used by the fleet
-// control plane to turn many members' per-rank TALP times into one
-// fleet-wide efficiency breakdown. Clamping of negative inputs follows
-// Compute exactly.
-func ComputeMerged(sets ...[]RankTimes) Metrics {
-	return Compute(Merge(sets...))
-}
-
 // Compute derives the POP metrics from per-rank times. With no ranks or an
 // empty region all efficiencies are defined as 1 (nothing was lost).
 func Compute(times []RankTimes) Metrics {

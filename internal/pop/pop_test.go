@@ -104,7 +104,7 @@ func TestMergeDuplicateRankIDs(t *testing.T) {
 	// yield the exact four-rank Compute result.
 	memberA := []RankTimes{{Useful: 100}, {Useful: 100}}
 	memberB := []RankTimes{{Useful: 100}, {Useful: 60, MPI: 40}}
-	got := ComputeMerged(memberA, memberB)
+	got := Compute(Merge(memberA, memberB))
 	want := Compute([]RankTimes{{Useful: 100}, {Useful: 100}, {Useful: 100}, {Useful: 60, MPI: 40}})
 	if got != want {
 		t.Fatalf("merged metrics = %+v, want %+v", got, want)
@@ -120,14 +120,14 @@ func TestMergeEmptyMember(t *testing.T) {
 	// A member with no ranks for the region (never entered it) must not
 	// dilute the averages: merging it is the identity.
 	live := []RankTimes{{Useful: 100}, {Useful: 50, MPI: 50}}
-	if got, want := ComputeMerged(live, nil), Compute(live); got != want {
+	if got, want := Compute(Merge(live, nil)), Compute(live); got != want {
 		t.Fatalf("empty member changed metrics: %+v vs %+v", got, want)
 	}
-	if got, want := ComputeMerged(nil, live, []RankTimes{}), Compute(live); got != want {
+	if got, want := Compute(Merge(nil, live, []RankTimes{})), Compute(live); got != want {
 		t.Fatalf("empty members changed metrics: %+v vs %+v", got, want)
 	}
 	// All members empty: the defined-as-1 convention of Compute holds.
-	if got := ComputeMerged(nil, nil); !almost(got.ParallelEfficiency, 1) {
+	if got := Compute(Merge(nil, nil)); !almost(got.ParallelEfficiency, 1) {
 		t.Fatalf("all-empty merge = %+v", got)
 	}
 }
@@ -138,7 +138,7 @@ func TestMergeClampingPreserved(t *testing.T) {
 	// semantics are identical with and without federation.
 	a := []RankTimes{{Useful: -5, MPI: 10}}
 	b := []RankTimes{{Useful: 20, MPI: -3}}
-	got := ComputeMerged(a, b)
+	got := Compute(Merge(a, b))
 	want := Compute([]RankTimes{{Useful: -5, MPI: 10}, {Useful: 20, MPI: -3}})
 	if got != want {
 		t.Fatalf("merged metrics = %+v, want %+v", got, want)

@@ -63,16 +63,6 @@ type Options struct {
 	// RuntimeFilter keeps probes active but discards events for excluded
 	// regions after a (charged) filter check.
 	RuntimeFilter *Filter
-	// TraceCapacity, when positive, keeps a bounded in-memory event trace
-	// per rank (Score-P's tracing mode, bounded like its trace buffers).
-	TraceCapacity int
-}
-
-// TraceEvent is one entry of the bounded event trace.
-type TraceEvent struct {
-	Time   int64
-	Region string
-	Enter  bool
 }
 
 // cnode is a call-tree node of one rank's profile.
@@ -104,8 +94,6 @@ type rankState struct {
 
 	unknownEvents  int64
 	filteredEvents int64
-	trace          []TraceEvent
-	traceDropped   int64
 }
 
 // Measurement is one Score-P measurement run.
@@ -175,16 +163,6 @@ func (m *Measurement) LookupRegion(name string) (int, bool) {
 	return id, ok
 }
 
-// RegionName returns the name of a region handle.
-func (m *Measurement) RegionName(id int) string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if id < 0 || id >= len(m.regions) {
-		return fmt.Sprintf("region#%d", id)
-	}
-	return m.regions[id]
-}
-
 func (m *Measurement) rank(tc ThreadCtx) *rankState { return m.ranks[tc.RankID()] }
 
 // filtered applies the runtime filter, charging the check cost.
@@ -215,9 +193,6 @@ func (m *Measurement) EnterID(tc ThreadCtx, region int) {
 	rs.mu.Lock()
 	c.Advance(enterCost + m.pressure(rs))
 	m.push(rs, region, c.Now())
-	if rs.trace != nil || m.opts.TraceCapacity > 0 {
-		m.traceEvent(rs, c.Now(), region, true)
-	}
 	rs.lastNs = c.Now()
 	rs.mu.Unlock()
 }
@@ -232,9 +207,6 @@ func (m *Measurement) ExitID(tc ThreadCtx, region int) {
 	rs.mu.Lock()
 	m.pop(rs, region, c.Now())
 	c.Advance(exitCost + m.pressure(rs))
-	if rs.trace != nil || m.opts.TraceCapacity > 0 {
-		m.traceEvent(rs, c.Now(), region, false)
-	}
 	rs.lastNs = c.Now()
 	rs.mu.Unlock()
 }
@@ -352,26 +324,6 @@ func (m *Measurement) pop(rs *rankState, region int, now int64) {
 	rs.stack = rs.stack[:len(rs.stack)-1]
 	n := &rs.nodes[idx]
 	n.inclusive += now - n.enterTime
-}
-
-func (m *Measurement) traceEvent(rs *rankState, now int64, region int, enter bool) {
-	if m.opts.TraceCapacity <= 0 {
-		return
-	}
-	if len(rs.trace) >= m.opts.TraceCapacity {
-		rs.traceDropped++
-		return
-	}
-	rs.trace = append(rs.trace, TraceEvent{Time: now, Region: m.RegionName(region), Enter: enter})
-}
-
-// Trace returns the recorded event trace of one rank and the number of
-// dropped events.
-func (m *Measurement) Trace(rank int) ([]TraceEvent, int64) {
-	rs := m.ranks[rank]
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return append([]TraceEvent(nil), rs.trace...), rs.traceDropped
 }
 
 // CloseDangling delivers synthetic exits for every open call-stack frame of

@@ -41,11 +41,11 @@ func TestRegionHandles(t *testing.T) {
 	if a != b || a == c {
 		t.Fatalf("handles: %d %d %d", a, b, c)
 	}
-	if m.RegionName(a) != "foo" || m.RegionName(c) != "bar" {
+	if id, ok := m.LookupRegion("foo"); !ok || id != a {
 		t.Fatal("names wrong")
 	}
-	if !strings.HasPrefix(m.RegionName(999), "region#") {
-		t.Fatal("unknown handle name")
+	if _, ok := m.LookupRegion("baz"); ok {
+		t.Fatal("unregistered name has a handle")
 	}
 }
 
@@ -262,25 +262,6 @@ func TestProfileTextOutput(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "visits=1") {
 		t.Fatalf("call tree output:\n%s", buf.String())
-	}
-}
-
-func TestTraceBounded(t *testing.T) {
-	m, err := New(Options{Ranks: 1, TraceCapacity: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tc := &fakeCtx{}
-	for i := 0; i < 4; i++ {
-		m.Enter(tc, "r")
-		m.Exit(tc, "r")
-	}
-	trace, dropped := m.Trace(0)
-	if len(trace) != 3 || dropped != 5 {
-		t.Fatalf("trace len=%d dropped=%d", len(trace), dropped)
-	}
-	if !trace[0].Enter || trace[0].Region != "r" {
-		t.Fatalf("trace[0] = %+v", trace[0])
 	}
 }
 
