@@ -1,7 +1,6 @@
 package capi
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -41,31 +40,16 @@ type (
 	Process = obj.Process
 	// BackendSwapReport summarizes one live backend-set swap.
 	BackendSwapReport = dyncapi.BackendSwapReport
+	// Report is the unified measurement-report envelope: every backend's
+	// end-of-run (or mid-phase) report self-describes with a kind tag
+	// (Kind) and marshals itself to JSON, so consumers — Instance.Reports,
+	// the control plane's GET /v1/report — can carry reports of backends
+	// they have never heard of.
+	Report = dyncapi.Envelope
+	// JSONReport wraps any JSON-marshallable value as a Report. Custom
+	// backends can use it instead of hand-writing an envelope type.
+	JSONReport = dyncapi.JSONReport
 )
-
-// Report is the unified measurement-report envelope: every backend's
-// end-of-run (or mid-phase) report self-describes with a kind tag and
-// marshals itself to JSON, so consumers — Instance.Reports, the control
-// plane's GET /v1/report — can carry reports of backends they have never
-// heard of.
-type Report interface {
-	// Kind names the report type ("talp", "profile", "trace", …).
-	Kind() string
-	json.Marshaler
-}
-
-// JSONReport wraps any JSON-marshallable value as a Report. Custom backends
-// can use it instead of hand-writing an envelope type.
-type JSONReport struct {
-	ReportKind string
-	Value      any
-}
-
-// Kind implements Report.
-func (r JSONReport) Kind() string { return r.ReportKind }
-
-// MarshalJSON implements Report.
-func (r JSONReport) MarshalJSON() ([]byte, error) { return json.Marshal(r.Value) }
 
 // ReportOf is the typed read of the report envelope: the named backend's
 // report as a T, e.g. ReportOf[*TALPReport](res.Reports, "talp"). It looks
@@ -276,12 +260,32 @@ func (i *Instance) chain(backends []MeasurementBackend, tombstones ...dyncapi.Ba
 }
 
 // The four built-in backends self-register, exactly like a third-party
-// backend would.
+// backend would. TALP, Score-P and Extrae are each one dyncapi type: event
+// sink and phase lifecycle in one, rebuilding its measurement per phase.
 func init() {
 	RegisterBackend(string(BackendNone), newNoneBackend)
-	RegisterBackend(string(BackendTALP), newTALPBackend)
-	RegisterBackend(string(BackendScoreP), newScorePBackend)
-	RegisterBackend(string(BackendExtrae), newExtraeBackend)
+	RegisterBackend(string(BackendTALP), func(cfg BackendConfig) (MeasurementBackend, error) {
+		return dyncapi.NewTALPBackend(talp.New(cfg.World, talp.Options{EmulateReentryBug: cfg.EmulateTALPBug})), nil
+	})
+	RegisterBackend(string(BackendScoreP), func(cfg BackendConfig) (MeasurementBackend, error) {
+		m, err := scorep.New(scorep.Options{Ranks: cfg.Ranks})
+		if err != nil {
+			return nil, err
+		}
+		return dyncapi.NewScorePBackend(m, scorep.NewResolverFromExecutable(cfg.Proc)), nil
+	})
+	RegisterBackend(string(BackendExtrae), func(cfg BackendConfig) (MeasurementBackend, error) {
+		opts := trace.Options{}
+		if cfg.Trace != nil {
+			opts = *cfg.Trace
+		}
+		opts.Ranks = cfg.Ranks
+		buf, err := trace.New(opts)
+		if err != nil {
+			return nil, err
+		}
+		return dyncapi.NewExtraeBackend(buf), nil
+	})
 }
 
 // noneBackend is the discarding cyg-profile interface: events are dispatched
@@ -298,127 +302,3 @@ func (b *noneBackend) Name() string            { return string(BackendNone) }
 func (b *noneBackend) Events() EventBackend    { return b.ev }
 func (b *noneBackend) StartPhase(*World) error { return nil }
 func (b *noneBackend) Report() Report          { return nil }
-
-// talpBackend records POP parallel-efficiency metrics per region. Each
-// phase gets a fresh monitor over the phase's world.
-type talpBackend struct {
-	ev  *dyncapi.TALPBackend
-	bug bool
-
-	mu  sync.Mutex
-	mon *talp.Monitor
-}
-
-func newTALPBackend(cfg BackendConfig) (MeasurementBackend, error) {
-	mon := talp.New(cfg.World, talp.Options{EmulateReentryBug: cfg.EmulateTALPBug})
-	return &talpBackend{ev: dyncapi.NewTALPBackend(mon), bug: cfg.EmulateTALPBug, mon: mon}, nil
-}
-
-func (b *talpBackend) Name() string         { return string(BackendTALP) }
-func (b *talpBackend) Events() EventBackend { return b.ev }
-
-func (b *talpBackend) StartPhase(world *World) error {
-	mon := talp.New(world, talp.Options{EmulateReentryBug: b.bug})
-	b.mu.Lock()
-	b.mon = mon
-	b.mu.Unlock()
-	b.ev.Reset(mon)
-	return nil
-}
-
-func (b *talpBackend) Report() Report {
-	b.mu.Lock()
-	mon := b.mon
-	b.mu.Unlock()
-	return JSONReport{ReportKind: "talp", Value: mon.Report()}
-}
-
-// scorepBackend records call-path profiles. The resolver (with the DSO
-// symbols DynCaPI injected) persists across phases; the measurement is
-// fresh per phase.
-type scorepBackend struct {
-	ev    *dyncapi.ScorePBackend
-	ranks int
-
-	mu   sync.Mutex
-	meas *scorep.Measurement
-}
-
-func newScorePBackend(cfg BackendConfig) (MeasurementBackend, error) {
-	m, err := scorep.New(scorep.Options{Ranks: cfg.Ranks})
-	if err != nil {
-		return nil, err
-	}
-	return &scorepBackend{
-		ev:    dyncapi.NewScorePBackend(m, scorep.NewResolverFromExecutable(cfg.Proc)),
-		ranks: cfg.Ranks,
-		meas:  m,
-	}, nil
-}
-
-func (b *scorepBackend) Name() string         { return string(BackendScoreP) }
-func (b *scorepBackend) Events() EventBackend { return b.ev }
-
-func (b *scorepBackend) StartPhase(*World) error {
-	m, err := scorep.New(scorep.Options{Ranks: b.ranks})
-	if err != nil {
-		return err
-	}
-	b.mu.Lock()
-	b.meas = m
-	b.mu.Unlock()
-	b.ev.Reset(m)
-	return nil
-}
-
-func (b *scorepBackend) Report() Report {
-	b.mu.Lock()
-	m := b.meas
-	b.mu.Unlock()
-	return JSONReport{ReportKind: "profile", Value: m.Profile()}
-}
-
-// extraeBackend records a per-rank sharded event trace with a merged
-// end-of-run timeline. Each phase gets a fresh buffer.
-type extraeBackend struct {
-	ev   *dyncapi.ExtraeBackend
-	opts trace.Options
-
-	mu  sync.Mutex
-	buf *trace.Buffer
-}
-
-func newExtraeBackend(cfg BackendConfig) (MeasurementBackend, error) {
-	opts := trace.Options{}
-	if cfg.Trace != nil {
-		opts = *cfg.Trace
-	}
-	opts.Ranks = cfg.Ranks
-	buf, err := trace.New(opts)
-	if err != nil {
-		return nil, err
-	}
-	return &extraeBackend{ev: dyncapi.NewExtraeBackend(buf), opts: opts, buf: buf}, nil
-}
-
-func (b *extraeBackend) Name() string         { return string(BackendExtrae) }
-func (b *extraeBackend) Events() EventBackend { return b.ev }
-
-func (b *extraeBackend) StartPhase(*World) error {
-	buf, err := trace.New(b.opts)
-	if err != nil {
-		return err
-	}
-	b.mu.Lock()
-	b.buf = buf
-	b.mu.Unlock()
-	b.ev.Reset(buf)
-	return nil
-}
-
-func (b *extraeBackend) Report() Report {
-	b.mu.Lock()
-	buf := b.buf
-	b.mu.Unlock()
-	return JSONReport{ReportKind: "trace", Value: buf.Report()}
-}

@@ -9,34 +9,28 @@ import (
 	capi "capi"
 )
 
-// countingBackend is the README cookbook's custom backend: it counts the
-// events it observes and reports them through the unified envelope.
-type countingBackend struct {
-	ev countingEvents
-}
+// countingBackend is the README cookbook's custom backend: one type that is
+// its own event sink, counting the events it observes and reporting them
+// through the unified envelope.
+type countingBackend struct{ enters, exits atomic.Int64 }
 
-type countingEvents struct {
-	enters, exits *atomic.Int64
-}
+func (b *countingBackend) Name() string                                     { return "test-counter" }
+func (b *countingBackend) OnEnter(tc capi.ThreadCtx, fn *capi.ResolvedFunc) { b.enters.Add(1) }
+func (b *countingBackend) OnExit(tc capi.ThreadCtx, fn *capi.ResolvedFunc)  { b.exits.Add(1) }
+func (b *countingBackend) InitCost(int) int64                               { return 0 }
 
-func (e countingEvents) Name() string                                     { return "test-counter" }
-func (e countingEvents) OnEnter(tc capi.ThreadCtx, fn *capi.ResolvedFunc) { e.enters.Add(1) }
-func (e countingEvents) OnExit(tc capi.ThreadCtx, fn *capi.ResolvedFunc)  { e.exits.Add(1) }
-func (e countingEvents) InitCost(int) int64                               { return 0 }
-
-func (b *countingBackend) Name() string                 { return "test-counter" }
-func (b *countingBackend) Events() capi.EventBackend    { return b.ev }
+func (b *countingBackend) Events() capi.EventBackend    { return b }
 func (b *countingBackend) StartPhase(*capi.World) error { return nil }
 func (b *countingBackend) Report() capi.Report {
 	return capi.JSONReport{ReportKind: "counter", Value: map[string]int64{
-		"enters": b.ev.enters.Load(),
-		"exits":  b.ev.exits.Load(),
+		"enters": b.enters.Load(),
+		"exits":  b.exits.Load(),
 	}}
 }
 
 func init() {
 	capi.RegisterBackend("test-counter", func(capi.BackendConfig) (capi.MeasurementBackend, error) {
-		return &countingBackend{ev: countingEvents{enters: new(atomic.Int64), exits: new(atomic.Int64)}}, nil
+		return &countingBackend{}, nil
 	})
 }
 

@@ -233,17 +233,9 @@ var benchFilterIC *capi.IC
 
 // runtimeFilterBackend is the §II-B baseline as a custom backend: Score-P
 // whose runtime filter drops every region outside benchFilterIC.
-type runtimeFilterBackend struct {
-	ev *dyncapi.ScorePBackend
-	m  *scorep.Measurement
-}
+type runtimeFilterBackend struct{ *dyncapi.ScorePBackend }
 
-func (f *runtimeFilterBackend) Name() string                 { return "scorep-runtime-filter" }
-func (f *runtimeFilterBackend) Events() capi.EventBackend    { return f.ev }
-func (f *runtimeFilterBackend) StartPhase(*capi.World) error { return nil } // Session.Run is one phase
-func (f *runtimeFilterBackend) Report() capi.Report {
-	return capi.JSONReport{ReportKind: "profile", Value: f.m.Profile()}
-}
+func (runtimeFilterBackend) Name() string { return "scorep-runtime-filter" }
 
 func init() {
 	capi.RegisterBackend("scorep-runtime-filter", func(cfg capi.BackendConfig) (capi.MeasurementBackend, error) {
@@ -255,7 +247,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return &runtimeFilterBackend{ev: dyncapi.NewScorePBackend(m, scorep.NewResolverFromExecutable(cfg.Proc)), m: m}, nil
+		return runtimeFilterBackend{dyncapi.NewScorePBackend(m, scorep.NewResolverFromExecutable(cfg.Proc))}, nil
 	})
 }
 

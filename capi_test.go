@@ -530,13 +530,22 @@ func TestExtraeTraceBoundedBuffer(t *testing.T) {
 		t.Fatalf("accounting: recorded %d != retained %d + wrapped %d",
 			traceOf(res).Recorded, traceOf(res).Retained, traceOf(res).Wrapped)
 	}
-	// A second phase starts from a fresh buffer.
+	// A second phase starts from a fresh buffer with the same bounds.
 	res2, err := inst.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if traceOf(res2).Recorded != res2.Events {
 		t.Fatalf("phase 2 trace incomplete: %d of %d", traceOf(res2).Recorded, res2.Events)
+	}
+	// Wrap mode may hold one ring (BufEvents) beyond MaxEvents per rank.
+	if traceOf(res2).Wrapped == 0 {
+		t.Fatal("phase 2 lost the tiny wrap-mode buffer: never wrapped")
+	}
+	for _, rs := range traceOf(res2).Ranks {
+		if rs.Retained > 32+8 {
+			t.Fatalf("phase 2 lost the retention bound: rank %d retained %d", rs.Rank, rs.Retained)
+		}
 	}
 	if st := inst.Status(); st.DroppedInFlight != 0 || st.DroppedUnpatched != 0 {
 		t.Fatalf("drops without any reconfigure: %d/%d", st.DroppedInFlight, st.DroppedUnpatched)

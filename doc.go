@@ -55,7 +55,9 @@
 //	          exact for the rest of the run
 //	capi      backend registry (RegisterBackend / RunOptions.Backends):
 //	          named factories behind the public MeasurementBackend
-//	          interface, one report envelope (Instance.Reports, ReportOf)
+//	          interface; the TALP, Score-P and Extrae built-ins are each
+//	          one dyncapi type, event sink and phase lifecycle in one;
+//	          one report envelope (Instance.Reports, ReportOf)
 //	adapt     overhead-budget controller: adapts the selection at epoch
 //	          boundaries while the program runs — hottest low-duration
 //	          functions first demoted to 1-in-N sampling (the gentler

@@ -1,6 +1,7 @@
 package dyncapi
 
 import (
+	"encoding/json"
 	"sync"
 
 	"capi/internal/mpi"
@@ -16,6 +17,36 @@ import (
 type mpiRanker interface {
 	MPIRank() *mpi.Rank
 }
+
+// Envelope is the unified measurement-report envelope: every backend's
+// end-of-run (or mid-phase) report self-describes with a kind tag and
+// marshals itself to JSON, so consumers — Instance.Reports, the control
+// plane's GET /v1/report — can carry reports of backends they have never
+// heard of. (Report names the runtime's init report.)
+type Envelope interface {
+	// Kind names the report type ("talp", "profile", "trace", …).
+	Kind() string
+	json.Marshaler
+}
+
+// JSONReport wraps any JSON-marshallable value as an Envelope. Custom
+// backends can use it instead of hand-writing an envelope type.
+type JSONReport struct {
+	ReportKind string
+	Value      any
+}
+
+// Kind implements Envelope.
+func (r JSONReport) Kind() string { return r.ReportKind }
+
+// MarshalJSON implements Envelope.
+func (r JSONReport) MarshalJSON() ([]byte, error) { return json.Marshal(r.Value) }
+
+// The TALP, Score-P and Extrae backends are each event sink and phase
+// lifecycle in one. Their per-phase pointer (Mon, M, Buf) is written by
+// StartPhase under the backend's mu and read under it by Report and
+// OnDeselect; the handlers read it unlocked, as StartPhase runs only between
+// phases, before the rank goroutines start.
 
 // CygBackend is the default GCC-compatible interface: it forwards events to
 // __cyg_profile_func_enter/exit-style callbacks carrying only the function
@@ -56,11 +87,7 @@ type ScorePBackend struct {
 	M        *scorep.Measurement
 	Resolver *scorep.Resolver
 
-	// mu orders Reset (phase boundary) against OnDeselect (a control-plane
-	// reconfigure can land at any time). The handler paths read M without
-	// it: they only execute inside a phase, and Reset happens-before the
-	// rank goroutines start.
-	mu sync.Mutex
+	mu sync.Mutex // orders StartPhase against Report and OnDeselect
 }
 
 // NewScorePBackend wraps a measurement and resolver pair.
@@ -68,18 +95,32 @@ func NewScorePBackend(m *scorep.Measurement, r *scorep.Resolver) *ScorePBackend 
 	return &ScorePBackend{M: m, Resolver: r}
 }
 
-// Reset attaches a fresh measurement for the next execution phase; the
-// resolver (and its injected DSO symbols) is kept. Call it only between
-// phases, never while handlers are executing (concurrent OnDeselect is
-// safe: it serializes on the backend lock).
-func (b *ScorePBackend) Reset(m *scorep.Measurement) {
-	b.mu.Lock()
-	b.M = m
-	b.mu.Unlock()
-}
-
 // Name implements Backend.
 func (b *ScorePBackend) Name() string { return "scorep" }
+
+// Events returns the backend itself: it is its own event sink.
+func (b *ScorePBackend) Events() Backend { return b }
+
+// StartPhase attaches a fresh measurement, built with the options of the
+// one it replaces; the resolver (and its injected DSO symbols) is kept.
+func (b *ScorePBackend) StartPhase(*mpi.World) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	m, err := scorep.New(b.M.Options())
+	if err != nil {
+		return err
+	}
+	b.M = m
+	return nil
+}
+
+// Report returns the current phase's call-path profile.
+func (b *ScorePBackend) Report() Envelope {
+	b.mu.Lock()
+	m := b.M
+	b.mu.Unlock()
+	return JSONReport{ReportKind: "profile", Value: m.Profile()}
+}
 
 // OnEnter implements Backend.
 func (b *ScorePBackend) OnEnter(tc xray.ThreadCtx, fn *ResolvedFunc) {
@@ -139,19 +180,30 @@ func NewTALPBackend(m *talp.Monitor) *TALPBackend {
 	return &TALPBackend{Mon: m, regions: map[int32]*talpRegionState{}}
 }
 
-// Reset attaches a fresh monitor for the next execution phase and forgets
-// the lazily registered regions (they belong to the previous monitor). Call
-// it only between phases, never while handlers are executing (concurrent
-// OnDeselect is safe: it serializes on the backend lock).
-func (b *TALPBackend) Reset(m *talp.Monitor) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.Mon = m
-	b.regions = map[int32]*talpRegionState{}
-}
-
 // Name implements Backend.
 func (b *TALPBackend) Name() string { return "talp" }
+
+// Events returns the backend itself: it is its own event sink.
+func (b *TALPBackend) Events() Backend { return b }
+
+// StartPhase attaches a fresh monitor over the new phase's world, built
+// with the options of the one it replaces, and forgets the lazily
+// registered regions (they belong to the previous monitor).
+func (b *TALPBackend) StartPhase(w *mpi.World) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.Mon = talp.New(w, b.Mon.Options())
+	b.regions = map[int32]*talpRegionState{}
+	return nil
+}
+
+// Report returns the current phase's per-region POP metrics.
+func (b *TALPBackend) Report() Envelope {
+	b.mu.Lock()
+	mon := b.Mon
+	b.mu.Unlock()
+	return JSONReport{ReportKind: "talp", Value: mon.Report()}
+}
 
 func (b *TALPBackend) state(id int32) (*talpRegionState, bool) {
 	b.mu.Lock()
@@ -211,8 +263,9 @@ func (b *TALPBackend) InitCost(int) int64 { return b.Mon.InitCost() }
 // monitoring region are balanced with synthetic stops on every rank, so the
 // accumulators close and the open count stays correct.
 func (b *TALPBackend) OnDeselect(fn *ResolvedFunc) int {
-	// Snapshot monitor and region under the lock: a phase boundary's Reset
-	// may be swapping them while a control-plane reconfigure deselects.
+	// Snapshot monitor and region under the lock: a phase boundary's
+	// StartPhase may be swapping them while a control-plane reconfigure
+	// deselects.
 	b.mu.Lock()
 	mon := b.Mon
 	st, ok := b.regions[fn.PackedID]
@@ -239,6 +292,8 @@ func (b *TALPBackend) OnDeselect(fn *ResolvedFunc) int {
 // buffer's own drop/wrap accounting.
 type ExtraeBackend struct {
 	Buf *trace.Buffer
+
+	mu sync.Mutex // orders StartPhase against Report
 }
 
 // Virtual-time costs of tracing, calibrated against the other backends:
@@ -262,14 +317,32 @@ func NewExtraeBackend(buf *trace.Buffer) *ExtraeBackend {
 	return &ExtraeBackend{Buf: buf}
 }
 
-// Reset attaches a fresh buffer for the next execution phase. Call it only
-// between phases, never while handlers are executing.
-func (b *ExtraeBackend) Reset(buf *trace.Buffer) {
-	b.Buf = buf
-}
-
 // Name implements Backend.
 func (b *ExtraeBackend) Name() string { return "extrae" }
+
+// Events returns the backend itself: it is its own event sink.
+func (b *ExtraeBackend) Events() Backend { return b }
+
+// StartPhase attaches a fresh buffer, built with the options of the one it
+// replaces.
+func (b *ExtraeBackend) StartPhase(*mpi.World) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	buf, err := trace.New(b.Buf.Options())
+	if err != nil {
+		return err
+	}
+	b.Buf = buf
+	return nil
+}
+
+// Report returns the current phase's trace report.
+func (b *ExtraeBackend) Report() Envelope {
+	b.mu.Lock()
+	buf := b.Buf
+	b.mu.Unlock()
+	return JSONReport{ReportKind: "trace", Value: buf.Report()}
+}
 
 // OnEnter implements Backend: charge the trace-write cost, record, and pay
 // the flush stall when this append wrote out a full ring.

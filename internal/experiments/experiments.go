@@ -70,8 +70,6 @@ type Options struct {
 	LuleshTimesteps int
 	OFTimesteps     int
 	PCGIters        int
-	// LuleshCGNodes overrides the LULESH graph size (default 3,360).
-	LuleshCGNodes int
 }
 
 func (o Options) withDefaults() Options {
@@ -94,7 +92,6 @@ func newSession(app string, opts Options) (*capi.Session, error) {
 	if app == "lulesh" {
 		return capi.NewSession(capi.Lulesh(capi.LuleshOptions{
 			Timesteps: opts.LuleshTimesteps,
-			CGNodes:   opts.LuleshCGNodes,
 		}), capi.SessionOptions{
 			OptLevel:     workload.LuleshOptLevel,
 			RankWorkSkew: workload.LuleshRankSkew(opts.Ranks),

@@ -259,7 +259,9 @@ func TestTurnaround(t *testing.T) {
 
 // TestEmulateTALPBugReportsFailedEntries: the public bug-compat flag shows
 // §VI-B(b) on a simulator-sized run. The mpi IC on openfoam hits failed
-// re-entries with the flag and none without it.
+// re-entries with the flag and none without it — in every phase of a
+// started instance, since a phase's fresh monitor keeps the backend's
+// options.
 func TestEmulateTALPBugReportsFailedEntries(t *testing.T) {
 	s, err := newSession("openfoam", small)
 	if err != nil {
@@ -270,16 +272,22 @@ func TestEmulateTALPBugReportsFailedEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bug := range []bool{false, true} {
-		res, err := s.Run(row.Selection, capi.RunOptions{Ranks: small.Ranks, Backends: []string{"talp"}, EmulateTALPBug: bug})
+		inst, err := s.Start(row.Selection, capi.RunOptions{Ranks: small.Ranks, Backends: []string{"talp"}, EmulateTALPBug: bug})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, ok := capi.ReportOf[*capi.TALPReport](res.Reports, "talp")
-		if !ok {
-			t.Fatal("no TALP report")
-		}
-		if failed := len(rep.FailedEntries) > 0; failed != bug {
-			t.Errorf("EmulateTALPBug %v: failed entries %v", bug, rep.FailedEntries)
+		for phase := 1; phase <= 2; phase++ {
+			res, err := inst.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, ok := capi.ReportOf[*capi.TALPReport](res.Reports, "talp")
+			if !ok {
+				t.Fatal("no TALP report")
+			}
+			if failed := len(rep.FailedEntries) > 0; failed != bug {
+				t.Errorf("EmulateTALPBug %v, phase %d: failed entries %v", bug, phase, rep.FailedEntries)
+			}
 		}
 	}
 }
@@ -293,19 +301,9 @@ var filterIC *capi.IC
 // with every sled patched, each probe still fires and pays the filter
 // check: "the overhead of invoking the probe and cross-checking the filter
 // list is retained".
-type runtimeFilter struct {
-	ev *dyncapi.ScorePBackend
-	m  *scorep.Measurement
-}
+type runtimeFilter struct{ *dyncapi.ScorePBackend }
 
-func (b *runtimeFilter) Name() string              { return "scorep-runtime-filter" }
-func (b *runtimeFilter) Events() capi.EventBackend { return b.ev }
-
-// StartPhase has nothing to reset: Session.Run is a single phase.
-func (b *runtimeFilter) StartPhase(*capi.World) error { return nil }
-func (b *runtimeFilter) Report() capi.Report {
-	return capi.JSONReport{ReportKind: "profile", Value: b.m.Profile()}
-}
+func (runtimeFilter) Name() string { return "scorep-runtime-filter" }
 
 func init() {
 	capi.RegisterBackend("scorep-runtime-filter", func(cfg capi.BackendConfig) (capi.MeasurementBackend, error) {
@@ -317,7 +315,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return &runtimeFilter{ev: dyncapi.NewScorePBackend(m, scorep.NewResolverFromExecutable(cfg.Proc)), m: m}, nil
+		return runtimeFilter{dyncapi.NewScorePBackend(m, scorep.NewResolverFromExecutable(cfg.Proc))}, nil
 	})
 }
 

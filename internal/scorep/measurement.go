@@ -128,6 +128,9 @@ func New(opts Options) (*Measurement, error) {
 	return m, nil
 }
 
+// Options returns the options the measurement was created with.
+func (m *Measurement) Options() Options { return m.opts }
+
 // InitCost returns the virtual init cost for a symbol map of the given
 // size; callers (DynCaPI) charge it to the process start-up time.
 func (m *Measurement) InitCost(symbols int) int64 {

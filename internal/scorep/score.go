@@ -9,25 +9,23 @@ import "sort"
 
 // ScoreOptions tunes filter generation.
 type ScoreOptions struct {
-	// MaxAvgExclusivePerVisit: regions whose average exclusive time per
-	// visit is below this are overhead-dominated candidates.
-	MaxAvgExclusivePerVisit int64
 	// MinVisits: only frequently called regions are worth excluding.
 	MinVisits int64
 	// Keep lists region names never to exclude (e.g. main).
 	Keep []string
 }
 
+// maxAvgExclusivePerVisit: regions whose average exclusive time per visit
+// is below this are overhead-dominated candidates. The threshold tracks the
+// workload generators' call-compression scaling (workload.scaleWork): one
+// simulated visit stands in for many real calls, so "small" means
+// sub-millisecond in simulated time.
+const maxAvgExclusivePerVisit = 800 * 1000 // 0.8 ms
+
 // DefaultScoreOptions mirror scorep-score's spirit: exclude small regions
-// visited very often. The per-visit threshold tracks the workload
-// generators' call-compression scaling (workload.scaleWork): one simulated
-// visit stands in for many real calls, so "small" means sub-millisecond in
-// simulated time.
+// visited very often.
 func DefaultScoreOptions() ScoreOptions {
-	return ScoreOptions{
-		MaxAvgExclusivePerVisit: 800 * 1000, // 0.8 ms
-		MinVisits:               500,
-	}
+	return ScoreOptions{MinVisits: 500}
 }
 
 // Suggestion is the outcome of a scorep-score run.
@@ -56,7 +54,7 @@ func SuggestFilter(p *Profile, opts ScoreOptions) (*Suggestion, *Filter) {
 		if keep[r.Name] || r.Visits < opts.MinVisits || r.Visits == 0 {
 			continue
 		}
-		if r.Exclusive/r.Visits <= opts.MaxAvgExclusivePerVisit {
+		if r.Exclusive/r.Visits <= maxAvgExclusivePerVisit {
 			cands = append(cands, cand{name: r.Name, visits: r.Visits})
 		}
 	}

@@ -159,6 +159,9 @@ func New(w *mpi.World, opts Options) *Monitor {
 // InitCost returns the virtual start-up cost DynCaPI charges.
 func (m *Monitor) InitCost() int64 { return initBase }
 
+// Options returns the options the monitor was created with.
+func (m *Monitor) Options() Options { return m.opts }
+
 func (m *Monitor) attach(r *mpi.Rank) {
 	r.AddHook(mpi.Hook{
 		Pre: func(rk *mpi.Rank, op mpi.Op, bytes int) {

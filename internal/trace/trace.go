@@ -140,6 +140,10 @@ func New(opts Options) (*Buffer, error) {
 // Ranks returns the number of shards.
 func (b *Buffer) Ranks() int { return len(b.shards) }
 
+// Options returns the options the buffer was created with, defaults
+// applied.
+func (b *Buffer) Options() Options { return b.opts }
+
 // Append records one event into the rank's shard. It reports whether the
 // append flushed a full ring into a segment, so the caller can charge the
 // flush stall to the executing rank. Only the rank's own goroutine may call
