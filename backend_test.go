@@ -114,6 +114,45 @@ func TestBackendValidation(t *testing.T) {
 	}
 }
 
+// TestExtraeNamesSurvivePhasesAndSwaps: trace records carry function IDs
+// only, and the report names them through the runtime's function table. A
+// phase boundary (a fresh buffer) and a live swap (a fresh guarded tracer
+// behind a mux) must both keep the hottest function named.
+func TestExtraeNamesSurvivePhasesAndSwaps(t *testing.T) {
+	s := newQuickSession(t)
+	sel, err := s.Select(quickSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := s.Start(sel, capi.RunOptions{Backends: []string{"extrae"}, Ranks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Close()
+	hottest := ""
+	for phase, swapTo := range [][]string{nil, nil, {"talp", "extrae"}} {
+		if swapTo != nil {
+			if _, err := inst.SetBackends(swapTo); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := inst.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var text strings.Builder
+		if err := traceOf(res).WriteText(&text); err != nil {
+			t.Fatal(err)
+		}
+		if phase == 0 {
+			hottest = traceOf(res).ByFunc[0].Name
+		}
+		if hot := traceOf(res).ByFunc[0].Name; hot == "" || hot != hottest || !strings.Contains(text.String(), hot+" ") {
+			t.Fatalf("phase %d: hottest function %q (phase 0: %q) not named:\n%s", phase, hot, hottest, text.String())
+		}
+	}
+}
+
 // TestInstanceSetBackendsLive: the in-process backend swap — TALP out,
 // extrae in — keeps the selection patched and redirects the next phase's
 // events; the deprecated typed accessors follow the attached set.

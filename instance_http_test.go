@@ -278,6 +278,33 @@ func TestAdaptivePhasesUnderTraffic(t *testing.T) {
 		Adapt:       &capi.AdaptOptions{SLOTargetP99Ns: int64(5 * time.Millisecond)},
 		Sampling:    &capi.SamplingOptions{Default: &capi.SamplingPolicy{Stride: 1}},
 	}, 2)
+	runPhasesUnderTraffic(t, inst, svc)
+}
+
+// TestPhaseBoundaryUnderTraffic runs three phases of a serving instance per
+// built-in backend while request traffic keeps dispatching on the worker
+// ranks: each phase boundary replaces the backend's measurement under the
+// workers' feet, which they must observe synchronized. Run with -race.
+func TestPhaseBoundaryUnderTraffic(t *testing.T) {
+	for _, backend := range []string{"extrae", "scorep", "talp"} {
+		t.Run(backend, func(t *testing.T) {
+			inst, svc := startWebService(t, capi.RunOptions{
+				PatchAll:    true,
+				Backends:    []string{backend},
+				Ranks:       2,
+				HTTPWorkers: 2,
+				Sampling:    &capi.SamplingOptions{Default: &capi.SamplingPolicy{Stride: 1}},
+			}, 2)
+			runPhasesUnderTraffic(t, inst, svc)
+		})
+	}
+}
+
+// runPhasesUnderTraffic runs three phases while two goroutines drive
+// requests, then checks the run count and the sampler's conservation
+// identity.
+func runPhasesUnderTraffic(t *testing.T, inst *capi.Instance, svc *middleware.Service) {
+	t.Helper()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for d := range 2 {

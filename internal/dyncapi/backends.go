@@ -3,6 +3,7 @@ package dyncapi
 import (
 	"encoding/json"
 	"sync"
+	"sync/atomic"
 
 	"capi/internal/mpi"
 	"capi/internal/scorep"
@@ -43,10 +44,10 @@ func (r JSONReport) Kind() string { return r.ReportKind }
 func (r JSONReport) MarshalJSON() ([]byte, error) { return json.Marshal(r.Value) }
 
 // The TALP, Score-P and Extrae backends are each event sink and phase
-// lifecycle in one. Their per-phase pointer (Mon, M, Buf) is written by
-// StartPhase under the backend's mu and read under it by Report and
-// OnDeselect; the handlers read it unlocked, as StartPhase runs only between
-// phases, before the rank goroutines start.
+// lifecycle in one. StartPhase replaces the per-phase measurement (Mon, M,
+// Buf) while HTTP worker ranks may still be dispatching, so the handlers
+// read it synchronized: M and Buf are atomic pointers, and TALP's handlers
+// take mu before they read Mon.
 
 // CygBackend is the default GCC-compatible interface: it forwards events to
 // __cyg_profile_func_enter/exit-style callbacks carrying only the function
@@ -84,15 +85,15 @@ func (b *CygBackend) InitCost(int) int64 { return 0 }
 // injection (the SymbolInjector implementation) teaches that map the DSO
 // symbols it could not know by itself (§V-C1).
 type ScorePBackend struct {
-	M        *scorep.Measurement
+	M        atomic.Pointer[scorep.Measurement]
 	Resolver *scorep.Resolver
-
-	mu sync.Mutex // orders StartPhase against Report and OnDeselect
 }
 
 // NewScorePBackend wraps a measurement and resolver pair.
 func NewScorePBackend(m *scorep.Measurement, r *scorep.Resolver) *ScorePBackend {
-	return &ScorePBackend{M: m, Resolver: r}
+	b := &ScorePBackend{Resolver: r}
+	b.M.Store(m)
+	return b
 }
 
 // Name implements Backend.
@@ -104,37 +105,32 @@ func (b *ScorePBackend) Events() Backend { return b }
 // StartPhase attaches a fresh measurement, built with the options of the
 // one it replaces; the resolver (and its injected DSO symbols) is kept.
 func (b *ScorePBackend) StartPhase(*mpi.World) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	m, err := scorep.New(b.M.Options())
+	m, err := scorep.New(b.M.Load().Options())
 	if err != nil {
 		return err
 	}
-	b.M = m
+	b.M.Store(m)
 	return nil
 }
 
 // Report returns the current phase's call-path profile.
 func (b *ScorePBackend) Report() Envelope {
-	b.mu.Lock()
-	m := b.M
-	b.mu.Unlock()
-	return JSONReport{ReportKind: "profile", Value: m.Profile()}
+	return JSONReport{ReportKind: "profile", Value: b.M.Load().Profile()}
 }
 
 // OnEnter implements Backend.
 func (b *ScorePBackend) OnEnter(tc xray.ThreadCtx, fn *ResolvedFunc) {
-	b.M.CygEnter(tc, b.Resolver, fn.Addr)
+	b.M.Load().CygEnter(tc, b.Resolver, fn.Addr)
 }
 
 // OnExit implements Backend.
 func (b *ScorePBackend) OnExit(tc xray.ThreadCtx, fn *ResolvedFunc) {
-	b.M.CygExit(tc, b.Resolver, fn.Addr)
+	b.M.Load().CygExit(tc, b.Resolver, fn.Addr)
 }
 
 // InitCost implements Backend: Score-P builds its name/address map over all
 // scanned symbols.
-func (b *ScorePBackend) InitCost(symbols int) int64 { return b.M.InitCost(symbols) }
+func (b *ScorePBackend) InitCost(symbols int) int64 { return b.M.Load().InitCost(symbols) }
 
 // InjectSymbol implements SymbolInjector.
 func (b *ScorePBackend) InjectSymbol(addr uint64, name string) { b.Resolver.Inject(addr, name) }
@@ -145,9 +141,7 @@ func (b *ScorePBackend) InjectSymbol(addr uint64, name string) { b.Resolver.Inje
 // functions recorded into the UNKNOWN region are skipped — their frames
 // cannot be attributed to one function.
 func (b *ScorePBackend) OnDeselect(fn *ResolvedFunc) int {
-	b.mu.Lock()
-	m := b.M
-	b.mu.Unlock()
+	m := b.M.Load()
 	name, ok := b.Resolver.Resolve(fn.Addr)
 	if !ok {
 		return 0
@@ -278,22 +272,22 @@ func (b *TALPBackend) OnDeselect(fn *ResolvedFunc) int {
 
 // ExtraeBackend records every event as a timestamped trace record in a
 // per-rank sharded buffer (Extrae-style tracing): the enter/exit hot path
-// appends to the executing rank's own shard under that shard's mutex —
-// uncontended, a shard having one writer; only a mid-run Report snapshot
-// ever waits on it — full rings are flushed as batched segments, and the
-// end-of-run report merges the shards into one virtual-time-ordered
-// timeline. It is the cheapest per-event backend after the discarding
-// cyg-profile interface — the sharding is what keeps it that way under many
-// ranks.
+// appends a 16-byte record to the executing rank's own shard with no lock,
+// publishing it with one atomic store; full rings are flushed as batched
+// segments, and the end-of-run report merges the shards into one
+// virtual-time-ordered timeline, named through the runtime's function table.
+// It is the cheapest per-event backend after the discarding cyg-profile
+// interface — the sharding is what keeps it that way under many ranks.
 //
 // The backend does not implement Deselector: a trace has no open state to
 // close, and completeness of the event stream is asserted through the
 // runtime's split drop counters (DroppedInFlight/DroppedUnpatched) plus the
 // buffer's own drop/wrap accounting.
 type ExtraeBackend struct {
-	Buf *trace.Buffer
+	Buf atomic.Pointer[trace.Buffer]
 
-	mu sync.Mutex // orders StartPhase against Report
+	mu    sync.Mutex         // orders StartPhase against bindNames
+	names func(int32) string //capi:guardedby mu
 }
 
 // Virtual-time costs of tracing, calibrated against the other backends:
@@ -314,7 +308,9 @@ const (
 
 // NewExtraeBackend wraps a sharded trace buffer.
 func NewExtraeBackend(buf *trace.Buffer) *ExtraeBackend {
-	return &ExtraeBackend{Buf: buf}
+	b := &ExtraeBackend{}
+	b.Buf.Store(buf)
+	return b
 }
 
 // Name implements Backend.
@@ -323,25 +319,31 @@ func (b *ExtraeBackend) Name() string { return "extrae" }
 // Events returns the backend itself: it is its own event sink.
 func (b *ExtraeBackend) Events() Backend { return b }
 
-// StartPhase attaches a fresh buffer, built with the options of the one it
-// replaces.
+// StartPhase attaches a fresh buffer, built with the options and the name
+// lookup of the one it replaces.
 func (b *ExtraeBackend) StartPhase(*mpi.World) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	buf, err := trace.New(b.Buf.Options())
+	buf, err := trace.New(b.Buf.Load().Options())
 	if err != nil {
 		return err
 	}
-	b.Buf = buf
+	buf.BindNames(b.names)
+	b.Buf.Store(buf)
 	return nil
+}
+
+// bindNames implements nameBinder.
+func (b *ExtraeBackend) bindNames(names func(int32) string) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.names = names
+	b.Buf.Load().BindNames(names)
 }
 
 // Report returns the current phase's trace report.
 func (b *ExtraeBackend) Report() Envelope {
-	b.mu.Lock()
-	buf := b.Buf
-	b.mu.Unlock()
-	return JSONReport{ReportKind: "trace", Value: buf.Report()}
+	return JSONReport{ReportKind: "trace", Value: b.Buf.Load().Report()}
 }
 
 // OnEnter implements Backend: charge the trace-write cost, record, and pay
@@ -351,7 +353,7 @@ func (b *ExtraeBackend) Report() Envelope {
 func (b *ExtraeBackend) OnEnter(tc xray.ThreadCtx, fn *ResolvedFunc) {
 	c := tc.Clock()
 	c.Advance(extraeEventCost)
-	if b.Buf.Append(tc.RankID(), c.Now(), fn.PackedID, fn.Name, trace.Enter) {
+	if b.Buf.Load().Append(tc.RankID(), c.Now(), fn.PackedID, trace.Enter) {
 		c.Advance(extraeFlushCost)
 	}
 }
@@ -364,7 +366,7 @@ func (b *ExtraeBackend) OnExit(tc xray.ThreadCtx, fn *ResolvedFunc) {
 	c := tc.Clock()
 	t := c.Now()
 	c.Advance(extraeEventCost)
-	if b.Buf.Append(tc.RankID(), t, fn.PackedID, fn.Name, trace.Exit) {
+	if b.Buf.Load().Append(tc.RankID(), t, fn.PackedID, trace.Exit) {
 		c.Advance(extraeFlushCost)
 	}
 }

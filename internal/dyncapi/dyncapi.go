@@ -92,6 +92,12 @@ type SymbolInjector interface {
 	InjectSymbol(addr uint64, name string)
 }
 
+// nameBinder is implemented by backends that record function IDs only and
+// name them from the runtime's function table at report time (extrae).
+type nameBinder interface {
+	bindNames(names func(id int32) string)
+}
+
 // Deselector is implemented by measurement backends that can close the
 // dangling state a live re-selection leaves behind: a rank that is *inside*
 // a function when Reconfigure restores its exit sled never fires that exit
@@ -306,13 +312,21 @@ func (rt *Runtime) loadBackend() Backend {
 	return rt.backend.Load().(backendBox).b
 }
 
-// symbolInjectors finds every SymbolInjector in the backend graph, looking
-// through fan-outs (Mux) so multiplexing (e.g. talp+scorep, or a measurement
-// backend plus the adapt controller) does not silently disable DSO symbol
-// injection for any consumer.
-func symbolInjectors(b Backend) []SymbolInjector {
+// attach binds the name lookup into every nameBinder in the backend graph
+// and returns every SymbolInjector, looking through fan-outs (Mux) so that
+// multiplexing (talp+scorep, a backend plus the adapt controller) disables
+// neither for any consumer.
+func (rt *Runtime) attach(b Backend) []SymbolInjector {
 	var out []SymbolInjector
 	walkBackends(b, func(b Backend) {
+		if nb, ok := b.(nameBinder); ok {
+			nb.bindNames(func(id int32) string {
+				if rf := rt.slot(id); rf != nil {
+					return rf.Name // "" when unresolved
+				}
+				return ""
+			})
+		}
 		if inj, ok := b.(SymbolInjector); ok {
 			out = append(out, inj)
 		}
@@ -377,7 +391,7 @@ func (rt *Runtime) closeDangling(dss []namedDeselector, fns []*ResolvedFunc) (to
 // unresolved (§VI-B(a)). Objects are visited in packed-ID order, which is
 // what keeps every byName entry sorted.
 func (rt *Runtime) resolve() error {
-	injectors := symbolInjectors(rt.loadBackend())
+	injectors := rt.attach(rt.loadBackend())
 	objects := rt.xr.Objects()
 	for objID := range objects {
 		rt.objOrder = append(rt.objOrder, objID)
@@ -921,7 +935,7 @@ func (rt *Runtime) SwapBackend(b Backend) (BackendSwapReport, error) {
 	}
 	rep.SyntheticExits, rep.SyntheticExitsByBackend = rt.closeDangling(leaving, *rt.active.Load())
 
-	for _, injector := range symbolInjectors(b) {
+	for _, injector := range rt.attach(b) {
 		if oldSet[any(injector)] {
 			// Already attached before the swap: injected at its own attach.
 			continue

@@ -186,6 +186,14 @@ func (g *Guard) injectSymbol(addr uint64, name string) {
 	g.si.InjectSymbol(addr, name)
 }
 
+// bindNames forwards the runtime's name lookup to the wrapped backend; every
+// sink shape embeds the Guard, so the lookup reaches a guarded tracer.
+func (g *Guard) bindNames(names func(int32) string) {
+	if nb, ok := g.inner.(nameBinder); ok {
+		nb.bindNames(names)
+	}
+}
+
 // RecordPanic counts a panic recovered outside the event path (the
 // instance layer guards StartPhase and Report itself) toward the same
 // breaker, so a backend that only breaks at phase boundaries still trips.

@@ -204,7 +204,7 @@ func TestSwapBackendClosesOldStateAndRedirectsEvents(t *testing.T) {
 	// The swapped-in Score-P backend resolved the injected DSO symbol by name.
 	if sb, ok := rt.Backend().(*ScorePBackend); !ok {
 		t.Fatalf("runtime backend = %T after swap", rt.Backend())
-	} else if reg := sb.M.Profile().Region("dso_fn"); reg == nil || reg.Visits != 1 {
+	} else if reg := sb.M.Load().Profile().Region("dso_fn"); reg == nil || reg.Visits != 1 {
 		t.Fatalf("dso_fn not attributed by name on the swapped-in backend: %+v", reg)
 	}
 	if !strings.Contains(rt.Backend().Name(), "scorep") {

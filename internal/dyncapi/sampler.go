@@ -304,6 +304,9 @@ type sampleSlot struct {
 	// published mirrors, safe for concurrent readers.
 	pubEnters, pubSampledOut, pubSuppressed, pubCollapsed atomic.Int64
 	pubSuppressedNs, pubCollapsedNs                       atomic.Int64
+	// Pads to 192 bytes: the next rank's per-event depth and bits stay off
+	// these lines even 8 bytes past a line (the allocator's type header).
+	_ [40]byte
 }
 
 func (sl *sampleSlot) init() { sl.lastDurNs = -1 }

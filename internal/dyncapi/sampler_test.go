@@ -2,6 +2,7 @@ package dyncapi
 
 import (
 	"testing"
+	"unsafe"
 
 	"capi/internal/ic"
 	"capi/internal/xray"
@@ -364,4 +365,23 @@ func TestSamplingSurfacesInSnapshotAndReconfigReport(t *testing.T) {
 		t.Fatalf("reconfig report missing sampling counters: %+v", rep.Sampling)
 	}
 	_ = dso
+}
+
+// TestSampleSlotsOwnCacheLines: a rank writes its slot's depth and bits on
+// every event and its published mirrors every 64 enters, so the line each
+// rank's slot starts on must be one no other rank writes. (A slot array
+// larger than 512 bytes starts 8 bytes past a line, after the allocator's
+// type header; the padding absorbs that.)
+func TestSampleSlotsOwnCacheLines(t *testing.T) {
+	var sl sampleSlot
+	written := unsafe.Offsetof(sl.pubCollapsedNs) + unsafe.Sizeof(sl.pubCollapsedNs)
+	for ranks := 2; ranks <= 64; ranks++ {
+		st := newFuncSampleState(ranks)
+		for r := 1; r < ranks; r++ {
+			prevEnd := uintptr(unsafe.Pointer(&st.slots[r-1])) + written - 1
+			if start := uintptr(unsafe.Pointer(&st.slots[r])); prevEnd>>6 == start>>6 {
+				t.Fatalf("%d ranks: rank %d's slot starts on line %#x, which rank %d writes", ranks, r, start>>6<<6, r-1)
+			}
+		}
+	}
 }

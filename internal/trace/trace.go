@@ -20,20 +20,22 @@
 //     sampling monitors).
 //
 // Concurrency contract: a shard is single-writer. Each simulated rank is
-// driven by exactly one goroutine (the same contract vtime.Clock has), so
-// Append never contends with another writer. Every shard carries a small
-// mutex held across one append or one snapshot, which lets Report run
-// *concurrently with the writers* — the control plane scrapes a live trace
-// mid-phase. A report taken mid-run is per-shard consistent (each shard is
-// snapshotted atomically); shards may be observed at slightly different
-// points of virtual time.
+// driven by exactly one goroutine (the same contract vtime.Clock has), so an
+// append is one 16-byte store plus one atomic store publishing the ring
+// length. The shard's mutex is taken only on the cold paths (flush, drop)
+// and by Report, which copies the published records — so the control plane
+// can scrape a live trace mid-phase, per-shard consistent. Records carry
+// function IDs only; names are resolved through BindNames' lookup when a
+// report is built.
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"capi/internal/vtime"
 )
@@ -54,12 +56,12 @@ func (k Kind) String() string {
 	return "exit"
 }
 
-// Event is one trace record in a rank's shard.
+// Event is one trace record in a rank's shard: 16 bytes, no pointer, so a
+// ring is four records a cache line and the GC never scans it.
 type Event struct {
 	TimeNs int64
 	ID     int32
 	Kind   Kind
-	Name   string
 }
 
 // Options configures a Buffer.
@@ -84,26 +86,24 @@ type Options struct {
 // shard is one rank's private trace state. Single-writer: only the owning
 // rank's goroutine may Append; see the package comment.
 type shard struct {
-	// mu serializes one append against one report snapshot. Writers never
-	// contend with each other (single-writer), so the hot path pays an
-	// uncontended lock/unlock.
-	mu   sync.Mutex
-	ring []Event   //capi:guardedby mu
-	n    int       //capi:guardedby mu
-	segs [][]Event //capi:guardedby mu
+	// The writer's own: the active ring (swapped by full under mu, under
+	// which Report reads it), its fill count, the room left before the slow
+	// path (less than the ring under a nearly spent drop budget) and n as
+	// published for Report.
+	ring      []Event
+	n, room   int
+	published atomic.Int64
 
-	// held counts the events currently retained (flushed segments plus the
-	// active ring); recorded = held + wrapped.
-	held    int64    //capi:guardedby mu
-	kind    [2]int64 //capi:guardedby mu
-	dropped int64    //capi:guardedby mu
-	wrapped int64    //capi:guardedby mu
-	wraps   int64    //capi:guardedby mu
-	flushes int64    //capi:guardedby mu
-
-	// free recycles the backing array of the most recently evicted segment
-	// as the next ring, so steady-state wrap mode allocates nothing.
-	free []Event //capi:guardedby mu
+	// mu orders the slow path (seal, drop) against Report. sealed counts the
+	// events in segs; kind tallies every sealed event, evicted ones too.
+	mu      sync.Mutex
+	segs    [][]Event //capi:guardedby mu
+	sealed  int64     //capi:guardedby mu
+	kind    [2]int64  //capi:guardedby mu
+	dropped int64     //capi:guardedby mu
+	wrapped int64     //capi:guardedby mu
+	wraps   int64     //capi:guardedby mu
+	flushes int64     //capi:guardedby mu
 }
 
 // Buffer is a sharded trace buffer: one ring per rank, flushed in batches
@@ -111,9 +111,9 @@ type shard struct {
 type Buffer struct {
 	opts   Options
 	shards []*shard
-	// dropLimit is MaxEvents under the drop policy, unbounded otherwise —
-	// precomputed so the hot path pays one compare.
+	// dropLimit is MaxEvents under the drop policy, unbounded otherwise.
 	dropLimit int64
+	names     atomic.Pointer[func(id int32) string]
 }
 
 // New creates a buffer with one shard per rank.
@@ -132,17 +132,19 @@ func New(opts Options) (*Buffer, error) {
 		b.dropLimit = int64(opts.MaxEvents)
 	}
 	for i := 0; i < opts.Ranks; i++ {
-		b.shards = append(b.shards, &shard{ring: make([]Event, opts.BufEvents)})
+		b.shards = append(b.shards, &shard{ring: make([]Event, opts.BufEvents), room: int(min(int64(opts.BufEvents), b.dropLimit))})
 	}
 	return b, nil
 }
 
-// Ranks returns the number of shards.
-func (b *Buffer) Ranks() int { return len(b.shards) }
-
 // Options returns the options the buffer was created with, defaults
 // applied.
 func (b *Buffer) Options() Options { return b.opts }
+
+// BindNames sets the lookup Report resolves record IDs with. A buffer with
+// no (or a nil) lookup leaves every name empty, which WriteText prints as
+// id:N.
+func (b *Buffer) BindNames(names func(id int32) string) { b.names.Store(&names) }
 
 // Append records one event into the rank's shard. It reports whether the
 // append flushed a full ring into a segment, so the caller can charge the
@@ -150,75 +152,57 @@ func (b *Buffer) Options() Options { return b.opts }
 // Append for its shard.
 //
 //capi:hotpath
-func (b *Buffer) Append(rank int, t int64, id int32, name string, k Kind) bool {
+func (b *Buffer) Append(rank int, t int64, id int32, k Kind) bool {
 	s := b.shards[rank]
-	//capi:hotpath-ok single-writer shard lock: uncontended by contract, only a Report snapshot ever waits on it
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.held >= b.dropLimit {
-		s.dropped++
-		return false
-	}
 	flushed := false
-	if s.n == len(s.ring) {
-		s.flush(&b.opts)
+	if s.n == s.room {
+		if !s.full(&b.opts, b.dropLimit) {
+			return false
+		}
 		flushed = true
 	}
-	s.ring[s.n] = Event{TimeNs: t, ID: id, Kind: k, Name: name}
+	s.ring[s.n] = Event{TimeNs: t, ID: id, Kind: k}
 	s.n++
-	s.held++
-	s.kind[k&1]++
+	s.published.Store(int64(s.n))
 	return flushed
 }
 
-// flush seals the active ring as an immutable segment (a pointer swap, no
-// copy) and, in wrap mode, evicts the oldest segments beyond the retained
-// budget — recycling an evicted backing array as the next ring, so
-// steady-state tracing allocates nothing. The newest segment is never
-// evicted. Callers hold s.mu; the amortized segment bookkeeping is the
-// reviewed out-of-line slow path of Append.
+// full is Append's slow path, taken when the writer has no room left. Once
+// the drop policy's budget is spent it drops the event; otherwise it seals
+// the full ring as an immutable segment (a pointer swap, no copy), tallies
+// its kinds and, in wrap mode, evicts the oldest segments beyond the
+// retained budget — the newest is never evicted — recycling an evicted
+// backing array as the next ring, so steady-state tracing allocates
+// nothing. It reports whether the ring was sealed.
 //
 //capi:coldpath
-//capi:locked mu
-func (s *shard) flush(opts *Options) {
-	if s.n == 0 {
-		return
+func (s *shard) full(opts *Options, dropLimit int64) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.sealed+int64(s.n) >= dropLimit {
+		s.dropped++
+		return false
 	}
-	s.segs = append(s.segs, s.ring[:s.n:s.n])
-	s.n = 0
+	for _, ev := range s.ring {
+		s.kind[ev.Kind&1]++
+	}
+	s.segs = append(s.segs, s.ring)
+	s.sealed += int64(s.n)
 	s.flushes++
-	if opts.MaxEvents > 0 && opts.Wrap {
-		for s.held > int64(opts.MaxEvents) && len(s.segs) > 1 {
-			old := s.segs[0]
-			s.wrapped += int64(len(old))
-			s.held -= int64(len(old))
-			s.segs = s.segs[1:]
-			s.wraps++
-			if cap(old) >= opts.BufEvents {
-				s.free = old[:cap(old)]
-			}
-		}
+	var next []Event
+	for opts.MaxEvents > 0 && opts.Wrap && s.sealed > int64(opts.MaxEvents) && len(s.segs) > 1 {
+		next = s.segs[0]
+		s.segs = s.segs[1:]
+		s.sealed -= int64(len(next))
+		s.wrapped += int64(len(next))
+		s.wraps++
 	}
-	if s.free != nil && cap(s.free) >= opts.BufEvents {
-		s.ring = s.free[:opts.BufEvents]
-		s.free = nil
-	} else {
-		s.ring = make([]Event, opts.BufEvents)
+	if next == nil {
+		next = make([]Event, opts.BufEvents)
 	}
-}
-
-// retainedEvents returns the shard's surviving records in time order
-// (segments are appended in order and each rank's clock is monotonic).
-// Callers must hold s.mu.
-//
-//capi:locked mu
-func (s *shard) retainedEvents() []Event {
-	out := make([]Event, 0, s.held)
-	for _, seg := range s.segs {
-		out = append(out, seg...)
-	}
-	out = append(out, s.ring[:s.n]...)
-	return out
+	s.ring, s.n, s.room = next, 0, int(min(int64(len(next)), dropLimit-s.sealed))
+	s.published.Store(0)
+	return true
 }
 
 // RankSummary is the per-rank accounting of one trace.
@@ -269,33 +253,48 @@ type Report struct {
 
 // Report builds the merged trace report. It is read-only (partial rings are
 // included without flushing them) and safe to call while the writers are
-// still appending: each shard is snapshotted under its lock, so a mid-run
-// report is per-shard consistent — the control plane's live scrape.
+// still appending: each shard's segments and the published part of its
+// ring are copied under its lock, so a mid-run report is per-shard
+// consistent — the control plane's live scrape.
 func (b *Buffer) Report() *Report {
+	name := func(int32) string { return "" }
+	if p := b.names.Load(); p != nil && *p != nil {
+		name = *p
+	}
 	rep := &Report{}
 	perRank := make([][]Event, len(b.shards))
 	for i, s := range b.shards {
 		s.mu.Lock()
-		perRank[i] = s.retainedEvents()
+		p := s.published.Load()
+		evs := make([]Event, 0, s.sealed+p)
+		for _, seg := range s.segs {
+			evs = append(evs, seg...)
+		}
+		sealed := len(evs)
+		evs = append(evs, s.ring[:p]...)
+		kind := s.kind
 		rs := RankSummary{
 			Rank:     i,
-			Recorded: s.held + s.wrapped,
-			Retained: int64(len(perRank[i])),
-			Enters:   s.kind[Enter],
-			Exits:    s.kind[Exit],
+			Recorded: int64(len(evs)) + s.wrapped,
+			Retained: int64(len(evs)),
 			Dropped:  s.dropped,
 			Wrapped:  s.wrapped,
 			Wraps:    s.wraps,
 			Flushes:  s.flushes,
 		}
 		s.mu.Unlock()
+		for _, ev := range evs[sealed:] {
+			kind[ev.Kind&1]++
+		}
+		perRank[i] = evs
+		rs.Enters, rs.Exits = kind[Enter], kind[Exit]
 		rep.Ranks = append(rep.Ranks, rs)
 		rep.Recorded += rs.Recorded
 		rep.Retained += rs.Retained
 		rep.Dropped += rs.Dropped
 		rep.Wrapped += rs.Wrapped
 	}
-	rep.Timeline = mergeTimeline(perRank)
+	rep.Timeline = mergeTimeline(perRank, make([]TimelineEvent, 0, rep.Retained), name)
 	byFunc := map[int32]*FuncCount{}
 	for _, ev := range rep.Timeline {
 		fc, ok := byFunc[ev.ID]
@@ -312,86 +311,59 @@ func (b *Buffer) Report() *Report {
 	for _, fc := range byFunc {
 		rep.ByFunc = append(rep.ByFunc, *fc)
 	}
-	sort.Slice(rep.ByFunc, func(i, j int) bool {
-		ei, ej := rep.ByFunc[i].Enters+rep.ByFunc[i].Exits, rep.ByFunc[j].Enters+rep.ByFunc[j].Exits
-		if ei != ej {
-			return ei > ej
-		}
-		return rep.ByFunc[i].ID < rep.ByFunc[j].ID
+	slices.SortFunc(rep.ByFunc, func(a, b FuncCount) int {
+		return cmp.Or(cmp.Compare(b.Enters+b.Exits, a.Enters+a.Exits), cmp.Compare(a.ID, b.ID))
 	})
 	return rep
 }
 
 // mergeTimeline k-way-merges the per-rank streams (each already
-// time-ordered) into one virtual-time-ordered timeline.
-func mergeTimeline(perRank [][]Event) []TimelineEvent {
-	total := 0
-	for _, evs := range perRank {
-		total += len(evs)
-	}
-	out := make([]TimelineEvent, 0, total)
-	idx := make([]int, len(perRank))
-	for len(out) < total {
+// time-ordered) into out, ties broken by rank, naming each record.
+func mergeTimeline(perRank [][]Event, out []TimelineEvent, name func(int32) string) []TimelineEvent {
+	for {
 		best := -1
 		for r, evs := range perRank {
-			if idx[r] >= len(evs) {
-				continue
-			}
-			if best < 0 || evs[idx[r]].TimeNs < perRank[best][idx[best]].TimeNs {
+			if len(evs) > 0 && (best < 0 || evs[0].TimeNs < perRank[best][0].TimeNs) {
 				best = r
 			}
 		}
-		ev := perRank[best][idx[best]]
-		idx[best]++
-		out = append(out, TimelineEvent{TimeNs: ev.TimeNs, Rank: best, ID: ev.ID, Kind: ev.Kind, Name: ev.Name})
+		if best < 0 {
+			return out
+		}
+		ev := perRank[best][0]
+		perRank[best] = perRank[best][1:]
+		out = append(out, TimelineEvent{TimeNs: ev.TimeNs, Rank: best, ID: ev.ID, Kind: ev.Kind, Name: name(ev.ID)})
 	}
-	return out
 }
 
 // WriteText renders the per-rank accounting, the hottest functions and the
-// head of the merged timeline.
-func (r *Report) WriteText(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "%-5s %-10s %-10s %-9s %-9s %-7s %-8s\n",
-		"rank", "recorded", "retained", "dropped", "wrapped", "wraps", "flushes"); err != nil {
-		return err
+// head of the merged timeline. An unnamed function prints as id:N.
+func (r *Report) WriteText(w io.Writer) (err error) {
+	printf := func(format string, args ...any) {
+		if err == nil {
+			_, err = fmt.Fprintf(w, format, args...)
+		}
 	}
+	label := func(name string, id int32) string {
+		if name == "" {
+			return fmt.Sprintf("id:%d", id)
+		}
+		return name
+	}
+	printf("%-5s %-10s %-10s %-9s %-9s %-7s %-8s\n", "rank", "recorded", "retained", "dropped", "wrapped", "wraps", "flushes")
 	for _, rs := range r.Ranks {
-		if _, err := fmt.Fprintf(w, "%-5d %-10d %-10d %-9d %-9d %-7d %-8d\n",
-			rs.Rank, rs.Recorded, rs.Retained, rs.Dropped, rs.Wrapped, rs.Wraps, rs.Flushes); err != nil {
-			return err
-		}
+		printf("%-5d %-10d %-10d %-9d %-9d %-7d %-8d\n",
+			rs.Rank, rs.Recorded, rs.Retained, rs.Dropped, rs.Wrapped, rs.Wraps, rs.Flushes)
 	}
-	if _, err := fmt.Fprintf(w, "total: %d recorded, %d retained, %d dropped, %d wrapped\n",
-		r.Recorded, r.Retained, r.Dropped, r.Wrapped); err != nil {
-		return err
+	printf("total: %d recorded, %d retained, %d dropped, %d wrapped\n", r.Recorded, r.Retained, r.Dropped, r.Wrapped)
+	for _, fc := range r.ByFunc[:min(10, len(r.ByFunc))] {
+		printf("  %-30s enters=%-8d exits=%-8d\n", label(fc.Name, fc.ID), fc.Enters, fc.Exits)
 	}
-	for i, fc := range r.ByFunc {
-		if i >= 10 {
-			break
-		}
-		name := fc.Name
-		if name == "" {
-			name = fmt.Sprintf("id:%d", fc.ID)
-		}
-		if _, err := fmt.Fprintf(w, "  %-30s enters=%-8d exits=%-8d\n", name, fc.Enters, fc.Exits); err != nil {
-			return err
-		}
+	for _, ev := range r.Timeline[:min(10, len(r.Timeline))] {
+		printf("  %s rank %d %-5s %s\n", vtime.FormatSeconds(ev.TimeNs), ev.Rank, ev.Kind, label(ev.Name, ev.ID))
 	}
-	for i, ev := range r.Timeline {
-		if i >= 10 {
-			if _, err := fmt.Fprintf(w, "  … %d more timeline records\n", len(r.Timeline)-i); err != nil {
-				return err
-			}
-			break
-		}
-		name := ev.Name
-		if name == "" {
-			name = fmt.Sprintf("id:%d", ev.ID)
-		}
-		if _, err := fmt.Fprintf(w, "  %s rank %d %-5s %s\n",
-			vtime.FormatSeconds(ev.TimeNs), ev.Rank, ev.Kind, name); err != nil {
-			return err
-		}
+	if len(r.Timeline) > 10 {
+		printf("  … %d more timeline records\n", len(r.Timeline)-10)
 	}
-	return nil
+	return err
 }

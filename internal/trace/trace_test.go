@@ -2,10 +2,33 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
+
+// names is a fixed function table for BindNames.
+func names(table map[int32]string) func(int32) string {
+	return func(id int32) string { return table[id] }
+}
+
+// TestEventIsSixteenPointerFreeBytes: four records a cache line, and a
+// ring the GC never has to scan.
+func TestEventIsSixteenPointerFreeBytes(t *testing.T) {
+	if size := unsafe.Sizeof(Event{}); size != 16 {
+		t.Fatalf("sizeof(Event) = %d, want 16", size)
+	}
+	typ := reflect.TypeOf(Event{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch typ.Field(i).Type.Kind() {
+		case reflect.Int64, reflect.Int32, reflect.Uint8:
+		default:
+			t.Fatalf("Event.%s is a %s, want a pointer-free scalar", typ.Field(i).Name, typ.Field(i).Type)
+		}
+	}
+}
 
 func TestAppendFlushesFullRings(t *testing.T) {
 	b, err := New(Options{Ranks: 1, BufEvents: 4})
@@ -17,7 +40,7 @@ func TestAppendFlushesFullRings(t *testing.T) {
 		if i%2 == 1 {
 			k = Exit
 		}
-		flushed := b.Append(0, int64(i), 7, "fn", k)
+		flushed := b.Append(0, int64(i), 7, k)
 		// The ring holds 4 events; appends 5 and 9 (0-based) find it full.
 		if want := i == 4 || i == 8; flushed != want {
 			t.Fatalf("append %d: flushed = %v, want %v", i, flushed, want)
@@ -48,7 +71,7 @@ func TestDropPolicyCountsRejectedEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 9; i++ {
-		b.Append(0, int64(i), 1, "f", Enter)
+		b.Append(0, int64(i), 1, Enter)
 	}
 	rs := b.Report().Ranks[0]
 	if rs.Recorded != 5 || rs.Dropped != 4 {
@@ -70,7 +93,7 @@ func TestWrapPolicyKeepsNewestWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		b.Append(0, int64(i), 1, "f", Enter)
+		b.Append(0, int64(i), 1, Enter)
 	}
 	rs := b.Report().Ranks[0]
 	if rs.Recorded != 10 || rs.Dropped != 0 {
@@ -103,7 +126,7 @@ func TestMergedTimelineOrdersAcrossRanks(t *testing.T) {
 	// Interleaved virtual times: rank r records at r, r+3, r+6, …
 	for i := 0; i < 4; i++ {
 		for r := 0; r < 3; r++ {
-			b.Append(r, int64(3*i+r), int32(r), "f", Enter)
+			b.Append(r, int64(3*i+r), int32(r), Enter)
 		}
 	}
 	rep := b.Report()
@@ -126,10 +149,11 @@ func TestByFuncAggregatesRetainedRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 0; r < 2; r++ {
-		b.Append(r, 1, 10, "hot", Enter)
-		b.Append(r, 2, 10, "hot", Exit)
+		b.Append(r, 1, 10, Enter)
+		b.Append(r, 2, 10, Exit)
 	}
-	b.Append(0, 3, 20, "cold", Enter)
+	b.Append(0, 3, 20, Enter)
+	b.BindNames(names(map[int32]string{10: "hot", 20: "cold"}))
 	rep := b.Report()
 	if len(rep.ByFunc) != 2 {
 		t.Fatalf("byfunc = %+v", rep.ByFunc)
@@ -147,14 +171,23 @@ func TestWriteTextRendersAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.Append(0, 5, 1, "alpha", Enter)
-	b.Append(1, 6, 1, "alpha", Exit)
-	var buf bytes.Buffer
-	if err := b.Report().WriteText(&buf); err != nil {
-		t.Fatal(err)
+	b.Append(0, 5, 1, Enter)
+	b.Append(1, 6, 1, Exit)
+	b.Append(1, 7, 2, Enter)
+	text := func() string {
+		var buf bytes.Buffer
+		if err := b.Report().WriteText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
 	}
-	out := buf.String()
-	for _, want := range []string{"rank", "alpha", "total: 2 recorded"} {
+	// Without a lookup every function prints by ID.
+	if out := text(); !strings.Contains(out, "id:1 ") || !strings.Contains(out, "id:2") {
+		t.Fatalf("unbound report must name functions id:N:\n%s", out)
+	}
+	b.BindNames(names(map[int32]string{1: "alpha"}))
+	out := text()
+	for _, want := range []string{"rank", "alpha", "id:2", "total: 3 recorded"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("text report missing %q:\n%s", want, out)
 		}
@@ -169,8 +202,8 @@ func TestNewValidatesOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Ranks() != 1 {
-		t.Fatal("ranks accessor")
+	if len(b.Report().Ranks) != 1 {
+		t.Fatal("one shard per rank")
 	}
 }
 
@@ -192,7 +225,7 @@ func TestReportConcurrentWithWriters(t *testing.T) {
 				if i%2 == 1 {
 					k = Exit
 				}
-				b.Append(rank, int64(i), int32(rank), "fn", k)
+				b.Append(rank, int64(i), int32(rank), k)
 			}
 		}(r)
 	}
@@ -205,7 +238,7 @@ func TestReportConcurrentWithWriters(t *testing.T) {
 		// Per-shard consistency: the accounting identity holds even while
 		// the shard is being written.
 		for _, rs := range rep.Ranks {
-			if rs.Recorded != rs.Retained+rs.Wrapped {
+			if rs.Recorded != rs.Retained+rs.Wrapped || rs.Enters+rs.Exits != rs.Recorded {
 				t.Fatalf("mid-run shard inconsistent: %+v", rs)
 			}
 		}
