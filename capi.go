@@ -1066,12 +1066,14 @@ func (i *Instance) Run() (*RunResult, error) {
 // Run executes the session's build with the selection patched in at
 // start-up, under the chosen measurement backend. A nil selection with
 // RunOptions.PatchAll false runs with inactive sleds (the "xray inactive"
-// baseline). It is Start followed by one Instance.Run.
+// baseline). It is Start followed by one Instance.Run and Instance.Close,
+// so an async run leaves no consumer goroutine behind.
 func (s *Session) Run(sel *Selection, opts RunOptions) (*RunResult, error) {
 	inst, err := s.Start(sel, opts)
 	if err != nil {
 		return nil, err
 	}
+	defer inst.Close()
 	return inst.Run()
 }
 

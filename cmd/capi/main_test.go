@@ -47,21 +47,12 @@ func TestGoldens(t *testing.T) {
 		{"score_lulesh.golden", []string{"score", "-app", "lulesh", "-ranks", "2"}},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
-			want := golden(t, tc.golden)
-			// Two ranks schedule their goroutines freely, and in about one
-			// run in a hundred a multi-rank phase's virtual timestamps come
-			// out a few µs apart; the output is pinned on the common
-			// schedule, so a real change fails every attempt.
-			var got string
-			for attempt := 0; attempt < 3 && got != want; attempt++ {
-				code, stdout, stderr := capiRun(t, tc.args...)
-				if code != 0 {
-					t.Fatalf("exit %d: %s", code, stderr)
-				}
-				got = stdout
+			code, stdout, stderr := capiRun(t, tc.args...)
+			if code != 0 {
+				t.Fatalf("exit %d: %s", code, stderr)
 			}
-			if got != want {
-				t.Errorf("stdout differs from testdata/%s\n--- got ---\n%s", tc.golden, got)
+			if stdout != golden(t, tc.golden) {
+				t.Errorf("stdout differs from testdata/%s\n--- got ---\n%s", tc.golden, stdout)
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package capi_test
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -272,5 +273,30 @@ func TestInstanceAsyncConservationUnderRace(t *testing.T) {
 	}
 	if raceCounter.exits.Load() == 0 {
 		t.Fatal("no exits delivered at all")
+	}
+}
+
+// TestSessionRunLeavesNoGoroutines: Session.Run closes the instance it
+// starts, so async runs leave no consumer goroutine polling behind.
+func TestSessionRunLeavesNoGoroutines(t *testing.T) {
+	s := newQuickSession(t)
+	sel, err := s.Select(quickSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		if _, err := s.Run(sel, capi.RunOptions{Backends: []string{"talp"}, Ranks: 2, Async: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Goroutines of earlier tests may still be winding down: wait for the
+	// count to settle at or below the baseline instead of reading it once.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after 5 async runs, %d before", n, base)
 	}
 }

@@ -362,21 +362,13 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	}
 	// Parse the TTL before touching the instance: an unparsable (or
 	// selection-less) TTL is a 400 that must leave everything untouched.
-	var ttl time.Duration
-	if req.TTL != "" {
-		ttl, err = time.ParseDuration(req.TTL)
-		if err != nil {
-			WriteFieldErr(w, http.StatusBadRequest, "ttl", "parsing ttl: %v", err)
-			return
-		}
-		if ttl <= 0 {
-			WriteFieldErr(w, http.StatusBadRequest, "ttl", "ttl must be positive, got %q", req.TTL)
-			return
-		}
-		if !hasSelection {
-			WriteFieldErr(w, http.StatusBadRequest, "ttl", "ttl requires a selection to revert from (a backends swap alone cannot expire)")
-			return
-		}
+	ttl, ok := parseTTL(w, req.TTL)
+	if !ok {
+		return
+	}
+	if ttl > 0 && !hasSelection {
+		WriteFieldErr(w, http.StatusBadRequest, "ttl", "ttl requires a selection to revert from (a backends swap alone cannot expire)")
+		return
 	}
 	if !s.instrumented {
 		WriteErr(w, http.StatusConflict, "instance is not instrumented")
@@ -710,24 +702,34 @@ func samplingField(field string) string {
 	return field
 }
 
+// parseTTL reads a request's optional "ttl" duration: empty is zero (no
+// expiry), and an unparsable or non-positive value is answered with a 400
+// and reported not ok.
+func parseTTL(w http.ResponseWriter, raw string) (time.Duration, bool) {
+	if raw == "" {
+		return 0, true
+	}
+	ttl, err := time.ParseDuration(raw)
+	if err != nil {
+		WriteFieldErr(w, http.StatusBadRequest, "ttl", "parsing ttl: %v", err)
+		return 0, false
+	}
+	if ttl <= 0 {
+		WriteFieldErr(w, http.StatusBadRequest, "ttl", "ttl must be positive, got %q", raw)
+		return 0, false
+	}
+	return ttl, true
+}
+
 func (s *Server) handleSampling(w http.ResponseWriter, r *http.Request) {
 	var req SamplingRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		WriteFieldErr(w, BodyErrStatus(err), "body", "decoding request: %v", err)
 		return
 	}
-	var ttl time.Duration
-	if req.TTL != "" {
-		var err error
-		ttl, err = time.ParseDuration(req.TTL)
-		if err != nil {
-			WriteFieldErr(w, http.StatusBadRequest, "ttl", "parsing ttl: %v", err)
-			return
-		}
-		if ttl <= 0 {
-			WriteFieldErr(w, http.StatusBadRequest, "ttl", "ttl must be positive, got %q", req.TTL)
-			return
-		}
+	ttl, ok := parseTTL(w, req.TTL)
+	if !ok {
+		return
 	}
 	if !s.instrumented {
 		WriteErr(w, http.StatusConflict, "instance is not instrumented")

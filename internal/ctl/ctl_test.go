@@ -1184,29 +1184,31 @@ func TestTTLSelectOverHTTP(t *testing.T) {
 
 // TestTTLRequestValidation: TTL strings the server cannot honor are 400s
 // that name the ttl field and leave no revert pending, and an explicit
-// select cancels a pending revert (counted, visible in /v1/status).
+// select cancels a pending revert (counted, visible in /v1/status). Both
+// endpoints answer a bad ttl with the same bodies, pinned byte for byte.
 func TestTTLRequestValidation(t *testing.T) {
 	ts, _, inst := newServer(t, capi.Quickstart(), "quickstart",
 		capi.RunOptions{Backends: []string{"talp"}, Ranks: 2})
-	for _, bad := range []ctl.SelectRequest{
-		{Spec: narrowSpec, TTL: "soon"},           // unparsable
-		{Spec: narrowSpec, TTL: "-3s"},            // non-positive
-		{Backends: []string{"extrae"}, TTL: "1s"}, // swap alone cannot expire
+	// ttlErr is the 400 document both handlers write for a bad ttl.
+	ttlErr := func(msg string) string {
+		return "{\n  \"error\": " + strconv.Quote(msg) + ",\n  \"field\": \"ttl\"\n}\n"
+	}
+	for _, bad := range []struct {
+		path string
+		req  any
+		want string
+	}{
+		{"/v1/select", ctl.SelectRequest{Spec: narrowSpec, TTL: "soon"}, ttlErr(`parsing ttl: time: invalid duration "soon"`)},
+		{"/v1/select", ctl.SelectRequest{Spec: narrowSpec, TTL: "-3s"}, ttlErr(`ttl must be positive, got "-3s"`)},
+		{"/v1/select", ctl.SelectRequest{Backends: []string{"extrae"}, TTL: "1s"},
+			ttlErr("ttl requires a selection to revert from (a backends swap alone cannot expire)")},
+		{"/v1/sampling", ctl.SamplingRequest{Stride: 4, TTL: "nope"}, ttlErr(`parsing ttl: time: invalid duration "nope"`)},
+		{"/v1/sampling", ctl.SamplingRequest{Stride: 4, TTL: "0s"}, ttlErr(`ttl must be positive, got "0s"`)},
 	} {
-		resp, body := postJSON(t, ts.URL+"/v1/select", bad)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%+v: %d %s", bad, resp.StatusCode, body)
+		resp, got := postJSON(t, ts.URL+bad.path, bad.req)
+		if resp.StatusCode != http.StatusBadRequest || string(got) != bad.want {
+			t.Errorf("%s: %d\n%s\nwant 400\n%s", bad.path, resp.StatusCode, got, bad.want)
 		}
-		if got := errorField(t, body); got != "ttl" {
-			t.Fatalf("%+v: 400 names field %q, want \"ttl\" (body %s)", bad, got, body)
-		}
-	}
-	resp, body := postJSON(t, ts.URL+"/v1/sampling", ctl.SamplingRequest{Stride: 4, TTL: "nope"})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad sampling ttl: %d %s", resp.StatusCode, body)
-	}
-	if got := errorField(t, body); got != "ttl" {
-		t.Fatalf("bad sampling ttl names field %q (body %s)", got, body)
 	}
 	var st ctl.StatusResponse
 	getJSON(t, ts.URL+"/v1/status", &st)
@@ -1215,7 +1217,7 @@ func TestTTLRequestValidation(t *testing.T) {
 	}
 
 	// A pending revert is canceled by an explicit select, not delivered.
-	resp, body = postJSON(t, ts.URL+"/v1/select", ctl.SelectRequest{Spec: narrowSpec, TTL: "1h"})
+	resp, body := postJSON(t, ts.URL+"/v1/select", ctl.SelectRequest{Spec: narrowSpec, TTL: "1h"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("ttl'd select: %d %s", resp.StatusCode, body)
 	}
@@ -1234,14 +1236,11 @@ func TestTTLRequestValidation(t *testing.T) {
 }
 
 // TestReportWireGolden pins GET /v1/report byte for byte: quickstart under
-// talp,extrae after one phase, recorded at the parent of the commit that
-// moved the built-in backends to one report envelope. One rank, because
-// with two the goroutine schedule decides which rank reaches the first
-// halo exchange 2 µs ahead and, about one run in three hundred, shifts
-// every later virtual timestamp.
+// talp,extrae on two ranks after one phase. Each rank registers its own
+// TALP regions, so the goroutine schedule moves no virtual timestamp.
 func TestReportWireGolden(t *testing.T) {
 	ts, _, _ := newServer(t, capi.Quickstart(), "quickstart",
-		capi.RunOptions{Backends: []string{"talp", "extrae"}, Ranks: 1})
+		capi.RunOptions{Backends: []string{"talp", "extrae"}, Ranks: 2})
 	if resp, body := postJSON(t, ts.URL+"/v1/run", map[string]any{"wait": true}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("run: status %d: %s", resp.StatusCode, body)
 	}

@@ -19,6 +19,14 @@ type mpiRanker interface {
 	MPIRank() *mpi.Rank
 }
 
+// rankOf returns the context's simulated MPI rank, or nil without one.
+func rankOf(tc xray.ThreadCtx) *mpi.Rank {
+	if mr, ok := tc.(mpiRanker); ok {
+		return mr.MPIRank()
+	}
+	return nil
+}
+
 // Envelope is the unified measurement-report envelope: every backend's
 // end-of-run (or mid-phase) report self-describes with a kind tag and
 // marshals itself to JSON, so consumers — Instance.Reports, the control
@@ -46,8 +54,7 @@ func (r JSONReport) MarshalJSON() ([]byte, error) { return json.Marshal(r.Value)
 // The TALP, Score-P and Extrae backends are each event sink and phase
 // lifecycle in one. StartPhase replaces the per-phase measurement (Mon, M,
 // Buf) while HTTP worker ranks may still be dispatching, so the handlers
-// read it synchronized: M and Buf are atomic pointers, and TALP's handlers
-// take mu before they read Mon.
+// read it through an atomic pointer.
 
 // CygBackend is the default GCC-compatible interface: it forwards events to
 // __cyg_profile_func_enter/exit-style callbacks carrying only the function
@@ -154,24 +161,19 @@ func (b *ScorePBackend) OnDeselect(fn *ResolvedFunc) int {
 }
 
 // TALPBackend maps instrumented functions to TALP monitoring regions
-// (§V-C2): a region is registered lazily on a function's first entry, and
-// entry/exit events start/stop it. Registration fails permanently for
-// functions entered before MPI_Init (§VI-B(b)).
+// (§V-C2): entry/exit events start/stop the function's region. The monitor
+// owns registration: a region is registered on a function's first entry on
+// each rank, and fails permanently on that rank when entered before
+// MPI_Init (§VI-B(b)).
 type TALPBackend struct {
-	Mon *talp.Monitor
-
-	mu      sync.Mutex
-	regions map[int32]*talpRegionState //capi:guardedby mu
-}
-
-type talpRegionState struct {
-	reg    *talp.Region
-	failed bool
+	Mon atomic.Pointer[talp.Monitor]
 }
 
 // NewTALPBackend wraps a TALP monitor.
 func NewTALPBackend(m *talp.Monitor) *TALPBackend {
-	return &TALPBackend{Mon: m, regions: map[int32]*talpRegionState{}}
+	b := &TALPBackend{}
+	b.Mon.Store(m)
+	return b
 }
 
 // Name implements Backend.
@@ -181,93 +183,35 @@ func (b *TALPBackend) Name() string { return "talp" }
 func (b *TALPBackend) Events() Backend { return b }
 
 // StartPhase attaches a fresh monitor over the new phase's world, built
-// with the options of the one it replaces, and forgets the lazily
-// registered regions (they belong to the previous monitor).
+// with the options of the one it replaces.
 func (b *TALPBackend) StartPhase(w *mpi.World) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.Mon = talp.New(w, b.Mon.Options())
-	b.regions = map[int32]*talpRegionState{}
+	b.Mon.Store(talp.New(w, b.Mon.Load().Options()))
 	return nil
 }
 
 // Report returns the current phase's per-region POP metrics.
 func (b *TALPBackend) Report() Envelope {
-	b.mu.Lock()
-	mon := b.Mon
-	b.mu.Unlock()
-	return JSONReport{ReportKind: "talp", Value: mon.Report()}
-}
-
-func (b *TALPBackend) state(id int32) (*talpRegionState, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	st, ok := b.regions[id]
-	return st, ok
+	return JSONReport{ReportKind: "talp", Value: b.Mon.Load().Report()}
 }
 
 // OnEnter implements Backend.
 func (b *TALPBackend) OnEnter(tc xray.ThreadCtx, fn *ResolvedFunc) {
-	if fn.Name == "" {
-		return // unresolved: no region name available
-	}
-	mr, ok := tc.(mpiRanker)
-	if !ok {
-		return
-	}
-	rank := mr.MPIRank()
-	st, seen := b.state(fn.PackedID)
-	if !seen {
-		// First entry anywhere: register the monitoring region.
-		reg, err := b.Mon.Register(rank, fn.Name)
-		st = &talpRegionState{reg: reg, failed: err != nil}
-		b.mu.Lock()
-		b.regions[fn.PackedID] = st
-		b.mu.Unlock()
-	}
-	if st.failed || st.reg == nil {
-		return
-	}
-	// Start may fail in bug-compat mode; the monitor records it.
-	_ = b.Mon.Start(rank, st.reg)
+	b.Mon.Load().Enter(rankOf(tc), fn.Name)
 }
 
 // OnExit implements Backend.
 func (b *TALPBackend) OnExit(tc xray.ThreadCtx, fn *ResolvedFunc) {
-	if fn.Name == "" {
-		return
-	}
-	mr, ok := tc.(mpiRanker)
-	if !ok {
-		return
-	}
-	st, seen := b.state(fn.PackedID)
-	if !seen || st.failed || st.reg == nil {
-		return
-	}
-	// A Stop without a matching Start (failed entry) is rejected by the
-	// monitor; ignore it here.
-	_ = b.Mon.Stop(mr.MPIRank(), st.reg)
+	b.Mon.Load().Exit(rankOf(tc), fn.Name)
 }
 
 // InitCost implements Backend.
-func (b *TALPBackend) InitCost(int) int64 { return b.Mon.InitCost() }
+func (b *TALPBackend) InitCost(int) int64 { return b.Mon.Load().InitCost() }
 
 // OnDeselect implements Deselector: dangling starts of the function's
 // monitoring region are balanced with synthetic stops on every rank, so the
 // accumulators close and the open count stays correct.
 func (b *TALPBackend) OnDeselect(fn *ResolvedFunc) int {
-	// Snapshot monitor and region under the lock: a phase boundary's
-	// StartPhase may be swapping them while a control-plane reconfigure
-	// deselects.
-	b.mu.Lock()
-	mon := b.Mon
-	st, ok := b.regions[fn.PackedID]
-	b.mu.Unlock()
-	if !ok || st.failed || st.reg == nil {
-		return 0
-	}
-	return mon.CloseOpen(st.reg)
+	return b.Mon.Load().CloseOpen(fn.Name)
 }
 
 // ExtraeBackend records every event as a timestamped trace record in a

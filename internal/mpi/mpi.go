@@ -4,7 +4,11 @@
 // a PMPI-style interception layer lets tools such as TALP observe every
 // call (§III-B of the paper). The simulation is deterministic: virtual time
 // depends only on the executed workload and the cost model, never on
-// scheduling.
+// scheduling. Tools keep per-rank state and charge only the calling rank,
+// so this holds with them attached too; the root package's
+// TestMultiRankDeterministic runs three apps under talp, scorep and extrae
+// at two and four ranks, GOMAXPROCS 1 and 4, and requires every run to be
+// byte-identical.
 package mpi
 
 import (

@@ -5,21 +5,27 @@
 // parallel-efficiency metrics per region, and a text summary at the end of
 // the execution.
 //
+// Registration is per rank, as DLB keeps it per process: Enter registers a
+// region on its first entry on the calling rank and charges that rank, so
+// which rank gets there first changes no rank's numbers.
+//
 // Two behaviours observed in the paper's evaluation are modelled
 // explicitly:
 //
 //   - regions cannot be registered before MPI_Init; DynCaPI regions entered
-//     earlier (main, early init functions) fail and stay unrecorded
-//     (§VI-B(b): 15 of 16,956 regions);
+//     earlier (main, early init functions) fail and stay unrecorded on
+//     that rank (§VI-B(b): 15 of 16,956 regions);
 //   - an opt-in bug-compat mode reproduces the unexplained upstream bug
 //     where entering some previously registered regions failed when very
-//     many regions were registered (24 unique failures in the paper). The
-//     default behaviour is correct.
+//     many regions were registered on the rank (24 unique failures in the
+//     paper). The default behaviour is correct.
 package talp
 
 import (
 	"fmt"
 	"hash/fnv"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 
@@ -36,7 +42,7 @@ import (
 // roughly a thousand real invocations, see workload.scaleWork), preserving
 // Table II's ratios.
 const (
-	// registerCost is charged once per region registration.
+	// registerCost is charged to the calling rank per registration.
 	registerCost = 2 * vtime.Microsecond
 	// startCost/stopCost are charged per region entry/exit — a region-map
 	// lookup plus timestamping, cheaper than Score-P's call-path upkeep.
@@ -59,20 +65,32 @@ type Options struct {
 }
 
 // The emulated re-entry bug hits a region iff fnv32(name) % bugModulus == 0,
-// and only once at least bugMinRegions regions are registered (the paper
-// correlates it with the very high region count). The paper saw 24 failures
-// among 16,956 registered regions; one simulated function stands in for
-// many real ones, so the simulator registers far fewer distinct regions and
-// both constants are compressed accordingly.
+// and only once at least bugMinRegions regions are registered on the
+// entering rank (the paper correlates it with the very high region count).
+// The paper saw 24 failures among 16,956 registered regions; one simulated
+// function stands in for many real ones, so the simulator registers far
+// fewer distinct regions and both constants are compressed accordingly.
 const (
 	bugModulus    = 6
 	bugMinRegions = 10
 )
 
-// Region is a registered monitoring region handle (dlb_monitor_t).
+// Region is a registered monitoring region handle (dlb_monitor_t). Like
+// DLB's, a handle belongs to the rank (process) that registered it, and
+// holds that rank's measurement of the region, guarded by the rank's lock.
 type Region struct {
-	id   int
 	name string
+
+	depth   int   // open nesting depth
+	start   int64 // rank clock when the outermost start opened it
+	mpiSnap int64 // rank MPI-time total at that start
+
+	visits  int64
+	useful  int64
+	mpiTime int64
+	elapsed int64
+
+	hitBug bool // an entry failed under the emulated re-entry bug
 }
 
 // Name returns the region's registered name.
@@ -81,29 +99,23 @@ func (r *Region) Name() string { return r.name }
 // GlobalRegionName is the implicit whole-execution region DLB maintains.
 const GlobalRegionName = "MPI Execution"
 
-type openInfo struct {
-	start   int64
-	mpiSnap int64
-	depth   int
-}
-
-type regionAccum struct {
-	visits  int64
-	useful  int64
-	mpiTime int64
-	elapsed int64
-}
-
+// rankState is one rank's TALP state, as DLB keeps it per process.
 type rankState struct {
-	// mu guards all fields. The owning rank's goroutine is the only writer
-	// on the measurement path, so the lock is uncontended there; it exists
-	// so CloseOpen (synthetic stops delivered from a concurrent live
-	// re-selection) and cross-rank readers are race-free.
+	// mu guards all fields and the rank's regions. The owning rank's
+	// goroutine is the only writer on the measurement path, so the lock is
+	// uncontended there; it exists so CloseOpen (synthetic stops delivered
+	// from a concurrent live re-selection) and Report are race-free.
 	mu sync.Mutex
 
-	open      map[int]*openInfo
-	acc       map[int]*regionAccum
-	openCount int
+	// regions is the rank's registration memo: a name maps to its region
+	// once registered on this rank, or to nil once registration failed
+	// here (before MPI_Init), which disables the region on this rank for
+	// good. registered counts the regions registered on this rank, the
+	// implicit global one included.
+	regions    map[string]*Region
+	registered int
+	global     *Region
+	openCount  int
 
 	// lastNs/lastMPI mirror the rank clock and MPI-time total as of the
 	// rank's most recent TALP activity — the timestamps synthetic stops
@@ -115,42 +127,24 @@ type rankState struct {
 
 // Monitor is one TALP instance attached to an MPI world.
 type Monitor struct {
-	opts  Options
-	world *mpi.World
-
-	mu      sync.Mutex
-	regions []*Region
-	byName  map[string]*Region
-
+	opts    Options
 	perRank []*rankState
-
-	failedPreInit map[string]struct{}
-	failedEntries map[string]struct{}
-
-	global *Region
 }
 
 // New creates a monitor attached to the world: PMPI hooks are installed on
 // every rank, and the implicit global region is started right after
 // MPI_Init and stopped right before MPI_Finalize.
 func New(w *mpi.World, opts Options) *Monitor {
-	m := &Monitor{
-		opts:          opts,
-		world:         w,
-		byName:        map[string]*Region{},
-		failedPreInit: map[string]struct{}{},
-		failedEntries: map[string]struct{}{},
-	}
-	for i := 0; i < w.Size(); i++ {
-		m.perRank = append(m.perRank, &rankState{
-			open: map[int]*openInfo{},
-			acc:  map[int]*regionAccum{},
-		})
-	}
-	// The global region is registered internally by DLB itself, before any
-	// user code runs — it bypasses the MPI_Init gate.
-	m.global = m.registerLocked(GlobalRegionName)
+	m := &Monitor{opts: opts}
 	for _, r := range w.Ranks() {
+		// The global region is registered internally by DLB itself, before
+		// any user code runs — it bypasses the MPI_Init gate.
+		global := &Region{name: GlobalRegionName}
+		m.perRank = append(m.perRank, &rankState{
+			regions:    map[string]*Region{GlobalRegionName: global},
+			registered: 1,
+			global:     global,
+		})
 		m.attach(r)
 	}
 	return m
@@ -163,75 +157,102 @@ func (m *Monitor) InitCost() int64 { return initBase }
 func (m *Monitor) Options() Options { return m.opts }
 
 func (m *Monitor) attach(r *mpi.Rank) {
+	rs := m.perRank[r.ID()]
 	r.AddHook(mpi.Hook{
 		Pre: func(rk *mpi.Rank, op mpi.Op, bytes int) {
-			rs := m.perRank[rk.ID()]
 			rs.mu.Lock()
-			open := rs.openCount
-			rs.mu.Unlock()
+			defer rs.mu.Unlock()
 			// TALP touches every open monitor inside the PMPI wrapper.
-			if open > 0 {
-				rk.Clock().Advance(int64(open) * perOpenRegionMPI)
-			}
-			rs.mu.Lock()
+			rk.Clock().Advance(int64(rs.openCount) * perOpenRegionMPI)
 			rs.lastNs = rk.Clock().Now()
 			rs.lastMPI = rk.MPITimeTotal()
-			rs.mu.Unlock()
 			if op == mpi.OpFinalize {
-				m.stopOn(rk, m.global)
+				rs.close(rk, rs.global)
 			}
 		},
 		Post: func(rk *mpi.Rank, op mpi.Op, bytes int, elapsed int64) {
 			if op == mpi.OpInit {
-				m.startOn(rk, m.global)
+				rs.mu.Lock()
+				rs.open(rk, rs.global)
+				rs.mu.Unlock()
 			}
 		},
 	})
 }
 
-func (m *Monitor) registerLocked(name string) *Region {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if reg, ok := m.byName[name]; ok {
-		return reg
-	}
-	reg := &Region{id: len(m.regions), name: name}
-	m.regions = append(m.regions, reg)
-	m.byName[name] = reg
-	return reg
+// lock returns the calling rank's state, locked.
+func (m *Monitor) lock(r *mpi.Rank) *rankState {
+	rs := m.perRank[r.ID()]
+	rs.mu.Lock()
+	return rs
 }
 
-// Register creates (or finds) a monitoring region. It fails when MPI is not
-// initialized on the calling rank; the failure is recorded for the report
-// (the paper's pre-MPI_Init cases).
+// Register creates (or finds) a monitoring region on the calling rank and
+// charges the registration to it. It fails when MPI is not initialized on
+// the rank; the failure is recorded for the report (the paper's
+// pre-MPI_Init cases).
 func (m *Monitor) Register(r *mpi.Rank, name string) (*Region, error) {
+	rs := m.lock(r)
+	defer rs.mu.Unlock()
+	return rs.register(r, name)
+}
+
+func (rs *rankState) register(r *mpi.Rank, name string) (*Region, error) {
+	reg, seen := rs.regions[name]
 	if !r.Initialized() || r.Finalized() {
-		m.mu.Lock()
-		m.failedPreInit[name] = struct{}{}
-		m.mu.Unlock()
+		if !seen {
+			rs.regions[name] = nil
+		}
 		return nil, fmt.Errorf("talp: cannot register region %q: MPI not initialized on rank %d", name, r.ID())
 	}
 	r.Clock().Advance(registerCost)
-	return m.registerLocked(name), nil
-}
-
-// NumRegisteredRegions returns the number of registered regions (the
-// implicit global region included).
-func (m *Monitor) NumRegisteredRegions() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.regions)
-}
-
-// bugHits reports whether the emulated re-entry bug fires for this region.
-func (m *Monitor) bugHits(name string) bool {
-	if !m.opts.EmulateReentryBug {
-		return false
+	if reg == nil {
+		reg = &Region{name: name}
+		rs.regions[name] = reg
+		rs.registered++
 	}
-	m.mu.Lock()
-	enough := len(m.regions) >= bugMinRegions
-	m.mu.Unlock()
-	if !enough {
+	return reg, nil
+}
+
+// Enter is DynCaPI's region entry (§V-C2): the region is registered on its
+// first entry on this rank — a failure before MPI_Init disables it on this
+// rank for good — and then started. A nil rank or an empty name (an
+// unresolved function) records nothing.
+func (m *Monitor) Enter(r *mpi.Rank, name string) {
+	if r == nil || name == "" {
+		return
+	}
+	rs := m.lock(r)
+	defer rs.mu.Unlock()
+	reg, seen := rs.regions[name]
+	if !seen {
+		reg, _ = rs.register(r, name)
+	}
+	if reg != nil {
+		// Start may fail in bug-compat mode; the region records it.
+		_ = m.start(r, rs, reg)
+	}
+}
+
+// Exit is DynCaPI's region exit: it stops the region if it is registered
+// on this rank. A stop without a matching start (a failed entry) is
+// ignored.
+func (m *Monitor) Exit(r *mpi.Rank, name string) {
+	if r == nil || name == "" {
+		return
+	}
+	rs := m.lock(r)
+	defer rs.mu.Unlock()
+	if reg := rs.regions[name]; reg != nil {
+		r.Clock().Advance(stopCost)
+		rs.close(r, reg)
+	}
+}
+
+// bugHits reports whether the emulated re-entry bug fires for this region
+// on the rank, which has registered the given number of regions.
+func (m *Monitor) bugHits(registered int, name string) bool {
+	if !m.opts.EmulateReentryBug || registered < bugMinRegions {
 		return false
 	}
 	h := fnv.New32a()
@@ -246,38 +267,30 @@ func (m *Monitor) Start(r *mpi.Rank, reg *Region) error {
 	if reg == nil {
 		return fmt.Errorf("talp: Start with nil region")
 	}
+	rs := m.lock(r)
+	defer rs.mu.Unlock()
+	return m.start(r, rs, reg)
+}
+
+func (m *Monitor) start(r *mpi.Rank, rs *rankState, reg *Region) error {
 	r.Clock().Advance(startCost)
-	if reg != m.global && m.bugHits(reg.name) {
-		m.mu.Lock()
-		m.failedEntries[reg.name] = struct{}{}
-		m.mu.Unlock()
+	if reg != rs.global && m.bugHits(rs.registered, reg.name) {
+		reg.hitBug = true
 		return fmt.Errorf("talp: entering region %q failed (known re-entry issue)", reg.name)
 	}
-	m.startOn(r, reg)
+	rs.open(r, reg)
 	return nil
 }
 
-func (m *Monitor) startOn(r *mpi.Rank, reg *Region) {
-	rs := m.perRank[r.ID()]
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	oi := rs.open[reg.id]
-	if oi == nil {
-		oi = &openInfo{}
-		rs.open[reg.id] = oi
-	}
-	acc := rs.acc[reg.id]
-	if acc == nil {
-		acc = &regionAccum{}
-		rs.acc[reg.id] = acc
-	}
-	acc.visits++
-	if oi.depth == 0 {
-		oi.start = r.Clock().Now()
-		oi.mpiSnap = r.MPITimeTotal()
+// open opens one nesting level of the region; rs.mu is held.
+func (rs *rankState) open(r *mpi.Rank, reg *Region) {
+	reg.visits++
+	if reg.depth == 0 {
+		reg.start = r.Clock().Now()
+		reg.mpiSnap = r.MPITimeTotal()
 		rs.openCount++
 	}
-	oi.depth++
+	reg.depth++
 	rs.lastNs = r.Clock().Now()
 	rs.lastMPI = r.MPITimeTotal()
 }
@@ -288,45 +301,43 @@ func (m *Monitor) Stop(r *mpi.Rank, reg *Region) error {
 	if reg == nil {
 		return fmt.Errorf("talp: Stop with nil region")
 	}
+	rs := m.lock(r)
+	defer rs.mu.Unlock()
 	r.Clock().Advance(stopCost)
-	if !m.stopOn(r, reg) {
+	if !rs.close(r, reg) {
 		return fmt.Errorf("talp: Stop of region %q which is not open on rank %d", reg.name, r.ID())
 	}
 	return nil
 }
 
-// stopOn closes one nesting level of the region on the rank; it reports
-// whether the region was open.
-func (m *Monitor) stopOn(r *mpi.Rank, reg *Region) bool {
-	rs := m.perRank[r.ID()]
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	oi := rs.open[reg.id]
-	if oi == nil || oi.depth == 0 {
+// close closes one nesting level of the region and reports whether the
+// region was open; rs.mu is held.
+func (rs *rankState) close(r *mpi.Rank, reg *Region) bool {
+	if reg.depth == 0 {
 		return false
 	}
 	rs.lastNs = r.Clock().Now()
 	rs.lastMPI = r.MPITimeTotal()
-	oi.depth--
-	if oi.depth > 0 {
-		return true
+	if reg.depth--; reg.depth == 0 {
+		rs.accumulate(reg, rs.lastNs, rs.lastMPI)
 	}
-	rs.openCount--
-	now := r.Clock().Now()
-	elapsed := now - oi.start
-	mpiDuring := r.MPITimeTotal() - oi.mpiSnap
-	if mpiDuring > elapsed {
-		mpiDuring = elapsed
-	}
-	acc := rs.acc[reg.id]
-	acc.elapsed += elapsed
-	acc.mpiTime += mpiDuring
-	acc.useful += elapsed - mpiDuring
 	return true
 }
 
-// CloseOpen balances the dangling starts of a region on every rank with
-// synthetic stops: the full nesting depth is closed at the rank's last
+// accumulate closes the region's outermost nesting level at the given
+// clock and MPI total, splitting the elapsed time into useful and MPI time;
+// rs.mu is held.
+func (rs *rankState) accumulate(reg *Region, now, mpiTotal int64) {
+	rs.openCount--
+	elapsed := max(now-reg.start, 0)
+	mpiDuring := min(max(mpiTotal-reg.mpiSnap, 0), elapsed)
+	reg.elapsed += elapsed
+	reg.mpiTime += mpiDuring
+	reg.useful += elapsed - mpiDuring
+}
+
+// CloseOpen balances the dangling starts of the named region on every rank
+// with synthetic stops: the full nesting depth is closed at the rank's last
 // observed TALP activity timestamp, the elapsed/MPI split is accumulated
 // exactly as a real Stop would, and the open count is corrected. It returns
 // the number of dangling starts balanced.
@@ -334,33 +345,14 @@ func (m *Monitor) stopOn(r *mpi.Rank, reg *Region) bool {
 // It is safe to call while other ranks measure (per-rank locking); the
 // caller must guarantee the region produces no further events — DynCaPI
 // calls it under the reconfigure lock after a function is deselected.
-func (m *Monitor) CloseOpen(reg *Region) int {
-	if reg == nil {
-		return 0
-	}
+func (m *Monitor) CloseOpen(name string) int {
 	closed := 0
 	for _, rs := range m.perRank {
 		rs.mu.Lock()
-		oi := rs.open[reg.id]
-		if oi != nil && oi.depth > 0 {
-			closed += oi.depth
-			elapsed := rs.lastNs - oi.start
-			if elapsed < 0 {
-				elapsed = 0
-			}
-			mpiDuring := rs.lastMPI - oi.mpiSnap
-			if mpiDuring > elapsed {
-				mpiDuring = elapsed
-			}
-			if mpiDuring < 0 {
-				mpiDuring = 0
-			}
-			acc := rs.acc[reg.id]
-			acc.elapsed += elapsed
-			acc.mpiTime += mpiDuring
-			acc.useful += elapsed - mpiDuring
-			oi.depth = 0
-			rs.openCount--
+		if reg := rs.regions[name]; reg != nil && reg.depth > 0 {
+			closed += reg.depth
+			reg.depth = 0
+			rs.accumulate(reg, rs.lastNs, rs.lastMPI)
 		}
 		rs.mu.Unlock()
 	}
@@ -412,32 +404,37 @@ type Report struct {
 
 // Report aggregates all ranks. Call it after the world's Run returned.
 func (m *Monitor) Report() *Report {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	rep := &Report{WorldSize: m.world.Size()}
-	for _, reg := range m.regions {
-		rr := RegionReport{Name: reg.name, PerRank: make([]pop.RankTimes, m.world.Size())}
-		seen := false
-		for rank, rs := range m.perRank {
-			rs.mu.Lock()
-			acc := rs.acc[reg.id]
-			if acc == nil {
-				rs.mu.Unlock()
+	size := len(m.perRank)
+	rep := &Report{WorldSize: size}
+	byName := map[string]*RegionReport{}
+	failedPreInit, failedEntries := map[string]bool{}, map[string]bool{}
+	for rank, rs := range m.perRank {
+		rs.mu.Lock()
+		for name, reg := range rs.regions {
+			if reg == nil {
+				failedPreInit[name] = true
 				continue
 			}
-			seen = true
-			rr.Visits += acc.visits
-			if acc.elapsed > rr.Elapsed {
-				rr.Elapsed = acc.elapsed
+			if reg.hitBug {
+				failedEntries[name] = true
 			}
-			rr.PerRank[rank] = pop.RankTimes{Useful: acc.useful, MPI: acc.mpiTime}
-			rs.mu.Unlock()
+			if reg.visits == 0 {
+				continue
+			}
+			rr := byName[name]
+			if rr == nil {
+				rr = &RegionReport{Name: name, PerRank: make([]pop.RankTimes, size)}
+				byName[name] = rr
+			}
+			rr.Visits += reg.visits
+			rr.Elapsed = max(rr.Elapsed, reg.elapsed)
+			rr.PerRank[rank] = pop.RankTimes{Useful: reg.useful, MPI: reg.mpiTime}
 		}
-		if !seen {
-			continue
-		}
+		rs.mu.Unlock()
+	}
+	for _, rr := range byName {
 		rr.Metrics = pop.Compute(rr.PerRank)
-		rep.Regions = append(rep.Regions, rr)
+		rep.Regions = append(rep.Regions, *rr)
 	}
 	sort.Slice(rep.Regions, func(i, j int) bool {
 		if rep.Regions[i].Elapsed != rep.Regions[j].Elapsed {
@@ -445,13 +442,7 @@ func (m *Monitor) Report() *Report {
 		}
 		return rep.Regions[i].Name < rep.Regions[j].Name
 	})
-	for name := range m.failedPreInit {
-		rep.FailedPreInit = append(rep.FailedPreInit, name)
-	}
-	sort.Strings(rep.FailedPreInit)
-	for name := range m.failedEntries {
-		rep.FailedEntries = append(rep.FailedEntries, name)
-	}
-	sort.Strings(rep.FailedEntries)
+	rep.FailedPreInit = slices.Sorted(maps.Keys(failedPreInit))
+	rep.FailedEntries = slices.Sorted(maps.Keys(failedEntries))
 	return rep
 }

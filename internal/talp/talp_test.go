@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"capi/internal/mpi"
+	"capi/internal/pop"
 	"capi/internal/vtime"
 )
 
@@ -376,8 +377,8 @@ func TestRegisterIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NumRegisteredRegions() != 2 { // global + same
-		t.Fatalf("regions = %d", m.NumRegisteredRegions())
+	if n := m.perRank[0].registered; n != 2 { // global + same
+		t.Fatalf("regions = %d", n)
 	}
 }
 
@@ -404,5 +405,118 @@ func TestOpenCountTracksGlobalRegion(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEnterRegistersPerRank: Enter registers a region on its first entry
+// on each rank and charges that rank, so every rank pays the same however
+// the ranks are scheduled; a pre-MPI_Init failure disables the region on
+// the failing rank only, for good.
+func TestEnterRegistersPerRank(t *testing.T) {
+	w := newWorld(t, 2)
+	m := New(w, Options{})
+	clocks := make([]int64, 2)
+	err := w.Run(func(r *mpi.Rank) error {
+		if r.ID() == 0 {
+			m.Enter(r, "early") // before MPI_Init: fails on rank 0
+			m.Exit(r, "early")
+		}
+		if err := r.Init(); err != nil {
+			return err
+		}
+		for i := 0; i < 3; i++ {
+			m.Enter(r, "early")
+			m.Enter(r, "solver")
+			m.Exit(r, "solver")
+			m.Exit(r, "early")
+		}
+		clocks[r.ID()] = r.Clock().Now()
+		return r.Finalize()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rank 1 registered both regions, rank 0 only solver: one registration
+	// and three start/stop pairs of early apart.
+	if want := registerCost + 3*(startCost+stopCost); clocks[1]-clocks[0] != want {
+		t.Fatalf("rank clocks %v differ by %d, want %d", clocks, clocks[1]-clocks[0], want)
+	}
+	rep := m.Report()
+	if len(rep.FailedPreInit) != 1 || rep.FailedPreInit[0] != "early" {
+		t.Fatalf("failed pre-init = %v", rep.FailedPreInit)
+	}
+	early := rep.Region("early")
+	if early == nil || early.Visits != 3 || early.PerRank[0] != (pop.RankTimes{}) {
+		t.Fatalf("early region = %+v, want 3 visits, all on rank 1", early)
+	}
+	if solver := rep.Region("solver"); solver == nil || solver.Visits != 6 {
+		t.Fatalf("solver region = %+v, want 6 visits", solver)
+	}
+}
+
+// TestReentryBugCountsPerRank: the emulated bug fires only once the
+// entering rank itself has registered enough regions.
+func TestReentryBugCountsPerRank(t *testing.T) {
+	w := newWorld(t, 2)
+	m := New(w, Options{EmulateReentryBug: true})
+	hit := ""
+	for i := 0; hit == ""; i++ {
+		if name := fmt.Sprintf("region%03d", i); m.bugHits(bugMinRegions, name) {
+			hit = name
+		}
+	}
+	err := w.Run(func(r *mpi.Rank) error {
+		if err := r.Init(); err != nil {
+			return err
+		}
+		if r.ID() == 0 {
+			for i := 0; i < bugMinRegions; i++ {
+				m.Enter(r, fmt.Sprintf("filler%d", i))
+			}
+		}
+		// Barrier: rank 1 enters after rank 0 registered its fillers.
+		if err := r.Barrier(); err != nil {
+			return err
+		}
+		m.Enter(r, hit)
+		if open, want := m.OpenCount(r.ID()), map[int]int{0: 1 + bugMinRegions, 1: 2}[r.ID()]; open != want {
+			t.Errorf("rank %d: %d regions open after entering %s, want %d", r.ID(), open, hit, want)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := m.Report(); len(rep.FailedEntries) != 1 || rep.FailedEntries[0] != hit {
+		t.Fatalf("failed entries = %v, want [%s]", rep.FailedEntries, hit)
+	}
+}
+
+// TestCloseOpenByName: CloseOpen balances a named region's dangling starts
+// on every rank, and an unknown name closes nothing.
+func TestCloseOpenByName(t *testing.T) {
+	w := newWorld(t, 2)
+	m := New(w, Options{})
+	err := w.Run(func(r *mpi.Rank) error {
+		if err := r.Init(); err != nil {
+			return err
+		}
+		m.Enter(r, "kernel")
+		m.Enter(r, "kernel")
+		return r.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := m.CloseOpen("nope"); n != 0 {
+		t.Fatalf("CloseOpen of an unknown region closed %d", n)
+	}
+	if n := m.CloseOpen("kernel"); n != 4 {
+		t.Fatalf("CloseOpen closed %d starts, want 4 (depth 2 on two ranks)", n)
+	}
+	for rank := 0; rank < 2; rank++ {
+		if got := m.OpenCount(rank); got != 1 {
+			t.Errorf("rank %d: %d regions open, want 1 (global)", rank, got)
+		}
 	}
 }
