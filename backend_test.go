@@ -3,39 +3,14 @@ package capi_test
 import (
 	"encoding/json"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	capi "capi"
 )
 
-// countingBackend is the README cookbook's custom backend: one type that is
-// its own event sink, counting the events it observes and reporting them
-// through the unified envelope.
-type countingBackend struct{ enters, exits atomic.Int64 }
-
-func (b *countingBackend) Name() string                                     { return "test-counter" }
-func (b *countingBackend) OnEnter(tc capi.ThreadCtx, fn *capi.ResolvedFunc) { b.enters.Add(1) }
-func (b *countingBackend) OnExit(tc capi.ThreadCtx, fn *capi.ResolvedFunc)  { b.exits.Add(1) }
-func (b *countingBackend) InitCost(int) int64                               { return 0 }
-
-func (b *countingBackend) Events() capi.EventBackend    { return b }
-func (b *countingBackend) StartPhase(*capi.World) error { return nil }
-func (b *countingBackend) Report() capi.Report {
-	return capi.JSONReport{ReportKind: "counter", Value: map[string]int64{
-		"enters": b.enters.Load(),
-		"exits":  b.exits.Load(),
-	}}
-}
-
-func init() {
-	capi.RegisterBackend("test-counter", func(capi.BackendConfig) (capi.MeasurementBackend, error) {
-		return &countingBackend{}, nil
-	})
-}
-
-// TestCustomRegisteredBackendEndToEnd walks the cookbook: register →
-// select by name (alongside a built-in) → run → read the envelope.
+// TestCustomRegisteredBackendEndToEnd walks ExampleRegisterBackend's
+// cookbook: register → select by name (alongside a built-in) → run → read
+// the envelope.
 func TestCustomRegisteredBackendEndToEnd(t *testing.T) {
 	found := false
 	for _, name := range capi.RegisteredBackends() {

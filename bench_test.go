@@ -200,7 +200,7 @@ func BenchmarkAblationCoarse(b *testing.B) {
 // running the same pipeline with and without a symbol oracle.
 func BenchmarkAblationInliningCompensation(b *testing.B) {
 	p := workload.OpenFOAM(workload.OpenFOAMOptions{Scale: 0.02, Timesteps: 2, PCGIters: 4})
-	g := metacg.BuildWholeProgram(p, metacg.Options{})
+	g := metacg.BuildWholeProgram(p)
 	build, err := compiler.Compile(p, compiler.Options{XRay: true, OptLevel: workload.OpenFOAMOptLevel})
 	if err != nil {
 		b.Fatal(err)
@@ -283,7 +283,7 @@ func BenchmarkCallGraphConstruction(b *testing.B) {
 	b.ResetTimer()
 	var g *callgraph.Graph
 	for i := 0; i < b.N; i++ {
-		g = metacg.BuildWholeProgram(p, metacg.Options{})
+		g = metacg.BuildWholeProgram(p)
 	}
 	b.ReportMetric(float64(g.Len()), "nodes")
 }

@@ -197,7 +197,7 @@ func NewSession(p *Program, opts SessionOptions) (*Session, error) {
 	go func() {
 		defer close(graphed)
 		t0 := time.Now()
-		s.graph = metacg.BuildWholeProgram(p, metacg.Options{})
+		s.graph = metacg.BuildWholeProgram(p)
 		s.stats.CallGraphSeconds = time.Since(t0).Seconds()
 	}()
 	t0 := time.Now()
@@ -811,36 +811,12 @@ type InstanceStatus struct {
 	// Events is the number of instrumentation events dispatched across all
 	// completed phases.
 	Events int64 `json:"events"`
-	// ActiveFunctions is the current selection size; Patched the start-up
-	// count; Reconfigs the applied live re-selections.
-	ActiveFunctions int `json:"activeFunctions"`
-	Patched         int `json:"patched"`
-	Reconfigs       int `json:"reconfigs"`
-	// InitSeconds is T_init; ReconfigSeconds the accumulated virtual cost
-	// of all re-selections; PendingSeconds the set-up cost the next phase
-	// will be billed.
-	InitSeconds     float64 `json:"initSeconds"`
-	ReconfigSeconds float64 `json:"reconfigSeconds"`
-	PendingSeconds  float64 `json:"pendingSeconds"`
-	// DroppedInFlight / DroppedUnpatched are the split drop counters;
-	// SyntheticExits counts backend-closed dangling enters, with the
-	// per-backend-name breakdown alongside.
-	DroppedInFlight         int64            `json:"droppedInFlight"`
-	DroppedUnpatched        int64            `json:"droppedUnpatched"`
-	SyntheticExits          int64            `json:"syntheticExits"`
-	SyntheticExitsByBackend map[string]int64 `json:"syntheticExitsByBackend,omitempty"`
-	// Async reports whether the asynchronous event pipeline is attached;
-	// PipelineDepth is the number of events currently queued in its rings,
-	// DroppedAsync the enter/exit pairs rejected under back-pressure, and
-	// AsyncBuf the effective per-rank ring capacity in events (the
-	// configured -async-buf rounded up to a power of two; 0 when inline).
-	Async         bool  `json:"async"`
-	PipelineDepth int64 `json:"pipelineDepth"`
-	DroppedAsync  int64 `json:"droppedAsync"`
-	AsyncBuf      int   `json:"asyncBuf,omitempty"`
-	// Sampling is the sampler's live view (policies + conservation
-	// counters); nil when no sampling policy was ever installed.
-	Sampling *SamplingSnapshot `json:"sampling,omitempty"`
+	// Snapshot is the runtime's counter block: selection size, start-up
+	// and re-patch cost, drop counters, async pipeline and sampling. Zero
+	// (sampling absent) on an uninstrumented instance.
+	dyncapi.Snapshot
+	// PendingSeconds is the set-up cost the next phase will be billed.
+	PendingSeconds float64 `json:"pendingSeconds"`
 	// DroppedPanicked counts the enters the panic barriers swallowed,
 	// summed over every backend ever attached; Breaker is the per-backend
 	// barrier state of every backend that ever panicked, and
@@ -878,25 +854,8 @@ func (i *Instance) Status() InstanceStatus {
 	if i.rt == nil {
 		return st
 	}
-	snap := i.rt.Snapshot()
 	st.Instrumented = true
-	st.ActiveFunctions = snap.Active
-	st.Patched = snap.Patched
-	st.Reconfigs = snap.Reconfigs
-	st.InitSeconds = float64(snap.InitVirtualNs) / 1e9
-	st.ReconfigSeconds = float64(snap.ReconfigVirtualNs) / 1e9
-	st.DroppedInFlight = snap.DroppedInFlight
-	st.DroppedUnpatched = snap.DroppedUnpatched
-	st.SyntheticExits = snap.SyntheticExits
-	st.SyntheticExitsByBackend = snap.SyntheticExitsByBackend
-	st.Async = snap.Async
-	st.PipelineDepth = snap.AsyncDepth
-	st.DroppedAsync = snap.DroppedAsync
-	st.AsyncBuf = snap.AsyncBuf
-	if snap.Sampling.Configured || snap.Sampling.Counters.Enters > 0 {
-		sampling := snap.Sampling
-		st.Sampling = &sampling
-	}
+	st.Snapshot = i.rt.Snapshot()
 	var endpoints []*adapt.Endpoint
 	st.HTTP, endpoints = i.httpSnapshot()
 	if i.ctrl != nil {
@@ -1022,11 +981,9 @@ func (i *Instance) Run() (*RunResult, error) {
 		snap := i.rt.Snapshot()
 		out.InitSeconds = float64(i.pendingNs) / 1e9
 		out.Patched = snap.Patched
-		out.ActiveFuncs = snap.Active
+		out.ActiveFuncs = snap.ActiveFunctions
 		out.Reconfigs = snap.Reconfigs
-		if snap.Sampling.Configured || snap.Sampling.Counters.Enters > 0 {
-			out.Sampling = &snap.Sampling
-		}
+		out.Sampling = snap.Sampling
 		out.DroppedAsync = snap.DroppedAsync
 	}
 	for _, r := range world.Ranks() {

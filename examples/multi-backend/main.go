@@ -43,7 +43,7 @@ func main() {
 	}
 
 	// Two backends from the registry, one instrumented run. The registry is
-	// open: capi.RegisterBackend adds your own (see the README cookbook).
+	// open: capi.RegisterBackend adds your own (see ExampleRegisterBackend).
 	fmt.Printf("registered backends: %v\n", capi.RegisteredBackends())
 	inst, err := session.Start(wide, capi.RunOptions{
 		Backends: []string{"talp", "extrae"},

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	capi "capi"
+	"capi/internal/ic"
 )
 
 const quickCoarseSpec = `!import("mpi.capi")
@@ -468,5 +469,68 @@ func TestInstanceSamplingConservationUnderRace(t *testing.T) {
 	}
 	if raceCounter.exits.Load() == 0 {
 		t.Fatal("no exits delivered at all")
+	}
+}
+
+// TestStatusNotTorn: Status reads the selection size and the re-selection
+// count from one consistent runtime snapshot. One goroutine alternates
+// between a one- and a two-function selection, so after r re-selections
+// the size is 2 for odd r and 1 for even r; a snapshot that read the size
+// after releasing the reconfigure lock could pair one with the other.
+func TestStatusNotTorn(t *testing.T) {
+	s := newQuickSession(t)
+	sel, err := s.Select(quickSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := s.Start(sel, capi.RunOptions{Backends: []string{"none"}, Ranks: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := inst.ActiveFunctionNames()
+	if len(names) < 2 {
+		t.Fatalf("selection has %d functions, want at least 2", len(names))
+	}
+	one := &capi.Selection{IC: ic.New("quickstart", "torn", names[:1]), Selected: 1}
+	two := &capi.Selection{IC: ic.New("quickstart", "torn", names[:2]), Selected: 2}
+	if _, err := inst.Reconfigure(two); err != nil {
+		t.Fatal(err)
+	}
+	reads := 400_000
+	if raceEnabled {
+		reads = 20_000
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for j := 0; ; j++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			sel := one
+			if j%2 == 1 {
+				sel = two
+			}
+			if _, err := inst.Reconfigure(sel); err != nil {
+				t.Errorf("reconfigure: %v", err)
+				return
+			}
+		}
+	}()
+	torn := 0
+	for range reads {
+		st := inst.Status()
+		if want := 1 + st.Reconfigs%2; st.ActiveFunctions != want {
+			torn++
+		}
+	}
+	close(done)
+	wg.Wait()
+	if torn > 0 {
+		t.Fatalf("%d of %d status reads paired a selection size with the wrong re-selection count", torn, reads)
 	}
 }

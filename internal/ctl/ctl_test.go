@@ -12,6 +12,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -987,7 +988,25 @@ func init() {
 	capi.RegisterBackend("ctl-slow", func(capi.BackendConfig) (capi.MeasurementBackend, error) {
 		return ctlSlow, nil
 	})
+	capi.RegisterBackend("ctl-gate", func(capi.BackendConfig) (capi.MeasurementBackend, error) {
+		return ctlGate, nil
+	})
 }
+
+// ctlGateBackend holds every delivery until hold is released, so the
+// async consumer sits on the ring's first event and frees no slot. A
+// process-wide singleton like ctlSlow: the registry builds backends by name.
+type ctlGateBackend struct{ hold sync.WaitGroup }
+
+func (b *ctlGateBackend) Name() string                               { return "ctl-gate" }
+func (b *ctlGateBackend) OnEnter(capi.ThreadCtx, *capi.ResolvedFunc) { b.hold.Wait() }
+func (b *ctlGateBackend) OnExit(capi.ThreadCtx, *capi.ResolvedFunc)  { b.hold.Wait() }
+func (b *ctlGateBackend) InitCost(int) int64                         { return 0 }
+func (b *ctlGateBackend) Events() capi.EventBackend                  { return b }
+func (b *ctlGateBackend) StartPhase(*capi.World) error               { return nil }
+func (b *ctlGateBackend) Report() capi.Report                        { return nil }
+
+var ctlGate = &ctlGateBackend{}
 
 // TestAsyncPipelineOverHTTP is the control-plane e2e for the async event
 // pipeline: /v1/status and /metrics must expose the pipeline fields, and a
@@ -1259,5 +1278,89 @@ func TestReportWireGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("/v1/report differs from testdata/report.golden\n--- got ---\n%s", got)
+	}
+}
+
+// TestStatusKeysGolden pins the top-level key order of GET /v1/status for
+// a fresh inline and a fresh async instance: clients that read the
+// document in order, and the CI greps, see a reordering as a diff in
+// testdata/status_keys.golden.
+func TestStatusKeysGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, c := range []struct {
+		name string
+		opts capi.RunOptions
+	}{
+		{"inline", capi.RunOptions{Backends: []string{"talp"}, Ranks: 2}},
+		{"async", capi.RunOptions{Backends: []string{"talp"}, Ranks: 2, Async: true}},
+	} {
+		ts, _, inst := newServer(t, capi.Quickstart(), "quickstart", c.opts)
+		t.Cleanup(inst.Close)
+		resp, err := http.Get(ts.URL + "/v1/status")
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec := json.NewDecoder(resp.Body)
+		if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+			t.Fatalf("%s: status is not an object: %v %v", c.name, tok, err)
+		}
+		got.WriteString("# " + c.name + "\n")
+		for dec.More() {
+			key, err := dec.Token()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var v json.RawMessage
+			if err := dec.Decode(&v); err != nil {
+				t.Fatal(err)
+			}
+			got.WriteString(key.(string) + "\n")
+		}
+		resp.Body.Close()
+	}
+	want, err := os.ReadFile("testdata/status_keys.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("/v1/status keys differ from testdata/status_keys.golden\n--- got ---\n%s", got.String())
+	}
+}
+
+// TestOrphanExitDropInStatus: an exit without a recorded enter that meets a
+// full async ring is counted, and GET /v1/status carries the count. The
+// gate holds the consumer, so an HTTP worker rank's 8-slot ring takes 8 of
+// 9 orphan exits and rejects the ninth.
+func TestOrphanExitDropInStatus(t *testing.T) {
+	ctlGate.hold.Add(1)
+	ts, _, inst := newServer(t, capi.Quickstart(), "quickstart",
+		capi.RunOptions{Backends: []string{"ctl-gate"}, Ranks: 1, Async: true, AsyncBuf: 8, HTTPWorkers: 1})
+	t.Cleanup(inst.Close)
+	t.Cleanup(sync.OnceFunc(ctlGate.hold.Done)) // runs first: Close drains
+	id, ok := inst.ResolveFunctionName(inst.ActiveFunctionNames()[0])
+	if !ok {
+		t.Fatal("active function does not resolve")
+	}
+	rcs, err := inst.NewRequestContexts(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 9 {
+		rcs[0].Exit(id)
+	}
+	resp, err := http.Get(ts.URL + "/v1/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(body, []byte(`"droppedAsyncOrphanExits": 1,`)) {
+		t.Fatalf("status lacks \"droppedAsyncOrphanExits\": 1:\n%s", body)
+	}
+	if st := inst.Status(); st.DroppedAsyncOrphanExits != 1 || st.DroppedAsync != 0 {
+		t.Fatalf("orphan exits dropped %d, pairs dropped %d; want 1 and 0", st.DroppedAsyncOrphanExits, st.DroppedAsync)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	capi "capi"
+	"capi/internal/dyncapi"
 )
 
 // goldenStatus is a status document with every optional section populated
@@ -29,39 +30,41 @@ func goldenStatus() StatusResponse {
 		SSEClients:    2,
 		SessionBuild:  capi.BuildStats{ValidateSeconds: 0.0042, CallGraphSeconds: 0.031, CompileSeconds: 0.024, TotalSeconds: 0.0365},
 		InstanceStatus: capi.InstanceStatus{
-			Backends:                []string{"talp", "extrae"},
-			Ranks:                   4,
-			Adaptive:                true,
-			Instrumented:            true,
-			Runs:                    3,
-			Running:                 true,
-			Events:                  12345678901,
-			ActiveFunctions:         41,
-			Patched:                 10337,
-			Reconfigs:               9,
-			InitSeconds:             0.000123,
-			ReconfigSeconds:         1.5e-05,
-			PendingSeconds:          0.25,
-			DroppedInFlight:         17,
-			DroppedUnpatched:        3,
-			SyntheticExits:          6,
-			SyntheticExitsByBackend: map[string]int64{"talp": 2, "extrae": 4},
-			Async:                   true,
-			PipelineDepth:           128,
-			DroppedAsync:            5,
-			AsyncBuf:                4096,
-			Sampling: &capi.SamplingSnapshot{
-				Configured:   true,
-				Default:      &capi.SamplingPolicy{Stride: 8},
-				FuncPolicies: 2,
-				Counters: capi.SamplingCounters{
-					Enters:          1000000,
-					Delivered:       125000,
-					SampledEvents:   870000,
-					SuppressedPairs: 4000,
-					SuppressedNs:    9876543210,
-					CollapsedCalls:  1000,
-					CollapsedNs:     55555,
+			Backends:       []string{"talp", "extrae"},
+			Ranks:          4,
+			Adaptive:       true,
+			Instrumented:   true,
+			Runs:           3,
+			Running:        true,
+			Events:         12345678901,
+			PendingSeconds: 0.25,
+			Snapshot: dyncapi.Snapshot{
+				ActiveFunctions:         41,
+				Patched:                 10337,
+				Reconfigs:               9,
+				InitSeconds:             0.000123,
+				ReconfigSeconds:         1.5e-05,
+				DroppedInFlight:         17,
+				DroppedUnpatched:        3,
+				SyntheticExits:          6,
+				SyntheticExitsByBackend: map[string]int64{"talp": 2, "extrae": 4},
+				Async:                   true,
+				PipelineDepth:           128,
+				DroppedAsync:            5,
+				AsyncBuf:                4096,
+				Sampling: &capi.SamplingSnapshot{
+					Configured:   true,
+					Default:      &capi.SamplingPolicy{Stride: 8},
+					FuncPolicies: 2,
+					Counters: capi.SamplingCounters{
+						Enters:          1000000,
+						Delivered:       125000,
+						SampledEvents:   870000,
+						SuppressedPairs: 4000,
+						SuppressedNs:    9876543210,
+						CollapsedCalls:  1000,
+						CollapsedNs:     55555,
+					},
 				},
 			},
 			DroppedPanicked:  40,

@@ -19,6 +19,7 @@ import (
 	"cmp"
 	"fmt"
 	"iter"
+	"maps"
 	"reflect"
 	"slices"
 	"sync"
@@ -783,46 +784,46 @@ func (rt *Runtime) Reconfigure(cfg *ic.Config) (ReconfigReport, error) {
 func (rt *Runtime) Report() Report { return rt.report }
 
 // Snapshot is a point-in-time view of the runtime's live counters, taken
-// under the reconfigure lock so the mutually dependent fields (reconfigs,
-// synthetic exits, accumulated re-patch cost) are consistent with each
-// other. It is what remote observers (the HTTP control plane) scrape while
-// ranks execute.
+// under the reconfigure lock so the mutually dependent fields (selection
+// size, reconfigs, synthetic exits, accumulated re-patch cost) are
+// consistent with each other. It is the runtime block of the control
+// plane's GET /v1/status document, so its names, units and JSON tags are
+// the wire format.
 type Snapshot struct {
-	// Active is the current selection size; Patched is the start-up count.
-	Active  int
-	Patched int
-	// Reconfigs counts applied live re-selections; ReconfigVirtualNs their
-	// accumulated virtual re-patch cost.
-	Reconfigs         int
-	ReconfigVirtualNs int64
+	// ActiveFunctions is the current selection size; Patched the start-up
+	// count; Reconfigs the applied live re-selections.
+	ActiveFunctions int `json:"activeFunctions"`
+	Patched         int `json:"patched"`
+	Reconfigs       int `json:"reconfigs"`
+	// InitSeconds is T_init; ReconfigSeconds the accumulated virtual cost
+	// of all re-selections.
+	InitSeconds     float64 `json:"initSeconds"`
+	ReconfigSeconds float64 `json:"reconfigSeconds"`
+	// DroppedInFlight / DroppedUnpatched are the split drop counters;
 	// SyntheticExits counts dangling enters closed through the Deselector
-	// hook across all re-selections and backend swaps; SyntheticExitsByBackend
-	// is the per-backend-name breakdown.
-	SyntheticExits          int64
-	SyntheticExitsByBackend map[string]int64
-	// DroppedInFlight / DroppedUnpatched are the split drop counters.
-	DroppedInFlight  int64
-	DroppedUnpatched int64
-	// Async reports whether the asynchronous event pipeline is attached.
-	// AsyncDepth is the number of events currently queued in the per-rank
-	// rings, DroppedAsync the pairs rejected by back-pressure (ring full)
-	// and DroppedAsyncByRank its per-rank breakdown (nil when inline).
+	// hook across all re-selections and backend swaps, with the
+	// per-backend-name breakdown alongside.
+	DroppedInFlight         int64            `json:"droppedInFlight"`
+	DroppedUnpatched        int64            `json:"droppedUnpatched"`
+	SyntheticExits          int64            `json:"syntheticExits"`
+	SyntheticExitsByBackend map[string]int64 `json:"syntheticExitsByBackend,omitempty"`
+	// Async reports whether the asynchronous event pipeline is attached;
+	// PipelineDepth is the number of events currently queued in its rings,
+	// DroppedAsync the enter/exit pairs rejected under back-pressure.
 	// DroppedAsyncOrphanExits counts exits without a recorded enter (sled
 	// patched mid-call) rejected at a full ring — kept out of DroppedAsync
 	// because the conservation identity is stated in enter units.
-	Async                   bool
-	AsyncDepth              int64
-	DroppedAsync            int64
-	DroppedAsyncByRank      []int64 `json:",omitempty"`
-	DroppedAsyncOrphanExits int64   `json:",omitempty"`
+	Async                   bool  `json:"async"`
+	PipelineDepth           int64 `json:"pipelineDepth"`
+	DroppedAsync            int64 `json:"droppedAsync"`
+	DroppedAsyncOrphanExits int64 `json:"droppedAsyncOrphanExits,omitempty"`
 	// AsyncBuf is the effective per-rank ring capacity in events (the
 	// configured value rounded up to a power of two; 0 when inline) — the
 	// base the control plane's ring-sizing hint doubles from.
-	AsyncBuf int `json:",omitempty"`
-	// Sampling is the sampler's point-in-time view (policies + counters).
-	Sampling SamplingSnapshot
-	// InitVirtualNs is T_init.
-	InitVirtualNs int64
+	AsyncBuf int `json:"asyncBuf,omitempty"`
+	// Sampling is the sampler's point-in-time view (policies + counters);
+	// nil unless a sampling table is installed or an enter was counted.
+	Sampling *SamplingSnapshot `json:"sampling,omitempty"`
 }
 
 // Snapshot returns a consistent view of the live counters. Safe to call
@@ -830,31 +831,29 @@ type Snapshot struct {
 func (rt *Runtime) Snapshot() Snapshot {
 	rt.mu.Lock()
 	snap := Snapshot{
-		Reconfigs:         rt.reconfigs,
-		ReconfigVirtualNs: rt.reconfigNs,
-		SyntheticExits:    rt.synthExits,
+		ActiveFunctions: rt.ActiveCount(),
+		Reconfigs:       rt.reconfigs,
+		ReconfigSeconds: float64(rt.reconfigNs) / 1e9,
+		SyntheticExits:  rt.synthExits,
 	}
 	if len(rt.synthByBackend) > 0 {
-		snap.SyntheticExitsByBackend = make(map[string]int64, len(rt.synthByBackend))
-		for name, n := range rt.synthByBackend {
-			snap.SyntheticExitsByBackend[name] = n
-		}
+		snap.SyntheticExitsByBackend = maps.Clone(rt.synthByBackend)
 	}
 	rt.mu.Unlock()
-	snap.Active = rt.ActiveCount()
 	snap.Patched = rt.report.Patched
-	snap.InitVirtualNs = rt.report.InitVirtualNs
+	snap.InitSeconds = float64(rt.report.InitVirtualNs) / 1e9
 	snap.DroppedInFlight = rt.droppedInFlight.Load()
 	snap.DroppedUnpatched = rt.droppedUnpatched.Load()
 	if rt.pipe != nil {
 		snap.Async = true
-		snap.AsyncDepth = rt.pipe.depthNow()
+		snap.PipelineDepth = rt.pipe.depthNow()
 		snap.DroppedAsync = rt.pipe.dropped()
-		snap.DroppedAsyncByRank = rt.pipe.droppedByRank()
 		snap.DroppedAsyncOrphanExits = rt.pipe.droppedOrphanExits()
 		snap.AsyncBuf = rt.pipe.ringCap()
 	}
-	snap.Sampling = rt.SamplingSnapshot()
+	if sampling := rt.SamplingSnapshot(); sampling.Configured || sampling.Counters.Enters > 0 {
+		snap.Sampling = &sampling
+	}
 	return snap
 }
 

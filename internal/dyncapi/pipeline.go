@@ -389,15 +389,6 @@ func (p *pipeline) dropped() int64 {
 	return d
 }
 
-// droppedByRank returns the per-rank back-pressure drops.
-func (p *pipeline) droppedByRank() []int64 {
-	out := make([]int64, len(p.shards))
-	for i, s := range p.shards {
-		out[i] = s.droppedPairs.Load()
-	}
-	return out
-}
-
 // droppedOrphanExits sums the orphan exits (no recorded enter, full ring)
 // rejected across all shards — tracked apart from the pair drops so the
 // enter-unit conservation identity stays exact.

@@ -354,7 +354,7 @@ func TestSamplingSurfacesInSnapshotAndReconfigReport(t *testing.T) {
 		dispatchPair(xr, tc, kernel, 50)
 	}
 	snap := rt.Snapshot()
-	if !snap.Sampling.Configured || snap.Sampling.Counters.Enters == 0 {
+	if snap.Sampling == nil || !snap.Sampling.Configured || snap.Sampling.Counters.Enters == 0 {
 		t.Fatalf("runtime snapshot missing sampling: %+v", snap.Sampling)
 	}
 	rep, err := rt.Reconfigure(ic.New("app", "test", []string{"kernel"}))

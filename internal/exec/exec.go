@@ -34,6 +34,10 @@ const (
 	callCost = 2 * vtime.Nanosecond
 )
 
+// maxDepth bounds the simulated call stack: a recursion deeper than this is
+// a runaway program model, reported as an error.
+const maxDepth = 512
+
 // Config assembles an executable engine.
 type Config struct {
 	Build *compiler.Build
@@ -41,8 +45,6 @@ type Config struct {
 	XRay  *xray.Runtime // nil for vanilla builds
 	World *mpi.World
 
-	// MaxDepth bounds the simulated call stack (default 512).
-	MaxDepth int
 	// StaticHook receives events from statically instrumented functions.
 	StaticHook StaticHandler
 	// RankWorkSkew scales every OpWork duration per rank (index = rank),
@@ -107,9 +109,6 @@ type Engine struct {
 func New(cfg Config) (*Engine, error) {
 	if cfg.Build == nil || cfg.Proc == nil || cfg.World == nil {
 		return nil, fmt.Errorf("exec: Build, Proc and World are required")
-	}
-	if cfg.MaxDepth <= 0 {
-		cfg.MaxDepth = 512
 	}
 	p := cfg.Build.Prog
 	e := &Engine{cfg: cfg, funcs: make(map[string]*cfunc, p.NumFunctions())}
@@ -231,8 +230,8 @@ func (e *Engine) instrument(t *Task, fn *cfunc, kind xray.EntryType) {
 
 // call executes one function invocation.
 func (e *Engine) call(t *Task, fn *cfunc) error {
-	if t.depth >= e.cfg.MaxDepth {
-		return fmt.Errorf("exec: call depth %d exceeded at %s", e.cfg.MaxDepth, fn.name)
+	if t.depth >= maxDepth {
+		return fmt.Errorf("exec: call depth %d exceeded at %s", maxDepth, fn.name)
 	}
 	t.depth++
 	t.calls++

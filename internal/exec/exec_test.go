@@ -325,12 +325,12 @@ func TestRecursionDepthGuard(t *testing.T) {
 	}
 	proc, _ := b.LoadProcess()
 	w, _ := mpi.NewWorld(1, mpi.DefaultCostModel())
-	e, err := New(Config{Build: b, Proc: proc, World: w, MaxDepth: 32})
+	e, err := New(Config{Build: b, Proc: proc, World: w})
 	if err != nil {
 		t.Fatal(err)
 	}
 	err = e.Run()
-	if err == nil || !strings.Contains(err.Error(), "depth") {
+	if err == nil || !strings.Contains(err.Error(), "depth 512") {
 		t.Fatalf("err = %v", err)
 	}
 }

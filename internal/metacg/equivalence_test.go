@@ -98,7 +98,7 @@ func TestBuildWholeProgramEqualsSerial(t *testing.T) {
 		for _, procs := range []int{1, 4} {
 			prev := runtime.GOMAXPROCS(procs)
 			for rep := 0; rep < 20; rep++ {
-				sameGraph(t, name, BuildWholeProgram(p, Options{}), want)
+				sameGraph(t, name, BuildWholeProgram(p), want)
 			}
 			runtime.GOMAXPROCS(prev)
 		}

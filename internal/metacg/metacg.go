@@ -19,13 +19,6 @@ import (
 	"capi/internal/prog"
 )
 
-// Options controls whole-program graph construction.
-type Options struct {
-	// SkipPointerResolution disables static resolution of function-pointer
-	// callsites, leaving them for profile-based validation.
-	SkipPointerResolution bool
-}
-
 // metaOf translates the program-model metadata into call-graph annotations.
 func metaOf(f *prog.Function) callgraph.Meta {
 	return callgraph.Meta{
@@ -84,7 +77,7 @@ func buildLocal(p *prog.Program, tu prog.TU) *callgraph.Graph {
 // GOMAXPROCS goroutines and merged in sorted TU order as they arrive, so the
 // result — node IDs, callee and caller order — does not depend on scheduling.
 // The program must not be modified meanwhile.
-func BuildWholeProgram(p *prog.Program, opts Options) *callgraph.Graph {
+func BuildWholeProgram(p *prog.Program) *callgraph.Graph {
 	g := callgraph.New(p.Name, p.NumFunctions())
 	g.Main = p.Main
 	tus := p.ByTU()
@@ -128,18 +121,16 @@ func BuildWholeProgram(p *prog.Program, opts Options) *callgraph.Graph {
 		}
 	}
 	// Static function-pointer resolution.
-	if !opts.SkipPointerResolution {
-		for _, f := range p.Funcs() {
-			for _, op := range f.Ops {
-				if op.Kind != prog.OpCall || !op.ViaPointer {
-					continue
-				}
-				if !p.StaticPointerSlots[op.Callee] {
-					continue
-				}
-				for _, tgt := range p.PointerTargets[op.Callee] {
-					g.AddEdge(f.Name, tgt)
-				}
+	for _, f := range p.Funcs() {
+		for _, op := range f.Ops {
+			if op.Kind != prog.OpCall || !op.ViaPointer {
+				continue
+			}
+			if !p.StaticPointerSlots[op.Callee] {
+				continue
+			}
+			for _, tgt := range p.PointerTargets[op.Callee] {
+				g.AddEdge(f.Name, tgt)
 			}
 		}
 	}

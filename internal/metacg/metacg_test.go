@@ -77,7 +77,7 @@ func TestBuildLocalTU(t *testing.T) {
 
 func TestBuildWholeProgram(t *testing.T) {
 	p := sample(t)
-	g := BuildWholeProgram(p, Options{})
+	g := BuildWholeProgram(p)
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -110,17 +110,9 @@ func TestBuildWholeProgram(t *testing.T) {
 	}
 }
 
-func TestBuildWholeProgramSkipPointers(t *testing.T) {
-	p := sample(t)
-	g := BuildWholeProgram(p, Options{SkipPointerResolution: true})
-	if g.HasEdge("main", "makeA") {
-		t.Fatal("pointer resolution should be disabled")
-	}
-}
-
 func TestValidateWithProfile(t *testing.T) {
 	p := sample(t)
-	g := BuildWholeProgram(p, Options{})
+	g := BuildWholeProgram(p)
 	edges := []CallEdge{
 		{Caller: "main", Callee: "makeB"},  // missing: should be added
 		{Caller: "main", Callee: "helper"}, // already present
@@ -147,7 +139,7 @@ func TestMetadataTranslation(t *testing.T) {
 		Statements: 1, LOC: 2, Flops: 3, LoopDepth: 4, Cyclomatic: 5,
 		Inline: true, SystemHeader: true, Virtual: true,
 	})
-	g := BuildWholeProgram(p, Options{})
+	g := BuildWholeProgram(p)
 	want := callgraph.Meta{
 		Statements: 1, LOC: 2, Flops: 3, LoopDepth: 4, Cyclomatic: 5,
 		Inline: true, SystemHeader: true, Virtual: true, Unit: "u", TU: "f.cc",

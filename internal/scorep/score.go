@@ -11,8 +11,6 @@ import "sort"
 type ScoreOptions struct {
 	// MinVisits: only frequently called regions are worth excluding.
 	MinVisits int64
-	// Keep lists region names never to exclude (e.g. main).
-	Keep []string
 }
 
 // maxAvgExclusivePerVisit: regions whose average exclusive time per visit
@@ -41,17 +39,13 @@ type Suggestion struct {
 // SuggestFilter analyses a profile and returns an exclusion recommendation
 // plus a ready-to-use runtime filter.
 func SuggestFilter(p *Profile, opts ScoreOptions) (*Suggestion, *Filter) {
-	keep := map[string]bool{"UNKNOWN": true}
-	for _, k := range opts.Keep {
-		keep[k] = true
-	}
 	type cand struct {
 		name   string
 		visits int64
 	}
 	var cands []cand
 	for _, r := range p.Regions {
-		if keep[r.Name] || r.Visits < opts.MinVisits || r.Visits == 0 {
+		if r.Name == "UNKNOWN" || r.Visits < opts.MinVisits || r.Visits == 0 {
 			continue
 		}
 		if r.Exclusive/r.Visits <= maxAvgExclusivePerVisit {

@@ -362,21 +362,6 @@ func TestSuggestFilter(t *testing.T) {
 	}
 }
 
-func TestSuggestFilterKeep(t *testing.T) {
-	m := newM(t, 1)
-	tc := &fakeCtx{}
-	for i := 0; i < 2000; i++ {
-		m.Enter(tc, "keeper")
-		m.Exit(tc, "keeper")
-	}
-	opts := DefaultScoreOptions()
-	opts.Keep = []string{"keeper"}
-	sug, _ := SuggestFilter(m.Profile(), opts)
-	if len(sug.Exclude) != 0 {
-		t.Fatalf("keeper excluded: %+v", sug)
-	}
-}
-
 func TestInitCost(t *testing.T) {
 	m := newM(t, 1)
 	if m.InitCost(1000) <= m.InitCost(10) {

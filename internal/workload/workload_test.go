@@ -19,7 +19,7 @@ func TestQuickstartValid(t *testing.T) {
 	if p.NumFunctions() < 30 {
 		t.Fatalf("quickstart has %d functions", p.NumFunctions())
 	}
-	g := metacg.BuildWholeProgram(p, metacg.Options{})
+	g := metacg.BuildWholeProgram(p)
 	if g.Main != "main" {
 		t.Fatal("main missing")
 	}
@@ -61,7 +61,7 @@ func TestLuleshStructure(t *testing.T) {
 		t.Fatalf("lulesh has %d DSOs, want 0", dsos)
 	}
 	// The leapfrog chain exists.
-	g := metacg.BuildWholeProgram(p, metacg.Options{})
+	g := metacg.BuildWholeProgram(p)
 	for _, e := range [][2]string{
 		{"main", "LagrangeLeapFrog"},
 		{"LagrangeLeapFrog", "LagrangeNodal"},
@@ -132,7 +132,7 @@ func TestOpenFOAMStructure(t *testing.T) {
 		t.Fatalf("functions = %d, want ≈ %d", got, want)
 	}
 	// Listing 3 chain present in the static graph.
-	g := metacg.BuildWholeProgram(p, metacg.Options{})
+	g := metacg.BuildWholeProgram(p)
 	for _, e := range [][2]string{
 		{"Foam::fvMatrix::solve", "Foam::fvMesh::solve"},
 		{"Foam::fvMesh::solve", "Foam::fvMatrix::solveSegregatedOrCoupled"},
@@ -223,7 +223,7 @@ func TestOpenFOAMRuns(t *testing.T) {
 
 func TestLuleshMPISelectionShape(t *testing.T) {
 	p := Lulesh(LuleshOptions{Timesteps: 2})
-	g := metacg.BuildWholeProgram(p, metacg.Options{})
+	g := metacg.BuildWholeProgram(p)
 	b, err := compiler.Compile(p, compiler.Options{XRay: true, OptLevel: LuleshOptLevel})
 	if err != nil {
 		t.Fatal(err)
