@@ -316,16 +316,25 @@ func BenchmarkPatching(b *testing.B) {
 		b.Fatal(err)
 	}
 	xr.SetHandler(func(tc xray.ThreadCtx, id int32, kind xray.EntryType) {})
+	var ids []int32
+	for object, lo := range xr.Objects() {
+		for fn := uint32(0); fn < lo.Image.NumFuncIDs; fn++ {
+			id, err := xray.PackID(object, fn)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+	}
+	if len(ids) == 0 {
+		b.Fatal("nothing to patch")
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n, err := xr.PatchAll()
-		if err != nil {
+		if _, err := xr.PatchBatch(ids, true); err != nil {
 			b.Fatal(err)
 		}
-		if n == 0 {
-			b.Fatal("nothing patched")
-		}
-		if _, err := xr.UnpatchAll(); err != nil {
+		if _, err := xr.PatchBatch(ids, false); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	capi "capi"
 )
@@ -38,6 +39,13 @@ func init() {
 	})
 }
 
+// mpiCommSpec selects the call paths to MPI communication, minus functions
+// from system headers and inline ones.
+const mpiCommSpec = `!import("mpi.capi")
+excluded = join(inSystemHeader(%%), inlineSpecified(%%))
+subtract(%mpi_comm, %excluded)
+`
+
 // A registered backend is selected by name, alone or next to a built-in,
 // and its report is read from the run's envelope (or from GET /v1/report
 // of `capi serve -backend talp,test-counter`).
@@ -47,10 +55,7 @@ func ExampleRegisterBackend() {
 		fmt.Println(err)
 		return
 	}
-	sel, err := session.Select(`!import("mpi.capi")
-excluded = join(inSystemHeader(%%), inlineSpecified(%%))
-subtract(%mpi_comm, %excluded)
-`)
+	sel, err := session.Select(mpiCommSpec)
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -68,4 +73,51 @@ subtract(%mpi_comm, %excluded)
 	}
 	fmt.Println(res.Backends, rep.Kind(), string(counts))
 	// Output: [talp test-counter] counter {"enters":102,"exits":102}
+}
+
+// A TTL'd probe narrows a running instance's selection for a while and
+// reverts to the standing one by itself; the revert is a normal
+// Reconfigure, announced to the SetTTLNotify callback. Over HTTP the same
+// probe is POST /v1/select with a "ttl".
+func ExampleInstance_ReconfigureTTL() {
+	session, err := capi.NewAppSession("quickstart", 0)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	standing, err := session.Select(mpiCommSpec)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	inst, err := session.Start(standing, capi.RunOptions{Backends: []string{"talp"}, Ranks: 2})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	defer inst.Close()
+	reverted := make(chan capi.TTLExpiry, 1)
+	inst.SetTTLNotify(func(e capi.TTLExpiry) { reverted <- e })
+	fmt.Println("standing:", len(inst.ActiveFunctionNames()), "active")
+
+	probe, err := session.Select(`byName("main", %%)`)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	rep, err := inst.ReconfigureTTL(probe, 20*time.Millisecond)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	// The report, not a second read, shows the probe: the revert may land
+	// any time after 20 ms.
+	fmt.Println("probe:", rep.Active, "active", probe.IC.Include)
+
+	e := <-reverted
+	fmt.Println("reverted:", e.Kind+",", len(inst.ActiveFunctionNames()), "active")
+	// Output:
+	// standing: 3 active
+	// probe: 1 active [main]
+	// reverted: select, 3 active
 }

@@ -105,15 +105,6 @@ func (o *Options) fill() {
 	}
 }
 
-// FuncStat is a snapshot of one function's observed behaviour.
-type FuncStat struct {
-	ID     int32
-	Name   string
-	Calls  int64 // entry events
-	Events int64 // entry + exit events
-	MeanNs int64 // mean inclusive duration of completed outermost invocations (0 = none completed)
-}
-
 // Epoch records one control decision.
 type Epoch struct {
 	// Seq is the 1-based epoch number; AtNs and Rank identify the clock
@@ -148,7 +139,6 @@ type Epoch struct {
 // funcStat is the controller's per-function accumulator.
 type funcStat struct {
 	name        string
-	calls       atomic.Int64 // all entry events, nested included
 	completions atomic.Int64 // completed outermost invocations
 	events      atomic.Int64
 	durNs       atomic.Int64 // inclusive ns of completed outermost invocations
@@ -321,7 +311,6 @@ func (c *Controller) rank(id int) *rankState {
 // epoch.
 func (c *Controller) OnEnter(tc xray.ThreadCtx, fn *dyncapi.ResolvedFunc) {
 	st := c.stat(fn)
-	st.calls.Add(1)
 	st.events.Add(1)
 	st.epochEvents.Add(1)
 	c.events.Add(1)
@@ -716,21 +705,5 @@ func (c *Controller) Dropped() []string {
 	for _, ep := range c.epochs {
 		out = append(out, ep.Dropped...)
 	}
-	return out
-}
-
-// Stats returns per-function snapshots sorted by packed ID.
-func (c *Controller) Stats() []FuncStat {
-	var out []FuncStat
-	c.stats.Range(func(k, v any) bool {
-		st := v.(*funcStat)
-		fs := FuncStat{ID: k.(int32), Name: st.name, Calls: st.calls.Load(), Events: st.events.Load()}
-		if mean := st.meanNs(); mean > 0 {
-			fs.MeanNs = mean
-		}
-		out = append(out, fs)
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }

@@ -323,10 +323,8 @@ func demoteFirst(t *testing.T, ctrl *Controller, rt *dyncapi.Runtime, ids ...int
 }
 
 func funcEvents(c *Controller, id int32) int64 {
-	for _, fs := range c.Stats() {
-		if fs.ID == id {
-			return fs.Events
-		}
+	if v, ok := c.stats.Load(id); ok {
+		return v.(*funcStat).events.Load()
 	}
 	return 0
 }
@@ -408,10 +406,12 @@ func TestRecursiveLongFunctionNotDroppedAsLowDuration(t *testing.T) {
 		t.Fatal("wrong function dropped")
 	}
 	// The completed outer invocation dominates the reported mean.
-	for _, fs := range ctrl.Stats() {
-		if fs.ID == slow && fs.MeanNs < vtime.Millisecond {
-			t.Fatalf("slow mean = %dns, diluted by nested entries", fs.MeanNs)
-		}
+	v, ok := ctrl.stats.Load(slow)
+	if !ok {
+		t.Fatal("no stats for slow")
+	}
+	if mean := v.(*funcStat).meanNs(); mean < vtime.Millisecond {
+		t.Fatalf("slow mean = %dns, diluted by nested entries", mean)
 	}
 }
 
@@ -448,9 +448,10 @@ func TestControllerCountsAgreeWithTraceTotals(t *testing.T) {
 	}
 
 	var ctrlEvents int64
-	for _, fs := range ctrl.Stats() {
-		ctrlEvents += fs.Events
-	}
+	ctrl.stats.Range(func(_, v any) bool {
+		ctrlEvents += v.(*funcStat).events.Load()
+		return true
+	})
 	rep := buf.Report()
 	if got := rep.Recorded + rep.Dropped; got != ctrlEvents {
 		t.Fatalf("trace totals %d (recorded %d + dropped %d) != controller events %d",
@@ -563,7 +564,7 @@ func TestControllerDemotesBeforeDropping(t *testing.T) {
 	}
 	// The demotion really thinned the stream: sampled-out enters recorded.
 	rt.FlushSampling()
-	if c := rt.SamplingCounters(); c.SampledEvents == 0 ||
+	if c := rt.SamplingSnapshot().Counters; c.SampledEvents == 0 ||
 		c.Delivered+c.SampledEvents+c.SuppressedPairs+c.CollapsedCalls != c.Enters {
 		t.Fatalf("sampling counters = %+v", c)
 	}

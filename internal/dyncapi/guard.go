@@ -221,10 +221,6 @@ func (g *Guard) panicked(r any) {
 // Tripped reports whether the breaker is open.
 func (g *Guard) Tripped() bool { return g.tripped.Load() }
 
-// DroppedPanicked returns the enters not delivered to the backend because
-// of panics or an open breaker.
-func (g *Guard) DroppedPanicked() int64 { return g.dropped.Load() }
-
 // GuardStats is a point-in-time view of one guard's counters.
 type GuardStats struct {
 	Backend         string `json:"backend"`

@@ -234,7 +234,7 @@ func TestGuardTombstone(t *testing.T) {
 		ts.OnEnter(&fakeCtx{}, nil)
 		ts.OnExit(&fakeCtx{}, nil)
 	}
-	if got := g.DroppedPanicked(); got != 4 {
+	if got := g.Stats().DroppedPanicked; got != 4 {
 		t.Fatalf("tombstone dropped = %d, want 4 (enter units only)", got)
 	}
 	if inner.enters != 0 {

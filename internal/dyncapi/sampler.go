@@ -116,11 +116,6 @@ func (p SamplePolicy) validate() error {
 	return nil
 }
 
-// isZero reports whether the policy delivers everything.
-func (p SamplePolicy) isZero() bool {
-	return p.Stride <= 1 && p.MinDurationNs <= 0 && !p.CollapseRedundant
-}
-
 // SamplingConfig is a whole-table sampling configuration: an optional
 // default policy applied to every resolvable function plus per-function
 // overrides by name or packed ID. Applying a config replaces the previous
@@ -697,17 +692,6 @@ func (rt *Runtime) SetFuncSampling(id int32, p *SamplePolicy) error {
 	return nil
 }
 
-// SamplingCounters sums the sampler's published counters over every
-// function and rank. Mid-phase the result may lag the hot path by up to one
-// publication window per rank; after FlushSampling it is exact.
-func (rt *Runtime) SamplingCounters() SamplingCounters {
-	var c SamplingCounters
-	for _, st := range rt.sampleStatesSnapshot() {
-		c.add(st.counters())
-	}
-	return c
-}
-
 // FlushSampling publishes the exact per-rank counters. It must only be
 // called while no events are dispatching (between phases); Instance.Run
 // flushes after the execution engine has joined its rank goroutines.
@@ -743,8 +727,10 @@ func (rt *Runtime) sampleStatesSnapshot() []*funcSampleState {
 }
 
 // SamplingSnapshot returns the current sampling view: whether a table is
-// installed, the default policy, the override count and the aggregate
-// counters.
+// installed, the default policy, the override count and the counters summed
+// over every function and rank. Mid-phase the counters may lag the hot path
+// by up to one publication window per rank; after FlushSampling they are
+// exact.
 func (rt *Runtime) SamplingSnapshot() SamplingSnapshot {
 	rt.mu.Lock()
 	snap := SamplingSnapshot{

@@ -48,7 +48,7 @@ func samplerSetup(t *testing.T) (*Runtime, *xray.Runtime, *pairCountBackend, int
 func conserve(t *testing.T, rt *Runtime) SamplingCounters {
 	t.Helper()
 	rt.FlushSampling()
-	c := rt.SamplingCounters()
+	c := rt.SamplingSnapshot().Counters
 	if got := c.Delivered + c.SampledEvents + c.SuppressedPairs + c.CollapsedCalls; got != c.Enters {
 		t.Fatalf("conservation broken: delivered %d + sampled %d + suppressed %d + collapsed %d = %d != enters %d",
 			c.Delivered, c.SampledEvents, c.SuppressedPairs, c.CollapsedCalls, got, c.Enters)

@@ -85,6 +85,24 @@ func setup(t *testing.T, p *prog.Program, withXRay bool, ranks int) (*Engine, *x
 	return e, rt, w
 }
 
+// patchAll patches every function of every registered object ("xray full").
+func patchAll(t *testing.T, rt *xray.Runtime) {
+	t.Helper()
+	var ids []int32
+	for object, lo := range rt.Objects() {
+		for fn := uint32(0); fn < lo.Image.NumFuncIDs; fn++ {
+			id, err := xray.PackID(object, fn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+	}
+	if _, err := rt.PatchBatch(ids, true); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestVanillaRun(t *testing.T) {
 	e, _, w := setup(t, testProgram(), false, 2)
 	if err := e.Run(); err != nil {
@@ -151,7 +169,7 @@ func TestPatchedSledsDispatch(t *testing.T) {
 	// Patch only kernel.
 	lay := e.cfg.Build.Layout["kernel"]
 	packed, _ := xray.PackID(0, lay.FuncID)
-	if err := rt.PatchFunction(packed); err != nil {
+	if _, err := rt.PatchBatch([]int32{packed}, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Run(); err != nil {
@@ -173,9 +191,7 @@ func TestInlinedFunctionsProduceNoEvents(t *testing.T) {
 	e, rt, _ := setup(t, testProgram(), true, 1)
 	var events int
 	rt.SetHandler(func(tc xray.ThreadCtx, id int32, kind xray.EntryType) { events++ })
-	if _, err := rt.PatchAll(); err != nil {
-		t.Fatal(err)
-	}
+	patchAll(t, rt)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -212,9 +228,7 @@ func TestVirtualAndPointerDispatch(t *testing.T) {
 			mu.Unlock()
 		}
 	})
-	if _, err := rt.PatchAll(); err != nil {
-		t.Fatal(err)
-	}
+	patchAll(t, rt)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -267,9 +281,7 @@ func TestStaticInstrumentation(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	run := func() int64 {
 		e, _, w := setup(t, testProgram(), true, 4)
-		if _, err := e.cfg.XRay.PatchAll(); err != nil {
-			t.Fatal(err)
-		}
+		patchAll(t, e.cfg.XRay)
 		e.cfg.XRay.SetHandler(func(tc xray.ThreadCtx, id int32, kind xray.EntryType) {
 			tc.Clock().Advance(123)
 		})
@@ -304,9 +316,7 @@ func TestStaticInitsRunBeforeMain(t *testing.T) {
 		_, sym, _ := e.cfg.Proc.ResolveAddr(addr)
 		order = append(order, sym.Name)
 	})
-	if _, err := rt.PatchAll(); err != nil {
-		t.Fatal(err)
-	}
+	patchAll(t, rt)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}

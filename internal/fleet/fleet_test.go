@@ -470,14 +470,13 @@ func TestMetricsMerged(t *testing.T) {
 }
 
 // TestFleetReportWireGolden pins GET /v1/fleet/report byte for byte: two
-// single-rank quickstart members under talp,extrae after one phase each
-// (see ctl's TestReportWireGolden for why one rank), recorded at the
-// parent of the commit that made the coordinator decode the TALP document
-// through internal/talp's own type.
+// quickstart members, each under talp,extrae on two ranks, after one phase
+// each. As in ctl's TestReportWireGolden, each rank registers its own TALP
+// regions, so the goroutine schedule moves no virtual timestamp.
 func TestFleetReportWireGolden(t *testing.T) {
 	_, coordTS := newCoordinator(t, fastOpts())
 	for i := range 2 {
-		m := newMember(t, 1, "talp", "extrae")
+		m := newMember(t, 2, "talp", "extrae")
 		register(t, coordTS.URL, m.URL(), fmt.Sprintf("m%d", i))
 		if code := post(t, m.URL()+"/v1/run", "application/json", `{"wait":true}`, nil); code != http.StatusOK {
 			t.Fatalf("member run: status %d", code)

@@ -3,8 +3,9 @@
 // instrumentation plugin and the DynCaPI runtime (Fig. 3 of the paper).
 //
 // Two on-disk representations are supported: a native JSON format carrying
-// provenance, and the Score-P region-filter format the paper emits for
-// compatibility with the Score-P instrumenter.
+// provenance, which is read and written, and the Score-P region-filter
+// format the paper emits for compatibility with the Score-P instrumenter,
+// which is only written.
 package ic
 
 import (
@@ -21,10 +22,10 @@ import (
 // instrument, plus provenance for reports.
 //
 // A Config is immutable once a constructor (New, WithIDs, WithIncludeIDs,
-// ReadJSON, ReadScorePFilter) returned it, and therefore safe to share
-// between goroutines — one Selection may start several instances, and an
-// instance keeps the IC for its TTL revert timer while handlers read it. Do
-// not write to Include or IncludeIDs; derive a changed copy instead.
+// ReadJSON) returned it, and therefore safe to share between goroutines —
+// one Selection may start several instances, and an instance keeps the IC
+// for its TTL revert timer while handlers read it. Do not write to Include
+// or IncludeIDs; derive a changed copy instead.
 type Config struct {
 	// App is the application the IC was computed for.
 	App string `json:"app,omitempty"`
@@ -173,54 +174,4 @@ func (c *Config) WriteScorePFilter(w io.Writer) error {
 	}
 	fmt.Fprintln(bw, scorepEnd)
 	return bw.Flush()
-}
-
-// ReadScorePFilter parses a Score-P region-filter file produced by
-// WriteScorePFilter (EXCLUDE-*-then-INCLUDE form).
-func ReadScorePFilter(r io.Reader) (*Config, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
-	var include []string
-	inBlock := false
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		switch {
-		case text == "" || strings.HasPrefix(text, "#"):
-		case text == scorepBegin:
-			if inBlock {
-				return nil, fmt.Errorf("ic: line %d: nested %s", line, scorepBegin)
-			}
-			inBlock = true
-		case text == scorepEnd:
-			if !inBlock {
-				return nil, fmt.Errorf("ic: line %d: %s without begin", line, scorepEnd)
-			}
-			inBlock = false
-		case strings.HasPrefix(text, "EXCLUDE"):
-			if !inBlock {
-				return nil, fmt.Errorf("ic: line %d: EXCLUDE outside block", line)
-			}
-			// Only the EXCLUDE * form is produced/consumed here.
-		case strings.HasPrefix(text, "INCLUDE"):
-			if !inBlock {
-				return nil, fmt.Errorf("ic: line %d: INCLUDE outside block", line)
-			}
-			fields := strings.Fields(text)
-			name := fields[len(fields)-1]
-			if name != "INCLUDE" {
-				include = append(include, name)
-			}
-		default:
-			return nil, fmt.Errorf("ic: line %d: unrecognized directive %q", line, text)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if inBlock {
-		return nil, fmt.Errorf("ic: missing %s", scorepEnd)
-	}
-	return New("", "", include), nil
 }

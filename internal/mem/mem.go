@@ -8,7 +8,6 @@ package mem
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -145,16 +144,4 @@ func (as *AddressSpace) MprotectCalls() int {
 	as.mu.RLock()
 	defer as.mu.RUnlock()
 	return as.mprotectCalls
-}
-
-// MappedPages returns the sorted page start addresses (for tests/reports).
-func (as *AddressSpace) MappedPages() []uint64 {
-	as.mu.RLock()
-	defer as.mu.RUnlock()
-	out := make([]uint64, 0, len(as.pages))
-	for pg := range as.pages {
-		out = append(out, pg*PageSize)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -97,16 +97,6 @@ func TestZeroSizeUsesOnePage(t *testing.T) {
 	}
 }
 
-func TestMappedPagesSorted(t *testing.T) {
-	as := NewAddressSpace()
-	_ = as.Map(5*PageSize, PageSize, ProtRead)
-	_ = as.Map(1*PageSize, PageSize, ProtRead)
-	pages := as.MappedPages()
-	if len(pages) != 2 || pages[0] != PageSize || pages[1] != 5*PageSize {
-		t.Fatalf("MappedPages = %v", pages)
-	}
-}
-
 // Property: after Map with prot P, every address in range reads back P, and
 // CheckWrite succeeds iff P includes ProtWrite.
 func TestMapProtProperty(t *testing.T) {

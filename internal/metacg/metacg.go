@@ -6,9 +6,7 @@
 //  2. the local graphs are merged into a whole-program graph,
 //  3. virtual calls are over-approximated by inserting edges to all known
 //     inheriting definitions,
-//  4. function-pointer calls are resolved statically where possible; the
-//     remainder can be filled in from a measured profile with
-//     ValidateWithProfile (the paper's Score-P-based validation utility).
+//  4. function-pointer calls are resolved statically where possible.
 package metacg
 
 import (
@@ -141,22 +139,4 @@ func BuildWholeProgram(p *prog.Program) *callgraph.Graph {
 type CallEdge struct {
 	Caller string
 	Callee string
-}
-
-// ValidateWithProfile inserts edges observed at run time but missing from
-// the static graph (unresolved function pointers). It returns the number of
-// edges added. Edges whose endpoints are unknown functions are added with
-// stub nodes, mirroring MetaCG's behaviour of trusting the profile.
-func ValidateWithProfile(g *callgraph.Graph, edges []CallEdge) int {
-	added := 0
-	for _, e := range edges {
-		if e.Caller == "" || e.Callee == "" {
-			continue
-		}
-		if !g.HasEdge(e.Caller, e.Callee) {
-			g.AddEdge(e.Caller, e.Callee)
-			added++
-		}
-	}
-	return added
 }

@@ -110,27 +110,6 @@ func TestBuildWholeProgram(t *testing.T) {
 	}
 }
 
-func TestValidateWithProfile(t *testing.T) {
-	p := sample(t)
-	g := BuildWholeProgram(p)
-	edges := []CallEdge{
-		{Caller: "main", Callee: "makeB"},  // missing: should be added
-		{Caller: "main", Callee: "helper"}, // already present
-		{Caller: "", Callee: "x"},          // ignored
-	}
-	added := ValidateWithProfile(g, edges)
-	if added != 1 {
-		t.Fatalf("added = %d, want 1", added)
-	}
-	if !g.HasEdge("main", "makeB") {
-		t.Fatal("profile edge not inserted")
-	}
-	// Idempotent.
-	if again := ValidateWithProfile(g, edges); again != 0 {
-		t.Fatalf("second run added %d edges", again)
-	}
-}
-
 func TestMetadataTranslation(t *testing.T) {
 	p := prog.New("m", "f")
 	p.MustAddUnit("u", prog.Executable)

@@ -60,14 +60,6 @@ func (lo *LoadedObject) NumPatched() int {
 	return n
 }
 
-// MapEntry is one line of the process memory map (like /proc/self/maps).
-type MapEntry struct {
-	Base uint64
-	End  uint64
-	Prot string
-	Name string
-}
-
 // Process is a set of loaded objects sharing an address space.
 type Process struct {
 	AS *mem.AddressSpace
@@ -232,25 +224,4 @@ func (p *Process) ResolveAddr(addr uint64) (objName string, sym Symbol, ok bool)
 	}
 	s, ok := lo.Image.symbolAt(addr - lo.Base)
 	return lo.Image.Name, s, ok
-}
-
-// MemoryMap returns the mapping table, executable first, like the
-// /proc/<pid>/maps view DynCaPI's symbol injection parses (§V-C1).
-func (p *Process) MemoryMap() []MapEntry {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	out := make([]MapEntry, 0, len(p.objects))
-	for _, lo := range p.objects {
-		prot := "r-x"
-		if pr, ok := p.AS.ProtAt(lo.Base); ok {
-			prot = pr.String()
-		}
-		out = append(out, MapEntry{
-			Base: lo.Base,
-			End:  lo.Base + lo.Image.TextSize,
-			Prot: prot,
-			Name: lo.Image.Name,
-		})
-	}
-	return out
 }

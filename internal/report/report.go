@@ -53,26 +53,6 @@ func (t *Table) AddRow(cells ...string) *Table {
 	return t
 }
 
-// AddRowf appends a row of formatted cells.
-func (t *Table) AddRowf(cells ...interface{}) *Table {
-	row := make([]string, 0, len(cells))
-	for _, c := range cells {
-		switch v := c.(type) {
-		case string:
-			row = append(row, v)
-		case float64:
-			row = append(row, fmt.Sprintf("%.2f", v))
-		case int:
-			row = append(row, fmt.Sprintf("%d", v))
-		case int64:
-			row = append(row, fmt.Sprintf("%d", v))
-		default:
-			row = append(row, fmt.Sprint(v))
-		}
-	}
-	return t.AddRow(row...)
-}
-
 func (t *Table) widths() []int {
 	w := make([]int, len(t.Headers))
 	for i, h := range t.Headers {

@@ -26,14 +26,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestAddRowfFormats(t *testing.T) {
-	tab := New("", "a", "b", "c", "d")
-	tab.AddRowf("s", 3.14159, 42, int64(7))
-	if got := tab.Rows[0]; got[0] != "s" || got[1] != "3.14" || got[2] != "42" || got[3] != "7" {
-		t.Fatalf("row = %v", got)
-	}
-}
-
 func TestShortRowsPadded(t *testing.T) {
 	tab := New("", "a", "b", "c")
 	tab.AddRow("only")

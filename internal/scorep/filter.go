@@ -1,7 +1,6 @@
 package scorep
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"strings"
@@ -33,9 +32,6 @@ func (f *Filter) Include(pattern string) *Filter {
 	f.rules = append(f.rules, filterRule{exclude: false, pattern: pattern})
 	return f
 }
-
-// Len returns the number of rules.
-func (f *Filter) Len() int { return len(f.rules) }
 
 // Excluded reports whether the region name is filtered out.
 func (f *Filter) Excluded(name string) bool {
@@ -93,48 +89,4 @@ func (f *Filter) WriteTo(w io.Writer) (int64, error) {
 	n, err = fmt.Fprintln(w, "SCOREP_REGION_NAMES_END")
 	total += int64(n)
 	return total, err
-}
-
-// ParseFilter reads a filter in the Score-P filter-file syntax.
-func ParseFilter(r io.Reader) (*Filter, error) {
-	f := NewFilter()
-	sc := bufio.NewScanner(r)
-	inBlock := false
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		switch {
-		case text == "" || strings.HasPrefix(text, "#"):
-		case text == "SCOREP_REGION_NAMES_BEGIN":
-			inBlock = true
-		case text == "SCOREP_REGION_NAMES_END":
-			inBlock = false
-		default:
-			if !inBlock {
-				return nil, fmt.Errorf("scorep: filter line %d outside block: %q", line, text)
-			}
-			fields := strings.Fields(text)
-			if len(fields) < 2 {
-				return nil, fmt.Errorf("scorep: filter line %d malformed: %q", line, text)
-			}
-			// Tolerate the MANGLED keyword of Score-P filter files.
-			pattern := fields[len(fields)-1]
-			switch fields[0] {
-			case "EXCLUDE":
-				f.Exclude(pattern)
-			case "INCLUDE":
-				f.Include(pattern)
-			default:
-				return nil, fmt.Errorf("scorep: filter line %d unknown verb %q", line, fields[0])
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if inBlock {
-		return nil, fmt.Errorf("scorep: filter missing SCOREP_REGION_NAMES_END")
-	}
-	return f, nil
 }

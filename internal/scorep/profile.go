@@ -42,9 +42,8 @@ type Profile struct {
 func (p *Profile) Region(name string) *RegionProfile { return p.byName[name] }
 
 // Profile aggregates the per-rank call trees into a flat profile, a call
-// tree and the observed call-edge list (consumed by
-// metacg.ValidateWithProfile). It must be called after the measured run
-// completed.
+// tree and the observed call-edge list. It must be called after the
+// measured run completed.
 func (m *Measurement) Profile() *Profile {
 	m.mu.RLock()
 	defer m.mu.RUnlock()

@@ -1,9 +1,8 @@
 // Package talp reimplements the TALP module of the DLB library as used by
-// the paper (§III-B, §V-C2): user-registerable monitoring regions
-// (register/start/stop, nesting and overlap allowed), PMPI-driven
-// attribution of useful vs. MPI time per rank and region, POP
-// parallel-efficiency metrics per region, and a text summary at the end of
-// the execution.
+// the paper (§III-B, §V-C2): monitoring regions entered and exited by name
+// (nesting and overlap allowed), PMPI-driven attribution of useful vs. MPI
+// time per rank and region, POP parallel-efficiency metrics per region, and
+// a text summary at the end of the execution.
 //
 // Registration is per rank, as DLB keeps it per process: Enter registers a
 // region on its first entry on the calling rank and charges that rank, so
@@ -22,7 +21,6 @@
 package talp
 
 import (
-	"fmt"
 	"hash/fnv"
 	"maps"
 	"slices"
@@ -75,10 +73,9 @@ const (
 	bugMinRegions = 10
 )
 
-// Region is a registered monitoring region handle (dlb_monitor_t). Like
-// DLB's, a handle belongs to the rank (process) that registered it, and
-// holds that rank's measurement of the region, guarded by the rank's lock.
-type Region struct {
+// region is one rank's registered monitoring region (DLB's dlb_monitor_t):
+// that rank's measurement of the region, guarded by the rank's lock.
+type region struct {
 	name string
 
 	depth   int   // open nesting depth
@@ -92,9 +89,6 @@ type Region struct {
 
 	hitBug bool // an entry failed under the emulated re-entry bug
 }
-
-// Name returns the region's registered name.
-func (r *Region) Name() string { return r.name }
 
 // GlobalRegionName is the implicit whole-execution region DLB maintains.
 const GlobalRegionName = "MPI Execution"
@@ -112,9 +106,9 @@ type rankState struct {
 	// here (before MPI_Init), which disables the region on this rank for
 	// good. registered counts the regions registered on this rank, the
 	// implicit global one included.
-	regions    map[string]*Region
+	regions    map[string]*region
 	registered int
-	global     *Region
+	global     *region
 	openCount  int
 
 	// lastNs/lastMPI mirror the rank clock and MPI-time total as of the
@@ -139,9 +133,9 @@ func New(w *mpi.World, opts Options) *Monitor {
 	for _, r := range w.Ranks() {
 		// The global region is registered internally by DLB itself, before
 		// any user code runs — it bypasses the MPI_Init gate.
-		global := &Region{name: GlobalRegionName}
+		global := &region{name: GlobalRegionName}
 		m.perRank = append(m.perRank, &rankState{
-			regions:    map[string]*Region{GlobalRegionName: global},
+			regions:    map[string]*region{GlobalRegionName: global},
 			registered: 1,
 			global:     global,
 		})
@@ -187,36 +181,13 @@ func (m *Monitor) lock(r *mpi.Rank) *rankState {
 	return rs
 }
 
-// Register creates (or finds) a monitoring region on the calling rank and
-// charges the registration to it. It fails when MPI is not initialized on
-// the rank; the failure is recorded for the report (the paper's
-// pre-MPI_Init cases).
-func (m *Monitor) Register(r *mpi.Rank, name string) (*Region, error) {
-	rs := m.lock(r)
-	defer rs.mu.Unlock()
-	return rs.register(r, name)
-}
-
-func (rs *rankState) register(r *mpi.Rank, name string) (*Region, error) {
-	reg, seen := rs.regions[name]
-	if !r.Initialized() || r.Finalized() {
-		if !seen {
-			rs.regions[name] = nil
-		}
-		return nil, fmt.Errorf("talp: cannot register region %q: MPI not initialized on rank %d", name, r.ID())
-	}
-	r.Clock().Advance(registerCost)
-	if reg == nil {
-		reg = &Region{name: name}
-		rs.regions[name] = reg
-		rs.registered++
-	}
-	return reg, nil
-}
-
-// Enter is DynCaPI's region entry (§V-C2): the region is registered on its
-// first entry on this rank — a failure before MPI_Init disables it on this
-// rank for good — and then started. A nil rank or an empty name (an
+// Enter is DynCaPI's region entry (§V-C2). In terms of the paper's
+// Listing 2, a region's first entry on this rank is DLB's monitoring-region
+// Register call, charged to this rank; registration fails before MPI_Init,
+// which disables the region on this rank for good. Every entry is then the
+// region's Start: nested and overlapping starts are allowed, and
+// re-entering an open region only deepens its nesting. A start may fail in
+// bug-compat mode; the region records it. A nil rank or an empty name (an
 // unresolved function) records nothing.
 func (m *Monitor) Enter(r *mpi.Rank, name string) {
 	if r == nil || name == "" {
@@ -226,17 +197,29 @@ func (m *Monitor) Enter(r *mpi.Rank, name string) {
 	defer rs.mu.Unlock()
 	reg, seen := rs.regions[name]
 	if !seen {
-		reg, _ = rs.register(r, name)
+		if !r.Initialized() || r.Finalized() {
+			rs.regions[name] = nil
+			return
+		}
+		r.Clock().Advance(registerCost)
+		reg = &region{name: name}
+		rs.regions[name] = reg
+		rs.registered++
 	}
-	if reg != nil {
-		// Start may fail in bug-compat mode; the region records it.
-		_ = m.start(r, rs, reg)
+	if reg == nil {
+		return
 	}
+	r.Clock().Advance(startCost)
+	if reg != rs.global && m.bugHits(rs.registered, name) {
+		reg.hitBug = true
+		return
+	}
+	rs.open(r, reg)
 }
 
-// Exit is DynCaPI's region exit: it stops the region if it is registered
-// on this rank. A stop without a matching start (a failed entry) is
-// ignored.
+// Exit is DynCaPI's region exit, Listing 2's Stop: it stops the region if
+// it is registered on this rank. A stop without a matching start (a failed
+// entry) is ignored.
 func (m *Monitor) Exit(r *mpi.Rank, name string) {
 	if r == nil || name == "" {
 		return
@@ -260,30 +243,8 @@ func (m *Monitor) bugHits(registered int, name string) bool {
 	return h.Sum32()%bugModulus == 0
 }
 
-// Start enters a monitoring region on the calling rank. Nested and
-// overlapping starts are allowed; re-entering an already open region only
-// increases its nesting depth.
-func (m *Monitor) Start(r *mpi.Rank, reg *Region) error {
-	if reg == nil {
-		return fmt.Errorf("talp: Start with nil region")
-	}
-	rs := m.lock(r)
-	defer rs.mu.Unlock()
-	return m.start(r, rs, reg)
-}
-
-func (m *Monitor) start(r *mpi.Rank, rs *rankState, reg *Region) error {
-	r.Clock().Advance(startCost)
-	if reg != rs.global && m.bugHits(rs.registered, reg.name) {
-		reg.hitBug = true
-		return fmt.Errorf("talp: entering region %q failed (known re-entry issue)", reg.name)
-	}
-	rs.open(r, reg)
-	return nil
-}
-
 // open opens one nesting level of the region; rs.mu is held.
-func (rs *rankState) open(r *mpi.Rank, reg *Region) {
+func (rs *rankState) open(r *mpi.Rank, reg *region) {
 	reg.visits++
 	if reg.depth == 0 {
 		reg.start = r.Clock().Now()
@@ -295,39 +256,23 @@ func (rs *rankState) open(r *mpi.Rank, reg *Region) {
 	rs.lastMPI = r.MPITimeTotal()
 }
 
-// Stop leaves a monitoring region. Stopping a region that is not open is an
-// error.
-func (m *Monitor) Stop(r *mpi.Rank, reg *Region) error {
-	if reg == nil {
-		return fmt.Errorf("talp: Stop with nil region")
-	}
-	rs := m.lock(r)
-	defer rs.mu.Unlock()
-	r.Clock().Advance(stopCost)
-	if !rs.close(r, reg) {
-		return fmt.Errorf("talp: Stop of region %q which is not open on rank %d", reg.name, r.ID())
-	}
-	return nil
-}
-
-// close closes one nesting level of the region and reports whether the
-// region was open; rs.mu is held.
-func (rs *rankState) close(r *mpi.Rank, reg *Region) bool {
+// close closes one nesting level of the region if it is open; rs.mu is
+// held.
+func (rs *rankState) close(r *mpi.Rank, reg *region) {
 	if reg.depth == 0 {
-		return false
+		return
 	}
 	rs.lastNs = r.Clock().Now()
 	rs.lastMPI = r.MPITimeTotal()
 	if reg.depth--; reg.depth == 0 {
 		rs.accumulate(reg, rs.lastNs, rs.lastMPI)
 	}
-	return true
 }
 
 // accumulate closes the region's outermost nesting level at the given
 // clock and MPI total, splitting the elapsed time into useful and MPI time;
 // rs.mu is held.
-func (rs *rankState) accumulate(reg *Region, now, mpiTotal int64) {
+func (rs *rankState) accumulate(reg *region, now, mpiTotal int64) {
 	rs.openCount--
 	elapsed := max(now-reg.start, 0)
 	mpiDuring := min(max(mpiTotal-reg.mpiSnap, 0), elapsed)
@@ -339,7 +284,7 @@ func (rs *rankState) accumulate(reg *Region, now, mpiTotal int64) {
 // CloseOpen balances the dangling starts of the named region on every rank
 // with synthetic stops: the full nesting depth is closed at the rank's last
 // observed TALP activity timestamp, the elapsed/MPI split is accumulated
-// exactly as a real Stop would, and the open count is corrected. It returns
+// exactly as a real Exit would, and the open count is corrected. It returns
 // the number of dangling starts balanced.
 //
 // It is safe to call while other ranks measure (per-rank locking); the
@@ -366,23 +311,6 @@ func (m *Monitor) OpenCount(rank int) int {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	return rs.openCount
-}
-
-// Listing-2-compatible aliases (DLB API surface).
-
-// MonitoringRegionRegister mirrors DLB_MonitoringRegionRegister.
-func (m *Monitor) MonitoringRegionRegister(r *mpi.Rank, name string) (*Region, error) {
-	return m.Register(r, name)
-}
-
-// MonitoringRegionStart mirrors DLB_MonitoringRegionStart.
-func (m *Monitor) MonitoringRegionStart(r *mpi.Rank, reg *Region) error {
-	return m.Start(r, reg)
-}
-
-// MonitoringRegionStop mirrors DLB_MonitoringRegionStop.
-func (m *Monitor) MonitoringRegionStop(r *mpi.Rank, reg *Region) error {
-	return m.Stop(r, reg)
 }
 
 // RegionReport is the per-region summary.

@@ -24,15 +24,13 @@ func TestRegisterRequiresMPIInit(t *testing.T) {
 	w := newWorld(t, 1)
 	m := New(w, Options{})
 	err := w.Run(func(r *mpi.Rank) error {
-		if _, err := m.Register(r, "early"); err == nil {
-			t.Error("registration before MPI_Init should fail")
-		}
+		m.Enter(r, "early")
+		m.Exit(r, "early")
 		if err := r.Init(); err != nil {
 			return err
 		}
-		if _, err := m.Register(r, "late"); err != nil {
-			t.Errorf("registration after MPI_Init failed: %v", err)
-		}
+		m.Enter(r, "late")
+		m.Exit(r, "late")
 		return r.Finalize()
 	})
 	if err != nil {
@@ -41,6 +39,12 @@ func TestRegisterRequiresMPIInit(t *testing.T) {
 	rep := m.Report()
 	if len(rep.FailedPreInit) != 1 || rep.FailedPreInit[0] != "early" {
 		t.Fatalf("failed pre-init = %v", rep.FailedPreInit)
+	}
+	if rep.Region("early") != nil {
+		t.Fatal("region entered before MPI_Init was recorded")
+	}
+	if late := rep.Region("late"); late == nil || late.Visits != 1 {
+		t.Fatalf("late region = %+v, want 1 visit", late)
 	}
 }
 
@@ -51,13 +55,7 @@ func TestRegionAccounting(t *testing.T) {
 		if err := r.Init(); err != nil {
 			return err
 		}
-		reg, err := m.Register(r, "solver")
-		if err != nil {
-			return err
-		}
-		if err := m.Start(r, reg); err != nil {
-			return err
-		}
+		m.Enter(r, "solver")
 		// Rank 0 computes 10ms, rank 1 computes 2ms, then both barrier:
 		// rank 1 waits ~8ms in MPI.
 		work := int64(2)
@@ -68,9 +66,7 @@ func TestRegionAccounting(t *testing.T) {
 		if err := r.Barrier(); err != nil {
 			return err
 		}
-		if err := m.Stop(r, reg); err != nil {
-			return err
-		}
+		m.Exit(r, "solver")
 		return r.Finalize()
 	})
 	if err != nil {
@@ -113,30 +109,16 @@ func TestNestedAndOverlappingRegions(t *testing.T) {
 		if err := r.Init(); err != nil {
 			return err
 		}
-		outer, _ := m.Register(r, "outer")
-		inner, _ := m.Register(r, "inner")
-		if err := m.Start(r, outer); err != nil {
-			return err
-		}
+		m.Enter(r, "outer")
 		r.Clock().Advance(vtime.Millisecond)
-		if err := m.Start(r, inner); err != nil { // nested
-			return err
-		}
+		m.Enter(r, "inner") // nested
 		r.Clock().Advance(vtime.Millisecond)
 		// Recursive re-entry of outer: depth only.
-		if err := m.Start(r, outer); err != nil {
-			return err
-		}
+		m.Enter(r, "outer")
 		r.Clock().Advance(vtime.Millisecond)
-		if err := m.Stop(r, outer); err != nil {
-			return err
-		}
-		if err := m.Stop(r, inner); err != nil { // overlap: inner closes after outer's re-entry
-			return err
-		}
-		if err := m.Stop(r, outer); err != nil {
-			return err
-		}
+		m.Exit(r, "outer")
+		m.Exit(r, "inner") // overlap: inner closes after outer's re-entry
+		m.Exit(r, "outer")
 		return r.Finalize()
 	})
 	if err != nil {
@@ -157,59 +139,6 @@ func TestNestedAndOverlappingRegions(t *testing.T) {
 	}
 }
 
-func TestStopWithoutStartFails(t *testing.T) {
-	w := newWorld(t, 1)
-	m := New(w, Options{})
-	err := w.Run(func(r *mpi.Rank) error {
-		if err := r.Init(); err != nil {
-			return err
-		}
-		reg, _ := m.Register(r, "x")
-		if err := m.Stop(r, reg); err == nil {
-			t.Error("Stop without Start should fail")
-		}
-		if err := m.Stop(r, nil); err == nil {
-			t.Error("Stop(nil) should fail")
-		}
-		if err := m.Start(r, nil); err == nil {
-			t.Error("Start(nil) should fail")
-		}
-		return r.Finalize()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDLBAliases(t *testing.T) {
-	w := newWorld(t, 1)
-	m := New(w, Options{})
-	err := w.Run(func(r *mpi.Rank) error {
-		if err := r.Init(); err != nil {
-			return err
-		}
-		// Listing 2 of the paper.
-		handle, err := m.MonitoringRegionRegister(r, "foo")
-		if err != nil {
-			return err
-		}
-		if err := m.MonitoringRegionStart(r, handle); err != nil {
-			return err
-		}
-		r.Clock().Advance(vtime.Millisecond)
-		if err := m.MonitoringRegionStop(r, handle); err != nil {
-			return err
-		}
-		return r.Finalize()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Report().Region("foo") == nil {
-		t.Fatal("foo region missing")
-	}
-}
-
 func TestPerOpenRegionMPICost(t *testing.T) {
 	// Two identical runs, one with regions open during the MPI call: the
 	// open-region run must consume more virtual time.
@@ -221,26 +150,16 @@ func TestPerOpenRegionMPICost(t *testing.T) {
 			if err := r.Init(); err != nil {
 				return err
 			}
-			var regs []*Region
 			for i := 0; i < openRegions; i++ {
-				reg, err := m.Register(r, fmt.Sprintf("r%d", i))
-				if err != nil {
-					return err
-				}
-				if err := m.Start(r, reg); err != nil {
-					return err
-				}
-				regs = append(regs, reg)
+				m.Enter(r, fmt.Sprintf("r%d", i))
 			}
 			for i := 0; i < 100; i++ {
 				if err := r.Barrier(); err != nil {
 					return err
 				}
 			}
-			for _, reg := range regs {
-				if err := m.Stop(r, reg); err != nil {
-					return err
-				}
+			for i := 0; i < openRegions; i++ {
+				m.Exit(r, fmt.Sprintf("r%d", i))
 			}
 			if err := r.Finalize(); err != nil {
 				return err
@@ -269,22 +188,9 @@ func TestReentryBugEmulation(t *testing.T) {
 		if err := r.Init(); err != nil {
 			return err
 		}
-		failures := 0
 		for i := 0; i < 40; i++ {
-			reg, err := m.Register(r, fmt.Sprintf("region%03d", i))
-			if err != nil {
-				return err
-			}
-			if err := m.Start(r, reg); err != nil {
-				failures++
-				continue
-			}
-			if err := m.Stop(r, reg); err != nil {
-				return err
-			}
-		}
-		if failures == 0 {
-			t.Error("bug emulation produced no failures")
+			m.Enter(r, fmt.Sprintf("region%03d", i))
+			m.Exit(r, fmt.Sprintf("region%03d", i))
 		}
 		return r.Finalize()
 	})
@@ -293,7 +199,12 @@ func TestReentryBugEmulation(t *testing.T) {
 	}
 	rep := m.Report()
 	if len(rep.FailedEntries) == 0 {
-		t.Fatal("failed entries missing from report")
+		t.Fatal("bug emulation produced no failed entries")
+	}
+	for _, name := range rep.FailedEntries {
+		if rep.Region(name) != nil {
+			t.Fatalf("region %s failed its only entry but was recorded", name)
+		}
 	}
 	// Default mode: no failures.
 	w2 := newWorld(t, 1)
@@ -303,21 +214,16 @@ func TestReentryBugEmulation(t *testing.T) {
 			return err
 		}
 		for i := 0; i < 40; i++ {
-			reg, _ := m2.Register(r, fmt.Sprintf("region%03d", i))
-			if err := m2.Start(r, reg); err != nil {
-				return err
-			}
-			if err := m2.Stop(r, reg); err != nil {
-				return err
-			}
+			m2.Enter(r, fmt.Sprintf("region%03d", i))
+			m2.Exit(r, fmt.Sprintf("region%03d", i))
 		}
 		return r.Finalize()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m2.Report().FailedEntries) != 0 {
-		t.Fatal("default mode must not fail region entries")
+	if rep := m2.Report(); len(rep.FailedEntries) != 0 || len(rep.Regions) != 41 {
+		t.Fatalf("default mode: %d failed entries, %d regions; want 0 and 41 (global included)", len(rep.FailedEntries), len(rep.Regions))
 	}
 }
 
@@ -328,10 +234,9 @@ func TestReportOutputs(t *testing.T) {
 		if err := r.Init(); err != nil {
 			return err
 		}
-		reg, _ := m.Register(r, "Amul")
-		_ = m.Start(r, reg)
+		m.Enter(r, "Amul")
 		r.Clock().Advance(vtime.Millisecond)
-		_ = m.Stop(r, reg)
+		m.Exit(r, "Amul")
 		return r.Finalize()
 	})
 	if err != nil {
@@ -367,10 +272,13 @@ func TestRegisterIdempotent(t *testing.T) {
 		if err := r.Init(); err != nil {
 			return err
 		}
-		a, _ := m.Register(r, "same")
-		b, _ := m.Register(r, "same")
-		if a != b {
-			t.Error("same-name registration should return the same handle")
+		before := r.Clock().Now()
+		m.Enter(r, "same")
+		m.Exit(r, "same")
+		m.Enter(r, "same")
+		m.Exit(r, "same")
+		if got, want := r.Clock().Now()-before, registerCost+2*(startCost+stopCost); got != want {
+			t.Errorf("two entries cost %d, want one registration and two start/stop pairs (%d)", got, want)
 		}
 		return r.Finalize()
 	})
@@ -493,7 +401,8 @@ func TestReentryBugCountsPerRank(t *testing.T) {
 }
 
 // TestCloseOpenByName: CloseOpen balances a named region's dangling starts
-// on every rank, and an unknown name closes nothing.
+// on every rank, an unknown name closes nothing, and an exit after the
+// close changes nothing.
 func TestCloseOpenByName(t *testing.T) {
 	w := newWorld(t, 2)
 	m := New(w, Options{})
@@ -518,5 +427,13 @@ func TestCloseOpenByName(t *testing.T) {
 		if got := m.OpenCount(rank); got != 1 {
 			t.Errorf("rank %d: %d regions open, want 1 (global)", rank, got)
 		}
+	}
+	// A late exit of the closed region is a stop without a start: ignored,
+	// so the next entry opens the region again.
+	r0 := w.Ranks()[0]
+	m.Exit(r0, "kernel")
+	m.Enter(r0, "kernel")
+	if got := m.OpenCount(0); got != 2 {
+		t.Fatalf("rank 0: %d regions open after exit-then-enter, want 2", got)
 	}
 }

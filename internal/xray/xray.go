@@ -99,8 +99,8 @@ type Trampoline struct {
 	PositionIndependent bool
 }
 
-// Stats counts patching work for the init-time cost model and for the
-// live-reconfiguration batch path.
+// Stats counts the patching work of one PatchBatch call, for the init-time
+// cost model and the live-reconfiguration report.
 type Stats struct {
 	PatchedSleds   int64
 	UnpatchedSleds int64
@@ -148,7 +148,6 @@ type Runtime struct {
 	patchMu sync.Mutex
 
 	handler atomic.Value // of Handler
-	stats   Stats        //capi:guardedby mu
 }
 
 // NewRuntime creates the runtime for a process: the executable is
@@ -311,20 +310,6 @@ func (rt *Runtime) Dispatch(tc ThreadCtx, id int32, kind EntryType) {
 	}
 }
 
-// setSleds patches or unpatches all sleds of one function, performing the
-// mprotect dance on the containing pages.
-func (rt *Runtime) setSleds(st *objectState, fn uint32, patched bool) error {
-	sleds := st.lo.Image.FuncSleds(fn)
-	if len(sleds) == 0 {
-		return fmt.Errorf("xray: object %q has no sleds for function %d", st.lo.Image.Name, fn)
-	}
-	rt.patchMu.Lock()
-	defer rt.patchMu.Unlock()
-	delta, err := rt.writeWindow(st, sleds, patched)
-	rt.addStats(delta)
-	return err
-}
-
 // writeWindow opens one mprotect window spanning the given sleds of one
 // object, rewrites them, and restores the protection. Callers hold patchMu.
 func (rt *Runtime) writeWindow(st *objectState, sleds []int, patched bool) (Stats, error) {
@@ -363,19 +348,12 @@ func (rt *Runtime) writeWindow(st *objectState, sleds []int, patched bool) (Stat
 	return delta, firstErr
 }
 
-func (rt *Runtime) addStats(delta Stats) {
-	rt.mu.Lock()
-	rt.stats.Add(delta)
-	rt.mu.Unlock()
-}
-
 // PatchBatch patches (or unpatches) many functions under coalesced mprotect
 // windows: the sleds of all requested functions are grouped per object and
 // per run of contiguous text pages, so one protection open/close window
-// covers every sled on those pages — the batch equivalent of setSleds that
-// makes live re-selection cheap (one window per dirty page run instead of
-// two mprotect calls per function). It returns the stats delta of this
-// batch; the delta is also accumulated into the runtime's Stats.
+// covers every sled on those pages — one window per dirty page run instead
+// of two mprotect calls per function, which makes live re-selection cheap.
+// It returns this batch's stats; the runtime keeps no total across batches.
 //
 // All IDs are validated before any sled is touched, so an invalid ID leaves
 // the sled state unchanged.
@@ -460,7 +438,6 @@ func (rt *Runtime) PatchBatch(ids []int32, patch bool) (Stats, error) {
 			start = end
 		}
 	}
-	rt.addStats(delta)
 	return delta, firstErr
 }
 
@@ -487,24 +464,6 @@ func (rt *Runtime) objectFor(id int32) (*objectState, uint32, error) {
 	return st, fn, nil
 }
 
-// PatchFunction rewrites the sleds of one function to call the trampoline.
-func (rt *Runtime) PatchFunction(id int32) error {
-	st, fn, err := rt.objectFor(id)
-	if err != nil {
-		return err
-	}
-	return rt.setSleds(st, fn, true)
-}
-
-// UnpatchFunction restores the NOP sleds of one function.
-func (rt *Runtime) UnpatchFunction(id int32) error {
-	st, fn, err := rt.objectFor(id)
-	if err != nil {
-		return err
-	}
-	return rt.setSleds(st, fn, false)
-}
-
 // Patched reports whether the entry sled of the given function is patched.
 func (rt *Runtime) Patched(id int32) bool {
 	st, fn, err := rt.objectFor(id)
@@ -517,43 +476,4 @@ func (rt *Runtime) Patched(id int32) bool {
 		}
 	}
 	return false
-}
-
-// PatchAll patches every sled of every registered object ("xray full"). It
-// returns the number of functions patched.
-func (rt *Runtime) PatchAll() (int, error) {
-	return rt.setAll(true)
-}
-
-// UnpatchAll restores every sled of every registered object.
-func (rt *Runtime) UnpatchAll() (int, error) {
-	return rt.setAll(false)
-}
-
-func (rt *Runtime) setAll(patched bool) (int, error) {
-	rt.mu.Lock()
-	states := make([]*objectState, 0, len(rt.objID))
-	for id := 0; id <= MaxDSOs; id++ {
-		if rt.objects[id] != nil {
-			states = append(states, rt.objects[id])
-		}
-	}
-	rt.mu.Unlock()
-	n := 0
-	for _, st := range states {
-		for fn := uint32(0); fn < st.lo.Image.NumFuncIDs; fn++ {
-			if err := rt.setSleds(st, fn, patched); err != nil {
-				return n, err
-			}
-			n++
-		}
-	}
-	return n, nil
-}
-
-// Stats returns a snapshot of the patching statistics.
-func (rt *Runtime) Stats() Stats {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.stats
 }

@@ -131,7 +131,8 @@ func TestPatchUnpatchFunction(t *testing.T) {
 	if rt.Patched(id) {
 		t.Fatal("freshly loaded sleds must be NOP")
 	}
-	if err := rt.PatchFunction(id); err != nil {
+	patched, err := rt.PatchBatch([]int32{id}, true)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !rt.Patched(id) {
@@ -141,15 +142,15 @@ func TestPatchUnpatchFunction(t *testing.T) {
 	if err := lib.WriteSled(0, true); err == nil {
 		t.Fatal("text should be read-exec again after patching")
 	}
-	if err := rt.UnpatchFunction(id); err != nil {
+	unpatched, err := rt.PatchBatch([]int32{id}, false)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if rt.Patched(id) {
 		t.Fatal("function should be unpatched")
 	}
-	st := rt.Stats()
-	if st.PatchedSleds != 2 || st.UnpatchedSleds != 2 || st.MprotectCalls < 4 {
-		t.Fatalf("stats = %+v", st)
+	if patched.PatchedSleds != 2 || unpatched.UnpatchedSleds != 2 || patched.MprotectCalls+unpatched.MprotectCalls < 4 {
+		t.Fatalf("stats = %+v / %+v", patched, unpatched)
 	}
 }
 
@@ -157,44 +158,16 @@ func TestPatchErrors(t *testing.T) {
 	_, rt := newProc(t, 1, 2)
 	// Unregistered object.
 	bad, _ := PackID(7, 0)
-	if err := rt.PatchFunction(bad); err == nil || !strings.Contains(err.Error(), "not registered") {
+	if _, err := rt.PatchBatch([]int32{bad}, true); err == nil || !strings.Contains(err.Error(), "not registered") {
 		t.Fatalf("err = %v", err)
 	}
 	// Function ID out of range.
 	bad2, _ := PackID(0, 99)
-	if err := rt.PatchFunction(bad2); err == nil || !strings.Contains(err.Error(), "no function ID") {
+	if _, err := rt.PatchBatch([]int32{bad2}, true); err == nil || !strings.Contains(err.Error(), "no function ID") {
 		t.Fatalf("err = %v", err)
 	}
 	if rt.Patched(bad2) {
 		t.Fatal("out-of-range id cannot be patched")
-	}
-}
-
-func TestPatchAll(t *testing.T) {
-	_, rt := newProc(t, 2, 3)
-	n, err := rt.PatchAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 9 { // 3 objects x 3 functions
-		t.Fatalf("patched %d functions, want 9", n)
-	}
-	for id, lo := range rt.Objects() {
-		for fn := uint32(0); fn < lo.Image.NumFuncIDs; fn++ {
-			packed, _ := PackID(id, fn)
-			if !rt.Patched(packed) {
-				t.Fatalf("object %d fn %d not patched", id, fn)
-			}
-		}
-	}
-	if _, err := rt.UnpatchAll(); err != nil {
-		t.Fatal(err)
-	}
-	for id := range rt.Objects() {
-		packed, _ := PackID(id, 0)
-		if rt.Patched(packed) {
-			t.Fatal("still patched after UnpatchAll")
-		}
 	}
 }
 
@@ -345,12 +318,14 @@ func TestPatchBatchCoalescesPages(t *testing.T) {
 	// two text pages and one batch window must cover dozens of them.
 	const n = 128
 	_, single := newProc(t, 0, n)
+	var singleCalls int64 // 2 per function
 	for _, id := range batchIDs(t, 0, n) {
-		if err := single.PatchFunction(id); err != nil {
+		d, err := single.PatchBatch([]int32{id}, true)
+		if err != nil {
 			t.Fatal(err)
 		}
+		singleCalls += d.MprotectCalls
 	}
-	singleCalls := single.Stats().MprotectCalls // 2 per function
 
 	_, batch := newProc(t, 0, n)
 	delta, err := batch.PatchBatch(batchIDs(t, 0, n), true)
@@ -420,17 +395,14 @@ func TestPatchBatchRoundTripRestoresPristineSleds(t *testing.T) {
 	if err := exe.WriteSled(0, true); err == nil {
 		t.Fatal("text writable after PatchBatch — protection not restored")
 	}
-	st := rt.Stats()
-	if st.BatchCalls != 3 {
-		t.Fatalf("accumulated batch calls = %d, want 3", st.BatchCalls)
-	}
 }
 
 func TestPatchBatchValidatesBeforePatching(t *testing.T) {
 	_, rt := newProc(t, 0, 4)
 	bad, _ := PackID(9, 0) // unregistered object
 	ids := append(batchIDs(t, 0, 4), bad)
-	if _, err := rt.PatchBatch(ids, true); err == nil {
+	delta, err := rt.PatchBatch(ids, true)
+	if err == nil {
 		t.Fatal("batch with invalid ID must fail")
 	}
 	for _, id := range batchIDs(t, 0, 4) {
@@ -438,8 +410,8 @@ func TestPatchBatchValidatesBeforePatching(t *testing.T) {
 			t.Fatal("failed batch must leave sleds untouched")
 		}
 	}
-	if st := rt.Stats(); st.MprotectCalls != 0 || st.PatchedSleds != 0 {
-		t.Fatalf("failed batch accounted work: %+v", st)
+	if delta != (Stats{}) {
+		t.Fatalf("failed batch accounted work: %+v", delta)
 	}
 }
 
