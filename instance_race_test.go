@@ -15,6 +15,61 @@ excluded = join(inSystemHeader(%%), inlineSpecified(%%))
 coarse(subtract(%mpi_comm, %excluded))
 `
 
+// reselectGate is a test backend placed before the measured backends. Once
+// armed, the next enter waits until a Reconfigure that returns after that
+// enter has applied a re-selection, so the phase it belongs to provably
+// runs across one, however fast or loaded the host. A process-wide
+// singleton like ctlGate: the registry builds backends by name.
+type reselectGate struct {
+	armed   atomic.Bool
+	mu      sync.Mutex
+	waiting chan struct{} // closed by the next re-selection to return
+	stuck   atomic.Bool   // a wait timed out: no re-selection landed mid-phase
+}
+
+var reselect = &reselectGate{}
+
+func init() {
+	capi.RegisterBackend("reselect-gate", func(capi.BackendConfig) (capi.MeasurementBackend, error) {
+		return reselect, nil
+	})
+}
+
+// applied is called after every Reconfigure that returned: it releases the
+// enter waiting for one, if any.
+func (g *reselectGate) applied() {
+	g.mu.Lock()
+	if g.waiting != nil {
+		close(g.waiting)
+		g.waiting = nil
+	}
+	g.mu.Unlock()
+}
+
+func (g *reselectGate) OnEnter(capi.ThreadCtx, *capi.ResolvedFunc) {
+	if !g.armed.CompareAndSwap(true, false) {
+		return
+	}
+	wait := make(chan struct{})
+	g.mu.Lock()
+	g.waiting = wait
+	g.mu.Unlock()
+	// Only a safety net: a Reconfigure that cannot land mid-phase would
+	// otherwise hang the test instead of failing it.
+	select {
+	case <-wait:
+	case <-time.After(30 * time.Second):
+		g.stuck.Store(true)
+	}
+}
+
+func (g *reselectGate) Name() string                              { return "reselect-gate" }
+func (g *reselectGate) OnExit(capi.ThreadCtx, *capi.ResolvedFunc) {}
+func (g *reselectGate) InitCost(int) int64                        { return 0 }
+func (g *reselectGate) Events() capi.EventBackend                 { return g }
+func (g *reselectGate) StartPhase(*capi.World) error              { return nil }
+func (g *reselectGate) Report() capi.Report                       { return nil }
+
 // TestInstanceConcurrentControlPlane is the regression test for the
 // instance-level data races the HTTP control plane depends on: Run used to
 // swap mon/meas/traceBuf and bill pendingNs unsynchronized, and TraceReport
@@ -22,6 +77,11 @@ coarse(subtract(%mpi_comm, %excluded))
 // goroutines hammer the instance — one flipping the selection back and
 // forth with Reconfigure, one scraping Status and the live reports — while
 // phases execute. Run with -race.
+//
+// The reselect gate orders the re-selections against the phases: phase
+// 2's first enter waits until a Reconfigure returns, so every run applies
+// one mid-phase, where the goroutine used to be able to start only after
+// the last phase on a loaded host.
 func TestInstanceConcurrentControlPlane(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -45,10 +105,12 @@ func TestInstanceConcurrentControlPlane(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			inst, err := s.Start(wide, capi.RunOptions{Backends: c.backends, Ranks: 2})
+			backends := append([]string{"reselect-gate"}, c.backends...)
+			inst, err := s.Start(wide, capi.RunOptions{Backends: backends, Ranks: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
+			reselect.stuck.Store(false)
 
 			done := make(chan struct{})
 			var wg sync.WaitGroup
@@ -69,6 +131,7 @@ func TestInstanceConcurrentControlPlane(t *testing.T) {
 						t.Errorf("reconfigure: %v", err)
 						return
 					}
+					reselect.applied()
 				}
 			}()
 			go func() {
@@ -84,8 +147,8 @@ func TestInstanceConcurrentControlPlane(t *testing.T) {
 						t.Errorf("status = %+v", st)
 						return
 					}
-					if len(st.Backends) != len(c.backends) {
-						t.Errorf("status backends = %v, want %v", st.Backends, c.backends)
+					if len(st.Backends) != len(backends) {
+						t.Errorf("status backends = %v, want %v", st.Backends, backends)
 						return
 					}
 					inst.Reports()
@@ -94,6 +157,7 @@ func TestInstanceConcurrentControlPlane(t *testing.T) {
 			}()
 
 			for phase := 0; phase < 3; phase++ {
+				reselect.armed.Store(phase == 1)
 				if _, err := inst.Run(); err != nil {
 					t.Fatal(err)
 				}
@@ -101,6 +165,9 @@ func TestInstanceConcurrentControlPlane(t *testing.T) {
 			close(done)
 			wg.Wait()
 
+			if reselect.stuck.Load() {
+				t.Fatal("phase 2 waited 30 s for a re-selection that never landed")
+			}
 			st := inst.Status()
 			if st.Runs != 3 || st.Running {
 				t.Fatalf("final status = %+v", st)

@@ -161,3 +161,50 @@ func TestFanoutTruncatedBodyClassifiedByStatus(t *testing.T) {
 		t.Fatalf("truncated 200 result = %+v, want applied with status 200 and no relayed body", fr.Applied)
 	}
 }
+
+// TestFanoutRetryRelaysOnlyItsOwnReply pins that a member result describes
+// one attempt. The member answers the first select with a 503 and a JSON
+// body, then drops the connection of the retry: the result is the retry's
+// transport failure, with no status and without the 503's body, which used
+// to stay relayed beside the EOF error. The member answers its event
+// stream with 404, since the coordinator's tailer asks for it first.
+func TestFanoutRetryRelaysOnlyItsOwnReply(t *testing.T) {
+	var selects atomic.Int64
+	member := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/select" {
+			http.NotFound(w, r)
+			return
+		}
+		if selects.Add(1) == 1 {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusServiceUnavailable)
+			w.Write([]byte(`{"error": "busy"}`)) //nolint:errcheck
+			return
+		}
+		conn, _, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		conn.Close()
+	}))
+	t.Cleanup(member.Close)
+	opts := fastOpts()
+	opts.Members = []string{member.URL}
+	_, coordTS := newCoordinator(t, opts)
+
+	var fr fleet.FanoutResponse
+	if code := post(t, coordTS.URL+"/v1/select", "application/json", `{"builtin":"mpi"}`, &fr); code != http.StatusBadGateway {
+		t.Fatalf("fan-out: status %d, want 502", code)
+	}
+	if len(fr.Failed) != 1 {
+		t.Fatalf("fan-out: %+v, want 1 failure", fr)
+	}
+	got := fr.Failed[0]
+	if got.Attempts != 2 || got.Status != 0 || got.Error == "" {
+		t.Fatalf("result = %+v, want the second attempt's transport failure", got)
+	}
+	if len(got.Response) != 0 {
+		t.Errorf("result relays %s beside the error %q: the body of the earlier 503", got.Response, got.Error)
+	}
+}

@@ -331,7 +331,7 @@ func (s *Server) probeLoop() {
 		case <-t.C:
 		}
 		for _, m := range s.reg.snapshot() {
-			code, _, err := s.doMember(http.MethodGet, m.URL+"/v1/healthz", "", nil)
+			code, err := s.doMember(http.MethodGet, m.URL+"/v1/healthz", "", nil, new(bytes.Buffer))
 			if err != nil {
 				s.reg.setHealth(m.Name, false, err.Error(), false)
 			} else if code != http.StatusOK {
@@ -344,41 +344,44 @@ func (s *Server) probeLoop() {
 }
 
 // doMember sends one request to one member under the per-request timeout
-// and reads the bounded response. status is 0 when no response arrived; a
-// body-read failure after the status line keeps the status.
-func (s *Server) doMember(method, url, ctype string, body []byte) (status int, respBody []byte, err error) {
+// and reads the bounded response into an empty buffer. status is 0 when no
+// response arrived; a body-read failure after the status line keeps the
+// status and empties the buffer.
+func (s *Server) doMember(method, url, ctype string, body []byte, into *bytes.Buffer) (status int, err error) {
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.opts.Timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	if ctype != "" {
 		req.Header.Set("Content-Type", ctype)
 	}
 	resp, err := s.client.Do(req)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	defer resp.Body.Close()
-	respBody, err = io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
-	if err != nil {
-		return resp.StatusCode, nil, err
+	if _, err := into.ReadFrom(io.LimitReader(resp.Body, maxBodyBytes)); err != nil {
+		into.Reset()
+		return resp.StatusCode, err
 	}
-	return resp.StatusCode, respBody, nil
+	return resp.StatusCode, nil
 }
 
 // memberJSON GETs path from one member and decodes the 200 body into v.
 // status is what the member answered, 0 when it did not.
 func (s *Server) memberJSON(m memberSnap, path string, v any) (status int, err error) {
-	status, body, err := s.doMember(http.MethodGet, m.URL+path, "", nil)
+	body := getBuffer()
+	defer putBuffer(body)
+	status, err = s.doMember(http.MethodGet, m.URL+path, "", nil, body)
 	if err != nil {
 		return status, err
 	}
 	if status != http.StatusOK {
 		return status, fmt.Errorf("status %d from member", status)
 	}
-	if err := json.Unmarshal(body, v); err != nil {
+	if err := json.Unmarshal(body.Bytes(), v); err != nil {
 		return status, fmt.Errorf("decoding member %s: %v", path, err)
 	}
 	return status, nil

@@ -111,3 +111,13 @@ func (s *Server) tailOnce(ctx context.Context, m *member) bool {
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	s.hub.Stream(w, r, fmt.Sprintf("capi fleet mux, %d members", s.reg.count()))
 }
+
+// jsonOrNil relays b only when it is valid JSON — an event relayed on the
+// fleet stream is itself JSON, and a member sending a non-JSON payload
+// must not be able to corrupt it.
+func jsonOrNil(b []byte) json.RawMessage {
+	if json.Valid(b) {
+		return json.RawMessage(b)
+	}
+	return nil
+}
