@@ -239,17 +239,15 @@ func (i *Instance) buildBackends(names []string, world *mpi.World) ([]Measuremen
 	return backends, nil
 }
 
-// chain wires the event path every instance uses — at Start, on
-// SetBackends and on a breaker detach: the backends' sinks in delivery
-// order, then the tombstones of detached ones, then the adaptation
+// chain wires the event path every instance uses — at Start and on
+// SetBackends: the backends' sinks in delivery order, then the adaptation
 // controller, which observes what the sinks have already seen. A single
 // sink is its own chain; several share a Mux.
-func (i *Instance) chain(backends []MeasurementBackend, tombstones ...dyncapi.Backend) dyncapi.Backend {
-	sinks := make([]dyncapi.Backend, 0, len(backends)+len(tombstones)+1)
+func (i *Instance) chain(backends []MeasurementBackend) dyncapi.Backend {
+	sinks := make([]dyncapi.Backend, 0, len(backends)+1)
 	for _, mb := range backends {
 		sinks = append(sinks, mb.Events())
 	}
-	sinks = append(sinks, tombstones...)
 	if i.ctrl != nil {
 		sinks = append(sinks, i.ctrl)
 	}

@@ -4,10 +4,12 @@ package capi
 // internal/dyncapi/guard.go): every registry-built MeasurementBackend is
 // wrapped in a guardedBackend so its phase lifecycle (StartPhase, Report)
 // is recovered too, and a tripped circuit breaker auto-detaches the
-// backend from the live chain through the SwapBackend machinery — the
-// instrumented process never crashes because a measurement tool did.
+// backend from the instance — the instrumented process never crashes
+// because a measurement tool did.
 
 import (
+	"slices"
+
 	"capi/internal/dyncapi"
 )
 
@@ -30,14 +32,11 @@ type BreakerEvent struct {
 	// the most recent panic value.
 	Panics    int64  `json:"panics"`
 	LastPanic string `json:"lastPanic,omitempty"`
-	// Detached reports whether the backend was removed from the live event
-	// chain; it is false only when the trip came before the runtime
-	// existed or the swap failed. The backend leaves the phase lifecycle
-	// and the report set either way.
+	// Detached reports whether this trip removed the backend from the
+	// phase lifecycle and report set (false when a SetBackends did first).
+	// Its tripped guard stays in the live chain until the next SetBackends,
+	// counting every enter as DroppedPanicked.
 	Detached bool `json:"detached"`
-	// SyntheticExits counts the dangling enters closed when the detach
-	// swapped the backend out of the chain.
-	SyntheticExits int `json:"syntheticExits,omitempty"`
 }
 
 // guardedBackend wraps a registry-built backend: its event sink runs
@@ -115,45 +114,25 @@ func (i *Instance) SetBreakerNotify(fn func(BreakerEvent)) {
 	i.mu.Unlock()
 }
 
-// breakerDetach removes the tripped backend from the live instance: the
-// chain is swapped (via the SwapBackend diff machinery — it closes only the
-// departing backend's dangling state) to the remaining backends plus the
-// tripped guard's tombstone, which keeps the drop accounting exact for the
-// rest of the run.
+// breakerDetach removes the tripped backend from the instance's backend
+// set. Its guard stays in the live chain: an open breaker delivers nothing
+// and counts every enter as DroppedPanicked, so the books stay exact.
 func (i *Instance) breakerDetach(name string) BreakerEvent {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 
 	ev := BreakerEvent{Backend: name}
-	var tripped *guardedBackend
-	remaining := make([]MeasurementBackend, 0, len(i.backends))
-	for _, mb := range i.backends {
+	for k, mb := range i.backends {
 		gb, ok := mb.(*guardedBackend)
-		if tripped == nil && ok && gb.Name() == name && gb.g.Tripped() {
-			tripped = gb
+		if !ok || gb.Name() != name || !gb.g.Tripped() {
 			continue
 		}
-		remaining = append(remaining, mb)
+		st := gb.g.Stats()
+		ev.Panics, ev.LastPanic, ev.Detached = st.Panics, st.LastPanic, true
+		i.backends = slices.Delete(slices.Clone(i.backends), k, k+1)
+		i.detached = append(i.detached, name)
+		break
 	}
-	if tripped == nil {
-		// Already detached, or the backend set was swapped away underneath
-		// the trip goroutine. Nothing to do.
-		return ev
-	}
-	st := tripped.g.Stats()
-	ev.Panics, ev.LastPanic = st.Panics, st.LastPanic
-
-	// A trip during Start (a panicking InitCost or symbol injection) can
-	// land before the runtime exists.
-	if i.rt != nil {
-		if rep, err := i.rt.SwapBackend(i.chain(remaining, tripped.g.Tombstone())); err == nil {
-			i.pendingNs += rep.VirtualNs
-			ev.Detached = true
-			ev.SyntheticExits = rep.SyntheticExits
-		}
-	}
-	i.backends = remaining
-	i.detached = append(i.detached, name)
 	return ev
 }
 

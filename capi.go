@@ -395,8 +395,8 @@ type RunResult struct {
 	DroppedAsync int64
 	// DroppedPanicked is the cumulative count of enters the panic barriers
 	// swallowed (the enter that panicked, plus every enter arriving at an
-	// open breaker or a detached backend's tombstone), summed over every
-	// backend ever attached. It extends the per-backend conservation
+	// open breaker, a detached backend's tripped guard included), summed
+	// over every backend ever attached. It extends the per-backend conservation
 	// identity: for each backend,
 	// enters == delivered + sampledOut + suppressed + collapsed + droppedAsync + droppedPanicked,
 	// where "delivered" means delivered to the backend successfully.

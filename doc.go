@@ -50,9 +50,9 @@
 //	          exact, back-pressure drops whole pairs (DroppedAsync),
 //	          and the panic barrier (guard.go): every delivery into a
 //	          backend runs behind a recover with a per-backend circuit
-//	          breaker — a tripped backend is auto-detached and replaced
-//	          by a tombstone that keeps drop accounting (DroppedPanicked)
-//	          exact for the rest of the run
+//	          breaker — a tripped backend is auto-detached, and its open
+//	          breaker, left in the chain, keeps drop accounting
+//	          (DroppedPanicked) exact for the rest of the run
 //	capi      backend registry (RegisterBackend / RunOptions.Backends):
 //	          named factories behind the public MeasurementBackend
 //	          interface; the TALP, Score-P and Extrae built-ins are each
@@ -204,8 +204,9 @@
 //
 // Every delivery into a measurement backend runs behind a recover barrier
 // with a per-backend circuit breaker (RunOptions.PanicLimit): a backend
-// that keeps panicking is auto-detached mid-phase — its chain slot swaps
-// to a tombstone so the conservation identity gains exactly one term
+// that keeps panicking is auto-detached mid-phase — its tripped guard
+// stays in the chain and counts what it no longer delivers, so the
+// conservation identity gains exactly one term
 // (enters == delivered + sampledEvents + suppressedPairs + collapsedCalls
 // + droppedAsync + droppedPanicked) and stays exact — while the host
 // phase always runs to completion.

@@ -1,6 +1,7 @@
 package capi_test
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	capi "capi"
+	"capi/internal/prog"
 )
 
 // slowCountBackend is a registered backend that counts events and sleeps on
@@ -298,5 +300,68 @@ func TestSessionRunLeavesNoGoroutines(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > base {
 		t.Fatalf("%d goroutines after 5 async runs, %d before", n, base)
+	}
+}
+
+// TestDeepChainAsyncBalanced runs a 71-frame call chain (main → f1 → … →
+// f70), every frame instrumented, through the async pipeline: the ring's
+// pairing stack must carry every frame's decision past its inline 64, so
+// extrae, Score-P and TALP each see every enter closed.
+func TestDeepChainAsyncBalanced(t *testing.T) {
+	const frames = 71
+	p := prog.New("chain", "main")
+	p.MustAddUnit("chain.exe", prog.Executable)
+	p.MustAddUnit("libmpi.so.40", prog.SystemLibrary)
+	for _, name := range []string{"MPI_Init", "MPI_Finalize"} {
+		p.MustAddFunc(&prog.Function{Name: name, Unit: "libmpi.so.40", TU: "mpi.h", Statements: 6, SystemHeader: true})
+	}
+	for k := 0; k < frames; k++ {
+		name, ops := "main", []prog.Op{prog.MPICall("MPI_Init", 0), prog.Work(100)}
+		if k > 0 {
+			name, ops = fmt.Sprintf("f%d", k), []prog.Op{prog.Work(100)}
+		}
+		if k < frames-1 {
+			ops = append(ops, prog.Call(fmt.Sprintf("f%d", k+1), 1))
+		}
+		if k == 0 {
+			ops = append(ops, prog.MPICall("MPI_Finalize", 0))
+		}
+		p.MustAddFunc(&prog.Function{Name: name, Unit: "chain.exe", Statements: 30, Ops: ops})
+	}
+	s, err := capi.NewSession(p, capi.SessionOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run(nil, capi.RunOptions{PatchAll: true, Async: true, Ranks: 1,
+		Backends: []string{"extrae", "scorep", "talp"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := traceOf(res)
+	if len(tr.Ranks) != 1 || tr.Ranks[0].Enters != frames || tr.Ranks[0].Exits != frames {
+		t.Fatalf("extrae ranks = %+v, want %d enters and %d exits", tr.Ranks, frames, frames)
+	}
+	// A region closes, and counts its time, only at its exit: every frame
+	// of the chain must have spent at least its own work.
+	prof := profileOf(res)
+	for k := 0; k < frames; k++ {
+		name := "main"
+		if k > 0 {
+			name = fmt.Sprintf("f%d", k)
+		}
+		if r := prof.Region(name); r == nil || r.Visits != 1 || r.Inclusive < int64(100*(frames-k)) {
+			t.Fatalf("scorep region %s = %+v, want 1 visit of at least %d ns", name, r, 100*(frames-k))
+		}
+	}
+	// main enters before MPI_Init, so TALP registers f1 … f70 beside its
+	// own MPI Execution region.
+	talp := talpOf(res)
+	if len(talp.Regions) != frames {
+		t.Fatalf("talp reports %d regions, want %d", len(talp.Regions), frames)
+	}
+	for _, r := range talp.Regions {
+		if r.Visits != 1 || r.Elapsed <= 0 {
+			t.Fatalf("talp region %s = %d visits, %d ns elapsed, want 1 closed visit", r.Name, r.Visits, r.Elapsed)
+		}
 	}
 }

@@ -45,7 +45,7 @@ func init() {
 // with, for the panicking backend, droppedPanicked == delivered — not one
 // event ever reached it, and not one went unaccounted. Run with -race: a
 // status hammer runs concurrently and the mid-phase auto-detach exercises
-// the tombstone swap against live dispatch.
+// the detach against live dispatch.
 func TestPanickingBackendPhaseSurvives(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -115,7 +115,7 @@ func TestPanickingBackendPhaseSurvives(t *testing.T) {
 					time.Sleep(time.Millisecond)
 				}
 			}
-			// Second phase after the (possible) detach: the tombstone keeps
+			// Second phase after the (possible) detach: the tripped guard keeps
 			// the accounting exact and the healthy backend keeps measuring.
 			res, err := inst.Run()
 			close(done)
@@ -140,7 +140,7 @@ func TestPanickingBackendPhaseSurvives(t *testing.T) {
 					cnt.Enters, cnt.Delivered, cnt.SampledEvents, cnt.SuppressedPairs, cnt.CollapsedCalls, st.DroppedAsync)
 			}
 			// Nothing was ever delivered to the panicking backend, and every
-			// enter that reached its guard (or tombstone) was counted.
+			// enter that reached its guard was counted.
 			if st.DroppedPanicked != cnt.Delivered {
 				t.Fatalf("droppedPanicked = %d, want every delivered enter (%d)", st.DroppedPanicked, cnt.Delivered)
 			}

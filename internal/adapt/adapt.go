@@ -28,7 +28,9 @@
 // (Score-P, TALP) receive synthetic exits for those dangling enters under
 // the reconfigure lock, so no region stays open across a controller
 // decision. The controller's own duration estimator tolerates the lost
-// exits (an invocation without a completion never contributes to the mean).
+// exits (an invocation without a completion never contributes to the mean);
+// it is a Deselector too, and marks the calls a deselection leaves open
+// stale, so a re-added function's next invocation starts afresh.
 package adapt
 
 import (
@@ -143,6 +145,7 @@ type funcStat struct {
 	events      atomic.Int64
 	durNs       atomic.Int64 // inclusive ns of completed outermost invocations
 	epochEvents atomic.Int64
+	gen         atomic.Int64 // deselections; a call opened before the last is stale
 }
 
 // meanNs returns the mean inclusive duration of completed outermost
@@ -164,6 +167,7 @@ type rankState struct {
 type openCall struct {
 	depth   int
 	startNs int64
+	gen     int64 // funcStat.gen when the outermost frame opened
 }
 
 // Controller is the adaptive controller: a dyncapi.Backend that measures
@@ -320,11 +324,21 @@ func (c *Controller) OnEnter(tc xray.ThreadCtx, fn *dyncapi.ResolvedFunc) {
 		oc = &openCall{}
 		rs.open[fn.PackedID] = oc
 	}
-	if oc.depth == 0 {
-		oc.startNs = tc.Clock().Now()
+	if gen := st.gen.Load(); oc.depth == 0 || oc.gen != gen {
+		oc.depth, oc.startNs, oc.gen = 0, tc.Clock().Now(), gen
 	}
 	oc.depth++
 	c.maybeEpoch(tc)
+}
+
+// OnDeselect implements dyncapi.Deselector: a rank inside fn at its
+// deselection never fires fn's exit, so the new generation marks that open
+// call stale for the rank's next enter. It closes nothing.
+func (c *Controller) OnDeselect(fn *dyncapi.ResolvedFunc) int {
+	if v, ok := c.stats.Load(fn.PackedID); ok {
+		v.(*funcStat).gen.Add(1)
+	}
+	return 0
 }
 
 // OnExit implements dyncapi.Backend.

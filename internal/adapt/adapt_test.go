@@ -740,3 +740,36 @@ func TestLadderSurvivesModeRoundTrip(t *testing.T) {
 	}
 	agree("after the widening evaluation", false)
 }
+
+// TestReaddedFunctionCompletesAfterMidCallDeselect: a deselect that lands
+// while a rank is inside hot loses that invocation's exit. Once hot is
+// re-added, its next invocation on the rank must complete and count, with
+// no NewPhase in between — HTTP worker ranks never get one.
+func TestReaddedFunctionCompletesAfterMidCallDeselect(t *testing.T) {
+	b, proc, xr, rt, ctrl := twoFuncSetup(t, Options{Epoch: vtime.Second}, &dyncapi.CygBackend{})
+	hot := packedOf(t, b, xr, proc, "hot")
+	tc := &fakeCtx{rank: 1}
+	xr.Dispatch(tc, hot, xray.Entry)
+	if _, err := rt.Reconfigure(ic.New("app", "s", []string{"slow"})); err != nil {
+		t.Fatal(err)
+	}
+	xr.Dispatch(tc, hot, xray.Exit) // lost: hot is deselected
+	if _, err := rt.Reconfigure(ic.New("app", "s", []string{"hot", "slow"})); err != nil {
+		t.Fatal(err)
+	}
+	xr.Dispatch(tc, hot, xray.Entry)
+	tc.clk.Advance(2 * vtime.Millisecond)
+	xr.Dispatch(tc, hot, xray.Exit)
+
+	v, ok := ctrl.stats.Load(hot)
+	if !ok {
+		t.Fatal("no stats for hot")
+	}
+	st := v.(*funcStat)
+	if n := st.completions.Load(); n != 1 {
+		t.Fatalf("completions = %d, want 1: the re-added invocation never completed", n)
+	}
+	if mean := st.meanNs(); mean != 2*vtime.Millisecond {
+		t.Fatalf("mean = %dns, want %dns", mean, 2*vtime.Millisecond)
+	}
+}

@@ -32,8 +32,9 @@ type GuardOptions struct {
 	PanicLimit int
 	// OnTrip is called exactly once, on its own goroutine, when the
 	// breaker trips. It receives the guarded backend's name. Typically it
-	// detaches the backend from the live chain (capi.Instance swaps it
-	// for the guard's Tombstone so drop accounting stays exact).
+	// detaches the backend from the instance; the tripped guard itself stays
+	// in the live chain, delivering nothing and counting every enter as
+	// DroppedPanicked, so drop accounting stays exact.
 	OnTrip func(backend string)
 }
 
@@ -241,29 +242,6 @@ func (g *Guard) Stats() GuardStats {
 		LastPanic:       last,
 	}
 }
-
-// Tombstone returns a no-op Backend that keeps this guard's drop
-// accounting alive after the backend is detached from the chain: every
-// enter it sees is counted as DroppedPanicked, so the conservation
-// identity (enters == delivered + sampledOut + suppressed + collapsed +
-// droppedAsync + droppedPanicked) stays exact for the rest of the run.
-// Its identity differs from Sink()'s, so a swap that replaces the sink
-// with the tombstone closes the tripped backend's dangling state.
-func (g *Guard) Tombstone() Backend { return &tombstone{g: g} }
-
-// tombstone takes a detached backend's chain slot. Only the enter counter
-// does anything; InitCost is free (nothing is initialized).
-type tombstone struct{ g *Guard }
-
-func (t *tombstone) Name() string { return t.g.inner.Name() }
-
-//capi:hotpath
-func (t *tombstone) OnEnter(tc xray.ThreadCtx, fn *ResolvedFunc) { t.g.dropped.Add(1) }
-
-//capi:hotpath
-func (t *tombstone) OnExit(tc xray.ThreadCtx, fn *ResolvedFunc) {}
-
-func (t *tombstone) InitCost(symbolsScanned int) int64 { return 0 }
 
 // guardDS / guardSI / guardDSI are the capability-matched sink shapes:
 // one-word structs wrapping the Guard so that interface type assertions

@@ -212,36 +212,6 @@ func TestGuardLifecyclePathsRecover(t *testing.T) {
 	}
 }
 
-// TestGuardTombstone: the tombstone keeps a detached backend's drop
-// accounting alive — every enter counts as DroppedPanicked — and costs
-// nothing to "initialize".
-func TestGuardTombstone(t *testing.T) {
-	inner := &plainBackend{name: "dead"}
-	g := NewGuard(inner, GuardOptions{})
-	ts := g.Tombstone()
-	if ts.Name() != "dead" {
-		t.Fatalf("tombstone name = %q", ts.Name())
-	}
-	if cost := ts.InitCost(99); cost != 0 {
-		t.Fatalf("tombstone InitCost = %d, want 0", cost)
-	}
-	// Identity differs from the sink, so a swap from sink to tombstone
-	// diffs as departure+arrival and closes the dangling state.
-	if any(ts) == any(g.Sink()) {
-		t.Fatal("tombstone identity equals sink identity; swap diff would keep it")
-	}
-	for i := 0; i < 4; i++ {
-		ts.OnEnter(&fakeCtx{}, nil)
-		ts.OnExit(&fakeCtx{}, nil)
-	}
-	if got := g.Stats().DroppedPanicked; got != 4 {
-		t.Fatalf("tombstone dropped = %d, want 4 (enter units only)", got)
-	}
-	if inner.enters != 0 {
-		t.Fatal("tombstone delivered to the detached backend")
-	}
-}
-
 // TestSwapBackendIdentityDiff: a partial swap that keeps one mux child must
 // not close the kept child's state or re-charge its start-up cost; the
 // departing child closes its dangling state, and only the arriving child

@@ -28,10 +28,10 @@
 // Back-pressure. The ring is bounded. Admission happens at enter events
 // only, and reserves one slot for the exit of every currently open appended
 // enter, so the exit of an appended enter always fits — pairs are appended
-// whole or dropped whole. A dropped enter records its decision in a per-rank
-// bit stack (mirroring the sampler's pairing stack) so the matching exit is
-// silently skipped, and increments the rank's DroppedAsync counter once per
-// dropped pair. The conservation identity therefore survives asynchrony:
+// whole or dropped whole. Every enter records its decision in the rank's
+// pairStack, so the exit of a dropped enter is silently skipped at any
+// depth, and each dropped pair increments the rank's DroppedAsync counter
+// once. The conservation identity therefore survives asynchrony:
 //
 //	enters == delivered + sampledOut + suppressed + collapsed + droppedAsync
 //
@@ -97,15 +97,13 @@ type pipeShard struct {
 	// admission state. cachedTail is the producer's last-seen consumer
 	// position — admission re-reads the shared tail only when the cached
 	// view says the ring is too full, keeping the common-case append off
-	// the consumer-written line entirely. depth counts open enters, bits
-	// records appended(1)/dropped(0) per open enter (bit 0 innermost);
-	// nesting deeper than 64 sheds the oldest frames, like the sampler's
-	// decision stack — the simulated workloads never approach that.
+	// the consumer-written line entirely. pairs records appended/dropped
+	// per open enter; spill holds its words past 64 frames.
 	head       atomic.Uint64 // events appended (writer publishes after the slot write)
 	cachedTail uint64
-	depth      int
-	bits       uint64
-	_          [32]byte // keep the consumer-written tail off the producer's line
+	pairs      pairStack
+	spill      []uint64
+	_          [8]byte // keep the consumer-written tail off the producer's line
 
 	// Consumer-owned cache line.
 	tail atomic.Uint64 // events consumed (consumer publishes after delivery)
@@ -212,27 +210,23 @@ func (p *pipeline) append(tc xray.ThreadCtx, rf *ResolvedFunc, kind xray.EntryTy
 	s := p.shards[rank]
 	head := s.head.Load()
 	if kind == xray.Entry {
-		// Reserve a slot for this enter, its exit, and the exit of every
-		// open appended enter (depth over-counts dropped opens — a safe,
-		// branch-free over-reservation). The free-slot check runs against
-		// the producer's cached view of the consumer position first and
-		// touches the shared tail only when that view says the ring is too
-		// full — the consumer can only have moved forward, never back.
-		s.depth++
-		s.bits <<= 1
-		if uint64(len(s.ring))-(head-s.cachedTail) < uint64(s.depth)+2 {
+		// Reserve this enter, its exit, one spare and the exit of every open
+		// enter (counting dropped ones: a safe, branch-free over-reservation).
+		// The check runs against the producer's cached view of the consumer
+		// position first and touches the shared tail only when that view
+		// says the ring is too full — the consumer only moves forward.
+		need, fits := uint64(s.pairs.depth)+3, true
+		if uint64(len(s.ring))-(head-s.cachedTail) < need {
 			s.cachedTail = s.tail.Load()
-			if uint64(len(s.ring))-(head-s.cachedTail) < uint64(s.depth)+2 {
-				s.droppedPairs.Add(1)
-				return true
-			}
+			fits = uint64(len(s.ring))-(head-s.cachedTail) >= need
 		}
-		s.bits |= 1
+		s.pairs.push(fits, &s.spill)
+		if !fits {
+			s.droppedPairs.Add(1)
+			return true
+		}
 	} else {
-		if s.depth > 0 {
-			appended := s.bits&1 == 1
-			s.bits >>= 1
-			s.depth--
+		if appended, ok := s.pairs.pop(&s.spill); ok {
 			if !appended {
 				return true // its enter was dropped; the pair was counted there
 			}

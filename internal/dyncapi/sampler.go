@@ -193,8 +193,8 @@ const (
 	sampleFlagTimed  = 1 << 33
 )
 
-// Drop classes recorded (packed into the timestamp stack) so the exit can
-// attribute the measured duration exactly.
+// Drop classes recorded in a timed frame so the exit can attribute the
+// measured duration exactly.
 const (
 	clsDelivered = iota
 	clsSuppressed
@@ -202,12 +202,14 @@ const (
 	clsSampledOut
 )
 
-// Timestamp-stack entry layout: now<<18 | cls<<16 | depth.
-const (
-	sampleDepthMask  = 0xffff
-	sampleClsShift   = 16
-	sampleStartShift = 18
-)
+// sampleFrame is one invocation opened under a timed policy: its start, its
+// drop class and the frames open beneath it, which is how an exit knows
+// whether its own enter (timed policies only) pushed the innermost frame.
+type sampleFrame struct {
+	startNs int64
+	below   int
+	cls     uint8
+}
 
 // funcSampleState is one function's live sampling state: the atomically
 // readable policy fields plus per-rank decision/counter slots. States are
@@ -270,23 +272,15 @@ func (st *funcSampleState) setPolicy(p SamplePolicy) {
 // single-writer — only the rank's own goroutine executes handlers for that
 // rank — and are mirrored into pub every samplePublishWindow enters.
 type sampleSlot struct {
-	// depth counts open invocations; bits is the deliver-decision stack
-	// (bit 0 = innermost open invocation). Nesting deeper than 64 sheds
-	// the oldest frames; the simulated workloads never approach that.
-	depth int
-	bits  uint64
+	// pairs is the deliver-decision stack of the open invocations; its
+	// spill (outer frames past 64) lives in the padding below.
+	pairs pairStack
 	// ctr counts enters on this rank (the stride counter; also the total
 	// enter count the mirrors publish).
 	ctr uint64
-	// starts is the enter-timestamp stack, pushed only for timed policies
-	// (min-duration / redundancy). Each entry packs the virtual timestamp,
-	// the 2-bit drop class and the frame's nesting depth
-	// (now<<18 | cls<<16 | depth) — the depth match is how an exit knows
-	// whether its enter pushed a timestamp, without the fast path paying
-	// for a second pairing stack. The packing caps a timestamp at 2^45
-	// virtual ns (~9.8 virtual hours); rank clocks restart at zero every
-	// phase, so a single phase cannot approach it.
-	starts []int64
+	// starts is the timed-frame stack, pushed only for timed policies
+	// (min-duration / redundancy).
+	starts []sampleFrame
 	// lastDurNs is the most recent completed duration (-1 = none yet);
 	// lastEndNs the virtual time of the most recent exit.
 	lastDurNs int64
@@ -299,9 +293,11 @@ type sampleSlot struct {
 	// published mirrors, safe for concurrent readers.
 	pubEnters, pubSampledOut, pubSuppressed, pubCollapsed atomic.Int64
 	pubSuppressedNs, pubCollapsedNs                       atomic.Int64
+
+	spill []uint64 // pairs' words past 64 frames
 	// Pads to 192 bytes: the next rank's per-event depth and bits stay off
 	// these lines even 8 bytes past a line (the allocator's type header).
-	_ [40]byte
+	_ [16]byte
 }
 
 func (sl *sampleSlot) init() { sl.lastDurNs = -1 }
@@ -378,44 +374,38 @@ func (st *funcSampleState) admit(tc xray.ThreadCtx, kind xray.EntryType) bool {
 				sl.sampledOut++
 			}
 		}
-		// Record the decision so the matching exit follows it even if the
-		// policy changes in between (exact pairing across live rate
-		// changes).
-		sl.depth++
 		if flags&sampleFlagTimed != 0 {
 			deliver = st.admitTimedEnter(sl, tc, deliver)
 		}
-		sl.bits <<= 1
-		if deliver {
-			sl.bits |= 1
-		}
+		// Record the decision so the matching exit follows it even if the
+		// policy changes in between (exact pairing across live rate
+		// changes).
+		sl.pairs.push(deliver, &sl.spill)
 		if sl.ctr&(samplePublishWindow-1) == 0 {
 			sl.publish()
 		}
 		return deliver
 	}
-	if sl.depth == 0 {
+	deliver, ok := sl.pairs.pop(&sl.spill)
+	if !ok {
 		// The enter predates the sampler (policy installed mid-pair): it
 		// was delivered, so the exit must be too.
 		return true
 	}
-	deliver := sl.bits&1 == 1
-	if n := len(sl.starts); n > 0 && int(sl.starts[n-1]&sampleDepthMask) == sl.depth {
+	if n := len(sl.starts); n > 0 && sl.starts[n-1].below == sl.pairs.depth {
 		st.finishTimedExit(sl, tc)
 	}
-	sl.depth--
-	sl.bits >>= 1
 	return deliver
 }
 
 // admitTimedEnter is the out-of-line enter path for policies that need the
 // virtual clock (min-duration suppression, redundancy collapse). It pushes
-// the packed timestamp entry and refines the deliver decision. Called with
-// sl.depth already counting this frame.
+// the frame's timed record and refines the deliver decision. Called before
+// the frame's decision is pushed on sl.pairs.
 func (st *funcSampleState) admitTimedEnter(sl *sampleSlot, tc xray.ThreadCtx, deliver bool) bool {
 	now := tc.Clock().Now()
 	minDur := st.minDur.Load()
-	cls := clsDelivered
+	cls := uint8(clsDelivered)
 	if !deliver {
 		cls = clsSampledOut
 	} else {
@@ -436,25 +426,24 @@ func (st *funcSampleState) admitTimedEnter(sl *sampleSlot, tc xray.ThreadCtx, de
 			sl.suppressed++
 		}
 	}
-	//capi:hotpath-ok amortized per-rank timestamp stack: grows to the rank's max nesting depth once, then never again
-	sl.starts = append(sl.starts,
-		now<<sampleStartShift|int64(cls)<<sampleClsShift|int64(sl.depth&sampleDepthMask))
+	//capi:hotpath-ok amortized per-rank frame stack: grows to the rank's max nesting depth once, then never again
+	sl.starts = append(sl.starts, sampleFrame{startNs: now, below: sl.pairs.depth, cls: cls})
 	return deliver
 }
 
-// finishTimedExit pops the frame's packed timestamp entry, updates the
+// finishTimedExit pops the frame's timed record, updates the
 // duration prediction and attributes the measured duration to its drop
 // class — the exact accounting behind SuppressedNs/CollapsedNs: the pair's
 // true duration is measured from the rank's virtual clock even though the
 // pair was never delivered.
 func (st *funcSampleState) finishTimedExit(sl *sampleSlot, tc xray.ThreadCtx) {
-	packed := sl.starts[len(sl.starts)-1]
+	f := sl.starts[len(sl.starts)-1]
 	sl.starts = sl.starts[:len(sl.starts)-1]
 	now := tc.Clock().Now()
-	dur := now - packed>>sampleStartShift
+	dur := now - f.startNs
 	sl.lastDurNs = dur
 	sl.lastEndNs = now
-	switch (packed >> sampleClsShift) & 3 {
+	switch f.cls {
 	case clsSuppressed:
 		sl.suppressedNs += dur
 	case clsCollapsed:
