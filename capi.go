@@ -9,7 +9,6 @@ import (
 	"capi/internal/callgraph"
 	"capi/internal/compiler"
 	"capi/internal/core"
-	"capi/internal/deadline"
 	"capi/internal/dyncapi"
 	"capi/internal/exec"
 	"capi/internal/ic"
@@ -505,7 +504,6 @@ func (s *Session) Start(sel *Selection, opts RunOptions) (*Instance, error) {
 		return nil, err
 	}
 	inst := &Instance{s: s, opts: opts, proc: proc, xr: xr, world: world, curWorld: world, wallStart: time.Now()}
-	inst.ttl.loop = deadline.New(inst.ttlNext, inst.deliverExpiries)
 
 	var cfg *ic.Config
 	if sel != nil {
@@ -884,10 +882,10 @@ func (i *Instance) DrainPipeline() {
 }
 
 // Close tears the instance's background machinery down: the TTL scheduler
-// is stopped (pending reverts are dropped, not delivered), then the async
-// pipeline is drained and its consumer pool stopped. Must not be called
-// while a Run executes. A no-op for inline or uninstrumented instances;
-// safe to call more than once.
+// is stopped (pending reverts are dropped; one being delivered finishes
+// first), then the async pipeline is drained and its consumer pool
+// stopped. Must not be called while a Run executes. A no-op for inline or
+// uninstrumented instances; safe to call more than once.
 func (i *Instance) Close() {
 	i.ttlStop()
 	if i.rt != nil {

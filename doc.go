@@ -101,9 +101,6 @@
 //	          from concatenated per-member rank times — a unified /metrics
 //	          rendered from the members' status (member="…" first), and a
 //	          multiplexed SSE feed tailing every member's event stream
-//	deadline  the one lazily-started deadline timer goroutine: TTL'd
-//	          override reverts (ttl.go) and fleet heartbeat evictions
-//	          both supply next/fire and share the loop
 //	lint      stdlib-only static-analysis suite enforcing the //capi:
 //	          source annotations: hotpath (dispatch path must not
 //	          allocate/lock/block/hash), atomicfield (no mixed atomic/plain
@@ -196,9 +193,9 @@
 //
 // Instance.ReconfigureTTL and Instance.SetSamplingTTL install an override
 // that auto-reverts to the last explicit state when the TTL expires — the
-// revert is an ordinary Reconfigure/SetSampling delivered by a timer
-// goroutine that only exists while a revert is pending. Explicit calls
-// cancel pending reverts; overlapping TTLs keep the original base. Over
+// revert is an ordinary Reconfigure/SetSampling delivered by the pending
+// revert's own time.AfterFunc timer. Explicit calls cancel pending
+// reverts; overlapping TTLs keep the original base. Over
 // HTTP the same thing is a "ttl" field on POST /v1/select and
 // /v1/sampling, with the expiry streamed as an SSE "expired" event.
 //

@@ -508,7 +508,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(body) > 0 {
 		if err := json.Unmarshal(body, &req); err != nil {
-			WriteErr(w, http.StatusBadRequest, "decoding request: %v", err)
+			WriteFieldErr(w, http.StatusBadRequest, "body", "decoding request: %v", err)
 			return
 		}
 	}
@@ -628,7 +628,7 @@ type AdaptResponse struct {
 func (s *Server) handleAdapt(w http.ResponseWriter, r *http.Request) {
 	var req AdaptRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		WriteErr(w, BodyErrStatus(err), "decoding request: %v", err)
+		WriteFieldErr(w, BodyErrStatus(err), "body", "decoding request: %v", err)
 		return
 	}
 	var sloNs int64

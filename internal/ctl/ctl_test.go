@@ -905,6 +905,27 @@ func TestSamplingInvalidSpecLeavesStateUntouched(t *testing.T) {
 	assertUntouched("garbage body")
 }
 
+// TestMalformedBodyNamesBodyField posts a truncated JSON document to every
+// endpoint that decodes one: each answers 400 naming the "body" field, as
+// the package doc promises for every 400 a client can fix.
+func TestMalformedBodyNamesBodyField(t *testing.T) {
+	ts, _, _ := newServer(t, capi.Quickstart(), "quickstart",
+		capi.RunOptions{Backends: []string{"talp"}, Ranks: 2})
+	for _, path := range []string{"/v1/select", "/v1/sampling", "/v1/adapt", "/v1/run"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader("{"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s {: %d %s, want 400", path, resp.StatusCode, body)
+		} else if got := errorField(t, body); got != "body" {
+			t.Errorf("POST %s {: 400 names field %q, want \"body\" (body %s)", path, got, body)
+		}
+	}
+}
+
 // TestSelect400LeavesInstanceUntouched pins the /v1/select no-mutation
 // guarantee on *both* failure paths: a selection that fails to compile
 // must not apply an accompanying backend swap, and a backend swap that

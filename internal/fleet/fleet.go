@@ -9,10 +9,9 @@
 // Members are capi serve endpoints, discovered two ways: a static
 // -members list given at start-up, and dynamic self-registration
 // (POST /v1/fleet/register, re-POSTed as a heartbeat). A registered member
-// that misses its heartbeat TTL is evicted by a single lazily-started
-// timer goroutine (internal/deadline, shared with ttl.go: it exists only
-// while a dynamic member is registered); static members are never
-// evicted, only marked unhealthy by the /v1/healthz liveness prober.
+// that misses its heartbeat TTL is evicted by its own timer, which every
+// heartbeat resets; static members are never evicted, only marked
+// unhealthy by the /v1/healthz liveness prober.
 //
 // Endpoints:
 //
@@ -106,7 +105,7 @@ type Options struct {
 
 // Server is the coordinator. Create it with New, mount it on any
 // http.Server (it implements http.Handler), and Close it to stop the
-// eviction loop, the prober and every member tailer.
+// eviction timers, the prober and every member tailer.
 type Server struct {
 	opts    Options
 	reg     *registry
@@ -192,7 +191,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Close stops the eviction loop, the prober and every member tailer, and
+// Close stops the eviction timers, the prober and every member tailer, and
 // disconnects the SSE subscribers. It blocks until every goroutine the
 // coordinator started has exited — which is what the no-leak test pins.
 func (s *Server) Close() {

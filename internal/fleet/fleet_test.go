@@ -433,6 +433,28 @@ func TestStaticMembersNeverEvicted(t *testing.T) {
 	}
 }
 
+// TestStaticMemberHeartbeatNeverEvicts: a -members entry that also
+// registers itself, under the host:port name the static list derived,
+// stays static and is never evicted however long it stays silent.
+func TestStaticMemberHeartbeatNeverEvicts(t *testing.T) {
+	m := newMember(t, 1)
+	opts := fastOpts()
+	opts.TTL = 50 * time.Millisecond
+	opts.Members = []string{m.URL()}
+	_, coordTS := newCoordinator(t, opts)
+	register(t, coordTS.URL, m.URL(), "")
+
+	time.Sleep(200 * time.Millisecond) // several TTLs after the one heartbeat
+	var fs fleet.FleetStatusResponse
+	get(t, coordTS.URL+"/v1/fleet/status", &fs)
+	if fs.Rollup.Members != 1 || !fs.MemberStatus[0].Static {
+		t.Fatalf("member table = %+v, want the one static member", fs.MemberStatus)
+	}
+	if fs.Coordinator.Evictions != 0 {
+		t.Fatalf("evictions = %d, want 0 for a static member that heartbeats", fs.Coordinator.Evictions)
+	}
+}
+
 // TestMetricsMerged pins the unified exposition: fleet-own series plus
 // every member's samples re-labelled with member="<name>".
 func TestMetricsMerged(t *testing.T) {

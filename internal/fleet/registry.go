@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"capi/internal/deadline"
 )
 
 // member is one capi serve endpoint the coordinator knows about. Mutable
@@ -23,21 +21,21 @@ type member struct {
 	app      string             //capi:guardedby mu
 	lastSeen time.Time          //capi:guardedby mu
 	deadline time.Time          //capi:guardedby mu — heartbeat TTL expiry; zero for static members
+	evict    *time.Timer        //capi:guardedby mu — fires at deadline; nil for static members
 	healthy  bool               //capi:guardedby mu
 	lastErr  string             //capi:guardedby mu
 	cancel   context.CancelFunc //capi:guardedby mu — stops the member's tailer
 }
 
-// registry is the member table plus the heartbeat-TTL eviction loop: a
-// deadline.Loop (the one ttl.go runs on) that sleeps until the earliest
-// dynamic deadline, evicts everything overdue, and exits when no dynamic
-// member remains. Heartbeats only move deadlines and kick the loop.
+// registry is the member table plus the heartbeat-TTL evictions: each
+// dynamic member owns a timer, armed when it first registers and reset by
+// every heartbeat, that evicts it once its deadline has passed.
 type registry struct {
 	ttl     time.Duration
 	onJoin  func(*member) context.CancelFunc // start tailer; called under mu
 	onLeave func(name, reason string)        // called after removal, outside mu
 
-	evict *deadline.Loop
+	evicting sync.WaitGroup // evictions under way; close waits for them
 
 	mu      sync.Mutex
 	members map[string]*member //capi:guardedby mu
@@ -48,21 +46,20 @@ type registry struct {
 }
 
 func newRegistry(ttl time.Duration, onJoin func(*member) context.CancelFunc, onLeave func(name, reason string)) *registry {
-	r := &registry{
+	return &registry{
 		ttl:     ttl,
 		onJoin:  onJoin,
 		onLeave: onLeave,
 		members: make(map[string]*member),
 	}
-	r.evict = deadline.New(r.nextDeadline, r.expireOverdue)
-	return r
 }
 
 // upsert joins a new member or refreshes an existing one (the heartbeat).
 // A name re-registered with a different URL replaces the old member: its
-// tailer is stopped and a "replaced" lifecycle event is published. The
-// eviction loop is started lazily on the first dynamic member. Returns
-// false when the registry is closed.
+// tailer and eviction timer are stopped and a "replaced" lifecycle event
+// is published. A member first registered from the static -members list
+// stays static, and so never evicted, even if it heartbeats. Returns false
+// when the registry is closed.
 func (r *registry) upsert(name, url, app string, static bool) bool {
 	var stopOld context.CancelFunc
 	replaced := false
@@ -75,6 +72,9 @@ func (r *registry) upsert(name, url, app string, static bool) bool {
 	m := r.members[name]
 	if m != nil && m.url != url {
 		stopOld, replaced = m.cancel, true
+		if m.evict != nil {
+			m.evict.Stop()
+		}
 		delete(r.members, name)
 		m = nil
 	}
@@ -85,8 +85,13 @@ func (r *registry) upsert(name, url, app string, static bool) bool {
 	}
 	m.app = app
 	m.lastSeen = time.Now()
-	if !static {
+	if !m.static {
 		m.deadline = m.lastSeen.Add(r.ttl)
+		if m.evict == nil {
+			m.evict = time.AfterFunc(r.ttl, func() { r.expire(m) })
+		} else {
+			m.evict.Reset(r.ttl)
+		}
 	}
 	r.registrations.Add(1)
 	r.mu.Unlock()
@@ -97,57 +102,30 @@ func (r *registry) upsert(name, url, app string, static bool) bool {
 		}
 		r.onLeave(name, "replaced")
 	}
-	if !static {
-		r.evict.Kick()
-	}
 	return true
 }
 
-// nextDeadline is the eviction loop's next: the earliest heartbeat
-// deadline, or false once no dynamic member remains (a later registration
-// restarts the loop).
-func (r *registry) nextDeadline() (time.Time, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var next time.Time
-	for _, m := range r.members {
-		if m.static || m.deadline.IsZero() {
-			continue
-		}
-		if next.IsZero() || m.deadline.Before(next) {
-			next = m.deadline
-		}
-	}
-	return next, !next.IsZero()
-}
-
-// expireOverdue is the eviction loop's fire: it removes every dynamic
-// member whose deadline has passed and reports the evictions outside the
+// expire is m's eviction timer: it removes m if m is still the registered
+// member under its name and its deadline has passed (a heartbeat may have
+// moved it while the timer fired), and reports the eviction outside the
 // lock.
-func (r *registry) expireOverdue(now time.Time) {
-	type gone struct {
-		name   string
-		cancel context.CancelFunc
-	}
-	var expired []gone
-
+func (r *registry) expire(m *member) {
 	r.mu.Lock()
-	for name, m := range r.members {
-		if m.static || m.deadline.IsZero() || m.deadline.After(now) {
-			continue
-		}
-		expired = append(expired, gone{name, m.cancel})
-		delete(r.members, name)
+	if r.members[m.name] != m || time.Now().Before(m.deadline) {
+		r.mu.Unlock()
+		return
 	}
+	delete(r.members, m.name)
+	cancel := m.cancel
+	r.evicting.Add(1)
 	r.mu.Unlock()
+	defer r.evicting.Done()
 
-	for _, g := range expired {
-		r.evictions.Add(1)
-		if g.cancel != nil {
-			g.cancel()
-		}
-		r.onLeave(g.name, "evicted")
+	r.evictions.Add(1)
+	if cancel != nil {
+		cancel()
 	}
+	r.onLeave(m.name, "evicted")
 }
 
 // setHealth records a probe or fan-out outcome. seen additionally
@@ -202,12 +180,16 @@ func (r *registry) count() int {
 	return n
 }
 
-// close empties the table, stops the eviction loop and every tailer.
+// close empties the table, stops every eviction timer and tailer, and
+// waits for any eviction already under way.
 func (r *registry) close() {
 	r.mu.Lock()
 	r.closed = true
 	cancels := make([]context.CancelFunc, 0, len(r.members))
 	for _, m := range r.members {
+		if m.evict != nil {
+			m.evict.Stop()
+		}
 		if m.cancel != nil {
 			cancels = append(cancels, m.cancel)
 		}
@@ -215,7 +197,7 @@ func (r *registry) close() {
 	r.members = make(map[string]*member)
 	r.mu.Unlock()
 
-	r.evict.Close()
+	r.evicting.Wait()
 	for _, c := range cancels {
 		c()
 	}

@@ -4,10 +4,10 @@ package capi
 // auto-reverts to the pre-override snapshot when the TTL expires — the
 // Diagnose library's "probes have a lifespan" promise. Expiry is delivered
 // as a perfectly ordinary Reconfigure/SetSampling (same locks, same
-// accounting, same SSE visibility), driven by a deadline.Loop: a single
-// timer goroutine that exists only while a revert is pending, and when
-// both a select and a sampling TTL are pending sleeps until the earlier
-// one.
+// accounting, same SSE visibility), from the pending revert's own
+// time.AfterFunc timer. Two ordering guarantees hold under every
+// interleaving: nothing is applied after Close returns, and Close waits
+// for a revert that is already being applied.
 //
 // Composition with manual control: an explicit Reconfigure/SetSampling
 // landing before expiry *cancels* the pending revert — the newest explicit
@@ -27,7 +27,6 @@ import (
 	"sync"
 	"time"
 
-	"capi/internal/deadline"
 	"capi/internal/ic"
 )
 
@@ -44,24 +43,27 @@ const (
 	ttlSampling
 )
 
-// pendingRevert is one scheduled auto-revert.
+// pendingRevert is one scheduled auto-revert. Its timer applies it only
+// while it is still the revert in its slot.
 type pendingRevert struct {
 	deadline     time.Time // monotonic
 	baseIC       *ic.Config
 	baseSampling SamplingOptions
+	timer        *time.Timer
 }
 
 // ttlState is the ephemeral-probe scheduler embedded in Instance. Its
-// mutex is independent of Instance.mu; loop's timer goroutine only runs
-// while a revert is pending.
+// mutex is independent of Instance.mu; no goroutine runs until a pending
+// revert's timer fires.
 type ttlState struct {
-	mu   sync.Mutex
-	loop *deadline.Loop
+	mu sync.Mutex
+	// applying counts the reverts being applied; ttlStop waits for them.
+	applying sync.WaitGroup
 
 	//capi:guardedby mu
-	sel *pendingRevert // pending selection revert
+	pending [2]*pendingRevert // indexed by ttlKind
 	//capi:guardedby mu
-	smp *pendingRevert // pending sampling revert
+	closed bool // set by ttlStop: nothing is scheduled afterwards
 	//capi:guardedby mu
 	notify func(TTLExpiry)
 	// userIC / lastSampling are the explicit base snapshots a TTL'd
@@ -128,8 +130,8 @@ func (i *Instance) ReconfigureTTL(sel *Selection, ttl time.Duration) (ReconfigRe
 	}
 	i.ttl.mu.Lock()
 	base := i.ttl.userIC
-	if i.ttl.sel != nil {
-		base = i.ttl.sel.baseIC
+	if p := i.ttl.pending[ttlSelect]; p != nil {
+		base = p.baseIC
 	}
 	i.ttl.mu.Unlock()
 	if base == nil {
@@ -156,8 +158,8 @@ func (i *Instance) SetSamplingTTL(cfg SamplingOptions, ttl time.Duration) error 
 	}
 	i.ttl.mu.Lock()
 	base := copySamplingConfig(i.ttl.lastSampling)
-	if i.ttl.smp != nil {
-		base = i.ttl.smp.baseSampling
+	if p := i.ttl.pending[ttlSampling]; p != nil {
+		base = p.baseSampling
 	}
 	i.ttl.mu.Unlock()
 	if err := i.applySampling(cfg); err != nil {
@@ -167,8 +169,10 @@ func (i *Instance) SetSamplingTTL(cfg SamplingOptions, ttl time.Duration) error 
 	return nil
 }
 
-// SetTTLNotify registers fn to be called (on the timer goroutine) for
-// every delivered auto-revert. Pass nil to unregister.
+// SetTTLNotify registers fn to be called for every delivered auto-revert,
+// on the expiring revert's own timer goroutine. A select and a sampling
+// revert may deliver concurrently, as explicit calls already can. fn must
+// not call Close, which waits for it. Pass nil to unregister.
 func (i *Instance) SetTTLNotify(fn func(TTLExpiry)) {
 	i.ttl.mu.Lock()
 	i.ttl.notify = fn
@@ -185,11 +189,11 @@ func (i *Instance) ttlStatus() TTLStatus {
 		Expired:   i.ttl.expired,
 		Canceled:  i.ttl.canceled,
 	}
-	if p := i.ttl.sel; p != nil {
+	if p := i.ttl.pending[ttlSelect]; p != nil {
 		st.SelectPending = true
 		st.SelectRemainingSeconds = maxSeconds(p.deadline.Sub(now))
 	}
-	if p := i.ttl.smp; p != nil {
+	if p := i.ttl.pending[ttlSampling]; p != nil {
 		st.SamplingPending = true
 		st.SamplingRemainingSeconds = maxSeconds(p.deadline.Sub(now))
 	}
@@ -204,20 +208,22 @@ func maxSeconds(d time.Duration) float64 {
 }
 
 // scheduleRevert installs p into the kind's slot (keeping an existing
-// pending revert's base — overlap coalesces to the original snapshot) and
-// makes sure the timer goroutine runs and sees the new deadline.
+// pending revert's base — overlap coalesces to the original snapshot),
+// stops the timer of the revert it replaces and arms p's. Once closed it
+// schedules nothing.
 func (i *Instance) scheduleRevert(kind ttlKind, p *pendingRevert, ttl time.Duration) {
 	p.deadline = time.Now().Add(ttl)
 	i.ttl.mu.Lock()
-	switch kind {
-	case ttlSelect:
-		i.ttl.sel = p
-	case ttlSampling:
-		i.ttl.smp = p
+	defer i.ttl.mu.Unlock()
+	if i.ttl.closed {
+		return
 	}
+	if old := i.ttl.pending[kind]; old != nil {
+		old.timer.Stop()
+	}
+	i.ttl.pending[kind] = p
 	i.ttl.scheduled++
-	i.ttl.mu.Unlock()
-	i.ttl.loop.Kick()
+	p.timer = time.AfterFunc(ttl, func() { i.expire(kind, p) })
 }
 
 // ttlExplicitSelect records an explicit selection as the new revert base
@@ -226,11 +232,7 @@ func (i *Instance) scheduleRevert(kind ttlKind, p *pendingRevert, ttl time.Durat
 func (i *Instance) ttlExplicitSelect(cfg *ic.Config) {
 	i.ttl.mu.Lock()
 	i.ttl.userIC = cfg
-	if i.ttl.sel != nil {
-		i.ttl.sel = nil
-		i.ttl.canceled++
-		i.ttl.loop.Kick() // lets the goroutine that slept for it exit
-	}
+	i.ttl.cancel(ttlSelect)
 	i.ttl.mu.Unlock()
 }
 
@@ -239,64 +241,61 @@ func (i *Instance) ttlExplicitSelect(cfg *ic.Config) {
 func (i *Instance) ttlExplicitSampling(cfg SamplingOptions) {
 	i.ttl.mu.Lock()
 	i.ttl.lastSampling = copySamplingConfig(cfg)
-	if i.ttl.smp != nil {
-		i.ttl.smp = nil
-		i.ttl.canceled++
-		i.ttl.loop.Kick() // lets the goroutine that slept for it exit
-	}
+	i.ttl.cancel(ttlSampling)
 	i.ttl.mu.Unlock()
+}
+
+// cancel stops the kind's pending revert, if any, and clears its slot:
+// an explicit call superseded it.
+//
+//capi:locked mu
+func (t *ttlState) cancel(kind ttlKind) {
+	if p := t.pending[kind]; p != nil {
+		p.timer.Stop()
+		t.pending[kind] = nil
+		t.canceled++
+	}
 }
 
 // ttlStop shuts the scheduler down (Close): pending reverts are dropped
-// undelivered and the timer goroutine, if any, has exited on return.
+// undelivered, nothing is scheduled afterwards, and a revert already
+// being applied has finished on return.
 func (i *Instance) ttlStop() {
 	i.ttl.mu.Lock()
-	i.ttl.sel = nil
-	i.ttl.smp = nil
-	i.ttl.mu.Unlock()
-	i.ttl.loop.Close()
-}
-
-// ttlNext is the scheduler's deadline.Loop next: the earlier of the two
-// pending reverts.
-func (i *Instance) ttlNext() (time.Time, bool) {
-	i.ttl.mu.Lock()
-	defer i.ttl.mu.Unlock()
-	var next time.Time
-	if p := i.ttl.sel; p != nil {
-		next = p.deadline
-	}
-	if p := i.ttl.smp; p != nil && (next.IsZero() || p.deadline.Before(next)) {
-		next = p.deadline
-	}
-	return next, !next.IsZero()
-}
-
-// deliverExpiries is the scheduler's deadline.Loop fire: it pops every
-// revert due at now and applies it outside the TTL lock, through the same
-// internal apply helpers the explicit calls use — but without the cancel
-// step, so delivering a revert never cancels the other slot's pending
-// revert.
-func (i *Instance) deliverExpiries(now time.Time) {
-	var sel, smp *pendingRevert
-	i.ttl.mu.Lock()
-	if p := i.ttl.sel; p != nil && !p.deadline.After(now) {
-		sel, i.ttl.sel = p, nil
-		i.ttl.expired++
-	}
-	if p := i.ttl.smp; p != nil && !p.deadline.After(now) {
-		smp, i.ttl.smp = p, nil
-		i.ttl.expired++
-	}
-	notify := i.ttl.notify
-	i.ttl.mu.Unlock()
-	if sel != nil {
-		if rep, err := i.applySelection(sel.baseIC); err == nil && notify != nil {
-			notify(TTLExpiry{Kind: "select", Report: &rep})
+	i.ttl.closed = true
+	for kind, p := range i.ttl.pending {
+		if p != nil {
+			p.timer.Stop()
+			i.ttl.pending[kind] = nil
 		}
 	}
-	if smp != nil {
-		if err := i.applySampling(smp.baseSampling); err == nil && notify != nil {
+	i.ttl.mu.Unlock()
+	i.ttl.applying.Wait()
+}
+
+// expire is p's timer: if p is still the kind's pending revert it takes
+// it out of the slot and applies it outside the TTL lock, through the
+// same internal apply helpers the explicit calls use — but without the
+// cancel step, so delivering a revert never cancels the other slot's.
+func (i *Instance) expire(kind ttlKind, p *pendingRevert) {
+	i.ttl.mu.Lock()
+	if i.ttl.pending[kind] != p {
+		i.ttl.mu.Unlock() // replaced, canceled or stopped meanwhile
+		return
+	}
+	i.ttl.pending[kind] = nil
+	i.ttl.expired++
+	notify := i.ttl.notify
+	i.ttl.applying.Add(1)
+	i.ttl.mu.Unlock()
+	defer i.ttl.applying.Done()
+	switch kind {
+	case ttlSelect:
+		if rep, err := i.applySelection(p.baseIC); err == nil && notify != nil {
+			notify(TTLExpiry{Kind: "select", Report: &rep})
+		}
+	case ttlSampling:
+		if err := i.applySampling(p.baseSampling); err == nil && notify != nil {
 			snap := i.Sampling()
 			notify(TTLExpiry{Kind: "sampling", Sampling: &snap})
 		}

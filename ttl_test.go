@@ -230,3 +230,65 @@ func TestReconfigureTTLNeedsBase(t *testing.T) {
 		t.Fatalf("no pending revert: %+v", st)
 	}
 }
+
+// TestTTLAfterCloseNeverFires: Close drops a pending revert undelivered,
+// and a TTL'd call made after Close schedules nothing. Only wall time can
+// show that something never fires, so the test waits many TTLs.
+func TestTTLAfterCloseNeverFires(t *testing.T) {
+	f := newTTLFixture(t)
+	if _, err := f.inst.ReconfigureTTL(f.narrow, 20*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	f.inst.Close()
+	if _, err := f.inst.ReconfigureTTL(f.narrow, time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.inst.SetSamplingTTL(capi.SamplingOptions{Default: &capi.SamplingPolicy{Stride: 4}}, time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case e := <-f.expiries:
+		t.Fatalf("a %q revert was delivered after Close", e.Kind)
+	case <-time.After(200 * time.Millisecond):
+	}
+	if st := f.inst.Status().TTL; st.Expired != 0 {
+		t.Fatalf("expired = %d after Close, want 0: %+v", st.Expired, st)
+	}
+}
+
+// TestCloseWaitsForInFlightRevert: a revert that is being delivered when
+// Close is called finishes before Close returns. The notify callback
+// holds the revert until the test releases it.
+func TestCloseWaitsForInFlightRevert(t *testing.T) {
+	f := newTTLFixture(t)
+	entered, release := make(chan struct{}), make(chan struct{})
+	f.inst.SetTTLNotify(func(capi.TTLExpiry) {
+		close(entered)
+		<-release
+	})
+	if _, err := f.inst.ReconfigureTTL(f.narrow, time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no revert delivered")
+	}
+	closed := make(chan struct{})
+	go func() {
+		f.inst.Close()
+		close(closed)
+	}()
+	// Close returning early is the failure; a short window shows it.
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a revert was still being delivered")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return after the revert finished")
+	}
+}
