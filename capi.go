@@ -535,9 +535,9 @@ func (s *Session) Start(sel *Selection, opts RunOptions) (*Instance, error) {
 	}
 	rt, err := dyncapi.New(proc, xr, cfg, inst.chain(backends), dyncapi.Options{
 		PatchAll: opts.PatchAll,
-		// HTTP middleware workers are extra dispatch ranks past the MPI
-		// world: sized here so each gets its own pipeline shard and sampler
-		// slot instead of overflowing to the cold paths.
+		// The exact rank space that dispatches: the MPI world's ranks, then
+		// the HTTP middleware workers past it (RequestContext). Each gets its
+		// own pipeline ring, sampler slot and controller rank state.
 		Ranks:    opts.Ranks + opts.HTTPWorkers,
 		Async:    opts.Async,
 		AsyncBuf: opts.AsyncBuf,
@@ -690,7 +690,7 @@ func (i *Instance) Sampling() SamplingSnapshot {
 // final, exact Sampling() accounting of their request traffic.
 func (i *Instance) FlushSampling() {
 	if i.rt != nil {
-		i.rt.FlushSampling()
+		i.rt.FlushSampling(i.rt.Ranks())
 	}
 }
 
@@ -966,11 +966,7 @@ func (i *Instance) Run() (*RunResult, error) {
 		// their slots are single-writer hot-path state (FlushSampling on
 		// a serving instance is the caller's call, once traffic stops).
 		i.rt.DrainPipeline()
-		if i.opts.HTTPWorkers > 0 {
-			i.rt.FlushSamplingRanks(i.opts.Ranks)
-		} else {
-			i.rt.FlushSampling()
-		}
+		i.rt.FlushSampling(i.opts.Ranks)
 	}
 
 	out := &RunResult{InitSeconds: -1}

@@ -140,7 +140,6 @@ type Epoch struct {
 
 // funcStat is the controller's per-function accumulator.
 type funcStat struct {
-	name        string
 	completions atomic.Int64 // completed outermost invocations
 	events      atomic.Int64
 	durNs       atomic.Int64 // inclusive ns of completed outermost invocations
@@ -159,7 +158,8 @@ func (st *funcStat) meanNs() int64 {
 }
 
 // rankState tracks open invocations per function on one rank. Each rank is
-// driven by exactly one goroutine, so the state needs no locking.
+// driven by exactly one goroutine, so the state needs no locking. open is
+// nil until the rank's first event.
 type rankState struct {
 	open map[int32]*openCall
 }
@@ -179,11 +179,14 @@ type Controller struct {
 	// handlers are evaluating boundaries on other ranks.
 	opts atomic.Pointer[Options]
 
-	rt atomic.Pointer[dyncapi.Runtime]
-
-	stats  sync.Map // int32 -> *funcStat
-	ranks  sync.Map // int -> *rankState
-	events atomic.Int64
+	// rt, stats and ranks are set by Attach, before any event, and never
+	// reassigned: stats is indexed by rt.Index, ranks by rank ID.
+	rt    *dyncapi.Runtime
+	stats []funcStat
+	ranks []rankState
+	// observed counts the ranks that have dispatched an event; it scales
+	// the budget, and outlives phases.
+	observed atomic.Int64
 
 	nextEpoch atomic.Int64
 	lastNs    atomic.Int64 // clock value of the previous evaluation
@@ -197,6 +200,10 @@ type Controller struct {
 	// demotion and deselection of either mode. A step is booked here and
 	// nowhere else.
 	ladder []step //capi:guardedby mu
+	// fired lists the stats indexes of the functions that have seen an
+	// event, in first-event order: the only windows an epoch boundary
+	// sums and resets, so a boundary costs what fired, not NumFuncs.
+	fired []int //capi:guardedby mu
 }
 
 // New creates a controller with the given tuning.
@@ -207,11 +214,13 @@ func New(opts Options) *Controller {
 	return c
 }
 
-// Attach hands the controller the runtime it adapts and arms the first
-// epoch boundary. Events observed before Attach are counted but never
-// trigger a reconfiguration.
+// Attach hands the controller the runtime it adapts, sizes its per-function
+// and per-rank tables from it and arms the first epoch boundary. Call it
+// before any event reaches the controller.
 func (c *Controller) Attach(rt *dyncapi.Runtime) {
-	c.rt.Store(rt)
+	c.rt = rt
+	c.stats = make([]funcStat, rt.NumFuncs())
+	c.ranks = make([]rankState, rt.Ranks())
 	c.nextEpoch.Store(c.opts.Load().Epoch)
 }
 
@@ -276,17 +285,10 @@ func (c *Controller) Retune(o Options) Options {
 func (c *Controller) NewPhase(worldRanks int) {
 	c.nextEpoch.Store(c.opts.Load().Epoch)
 	c.lastNs.Store(0)
-	c.events.Store(0)
-	c.stats.Range(func(_, v any) bool {
-		v.(*funcStat).epochEvents.Store(0)
-		return true
-	})
-	c.ranks.Range(func(k, v any) bool {
-		if k.(int) < worldRanks {
-			v.(*rankState).open = map[int32]*openCall{}
-		}
-		return true
-	})
+	c.resetEpochEvents()
+	for i := range c.ranks[:worldRanks] {
+		clear(c.ranks[i].open)
+	}
 }
 
 // Name implements dyncapi.Backend.
@@ -296,29 +298,31 @@ func (c *Controller) Name() string { return "adapt" }
 func (c *Controller) InitCost(int) int64 { return 0 }
 
 func (c *Controller) stat(fn *dyncapi.ResolvedFunc) *funcStat {
-	if v, ok := c.stats.Load(fn.PackedID); ok {
-		return v.(*funcStat)
-	}
-	v, _ := c.stats.LoadOrStore(fn.PackedID, &funcStat{name: fn.Name})
-	return v.(*funcStat)
+	return &c.stats[c.rt.Index(fn)]
 }
 
-func (c *Controller) rank(id int) *rankState {
-	if v, ok := c.ranks.Load(id); ok {
-		return v.(*rankState)
+// count books one event of fn and returns its accumulator.
+func (c *Controller) count(fn *dyncapi.ResolvedFunc) *funcStat {
+	i := c.rt.Index(fn)
+	st := &c.stats[i]
+	if st.events.Add(1) == 1 {
+		c.mu.Lock()
+		c.fired = append(c.fired, i)
+		c.mu.Unlock()
 	}
-	v, _ := c.ranks.LoadOrStore(id, &rankState{open: map[int32]*openCall{}})
-	return v.(*rankState)
+	st.epochEvents.Add(1)
+	return st
 }
 
 // OnEnter implements dyncapi.Backend: count, open the invocation, check the
 // epoch.
 func (c *Controller) OnEnter(tc xray.ThreadCtx, fn *dyncapi.ResolvedFunc) {
-	st := c.stat(fn)
-	st.events.Add(1)
-	st.epochEvents.Add(1)
-	c.events.Add(1)
-	rs := c.rank(tc.RankID())
+	st := c.count(fn)
+	rs := &c.ranks[tc.RankID()]
+	if rs.open == nil {
+		rs.open = map[int32]*openCall{}
+		c.observed.Add(1)
+	}
 	oc := rs.open[fn.PackedID]
 	if oc == nil {
 		oc = &openCall{}
@@ -335,20 +339,14 @@ func (c *Controller) OnEnter(tc xray.ThreadCtx, fn *dyncapi.ResolvedFunc) {
 // deselection never fires fn's exit, so the new generation marks that open
 // call stale for the rank's next enter. It closes nothing.
 func (c *Controller) OnDeselect(fn *dyncapi.ResolvedFunc) int {
-	if v, ok := c.stats.Load(fn.PackedID); ok {
-		v.(*funcStat).gen.Add(1)
-	}
+	c.stat(fn).gen.Add(1)
 	return 0
 }
 
 // OnExit implements dyncapi.Backend.
 func (c *Controller) OnExit(tc xray.ThreadCtx, fn *dyncapi.ResolvedFunc) {
-	st := c.stat(fn)
-	st.events.Add(1)
-	st.epochEvents.Add(1)
-	c.events.Add(1)
-	rs := c.rank(tc.RankID())
-	if oc := rs.open[fn.PackedID]; oc != nil && oc.depth > 0 {
+	st := c.count(fn)
+	if oc := c.ranks[tc.RankID()].open[fn.PackedID]; oc != nil && oc.depth > 0 {
 		oc.depth--
 		if oc.depth == 0 {
 			st.durNs.Add(tc.Clock().Now() - oc.startNs)
@@ -363,10 +361,6 @@ func (c *Controller) OnExit(tc xray.ThreadCtx, fn *dyncapi.ResolvedFunc) {
 // evaluates; the others keep executing — their handlers are safe against
 // the concurrent Reconfigure by construction.
 func (c *Controller) maybeEpoch(tc xray.ThreadCtx) {
-	rt := c.rt.Load()
-	if rt == nil {
-		return
-	}
 	now := tc.Clock().Now()
 	if now < c.nextEpoch.Load() {
 		return
@@ -386,7 +380,7 @@ func (c *Controller) maybeEpoch(tc xray.ThreadCtx) {
 		c.nextEpoch.Store(now + c.opts.Load().Epoch)
 		return
 	}
-	c.runEpoch(rt, tc, now)
+	c.runEpoch(c.rt, tc, now)
 	c.lastNs.Store(now)
 	c.nextEpoch.Store(now + c.opts.Load().Epoch)
 }
@@ -396,7 +390,10 @@ func (c *Controller) maybeEpoch(tc xray.ThreadCtx) {
 // under it, promote the most recent demotion.
 func (c *Controller) runEpoch(rt *dyncapi.Runtime, tc xray.ThreadCtx, now int64) {
 	opts := c.opts.Load()
-	events := c.events.Swap(0)
+	var events int64
+	for _, i := range c.firedNow() {
+		events += c.stats[i].epochEvents.Load()
+	}
 	overhead := events * xray.DispatchCostNs
 	// The window since the previous evaluation may span several epochs
 	// (collectives can advance a clock far past a boundary); the budget
@@ -409,11 +406,7 @@ func (c *Controller) runEpoch(rt *dyncapi.Runtime, tc xray.ThreadCtx, now int64)
 	// The event total aggregates every rank's handler calls, but elapsed is
 	// one rank's clock window — scale the allowance by the number of ranks
 	// observed so Budget stays a per-rank overhead fraction.
-	ranks := 0
-	c.ranks.Range(func(_, _ any) bool { ranks++; return true })
-	if ranks < 1 {
-		ranks = 1
-	}
+	ranks := max(c.observed.Load(), 1)
 	budget := int64(opts.Budget * float64(elapsed) * float64(ranks))
 	ep := Epoch{AtNs: now, Rank: tc.RankID(), Events: events, OverheadNs: overhead, BudgetNs: budget}
 
@@ -425,12 +418,23 @@ func (c *Controller) runEpoch(rt *dyncapi.Runtime, tc xray.ThreadCtx, now int64)
 		c.stepUp(rt, func(st step) bool { return !st.drop }, &ep)
 	}
 
-	// Reset the per-epoch counters for the next window.
-	c.stats.Range(func(_, v any) bool {
-		v.(*funcStat).epochEvents.Store(0)
-		return true
-	})
+	c.resetEpochEvents()
 	c.appendEpoch(ep)
+}
+
+// resetEpochEvents starts the next epoch's event window.
+func (c *Controller) resetEpochEvents() {
+	for _, i := range c.firedNow() {
+		c.stats[i].epochEvents.Store(0)
+	}
+}
+
+// firedNow returns the functions that have fired so far. The list is only
+// ever appended to, so the returned prefix stays valid.
+func (c *Controller) firedNow() []int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.fired
 }
 
 // The ladder both policies climb. They differ in scope and heat signal
@@ -463,13 +467,10 @@ type step struct {
 func (c *Controller) candidates(scope []*dyncapi.ResolvedFunc, epochHeat bool) []victim {
 	var cands []victim
 	for _, rf := range scope {
-		v := victim{id: rf.PackedID, name: rf.Name}
-		if s, ok := c.stats.Load(rf.PackedID); ok {
-			st := s.(*funcStat)
-			v.events, v.meanNs = st.events.Load(), st.meanNs()
-			if epochHeat {
-				v.events = st.epochEvents.Load()
-			}
+		st := c.stat(rf)
+		v := victim{id: rf.PackedID, name: rf.Name, events: st.events.Load(), meanNs: st.meanNs()}
+		if epochHeat {
+			v.events = st.epochEvents.Load()
 		}
 		if epochHeat && v.events == 0 {
 			continue

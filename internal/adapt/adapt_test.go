@@ -322,12 +322,10 @@ func demoteFirst(t *testing.T, ctrl *Controller, rt *dyncapi.Runtime, ids ...int
 	}
 }
 
-func funcEvents(c *Controller, id int32) int64 {
-	if v, ok := c.stats.Load(id); ok {
-		return v.(*funcStat).events.Load()
-	}
-	return 0
-}
+// statOf returns the controller's accumulator for the packed ID.
+func statOf(c *Controller, id int32) *funcStat { return c.stat(c.rt.Resolved(id)) }
+
+func funcEvents(c *Controller, id int32) int64 { return statOf(c, id).events.Load() }
 
 // TestControllerForwardsSymbolInjection is the regression for the adapt
 // controller silently disabling Score-P's DSO symbol injection: DynCaPI must
@@ -406,12 +404,30 @@ func TestRecursiveLongFunctionNotDroppedAsLowDuration(t *testing.T) {
 		t.Fatal("wrong function dropped")
 	}
 	// The completed outer invocation dominates the reported mean.
-	v, ok := ctrl.stats.Load(slow)
-	if !ok {
-		t.Fatal("no stats for slow")
-	}
-	if mean := v.(*funcStat).meanNs(); mean < vtime.Millisecond {
+	if mean := statOf(ctrl, slow).meanNs(); mean < vtime.Millisecond {
 		t.Fatalf("slow mean = %dns, diluted by nested entries", mean)
+	}
+}
+
+// TestCandidatesNeverFiredIsNotLowDuration: a function with no completed
+// invocation has an unknown duration, so it must not sort into the
+// low-duration class ahead of a function that measurably costs time —
+// demoting it could not lower any tail.
+func TestCandidatesNeverFiredIsNotLowDuration(t *testing.T) {
+	b, proc, xr, rt, ctrl := twoFuncSetup(t, Options{}, &dyncapi.CygBackend{})
+	hot := packedOf(t, b, xr, proc, "hot")
+	slow := packedOf(t, b, xr, proc, "slow")
+	tc := &fakeCtx{}
+	xr.Dispatch(tc, slow, xray.Entry)
+	tc.clk.Advance(vtime.Millisecond)
+	xr.Dispatch(tc, slow, xray.Exit)
+
+	cands := ctrl.candidates([]*dyncapi.ResolvedFunc{rt.Resolved(hot), rt.Resolved(slow)}, false)
+	if len(cands) != 2 || cands[0].id != slow {
+		t.Fatalf("candidates = %+v, want slow first: never-fired hot classified low-duration", cands)
+	}
+	if cands[1].meanNs != -1 {
+		t.Fatalf("never-fired hot mean = %dns, want -1 (unknown)", cands[1].meanNs)
 	}
 }
 
@@ -448,10 +464,9 @@ func TestControllerCountsAgreeWithTraceTotals(t *testing.T) {
 	}
 
 	var ctrlEvents int64
-	ctrl.stats.Range(func(_, v any) bool {
-		ctrlEvents += v.(*funcStat).events.Load()
-		return true
-	})
+	for i := range ctrl.stats {
+		ctrlEvents += ctrl.stats[i].events.Load()
+	}
 	rep := buf.Report()
 	if got := rep.Recorded + rep.Dropped; got != ctrlEvents {
 		t.Fatalf("trace totals %d (recorded %d + dropped %d) != controller events %d",
@@ -563,7 +578,7 @@ func TestControllerDemotesBeforeDropping(t *testing.T) {
 		}
 	}
 	// The demotion really thinned the stream: sampled-out enters recorded.
-	rt.FlushSampling()
+	rt.FlushSampling(rt.Ranks())
 	if c := rt.SamplingSnapshot().Counters; c.SampledEvents == 0 ||
 		c.Delivered+c.SampledEvents+c.SuppressedPairs+c.CollapsedCalls != c.Enters {
 		t.Fatalf("sampling counters = %+v", c)
@@ -761,11 +776,7 @@ func TestReaddedFunctionCompletesAfterMidCallDeselect(t *testing.T) {
 	tc.clk.Advance(2 * vtime.Millisecond)
 	xr.Dispatch(tc, hot, xray.Exit)
 
-	v, ok := ctrl.stats.Load(hot)
-	if !ok {
-		t.Fatal("no stats for hot")
-	}
-	st := v.(*funcStat)
+	st := statOf(ctrl, hot)
 	if n := st.completions.Load(); n != 1 {
 		t.Fatalf("completions = %d, want 1: the re-added invocation never completed", n)
 	}

@@ -146,10 +146,7 @@ func (c *Controller) ObserveRequest(es *Endpoint) {
 
 	p99 := Quantile(es.Window(opts.SLOWindow), 0.99)
 	es.lastP99.Store(p99)
-	rt := c.rt.Load()
-	if rt == nil {
-		return
-	}
+	rt := c.rt
 	// Same gate as budget epochs: at most one controller decision in
 	// flight, across all endpoints. Losing the race just defers this
 	// endpoint to its next evaluation.

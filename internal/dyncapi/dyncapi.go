@@ -134,9 +134,10 @@ const (
 type Options struct {
 	// PatchAll ignores the IC and patches every sled ("xray full").
 	PatchAll bool
-	// Ranks sizes the sampler's preallocated per-rank slots (the simulated
-	// MPI world size). Rank IDs beyond it still work through a slower
-	// overflow path; 0 defaults to 16.
+	// Ranks is the number of dispatching ranks: every event's
+	// ThreadCtx.RankID() must lie in [0, Ranks). Each per-rank table (the
+	// sampler's slots, the pipeline's rings, the adapt controller's rank
+	// state) is sized to it once, at New. 0 defaults to 16.
 	Ranks int
 	// Async lifts the measurement backends off the dispatch hot path: the
 	// handler only appends a compact event record to a per-rank ring (see
@@ -183,6 +184,9 @@ type Runtime struct {
 	// out-of-range function ID and an object ID past the last registered
 	// one all fail the same two bounds checks in slot.
 	tables [][]ResolvedFunc
+	// bases holds, per object ID, the packed-ID-order position of the
+	// object's first function (see Index).
+	bases []int
 	// objOrder lists the registered object IDs in packed-ID order: objects
 	// 128 and up fill the sign bit and so sort first.
 	objOrder []uint8
@@ -247,10 +251,9 @@ type Runtime struct {
 	// Sampling configuration (see sampler.go): sampleOverrides counts the
 	// explicit per-function overrides (the states flagged override) and
 	// sampleDefault is the table's default policy, the lock-side copy of
-	// defaultSample. sampleRanks sizes the preallocated per-rank slots.
+	// defaultSample.
 	sampleOverrides int           //capi:guardedby mu
 	sampleDefault   *SamplePolicy //capi:guardedby mu
-	sampleRanks     int
 
 	// byName indexes the resolved functions by symbol name, each entry
 	// sorted by packed ID (one name may resolve in several objects). Built
@@ -290,7 +293,6 @@ func New(proc *obj.Process, xr *xray.Runtime, cfg *ic.Config, backend Backend, o
 		opts:           opts,
 		byName:         map[string][]*ResolvedFunc{},
 		synthByBackend: map[string]int64{},
-		sampleRanks:    opts.Ranks,
 	}
 	rt.backend.Store(backendBox{backend})
 	if err := rt.resolve(); err != nil {
@@ -400,7 +402,9 @@ func (rt *Runtime) resolve() error {
 	slices.SortFunc(rt.objOrder, func(a, b uint8) int { return cmp.Compare(int8(a), int8(b)) })
 	if len(objects) > 0 {
 		rt.tables = make([][]ResolvedFunc, int(slices.Max(rt.objOrder))+1)
+		rt.bases = make([]int, len(rt.tables))
 	}
+	base := 0
 	for _, objID := range rt.objOrder {
 		lo := objects[objID]
 		rt.report.Objects++
@@ -443,6 +447,8 @@ func (rt *Runtime) resolve() error {
 
 		table := make([]ResolvedFunc, lo.Image.NumFuncIDs)
 		rt.tables[objID] = table
+		rt.bases[objID] = base
+		base += len(table)
 		for fn := range table {
 			packed, err := xray.PackID(objID, uint32(fn))
 			if err != nil {
@@ -596,10 +602,9 @@ func (rt *Runtime) dispatch(tc xray.ThreadCtx, id int32, kind xray.EntryType) {
 		return
 	}
 	// The sink: the rank's ring when a pipeline is attached (the backends
-	// consume off the hot path), the backend chain otherwise — and for a
-	// rank the pipeline has no ring for, so a misconfigured world size
-	// degrades to inline delivery instead of corrupting a neighbour's ring.
-	if rt.pipe != nil && rt.pipe.append(tc, rf, kind) {
+	// consume off the hot path), the backend chain otherwise.
+	if rt.pipe != nil {
+		rt.pipe.append(tc, rf, kind)
 		return
 	}
 	backend := rt.loadBackend()
@@ -963,9 +968,23 @@ func (rt *Runtime) Resolved(id int32) *ResolvedFunc { return rt.slot(id) }
 
 // Funcs returns every resolved function, sorted by packed ID.
 func (rt *Runtime) Funcs() []*ResolvedFunc {
-	out := make([]*ResolvedFunc, 0, rt.report.FunctionsResolved+rt.report.Unresolved)
+	out := make([]*ResolvedFunc, 0, rt.NumFuncs())
 	return slices.AppendSeq(out, rt.all())
 }
+
+// NumFuncs returns how many functions the runtime resolved, named or not:
+// the length of a table indexed by Index.
+func (rt *Runtime) NumFuncs() int { return rt.report.FunctionsResolved + rt.report.Unresolved }
+
+// Index returns rf's position in packed-ID order, in [0, NumFuncs()): a
+// dense key for per-function tables sized once from NumFuncs.
+func (rt *Runtime) Index(rf *ResolvedFunc) int {
+	return rt.bases[uint32(rf.PackedID)>>24] + int(uint32(rf.PackedID)&xray.MaxFuncID)
+}
+
+// Ranks returns the number of dispatching ranks (Options.Ranks, defaulted):
+// the length of a table indexed by rank ID.
+func (rt *Runtime) Ranks() int { return rt.opts.Ranks }
 
 // ByName returns the resolved functions carrying the symbol name, sorted by
 // packed ID — several when instrumented copies live in several objects, none

@@ -155,11 +155,8 @@ type pipeline struct {
 
 // newPipeline builds the rings and starts the shard-affine consumer pool.
 // buf is the per-rank ring capacity, rounded up to a power of two (minimum
-// 8; 0 means DefaultAsyncBuf). ranks is the simulated world size.
+// 8; 0 means DefaultAsyncBuf). ranks is Options.Ranks, one shard each.
 func newPipeline(rt *Runtime, ranks, buf int) *pipeline {
-	if ranks < 1 {
-		ranks = 1
-	}
 	if buf <= 0 {
 		buf = DefaultAsyncBuf
 	}
@@ -196,18 +193,12 @@ func newPipeline(rt *Runtime, ranks, buf int) *pipeline {
 // append records one admitted event into the rank's ring — the entire
 // per-event cost async mode adds to the hot path: a handful of plain field
 // operations plus two atomic loads and one atomic store. Only the rank's own
-// goroutine may call it for its shard. It reports false, having done nothing,
-// for a rank ID beyond the preallocated shards: the handler then delivers the
-// event inline (correct but slow), so a misconfigured world size degrades
-// instead of corrupting.
+// goroutine may call it for its shard; there is one shard per rank the
+// runtime was sized for (Options.Ranks).
 //
 //capi:hotpath
-func (p *pipeline) append(tc xray.ThreadCtx, rf *ResolvedFunc, kind xray.EntryType) bool {
-	rank := tc.RankID()
-	if uint(rank) >= uint(len(p.shards)) {
-		return false
-	}
-	s := p.shards[rank]
+func (p *pipeline) append(tc xray.ThreadCtx, rf *ResolvedFunc, kind xray.EntryType) {
+	s := p.shards[tc.RankID()]
 	head := s.head.Load()
 	if kind == xray.Entry {
 		// Reserve this enter, its exit, one spare and the exit of every open
@@ -223,12 +214,12 @@ func (p *pipeline) append(tc xray.ThreadCtx, rf *ResolvedFunc, kind xray.EntryTy
 		s.pairs.push(fits, &s.spill)
 		if !fits {
 			s.droppedPairs.Add(1)
-			return true
+			return
 		}
 	} else {
 		if appended, ok := s.pairs.pop(&s.spill); ok {
 			if !appended {
-				return true // its enter was dropped; the pair was counted there
+				return // its enter was dropped; the pair was counted there
 			}
 		} else if uint64(len(s.ring))-(head-s.cachedTail) == 0 {
 			s.cachedTail = s.tail.Load()
@@ -236,7 +227,7 @@ func (p *pipeline) append(tc xray.ThreadCtx, rf *ResolvedFunc, kind xray.EntryTy
 				// An exit with no recorded enter (sled patched mid-call) and
 				// a full ring: drop it — there is no reservation to honor.
 				s.droppedExits.Add(1)
-				return true
+				return
 			}
 		}
 	}
@@ -261,7 +252,6 @@ func (p *pipeline) append(tc xray.ThreadCtx, rf *ResolvedFunc, kind xray.EntryTy
 	ev.mpiNs = mpiNs
 	ev.flags = flags
 	s.head.Store(head + 1)
-	return true
 }
 
 // consume is one pool worker's loop: drain every owned shard, sleep briefly

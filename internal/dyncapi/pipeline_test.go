@@ -310,30 +310,3 @@ func TestAsyncReconfigureOrdersSyntheticExitsAfterDrain(t *testing.T) {
 		t.Fatalf("synthetic exit (%d) delivered before the queued real enter (%d)", synthExit, realEnter)
 	}
 }
-
-// TestAsyncRankBeyondShardsDeliversInline: a rank ID outside the
-// preallocated shard set takes the inline fallback — degraded, never
-// corrupted or dropped.
-func TestAsyncRankBeyondShardsDeliversInline(t *testing.T) {
-	back := &asyncLogBackend{}
-	rt, xr, _, kernel, _ := asyncSetup(t, back, 0)
-	world, err := mpi.NewWorld(2, mpi.DefaultCostModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	stray := &fakeCtx{rank: world.Rank(1)} // shard set was sized for 1 rank
-	for i := 0; i < 10; i++ {
-		xr.Dispatch(stray, kernel, xray.Entry)
-		xr.Dispatch(stray, kernel, xray.Exit)
-	}
-	// Inline fallback: delivered synchronously, nothing queued, no drops.
-	if e := back.enters.Load(); e != 10 {
-		t.Fatalf("inline fallback delivered %d enters, want 10", e)
-	}
-	if d := rt.Snapshot().PipelineDepth; d != 0 {
-		t.Fatalf("fallback events queued (%d), want inline delivery", d)
-	}
-	if n := rt.DroppedAsync(); n != 0 {
-		t.Fatalf("fallback dropped %d pairs", n)
-	}
-}

@@ -46,7 +46,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"capi/internal/xray"
@@ -231,10 +230,9 @@ type funcSampleState struct {
 	// table default. Guarded by Runtime.mu; the handler never reads it.
 	override bool
 
-	// slots is indexed by rank ID; ranks beyond the preallocated range go
-	// through the overflow map (slower, but correct).
-	slots    []sampleSlot
-	overflow sync.Map // int -> *sampleSlot
+	// slots is indexed by rank ID, one per rank the runtime was sized for
+	// (Options.Ranks): no other rank ID can dispatch.
+	slots []sampleSlot
 }
 
 // setPolicy publishes a policy. Handlers pick the new fields up on their
@@ -326,30 +324,6 @@ func (sl *sampleSlot) counters() SamplingCounters {
 	return c
 }
 
-// slot returns the rank's slot. Kept small enough to inline; rank IDs
-// beyond the preallocated range take the cold overflow path.
-func (st *funcSampleState) slot(rank int) *sampleSlot {
-	if uint(rank) < uint(len(st.slots)) {
-		return &st.slots[rank]
-	}
-	return st.overflowSlot(rank)
-}
-
-// overflowSlot is the reviewed slow path for rank IDs beyond the
-// preallocated range: it may allocate and touch a sync.Map, so the hotpath
-// traversal stops here.
-//
-//capi:coldpath
-func (st *funcSampleState) overflowSlot(rank int) *sampleSlot {
-	if v, ok := st.overflow.Load(rank); ok {
-		return v.(*sampleSlot)
-	}
-	sl := &sampleSlot{}
-	sl.init()
-	v, _ := st.overflow.LoadOrStore(rank, sl)
-	return v.(*sampleSlot)
-}
-
 // admit makes the deliver/drop decision for one event. It is the hot path:
 // called from the XRay handler for every event of a function that ever had
 // a sampling policy; the timed-policy work is kept out-of-line so the
@@ -357,7 +331,7 @@ func (st *funcSampleState) overflowSlot(rank int) *sampleSlot {
 //
 //capi:hotpath
 func (st *funcSampleState) admit(tc xray.ThreadCtx, kind xray.EntryType) bool {
-	sl := st.slot(tc.RankID())
+	sl := &st.slots[tc.RankID()]
 	if kind == xray.Entry {
 		sl.ctr++
 		flags := st.flags.Load()
@@ -451,27 +425,11 @@ func (st *funcSampleState) finishTimedExit(sl *sampleSlot, tc xray.ThreadCtx) {
 	}
 }
 
-// flush publishes the exact counters of every slot. Quiescent-only: the
-// plain fields are single-writer rank state, so this must not run while
-// events are dispatching.
-func (st *funcSampleState) flush() {
-	for i := range st.slots {
-		st.slots[i].publish()
-	}
-	st.overflow.Range(func(_, v any) bool {
-		v.(*sampleSlot).publish()
-		return true
-	})
-}
-
-// flushRanks publishes the exact counters of the first n rank slots only,
-// leaving higher ranks (HTTP request workers) untouched — their slots are
-// single-writer state that may still be dispatching.
-func (st *funcSampleState) flushRanks(n int) {
-	if n > len(st.slots) {
-		n = len(st.slots)
-	}
-	for i := 0; i < n; i++ {
+// flush publishes the exact counters of the first n rank slots. The plain
+// fields are single-writer rank state, so none of those ranks may be
+// dispatching; ranks >= n (HTTP request workers) are left untouched.
+func (st *funcSampleState) flush(n int) {
+	for i := range st.slots[:n] {
 		st.slots[i].publish()
 	}
 }
@@ -482,10 +440,6 @@ func (st *funcSampleState) counters() SamplingCounters {
 	for i := range st.slots {
 		c.add(st.slots[i].counters())
 	}
-	st.overflow.Range(func(_, v any) bool {
-		c.add(v.(*sampleSlot).counters())
-		return true
-	})
 	return c
 }
 
@@ -509,7 +463,7 @@ func (rt *Runtime) sampleState(rf *ResolvedFunc) *funcSampleState {
 	if st := rf.sample.Load(); st != nil {
 		return st
 	}
-	st := newFuncSampleState(rt.sampleRanks)
+	st := newFuncSampleState(rt.opts.Ranks)
 	if !rf.sample.CompareAndSwap(nil, st) {
 		st = rf.sample.Load()
 	}
@@ -525,7 +479,7 @@ func (rt *Runtime) sampleState(rf *ResolvedFunc) *funcSampleState {
 //
 //capi:coldpath
 func (rt *Runtime) lazySampleState(rf *ResolvedFunc, dp *SamplePolicy) *funcSampleState {
-	st := newFuncSampleState(rt.sampleRanks)
+	st := newFuncSampleState(rt.opts.Ranks)
 	st.setPolicy(*dp)
 	if !rf.sample.CompareAndSwap(nil, st) {
 		return rf.sample.Load()
@@ -681,23 +635,14 @@ func (rt *Runtime) SetFuncSampling(id int32, p *SamplePolicy) error {
 	return nil
 }
 
-// FlushSampling publishes the exact per-rank counters. It must only be
-// called while no events are dispatching (between phases); Instance.Run
-// flushes after the execution engine has joined its rank goroutines.
-func (rt *Runtime) FlushSampling() {
+// FlushSampling publishes the exact counters of ranks [0, n), n <= Ranks().
+// No rank below n may be dispatching; ranks >= n may (each slot is
+// single-writer per rank): Instance.Run flushes the MPI world after the
+// engine has joined, without touching HTTP worker ranks that may still be
+// serving request traffic.
+func (rt *Runtime) FlushSampling(n int) {
 	for _, st := range rt.sampleStatesSnapshot() {
-		st.flush()
-	}
-}
-
-// FlushSamplingRanks publishes the exact counters of ranks [0, n) only.
-// Unlike FlushSampling it is safe while ranks >= n keep dispatching (each
-// slot is single-writer per rank): Instance.Run uses it to flush the MPI
-// world after the engine has joined, without touching HTTP worker ranks
-// that may still be serving request traffic.
-func (rt *Runtime) FlushSamplingRanks(n int) {
-	for _, st := range rt.sampleStatesSnapshot() {
-		st.flushRanks(n)
+		st.flush(n)
 	}
 }
 

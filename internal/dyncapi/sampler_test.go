@@ -47,7 +47,7 @@ func samplerSetup(t *testing.T) (*Runtime, *xray.Runtime, *pairCountBackend, int
 // counters.
 func conserve(t *testing.T, rt *Runtime) SamplingCounters {
 	t.Helper()
-	rt.FlushSampling()
+	rt.FlushSampling(rt.Ranks())
 	c := rt.SamplingSnapshot().Counters
 	if got := c.Delivered + c.SampledEvents + c.SuppressedPairs + c.CollapsedCalls; got != c.Enters {
 		t.Fatalf("conservation broken: delivered %d + sampled %d + suppressed %d + collapsed %d = %d != enters %d",

@@ -148,7 +148,8 @@ func checkSequence(t *testing.T, b *compiler.Build, initial int, seq []int) {
 
 // TestNameIndexDuplicateSymbol: one symbol name defined in two objects is one
 // entry of the runtime's name index, sorted by packed ID, and that index is
-// what a by-name sampling override resolves through.
+// what a by-name sampling override resolves through. Index numbers the
+// functions of both objects in the same packed-ID order.
 func TestNameIndexDuplicateSymbol(t *testing.T) {
 	b := buildProg(t)
 	for i, s := range b.Image("lib.so").Symbols {
@@ -175,6 +176,15 @@ func TestNameIndexDuplicateSymbol(t *testing.T) {
 	}
 	if !slices.IsSortedFunc(rt.Funcs(), func(a, b *ResolvedFunc) int { return int(a.PackedID) - int(b.PackedID) }) {
 		t.Fatal("Funcs() is not in packed-ID order")
+	}
+	if funcs := rt.Funcs(); len(funcs) != rt.NumFuncs() {
+		t.Fatalf("NumFuncs() = %d, Funcs() holds %d", rt.NumFuncs(), len(funcs))
+	} else {
+		for i, rf := range funcs {
+			if got := rt.Index(rf); got != i {
+				t.Fatalf("Index(%#x) = %d, want its packed-ID position %d", rf.PackedID, got, i)
+			}
+		}
 	}
 
 	if err := rt.SetSampling(SamplingConfig{Funcs: map[string]SamplePolicy{"kernel": {Stride: 4}}}); err != nil {

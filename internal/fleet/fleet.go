@@ -318,7 +318,8 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 // records the outcome in the member table. Static members have no
 // heartbeat, so the probe is their only liveness signal; for registered
 // members it colors the table between heartbeats (eviction stays
-// TTL-driven).
+// TTL-driven). A round probes its members concurrently, so a member whose
+// healthz hangs delays no other member's outcome.
 func (s *Server) probeLoop() {
 	defer s.wg.Done()
 	t := time.NewTicker(s.opts.ProbeInterval)
@@ -329,7 +330,7 @@ func (s *Server) probeLoop() {
 			return
 		case <-t.C:
 		}
-		for _, m := range s.reg.snapshot() {
+		eachMember(s.reg.snapshot(), func(m memberSnap) struct{} {
 			code, err := s.doMember(http.MethodGet, m.URL+"/v1/healthz", "", nil, new(bytes.Buffer))
 			if err != nil {
 				s.reg.setHealth(m.Name, false, err.Error(), false)
@@ -338,7 +339,8 @@ func (s *Server) probeLoop() {
 			} else {
 				s.reg.setHealth(m.Name, true, "", true)
 			}
-		}
+			return struct{}{}
+		})
 	}
 }
 
