@@ -29,11 +29,19 @@ type (
 	ThreadCtx = xray.ThreadCtx
 	// ResolvedFunc is one instrumentable function as the runtime sees it.
 	ResolvedFunc = dyncapi.ResolvedFunc
-	// EventBackend is the hot-path event sink the DynCaPI handler
-	// dispatches into: Name, OnEnter, OnExit, InitCost. Implementations
-	// may additionally implement dyncapi.Deselector to close dangling
-	// state on live deselection.
+	// EventBackend is the event half of a MeasurementBackend, what the
+	// DynCaPI handler dispatches into: Name, OnEnter, OnExit, InitCost.
+	// A backend may additionally implement OnDeselect(*ResolvedFunc) int
+	// to close dangling state on live deselection.
 	EventBackend = dyncapi.Backend
+	// MeasurementBackend is one measurement system attached to a live
+	// instance: EventBackend plus StartPhase(*World) error and Report()
+	// Report. Name must return the registry name the backend was created
+	// under. StartPhase attaches fresh per-phase state (world is the new
+	// phase's MPI world, rank clocks restarted at zero); Report returns the
+	// current report, or nil when there is none, and must be safe to call
+	// while a phase executes.
+	MeasurementBackend = dyncapi.MeasurementBackend
 	// World is the simulated MPI world of one execution phase.
 	World = mpi.World
 	// Process is the loaded process image of a started instance.
@@ -81,26 +89,6 @@ type BackendConfig struct {
 	// Trace tunes trace-style backends (ring size, retention, wrap); nil
 	// uses defaults. Shard over Ranks above, not over its Ranks field.
 	Trace *TraceOptions
-}
-
-// MeasurementBackend is one measurement system attached to a live instance:
-// the lifecycle face of the extension point. The hot path goes through
-// Events() (no reflection, no map lookups per event); the phase lifecycle
-// and reporting go through the interface.
-type MeasurementBackend interface {
-	// Name returns the registry name the backend was created under.
-	Name() string
-	// Events returns the event sink the DynCaPI handler dispatches into.
-	// It must be stable for the backend's lifetime: per-phase state swaps
-	// happen inside the sink (StartPhase), never by replacing it.
-	Events() EventBackend
-	// StartPhase attaches fresh per-phase measurement state; world is the
-	// new phase's MPI world (rank clocks restarted at zero).
-	StartPhase(world *World) error
-	// Report returns the current measurement report, or nil when the
-	// backend has none (the discarding "none" backend, or nothing measured
-	// yet). It must be safe to call while a phase executes.
-	Report() Report
 }
 
 // BackendFactory builds one MeasurementBackend instance for a run.
@@ -207,12 +195,11 @@ func ParseBackends(list string) ([]string, error) {
 }
 
 // buildBackends resolves names through the registry and builds one
-// MeasurementBackend per name for this instance, each wrapped in its panic
-// barrier (guardedBackend — registry backends are untrusted code running
-// inside the host's dispatch path). Per-rank backend state (scorep, extrae)
-// is sized to cover the middleware's worker ranks too: they dispatch past
-// the MPI world.
-func (i *Instance) buildBackends(names []string, world *mpi.World) ([]MeasurementBackend, error) {
+// MeasurementBackend per name for this instance, each behind its panic
+// barrier (registry backends are untrusted code running inside the host's
+// dispatch path). Per-rank backend state (scorep, extrae) is sized to cover
+// the middleware's worker ranks too: they dispatch past the MPI world.
+func (i *Instance) buildBackends(names []string, world *mpi.World) ([]*dyncapi.Guard, error) {
 	if err := ValidateBackends(names); err != nil {
 		return nil, err
 	}
@@ -224,29 +211,29 @@ func (i *Instance) buildBackends(names []string, world *mpi.World) ([]Measuremen
 		Trace:          i.opts.Trace,
 	}
 	gopts := dyncapi.GuardOptions{PanicLimit: i.opts.PanicLimit, OnTrip: i.onBreakerTrip}
-	backends := make([]MeasurementBackend, 0, len(names))
+	guards := make([]*dyncapi.Guard, 0, len(names))
 	for _, name := range names {
 		factory, _ := backendFactory(name)
 		mb, err := factory(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("capi: building backend %q: %w", name, err)
 		}
-		if mb == nil || mb.Events() == nil {
-			return nil, fmt.Errorf("capi: backend %q factory returned no event sink", name)
+		if mb == nil {
+			return nil, fmt.Errorf("capi: backend %q factory returned no backend", name)
 		}
-		backends = append(backends, newGuardedBackend(mb, gopts))
+		guards = append(guards, dyncapi.NewGuard(mb, gopts))
 	}
-	return backends, nil
+	return guards, nil
 }
 
 // chain wires the event path every instance uses — at Start and on
-// SetBackends: the backends' sinks in delivery order, then the adaptation
-// controller, which observes what the sinks have already seen. A single
-// sink is its own chain; several share a Mux.
-func (i *Instance) chain(backends []MeasurementBackend) dyncapi.Backend {
-	sinks := make([]dyncapi.Backend, 0, len(backends)+1)
-	for _, mb := range backends {
-		sinks = append(sinks, mb.Events())
+// SetBackends: the guarded backends in delivery order, then the adaptation
+// controller, which observes what the backends have already seen. A single
+// element is its own chain; several share a Mux.
+func (i *Instance) chain(guards []*dyncapi.Guard) dyncapi.Backend {
+	sinks := make([]dyncapi.Backend, 0, len(guards)+1)
+	for _, g := range guards {
+		sinks = append(sinks, g)
 	}
 	if i.ctrl != nil {
 		sinks = append(sinks, i.ctrl)
@@ -258,10 +245,13 @@ func (i *Instance) chain(backends []MeasurementBackend) dyncapi.Backend {
 }
 
 // The four built-in backends self-register, exactly like a third-party
-// backend would. TALP, Score-P and Extrae are each one dyncapi type: event
-// sink and phase lifecycle in one, rebuilding its measurement per phase.
+// backend would. Each is one dyncapi type, events and phase lifecycle in
+// one: "none" is the discarding cyg-profile interface, and TALP, Score-P
+// and Extrae rebuild their measurement per phase.
 func init() {
-	RegisterBackend(string(BackendNone), newNoneBackend)
+	RegisterBackend(string(BackendNone), func(BackendConfig) (MeasurementBackend, error) {
+		return &dyncapi.CygBackend{}, nil
+	})
 	RegisterBackend(string(BackendTALP), func(cfg BackendConfig) (MeasurementBackend, error) {
 		return dyncapi.NewTALPBackend(talp.New(cfg.World, talp.Options{EmulateReentryBug: cfg.EmulateTALPBug})), nil
 	})
@@ -285,18 +275,3 @@ func init() {
 		return dyncapi.NewExtraeBackend(buf), nil
 	})
 }
-
-// noneBackend is the discarding cyg-profile interface: events are dispatched
-// and dropped, no report is produced (overhead studies).
-type noneBackend struct {
-	ev *dyncapi.CygBackend
-}
-
-func newNoneBackend(BackendConfig) (MeasurementBackend, error) {
-	return &noneBackend{ev: &dyncapi.CygBackend{}}, nil
-}
-
-func (b *noneBackend) Name() string            { return string(BackendNone) }
-func (b *noneBackend) Events() EventBackend    { return b.ev }
-func (b *noneBackend) StartPhase(*World) error { return nil }
-func (b *noneBackend) Report() Report          { return nil }

@@ -2,8 +2,11 @@ package capi_test
 
 import (
 	"encoding/json"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	capi "capi"
 )
@@ -171,5 +174,69 @@ func TestInstanceSetBackendsLive(t *testing.T) {
 	// The swap's virtual cost was billed to the phase that followed it.
 	if res.InitSeconds <= 0 {
 		t.Fatalf("swap cost not billed: init = %f", res.InitSeconds)
+	}
+}
+
+// TestSwapKeepsRegistryNames: a backend has one name, the one it is
+// registered under, wherever it is named — the swap report, Backends(),
+// the report keys and the breaker's stats and detach. The discarding
+// backend reads "none" in the report of the swap that replaces it.
+func TestSwapKeepsRegistryNames(t *testing.T) {
+	s := newQuickSession(t)
+	sel, err := s.Select(quickSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := s.Start(sel, capi.RunOptions{Backends: []string{"none"}, Ranks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Close()
+	if got := inst.Backends(); !slices.Equal(got, []string{"none"}) {
+		t.Fatalf("Backends() = %v, want [none]", got)
+	}
+	swap, err := inst.SetBackends([]string{"talp"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if swap.From != "none" || swap.To != "talp" {
+		t.Fatalf("swap none → talp reported from %q to %q", swap.From, swap.To)
+	}
+	res, err := inst.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(res.Backends, []string{"talp"}) || !slices.Equal(slices.Sorted(maps.Keys(res.Reports)), []string{"talp"}) {
+		t.Fatalf("run backends %v, report keys %v; want talp", res.Backends, slices.Sorted(maps.Keys(res.Reports)))
+	}
+
+	trips := make(chan capi.BreakerEvent, 1)
+	inst.SetBreakerNotify(func(ev capi.BreakerEvent) { trips <- ev })
+	if _, err := inst.SetBackends([]string{"scorep", "test-panic"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := inst.Backends(); !slices.Equal(got, []string{"scorep", "test-panic"}) {
+		t.Fatalf("Backends() = %v, want [scorep test-panic]", got)
+	}
+	if _, err := inst.Run(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case ev := <-trips:
+		if ev.Backend != "test-panic" || !ev.Detached {
+			t.Fatalf("breaker event = %+v, want test-panic detached", ev)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("breaker never tripped")
+	}
+	st := inst.Status()
+	if len(st.Breaker) != 1 || st.Breaker[0].Backend != "test-panic" || !slices.Equal(st.DetachedBackends, []string{"test-panic"}) {
+		t.Fatalf("breaker stats %+v, detached %v; want test-panic", st.Breaker, st.DetachedBackends)
+	}
+	if got := inst.Backends(); !slices.Equal(got, []string{"scorep"}) {
+		t.Fatalf("Backends() after the detach = %v, want [scorep]", got)
+	}
+	if keys := slices.Sorted(maps.Keys(inst.Reports())); !slices.Equal(keys, []string{"scorep"}) {
+		t.Fatalf("report keys after the detach = %v, want [scorep]", keys)
 	}
 }

@@ -1,11 +1,10 @@
 package capi
 
-// The instance-level half of the panic barrier (the event-path half is
-// internal/dyncapi/guard.go): every registry-built MeasurementBackend is
-// wrapped in a guardedBackend so its phase lifecycle (StartPhase, Report)
-// is recovered too, and a tripped circuit breaker auto-detaches the
-// backend from the instance — the instrumented process never crashes
-// because a measurement tool did.
+// The instance's side of the panic barrier: every registry-built
+// MeasurementBackend is held as a dyncapi.Guard (internal/dyncapi/guard.go),
+// the one barrier its events, phase lifecycle and reports run behind, and a
+// tripped circuit breaker auto-detaches the backend from the instance — the
+// instrumented process never crashes because a measurement tool did.
 
 import (
 	"slices"
@@ -39,61 +38,6 @@ type BreakerEvent struct {
 	Detached bool `json:"detached"`
 }
 
-// guardedBackend wraps a registry-built backend: its event sink runs
-// behind a dyncapi.Guard, and the phase-boundary calls (StartPhase,
-// Report) recover panics into the same breaker. A StartPhase or Report
-// panic degrades (the phase runs without the backend's phase hook / the
-// report entry is nil) instead of failing the run — the reliability
-// promise is that instrument errors never affect the host program.
-type guardedBackend struct {
-	inner MeasurementBackend
-	g     *dyncapi.Guard
-}
-
-func newGuardedBackend(mb MeasurementBackend, gopts dyncapi.GuardOptions) *guardedBackend {
-	return &guardedBackend{inner: mb, g: dyncapi.NewGuard(mb.Events(), gopts)}
-}
-
-func (b *guardedBackend) Name() string         { return b.inner.Name() }
-func (b *guardedBackend) Events() EventBackend { return b.g.Sink() }
-
-func (b *guardedBackend) StartPhase(w *World) (err error) {
-	if b.g.Tripped() {
-		return nil
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			b.g.RecordPanic(r)
-			err = nil
-		}
-	}()
-	return b.inner.StartPhase(w)
-}
-
-func (b *guardedBackend) Report() (rep Report) {
-	if b.g.Tripped() {
-		return nil
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			b.g.RecordPanic(r)
-			rep = nil
-		}
-	}()
-	return b.inner.Report()
-}
-
-// guardsOf collects the guards of a freshly built backend set.
-func guardsOf(backends []MeasurementBackend) []*dyncapi.Guard {
-	var out []*dyncapi.Guard
-	for _, mb := range backends {
-		if gb, ok := mb.(*guardedBackend); ok {
-			out = append(out, gb.g)
-		}
-	}
-	return out
-}
-
 // onBreakerTrip is the Guard's OnTrip hook; it runs on its own goroutine.
 func (i *Instance) onBreakerTrip(name string) {
 	ev := i.breakerDetach(name)
@@ -122,12 +66,11 @@ func (i *Instance) breakerDetach(name string) BreakerEvent {
 	defer i.mu.Unlock()
 
 	ev := BreakerEvent{Backend: name}
-	for k, mb := range i.backends {
-		gb, ok := mb.(*guardedBackend)
-		if !ok || gb.Name() != name || !gb.g.Tripped() {
+	for k, g := range i.backends {
+		if g.Name() != name || !g.Tripped() {
 			continue
 		}
-		st := gb.g.Stats()
+		st := g.Stats()
 		ev.Panics, ev.LastPanic, ev.Detached = st.Panics, st.LastPanic, true
 		i.backends = slices.Delete(slices.Clone(i.backends), k, k+1)
 		i.detached = append(i.detached, name)

@@ -446,10 +446,11 @@ type Instance struct {
 	// backend set as a whole.
 	mu    sync.Mutex
 	world *mpi.World
-	// backends is the attached measurement-backend set, registry-built, in
-	// delivery order. curWorld always points at the most recent phase's
-	// world so a backend swapped in mid-phase can attach to it.
-	backends []MeasurementBackend
+	// backends is the attached measurement-backend set, registry-built and
+	// each behind its guard, in delivery order. curWorld always points at
+	// the most recent phase's world so a backend swapped in mid-phase can
+	// attach to it.
+	backends []*dyncapi.Guard
 	curWorld *mpi.World
 	// pendingNs is virtual set-up cost to charge to the next Run: T_init
 	// before the first phase, accumulated Reconfigure costs afterwards.
@@ -522,7 +523,7 @@ func (s *Session) Start(sel *Selection, opts RunOptions) (*Instance, error) {
 		return nil, err
 	}
 	inst.backends = backends
-	inst.guards = guardsOf(backends)
+	inst.guards = append(inst.guards, backends...)
 	if opts.Adapt != nil {
 		if opts.Async && opts.Adapt.SLOTargetP99Ns <= 0 {
 			// Budget mode stays incompatible with the pipeline. SLO mode is
@@ -695,7 +696,7 @@ func (i *Instance) FlushSampling() {
 }
 
 // measurementBackends snapshots the attached backend set.
-func (i *Instance) measurementBackends() []MeasurementBackend {
+func (i *Instance) measurementBackends() []*dyncapi.Guard {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	return i.backends
@@ -753,7 +754,7 @@ func (i *Instance) SetBackends(names []string) (BackendSwapReport, error) {
 		return rep, err
 	}
 	i.backends = backends
-	i.guards = append(i.guards, guardsOf(backends)...)
+	i.guards = append(i.guards, backends...)
 	i.pendingNs += rep.VirtualNs
 	return rep, nil
 }

@@ -176,7 +176,6 @@ func (b *countBackend) Name() string                               { return "tes
 func (b *countBackend) OnEnter(capi.ThreadCtx, *capi.ResolvedFunc) { b.enters.Add(1) }
 func (b *countBackend) OnExit(capi.ThreadCtx, *capi.ResolvedFunc)  {}
 func (b *countBackend) InitCost(int) int64                         { return 0 }
-func (b *countBackend) Events() capi.EventBackend                  { return b }
 func (b *countBackend) StartPhase(*capi.World) error               { b.enters.Store(0); return nil }
 func (b *countBackend) Report() capi.Report {
 	return capi.JSONReport{ReportKind: "count", Value: map[string]int64{"enters": b.enters.Load()}}

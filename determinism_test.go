@@ -116,10 +116,9 @@ func (g *orderGate) step(rank int) {
 	g.mu.Unlock()
 }
 
-func (g *orderGate) Name() string              { return "order-gate" }
-func (g *orderGate) Events() capi.EventBackend { return g }
-func (g *orderGate) Report() capi.Report       { return nil }
-func (g *orderGate) InitCost(int) int64        { return 0 }
+func (g *orderGate) Name() string        { return "order-gate" }
+func (g *orderGate) Report() capi.Report { return nil }
+func (g *orderGate) InitCost(int) int64  { return 0 }
 func (g *orderGate) StartPhase(w *capi.World) error {
 	for _, r := range w.Ranks() {
 		r.AddHook(mpi.Hook{Pre: func(rk *mpi.Rank, _ mpi.Op, _ int) { g.step(rk.ID()) }})

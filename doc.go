@@ -48,15 +48,17 @@
 //	          consumer pool replays events under pinned clocks, drain
 //	          barriers keep phase results and synthetic-exit ordering
 //	          exact, back-pressure drops whole pairs (DroppedAsync),
-//	          and the panic barrier (guard.go): every delivery into a
-//	          backend runs behind a recover with a per-backend circuit
+//	          and the panic barrier (guard.go): every call into a
+//	          backend, events and phase lifecycle alike, runs behind one
+//	          Guard, a recover with a per-backend circuit
 //	          breaker — a tripped backend is auto-detached, and its open
 //	          breaker, left in the chain, keeps drop accounting
 //	          (DroppedPanicked) exact for the rest of the run
 //	capi      backend registry (RegisterBackend / RunOptions.Backends):
 //	          named factories behind the public MeasurementBackend
-//	          interface; the TALP, Score-P and Extrae built-ins are each
-//	          one dyncapi type, event sink and phase lifecycle in one;
+//	          interface (events plus phase lifecycle, one face); the
+//	          none, TALP, Score-P and Extrae built-ins are each one
+//	          dyncapi type;
 //	          one report envelope (Instance.Reports, ReportOf)
 //	adapt     overhead-budget controller: adapts the selection at epoch
 //	          boundaries while the program runs — hottest low-duration
@@ -151,8 +153,9 @@
 //
 // Backends are named entries in a package-level registry. The four
 // built-ins (none, talp, scorep, extrae) self-register; a custom backend
-// implements MeasurementBackend (an EventBackend hot path plus phase
-// lifecycle and a self-describing Report) and registers a factory:
+// is one type implementing MeasurementBackend — the EventBackend methods
+// the handler dispatches into, plus StartPhase and a self-describing
+// Report — whose Name is its registry name, and registers a factory:
 //
 //	capi.RegisterBackend("mytool", func(cfg capi.BackendConfig) (capi.MeasurementBackend, error) { … })
 //
@@ -199,7 +202,8 @@
 // HTTP the same thing is a "ttl" field on POST /v1/select and
 // /v1/sampling, with the expiry streamed as an SSE "expired" event.
 //
-// Every delivery into a measurement backend runs behind a recover barrier
+// Every call into a measurement backend — events, synthetic exits, symbol
+// injection, StartPhase, Report — runs behind its one recover barrier
 // with a per-backend circuit breaker (RunOptions.PanicLimit): a backend
 // that keeps panicking is auto-detached mid-phase — its tripped guard
 // stays in the chain and counts what it no longer delivers, so the

@@ -9,22 +9,20 @@ import (
 	capi "capi"
 )
 
-// countingBackend is a custom measurement backend: one type with two
-// faces and one registry call. The hot path (EventBackend) sees every
-// enter and exit with the executing rank's context; the lifecycle face
-// (MeasurementBackend) attaches fresh state per phase and reports through
-// the envelope. Events returns the type itself, the way the built-in TALP,
-// Score-P and Extrae backends do.
+// countingBackend is a custom measurement backend: one type implementing
+// MeasurementBackend, and one registry call. The event methods see every
+// enter and exit with the executing rank's context; StartPhase attaches
+// fresh state per phase and Report files through the envelope — the shape
+// of the built-in TALP, Score-P and Extrae backends.
 type countingBackend struct{ enters, exits atomic.Int64 }
 
-// The event face.
+// The events.
 func (b *countingBackend) Name() string                                     { return "test-counter" }
 func (b *countingBackend) OnEnter(tc capi.ThreadCtx, fn *capi.ResolvedFunc) { b.enters.Add(1) }
 func (b *countingBackend) OnExit(tc capi.ThreadCtx, fn *capi.ResolvedFunc)  { b.exits.Add(1) }
 func (b *countingBackend) InitCost(int) int64                               { return 0 }
 
-// The lifecycle face.
-func (b *countingBackend) Events() capi.EventBackend    { return b }
+// The phase lifecycle.
 func (b *countingBackend) StartPhase(*capi.World) error { return nil }
 func (b *countingBackend) Report() capi.Report {
 	return capi.JSONReport{ReportKind: "counter", Value: map[string]int64{

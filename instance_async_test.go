@@ -36,7 +36,6 @@ func (b *slowCountBackend) OnExit(tc capi.ThreadCtx, fn *capi.ResolvedFunc) {
 	b.exits.Add(1)
 }
 func (b *slowCountBackend) InitCost(int) int64           { return 0 }
-func (b *slowCountBackend) Events() capi.EventBackend    { return b }
 func (b *slowCountBackend) StartPhase(*capi.World) error { return nil }
 func (b *slowCountBackend) Report() capi.Report          { return nil }
 

@@ -9,21 +9,16 @@ import (
 	capi "capi"
 )
 
-// panicEvents panics on every delivery — before any internal accounting —
-// so a successful delivery to this backend is impossible: everything the
-// chain hands it must come back out as DroppedPanicked.
-type panicEvents struct{}
-
-func (panicEvents) Name() string                                     { return "test-panic" }
-func (panicEvents) OnEnter(tc capi.ThreadCtx, fn *capi.ResolvedFunc) { panic("test-panic: enter") }
-func (panicEvents) OnExit(tc capi.ThreadCtx, fn *capi.ResolvedFunc)  { panic("test-panic: exit") }
-func (panicEvents) InitCost(int) int64                               { return 0 }
-
+// panicBackend panics on every event delivery — before any internal
+// accounting — so a successful delivery to this backend is impossible:
+// everything the chain hands it must come back out as DroppedPanicked.
 type panicBackend struct{}
 
-func (panicBackend) Name() string                 { return "test-panic" }
-func (panicBackend) Events() capi.EventBackend    { return panicEvents{} }
-func (panicBackend) StartPhase(*capi.World) error { return nil }
+func (panicBackend) Name() string                                     { return "test-panic" }
+func (panicBackend) OnEnter(tc capi.ThreadCtx, fn *capi.ResolvedFunc) { panic("test-panic: enter") }
+func (panicBackend) OnExit(tc capi.ThreadCtx, fn *capi.ResolvedFunc)  { panic("test-panic: exit") }
+func (panicBackend) InitCost(int) int64                               { return 0 }
+func (panicBackend) StartPhase(*capi.World) error                     { return nil }
 func (panicBackend) Report() capi.Report {
 	return capi.JSONReport{ReportKind: "panic", Value: "should never be scraped after a trip"}
 }
@@ -261,7 +256,6 @@ func (lifecyclePanicBackend) Name() string                                     {
 func (lifecyclePanicBackend) OnEnter(tc capi.ThreadCtx, fn *capi.ResolvedFunc) {}
 func (lifecyclePanicBackend) OnExit(tc capi.ThreadCtx, fn *capi.ResolvedFunc)  {}
 func (lifecyclePanicBackend) InitCost(int) int64                               { return 0 }
-func (b lifecyclePanicBackend) Events() capi.EventBackend                      { return b }
 func (lifecyclePanicBackend) StartPhase(*capi.World) error                     { return nil }
 func (lifecyclePanicBackend) Report() capi.Report                              { panic("test: report") }
 

@@ -66,7 +66,6 @@ func (g *reselectGate) OnEnter(capi.ThreadCtx, *capi.ResolvedFunc) {
 func (g *reselectGate) Name() string                              { return "reselect-gate" }
 func (g *reselectGate) OnExit(capi.ThreadCtx, *capi.ResolvedFunc) {}
 func (g *reselectGate) InitCost(int) int64                        { return 0 }
-func (g *reselectGate) Events() capi.EventBackend                 { return g }
 func (g *reselectGate) StartPhase(*capi.World) error              { return nil }
 func (g *reselectGate) Report() capi.Report                       { return nil }
 
@@ -369,7 +368,6 @@ func (b *raceCountBackend) OnExit(tc capi.ThreadCtx, fn *capi.ResolvedFunc) {
 	b.exits.Add(1)
 }
 func (b *raceCountBackend) InitCost(int) int64           { return 0 }
-func (b *raceCountBackend) Events() capi.EventBackend    { return b }
 func (b *raceCountBackend) StartPhase(*capi.World) error { return nil }
 func (b *raceCountBackend) Report() capi.Report          { return nil }
 

@@ -999,7 +999,6 @@ func (b *ctlSlowBackend) OnExit(capi.ThreadCtx, *capi.ResolvedFunc) {
 	}
 }
 func (b *ctlSlowBackend) InitCost(int) int64           { return 0 }
-func (b *ctlSlowBackend) Events() capi.EventBackend    { return b }
 func (b *ctlSlowBackend) StartPhase(*capi.World) error { return nil }
 func (b *ctlSlowBackend) Report() capi.Report          { return nil }
 
@@ -1023,7 +1022,6 @@ func (b *ctlGateBackend) Name() string                               { return "c
 func (b *ctlGateBackend) OnEnter(capi.ThreadCtx, *capi.ResolvedFunc) { b.hold.Wait() }
 func (b *ctlGateBackend) OnExit(capi.ThreadCtx, *capi.ResolvedFunc)  { b.hold.Wait() }
 func (b *ctlGateBackend) InitCost(int) int64                         { return 0 }
-func (b *ctlGateBackend) Events() capi.EventBackend                  { return b }
 func (b *ctlGateBackend) StartPhase(*capi.World) error               { return nil }
 func (b *ctlGateBackend) Report() capi.Report                        { return nil }
 

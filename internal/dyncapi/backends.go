@@ -51,14 +51,15 @@ func (r JSONReport) Kind() string { return r.ReportKind }
 // MarshalJSON implements Envelope.
 func (r JSONReport) MarshalJSON() ([]byte, error) { return json.Marshal(r.Value) }
 
-// The TALP, Score-P and Extrae backends are each event sink and phase
-// lifecycle in one. StartPhase replaces the per-phase measurement (Mon, M,
-// Buf) while HTTP worker ranks may still be dispatching, so the handlers
+// Every built-in backend is a MeasurementBackend: event interface and phase
+// lifecycle in one type. StartPhase replaces the per-phase measurement (Mon,
+// M, Buf) while HTTP worker ranks may still be dispatching, so the handlers
 // read it through an atomic pointer.
 
-// CygBackend is the default GCC-compatible interface: it forwards events to
-// __cyg_profile_func_enter/exit-style callbacks carrying only the function
-// address (§V-C).
+// CygBackend is the default GCC-compatible interface, registered as "none":
+// it forwards events to __cyg_profile_func_enter/exit-style callbacks
+// carrying only the function address (§V-C), and with no callbacks set it
+// discards them (overhead studies). It has no per-phase state and no report.
 type CygBackend struct {
 	// EnterFunc and ExitFunc receive the function address, like
 	// __cyg_profile_func_enter(void *fn, void *callsite).
@@ -66,8 +67,14 @@ type CygBackend struct {
 	ExitFunc  func(tc xray.ThreadCtx, addr uint64)
 }
 
-// Name implements Backend.
-func (b *CygBackend) Name() string { return "cyg-profile" }
+// Name implements Backend: the registry name of the discarding backend.
+func (b *CygBackend) Name() string { return "none" }
+
+// StartPhase implements MeasurementBackend: there is no per-phase state.
+func (b *CygBackend) StartPhase(*mpi.World) error { return nil }
+
+// Report implements MeasurementBackend: the callbacks keep no report.
+func (b *CygBackend) Report() Envelope { return nil }
 
 // OnEnter implements Backend.
 func (b *CygBackend) OnEnter(tc xray.ThreadCtx, fn *ResolvedFunc) {
@@ -105,9 +112,6 @@ func NewScorePBackend(m *scorep.Measurement, r *scorep.Resolver) *ScorePBackend 
 
 // Name implements Backend.
 func (b *ScorePBackend) Name() string { return "scorep" }
-
-// Events returns the backend itself: it is its own event sink.
-func (b *ScorePBackend) Events() Backend { return b }
 
 // StartPhase attaches a fresh measurement, built with the options of the
 // one it replaces; the resolver (and its injected DSO symbols) is kept.
@@ -178,9 +182,6 @@ func NewTALPBackend(m *talp.Monitor) *TALPBackend {
 
 // Name implements Backend.
 func (b *TALPBackend) Name() string { return "talp" }
-
-// Events returns the backend itself: it is its own event sink.
-func (b *TALPBackend) Events() Backend { return b }
 
 // StartPhase attaches a fresh monitor over the new phase's world, built
 // with the options of the one it replaces.
@@ -259,9 +260,6 @@ func NewExtraeBackend(buf *trace.Buffer) *ExtraeBackend {
 
 // Name implements Backend.
 func (b *ExtraeBackend) Name() string { return "extrae" }
-
-// Events returns the backend itself: it is its own event sink.
-func (b *ExtraeBackend) Events() Backend { return b }
 
 // StartPhase attaches a fresh buffer, built with the options and the name
 // lookup of the one it replaces.

@@ -8,9 +8,9 @@
 //     this way (the paper's 1,444 OpenFOAM cases, §VI-B(a));
 //  2. patches the sleds of the functions selected by the instrumentation
 //     configuration (or everything, for the "xray full" variant);
-//  3. bridges XRay events to a measurement backend: the generic
-//     cyg-profile interface, Score-P (with symbol injection so DSO
-//     addresses resolve, §V-C1) or TALP (§V-C2).
+//  3. bridges XRay events to a measurement backend: the discarding
+//     cyg-profile interface ("none"), Score-P (with symbol injection so DSO
+//     addresses resolve, §V-C1), TALP (§V-C2) or the Extrae-style tracer.
 //
 // The accumulated virtual start-up cost is the T_init column of Table II.
 package dyncapi
@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 
 	"capi/internal/ic"
+	"capi/internal/mpi"
 	"capi/internal/obj"
 	"capi/internal/vtime"
 	"capi/internal/xray"
@@ -75,9 +76,10 @@ const (
 	stateDeselected
 )
 
-// Backend is a measurement tool attached to the instrumentation. OnEnter
-// and OnExit run inside the XRay handler on the executing rank; fn.Name may
-// be empty for unresolved functions.
+// Backend is the event interface of a measurement tool, the one the
+// runtime dispatches into. OnEnter and OnExit run inside the XRay handler on
+// the executing rank; fn.Name may be empty for unresolved functions. A
+// backend may also implement Deselector, SymbolInjector or both.
 type Backend interface {
 	Name() string
 	OnEnter(tc xray.ThreadCtx, fn *ResolvedFunc)
@@ -85,6 +87,22 @@ type Backend interface {
 	// InitCost returns the backend's virtual start-up cost given the
 	// number of symbols the runtime scanned.
 	InitCost(symbolsScanned int) int64
+}
+
+// MeasurementBackend is one whole measurement system: the event interface
+// plus the phase lifecycle. The backend itself is what the runtime
+// dispatches into; per-phase state swaps happen inside it (StartPhase),
+// never by replacing it. The built-ins (CygBackend, TALPBackend,
+// ScorePBackend, ExtraeBackend) implement it, and a Guard wraps one.
+type MeasurementBackend interface {
+	Backend
+	// StartPhase attaches fresh per-phase measurement state; world is the
+	// new phase's MPI world (rank clocks restarted at zero).
+	StartPhase(world *mpi.World) error
+	// Report returns the current measurement report, or nil when the
+	// backend has none (the discarding "none" backend, or nothing measured
+	// yet). It must be safe to call while a phase executes.
+	Report() Envelope
 }
 
 // SymbolInjector is implemented by backends that want the DSO symbol
@@ -315,14 +333,14 @@ func (rt *Runtime) loadBackend() Backend {
 	return rt.backend.Load().(backendBox).b
 }
 
-// attach binds the name lookup into every nameBinder in the backend graph
-// and returns every SymbolInjector, looking through fan-outs (Mux) so that
+// attach binds the name lookup into every nameBinder the backend delivers
+// to and returns every SymbolInjector, looking through a Mux so that
 // multiplexing (talp+scorep, a backend plus the adapt controller) disables
 // neither for any consumer.
 func (rt *Runtime) attach(b Backend) []SymbolInjector {
 	var out []SymbolInjector
-	walkBackends(b, func(b Backend) {
-		if nb, ok := b.(nameBinder); ok {
+	for _, c := range leaves(b) {
+		if nb, ok := c.(nameBinder); ok {
 			nb.bindNames(func(id int32) string {
 				if rf := rt.slot(id); rf != nil {
 					return rf.Name // "" when unresolved
@@ -330,22 +348,21 @@ func (rt *Runtime) attach(b Backend) []SymbolInjector {
 				return ""
 			})
 		}
-		if inj, ok := b.(SymbolInjector); ok {
-			out = append(out, inj)
+		if _, si := capabilities(c); si != nil {
+			out = append(out, si)
 		}
-	})
+	}
 	return out
 }
 
-// walkBackends visits every backend in the graph rooted at b: b itself and
-// the children of every fan-out (Mux), depth-first in delivery order.
-func walkBackends(b Backend, visit func(Backend)) {
-	visit(b)
-	if f, ok := b.(fanout); ok {
-		for _, c := range f.Children() {
-			walkBackends(c, visit)
-		}
+// leaves returns the backends b delivers to, in delivery order: a Mux's
+// children, or b itself. Mux is the only fan-out and nothing nests one, so
+// its children are the leaves.
+func leaves(b Backend) []Backend {
+	if m, ok := b.(*Mux); ok {
+		return m.backends
 	}
+	return []Backend{b}
 }
 
 // namedDeselector pairs a Deselector with the backend name it belongs to,
@@ -355,14 +372,14 @@ type namedDeselector struct {
 	ds   Deselector
 }
 
-// deselectors collects every Deselector in the backend graph, named.
+// deselectors collects every Deselector the backend delivers to, named.
 func deselectors(b Backend) []namedDeselector {
 	var out []namedDeselector
-	walkBackends(b, func(b Backend) {
-		if ds, ok := b.(Deselector); ok {
-			out = append(out, namedDeselector{b.Name(), ds})
+	for _, c := range leaves(b) {
+		if ds, _ := capabilities(c); ds != nil {
+			out = append(out, namedDeselector{c.Name(), ds})
 		}
-	})
+	}
 	return out
 }
 
@@ -638,7 +655,7 @@ type ReconfigReport struct {
 	// that were inside a function when its exit sled was restored.
 	SyntheticExits int
 	// SyntheticExitsByBackend breaks SyntheticExits down per backend name:
-	// one entry per Deselector in the attached backend graph (a Mux fan-out
+	// one entry per Deselector the attached backend delivers to (a Mux fan-out
 	// delivers — and counts — per child). Empty when nothing was closed.
 	SyntheticExitsByBackend map[string]int `json:"SyntheticExitsByBackend,omitempty"`
 	// Sampling carries the sampler's aggregate counters at the time of the
@@ -760,7 +777,7 @@ func (rt *Runtime) Reconfigure(cfg *ic.Config) (ReconfigReport, error) {
 
 	// Deliver synthetic exits for ranks caught inside a deselected
 	// function: the sleds are restored, so no real exit can arrive anymore.
-	// Every Deselector in the backend graph (a Mux fans out to several)
+	// Every Deselector the backend delivers to (a Mux fans out to several)
 	// gets to close its dangling state, and the closures are counted per
 	// backend.
 	if len(toUnpatch) > 0 {
@@ -881,17 +898,17 @@ type BackendSwapReport struct {
 	VirtualNs int64 `json:"virtualNs"`
 }
 
-// backendIdentitySet collects the identity of every node in the backend
-// graph rooted at b, for SwapBackend's departure/arrival diff. Nodes whose
-// dynamic type is not comparable are skipped — they always diff as
-// departing/arriving, the conservative pre-diff behavior.
+// backendIdentitySet collects the identity of every leaf b delivers to,
+// for SwapBackend's departure/arrival diff. Leaves whose dynamic type is
+// not comparable are skipped — they always diff as departing/arriving, the
+// conservative pre-diff behavior.
 func backendIdentitySet(b Backend) map[any]bool {
 	set := map[any]bool{}
-	walkBackends(b, func(c Backend) {
+	for _, c := range leaves(b) {
 		if reflect.TypeOf(c).Comparable() {
 			set[c] = true
 		}
-	})
+	}
 	return set
 }
 
@@ -948,17 +965,12 @@ func (rt *Runtime) SwapBackend(b Backend) (BackendSwapReport, error) {
 			injector.InjectSymbol(s.addr, s.name)
 		}
 	}
-	// Start-up cost: only arriving leaves pay. Fan-outs are skipped so a
-	// mux's children are not charged twice (Mux.InitCost sums them already).
-	walkBackends(b, func(c Backend) {
-		if _, isFan := c.(fanout); isFan {
-			return
+	// Start-up cost: only arriving leaves pay.
+	for _, c := range leaves(b) {
+		if !reflect.TypeOf(c).Comparable() || !oldSet[c] {
+			rep.VirtualNs += c.InitCost(rt.report.SymbolsScanned)
 		}
-		if reflect.TypeOf(c).Comparable() && oldSet[c] {
-			return
-		}
-		rep.VirtualNs += c.InitCost(rt.report.SymbolsScanned)
-	})
+	}
 	return rep, nil
 }
 

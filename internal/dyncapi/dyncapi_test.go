@@ -284,7 +284,7 @@ func TestTALPBackendLifecycle(t *testing.T) {
 }
 
 func TestBackendNames(t *testing.T) {
-	if (&CygBackend{}).Name() != "cyg-profile" {
+	if (&CygBackend{}).Name() != "none" {
 		t.Fatal("cyg name")
 	}
 	m, _ := scorep.New(scorep.Options{Ranks: 1})

@@ -3,9 +3,11 @@ package dyncapi
 // A tripped backend must never take the host down with it: the Diagnose
 // library's reliability promise is that instrument errors never affect the
 // instrumented program. Guard is the panic barrier that keeps it — every
-// delivery into a measurement backend (enter/exit events, synthetic exits,
-// symbol injection, init-cost probes) runs behind a recover, and a
-// per-backend circuit breaker detaches a backend that keeps panicking.
+// call into a measurement backend (enter/exit events, synthetic exits,
+// symbol injection, init-cost probes, the phase lifecycle and reports) runs
+// behind a recover, and a per-backend circuit breaker detaches a backend
+// that keeps panicking. It is the only barrier: the instance layer holds
+// guards, not backends.
 //
 // The non-failing path pays one atomic load (the breaker state) and one
 // deferred-recover frame per event; Go open-codes both, so the guarded
@@ -16,6 +18,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"capi/internal/mpi"
 	"capi/internal/xray"
 )
 
@@ -39,26 +42,24 @@ type GuardOptions struct {
 }
 
 // Guard wraps one measurement backend in a panic barrier with a circuit
-// breaker. Insert it into a chain via Sink(), which returns a Backend
-// whose optional capabilities (Deselector, SymbolInjector) mirror the
-// wrapped backend's — all of them guarded.
-//
-// A guarded sink is a leaf of the backend graph: walkBackends descends only
-// into fan-outs, so the walks (symbol injection, deselector collection)
-// reach the wrapped backend through the guarded capabilities above and
-// never around the barrier.
+// breaker, and is itself the chain element: everything the runtime or the
+// instance delivers to the backend — events, InitCost, StartPhase, Report,
+// OnDeselect, InjectSymbol and name binding — runs behind the one barrier.
+// The guard has every optional method but forwards only what the inner
+// backend has; capabilities answers for the inner backend, so the runtime's
+// walks see a Deselector or SymbolInjector exactly when the backend is one.
 //
 // Accounting: DroppedPanicked counts enter events (in the identity's enter
 // units) that did not reach the backend — the enter that panicked plus
-// every enter arriving after the breaker opened. Exit-side panics are
+// every enter arriving after the breaker opened. Panics anywhere else are
 // recovered and counted toward the breaker but not toward DroppedPanicked;
 // the conservation identity is stated in enter units.
 type Guard struct {
-	inner  Backend
+	inner  MeasurementBackend
+	name   string         // inner's, read once: the backend's one name
 	ds     Deselector     // inner's, nil when not implemented
 	si     SymbolInjector // inner's, nil when not implemented
-	sink   Backend
-	limit  int64 // 0 = never trip
+	limit  int64          // 0 = never trip
 	onTrip func(string)
 
 	tripped   atomic.Bool
@@ -67,9 +68,9 @@ type Guard struct {
 	lastPanic atomic.Value // of string
 }
 
-// NewGuard wraps inner. Use g.Sink() as the chain element.
-func NewGuard(inner Backend, opts GuardOptions) *Guard {
-	g := &Guard{inner: inner, onTrip: opts.OnTrip}
+// NewGuard wraps inner.
+func NewGuard(inner MeasurementBackend, opts GuardOptions) *Guard {
+	g := &Guard{inner: inner, name: inner.Name(), onTrip: opts.OnTrip}
 	switch {
 	case opts.PanicLimit > 0:
 		g.limit = int64(opts.PanicLimit)
@@ -78,28 +79,34 @@ func NewGuard(inner Backend, opts GuardOptions) *Guard {
 	}
 	g.ds, _ = inner.(Deselector)
 	g.si, _ = inner.(SymbolInjector)
-	switch {
-	case g.ds != nil && g.si != nil:
-		g.sink = guardDSI{guardDS{g}}
-	case g.ds != nil:
-		g.sink = guardDS{g}
-	case g.si != nil:
-		g.sink = guardSI{g}
-	default:
-		g.sink = g
-	}
 	return g
 }
 
-// Sink returns the guarded chain element: a Backend that implements
-// exactly the optional capabilities (Deselector, SymbolInjector) the
-// wrapped backend implements. Its identity is stable for the Guard's
-// lifetime, so SwapBackend's arrival/departure diff recognizes it.
-func (g *Guard) Sink() Backend { return g.sink }
+// Sink returns the guard itself, the chain element.
+func (g *Guard) Sink() Backend { return g }
 
-// Name reports the wrapped backend's name: the guard is transparent in
-// all per-backend accounting (synthetic exits, reports, mux naming).
-func (g *Guard) Name() string { return g.inner.Name() }
+// capabilities returns b's optional interfaces. A Guard answers for its
+// inner backend: it forwards only what that backend has.
+func capabilities(b Backend) (ds Deselector, si SymbolInjector) {
+	g, ok := b.(*Guard)
+	if !ok {
+		ds, _ = b.(Deselector)
+		si, _ = b.(SymbolInjector)
+		return ds, si
+	}
+	if g.ds != nil {
+		ds = g
+	}
+	if g.si != nil {
+		si = g
+	}
+	return ds, si
+}
+
+// Name reports the wrapped backend's name, read when the guard was built:
+// the guard is transparent in all per-backend accounting (synthetic exits,
+// reports, breaker stats and detach, mux naming).
+func (g *Guard) Name() string { return g.name }
 
 //capi:hotpath
 func (g *Guard) OnEnter(tc xray.ThreadCtx, fn *ResolvedFunc) {
@@ -146,36 +153,10 @@ func (g *Guard) exit(tc xray.ThreadCtx, fn *ResolvedFunc) {
 	g.inner.OnExit(tc, fn)
 }
 
-// InitCost probes the wrapped backend's start-up cost; a panicking cost
-// model counts toward the breaker and costs nothing.
-func (g *Guard) InitCost(symbolsScanned int) (cost int64) {
-	defer func() {
-		if r := recover(); r != nil {
-			g.panicked(r)
-			cost = 0
-		}
-	}()
-	return g.inner.InitCost(symbolsScanned)
-}
-
-// onDeselect guards the synthetic-exit path: a panic while closing
-// dangling state is recovered (the state is then simply lost — the
-// backend is broken anyway) and counted toward the breaker.
-func (g *Guard) onDeselect(fn *ResolvedFunc) (n int) {
-	if g.tripped.Load() {
-		return 0
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			g.panicked(r)
-			n = 0
-		}
-	}()
-	return g.ds.OnDeselect(fn)
-}
-
-// injectSymbol guards DSO symbol injection.
-func (g *Guard) injectSymbol(addr uint64, name string) {
+// barrier runs f behind the breaker: not at all when it is open, and a
+// panic in f counts toward it. The callers' results stay zero unless f
+// returned.
+func (g *Guard) barrier(f func()) {
 	if g.tripped.Load() {
 		return
 	}
@@ -184,23 +165,55 @@ func (g *Guard) injectSymbol(addr uint64, name string) {
 			g.panicked(r)
 		}
 	}()
-	g.si.InjectSymbol(addr, name)
+	f()
 }
 
-// bindNames forwards the runtime's name lookup to the wrapped backend; every
-// sink shape embeds the Guard, so the lookup reaches a guarded tracer.
-func (g *Guard) bindNames(names func(int32) string) {
-	if nb, ok := g.inner.(nameBinder); ok {
-		nb.bindNames(names)
+// InitCost probes the wrapped backend's start-up cost; a panicking cost
+// model counts toward the breaker and costs nothing.
+func (g *Guard) InitCost(symbolsScanned int) (cost int64) {
+	g.barrier(func() { cost = g.inner.InitCost(symbolsScanned) })
+	return cost
+}
+
+// StartPhase attaches the backend's fresh per-phase state. A panic degrades
+// to a phase without the backend's phase hook, never to a failed phase.
+func (g *Guard) StartPhase(w *mpi.World) (err error) {
+	g.barrier(func() { err = g.inner.StartPhase(w) })
+	return err
+}
+
+// Report returns the backend's report; nil once the breaker is open or
+// when Report panics, so a broken backend drops out of the envelope.
+func (g *Guard) Report() (rep Envelope) {
+	g.barrier(func() { rep = g.inner.Report() })
+	return rep
+}
+
+// OnDeselect forwards to the backend's Deselector, if it has one. A panic
+// while closing dangling state is recovered (the state is then simply
+// lost — the backend is broken anyway) and counted toward the breaker.
+func (g *Guard) OnDeselect(fn *ResolvedFunc) (n int) {
+	if g.ds != nil {
+		g.barrier(func() { n = g.ds.OnDeselect(fn) })
+	}
+	return n
+}
+
+// InjectSymbol forwards DSO symbol injection to the backend's
+// SymbolInjector, if it has one.
+func (g *Guard) InjectSymbol(addr uint64, name string) {
+	if g.si != nil {
+		g.barrier(func() { g.si.InjectSymbol(addr, name) })
 	}
 }
 
-// RecordPanic counts a panic recovered outside the event path (the
-// instance layer guards StartPhase and Report itself) toward the same
-// breaker, so a backend that only breaks at phase boundaries still trips.
-//
-//capi:coldpath
-func (g *Guard) RecordPanic(r any) { g.panicked(r) }
+// bindNames forwards the runtime's name lookup to the backend, if it names
+// function IDs at report time.
+func (g *Guard) bindNames(names func(int32) string) {
+	if nb, ok := g.inner.(nameBinder); ok {
+		g.barrier(func() { nb.bindNames(names) })
+	}
+}
 
 // panicked is the cold path shared by every recover site: count, remember
 // the panic value, and trip the breaker at the limit.
@@ -214,7 +227,7 @@ func (g *Guard) panicked(r any) {
 			// Off this goroutine: the trip may have unwound out of a
 			// dispatch handler or a consumer, and detaching swaps the
 			// backend chain under locks the event path must not take.
-			go g.onTrip(g.inner.Name())
+			go g.onTrip(g.name)
 		}
 	}
 }
@@ -235,25 +248,10 @@ type GuardStats struct {
 func (g *Guard) Stats() GuardStats {
 	last, _ := g.lastPanic.Load().(string)
 	return GuardStats{
-		Backend:         g.inner.Name(),
+		Backend:         g.name,
 		Panics:          g.panics.Load(),
 		DroppedPanicked: g.dropped.Load(),
 		Tripped:         g.tripped.Load(),
 		LastPanic:       last,
 	}
 }
-
-// guardDS / guardSI / guardDSI are the capability-matched sink shapes:
-// one-word structs wrapping the Guard so that interface type assertions
-// against the sink see exactly the capabilities the inner backend has.
-type guardDS struct{ *Guard }
-
-func (w guardDS) OnDeselect(fn *ResolvedFunc) int { return w.Guard.onDeselect(fn) }
-
-type guardSI struct{ *Guard }
-
-func (w guardSI) InjectSymbol(addr uint64, name string) { w.Guard.injectSymbol(addr, name) }
-
-type guardDSI struct{ guardDS }
-
-func (w guardDSI) InjectSymbol(addr uint64, name string) { w.Guard.injectSymbol(addr, name) }

@@ -6,15 +6,20 @@ import (
 	"time"
 
 	"capi/internal/ic"
+	"capi/internal/mpi"
 	"capi/internal/xray"
 )
 
-// plainBackend is the minimal Backend shape: no optional capabilities.
+// plainBackend is the minimal MeasurementBackend: no optional capabilities.
+// It counts every call the guard forwards, its embedders' included.
 type plainBackend struct {
 	name          string
 	enters, exits int
 	panicEnters   bool
 	panicExits    bool
+
+	phases, reports, deselects int
+	injected                   []string
 }
 
 func (p *plainBackend) Name() string { return p.name }
@@ -30,12 +35,14 @@ func (p *plainBackend) OnExit(tc xray.ThreadCtx, fn *ResolvedFunc) {
 	}
 	p.exits++
 }
-func (p *plainBackend) InitCost(int) int64 { return 11 }
+func (p *plainBackend) InitCost(int) int64          { return 11 }
+func (p *plainBackend) StartPhase(*mpi.World) error { p.phases++; return nil }
+func (p *plainBackend) Report() Envelope            { p.reports++; return nil }
+func (p *plainBackend) counts() *plainBackend       { return p }
 
 // dsBackend adds Deselector; siBackend adds SymbolInjector; dsiBackend both.
 type dsBackend struct {
 	plainBackend
-	deselects int
 	panicLife bool // panic in InitCost / OnDeselect / InjectSymbol
 }
 
@@ -56,7 +63,6 @@ func (d *dsBackend) OnDeselect(fn *ResolvedFunc) int {
 
 type siBackend struct {
 	plainBackend
-	injected []string
 }
 
 func (s *siBackend) InjectSymbol(addr uint64, name string) { s.injected = append(s.injected, name) }
@@ -69,35 +75,67 @@ func (d *dsiBackend) InjectSymbol(addr uint64, name string) {
 	if d.panicLife {
 		panic("boom: inject")
 	}
+	d.injected = append(d.injected, name)
 }
 
-// TestGuardSinkCapabilityMatch: the guarded sink implements exactly the
-// optional capabilities the wrapped backend implements — no more (a walk
-// must not see a Deselector that isn't one) and no less (a walk must not
-// miss one).
-func TestGuardSinkCapabilityMatch(t *testing.T) {
+// TestGuardForwardsInnerCapabilities: the guard reaches the inner
+// backend's StartPhase and Report always, its OnDeselect and InjectSymbol
+// exactly when the inner backend has them (and the runtime's capability
+// walk sees just those), and none of them once the breaker is open.
+func TestGuardForwardsInnerCapabilities(t *testing.T) {
 	cases := []struct {
-		name   string
-		inner  Backend
+		name  string
+		inner interface {
+			MeasurementBackend
+			counts() *plainBackend
+		}
 		wantDS bool
 		wantSI bool
 	}{
 		{"plain", &plainBackend{name: "p"}, false, false},
 		{"deselector", &dsBackend{plainBackend: plainBackend{name: "d"}}, true, false},
-		{"injector", &siBackend{plainBackend: plainBackend{name: "s"}}, false, true},
+		{"injector", &siBackend{plainBackend{name: "s"}}, false, true},
 		{"both", &dsiBackend{dsBackend{plainBackend: plainBackend{name: "b"}}}, true, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			sink := NewGuard(c.inner, GuardOptions{}).Sink()
-			if _, ok := sink.(Deselector); ok != c.wantDS {
-				t.Errorf("sink Deselector = %v, want %v", ok, c.wantDS)
+			g := NewGuard(c.inner, GuardOptions{PanicLimit: 1})
+			if g.Name() != c.inner.Name() {
+				t.Errorf("guard name = %q, want %q", g.Name(), c.inner.Name())
 			}
-			if _, ok := sink.(SymbolInjector); ok != c.wantSI {
-				t.Errorf("sink SymbolInjector = %v, want %v", ok, c.wantSI)
+			ds, si := capabilities(g)
+			if (ds != nil) != c.wantDS || (si != nil) != c.wantSI {
+				t.Errorf("capabilities: Deselector %v, SymbolInjector %v; want %v, %v", ds != nil, si != nil, c.wantDS, c.wantSI)
 			}
-			if sink.Name() != c.inner.Name() {
-				t.Errorf("sink name = %q, want %q", sink.Name(), c.inner.Name())
+			reached := func() [4]int {
+				p := c.inner.counts()
+				return [4]int{p.phases, p.reports, p.deselects, len(p.injected)}
+			}
+			deliver := func() {
+				g.StartPhase(nil) //nolint:errcheck
+				g.Report()
+				g.OnDeselect(nil)
+				g.InjectSymbol(1, "x")
+			}
+			deliver()
+			want := [4]int{1, 1, 0, 0}
+			if c.wantDS {
+				want[2] = 1
+			}
+			if c.wantSI {
+				want[3] = 1
+			}
+			if got := reached(); got != want {
+				t.Fatalf("phases, reports, deselects, injects reached = %v, want %v", got, want)
+			}
+			c.inner.counts().panicEnters = true
+			g.OnEnter(&fakeCtx{}, nil) // panic 1 -> trip
+			if !g.Tripped() {
+				t.Fatal("not tripped")
+			}
+			deliver()
+			if got := reached(); got != want {
+				t.Fatalf("open breaker reached the backend: %v, want %v", got, want)
 			}
 		})
 	}

@@ -18,9 +18,11 @@ import (
 // of a live runtime swaps the whole Mux (Runtime.SwapBackend), never the
 // slice in place.
 //
-// Mux deliberately does not implement Deselector itself: the runtime walks
-// Children so synthetic exits are delivered — and *counted* — per child
-// backend (ReconfigReport.SyntheticExitsByBackend).
+// Mux is the only fan-out, and its children are leaves: nothing nests one.
+// It deliberately implements no optional capability itself: the runtime
+// walks the children, so synthetic exits are delivered — and *counted* —
+// per child backend (ReconfigReport.SyntheticExitsByBackend), and symbols
+// are injected into each child that takes them.
 type Mux struct {
 	backends []Backend
 	name     string
@@ -37,9 +39,6 @@ func NewMux(backends ...Backend) *Mux {
 
 // Name implements Backend.
 func (m *Mux) Name() string { return m.name }
-
-// Children returns the fan-out targets, in delivery order.
-func (m *Mux) Children() []Backend { return m.backends }
 
 // OnEnter implements Backend: every child sees the event, in order.
 //
@@ -67,11 +66,4 @@ func (m *Mux) InitCost(symbols int) int64 {
 		total += b.InitCost(symbols)
 	}
 	return total
-}
-
-// fanout is implemented by backends that multiplex to child backends (Mux).
-// The runtime's backend-chain walks (symbol injection, synthetic-exit
-// delivery) descend into the children.
-type fanout interface {
-	Children() []Backend
 }

@@ -86,7 +86,8 @@ type Options struct {
 	// TTL is the heartbeat TTL for registered members (DefaultTTL if 0).
 	TTL time.Duration
 	// ProbeInterval is the liveness probe cadence (DefaultProbeInterval
-	// if 0); negative disables the prober.
+	// if 0): each member is probed this long after its previous probe
+	// returned. Negative disables the prober.
 	ProbeInterval time.Duration
 	// Timeout bounds each control request to one member (DefaultTimeout
 	// if 0).
@@ -105,7 +106,7 @@ type Options struct {
 
 // Server is the coordinator. Create it with New, mount it on any
 // http.Server (it implements http.Handler), and Close it to stop the
-// eviction timers, the prober and every member tailer.
+// eviction timers and every member's tailer and prober.
 type Server struct {
 	opts    Options
 	reg     *registry
@@ -177,10 +178,6 @@ func New(opts Options) (*Server, error) {
 		}
 		s.reg.upsert(name, base, "", true)
 	}
-	if opts.ProbeInterval > 0 {
-		s.wg.Add(1)
-		go s.probeLoop()
-	}
 	return s, nil
 }
 
@@ -191,7 +188,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Close stops the eviction timers, the prober and every member tailer, and
+// Close stops the eviction timers and every member's tailer and prober, and
 // disconnects the SSE subscribers. It blocks until every goroutine the
 // coordinator started has exited — which is what the no-leak test pins.
 func (s *Server) Close() {
@@ -201,13 +198,17 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// memberJoined starts the member's SSE tailer and announces the join on
-// the fleet stream. Called by the registry with its lock held; the
-// returned cancel stops the tailer on eviction.
+// memberJoined starts the member's SSE tailer and prober and announces the
+// join on the fleet stream. Called by the registry with its lock held; the
+// returned cancel stops both on eviction or replacement.
 func (s *Server) memberJoined(m *member) context.CancelFunc {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	s.wg.Add(1)
 	go s.tailMember(ctx, m)
+	if s.opts.ProbeInterval > 0 {
+		s.wg.Add(1)
+		go s.probeMember(ctx, m)
+	}
 	s.hub.Publish("fleet", lifecycleEvent{Member: m.name, URL: m.url, State: "registered"})
 	return cancel
 }
@@ -314,33 +315,32 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// probeLoop polls every member's GET /v1/healthz at ProbeInterval and
-// records the outcome in the member table. Static members have no
-// heartbeat, so the probe is their only liveness signal; for registered
-// members it colors the table between heartbeats (eviction stays
-// TTL-driven). A round probes its members concurrently, so a member whose
-// healthz hangs delays no other member's outcome.
-func (s *Server) probeLoop() {
+// probeMember polls m's GET /v1/healthz until ctx ends, ProbeInterval
+// after each probe returned, and records the outcome in the member table.
+// Every member has its own prober, so one whose healthz hangs delays only
+// its own next probe. Static members have no heartbeat, so the probe is
+// their only liveness signal; for registered members it colors the table
+// between heartbeats (eviction stays TTL-driven).
+func (s *Server) probeMember(ctx context.Context, m *member) {
 	defer s.wg.Done()
-	t := time.NewTicker(s.opts.ProbeInterval)
-	defer t.Stop()
 	for {
 		select {
-		case <-s.baseCtx.Done():
+		case <-ctx.Done():
 			return
-		case <-t.C:
+		case <-time.After(s.opts.ProbeInterval):
 		}
-		eachMember(s.reg.snapshot(), func(m memberSnap) struct{} {
-			code, err := s.doMember(http.MethodGet, m.URL+"/v1/healthz", "", nil, new(bytes.Buffer))
-			if err != nil {
-				s.reg.setHealth(m.Name, false, err.Error(), false)
-			} else if code != http.StatusOK {
-				s.reg.setHealth(m.Name, false, fmt.Sprintf("healthz status %d", code), false)
-			} else {
-				s.reg.setHealth(m.Name, true, "", true)
-			}
-			return struct{}{}
-		})
+		code, err := s.doMember(http.MethodGet, m.url+"/v1/healthz", "", nil, new(bytes.Buffer))
+		if ctx.Err() != nil {
+			return // m left the table: its name may be another member's now
+		}
+		switch {
+		case err != nil:
+			s.reg.setHealth(m.name, false, err.Error(), false)
+		case code != http.StatusOK:
+			s.reg.setHealth(m.name, false, fmt.Sprintf("healthz status %d", code), false)
+		default:
+			s.reg.setHealth(m.name, true, "", true)
+		}
 	}
 }
 
