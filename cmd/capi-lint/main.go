@@ -1,9 +1,8 @@
 // Command capi-lint runs the capi static-analysis suite (internal/lint)
 // over the module: hotpath, atomicfield, guardedby, and noexit. It is a
 // whole-module checker — unlike a `go vet -vettool` unit, it loads every
-// target package in one process so the hotpath traversal and the
-// atomicfield cross-reference can follow calls and field accesses across
-// package boundaries.
+// target package in one process so the hotpath traversal can follow calls
+// across package boundaries.
 //
 // Usage:
 //

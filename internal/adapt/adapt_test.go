@@ -784,3 +784,28 @@ func TestReaddedFunctionCompletesAfterMidCallDeselect(t *testing.T) {
 		t.Fatalf("mean = %dns, want %dns", mean, 2*vtime.Millisecond)
 	}
 }
+
+// TestControllerSurvivesSwap: the controller stays attached across
+// SwapBackend, behind the new set, as Instance.SetBackends keeps it. A kept
+// leaf is not deselected, so a call opened before the swap completes after
+// it with its whole duration counted.
+func TestControllerSurvivesSwap(t *testing.T) {
+	b, proc, xr, rt, ctrl := twoFuncSetup(t, Options{Epoch: vtime.Second, Budget: 0.5}, &dyncapi.CygBackend{})
+	slow := packedOf(t, b, xr, proc, "slow")
+	tc := &fakeCtx{}
+	xr.Dispatch(tc, slow, xray.Entry)
+	tc.clk.Advance(300)
+	if _, err := rt.SwapBackend(dyncapi.NewMux(&dyncapi.CygBackend{}, ctrl)); err != nil {
+		t.Fatal(err)
+	}
+	tc.clk.Advance(200)
+	xr.Dispatch(tc, slow, xray.Exit)
+
+	st := statOf(ctrl, slow)
+	if gen := st.gen.Load(); gen != 0 {
+		t.Fatalf("controller deselected on a swap that kept it: gen %d", gen)
+	}
+	if c, d := st.completions.Load(), st.durNs.Load(); c != 1 || d != 500 {
+		t.Fatalf("completions %d, duration %d ns; want 1 call of 500 ns", c, d)
+	}
+}

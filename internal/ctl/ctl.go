@@ -41,7 +41,9 @@
 //
 // Error bodies are {"error": ..., "field": ...}: a 400 names the request
 // field it rejects and implies nothing was applied; so does the 413 that
-// answers a body over 1 MiB.
+// answers a body over 1 MiB. A JSON body is exactly one value naming only
+// known fields (DecodeBody): an unknown field is a 400 that names it, and
+// trailing data after the value a 400 that names "body".
 //
 // The server relies on capi.Instance being safe for concurrent control
 // calls against an executing phase: re-selections land mid-run and report
@@ -49,6 +51,7 @@
 package ctl
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -56,6 +59,7 @@ import (
 	"io"
 	"mime"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -205,6 +209,30 @@ func WriteFieldErr(w http.ResponseWriter, code int, field, format string, args .
 	})
 }
 
+// DecodeBody decodes the request body into v as exactly one JSON value with
+// no field v lacks. Otherwise it answers — a 400 naming the unknown field or
+// "body", or the 413 past the size limit — and reports false: apply nothing.
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		if err = dec.Decode(new(json.RawMessage)); err == io.EOF {
+			return true
+		}
+		if BodyErrStatus(err) == http.StatusBadRequest {
+			err = errors.New("trailing data after the JSON value")
+		}
+	}
+	field := "body"
+	// encoding/json names an unknown field only in its error text.
+	if name, ok := strings.CutPrefix(err.Error(), "json: unknown field "); ok {
+		field, _ = strconv.Unquote(name)
+	}
+	WriteFieldErr(w, BodyErrStatus(err), field, "decoding request: %v", err)
+	return false
+}
+
 // HealthzResponse is the GET /v1/healthz document: the liveness probe the
 // fleet coordinator hits. It deliberately reads nothing from the instance —
 // no instance lock, no runtime snapshot — so it answers even while a phase
@@ -338,20 +366,18 @@ type SelectResponse struct {
 }
 
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		WriteErr(w, BodyErrStatus(err), "reading body: %v", err)
-		return
-	}
 	var req SelectRequest
-	ctype, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
-	if ctype == "application/json" {
-		if err := json.Unmarshal(body, &req); err != nil {
-			WriteFieldErr(w, http.StatusBadRequest, "body", "decoding request: %v", err)
+	if ctype, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type")); ctype == "application/json" {
+		if !DecodeBody(w, r, &req) {
 			return
 		}
 	} else {
 		// Raw body = spec-DSL source (curl --data-binary @my.capi).
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			WriteErr(w, BodyErrStatus(err), "reading body: %v", err)
+			return
+		}
 		req.Spec = string(body)
 	}
 	hasSelection := strings.TrimSpace(req.Spec) != "" || req.Builtin != "" ||
@@ -381,6 +407,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	// leave the instance mutated behind an error response.
 	var sel *capi.Selection
 	var summary *SelectionSummary
+	var err error
 	if hasSelection {
 		switch {
 		case strings.TrimSpace(req.Spec) != "" || req.Builtin != "":
@@ -500,15 +527,11 @@ func summarize(res *capi.RunResult, phase int) *RunSummary {
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req RunRequest
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		WriteErr(w, BodyErrStatus(err), "reading body: %v", err)
-		return
-	}
-	if len(body) > 0 {
-		if err := json.Unmarshal(body, &req); err != nil {
-			WriteFieldErr(w, http.StatusBadRequest, "body", "decoding request: %v", err)
+	var req RunRequest // the body is optional: empty runs a waited phase
+	body := bufio.NewReader(r.Body)
+	if _, err := body.Peek(1); err != io.EOF {
+		r.Body = io.NopCloser(body)
+		if !DecodeBody(w, r, &req) {
 			return
 		}
 	}
@@ -627,8 +650,7 @@ type AdaptResponse struct {
 
 func (s *Server) handleAdapt(w http.ResponseWriter, r *http.Request) {
 	var req AdaptRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		WriteFieldErr(w, BodyErrStatus(err), "body", "decoding request: %v", err)
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	var sloNs int64
@@ -723,8 +745,7 @@ func parseTTL(w http.ResponseWriter, raw string) (time.Duration, bool) {
 
 func (s *Server) handleSampling(w http.ResponseWriter, r *http.Request) {
 	var req SamplingRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		WriteFieldErr(w, BodyErrStatus(err), "body", "decoding request: %v", err)
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	ttl, ok := parseTTL(w, req.TTL)

@@ -209,11 +209,12 @@ type Runtime struct {
 	// 128 and up fill the sign bit and so sort first.
 	objOrder []uint8
 
-	// backend holds the attached measurement backend (possibly a Mux
-	// fan-out, the adapt controller among its children). It is loaded
-	// atomically for every delivered event so SwapBackend can exchange the
-	// whole backend set while ranks execute.
-	backend atomic.Value // of backendBox
+	// chain is the attached backend set, resolved once at its attach: the
+	// sink (possibly a Mux fan-out, the adapt controller among its
+	// children) and the leaves it delivers to. Loaded atomically for every
+	// delivered event so SwapBackend can exchange the whole set while ranks
+	// execute.
+	chain atomic.Pointer[chain]
 
 	// pipe is the asynchronous event pipeline (nil in inline mode): the sink
 	// the handler hands admitted events to. Set in New before the handler is
@@ -229,9 +230,9 @@ type Runtime struct {
 
 	report Report
 
-	// dsoSyms records the DSO function symbols scanned at initialization so
-	// a backend swapped in later (SwapBackend) can have them injected the
-	// same way the start-up backend did.
+	// dsoSyms records the DSO function symbols scanned at initialization;
+	// attach injects them into every arriving SymbolInjector, at New and on
+	// SwapBackend alike.
 	dsoSyms []dsoSym
 
 	// mu serializes configuration changes (Reconfigure, SwapBackend) and
@@ -280,10 +281,6 @@ type Runtime struct {
 	byName map[string][]*ResolvedFunc
 }
 
-// backendBox wraps the backend interface value for atomic.Value, which
-// requires a consistent concrete type across stores.
-type backendBox struct{ b Backend }
-
 // dsoSym is one scanned DSO function symbol, kept for late injection.
 type dsoSym struct {
 	addr uint64
@@ -312,15 +309,17 @@ func New(proc *obj.Process, xr *xray.Runtime, cfg *ic.Config, backend Backend, o
 		byName:         map[string][]*ResolvedFunc{},
 		synthByBackend: map[string]int64{},
 	}
-	rt.backend.Store(backendBox{backend})
+	c := newChain(backend)
+	rt.chain.Store(c)
 	if err := rt.resolve(); err != nil {
 		return nil, err
 	}
 	if err := rt.patch(); err != nil {
 		return nil, err
 	}
-	rt.report.InitVirtualNs += initBase
-	rt.report.InitVirtualNs += backend.InitCost(rt.report.SymbolsScanned)
+	cost, injected := rt.attach(c.leaves)
+	rt.report.SymbolsInjected = injected
+	rt.report.InitVirtualNs += initBase + cost
 	if opts.Async {
 		rt.pipe = newPipeline(rt, opts.Ranks, opts.AsyncBuf)
 	}
@@ -328,19 +327,72 @@ func New(proc *obj.Process, xr *xray.Runtime, cfg *ic.Config, backend Backend, o
 	return rt, nil
 }
 
-// loadBackend returns the currently attached backend.
-func (rt *Runtime) loadBackend() Backend {
-	return rt.backend.Load().(backendBox).b
+// chain is one attached backend set, resolved once: the sink the runtime
+// delivers events to and the leaves that sink delivers to, in delivery
+// order (a Mux's children, or the sink itself; Mux is the only fan-out and
+// nothing nests one).
+type chain struct {
+	sink   Backend
+	leaves []leaf
 }
 
-// attach binds the name lookup into every nameBinder the backend delivers
-// to and returns every SymbolInjector, looking through a Mux so that
-// multiplexing (talp+scorep, a backend plus the adapt controller) disables
-// neither for any consumer.
-func (rt *Runtime) attach(b Backend) []SymbolInjector {
-	var out []SymbolInjector
-	for _, c := range leaves(b) {
-		if nb, ok := c.(nameBinder); ok {
+// leaf is one backend a chain delivers to, with the optional capabilities
+// read once when the chain was resolved (nil when not implemented).
+type leaf struct {
+	b  Backend
+	ds Deselector
+	si SymbolInjector
+}
+
+// newChain resolves the backend set sink delivers to.
+func newChain(sink Backend) *chain {
+	bs := []Backend{sink}
+	if m, ok := sink.(*Mux); ok {
+		bs = m.backends
+	}
+	c := &chain{sink: sink}
+	for _, b := range bs {
+		ds, si := capabilities(b)
+		c.leaves = append(c.leaves, leaf{b, ds, si})
+	}
+	return c
+}
+
+// has reports whether the chain delivers to b itself. A backend that is
+// not comparable — by its dynamic type, or by a value it holds in an
+// interface field — has no identity to match, so it is never found: across
+// a swap it always departs and arrives.
+func (c *chain) has(b Backend) bool {
+	if !reflect.ValueOf(b).Comparable() {
+		return false
+	}
+	for _, l := range c.leaves {
+		if l.b == b {
+			return true
+		}
+	}
+	return false
+}
+
+// without returns c's leaves that other does not have (chain.has).
+func (c *chain) without(other *chain) []leaf {
+	var out []leaf
+	for _, l := range c.leaves {
+		if !other.has(l.b) {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
+// attach connects arriving leaves to the runtime: it binds the name lookup
+// into every nameBinder, injects the scanned DSO symbols into every
+// SymbolInjector (so multiplexing — talp+scorep, a backend plus the adapt
+// controller — disables neither for any consumer) and returns the leaves'
+// summed virtual start-up cost and the number of symbols injected.
+func (rt *Runtime) attach(arriving []leaf) (cost int64, injected int) {
+	for _, l := range arriving {
+		if nb, ok := l.b.(nameBinder); ok {
 			nb.bindNames(func(id int32) string {
 				if rf := rt.slot(id); rf != nil {
 					return rf.Name // "" when unresolved
@@ -348,56 +400,35 @@ func (rt *Runtime) attach(b Backend) []SymbolInjector {
 				return ""
 			})
 		}
-		if _, si := capabilities(c); si != nil {
-			out = append(out, si)
+		if l.si != nil {
+			for _, s := range rt.dsoSyms {
+				l.si.InjectSymbol(s.addr, s.name)
+			}
+			injected += len(rt.dsoSyms)
 		}
+		cost += l.b.InitCost(rt.report.SymbolsScanned)
 	}
-	return out
+	return cost, injected
 }
 
-// leaves returns the backends b delivers to, in delivery order: a Mux's
-// children, or b itself. Mux is the only fan-out and nothing nests one, so
-// its children are the leaves.
-func leaves(b Backend) []Backend {
-	if m, ok := b.(*Mux); ok {
-		return m.backends
-	}
-	return []Backend{b}
-}
-
-// namedDeselector pairs a Deselector with the backend name it belongs to,
-// for the per-backend synthetic-exit accounting.
-type namedDeselector struct {
-	name string
-	ds   Deselector
-}
-
-// deselectors collects every Deselector the backend delivers to, named.
-func deselectors(b Backend) []namedDeselector {
-	var out []namedDeselector
-	for _, c := range leaves(b) {
-		if ds, _ := capabilities(c); ds != nil {
-			out = append(out, namedDeselector{c.Name(), ds})
-		}
-	}
-	return out
-}
-
-// closeDangling has every deselector close the dangling enters of fns,
-// books the synthetic exits on the runtime's totals and returns them, in
-// all and per backend name, for the caller's report.
+// closeDangling has every Deselector among leaves close the dangling enters
+// of fns, books the synthetic exits on the runtime's totals and returns
+// them, in all and per backend name, for the caller's report.
 //
 //capi:locked mu
-func (rt *Runtime) closeDangling(dss []namedDeselector, fns []*ResolvedFunc) (total int, byBackend map[string]int) {
-	for _, nd := range dss {
+func (rt *Runtime) closeDangling(leaves []leaf, fns []*ResolvedFunc) (total int, byBackend map[string]int) {
+	for _, l := range leaves {
+		if l.ds == nil {
+			continue
+		}
 		for _, rf := range fns {
-			if n := nd.ds.OnDeselect(rf); n > 0 {
+			if n := l.ds.OnDeselect(rf); n > 0 {
 				total += n
 				if byBackend == nil {
 					byBackend = map[string]int{}
 				}
-				byBackend[nd.name] += n
-				rt.synthByBackend[nd.name] += int64(n)
+				byBackend[l.b.Name()] += n
+				rt.synthByBackend[l.b.Name()] += int64(n)
 			}
 		}
 	}
@@ -411,7 +442,6 @@ func (rt *Runtime) closeDangling(dss []namedDeselector, fns []*ResolvedFunc) (to
 // unresolved (§VI-B(a)). Objects are visited in packed-ID order, which is
 // what keeps every byName entry sorted.
 func (rt *Runtime) resolve() error {
-	injectors := rt.attach(rt.loadBackend())
 	objects := rt.xr.Objects()
 	for objID := range objects {
 		rt.objOrder = append(rt.objOrder, objID)
@@ -439,13 +469,7 @@ func (rt *Runtime) resolve() error {
 			byOffset[s.Value] = s.Name
 			rt.report.SymbolsScanned++
 			if !lo.Image.Exe {
-				// Recorded even when no injector is attached yet: a backend
-				// swapped in later gets the same injection replayed.
 				rt.dsoSyms = append(rt.dsoSyms, dsoSym{addr: lo.Base + s.Value, name: s.Name})
-				for _, injector := range injectors {
-					injector.InjectSymbol(lo.Base+s.Value, s.Name)
-					rt.report.SymbolsInjected++
-				}
 			}
 		}
 		// Ground truth (full symbol table) — used only to *verify* that no
@@ -624,11 +648,11 @@ func (rt *Runtime) dispatch(tc xray.ThreadCtx, id int32, kind xray.EntryType) {
 		rt.pipe.append(tc, rf, kind)
 		return
 	}
-	backend := rt.loadBackend()
+	sink := rt.chain.Load().sink
 	if kind == xray.Entry {
-		backend.OnEnter(tc, rf)
+		sink.OnEnter(tc, rf)
 	} else {
-		backend.OnExit(tc, rf)
+		sink.OnExit(tc, rf)
 	}
 }
 
@@ -781,7 +805,7 @@ func (rt *Runtime) Reconfigure(cfg *ic.Config) (ReconfigReport, error) {
 	// gets to close its dangling state, and the closures are counted per
 	// backend.
 	if len(toUnpatch) > 0 {
-		rep.SyntheticExits, rep.SyntheticExitsByBackend = rt.closeDangling(deselectors(rt.loadBackend()), toUnpatch)
+		rep.SyntheticExits, rep.SyntheticExitsByBackend = rt.closeDangling(rt.chain.Load().leaves, toUnpatch)
 	}
 
 	rt.cfg = cfg
@@ -881,7 +905,7 @@ func (rt *Runtime) Snapshot() Snapshot {
 
 // Backend returns the currently attached measurement backend (a *Mux when
 // several are attached, the adapt controller among them).
-func (rt *Runtime) Backend() Backend { return rt.loadBackend() }
+func (rt *Runtime) Backend() Backend { return rt.chain.Load().sink }
 
 // BackendSwapReport summarizes one live backend-set swap (SwapBackend).
 type BackendSwapReport struct {
@@ -898,26 +922,13 @@ type BackendSwapReport struct {
 	VirtualNs int64 `json:"virtualNs"`
 }
 
-// backendIdentitySet collects the identity of every leaf b delivers to,
-// for SwapBackend's departure/arrival diff. Leaves whose dynamic type is
-// not comparable are skipped — they always diff as departing/arriving, the
-// conservative pre-diff behavior.
-func backendIdentitySet(b Backend) map[any]bool {
-	set := map[any]bool{}
-	for _, c := range leaves(b) {
-		if reflect.TypeOf(c).Comparable() {
-			set[c] = true
-		}
-	}
-	return set
-}
-
 // SwapBackend exchanges the attached measurement backend set while the
 // runtime is live: the patched sleds are untouched, the handler simply
 // starts delivering events to the new backend (atomically — events in
-// flight finish on the old one). The swap diffs the two chains by node
-// identity: a backend present in both (a partial swap that keeps some of
-// a mux's children) keeps its state untouched. Every *departing*
+// flight finish on the old one). The swap diffs the two chains' leaves by
+// identity (chain.has): a leaf present in both (a partial swap that keeps
+// some of a mux's children) keeps its state untouched, and a leaf whose
+// dynamic type is not comparable always departs and arrives. Every *departing*
 // Deselector closes its open state for every currently active function,
 // exactly like a deselection would — an enter recorded by a backend that
 // is being detached can never be balanced by it later. Every *arriving*
@@ -930,10 +941,8 @@ func (rt *Runtime) SwapBackend(b Backend) (BackendSwapReport, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 
-	old := rt.loadBackend()
-	rep := BackendSwapReport{From: old.Name(), To: b.Name()}
-	keep := backendIdentitySet(b)
-	oldSet := backendIdentitySet(old)
+	old, next := rt.chain.Load(), newChain(b)
+	rep := BackendSwapReport{From: old.sink.Name(), To: b.Name()}
 	// In async mode, drain before the swap so every event queued for the old
 	// backend set is delivered to it; events appended after the drain land on
 	// whichever backend the consumer loads at delivery time, the same
@@ -946,31 +955,11 @@ func (rt *Runtime) SwapBackend(b Backend) (BackendSwapReport, error) {
 	// races only against truly in-flight handler calls (the same window the
 	// re-selection path tolerates), not against every event dispatched
 	// while N OnDeselect calls run.
-	rt.backend.Store(backendBox{b})
-	var leaving []namedDeselector
-	for _, nd := range deselectors(old) {
-		// One staying attached keeps its open state live in the new chain.
-		if !keep[any(nd.ds)] {
-			leaving = append(leaving, nd)
-		}
-	}
-	rep.SyntheticExits, rep.SyntheticExitsByBackend = rt.closeDangling(leaving, *rt.active.Load())
-
-	for _, injector := range rt.attach(b) {
-		if oldSet[any(injector)] {
-			// Already attached before the swap: injected at its own attach.
-			continue
-		}
-		for _, s := range rt.dsoSyms {
-			injector.InjectSymbol(s.addr, s.name)
-		}
-	}
-	// Start-up cost: only arriving leaves pay.
-	for _, c := range leaves(b) {
-		if !reflect.TypeOf(c).Comparable() || !oldSet[c] {
-			rep.VirtualNs += c.InitCost(rt.report.SymbolsScanned)
-		}
-	}
+	rt.chain.Store(next)
+	// A leaf in both chains keeps its open state live and was connected,
+	// and charged, at its own attach.
+	rep.SyntheticExits, rep.SyntheticExitsByBackend = rt.closeDangling(old.without(next), *rt.active.Load())
+	rep.VirtualNs, _ = rt.attach(next.without(old))
 	return rep, nil
 }
 

@@ -294,3 +294,49 @@ func TestSwapBackendIdentityDiff(t *testing.T) {
 			kept.enters, arriving.enters, departing.enters)
 	}
 }
+
+// valDS is a value-type Deselector and SymbolInjector whose dynamic type is
+// not comparable (it holds a slice). It records into the shared backing
+// array: tags[0] once it closed state, tags[1] once it got a symbol.
+type valDS struct{ tags []string }
+
+// boxDS has a comparable type, but comparing two that box a valDS panics.
+type boxDS struct{ Backend }
+
+func (v valDS) Name() string                          { return "val" }
+func (v valDS) OnEnter(xray.ThreadCtx, *ResolvedFunc) {}
+func (v valDS) OnExit(xray.ThreadCtx, *ResolvedFunc)  {}
+func (v valDS) InitCost(int) int64                    { return 7 }
+func (v valDS) OnDeselect(*ResolvedFunc) int          { v.tags[0] = "closed"; return 1 }
+func (v valDS) InjectSymbol(addr uint64, name string) { v.tags[1] = "injected" }
+
+// TestSwapBackendUncomparableLeaf: a leaf that is not comparable, by type
+// (valDS) or by the value it boxes (boxDS), has no identity to keep, so a
+// swap never hashes or compares it: it departs (closing its state) and its
+// replacement arrives (paying InitCost and receiving the DSO symbol replay).
+func TestSwapBackendUncomparableLeaf(t *testing.T) {
+	b := buildProg(t)
+	proc, xr := setup(t, b)
+	departing := valDS{tags: make([]string, 2)}
+	rt, err := New(proc, xr, ic.New("app", "s", []string{"kernel"}), NewMux(departing, boxDS{departing}), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arriving := valDS{tags: make([]string, 2)}
+	rep, err := rt.SwapBackend(NewMux(arriving, boxDS{arriving}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if departing.tags[0] != "closed" || arriving.tags[0] != "" {
+		t.Fatalf("closed state: departing %q, arriving %q; want only the departing leaf", departing.tags[0], arriving.tags[0])
+	}
+	if rep.SyntheticExitsByBackend["val"] != rt.ActiveCount() {
+		t.Fatalf("synthetic exits by backend = %v, want val=%d", rep.SyntheticExitsByBackend, rt.ActiveCount())
+	}
+	if rep.VirtualNs != 14 {
+		t.Fatalf("VirtualNs = %d, want 14 (both arriving leaves pay)", rep.VirtualNs)
+	}
+	if arriving.tags[1] != "injected" {
+		t.Fatal("arriving SymbolInjector got no DSO symbol replay")
+	}
+}

@@ -20,9 +20,10 @@ import (
 //
 // Mux is the only fan-out, and its children are leaves: nothing nests one.
 // It deliberately implements no optional capability itself: the runtime
-// walks the children, so synthetic exits are delivered — and *counted* —
-// per child backend (ReconfigReport.SyntheticExitsByBackend), and symbols
-// are injected into each child that takes them.
+// resolves its children once, at attach, into the chain's leaves, so
+// synthetic exits are delivered — and *counted* — per child backend
+// (ReconfigReport.SyntheticExitsByBackend), symbols are injected into each
+// child that takes them, and each child pays its own start-up cost.
 type Mux struct {
 	backends []Backend
 	name     string

@@ -290,9 +290,9 @@ const asyncTailBatch = 64
 // drainShard delivers every event currently in the shard through the
 // backend chain, publishing tail every asyncTailBatch events (and once at
 // the end) so drain barriers observe progress promptly without per-event
-// coherence traffic. The backend is re-loaded per event, mirroring inline
-// dispatch, so a SwapBackend takes effect for queued events at delivery
-// time.
+// coherence traffic. The chain's sink is re-loaded per event, mirroring
+// inline dispatch, so a SwapBackend takes effect for queued events at
+// delivery time.
 func (p *pipeline) drainShard(s *pipeShard) int {
 	head := s.head.Load()
 	tail := s.tail.Load()
@@ -312,11 +312,11 @@ func (p *pipeline) drainShard(s *pipeShard) int {
 			s.bareCtx.clk.Jump(ev.timeNs)
 			tc = s.bareCtx
 		}
-		backend := rt.loadBackend()
+		sink := rt.chain.Load().sink
 		if ev.kind == xray.Entry {
-			backend.OnEnter(tc, rf)
+			sink.OnEnter(tc, rf)
 		} else {
-			backend.OnExit(tc, rf)
+			sink.OnExit(tc, rf)
 		}
 		if (i+1-tail)&(asyncTailBatch-1) == 0 {
 			s.tail.Store(i + 1)

@@ -264,8 +264,7 @@ type RegisterResponse struct {
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		ctl.WriteFieldErr(w, ctl.BodyErrStatus(err), "body", "decoding request: %v", err)
+	if !ctl.DecodeBody(w, r, &req) {
 		return
 	}
 	if req.URL == "" {

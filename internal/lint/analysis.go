@@ -12,7 +12,7 @@ import (
 // Analyzer is one named check, in the image of golang.org/x/tools'
 // go/analysis.Analyzer. Run receives a Pass holding every loaded package of
 // the module, so analyzers may reason across package boundaries (the hotpath
-// traversal and the atomicfield cross-reference need that).
+// traversal needs that).
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and -checks selections.
 	Name string
@@ -82,7 +82,6 @@ const (
 	MarkGuardedBy   = "//capi:guardedby"
 	MarkLocked      = "//capi:locked"
 	MarkUnguardedOK = "//capi:unguarded-ok"
-	MarkNonatomicOK = "//capi:nonatomic-ok"
 	MarkPanicOK     = "//capi:panic-ok"
 )
 

@@ -3,97 +3,31 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strconv"
 )
 
-// AtomicFieldAnalyzer enforces all-or-nothing atomicity: a struct field
-// accessed through a legacy sync/atomic package function (atomic.AddInt64(
-// &s.n, 1), …) anywhere in the module must never be read or written plainly
-// anywhere else — the mixed-access bug class the race stress tests hunt
-// probabilistically at runtime. Typed atomics (atomic.Int64, atomic.Value,
-// atomic.Pointer[T]) make mixed access unrepresentable and are the
-// preferred style; this analyzer exists to keep any legacy-style use
-// honest. Reviewed pre-publication accesses (constructors) carry a
-// //capi:nonatomic-ok <reason> line comment.
+// AtomicFieldAnalyzer keeps every atomic access typed: it reports each use
+// of a package-level sync/atomic function (atomic.AddInt64(&s.n, 1),
+// atomic.LoadPointer, …). A typed atomic (atomic.Int64, atomic.Value,
+// atomic.Pointer[T]) cannot be read or written plainly, so the mixed-access
+// bug class — one site atomic, another plain — cannot be written at all.
 var AtomicFieldAnalyzer = &Analyzer{
 	Name: "atomicfield",
-	Doc:  "fields accessed via sync/atomic must never be accessed plainly",
+	Doc:  "atomic accesses go through typed atomics, never sync/atomic package functions",
 	Run:  runAtomicField,
 }
 
 func runAtomicField(pass *Pass) error {
-	// Pass A: find every field whose address is taken by a sync/atomic
-	// package function, remembering the selector nodes inside those calls
-	// (the sanctioned accesses) and one representative position per field.
-	atomicAt := map[string]string{} // field key → "file:line" of first atomic use
-	sanctioned := map[ast.Node]bool{}
 	for _, pkg := range pass.Packages {
-		info := pkg.Info
 		for _, f := range pkg.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
+				id, ok := n.(*ast.Ident)
 				if !ok {
 					return true
 				}
-				callee := calleeOf(info, call)
-				if callee == nil || callee.Pkg() == nil ||
-					callee.Pkg().Path() != "sync/atomic" || callee.Signature().Recv() != nil {
-					return true
+				if fn, ok := pkg.Info.Uses[id].(*types.Func); ok && fn.Pkg() != nil &&
+					fn.Pkg().Path() == "sync/atomic" && fn.Signature().Recv() == nil {
+					pass.Reportf(id.Pos(), "sync/atomic.%s: use a typed atomic (atomic.Int64, atomic.Pointer[T], …), which cannot be accessed plainly", fn.Name())
 				}
-				for _, arg := range call.Args {
-					un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-					if !ok || un.Op.String() != "&" {
-						continue
-					}
-					sel, ok := ast.Unparen(un.X).(*ast.SelectorExpr)
-					if !ok {
-						continue
-					}
-					selection, ok := info.Selections[sel]
-					if !ok || selection.Kind() != types.FieldVal {
-						continue
-					}
-					key := fieldKeyOf(selection)
-					if key == "" {
-						continue
-					}
-					sanctioned[sel] = true
-					if _, seen := atomicAt[key]; !seen {
-						p := pass.Fset.Position(call.Pos())
-						atomicAt[key] = p.Filename + ":" + strconv.Itoa(p.Line)
-					}
-				}
-				return true
-			})
-		}
-	}
-	if len(atomicAt) == 0 {
-		return nil
-	}
-
-	// Pass B: any other selection of those fields is a mixed access.
-	for _, pkg := range pass.Packages {
-		info := pkg.Info
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok || sanctioned[sel] {
-					return true
-				}
-				selection, ok := info.Selections[sel]
-				if !ok || selection.Kind() != types.FieldVal {
-					return true
-				}
-				key := fieldKeyOf(selection)
-				at, isAtomic := atomicAt[key]
-				if !isAtomic {
-					return true
-				}
-				if pkg.Suppressed(pass.Fset, f, sel.Pos(), MarkNonatomicOK) {
-					return true
-				}
-				pass.Reportf(sel.Pos(),
-					"field %s is accessed via sync/atomic (at %s); plain access mixes memory orders", key, at)
 				return true
 			})
 		}

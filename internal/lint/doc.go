@@ -21,12 +21,11 @@
 //	             //capi:hotpath annotation from the dispatch path is
 //	             itself a lint error.
 //
-//	atomicfield  a struct field accessed through sync/atomic anywhere in
-//	             the module (atomic.LoadInt64(&s.f), …) must never be read
-//	             or written plainly anywhere else — the mixed-access bug
-//	             class the PR 5 -race stress test hunts at runtime.
-//	             Initialization-before-publication sites carry
-//	             //capi:nonatomic-ok <reason>.
+//	atomicfield  no code calls a sync/atomic package function
+//	             (atomic.LoadInt64(&s.f), …): atomic state is a typed
+//	             atomic (atomic.Int64, atomic.Pointer[T], …), which cannot
+//	             be read or written plainly, so the mixed-access bug class
+//	             the -race stress tests hunt at runtime cannot be written.
 //
 //	guardedby    fields annotated //capi:guardedby <mu> must only be
 //	             accessed in functions that lock the named sibling mutex
@@ -48,8 +47,8 @@
 // built on the standard library alone: packages are enumerated with
 // `go list -export -deps -json` and type-checked with go/types against the
 // toolchain's export data, so the module needs no external dependency and
-// the whole-module view lets hotpath and atomicfield reason across package
-// boundaries — something per-package vet units cannot.
+// the whole-module view lets hotpath reason across package boundaries —
+// something per-package vet units cannot.
 //
 // Run it locally with
 //

@@ -1,7 +1,6 @@
-// Package fixture exercises the atomicfield analyzer: Counter.n is
-// accessed through sync/atomic package functions, so plain accesses
-// elsewhere mix memory orders; typed atomics and plain-only fields stay
-// out of scope; constructors carry the reviewed hatch.
+// Package fixture exercises the atomicfield analyzer: every use of a
+// sync/atomic package function is flagged, whether called or taken as a
+// value; typed atomics and plain-only fields pass clean.
 package fixture
 
 import "sync/atomic"
@@ -12,45 +11,31 @@ type Counter struct {
 	cold int64
 }
 
-// Incr is the sanctioned atomic writer.
+// Incr is a legacy atomic writer.
 func (c *Counter) Incr() {
-	atomic.AddInt64(&c.n, 1)
+	atomic.AddInt64(&c.n, 1) // want "sync/atomic.AddInt64: use a typed atomic \\(atomic.Int64, atomic.Pointer\\[T\\], …\\), which cannot be accessed plainly"
 }
 
-// Load is the sanctioned atomic reader.
+// Load is a legacy atomic reader.
 func (c *Counter) Load() int64 {
-	return atomic.LoadInt64(&c.n)
+	return atomic.LoadInt64(&c.n) // want "sync/atomic.LoadInt64: use a typed atomic"
 }
 
-// Peek reads the field plainly: the mixed-memory-order bug.
-func (c *Counter) Peek() int64 {
-	return c.n // want "field fixture.Counter.n is accessed via sync/atomic \\(at .*atomic.go:\\d+\\); plain access mixes memory orders"
-}
-
-// Reset writes it plainly: equally flagged.
-func (c *Counter) Reset() {
-	c.n = 0 // want "field fixture.Counter.n is accessed via sync/atomic"
-}
-
-// New initializes the field before the value is published: the reviewed
-// hatch keeps constructors readable.
-func New(seed int64) *Counter {
-	c := &Counter{}
-	c.n = seed //capi:nonatomic-ok pre-publication: no other goroutine can see c yet
-	return c
-}
+// store takes a package function as a value: flagged the same.
+var store = atomic.StoreInt64 // want "sync/atomic.StoreInt64: use a typed atomic"
 
 // Cold is plain-only: out of the analyzer's scope.
 func (c *Counter) Cold() int64 { return c.cold }
 
-// Typed uses a typed atomic: mixed access is unrepresentable, so the
-// analyzer ignores the field entirely.
+// Typed uses typed atomics: mixed access is unrepresentable.
 type Typed struct {
 	v atomic.Int64
+	p atomic.Pointer[Counter]
 }
 
 // Bump goes through the typed API.
 func (t *Typed) Bump() int64 {
 	t.v.Add(1)
+	t.p.Store(&Counter{})
 	return t.v.Load()
 }
