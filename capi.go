@@ -473,9 +473,9 @@ type Instance struct {
 	// the ttl.mu → (rt locks) order matches mu's.
 	ttl ttlState
 
-	// http is the middleware support state: the request-context allocator,
-	// lazy name→ID index and per-endpoint latency accounting (http.go). It
-	// has its own lock, never held together with mu.
+	// http is the middleware support state: the request-context allocator
+	// and per-endpoint latency accounting (http.go). It has its own lock,
+	// never held together with mu.
 	http httpState
 }
 

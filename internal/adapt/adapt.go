@@ -157,13 +157,9 @@ func (st *funcStat) meanNs() int64 {
 	return st.durNs.Load() / done
 }
 
-// rankState tracks open invocations per function on one rank. Each rank is
-// driven by exactly one goroutine, so the state needs no locking. open is
-// nil until the rank's first event.
-type rankState struct {
-	open map[int32]*openCall
-}
-
+// openCall is one (rank, function) entry of the open-invocation table.
+// Each rank is driven by exactly one goroutine and writes only its own row,
+// so the entries need no locking.
 type openCall struct {
 	depth   int
 	startNs int64
@@ -179,12 +175,14 @@ type Controller struct {
 	// handlers are evaluating boundaries on other ranks.
 	opts atomic.Pointer[Options]
 
-	// rt, stats and ranks are set by Attach, before any event, and never
-	// reassigned: stats is indexed by rt.Index, ranks by rank ID.
+	// rt, stats, open and seen are set by Attach, before any event, and
+	// never reassigned: stats is indexed by rt.Index, seen by rank ID and
+	// open by rank ID × NumFuncs + rt.Index, one row per rank.
 	rt    *dyncapi.Runtime
 	stats []funcStat
-	ranks []rankState
-	// observed counts the ranks that have dispatched an event; it scales
+	open  []openCall
+	seen  []bool
+	// observed counts the ranks that have entered a function; it scales
 	// the budget, and outlives phases.
 	observed atomic.Int64
 
@@ -220,7 +218,8 @@ func New(opts Options) *Controller {
 func (c *Controller) Attach(rt *dyncapi.Runtime) {
 	c.rt = rt
 	c.stats = make([]funcStat, rt.NumFuncs())
-	c.ranks = make([]rankState, rt.Ranks())
+	c.open = make([]openCall, rt.Ranks()*rt.NumFuncs())
+	c.seen = make([]bool, rt.Ranks())
 	c.nextEpoch.Store(c.opts.Load().Epoch)
 }
 
@@ -286,9 +285,7 @@ func (c *Controller) NewPhase(worldRanks int) {
 	c.nextEpoch.Store(c.opts.Load().Epoch)
 	c.lastNs.Store(0)
 	c.resetEpochEvents()
-	for i := range c.ranks[:worldRanks] {
-		clear(c.ranks[i].open)
-	}
+	clear(c.open[:worldRanks*len(c.stats)])
 }
 
 // Name implements dyncapi.Backend.
@@ -301,32 +298,36 @@ func (c *Controller) stat(fn *dyncapi.ResolvedFunc) *funcStat {
 	return &c.stats[c.rt.Index(fn)]
 }
 
-// count books one event of fn and returns its accumulator.
-func (c *Controller) count(fn *dyncapi.ResolvedFunc) *funcStat {
-	i := c.rt.Index(fn)
+// count books one event of the function at index i and returns its
+// accumulator and its open-call entry on rank r.
+func (c *Controller) count(r, i int) (*funcStat, *openCall) {
 	st := &c.stats[i]
 	if st.events.Add(1) == 1 {
-		c.mu.Lock()
-		c.fired = append(c.fired, i)
-		c.mu.Unlock()
+		c.fire(i)
 	}
 	st.epochEvents.Add(1)
-	return st
+	return st, &c.open[r*len(c.stats)+i]
+}
+
+// fire appends a function's first event to fired.
+//
+//capi:coldpath
+func (c *Controller) fire(i int) {
+	c.mu.Lock()
+	c.fired = append(c.fired, i)
+	c.mu.Unlock()
 }
 
 // OnEnter implements dyncapi.Backend: count, open the invocation, check the
 // epoch.
+//
+//capi:hotpath
 func (c *Controller) OnEnter(tc xray.ThreadCtx, fn *dyncapi.ResolvedFunc) {
-	st := c.count(fn)
-	rs := &c.ranks[tc.RankID()]
-	if rs.open == nil {
-		rs.open = map[int32]*openCall{}
+	r := tc.RankID()
+	st, oc := c.count(r, c.rt.Index(fn))
+	if !c.seen[r] {
+		c.seen[r] = true
 		c.observed.Add(1)
-	}
-	oc := rs.open[fn.PackedID]
-	if oc == nil {
-		oc = &openCall{}
-		rs.open[fn.PackedID] = oc
 	}
 	if gen := st.gen.Load(); oc.depth == 0 || oc.gen != gen {
 		oc.depth, oc.startNs, oc.gen = 0, tc.Clock().Now(), gen
@@ -344,9 +345,10 @@ func (c *Controller) OnDeselect(fn *dyncapi.ResolvedFunc) int {
 }
 
 // OnExit implements dyncapi.Backend.
+//
+//capi:hotpath
 func (c *Controller) OnExit(tc xray.ThreadCtx, fn *dyncapi.ResolvedFunc) {
-	st := c.count(fn)
-	if oc := c.ranks[tc.RankID()].open[fn.PackedID]; oc != nil && oc.depth > 0 {
+	if st, oc := c.count(tc.RankID(), c.rt.Index(fn)); oc.depth > 0 {
 		oc.depth--
 		if oc.depth == 0 {
 			st.durNs.Add(tc.Clock().Now() - oc.startNs)
@@ -388,6 +390,8 @@ func (c *Controller) maybeEpoch(tc xray.ThreadCtx) {
 // runEpoch is budget mode's decision: over budget, walk the hottest
 // candidates down the ladder until the projected excess is covered; well
 // under it, promote the most recent demotion.
+//
+//capi:coldpath
 func (c *Controller) runEpoch(rt *dyncapi.Runtime, tc xray.ThreadCtx, now int64) {
 	opts := c.opts.Load()
 	var events int64

@@ -27,7 +27,7 @@ func (f *fakeCtx) Clock() *vtime.Clock { return &f.clk }
 // twoFuncSetup builds exe{main, hot, slow}, an XRay runtime and a DynCaPI
 // runtime instrumenting hot+slow into inner, with a controller observing
 // behind it.
-func twoFuncSetup(t *testing.T, opts Options, inner dyncapi.Backend) (*compiler.Build, *obj.Process, *xray.Runtime, *dyncapi.Runtime, *Controller) {
+func twoFuncSetup(t testing.TB, opts Options, inner dyncapi.Backend) (*compiler.Build, *obj.Process, *xray.Runtime, *dyncapi.Runtime, *Controller) {
 	t.Helper()
 	p := prog.New("app", "main")
 	p.MustAddUnit("app.exe", prog.Executable)

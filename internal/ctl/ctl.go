@@ -698,14 +698,8 @@ func (s *Server) handleAdapt(w http.ResponseWriter, r *http.Request) {
 // unknown function names are rejected with 400 *before* anything is
 // applied — a 400 implies the previous table is untouched.
 type SamplingRequest struct {
-	// Stride delivers 1 of every N enters per rank (<=1 = all).
-	Stride int `json:"stride,omitempty"`
-	// MinDurationNs suppresses pairs predicted shorter than this.
-	MinDurationNs int64 `json:"minDurationNs,omitempty"`
-	// CollapseRedundant collapses repeated identical short calls;
-	// RedundantGapNs is the repeat window (0 = default).
-	CollapseRedundant bool  `json:"collapseRedundant,omitempty"`
-	RedundantGapNs    int64 `json:"redundantGapNs,omitempty"`
+	// SamplingPolicy is the default policy, its fields inline.
+	capi.SamplingPolicy
 	// Functions overrides the default policy per function name.
 	Functions map[string]capi.SamplingPolicy `json:"functions,omitempty"`
 	// TTL makes the table ephemeral: a Go duration string after which the
@@ -757,14 +751,8 @@ func (s *Server) handleSampling(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cfg := capi.SamplingOptions{Funcs: req.Functions}
-	def := capi.SamplingPolicy{
-		Stride:            req.Stride,
-		MinDurationNs:     req.MinDurationNs,
-		CollapseRedundant: req.CollapseRedundant,
-		RedundantGapNs:    req.RedundantGapNs,
-	}
-	if def != (capi.SamplingPolicy{}) {
-		cfg.Default = &def
+	if req.SamplingPolicy != (capi.SamplingPolicy{}) {
+		cfg.Default = &req.SamplingPolicy
 	}
 	// SetSampling validates the whole config — policy values and function
 	// names — before touching the table, so a 400 here means no mutation.

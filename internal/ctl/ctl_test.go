@@ -803,7 +803,7 @@ func TestSamplingEndpoint(t *testing.T) {
 	if got := scrapeMetric(t, ts.URL, "capi_sampling_default_stride"); got != 0 {
 		t.Fatalf("fresh instance stride gauge = %d", got)
 	}
-	resp, body := postJSON(t, ts.URL+"/v1/sampling", ctl.SamplingRequest{Stride: 16, MinDurationNs: 100})
+	resp, body := postJSON(t, ts.URL+"/v1/sampling", ctl.SamplingRequest{SamplingPolicy: capi.SamplingPolicy{Stride: 16, MinDurationNs: 100}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("sampling: %d %s", resp.StatusCode, body)
 	}
@@ -860,7 +860,7 @@ func TestSamplingEndpoint(t *testing.T) {
 func TestSamplingInvalidSpecLeavesStateUntouched(t *testing.T) {
 	ts, _, inst := newServer(t, capi.Quickstart(), "quickstart",
 		capi.RunOptions{Backends: []string{"talp"}, Ranks: 2})
-	resp, body := postJSON(t, ts.URL+"/v1/sampling", ctl.SamplingRequest{Stride: 8})
+	resp, body := postJSON(t, ts.URL+"/v1/sampling", ctl.SamplingRequest{SamplingPolicy: capi.SamplingPolicy{Stride: 8}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("install: %d %s", resp.StatusCode, body)
 	}
@@ -875,10 +875,10 @@ func TestSamplingInvalidSpecLeavesStateUntouched(t *testing.T) {
 		req   ctl.SamplingRequest
 		field string
 	}{
-		{ctl.SamplingRequest{Stride: -2}, "stride"},
-		{ctl.SamplingRequest{MinDurationNs: -5}, "minDurationNs"},
-		{ctl.SamplingRequest{Stride: 4, Functions: map[string]capi.SamplingPolicy{"no_such_function": {Stride: 2}}}, "functions"},
-		{ctl.SamplingRequest{RedundantGapNs: 100}, "redundantGapNs"}, // gap without collapse
+		{ctl.SamplingRequest{SamplingPolicy: capi.SamplingPolicy{Stride: -2}}, "stride"},
+		{ctl.SamplingRequest{SamplingPolicy: capi.SamplingPolicy{MinDurationNs: -5}}, "minDurationNs"},
+		{ctl.SamplingRequest{SamplingPolicy: capi.SamplingPolicy{Stride: 4}, Functions: map[string]capi.SamplingPolicy{"no_such_function": {Stride: 2}}}, "functions"},
+		{ctl.SamplingRequest{SamplingPolicy: capi.SamplingPolicy{RedundantGapNs: 100}}, "redundantGapNs"}, // gap without collapse
 	} {
 		resp, body := postJSON(t, ts.URL+"/v1/sampling", bad.req)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -1240,8 +1240,8 @@ func TestTTLRequestValidation(t *testing.T) {
 		{"/v1/select", ctl.SelectRequest{Spec: narrowSpec, TTL: "-3s"}, ttlErr(`ttl must be positive, got "-3s"`)},
 		{"/v1/select", ctl.SelectRequest{Backends: []string{"extrae"}, TTL: "1s"},
 			ttlErr("ttl requires a selection to revert from (a backends swap alone cannot expire)")},
-		{"/v1/sampling", ctl.SamplingRequest{Stride: 4, TTL: "nope"}, ttlErr(`parsing ttl: time: invalid duration "nope"`)},
-		{"/v1/sampling", ctl.SamplingRequest{Stride: 4, TTL: "0s"}, ttlErr(`ttl must be positive, got "0s"`)},
+		{"/v1/sampling", ctl.SamplingRequest{SamplingPolicy: capi.SamplingPolicy{Stride: 4}, TTL: "nope"}, ttlErr(`parsing ttl: time: invalid duration "nope"`)},
+		{"/v1/sampling", ctl.SamplingRequest{SamplingPolicy: capi.SamplingPolicy{Stride: 4}, TTL: "0s"}, ttlErr(`ttl must be positive, got "0s"`)},
 	} {
 		resp, got := postJSON(t, ts.URL+bad.path, bad.req)
 		if resp.StatusCode != http.StatusBadRequest || string(got) != bad.want {

@@ -25,7 +25,7 @@ var uptimeRe = regexp.MustCompile(`"uptimeSeconds": [^,\n]+`)
 func TestUnknownFieldRejected(t *testing.T) {
 	ts, _, inst := newServer(t, capi.Quickstart(), "quickstart",
 		capi.RunOptions{Backends: []string{"talp"}, Ranks: 2, Adapt: &capi.AdaptOptions{Budget: 0.05}})
-	if resp, body := postJSON(t, ts.URL+"/v1/sampling", ctl.SamplingRequest{Stride: 16}); resp.StatusCode != http.StatusOK {
+	if resp, body := postJSON(t, ts.URL+"/v1/sampling", ctl.SamplingRequest{SamplingPolicy: capi.SamplingPolicy{Stride: 16}}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("install stride 16: %d %s", resp.StatusCode, body)
 	}
 	coord, err := fleet.New(fleet.Options{TTL: 10 * time.Minute, ProbeInterval: -1})

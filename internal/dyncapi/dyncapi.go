@@ -1010,8 +1010,8 @@ func (rt *Runtime) Active(id int32) bool {
 // its sampling state when one is materialized (SetSampling /
 // SetFuncSampling, including adapt demotions), the published table
 // default otherwise, and 1 (full delivery) when neither sets a stride or
-// the ID is unknown. Lock-free; the HTTP middleware reads it per event to
-// model a demoted function's reduced backend cost.
+// the ID is unknown. Lock-free; the status document's per-endpoint
+// demoted-function count reads it (Instance.FunctionStride).
 func (rt *Runtime) FuncStride(id int32) int {
 	rf := rt.slot(id)
 	if rf == nil {

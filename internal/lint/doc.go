@@ -6,7 +6,8 @@
 //
 //	hotpath      functions annotated //capi:hotpath — the XRay handler,
 //	             the sampler decision path, the trace ring append, the mux
-//	             fan-out — and their transitive in-module callees must not
+//	             fan-out, the panic guard, the adapt controller's event
+//	             observer — and their transitive in-module callees must not
 //	             allocate (make/new, growing append, map writes, closures,
 //	             interface boxing, string building), hash (map reads,
 //	             range over a map — the dispatch path indexes dense
