@@ -154,10 +154,10 @@ func unknownBackendError(name string) error {
 		name, strings.Join(RegisteredBackends(), ", "))
 }
 
-// ValidateBackends checks every name against the registry and rejects
+// validateBackends checks every name against the registry and rejects
 // duplicates (reports are keyed by name). An empty list is valid: Start
 // reads it as {"none"}.
-func ValidateBackends(names []string) error {
+func validateBackends(names []string) error {
 	seen := make(map[string]bool, len(names))
 	for _, name := range names {
 		if _, ok := backendFactory(name); !ok {
@@ -188,7 +188,7 @@ func ParseBackends(list string) ([]string, error) {
 		return nil, fmt.Errorf("capi: empty backend list (registered: %s)",
 			strings.Join(RegisteredBackends(), ", "))
 	}
-	if err := ValidateBackends(names); err != nil {
+	if err := validateBackends(names); err != nil {
 		return nil, err
 	}
 	return names, nil
@@ -200,7 +200,7 @@ func ParseBackends(list string) ([]string, error) {
 // dispatch path). Per-rank backend state (scorep, extrae) is sized to cover
 // the middleware's worker ranks too: they dispatch past the MPI world.
 func (i *Instance) buildBackends(names []string, world *mpi.World) ([]*dyncapi.Guard, error) {
-	if err := ValidateBackends(names); err != nil {
+	if err := validateBackends(names); err != nil {
 		return nil, err
 	}
 	cfg := BackendConfig{

@@ -675,8 +675,8 @@ func (i *Instance) applySampling(cfg SamplingOptions) error {
 // Sampling returns the live sampling view: installed policies plus the
 // conservation counters (enters == delivered + sampledEvents +
 // suppressedPairs + collapsedCalls). Mid-phase the counters may lag the
-// hot path by up to one publication window; after a completed phase they
-// are exact. Zero value for an uninstrumented instance.
+// hot path by up to one publication window per rank; after a completed
+// phase they are exact. Zero value for an uninstrumented instance.
 func (i *Instance) Sampling() SamplingSnapshot {
 	if i.rt == nil {
 		return SamplingSnapshot{}
@@ -964,7 +964,7 @@ func (i *Instance) Run() (*RunResult, error) {
 		// reports before they land would short-count the phase. Only then
 		// publish the exact sampling counters — but only the world's:
 		// HTTP worker ranks may still be dispatching request traffic, and
-		// their slots are single-writer hot-path state (FlushSampling on
+		// their accounts are single-writer hot-path state (FlushSampling on
 		// a serving instance is the caller's call, once traffic stops).
 		i.rt.DrainPipeline()
 		i.rt.FlushSampling(i.opts.Ranks)

@@ -149,6 +149,10 @@
 // counters (in-flight vs. spurious) let trace completeness be asserted
 // exactly.
 //
+// Budget-mode decisions are deterministic at one rank, not at several: an
+// epoch's window sums every rank's events between two crossings of one
+// rank's clock, so scheduling moves what is demoted or dropped.
+//
 // # Measurement backends: an open registry
 //
 // Backends are named entries in a package-level registry. The four
@@ -191,6 +195,11 @@
 // /v1/report envelope and as Prometheus counters; POST /v1/sampling
 // changes the table remotely. The adapt controller uses the same
 // mechanism as its demote ladder.
+//
+// A table costs only the functions it samples: only a function with its
+// own policy, or firing under a default that samples or suppresses, gets
+// sampler state (its stride phase starts there). The counters are one
+// account per rank and lag by at most 64 enters per rank mid-phase.
 //
 // # Ephemeral probes and the panic barrier
 //

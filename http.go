@@ -141,16 +141,6 @@ func (i *Instance) FunctionActive(id int32) bool {
 	return i.rt != nil && i.rt.Active(id)
 }
 
-// FunctionStride returns the function's effective 1-in-N sampling stride
-// (1 = full delivery) — the signal that the adapt ladder demoted a
-// function: only every Nth call pays the backend's per-event cost.
-func (i *Instance) FunctionStride(id int32) int {
-	if i.rt == nil {
-		return 1
-	}
-	return i.rt.FuncStride(id)
-}
-
 // RegisterHTTPEndpoint declares one served endpoint and the packed IDs of
 // its instrumented call tree; on an SLO-adaptive instance they scope the
 // endpoint's ladder. Re-registering a name, even while it serves, replaces
@@ -264,7 +254,8 @@ func (i *Instance) httpSnapshot() (*HTTPStatus, []*adapt.Endpoint) {
 				continue
 			}
 			row.ActiveFunctions++
-			if i.FunctionStride(id) > 1 {
+			// A stride above 1 is the adapt ladder's demotion to sampling.
+			if i.rt.FuncStride(id) > 1 {
 				row.DemotedFunctions++
 			}
 		}

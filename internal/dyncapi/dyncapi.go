@@ -45,12 +45,12 @@ type ResolvedFunc struct {
 	// stores it under Runtime.mu, for the functions in its delta only.
 	state atomic.Uint32
 
-	// sample points at the function's sampling/suppression state once a
-	// policy has ever been installed (nil = deliver everything, the fast
-	// path). The handler loads it atomically right after the state word, so
-	// changing a function's sampling rate never locks the hot path. Set
-	// under Runtime.mu, never cleared back to nil — a cleared policy keeps
-	// the pairing stacks so open pairs stay balanced.
+	// sample points at the function's sampling/suppression state once it had
+	// its own policy or fired under a default that samples or suppresses (nil
+	// = the fast path). The handler loads it atomically right after the state
+	// word, so changing a function's sampling rate never locks the hot path.
+	// Never cleared back to nil — a cleared policy keeps the pairing stacks
+	// so open pairs stay balanced.
 	sample atomic.Pointer[funcSampleState]
 
 	Addr uint64
@@ -154,8 +154,8 @@ type Options struct {
 	PatchAll bool
 	// Ranks is the number of dispatching ranks: every event's
 	// ThreadCtx.RankID() must lie in [0, Ranks). Each per-rank table (the
-	// sampler's slots, the pipeline's rings, the adapt controller's rank
-	// state) is sized to it once, at New. 0 defaults to 16.
+	// sampler's accounts and slots, the pipeline's rings, the adapt
+	// controller's rank state) is sized to it once. 0 defaults to 16.
 	Ranks int
 	// Async lifts the measurement backends off the dispatch hot path: the
 	// handler only appends a compact event record to a per-rank ring (see
@@ -223,10 +223,12 @@ type Runtime struct {
 	pipe *pipeline
 
 	// defaultSample publishes the sampling table's default policy to the
-	// handler, which materializes per-function state lazily on a function's
-	// first event — a table-wide default never allocates for functions that
-	// never fire (see sampler.go).
+	// handler (nil until a table is installed; deliverAll when it delivers
+	// everything). Any other default is materialized into per-function state
+	// lazily, on a function's first event (see sampler.go).
 	defaultSample atomic.Pointer[SamplePolicy]
+	// accounts holds the sampler's counters, one account per rank ID.
+	accounts []sampleAccount
 
 	report Report
 
@@ -308,6 +310,7 @@ func New(proc *obj.Process, xr *xray.Runtime, cfg *ic.Config, backend Backend, o
 		opts:           opts,
 		byName:         map[string][]*ResolvedFunc{},
 		synthByBackend: map[string]int64{},
+		accounts:       make([]sampleAccount, opts.Ranks),
 	}
 	c := newChain(backend)
 	rt.chain.Store(c)
@@ -627,19 +630,23 @@ func (rt *Runtime) dispatch(tc xray.ThreadCtx, id int32, kind xray.EntryType) {
 	// The sampling/suppression stage: one more atomic load on the fast
 	// (no-policy) path; with a policy installed, the per-rank decision
 	// logic drops sampled-out / suppressed / collapsed pairs before
-	// they reach the sink. A table-wide default policy is materialized
-	// into per-function state here, on the function's first event
-	// (lazySampleState), so installing a default never allocates for
-	// functions that never fire. The decision is made here in async mode
-	// too, synchronously, so the pairing stacks see every event in program
-	// order and the conservation identity survives asynchrony.
+	// they reach the sink. A default that samples or suppresses becomes
+	// per-function state on the function's first event (lazySampleState);
+	// under one that delivers everything, a function without state only has
+	// its enter counted. The decision is made here in async mode too, so the
+	// pairing stacks see every event in program order and the conservation
+	// identity survives asynchrony.
 	st := rf.sample.Load()
 	if st == nil {
-		if dp := rt.defaultSample.Load(); dp != nil {
+		if dp := rt.defaultSample.Load(); dp == &deliverAll {
+			if kind == xray.Entry {
+				rt.accounts[tc.RankID()].enter()
+			}
+		} else if dp != nil {
 			st = rt.lazySampleState(rf, dp)
 		}
 	}
-	if st != nil && !st.admit(tc, kind) {
+	if st != nil && !st.admit(rt.accounts, tc, kind) {
 		return
 	}
 	// The sink: the rank's ring when a pipeline is attached (the backends
@@ -684,7 +691,7 @@ type ReconfigReport struct {
 	SyntheticExitsByBackend map[string]int `json:"SyntheticExitsByBackend,omitempty"`
 	// Sampling carries the sampler's aggregate counters at the time of the
 	// re-selection (nil when no sampling policy is installed). Mid-phase
-	// the values may lag the hot path by up to one publication window.
+	// they may lag by up to one publication window per rank.
 	Sampling *SamplingCounters `json:"Sampling,omitempty"`
 	// DroppedAsync is the cumulative count of enter/exit pairs the async
 	// pipeline rejected under back-pressure, as of this re-selection
@@ -817,10 +824,7 @@ func (rt *Runtime) Reconfigure(cfg *ic.Config) (ReconfigReport, error) {
 		rep.DroppedAsync = rt.pipe.dropped()
 	}
 	if rt.sampleDefault != nil || rt.sampleOverrides > 0 {
-		var c SamplingCounters
-		for _, st := range rt.sampleStatesSnapshot() {
-			c.add(st.counters())
-		}
+		c := rt.samplingCounters()
 		rep.Sampling = &c
 	}
 	return rep, nil
@@ -1011,7 +1015,7 @@ func (rt *Runtime) Active(id int32) bool {
 // SetFuncSampling, including adapt demotions), the published table
 // default otherwise, and 1 (full delivery) when neither sets a stride or
 // the ID is unknown. Lock-free; the status document's per-endpoint
-// demoted-function count reads it (Instance.FunctionStride).
+// demoted-function count reads it.
 func (rt *Runtime) FuncStride(id int32) int {
 	rf := rt.slot(id)
 	if rf == nil {

@@ -34,12 +34,16 @@
 // holds exactly, which the -race stress tests assert against an
 // independently counting backend.
 //
-// Counter visibility: the per-rank counters are single-writer plain fields
-// (the rank's goroutine) mirrored into atomics every publication window
-// (64 enters). Mid-phase scrapes read the mirrors and may lag by up to one
-// window; FlushSampling publishes the exact values and must only run while
-// no events are dispatching (Instance.Run flushes after the engine joins
-// its rank goroutines).
+// A table costs only the functions it samples: a function gets state only
+// with its own policy or under a default that samples or suppresses (its
+// stride phase starts there); any other function's enter is just counted.
+//
+// Counter visibility: the counters live in one account per rank, plain
+// fields written by the rank's goroutine and mirrored into atomics every
+// publication window (64 enters of that rank). Mid-phase scrapes read the
+// mirrors and lag by at most one window per rank; FlushSampling publishes
+// the exact values and must only run while the ranks it flushes dispatch
+// nothing (Instance.Run flushes after the engine joins its rank goroutines).
 package dyncapi
 
 import (
@@ -56,8 +60,8 @@ import (
 // same function starting within this window (virtual ns) count as repeats.
 const DefaultRedundantGapNs = 1000
 
-// samplePublishWindow is the enter count between publications of a slot's
-// plain counters into their atomic mirrors (a power of two).
+// samplePublishWindow is the enter count of a rank between publications of
+// its account's plain counters into their atomic mirrors (a power of two).
 const samplePublishWindow = 64
 
 // SamplePolicy is one function's sampling/suppression policy. The zero
@@ -176,8 +180,8 @@ type SamplingSnapshot struct {
 	// (including adapt-controller demotions).
 	FuncPolicies int `json:"funcPolicies,omitempty"`
 	// Counters is the aggregate conservation accounting. Mid-phase it may
-	// lag the hot path by up to one publication window; after a completed
-	// phase (FlushSampling) it is exact.
+	// lag the hot path by up to one publication window per rank; after a
+	// completed phase (FlushSampling) it is exact.
 	Counters SamplingCounters `json:"counters"`
 }
 
@@ -211,10 +215,11 @@ type sampleFrame struct {
 }
 
 // funcSampleState is one function's live sampling state: the atomically
-// readable policy fields plus per-rank decision/counter slots. States are
-// created when a function first receives a policy and are never removed —
-// clearing a policy zeroes the fields but keeps the pairing stacks, so
-// in-flight pairs stay balanced across the change.
+// readable policy fields plus per-rank decision slots. States are created
+// when a function first receives its own policy, or first fires under a
+// default that samples or suppresses, and are never removed — clearing a
+// policy zeroes the fields but keeps the pairing stacks, so in-flight pairs
+// stay balanced across the change.
 type funcSampleState struct {
 	// flags is the packed hot-path policy word (see sampleFlag*); 0 means
 	// "deliver everything". stride/minDur/gapNs hold the full values for
@@ -238,10 +243,7 @@ type funcSampleState struct {
 // setPolicy publishes a policy. Handlers pick the new fields up on their
 // next event; pairs already open complete under their recorded decisions.
 func (st *funcSampleState) setPolicy(p SamplePolicy) {
-	stride := int64(p.Stride)
-	if stride < 1 {
-		stride = 1
-	}
+	stride := max(int64(p.Stride), 1)
 	var gap int64
 	if p.CollapseRedundant {
 		gap = p.RedundantGapNs
@@ -266,15 +268,67 @@ func (st *funcSampleState) setPolicy(p SamplePolicy) {
 	st.flags.Store(flags)
 }
 
-// sampleSlot is one (function, rank) sampling state. The plain fields are
+// deliverAll is the published default of a table whose default delivers
+// everything: under it a function without its own policy gets no state.
+var deliverAll SamplePolicy
+
+// sampleAccount is one rank's conservation accounting over every function:
+// plain fields written by the rank's goroutine, mirrored into pub.
+type sampleAccount struct {
+	enters, sampledOut, suppressed, collapsed int64
+	suppressedNs, collapsedNs                 int64
+
+	// published mirrors, safe for concurrent readers.
+	pubEnters, pubSampledOut, pubSuppressed, pubCollapsed atomic.Int64
+	pubSuppressedNs, pubCollapsedNs                       atomic.Int64
+
+	// Pads to 128 bytes: the next rank's account starts on a line this rank
+	// does not write, at any 8-byte offset up to 32 bytes past a line.
+	_ [32]byte
+}
+
+// enter counts an enter whose drop class, if any, is already counted.
+//
+//capi:hotpath
+func (a *sampleAccount) enter() {
+	a.enters++
+	if a.enters&(samplePublishWindow-1) == 0 {
+		a.publish()
+	}
+}
+
+// publish mirrors the plain counters into their atomics.
+func (a *sampleAccount) publish() {
+	a.pubEnters.Store(a.enters)
+	a.pubSampledOut.Store(a.sampledOut)
+	a.pubSuppressed.Store(a.suppressed)
+	a.pubCollapsed.Store(a.collapsed)
+	a.pubSuppressedNs.Store(a.suppressedNs)
+	a.pubCollapsedNs.Store(a.collapsedNs)
+}
+
+// counters reads the published mirrors.
+func (a *sampleAccount) counters() SamplingCounters {
+	c := SamplingCounters{
+		Enters:          a.pubEnters.Load(),
+		SampledEvents:   a.pubSampledOut.Load(),
+		SuppressedPairs: a.pubSuppressed.Load(),
+		SuppressedNs:    a.pubSuppressedNs.Load(),
+		CollapsedCalls:  a.pubCollapsed.Load(),
+		CollapsedNs:     a.pubCollapsedNs.Load(),
+	}
+	c.Delivered = c.Enters - c.SampledEvents - c.SuppressedPairs - c.CollapsedCalls
+	return c
+}
+
+// sampleSlot is one (function, rank) sampling state. Its fields are
 // single-writer — only the rank's own goroutine executes handlers for that
-// rank — and are mirrored into pub every samplePublishWindow enters.
+// rank.
 type sampleSlot struct {
-	// pairs is the deliver-decision stack of the open invocations; its
-	// spill (outer frames past 64) lives in the padding below.
+	// pairs is the deliver-decision stack of the open invocations.
 	pairs pairStack
-	// ctr counts enters on this rank (the stride counter; also the total
-	// enter count the mirrors publish).
+	// ctr counts the function's enters on this rank under a sampling
+	// policy (the stride counter).
 	ctr uint64
 	// starts is the timed-frame stack, pushed only for timed policies
 	// (min-duration / redundancy).
@@ -284,55 +338,26 @@ type sampleSlot struct {
 	lastDurNs int64
 	lastEndNs int64
 
-	// plain accumulation counters (single-writer).
-	sampledOut, suppressed, collapsed int64
-	suppressedNs, collapsedNs         int64
-
-	// published mirrors, safe for concurrent readers.
-	pubEnters, pubSampledOut, pubSuppressed, pubCollapsed atomic.Int64
-	pubSuppressedNs, pubCollapsedNs                       atomic.Int64
-
 	spill []uint64 // pairs' words past 64 frames
-	// Pads to 192 bytes: the next rank's per-event depth and bits stay off
+	// Pads to 128 bytes: the next rank's per-event depth and bits stay off
 	// these lines even 8 bytes past a line (the allocator's type header).
-	_ [16]byte
+	_ [40]byte
 }
 
 func (sl *sampleSlot) init() { sl.lastDurNs = -1 }
 
-// publish mirrors the plain counters into their atomics.
-func (sl *sampleSlot) publish() {
-	sl.pubEnters.Store(int64(sl.ctr))
-	sl.pubSampledOut.Store(sl.sampledOut)
-	sl.pubSuppressed.Store(sl.suppressed)
-	sl.pubCollapsed.Store(sl.collapsed)
-	sl.pubSuppressedNs.Store(sl.suppressedNs)
-	sl.pubCollapsedNs.Store(sl.collapsedNs)
-}
-
-// counters reads the published mirrors.
-func (sl *sampleSlot) counters() SamplingCounters {
-	c := SamplingCounters{
-		Enters:          sl.pubEnters.Load(),
-		SampledEvents:   sl.pubSampledOut.Load(),
-		SuppressedPairs: sl.pubSuppressed.Load(),
-		SuppressedNs:    sl.pubSuppressedNs.Load(),
-		CollapsedCalls:  sl.pubCollapsed.Load(),
-		CollapsedNs:     sl.pubCollapsedNs.Load(),
-	}
-	c.Delivered = c.Enters - c.SampledEvents - c.SuppressedPairs - c.CollapsedCalls
-	return c
-}
-
-// admit makes the deliver/drop decision for one event. It is the hot path:
-// called from the XRay handler for every event of a function that ever had
-// a sampling policy; the timed-policy work is kept out-of-line so the
-// stride/no-policy path stays a handful of plain field operations.
+// admit makes the deliver/drop decision for one event and books the rank's
+// account. It is the hot path: called from the XRay handler for every event
+// of a function with sampling state; the timed-policy work is kept
+// out-of-line so the stride/no-policy path stays a handful of plain field
+// operations.
 //
 //capi:hotpath
-func (st *funcSampleState) admit(tc xray.ThreadCtx, kind xray.EntryType) bool {
-	sl := &st.slots[tc.RankID()]
+func (st *funcSampleState) admit(accounts []sampleAccount, tc xray.ThreadCtx, kind xray.EntryType) bool {
+	r := tc.RankID()
+	sl := &st.slots[r]
 	if kind == xray.Entry {
+		a := &accounts[r]
 		sl.ctr++
 		flags := st.flags.Load()
 		deliver := true
@@ -340,34 +365,32 @@ func (st *funcSampleState) admit(tc xray.ThreadCtx, kind xray.EntryType) bool {
 		if mask := flags & sampleMaskBits; mask != 0 {
 			if (sl.ctr-1)&mask != 0 {
 				deliver = false
-				sl.sampledOut++
+				a.sampledOut++
 			}
 		} else if flags&sampleFlagModulo != 0 {
 			if (sl.ctr-1)%uint64(st.stride.Load()) != 0 {
 				deliver = false
-				sl.sampledOut++
+				a.sampledOut++
 			}
 		}
 		if flags&sampleFlagTimed != 0 {
-			deliver = st.admitTimedEnter(sl, tc, deliver)
+			deliver = st.admitTimedEnter(sl, a, tc, deliver)
 		}
 		// Record the decision so the matching exit follows it even if the
 		// policy changes in between (exact pairing across live rate
 		// changes).
 		sl.pairs.push(deliver, &sl.spill)
-		if sl.ctr&(samplePublishWindow-1) == 0 {
-			sl.publish()
-		}
+		a.enter()
 		return deliver
 	}
 	deliver, ok := sl.pairs.pop(&sl.spill)
 	if !ok {
-		// The enter predates the sampler (policy installed mid-pair): it
-		// was delivered, so the exit must be too.
+		// The enter predates the function's state (policy installed
+		// mid-pair): it was delivered, so the exit must be too.
 		return true
 	}
 	if n := len(sl.starts); n > 0 && sl.starts[n-1].below == sl.pairs.depth {
-		st.finishTimedExit(sl, tc)
+		st.finishTimedExit(sl, &accounts[r], tc)
 	}
 	return deliver
 }
@@ -376,7 +399,7 @@ func (st *funcSampleState) admit(tc xray.ThreadCtx, kind xray.EntryType) bool {
 // virtual clock (min-duration suppression, redundancy collapse). It pushes
 // the frame's timed record and refines the deliver decision. Called before
 // the frame's decision is pushed on sl.pairs.
-func (st *funcSampleState) admitTimedEnter(sl *sampleSlot, tc xray.ThreadCtx, deliver bool) bool {
+func (st *funcSampleState) admitTimedEnter(sl *sampleSlot, a *sampleAccount, tc xray.ThreadCtx, deliver bool) bool {
 	now := tc.Clock().Now()
 	minDur := st.minDur.Load()
 	cls := uint8(clsDelivered)
@@ -391,13 +414,13 @@ func (st *funcSampleState) admitTimedEnter(sl *sampleSlot, tc xray.ThreadCtx, de
 			}
 			if sl.lastDurNs < short {
 				deliver, cls = false, clsCollapsed
-				sl.collapsed++
+				a.collapsed++
 			}
 		}
 		if deliver && minDur > 0 && sl.lastDurNs >= 0 && sl.lastDurNs < minDur {
 			// Min-duration: predicted short from the last completed pair.
 			deliver, cls = false, clsSuppressed
-			sl.suppressed++
+			a.suppressed++
 		}
 	}
 	//capi:hotpath-ok amortized per-rank frame stack: grows to the rank's max nesting depth once, then never again
@@ -410,7 +433,7 @@ func (st *funcSampleState) admitTimedEnter(sl *sampleSlot, tc xray.ThreadCtx, de
 // class — the exact accounting behind SuppressedNs/CollapsedNs: the pair's
 // true duration is measured from the rank's virtual clock even though the
 // pair was never delivered.
-func (st *funcSampleState) finishTimedExit(sl *sampleSlot, tc xray.ThreadCtx) {
+func (st *funcSampleState) finishTimedExit(sl *sampleSlot, a *sampleAccount, tc xray.ThreadCtx) {
 	f := sl.starts[len(sl.starts)-1]
 	sl.starts = sl.starts[:len(sl.starts)-1]
 	now := tc.Clock().Now()
@@ -419,28 +442,10 @@ func (st *funcSampleState) finishTimedExit(sl *sampleSlot, tc xray.ThreadCtx) {
 	sl.lastEndNs = now
 	switch f.cls {
 	case clsSuppressed:
-		sl.suppressedNs += dur
+		a.suppressedNs += dur
 	case clsCollapsed:
-		sl.collapsedNs += dur
+		a.collapsedNs += dur
 	}
-}
-
-// flush publishes the exact counters of the first n rank slots. The plain
-// fields are single-writer rank state, so none of those ranks may be
-// dispatching; ranks >= n (HTTP request workers) are left untouched.
-func (st *funcSampleState) flush(n int) {
-	for i := range st.slots[:n] {
-		st.slots[i].publish()
-	}
-}
-
-// counters sums the published counters of every slot.
-func (st *funcSampleState) counters() SamplingCounters {
-	var c SamplingCounters
-	for i := range st.slots {
-		c.add(st.slots[i].counters())
-	}
-	return c
 }
 
 // newFuncSampleState allocates the per-rank slots.
@@ -471,11 +476,10 @@ func (rt *Runtime) sampleState(rf *ResolvedFunc) *funcSampleState {
 }
 
 // lazySampleState is the handler-side slow path: the function has no state
-// yet but a table-wide default policy is installed, so materialize a state
-// carrying it. dp is the default-policy pointer the handler read; if the
-// table changed between that read and the state publication, re-apply the
-// now-current policy so no state is left running a stale default. It
-// allocates — once per function, on its first-ever event.
+// yet but the table's default samples or suppresses, so materialize a state
+// carrying it. dp is the default the handler read; if the table changed
+// between that read and the state publication, re-apply the now-current
+// policy so no state is left running a stale default. It allocates, once.
 //
 //capi:coldpath
 func (rt *Runtime) lazySampleState(rf *ResolvedFunc, dp *SamplePolicy) *funcSampleState {
@@ -485,11 +489,7 @@ func (rt *Runtime) lazySampleState(rf *ResolvedFunc, dp *SamplePolicy) *funcSamp
 		return rf.sample.Load()
 	}
 	if cur := rt.defaultSample.Load(); cur != dp {
-		if cur != nil {
-			st.setPolicy(*cur)
-		} else {
-			st.setPolicy(SamplePolicy{})
-		}
+		st.setPolicy(*cur) // never nil again once a table was installed
 	}
 	return st
 }
@@ -542,10 +542,10 @@ func (rt *Runtime) SetSampling(cfg SamplingConfig) error {
 
 	// The explicit per-function overrides (by name, then by ID). The default
 	// policy is NOT expanded per function here: it is published as one atomic
-	// pointer and materialized into per-function state lazily, on a
-	// function's first event — a table-wide default over a paper-scale
-	// call graph (~410k functions) must not allocate per-function slots
-	// for functions that never fire.
+	// pointer and, when it samples or suppresses, materialized into
+	// per-function state lazily, on a function's first event — a table-wide
+	// default over a paper-scale call graph (~410k functions) must not
+	// allocate per-function slots for functions that never fire.
 	overrides := make(map[*ResolvedFunc]SamplePolicy)
 	for name, p := range cfg.Funcs {
 		for _, rf := range rt.byName[name] {
@@ -565,13 +565,16 @@ func (rt *Runtime) SetSampling(cfg SamplingConfig) error {
 	}
 	// Publish the new default before re-pointing existing states so a
 	// concurrent lazy creation can never resurrect the old table. A clear
-	// keeps the accounting, not just the existing states: the published
-	// default stays non-nil (zero policy: deliver everything) so a function
-	// first firing *after* the clear still materializes a counting state.
-	// Publishing nil here would let such functions deliver uncounted events,
-	// breaking the independently verified identity backendEnters ==
-	// delivered for the clear windows of a live rate-change sequence.
-	rt.defaultSample.Store(&def)
+	// keeps the accounting: the published default stays non-nil
+	// (deliverAll), so an enter without state after the clear is still
+	// counted. Publishing nil would let such functions deliver uncounted
+	// events, breaking backendEnters == delivered for the clear windows of a
+	// live rate-change sequence.
+	if def.Stride <= 1 && def.MinDurationNs == 0 && !def.CollapseRedundant {
+		rt.defaultSample.Store(&deliverAll)
+	} else {
+		rt.defaultSample.Store(&def)
+	}
 	// Every function that already has a state and no override in this table
 	// — lazily materialized defaults from the previous one, cleared
 	// overrides, adapt demotions — is re-pointed at the new default (or
@@ -636,34 +639,29 @@ func (rt *Runtime) SetFuncSampling(id int32, p *SamplePolicy) error {
 }
 
 // FlushSampling publishes the exact counters of ranks [0, n), n <= Ranks().
-// No rank below n may be dispatching; ranks >= n may (each slot is
+// No rank below n may be dispatching; ranks >= n may (each account is
 // single-writer per rank): Instance.Run flushes the MPI world after the
 // engine has joined, without touching HTTP worker ranks that may still be
 // serving request traffic.
 func (rt *Runtime) FlushSampling(n int) {
-	for _, st := range rt.sampleStatesSnapshot() {
-		st.flush(n)
+	for i := range rt.accounts[:n] {
+		rt.accounts[i].publish()
 	}
 }
 
-// sampleStatesSnapshot collects every materialized sampling state. The
-// tables never move after New and the per-function pointers are atomic, so
-// no lock is needed; states created during the walk are simply picked up by
-// the next snapshot.
-func (rt *Runtime) sampleStatesSnapshot() []*funcSampleState {
-	var out []*funcSampleState
-	for rf := range rt.all() {
-		if st := rf.sample.Load(); st != nil {
-			out = append(out, st)
-		}
+// samplingCounters sums the ranks' published accounts.
+func (rt *Runtime) samplingCounters() SamplingCounters {
+	var c SamplingCounters
+	for i := range rt.accounts {
+		c.add(rt.accounts[i].counters())
 	}
-	return out
+	return c
 }
 
 // SamplingSnapshot returns the current sampling view: whether a table is
 // installed, the default policy, the override count and the counters summed
-// over every function and rank. Mid-phase the counters may lag the hot path
-// by up to one publication window per rank; after FlushSampling they are
+// over every rank's account. Mid-phase the counters may lag the hot path by
+// up to one publication window per rank; after FlushSampling they are
 // exact.
 func (rt *Runtime) SamplingSnapshot() SamplingSnapshot {
 	rt.mu.Lock()
@@ -676,8 +674,6 @@ func (rt *Runtime) SamplingSnapshot() SamplingSnapshot {
 		snap.Default = &p
 	}
 	rt.mu.Unlock()
-	for _, st := range rt.sampleStatesSnapshot() {
-		snap.Counters.add(st.counters())
-	}
+	snap.Counters = rt.samplingCounters()
 	return snap
 }

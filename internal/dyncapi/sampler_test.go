@@ -206,6 +206,114 @@ func TestLiveRateChangeConservesAndBalances(t *testing.T) {
 	if back.open[kernel] != 0 || back.open[dso] != 0 {
 		t.Fatalf("open pairs leaked: %v", back.open)
 	}
+
+	t.Run("overrides-only, stride default, clear, overrides-only", func(t *testing.T) {
+		rt, xr, back, kernel, dso := samplerSetup(t)
+		overrides := SamplingConfig{IDs: map[int32]SamplePolicy{kernel: {Stride: 3}}}
+		tables := []SamplingConfig{overrides, {Default: &SamplePolicy{Stride: 4}}, {}, overrides}
+		tc := &fakeCtx{}
+		enters := int64(0)
+		// Every change after the first lands with both functions two frames
+		// deep: dso has no state under the first table, gets one under the
+		// stride default and keeps it through the clear and the second
+		// overrides-only table.
+		for round, cfg := range tables {
+			if round > 0 {
+				for _, id := range []int32{kernel, dso, kernel, dso} {
+					xr.Dispatch(tc, id, xray.Entry)
+				}
+				enters += 4
+			}
+			if err := rt.SetSampling(cfg); err != nil {
+				t.Fatal(err)
+			}
+			if round > 0 {
+				for _, id := range []int32{dso, kernel, dso, kernel} {
+					xr.Dispatch(tc, id, xray.Exit)
+				}
+			}
+			for i := 0; i < 20+round; i++ {
+				dispatchPair(xr, tc, kernel, 50)
+				dispatchPair(xr, tc, dso, 50)
+			}
+			enters += 2 * int64(20+round)
+		}
+		c := conserve(t, rt)
+		if c.Enters != enters {
+			t.Fatalf("enters = %d, want %d", c.Enters, enters)
+		}
+		if back.enters != c.Delivered || back.exits != back.enters {
+			t.Fatalf("backend %d/%d vs delivered %d", back.enters, back.exits, c.Delivered)
+		}
+		if back.open[kernel] != 0 || back.open[dso] != 0 {
+			t.Fatalf("open pairs leaked: %v", back.open)
+		}
+	})
+}
+
+// TestPolicyLessFunctionsGetNoState: under a table of per-ID overrides only,
+// the first events of the functions without a policy allocate nothing and
+// leave them without sampler state; their enters are still counted.
+func TestPolicyLessFunctionsGetNoState(t *testing.T) {
+	b := buildSix(t)
+	proc, xr := setup(t, b)
+	back := &atomicCounter{}
+	rt, err := New(proc, xr, ic.New("app", "s", sixFuncs), back, Options{Ranks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]int32, len(sixFuncs))
+	for i, name := range sixFuncs {
+		ids[i] = packedOf(t, b, xr, proc, name)
+	}
+	if err := rt.SetSampling(SamplingConfig{IDs: map[int32]SamplePolicy{ids[0]: {Stride: 2}}}); err != nil {
+		t.Fatal(err)
+	}
+	tc := &fakeCtx{}
+	next := 1
+	// One warm-up call and len-2 measured ones: each reaches a function that
+	// has not fired yet.
+	allocs := testing.AllocsPerRun(len(ids)-2, func() {
+		dispatchPair(xr, tc, ids[next], 50)
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("first events of policy-less functions allocated %.2f times per pair, want 0", allocs)
+	}
+	for i, id := range ids {
+		if has := rt.slot(id).sample.Load() != nil; has != (i == 0) {
+			t.Errorf("%s has sampler state: %v, want %v", sixFuncs[i], has, i == 0)
+		}
+	}
+	dispatchPair(xr, tc, ids[0], 50)
+	dispatchPair(xr, tc, ids[0], 50)
+	c := conserve(t, rt)
+	if c.Enters != int64(len(ids)+1) || c.Delivered != int64(len(ids)) || c.SampledEvents != 1 {
+		t.Fatalf("counters = %+v, want %d enters, %d delivered, 1 sampled out", c, len(ids)+1, len(ids))
+	}
+	if got := back.events.Load(); got != 2*c.Delivered {
+		t.Fatalf("backend saw %d events, want %d", got, 2*c.Delivered)
+	}
+}
+
+// TestSampleAccountsOwnCacheLines: a rank writes its account on every
+// enter, so the line each rank's account starts on must be one no other rank
+// writes — in the array New allocates, and 8 bytes past a line as well.
+func TestSampleAccountsOwnCacheLines(t *testing.T) {
+	var a sampleAccount
+	written := unsafe.Offsetof(a.pubCollapsedNs) + unsafe.Sizeof(a.pubCollapsedNs)
+	if size := unsafe.Sizeof(a); 8+written > size {
+		t.Fatalf("an account 8 bytes past a line writes past its %d bytes", size)
+	}
+	for ranks := 2; ranks <= 64; ranks++ {
+		accounts := make([]sampleAccount, ranks)
+		for r := 1; r < ranks; r++ {
+			prevEnd := uintptr(unsafe.Pointer(&accounts[r-1])) + written - 1
+			if start := uintptr(unsafe.Pointer(&accounts[r])); prevEnd>>6 == start>>6 {
+				t.Fatalf("%d ranks: rank %d's account starts on line %#x, which rank %d writes", ranks, r, start>>6<<6, r-1)
+			}
+		}
+	}
 }
 
 func TestPolicyInstalledMidPairKeepsBalance(t *testing.T) {
@@ -368,13 +476,13 @@ func TestSamplingSurfacesInSnapshotAndReconfigReport(t *testing.T) {
 }
 
 // TestSampleSlotsOwnCacheLines: a rank writes its slot's depth and bits on
-// every event and its published mirrors every 64 enters, so the line each
-// rank's slot starts on must be one no other rank writes. (A slot array
-// larger than 512 bytes starts 8 bytes past a line, after the allocator's
-// type header; the padding absorbs that.)
+// every event and its spill past 64 frames, so the line each rank's slot
+// starts on must be one no other rank writes. (A slot array larger than 512
+// bytes starts 8 bytes past a line, after the allocator's type header; the
+// padding absorbs that.)
 func TestSampleSlotsOwnCacheLines(t *testing.T) {
 	var sl sampleSlot
-	written := unsafe.Offsetof(sl.pubCollapsedNs) + unsafe.Sizeof(sl.pubCollapsedNs)
+	written := unsafe.Offsetof(sl.spill) + unsafe.Sizeof(sl.spill)
 	for ranks := 2; ranks <= 64; ranks++ {
 		st := newFuncSampleState(ranks)
 		for r := 1; r < ranks; r++ {

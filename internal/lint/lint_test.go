@@ -80,6 +80,7 @@ var hotRoots = []string{
 	"capi/internal/dyncapi.Mux.OnEnter",
 	"capi/internal/dyncapi.Mux.OnExit",
 	"capi/internal/dyncapi.funcSampleState.admit",
+	"capi/internal/dyncapi.sampleAccount.enter",
 	"capi/internal/dyncapi.ExtraeBackend.OnEnter",
 	"capi/internal/dyncapi.ExtraeBackend.OnExit",
 	"capi/internal/trace.Buffer.Append",
