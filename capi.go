@@ -1,6 +1,7 @@
 package capi
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -49,7 +50,8 @@ type (
 	MapModules = spec.MapLoader
 	// AdaptOptions tunes the live overhead-budget controller.
 	AdaptOptions = adapt.Options
-	// AdaptEpoch records one controller decision (per epoch boundary).
+	// AdaptEpoch records one controller decision (one per budget epoch, or
+	// per SLO step).
 	AdaptEpoch = adapt.Epoch
 	// SLOStatus is the SLO-mode controller snapshot (per-endpoint tail
 	// latency vs. target, plus the ladder steps in effect).
@@ -307,8 +309,8 @@ type RunOptions struct {
 	// EmulateTALPBug enables TALP's re-entry bug compat mode (§VI-B(b)).
 	EmulateTALPBug bool
 	// Adapt enables the live overhead-budget controller: it watches
-	// per-function event counts and, at epoch boundaries of the virtual
-	// clock, narrows the selection in place (hottest low-duration
+	// per-function event counts and, at the first MPI collective of each
+	// epoch, narrows the selection in place (hottest low-duration
 	// functions dropped first) whenever the instrumentation overhead
 	// exceeds the budget. nil disables adaptation.
 	Adapt *AdaptOptions
@@ -328,7 +330,8 @@ type RunOptions struct {
 	// chain asynchronously. Phase-end results are exact (Run drains the
 	// pipeline before capturing them); overload drops whole enter/exit
 	// pairs, counted in DroppedAsync. Incompatible with budget-mode Adapt
-	// (epochs are detected on live rank clocks); SLO-mode Adapt works.
+	// (replayed events reach the controller after the collective that
+	// should have counted them); SLO-mode Adapt works.
 	Async bool
 	// AsyncBuf is the per-rank ring capacity in events (0 = the
 	// dyncapi.DefaultAsyncBuf default). Only meaningful with Async.
@@ -530,7 +533,7 @@ func (s *Session) Start(sel *Selection, opts RunOptions) (*Instance, error) {
 			// fine: its decisions are driven by request latencies observed on
 			// the middleware's live worker clocks, not by backend-chain
 			// events, so replay does not starve the controller.
-			return nil, fmt.Errorf("capi: Async and Adapt are incompatible: the overhead-budget controller detects epoch boundaries on live rank clocks, which the replayed pipeline events do not advance")
+			return nil, errAsyncBudget
 		}
 		inst.ctrl = adapt.New(*opts.Adapt)
 	}
@@ -609,8 +612,8 @@ func (i *Instance) applySelection(cfg *ic.Config) (ReconfigReport, error) {
 // Retune adjusts the live overhead-budget controller's tuning (budget,
 // epoch length, reconfiguration bound) while the workload executes. Zero
 // fields keep their current value; a negative MaxReconfigs lifts the bound.
-// It fails when the instance was started without RunOptions.Adapt, and
-// applies nothing when a field is out of range.
+// It fails on an instance started without RunOptions.Adapt or, leaving SLO
+// mode, with Async, and applies nothing when a field is out of range.
 func (i *Instance) Retune(opts AdaptOptions) (AdaptOptions, error) {
 	if i.ctrl == nil {
 		return AdaptOptions{}, fmt.Errorf("capi: instance is not adaptive (start with RunOptions.Adapt)")
@@ -618,8 +621,14 @@ func (i *Instance) Retune(opts AdaptOptions) (AdaptOptions, error) {
 	if err := checkAdapt(opts); err != nil {
 		return AdaptOptions{}, err
 	}
+	if i.opts.Async && opts.SLOTargetP99Ns < 0 {
+		return AdaptOptions{}, errAsyncBudget
+	}
 	return i.ctrl.Retune(opts), nil
 }
+
+// errAsyncBudget rejects budget-mode adaptation on an async instance.
+var errAsyncBudget = errors.New("capi: Async and Adapt are incompatible: the overhead-budget controller counts each epoch's events at an MPI collective, and replayed pipeline events reach it after the collective that should have counted them")
 
 // checkAdapt rejects controller tuning out of range. The SLO window is read
 // from each endpoint's record, which keeps the newest adapt.EndpointWindow
@@ -913,10 +922,9 @@ func (i *Instance) Run() (*RunResult, error) {
 		i.wallStart = time.Now()
 	}
 	if world == nil {
-		// A later phase: fresh world (rank clocks restart at zero), fresh
-		// per-phase measurement state in every attached backend, re-armed
-		// adaptation controller. The instrumentation runtime and its patched
-		// sleds stay up.
+		// A later phase: fresh world (rank clocks restart at zero) and
+		// fresh per-phase measurement state in every attached backend. The
+		// instrumentation runtime and its patched sleds stay up.
 		var err error
 		world, err = mpi.NewWorld(i.opts.Ranks, mpi.DefaultCostModel())
 		if err != nil {
@@ -929,9 +937,11 @@ func (i *Instance) Run() (*RunResult, error) {
 				return nil, fmt.Errorf("capi: backend %q: %w", mb.Name(), err)
 			}
 		}
-		if i.ctrl != nil {
-			i.ctrl.NewPhase(i.opts.Ranks)
-		}
+	}
+	if i.ctrl != nil {
+		// Budget decisions are taken at this phase's collectives.
+		i.ctrl.NewPhase(world.Size())
+		world.SetCollectiveHook(i.ctrl.Collective)
 	}
 	i.curWorld = world
 	i.running = true

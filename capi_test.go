@@ -375,8 +375,9 @@ func TestRunWithAdaptController(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Reconfigs == 0 {
-		t.Fatal("controller never narrowed under a tight budget")
+	// Two windows: the first demotes, the second drops in one re-selection.
+	if res.Reconfigs != 1 || len(res.AdaptEpochs) != 2 {
+		t.Fatalf("%d re-selections over %d epochs, want 1 over 2", res.Reconfigs, len(res.AdaptEpochs))
 	}
 	if len(res.DroppedFuncs) == 0 || len(res.AdaptEpochs) == 0 {
 		t.Fatalf("adaptation not reported: dropped %v, epochs %d", res.DroppedFuncs, len(res.AdaptEpochs))
@@ -400,7 +401,8 @@ func TestRunWithAdaptController(t *testing.T) {
 
 // TestAdaptControllerStaysArmedAcrossPhases is the regression for the
 // controller going dormant after the first phase: a fresh world restarts
-// the rank clocks at zero, so the epoch boundary must be re-armed.
+// the rank clocks at zero, so the controller must be re-armed and hooked
+// into the new world's collectives.
 func TestAdaptControllerStaysArmedAcrossPhases(t *testing.T) {
 	s := newQuickSession(t)
 	inst, err := s.Start(nil, capi.RunOptions{

@@ -262,11 +262,11 @@ func (f *runFlags) bind(fs *flag.FlagSet) {
 	fs.BoolVar(&f.opts.EmulateTALPBug, "talp-bug", false, "emulate the TALP re-entry bug (§VI-B(b)): talp reports list the regions that fail on re-entry as failedEntries")
 	fs.BoolVar(&f.adapt, "adapt", false, "enable live overhead-budget adaptation")
 	fs.Float64Var(&f.adaptOpts.Budget, "budget", 0, "overhead budget per epoch as a fraction (implies -adapt)")
-	fs.Float64Var(&f.epoch, "epoch", 0, "adaptation epoch length in virtual seconds (implies -adapt)")
+	fs.Float64Var(&f.epoch, "epoch", 0, "adaptation epoch: the least virtual seconds between two budget evaluations, each taken at an MPI collective (implies -adapt)")
 	fs.IntVar(&f.sampling.Stride, "sample", 0, "1-in-N stride sampling: deliver 1 of every N enters per function and rank (0 = unsampled; serve: change live via POST /v1/sampling)")
 	fs.Int64Var(&f.sampling.MinDurationNs, "suppress-ns", 0, "suppress enter/exit pairs predicted shorter than this many virtual ns (exact drop accounting)")
 	fs.BoolVar(&f.sampling.CollapseRedundant, "collapse-redundant", false, "collapse repeated identical short calls into a count+aggregate")
-	fs.BoolVar(&f.opts.Async, "async", false, "asynchronous event pipeline: backends consume off the dispatch hot path (incompatible with budget-mode adaptation: -adapt, -budget, -epoch; -slo-p99-ms works with it)")
+	fs.BoolVar(&f.opts.Async, "async", false, "asynchronous event pipeline: backends consume off the dispatch hot path (incompatible with budget-mode adaptation: -adapt, -budget, -epoch, whose collectives would count replayed events late; -slo-p99-ms works with it)")
 	fs.IntVar(&f.opts.AsyncBuf, "async-buf", 0, "async: per-rank ring capacity in events (0 = default 65536; overflow drops whole pairs, counted)")
 	fs.IntVar(&f.opts.PanicLimit, "panic-limit", 0, "per-backend circuit breaker: recovered panics before auto-detach (0 = default 3, negative = never detach)")
 }
@@ -350,7 +350,7 @@ func selectOnGraph(path string, f *selectFlags, stderr io.Writer) (*capi.Selecti
 // cmdRun is the Instrumentation + Measurement stages of Fig. 1/3: the IC is
 // patched in at start-up, events flow to every chosen backend and each
 // report is printed. With -adapt the overhead-budget controller narrows the
-// selection in place at epoch boundaries, re-patching only the delta.
+// selection in place at MPI collectives, re-patching only the delta.
 func cmdRun(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 	var f runFlags
 	f.bind(fs)
@@ -384,14 +384,14 @@ func cmdRun(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 				res.Reconfigs, res.ActiveFuncs, res.Patched, len(res.DroppedFuncs), len(res.DemotedFuncs))
 			for _, ep := range res.AdaptEpochs {
 				if len(ep.Demoted) > 0 || len(ep.Promoted) > 0 {
-					fmt.Fprintf(stderr, "capi run: adapt: epoch %d @%s on rank %d: demoted %d to 1-in-N, promoted %d back\n",
-						ep.Seq, vtime.FormatSeconds(ep.AtNs), ep.Rank, len(ep.Demoted), len(ep.Promoted))
+					fmt.Fprintf(stderr, "capi run: adapt: epoch %d @%s: demoted %d to 1-in-N, promoted %d back\n",
+						ep.Seq, vtime.FormatSeconds(ep.AtNs), len(ep.Demoted), len(ep.Promoted))
 				}
 				if !ep.Reconfigured {
 					continue
 				}
-				fmt.Fprintf(stderr, "capi run: adapt: epoch %d @%s on rank %d: overhead %.1fµs > budget %.1fµs, dropped %d (re-patched only the delta: %d sleds in %d mprotect windows)\n",
-					ep.Seq, vtime.FormatSeconds(ep.AtNs), ep.Rank,
+				fmt.Fprintf(stderr, "capi run: adapt: epoch %d @%s: overhead %.1fµs > budget %.1fµs, dropped %d (re-patched only the delta: %d sleds in %d mprotect windows)\n",
+					ep.Seq, vtime.FormatSeconds(ep.AtNs),
 					float64(ep.OverheadNs)/1e3, float64(ep.BudgetNs)/1e3,
 					len(ep.Dropped), ep.Report.Batch.UnpatchedSleds+ep.Report.Batch.PatchedSleds,
 					ep.Report.Batch.BatchWindows)

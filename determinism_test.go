@@ -30,8 +30,9 @@ func runJSON(t *testing.T, s *capi.Session, sel *capi.Selection, opts capi.RunOp
 
 // TestMultiRankDeterministic: a multi-rank run's output depends only on
 // the workload and the cost model, never on how the rank goroutines are
-// scheduled. Every cell is run repeatedly under GOMAXPROCS 1 and 4 and
-// must come out byte-identical each time.
+// scheduled — with the budget controller adapting the selection too. Every
+// cell is run repeatedly under GOMAXPROCS 1 and 4 and must come out
+// byte-identical each time.
 func TestMultiRankDeterministic(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	reps := 3
@@ -55,23 +56,33 @@ func TestMultiRankDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, backends := range [][]string{{"talp"}, {"scorep"}, {"extrae"}, {"talp", "scorep"}} {
-				for _, ranks := range []int{2, 4} {
-					opts := capi.RunOptions{Backends: backends, Ranks: ranks}
-					want := ""
-					for _, procs := range []int{1, 4} {
-						runtime.GOMAXPROCS(procs)
-						for rep := 0; rep < reps; rep++ {
-							got := runJSON(t, s, sel, opts)
-							if want == "" {
-								want = got
-							} else if got != want {
-								t.Fatalf("%v ranks %d: GOMAXPROCS %d run %d differs from the first run\n--- got ---\n%s\n--- want ---\n%s",
-									backends, ranks, procs, rep, got, want)
-							}
+			cell := func(sel *capi.Selection, opts capi.RunOptions) {
+				want := ""
+				for _, procs := range []int{1, 4} {
+					runtime.GOMAXPROCS(procs)
+					for rep := 0; rep < reps; rep++ {
+						got := runJSON(t, s, sel, opts)
+						if want == "" {
+							want = got
+						} else if got != want {
+							t.Fatalf("%v ranks %d adapt %v: GOMAXPROCS %d run %d differs from the first run\n--- got ---\n%s\n--- want ---\n%s",
+								opts.Backends, opts.Ranks, opts.Adapt != nil, procs, rep, got, want)
 						}
 					}
 				}
+			}
+			for _, backends := range [][]string{{"talp"}, {"scorep"}, {"extrae"}, {"talp", "scorep"}} {
+				for _, ranks := range []int{2, 4} {
+					cell(sel, capi.RunOptions{Backends: backends, Ranks: ranks})
+				}
+			}
+			if app.name != "openfoam" {
+				return
+			}
+			// Budget mode: every sled patched and a budget tight enough to
+			// demote, drop and promote; the epoch log is part of the result.
+			for _, ranks := range []int{2, 4} {
+				cell(nil, capi.RunOptions{Backends: []string{"talp"}, Ranks: ranks, PatchAll: true, Adapt: &capi.AdaptOptions{Budget: 1e-6}})
 			}
 		})
 	}

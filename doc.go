@@ -60,8 +60,8 @@
 //	          none, TALP, Score-P and Extrae built-ins are each one
 //	          dyncapi type;
 //	          one report envelope (Instance.Reports, ReportOf)
-//	adapt     overhead-budget controller: adapts the selection at epoch
-//	          boundaries while the program runs — hottest low-duration
+//	adapt     overhead-budget controller: adapts the selection at MPI
+//	          collectives while the program runs — hottest low-duration
 //	          functions first demoted to 1-in-N sampling (the gentler
 //	          knob; no re-patch), then deselected if still over budget,
 //	          re-promoted with hysteresis when pressure subsides; its SLO
@@ -133,7 +133,7 @@
 // patched set against the new IC and re-patches only the delta, under
 // page-coalesced mprotect windows. RunOptions.Adapt goes further and lets
 // an overhead-budget controller (internal/adapt) narrow the selection
-// automatically at virtual-time epoch boundaries while the workload runs:
+// automatically at MPI collectives while the workload runs:
 //
 //	inst, _ := s.Start(sel, capi.RunOptions{Backends: []string{"talp"}})
 //	res1, _ := inst.Run()               // pays T_init once
@@ -149,9 +149,11 @@
 // counters (in-flight vs. spurious) let trace completeness be asserted
 // exactly.
 //
-// Budget-mode decisions are deterministic at one rank, not at several: an
-// epoch's window sums every rank's events between two crossings of one
-// rank's clock, so scheduling moves what is demoted or dropped.
+// A budget-mode epoch closes at the first MPI collective at least
+// AdaptOptions.Epoch after the previous one: the last rank to arrive sums
+// every rank's own event row while the others wait there, decides, and
+// every rank pays the re-patch as it leaves. So the decisions depend on the
+// program and the world size alone, at any rank count.
 //
 // # Measurement backends: an open registry
 //

@@ -40,7 +40,7 @@ subtract(%mpi_comm, %excluded)
 		// The controller narrows the selection whenever instrumentation
 		// overhead exceeds the (deliberately tight) budget — mid-run, via
 		// delta re-patch, with synthetic exits closing dangling regions.
-		Adapt: &capi.AdaptOptions{Budget: 0.000002},
+		Adapt: &capi.AdaptOptions{Budget: 0.0000005},
 		// An empty sampling table: nothing is thinned yet, but the sampler
 		// counts every enter from the first event on, so its conservation
 		// counters cover the whole run and not only the demoted functions.

@@ -47,8 +47,9 @@ func init() {
 	})
 }
 
-// TestAsyncAdaptIncompatible: the overhead-budget controller reads live
-// rank clocks the replayed pipeline events never advance, so the
+// TestAsyncAdaptIncompatible: the overhead-budget controller counts each
+// epoch's events at an MPI collective, and replayed pipeline events reach
+// it after the collective that should have counted them, so the
 // combination is rejected up front instead of silently mis-adapting.
 func TestAsyncAdaptIncompatible(t *testing.T) {
 	s := newQuickSession(t)
@@ -62,6 +63,19 @@ func TestAsyncAdaptIncompatible(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("Async+Adapt accepted")
+	}
+	// SLO mode works with the pipeline, but may not be retuned into
+	// budget mode.
+	inst, err := s.Start(sel, capi.RunOptions{
+		Backends: []string{"talp"}, Ranks: 2,
+		Async: true, Adapt: &capi.AdaptOptions{SLOTargetP99Ns: 1e6},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Close()
+	if _, err := inst.Retune(capi.AdaptOptions{SLOTargetP99Ns: -1}); err == nil {
+		t.Fatal("async instance retuned into budget mode")
 	}
 }
 

@@ -5,14 +5,15 @@
 //
 // The controller observes the event stream: it is a backend of its own,
 // placed last in the runtime's fan-out after the measurement backends, and
-// keeps per-function enter/exit counts and inclusive durations. Two policies
-// decide when to act. In budget mode, at every epoch boundary of the
-// virtual-time executor — the first event whose rank clock crosses the
-// boundary triggers the evaluation — the epoch's instrumentation overhead
-// (events × modelled per-event cost) is compared against the configured
+// keeps per-function enter/exit counts and inclusive durations; each rank
+// also counts its epoch's events in a row only it writes. Two policies
+// decide when to act. In budget mode, at the first MPI collective an epoch
+// after the previous evaluation (Collective), the world ranks' rows are
+// summed while every rank waits there and the window's instrumentation
+// overhead (events × modelled per-event cost) is compared against the
 // budget; in SLO mode (slo.go) each endpoint's request p99 is compared
-// against a target. Both climb one ladder: a hot low-duration function is
-// first demoted to 1-in-64 sampling, and only an already demoted one is
+// against a target. Both climb one ladder: a hot low-duration function is first
+// demoted to 1-in-64 sampling, and only an already demoted one is
 // deselected — the functions the paper's refinement loop removes by hand, à
 // la Fig. 1 — through dyncapi.Runtime.Reconfigure, which re-patches only the
 // delta sleds, under coalesced mprotect windows, and never tears the run
@@ -48,14 +49,15 @@ import (
 
 // Options tunes the controller.
 type Options struct {
-	// Epoch is the virtual-time length of one control epoch. The selection
-	// is re-evaluated whenever an executing rank's clock crosses an epoch
-	// boundary. Default: 10ms.
+	// Epoch is the shortest virtual-time window between two budget
+	// evaluations: the selection is re-evaluated at the first MPI
+	// collective at least Epoch after the previous evaluation (the phase
+	// start, for the first). Default: 10ms.
 	Epoch int64
-	// Budget is the tolerated instrumentation overhead per rank and epoch
-	// as a fraction of the epoch length (0.01 = 1%); the controller scales
-	// the allowance by the number of ranks it has observed, since the
-	// event counts it watches aggregate all ranks. Default: 0.01.
+	// Budget is the tolerated instrumentation overhead per rank as a
+	// fraction of the evaluated window (0.01 = 1%); the allowance is scaled
+	// by the world's size, since the window's event count sums all world
+	// ranks. Default: 0.01.
 	Budget float64
 	// MinMeanNs classifies functions as "low-duration": a function whose
 	// mean inclusive duration is below this threshold carries little
@@ -64,7 +66,7 @@ type Options struct {
 	// MaxReconfigs bounds the number of live re-selections (0 = unlimited).
 	MaxReconfigs int
 	// SLOTargetP99Ns switches the controller to SLO mode (see slo.go):
-	// instead of evaluating the overhead budget at epoch boundaries, the
+	// instead of evaluating the overhead budget at collectives, the
 	// ladder is walked per endpoint so each endpoint's measured request
 	// p99 meets this target with maximum instrumentation coverage.
 	// 0 keeps budget mode.
@@ -109,13 +111,14 @@ func (o *Options) fill() {
 
 // Epoch records one control decision.
 type Epoch struct {
-	// Seq is the 1-based epoch number; AtNs and Rank identify the clock
-	// value and rank that triggered the boundary.
+	// Seq is the 1-based decision number. AtNs is the time of the
+	// collective that closed a budget-mode window (the maximum of the
+	// ranks' clocks there); SLO-mode decisions leave it 0.
 	Seq  int
 	AtNs int64
-	Rank int
-	// Events is the number of instrumentation events observed during the
-	// epoch; OverheadNs is their modelled cost, BudgetNs the allowance.
+	// Events is the number of instrumentation events the world ranks
+	// observed during the window; OverheadNs is their modelled cost,
+	// BudgetNs the allowance.
 	Events     int64
 	OverheadNs int64
 	BudgetNs   int64
@@ -129,8 +132,8 @@ type Epoch struct {
 	Dropped      []string
 	Reconfigured bool
 	Report       dyncapi.ReconfigReport
-	// SLO-mode decisions (Rank -1) additionally carry the endpoint whose
-	// window triggered them, the measured p99 and the target; Readded
+	// SLO-mode decisions additionally carry the endpoint whose window
+	// triggered them, the measured p99 and the target; Readded
 	// lists deselected functions restored by a widening step.
 	Endpoint string
 	P99Ns    int64
@@ -141,9 +144,8 @@ type Epoch struct {
 // funcStat is the controller's per-function accumulator.
 type funcStat struct {
 	completions atomic.Int64 // completed outermost invocations
-	events      atomic.Int64
+	events      atomic.Int64 // all-time events: SLO mode's heat signal
 	durNs       atomic.Int64 // inclusive ns of completed outermost invocations
-	epochEvents atomic.Int64
 	gen         atomic.Int64 // deselections; a call opened before the last is stale
 }
 
@@ -157,38 +159,42 @@ func (st *funcStat) meanNs() int64 {
 	return st.durNs.Load() / done
 }
 
-// openCall is one (rank, function) entry of the open-invocation table.
-// Each rank is driven by exactly one goroutine and writes only its own row,
-// so the entries need no locking.
+// openCall is one (rank, function) entry of the rank's row: its open
+// invocation and its events in the budget window. Each rank is driven by
+// exactly one goroutine and writes only its own row, so the entries need no
+// locking; Collective reads them while every world rank waits.
 type openCall struct {
 	depth   int
 	startNs int64
 	gen     int64 // funcStat.gen when the outermost frame opened
+	window  int64 // events in the current budget window
 }
 
 // Controller is the adaptive controller: a dyncapi.Backend that measures
 // nothing and observes every event. Create it with New, put it last in the
 // backend chain handed to dyncapi.New, then Attach the resulting runtime so
-// the controller can reconfigure it.
+// the controller can reconfigure it; before each phase, call NewPhase and
+// make Collective the world's collective hook.
 type Controller struct {
 	// opts is swapped atomically so Retune can adjust the budget/epoch while
-	// handlers are evaluating boundaries on other ranks.
+	// the ranks run.
 	opts atomic.Pointer[Options]
 
-	// rt, stats, open and seen are set by Attach, before any event, and
-	// never reassigned: stats is indexed by rt.Index, seen by rank ID and
-	// open by rank ID × NumFuncs + rt.Index, one row per rank.
-	rt    *dyncapi.Runtime
-	stats []funcStat
-	open  []openCall
-	seen  []bool
-	// observed counts the ranks that have entered a function; it scales
-	// the budget, and outlives phases.
-	observed atomic.Int64
+	// rt, funcs, stats, open and touched are set by Attach, before any
+	// event, and never reassigned: funcs and stats are indexed by rt.Index,
+	// open by rank ID × NumFuncs + rt.Index, and touched by rank ID; a
+	// rank's touched list names each function with a window count once.
+	rt      *dyncapi.Runtime
+	funcs   []*dyncapi.ResolvedFunc
+	stats   []funcStat
+	open    []openCall
+	touched [][]int32
 
-	nextEpoch atomic.Int64
-	lastNs    atomic.Int64 // clock value of the previous evaluation
-	inEpoch   atomic.Bool
+	decide sync.Mutex // one decision at a time: Collective locks, ObserveRequest tries
+	world  int        //capi:guardedby decide — ranks of the phase's MPI world
+	evalNs int64      //capi:guardedby decide — collective time of the previous evaluation
+	heat   []int64    //capi:guardedby decide — a window's per-function sums, zero between windows
+	hot    []int32    //capi:guardedby decide — the functions with heat, capacity NumFuncs
 
 	mu sync.Mutex
 	// epochs is the decision log, and the one record of what was dropped
@@ -198,10 +204,6 @@ type Controller struct {
 	// demotion and deselection of either mode. A step is booked here and
 	// nowhere else.
 	ladder []step //capi:guardedby mu
-	// fired lists the stats indexes of the functions that have seen an
-	// event, in first-event order: the only windows an epoch boundary
-	// sums and resets, so a boundary costs what fired, not NumFuncs.
-	fired []int //capi:guardedby mu
 }
 
 // New creates a controller with the given tuning.
@@ -212,15 +214,23 @@ func New(opts Options) *Controller {
 	return c
 }
 
-// Attach hands the controller the runtime it adapts, sizes its per-function
-// and per-rank tables from it and arms the first epoch boundary. Call it
-// before any event reaches the controller.
+// Attach hands the controller the runtime it adapts and sizes its
+// per-function and per-rank tables from it. Call it before any event
+// reaches the controller.
 func (c *Controller) Attach(rt *dyncapi.Runtime) {
+	n := rt.NumFuncs()
 	c.rt = rt
-	c.stats = make([]funcStat, rt.NumFuncs())
-	c.open = make([]openCall, rt.Ranks()*rt.NumFuncs())
-	c.seen = make([]bool, rt.Ranks())
-	c.nextEpoch.Store(c.opts.Load().Epoch)
+	c.funcs = rt.Funcs()
+	c.stats = make([]funcStat, n)
+	c.open = make([]openCall, rt.Ranks()*n)
+	c.touched = make([][]int32, rt.Ranks())
+	for r := range c.touched {
+		c.touched[r] = make([]int32, 0, n)
+	}
+	c.decide.Lock()
+	c.heat = make([]int64, n)
+	c.hot = make([]int32, 0, n)
+	c.decide.Unlock()
 }
 
 // Options returns the currently effective tuning.
@@ -229,11 +239,8 @@ func (c *Controller) Options() Options { return *c.opts.Load() }
 // Retune adjusts the controller's tuning while the workload executes — the
 // control plane's POST /v1/adapt. Zero (or negative) fields keep their
 // current value, except MaxReconfigs where a negative value lifts the bound
-// (0 already means unlimited, so 0 must mean "keep"). When the epoch length
-// changes, the armed boundary is re-based on the previous evaluation so the
-// new cadence takes effect immediately rather than after one stale epoch.
-// Safe to call concurrently with handler execution. Returns the effective
-// options.
+// (0 already means unlimited, so 0 must mean "keep"). Safe to call
+// concurrently with handler execution. Returns the effective options.
 func (c *Controller) Retune(o Options) Options {
 	// Serialize concurrent retunes: without the lock, two read-modify-write
 	// cycles could each start from the same snapshot and the later Store
@@ -270,22 +277,21 @@ func (c *Controller) Retune(o Options) Options {
 		cur.SLOMinSamples = o.SLOMinSamples
 	}
 	c.opts.Store(&cur)
-	if o.Epoch > 0 {
-		c.nextEpoch.Store(c.lastNs.Load() + cur.Epoch)
-	}
 	return cur
 }
 
-// NewPhase re-arms the controller for an execution phase whose world of
-// worldRanks ranks restarts its clocks at zero: the epoch boundary is reset,
-// the event window cleared and the world ranks' open invocations forgotten.
-// Ranks past the world (HTTP middleware workers) keep dispatching across
-// phases, so their state stays theirs. Call it only between phases.
+// NewPhase arms the controller for a phase whose world of worldRanks ranks
+// starts its clocks at zero, and clears those ranks' rows. Ranks past the
+// world (HTTP middleware workers) keep dispatching across phases and
+// budget mode never reads their rows. Call it only between phases.
 func (c *Controller) NewPhase(worldRanks int) {
-	c.nextEpoch.Store(c.opts.Load().Epoch)
-	c.lastNs.Store(0)
-	c.resetEpochEvents()
+	c.decide.Lock()
+	defer c.decide.Unlock()
+	c.world, c.evalNs = worldRanks, 0
 	clear(c.open[:worldRanks*len(c.stats)])
+	for r := range c.touched[:worldRanks] {
+		c.touched[r] = c.touched[r][:0]
+	}
 }
 
 // Name implements dyncapi.Backend.
@@ -298,42 +304,32 @@ func (c *Controller) stat(fn *dyncapi.ResolvedFunc) *funcStat {
 	return &c.stats[c.rt.Index(fn)]
 }
 
-// count books one event of the function at index i and returns its
-// accumulator and its open-call entry on rank r.
+// count books one event of the function at index i on rank r, in the
+// all-time count and in the rank's window, and returns the function's
+// accumulator and its entry in the rank's row.
 func (c *Controller) count(r, i int) (*funcStat, *openCall) {
 	st := &c.stats[i]
-	if st.events.Add(1) == 1 {
-		c.fire(i)
+	st.events.Add(1)
+	oc := &c.open[r*len(c.stats)+i]
+	if oc.window == 0 {
+		t := c.touched[r]
+		t = t[:len(t)+1]
+		t[len(t)-1] = int32(i)
+		c.touched[r] = t
 	}
-	st.epochEvents.Add(1)
-	return st, &c.open[r*len(c.stats)+i]
+	oc.window++
+	return st, oc
 }
 
-// fire appends a function's first event to fired.
-//
-//capi:coldpath
-func (c *Controller) fire(i int) {
-	c.mu.Lock()
-	c.fired = append(c.fired, i)
-	c.mu.Unlock()
-}
-
-// OnEnter implements dyncapi.Backend: count, open the invocation, check the
-// epoch.
+// OnEnter implements dyncapi.Backend: count and open the invocation.
 //
 //capi:hotpath
 func (c *Controller) OnEnter(tc xray.ThreadCtx, fn *dyncapi.ResolvedFunc) {
-	r := tc.RankID()
-	st, oc := c.count(r, c.rt.Index(fn))
-	if !c.seen[r] {
-		c.seen[r] = true
-		c.observed.Add(1)
-	}
+	st, oc := c.count(tc.RankID(), c.rt.Index(fn))
 	if gen := st.gen.Load(); oc.depth == 0 || oc.gen != gen {
 		oc.depth, oc.startNs, oc.gen = 0, tc.Clock().Now(), gen
 	}
 	oc.depth++
-	c.maybeEpoch(tc)
 }
 
 // OnDeselect implements dyncapi.Deselector: a rank inside fn at its
@@ -355,90 +351,71 @@ func (c *Controller) OnExit(tc xray.ThreadCtx, fn *dyncapi.ResolvedFunc) {
 			st.completions.Add(1)
 		}
 	}
-	c.maybeEpoch(tc)
 }
 
-// maybeEpoch runs the controller when the executing rank's clock has
-// crossed the armed epoch boundary. Exactly one rank wins the CAS and
-// evaluates; the others keep executing — their handlers are safe against
-// the concurrent Reconfigure by construction.
-func (c *Controller) maybeEpoch(tc xray.ThreadCtx) {
-	now := tc.Clock().Now()
-	if now < c.nextEpoch.Load() {
-		return
-	}
-	if !c.inEpoch.CompareAndSwap(false, true) {
-		return
-	}
-	defer c.inEpoch.Store(false)
-	if now < c.nextEpoch.Load() { // another rank just evaluated this boundary
-		return
-	}
-	if c.opts.Load().SLOTargetP99Ns > 0 {
-		// SLO mode: tail latency steers the ladder (ObserveRequest), not
-		// the overhead budget. Keep re-arming the boundary so budget mode
-		// resumes cleanly if the target is retuned away.
-		c.lastNs.Store(now)
-		c.nextEpoch.Store(now + c.opts.Load().Epoch)
-		return
-	}
-	c.runEpoch(c.rt, tc, now)
-	c.lastNs.Store(now)
-	c.nextEpoch.Store(now + c.opts.Load().Epoch)
-}
-
-// runEpoch is budget mode's decision: over budget, walk the hottest
+// Collective is the world's collective hook (mpi.World.SetCollectiveHook):
+// at the first collective an epoch after the previous evaluation, budget
+// mode drains the world ranks' windows and, over budget, walks the hottest
 // candidates down the ladder until the projected excess is covered; well
-// under it, promote the most recent demotion.
+// under it, it promotes the most recent demotion. Every rank pays the
+// returned re-patch charge, as each process of an MPI job patches its text.
 //
 //capi:coldpath
-func (c *Controller) runEpoch(rt *dyncapi.Runtime, tc xray.ThreadCtx, now int64) {
+func (c *Controller) Collective(atNs int64) (chargeNs int64) {
+	c.decide.Lock()
+	defer c.decide.Unlock()
 	opts := c.opts.Load()
-	var events int64
-	for _, i := range c.firedNow() {
-		events += c.stats[i].epochEvents.Load()
+	// The budget covers the whole window, however many epochs it spans. SLO
+	// mode leaves the rows to the async pipeline that may be filling them.
+	elapsed := atNs - c.evalNs
+	if elapsed < opts.Epoch || opts.SLOTargetP99Ns > 0 {
+		return 0
 	}
+	c.evalNs = atNs
+	events := c.sumWindows()
+	defer func() {
+		for _, i := range c.hot {
+			c.heat[i] = 0
+		}
+		c.hot = c.hot[:0]
+	}()
 	overhead := events * xray.DispatchCostNs
-	// The window since the previous evaluation may span several epochs
-	// (collectives can advance a clock far past a boundary); the budget
-	// covers the whole elapsed window, not a single epoch, so catch-up
-	// bursts are not overestimated.
-	elapsed := now - c.lastNs.Load()
-	if elapsed < opts.Epoch {
-		elapsed = opts.Epoch
-	}
-	// The event total aggregates every rank's handler calls, but elapsed is
-	// one rank's clock window — scale the allowance by the number of ranks
-	// observed so Budget stays a per-rank overhead fraction.
-	ranks := max(c.observed.Load(), 1)
-	budget := int64(opts.Budget * float64(elapsed) * float64(ranks))
-	ep := Epoch{AtNs: now, Rank: tc.RankID(), Events: events, OverheadNs: overhead, BudgetNs: budget}
-
+	budget := int64(opts.Budget * float64(elapsed) * float64(c.world))
+	ep := Epoch{AtNs: atNs, Events: events, OverheadNs: overhead, BudgetNs: budget}
 	if overhead > budget {
-		c.narrow(rt, c.candidates(rt.ActiveFuncs(), true), nil, &ep, overhead-budget)
-		// A re-patch is real work: charge it to the rank that performed it.
-		tc.Clock().Advance(ep.Report.VirtualNs)
+		var scope []*dyncapi.ResolvedFunc
+		for _, i := range c.hot {
+			if rf := c.funcs[i]; c.rt.Active(rf.PackedID) {
+				scope = append(scope, rf)
+			}
+		}
+		c.narrow(c.rt, c.candidates(scope, true), nil, &ep, overhead-budget)
 	} else if overhead <= int64(promoteBelow*float64(budget)) {
-		c.stepUp(rt, func(st step) bool { return !st.drop }, &ep)
+		c.stepUp(c.rt, func(st step) bool { return !st.drop }, &ep)
 	}
-
-	c.resetEpochEvents()
 	c.appendEpoch(ep)
+	return ep.Report.VirtualNs
 }
 
-// resetEpochEvents starts the next epoch's event window.
-func (c *Controller) resetEpochEvents() {
-	for _, i := range c.firedNow() {
-		c.stats[i].epochEvents.Store(0)
+// sumWindows moves the world ranks' window counts into heat (listed in hot),
+// walking only their touched lists, and returns the total.
+//
+//capi:locked decide
+func (c *Controller) sumWindows() (events int64) {
+	n := len(c.stats)
+	for r := range c.world {
+		for _, i := range c.touched[r] {
+			oc := &c.open[r*n+int(i)]
+			if c.heat[i] == 0 {
+				c.hot = append(c.hot, i)
+			}
+			c.heat[i] += oc.window
+			events += oc.window
+			oc.window = 0
+		}
+		c.touched[r] = c.touched[r][:0]
 	}
-}
-
-// firedNow returns the functions that have fired so far. The list is only
-// ever appended to, so the returned prefix stays valid.
-func (c *Controller) firedNow() []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.fired
+	return events
 }
 
 // The ladder both policies climb. They differ in scope and heat signal
@@ -448,7 +425,7 @@ func (c *Controller) firedNow() []int {
 type victim struct {
 	id     int32
 	name   string
-	events int64 // the policy's heat signal: this epoch's events, or all-time
+	events int64 // the policy's heat signal: the window's events, or all-time
 	meanNs int64
 }
 
@@ -462,22 +439,21 @@ type step struct {
 }
 
 // candidates orders scope's functions for a ladder walk by the policy's
-// heat signal: this epoch's events in budget mode (a function silent this
-// epoch costs nothing and is left out), all-time events in SLO mode. The
-// order is cheapest-information-first: the low-duration class before
-// everything else, then by heat descending, ID ascending for determinism. A
-// function with no completed invocation yet (mean -1) has an unknown
-// duration and is conservatively treated as not low-duration.
-func (c *Controller) candidates(scope []*dyncapi.ResolvedFunc, epochHeat bool) []victim {
-	var cands []victim
+// heat signal: the window's events over the world ranks in budget mode
+// (windowHeat), all-time events in SLO mode. The order is
+// cheapest-information-first: the low-duration class before everything
+// else, then by heat descending, ID ascending for determinism. A function
+// with no completed invocation yet (mean -1) has an unknown duration and is
+// conservatively treated as not low-duration.
+//
+//capi:locked decide
+func (c *Controller) candidates(scope []*dyncapi.ResolvedFunc, windowHeat bool) []victim {
+	cands := make([]victim, 0, len(scope))
 	for _, rf := range scope {
-		st := c.stat(rf)
-		v := victim{id: rf.PackedID, name: rf.Name, events: st.events.Load(), meanNs: st.meanNs()}
-		if epochHeat {
-			v.events = st.epochEvents.Load()
-		}
-		if epochHeat && v.events == 0 {
-			continue
+		i := c.rt.Index(rf)
+		v := victim{id: rf.PackedID, name: rf.Name, events: c.stats[i].events.Load(), meanNs: c.stats[i].meanNs()}
+		if windowHeat {
+			v.events = c.heat[i]
 		}
 		cands = append(cands, v)
 	}

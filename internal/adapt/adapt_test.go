@@ -26,7 +26,7 @@ func (f *fakeCtx) Clock() *vtime.Clock { return &f.clk }
 
 // twoFuncSetup builds exe{main, hot, slow}, an XRay runtime and a DynCaPI
 // runtime instrumenting hot+slow into inner, with a controller observing
-// behind it.
+// behind it, armed for a world of one rank.
 func twoFuncSetup(t testing.TB, opts Options, inner dyncapi.Backend) (*compiler.Build, *obj.Process, *xray.Runtime, *dyncapi.Runtime, *Controller) {
 	t.Helper()
 	p := prog.New("app", "main")
@@ -53,7 +53,22 @@ func twoFuncSetup(t testing.TB, opts Options, inner dyncapi.Backend) (*compiler.
 		t.Fatal(err)
 	}
 	ctrl.Attach(rt)
+	ctrl.NewPhase(1)
 	return b, proc, xr, rt, ctrl
+}
+
+// collective has the controller close its window at a collective that the
+// given ranks reach: as mpi.World does, the ranks leave at the latest of
+// their clocks plus the returned re-patch charge.
+func collective(c *Controller, tcs ...*fakeCtx) {
+	var at int64
+	for _, tc := range tcs {
+		at = max(at, tc.clk.Now())
+	}
+	leave := at + c.Collective(at)
+	for _, tc := range tcs {
+		tc.clk.AdvanceTo(leave)
+	}
 }
 
 func packedOf(t *testing.T, b *compiler.Build, xr *xray.Runtime, proc *obj.Process, name string) int32 {
@@ -78,15 +93,15 @@ func TestControllerUnderBudgetKeepsSelection(t *testing.T) {
 	b, proc, xr, rt, ctrl := twoFuncSetup(t, Options{Epoch: vtime.Millisecond, Budget: 0.5}, &dyncapi.CygBackend{})
 	tc := &fakeCtx{}
 	hot := packedOf(t, b, xr, proc, "hot")
-	// A handful of events, then cross the boundary: 25ns × 4 ≪ 500µs budget.
+	// A handful of events, then a collective an epoch later: 25ns × 4 ≪
+	// 500µs budget.
 	for i := 0; i < 2; i++ {
 		xr.Dispatch(tc, hot, xray.Entry)
 		tc.clk.Advance(100)
 		xr.Dispatch(tc, hot, xray.Exit)
 	}
 	tc.clk.Advance(vtime.Millisecond)
-	xr.Dispatch(tc, hot, xray.Entry)
-	xr.Dispatch(tc, hot, xray.Exit)
+	collective(ctrl, tc)
 
 	if ctrl.Reconfigs() != 0 || rt.Snapshot().Reconfigs != 0 {
 		t.Fatalf("reconfigured although under budget: %d", ctrl.Reconfigs())
@@ -98,8 +113,8 @@ func TestControllerUnderBudgetKeepsSelection(t *testing.T) {
 	if eps[0].Reconfigured || len(eps[0].Dropped) != 0 {
 		t.Fatalf("epoch = %+v", eps[0])
 	}
-	if eps[0].Events != 5 { // the four warm-up events + the boundary-crossing entry
-		t.Fatalf("epoch events = %d, want 5", eps[0].Events)
+	if eps[0].Events != 4 { // the four warm-up events
+		t.Fatalf("epoch events = %d, want 4", eps[0].Events)
 	}
 	if !rt.Active(hot) {
 		t.Fatal("hot dropped under budget")
@@ -119,12 +134,13 @@ func TestControllerDropsHottestLowDurationFirst(t *testing.T) {
 		tc.clk.Advance(100)
 		xr.Dispatch(tc, hot, xray.Exit)
 	}
-	// One slow invocation of 1ms: its exit crosses the epoch boundary with
-	// 10 events = 250ns overhead against a ≈102ns elapsed-scaled budget
-	// (0.01% of the 1.021ms window).
+	// One slow invocation of 1ms, then a collective: 10 events = 250ns
+	// overhead against a ≈102ns elapsed-scaled budget (0.01% of the
+	// 1.021ms window).
 	xr.Dispatch(tc, slow, xray.Entry)
 	tc.clk.Advance(vtime.Millisecond)
 	xr.Dispatch(tc, slow, xray.Exit)
+	collective(ctrl, tc)
 
 	if ctrl.Reconfigs() != 1 {
 		t.Fatalf("reconfigs = %d, want 1", ctrl.Reconfigs())
@@ -151,41 +167,46 @@ func TestControllerDropsHottestLowDurationFirst(t *testing.T) {
 	if rep.Batch.BatchFuncs != 1 || rep.Batch.UnpatchedSleds != 2 || rep.Batch.PatchedSleds != 0 {
 		t.Fatalf("batch stats = %+v (not delta-only)", rep.Batch)
 	}
-	// The re-patch cost was charged to the triggering rank's virtual clock.
+	// The re-patch cost was charged to the rank leaving the collective.
 	if want := vtime.Millisecond + 210*100 + rep.VirtualNs; tc.clk.Now() != want {
 		t.Fatalf("clock = %d, want %d (reconfig cost charged)", tc.clk.Now(), want)
 	}
 }
 
+// TestControllerRespectsMaxReconfigs: hot alone fires in the first window
+// and is demoted; slow joins in the second, which demotes it and drops hot;
+// the third would drop slow, a second re-selection, unless MaxReconfigs is 1.
 func TestControllerRespectsMaxReconfigs(t *testing.T) {
-	b, proc, xr, rt, ctrl := twoFuncSetup(t, Options{
-		Epoch: vtime.Millisecond, Budget: 0.0001, MaxReconfigs: 1,
-	}, &dyncapi.CygBackend{})
-	hot := packedOf(t, b, xr, proc, "hot")
-	slow := packedOf(t, b, xr, proc, "slow")
-	tc := &fakeCtx{}
-	for epoch := 0; epoch < 3; epoch++ {
-		for i := 0; i < 50; i++ {
-			xr.Dispatch(tc, hot, xray.Entry)
-			tc.clk.Advance(100)
-			xr.Dispatch(tc, hot, xray.Exit)
-			xr.Dispatch(tc, slow, xray.Entry)
-			tc.clk.Advance(100)
-			xr.Dispatch(tc, slow, xray.Exit)
+	for _, tt := range []struct{ limit, want int }{{1, 1}, {0, 2}} {
+		b, proc, xr, _, ctrl := twoFuncSetup(t, Options{
+			Epoch: vtime.Millisecond, Budget: 0.0001, MaxReconfigs: tt.limit,
+		}, &dyncapi.CygBackend{})
+		hot := packedOf(t, b, xr, proc, "hot")
+		slow := packedOf(t, b, xr, proc, "slow")
+		tc := &fakeCtx{}
+		for epoch := 0; epoch < 3; epoch++ {
+			for i := 0; i < 400; i++ {
+				xr.Dispatch(tc, hot, xray.Entry)
+				tc.clk.Advance(100)
+				xr.Dispatch(tc, hot, xray.Exit)
+				if epoch > 0 {
+					xr.Dispatch(tc, slow, xray.Entry)
+					tc.clk.Advance(100)
+					xr.Dispatch(tc, slow, xray.Exit)
+				}
+			}
+			tc.clk.Advance(vtime.Millisecond)
+			collective(ctrl, tc)
 		}
-		tc.clk.Advance(vtime.Millisecond)
+		if got := ctrl.Reconfigs(); got != tt.want {
+			t.Fatalf("MaxReconfigs %d: reconfigs = %d, want %d", tt.limit, got, tt.want)
+		}
 	}
-	xr.Dispatch(tc, slow, xray.Entry)
-	xr.Dispatch(tc, slow, xray.Exit)
-	if ctrl.Reconfigs() != 1 {
-		t.Fatalf("reconfigs = %d, want 1 (MaxReconfigs)", ctrl.Reconfigs())
-	}
-	_ = rt
 }
 
 // TestAdaptiveNarrowingMidRun is the end-to-end acceptance test: a workload
 // runs under the execution engine, the controller narrows the selection at
-// an epoch boundary *mid-run*, and
+// a collective *mid-run*, and
 //
 //	(a) only the delta sleds are re-patched (batch stats),
 //	(b) events stop arriving for the deselected function,
@@ -195,13 +216,19 @@ func TestAdaptiveNarrowingMidRun(t *testing.T) {
 	p.MustAddUnit("app.exe", prog.Executable)
 	p.MustAddUnit("libmpi.so", prog.SystemLibrary)
 	p.MustAddFunc(&prog.Function{Name: "MPI_Init", Unit: "libmpi.so"})
+	p.MustAddFunc(&prog.Function{Name: "MPI_Allreduce", Unit: "libmpi.so"})
 	p.MustAddFunc(&prog.Function{Name: "main", Unit: "app.exe", Statements: 30, Ops: []prog.Op{
 		prog.MPICall("MPI_Init", 0),
-		prog.Call("hot", 5000),
-		prog.Call("medium", 10),
+		prog.Call("step", 10),
 	}})
-	// hot: 5000 calls of 200ns — hot and low-duration, the refinement
-	// loop's classic drop candidate. medium: 10 calls of 1ms.
+	// Ten steps, each closed by an Allreduce, where the controller decides:
+	// hot: 500 calls of 200ns a step — hot and low-duration, the
+	// refinement loop's classic drop candidate. medium: one call of 1ms.
+	p.MustAddFunc(&prog.Function{Name: "step", Unit: "app.exe", Statements: 35, Ops: []prog.Op{
+		prog.Call("hot", 500),
+		prog.Call("medium", 1),
+		prog.MPICall("MPI_Allreduce", 8),
+	}})
 	p.MustAddFunc(&prog.Function{Name: "hot", Unit: "app.exe", Statements: 35,
 		Ops: []prog.Op{prog.Work(200)}})
 	p.MustAddFunc(&prog.Function{Name: "medium", Unit: "app.exe", Statements: 35,
@@ -218,7 +245,7 @@ func TestAdaptiveNarrowingMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl := New(Options{Epoch: 100 * vtime.Microsecond, Budget: 0.001})
+	ctrl := New(Options{Epoch: 100 * vtime.Microsecond, Budget: 0.0001})
 	rt, err := dyncapi.New(proc, xr, ic.New("adaptapp", "test", []string{"hot", "medium"}), ctrl, dyncapi.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -235,6 +262,8 @@ func TestAdaptiveNarrowingMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctrl.NewPhase(world.Size())
+	world.SetCollectiveHook(ctrl.Collective)
 	eng, err := exec.New(exec.Config{Build: b, Proc: proc, XRay: xr, World: world})
 	if err != nil {
 		t.Fatal(err)
@@ -287,6 +316,8 @@ func TestAdaptiveNarrowingMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctrl.NewPhase(world2.Size())
+	world2.SetCollectiveHook(ctrl.Collective)
 	eng2, err := exec.New(exec.Config{Build: b, Proc: proc, XRay: xr, World: world2})
 	if err != nil {
 		t.Fatal(err)
@@ -382,12 +413,15 @@ func TestRecursiveLongFunctionNotDroppedAsLowDuration(t *testing.T) {
 		xr.Dispatch(tc, hot, xray.Exit)
 	}
 	// slow: ONE outer invocation of 1.75ms that recurses into itself 350
-	// times. The epoch boundary fires mid-recursion, when slow has more
-	// epoch events than hot — but its outer invocation is long (and still
-	// open), so it must not be classified low-duration: hot is dropped
-	// first, and slow only takes the demote rung.
+	// times. A collective mid-recursion closes the window when slow has
+	// more window events than hot — but its outer invocation is long (and
+	// still open), so it must not be classified low-duration: hot is
+	// dropped first, and slow only takes the demote rung.
 	xr.Dispatch(tc, slow, xray.Entry)
 	for j := 0; j < 350; j++ {
+		if j == 200 { // 1.015ms in
+			collective(ctrl, tc)
+		}
 		xr.Dispatch(tc, slow, xray.Entry)
 		tc.clk.Advance(5 * vtime.Microsecond)
 		xr.Dispatch(tc, slow, xray.Exit)
@@ -458,9 +492,12 @@ func TestControllerCountsAgreeWithTraceTotals(t *testing.T) {
 			xr.Dispatch(tc, slow, xray.Exit)
 		}
 		tc.clk.Advance(vtime.Millisecond)
+		collective(ctrl, tc)
 	}
-	if ctrl.Reconfigs() == 0 {
-		t.Fatal("tight budget never narrowed the selection")
+	// The first window demotes both functions, the second drops both in
+	// one re-selection, and nothing is left to narrow after that.
+	if n := ctrl.Reconfigs(); n != 1 {
+		t.Fatalf("reconfigs = %d, want 1: the tight budget drops both functions at the second collective", n)
 	}
 
 	var ctrlEvents int64
@@ -488,15 +525,15 @@ func TestRetuneAdjustsOptionsLive(t *testing.T) {
 	if got.Epoch != 10*vtime.Millisecond {
 		t.Fatalf("Epoch changed unexpectedly: %v", got.Epoch)
 	}
-	// Zero fields keep their value; a shorter epoch re-bases the armed
-	// boundary so the new cadence applies immediately.
-	c.lastNs.Store(42)
+	// Zero fields keep their value; a shorter epoch applies from the next
+	// collective on.
 	got = c.Retune(Options{Epoch: vtime.Millisecond})
 	if got.Epoch != vtime.Millisecond || got.Budget != 0.2 {
 		t.Fatalf("after epoch retune: %+v", got)
 	}
-	if next := c.nextEpoch.Load(); next != 42+vtime.Millisecond {
-		t.Fatalf("nextEpoch = %d, want %d", next, 42+vtime.Millisecond)
+	c.Collective(vtime.Millisecond)
+	if eps := c.Epochs(); len(eps) != 1 || eps[0].AtNs != vtime.Millisecond {
+		t.Fatalf("epochs = %+v, want one evaluation at the 1ms collective", eps)
 	}
 	// MaxReconfigs: positive sets, negative lifts, zero keeps.
 	if got = c.Retune(Options{MaxReconfigs: 3}); got.MaxReconfigs != 3 {
@@ -533,6 +570,7 @@ func TestControllerDemotesBeforeDropping(t *testing.T) {
 		xr.Dispatch(tc, slow, xray.Entry)
 		tc.clk.Advance(vtime.Millisecond)
 		xr.Dispatch(tc, slow, xray.Exit)
+		collective(ctrl, tc)
 	}
 
 	// Epoch 1: way over budget — the ladder demotes, it must not drop.
@@ -605,6 +643,7 @@ func TestControllerPromotesWithHysteresis(t *testing.T) {
 	xr.Dispatch(tc, slow, xray.Entry)
 	tc.clk.Advance(vtime.Millisecond)
 	xr.Dispatch(tc, slow, xray.Exit)
+	collective(ctrl, tc)
 	if got := ctrl.Demoted(); len(got) != 1 || got[0] != "hot" {
 		t.Fatalf("demoted = %v, want [hot]", got)
 	}
@@ -612,6 +651,7 @@ func TestControllerPromotesWithHysteresis(t *testing.T) {
 	xr.Dispatch(tc, slow, xray.Entry)
 	tc.clk.Advance(vtime.Millisecond + vtime.Millisecond/2)
 	xr.Dispatch(tc, slow, xray.Exit)
+	collective(ctrl, tc)
 	eps := ctrl.Epochs()
 	last := eps[len(eps)-1]
 	if len(last.Promoted) != 1 || last.Promoted[0] != "hot" {
@@ -657,6 +697,7 @@ func TestResetLadderForgetsDemotions(t *testing.T) {
 				xr.Dispatch(tc, slow, xray.Entry)
 				tc.clk.Advance(vtime.Millisecond)
 				xr.Dispatch(tc, slow, xray.Exit)
+				collective(ctrl, tc)
 			}
 			ep := NewEndpoint("GET /hot")
 			if mode.opts.SLOTargetP99Ns > 0 {
@@ -740,7 +781,8 @@ func TestLadderSurvivesModeRoundTrip(t *testing.T) {
 	tc := &fakeCtx{}
 	xr.Dispatch(tc, slow, xray.Entry)
 	tc.clk.Advance(vtime.Millisecond + vtime.Millisecond/2)
-	xr.Dispatch(tc, slow, xray.Exit) // an idle epoch: inside the promotion band
+	xr.Dispatch(tc, slow, xray.Exit)
+	collective(ctrl, tc) // an idle epoch: inside the promotion band
 	if eps := ctrl.Epochs(); len(eps[len(eps)-1].Promoted) != 1 {
 		t.Fatalf("idle budget epoch did not promote: %+v", eps[len(eps)-1])
 	}

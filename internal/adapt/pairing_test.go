@@ -43,18 +43,14 @@ func TestControllerObserveAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("%.2f allocations per enter/exit pair on a fresh (rank, function), want 0", allocs)
 	}
-	if got := c.observed.Load(); got != int64(ranks) {
-		t.Fatalf("observed = %d ranks, want %d", got, ranks)
-	}
 }
 
 // pairingModel is the reference the controller's pairing is checked
 // against: per-rank maps of open calls, created on a rank's first enter,
 // exactly as the controller kept them before its table was dense.
 type pairingModel struct {
-	open                                         []map[int]*openCall
-	gen, completions, durNs, events, epochEvents []int64
-	observed                                     int64
+	open                            []map[int]*openCall
+	gen, completions, durNs, events []int64
 }
 
 func newPairingModel(funcs, ranks int) *pairingModel {
@@ -64,16 +60,13 @@ func newPairingModel(funcs, ranks int) *pairingModel {
 		completions: make([]int64, funcs),
 		durNs:       make([]int64, funcs),
 		events:      make([]int64, funcs),
-		epochEvents: make([]int64, funcs),
 	}
 }
 
 func (m *pairingModel) enter(r, f int, now int64) {
 	m.events[f]++
-	m.epochEvents[f]++
 	if m.open[r] == nil {
 		m.open[r] = map[int]*openCall{}
-		m.observed++
 	}
 	oc := m.open[r][f]
 	if oc == nil {
@@ -88,7 +81,6 @@ func (m *pairingModel) enter(r, f int, now int64) {
 
 func (m *pairingModel) exit(r, f int, now int64) {
 	m.events[f]++
-	m.epochEvents[f]++
 	if oc := m.open[r][f]; oc != nil && oc.depth > 0 {
 		oc.depth--
 		if oc.depth == 0 {
@@ -99,7 +91,6 @@ func (m *pairingModel) exit(r, f int, now int64) {
 }
 
 func (m *pairingModel) newPhase(worldRanks int) {
-	clear(m.epochEvents)
 	for r := range m.open[:worldRanks] {
 		clear(m.open[r])
 	}
@@ -107,8 +98,8 @@ func (m *pairingModel) newPhase(worldRanks int) {
 
 // FuzzControllerPairing drives random per-rank programs — recursion,
 // unmatched exits, deselection mid-call and phase boundaries — through the
-// controller and compares every per-function accumulator and the observed
-// rank count with pairingModel after each step.
+// controller and compares every per-function accumulator with pairingModel
+// after each step.
 //
 // The input is a list of (op, arg) byte pairs: arg picks the rank (arg %
 // ranks) and the function (arg / ranks % funcs); op%8 is 0–2 enter, 3–5
@@ -158,14 +149,11 @@ func FuzzControllerPairing(f *testing.F) {
 			}
 			for i, rf := range fns {
 				st := c.stat(rf)
-				got := [...]int64{st.completions.Load(), st.durNs.Load(), st.events.Load(), st.epochEvents.Load()}
-				want := [...]int64{m.completions[i], m.durNs[i], m.events[i], m.epochEvents[i]}
+				got := [...]int64{st.completions.Load(), st.durNs.Load(), st.events.Load()}
+				want := [...]int64{m.completions[i], m.durNs[i], m.events[i]}
 				if got != want {
-					t.Fatalf("step %d, f%d: [completions durNs events epochEvents] = %v, model %v", step/2, i, got, want)
+					t.Fatalf("step %d, f%d: [completions durNs events] = %v, model %v", step/2, i, got, want)
 				}
-			}
-			if got := c.observed.Load(); got != m.observed {
-				t.Fatalf("step %d: observed = %d, model %d", step/2, got, m.observed)
 			}
 		}
 	})

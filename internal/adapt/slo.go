@@ -1,12 +1,12 @@
 // SLO mode: when Options.SLOTargetP99Ns is set the controller stops
-// steering by the overhead budget (maybeEpoch disarms) and instead climbs
-// the ladder *per endpoint*, driven by measured tail latency. The objective
-// is inverted relative to budget mode: "p99 ≤ X with max instrumentation
-// coverage" — narrowing only while the endpoint misses its target, and
-// undoing the endpoint's steps (LIFO) to restore coverage once the tail sits
-// comfortably under it. The cost signal is the real one users care about —
-// request latency including instrumentation — not a modelled events×ns
-// estimate.
+// steering by the overhead budget (Collective only drains the windows) and
+// instead climbs the ladder *per endpoint*, driven by measured tail
+// latency. The objective is inverted relative to budget mode: "p99 ≤ X with
+// max instrumentation coverage" — narrowing only while the endpoint misses
+// its target, and undoing the endpoint's steps (LIFO) to restore coverage
+// once the tail sits comfortably under it. The cost signal is the real one
+// users care about — request latency including instrumentation — not a
+// modelled events×ns estimate.
 //
 // The controller keeps no request record of its own. The instance records
 // every request into the route's Endpoint (its instrumented call tree and
@@ -14,8 +14,8 @@
 // (ObserveRequest). Evaluation happens on the request path but is cheap
 // and rare: a counter check per request, a p99 sort of the newest
 // SLOWindow latencies every sloEvalEvery requests per endpoint, and at
-// most one ladder step per evaluation, serialized with budget epochs
-// through the same inEpoch gate.
+// most one ladder step per evaluation, serialized with budget decisions
+// through the decide mutex.
 package adapt
 
 import (
@@ -147,15 +147,15 @@ func (c *Controller) ObserveRequest(es *Endpoint) {
 	p99 := Quantile(es.Window(opts.SLOWindow), 0.99)
 	es.lastP99.Store(p99)
 	rt := c.rt
-	// Same gate as budget epochs: at most one controller decision in
-	// flight, across all endpoints. Losing the race just defers this
-	// endpoint to its next evaluation.
-	if !c.inEpoch.CompareAndSwap(false, true) {
+	// At most one controller decision in flight, across all endpoints and
+	// the budget path. Losing the race just defers this endpoint to its
+	// next evaluation.
+	if !c.decide.TryLock() {
 		return
 	}
-	defer c.inEpoch.Store(false)
+	defer c.decide.Unlock()
 	target := opts.SLOTargetP99Ns
-	ep := Epoch{Rank: -1, Endpoint: es.Name, P99Ns: p99, TargetNs: target}
+	ep := Epoch{Endpoint: es.Name, P99Ns: p99, TargetNs: target}
 	switch {
 	case p99 > target:
 		// One step down per evaluation, so the next window measures its

@@ -84,6 +84,8 @@ var hotRoots = []string{
 	"capi/internal/dyncapi.ExtraeBackend.OnEnter",
 	"capi/internal/dyncapi.ExtraeBackend.OnExit",
 	"capi/internal/trace.Buffer.Append",
+	"capi/internal/adapt.Controller.OnEnter",
+	"capi/internal/adapt.Controller.OnExit",
 }
 
 func TestDispatchPathAnnotated(t *testing.T) {

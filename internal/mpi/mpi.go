@@ -4,11 +4,11 @@
 // a PMPI-style interception layer lets tools such as TALP observe every
 // call (§III-B of the paper). The simulation is deterministic: virtual time
 // depends only on the executed workload and the cost model, never on
-// scheduling. Tools keep per-rank state and charge only the calling rank,
-// so this holds with them attached too; the root package's
-// TestMultiRankDeterministic runs three apps under talp, scorep and extrae
-// at two and four ranks, GOMAXPROCS 1 and 4, and requires every run to be
-// byte-identical.
+// scheduling. Tools keep per-rank state and charge only the calling rank
+// (or, from a collective hook, every rank alike), so this holds with them
+// attached too; the root package's TestMultiRankDeterministic runs three
+// apps under talp, scorep and extrae (openfoam also adaptively) at two and
+// four ranks, GOMAXPROCS 1 and 4, and requires every run byte-identical.
 package mpi
 
 import (
@@ -130,6 +130,12 @@ func NewWorld(size int, cost CostModel) (*World, error) {
 
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.size }
+
+// SetCollectiveHook registers f, which the last rank to reach a collective
+// runs while the others wait there, with the collective's time (the ranks'
+// latest clock). f must not depend on which rank arrived last. Every rank
+// leaves the collective the returned charge later. Set it before Run.
+func (w *World) SetCollectiveHook(f func(atNs int64) (chargeNs int64)) { w.coll.hook = f }
 
 // Rank returns rank i (valid after NewWorld, before/after Run).
 func (w *World) Rank(i int) *Rank { return w.ranks[i] }
@@ -447,7 +453,7 @@ func (r *Rank) Sendrecv(dst, src, tag, bytes int) error {
 }
 
 // rendezvous is a reusable all-ranks barrier computing the maximum of the
-// ranks' clock values per generation.
+// ranks' clock values per generation, plus the charge its hook returns.
 type rendezvous struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -458,6 +464,7 @@ type rendezvous struct {
 	result  int64
 	aborted bool
 	abortCh chan struct{}
+	hook    func(atNs int64) (chargeNs int64) // set before Run; nil = none
 }
 
 func newRendezvous(size int, abortCh chan struct{}) *rendezvous {
@@ -474,7 +481,8 @@ func (rv *rendezvous) abort() {
 }
 
 // sync blocks until all ranks of the current generation arrived and returns
-// the maximum submitted time.
+// the maximum submitted time plus the hook's charge, which the last rank
+// computes before it releases the others.
 func (rv *rendezvous) sync(t int64) (int64, error) {
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
@@ -488,6 +496,9 @@ func (rv *rendezvous) sync(t int64) (int64, error) {
 	rv.count++
 	if rv.count == rv.size {
 		rv.result = rv.maxTime
+		if rv.hook != nil {
+			rv.result += rv.hook(rv.maxTime)
+		}
 		rv.count = 0
 		rv.maxTime = 0
 		rv.gen++

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	capi "capi"
+	"capi/internal/vtime"
 )
 
 // TestLadderDecisionsGolden pins every decision the adaptation controller
@@ -55,11 +56,44 @@ func TestLadderDecisionsGolden(t *testing.T) {
 	}
 	writeLadder(&got, "slo", res, inst.Status().SLO)
 
-	want, err := os.ReadFile("testdata/ladder.golden")
+	compareGolden(t, "testdata/ladder.golden", got.String())
+}
+
+// TestBudgetEpochLogGolden pins budget mode's whole epoch log for one
+// openfoam run — every sled patched, under talp, at a budget tight enough to
+// demote, drop and promote — at 1, 2 and 4 ranks. Windows close at MPI
+// collectives and sum per-rank counts, so the log is a function of the
+// program and the world size alone.
+func TestBudgetEpochLogGolden(t *testing.T) {
+	s, err := capi.NewAppSession("openfoam", 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	var got strings.Builder
+	for _, ranks := range []int{1, 2, 4} {
+		res, err := s.Run(nil, capi.RunOptions{Backends: []string{"talp"}, Ranks: ranks, PatchAll: true, Adapt: &capi.AdaptOptions{Budget: 1e-6}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ep := range res.AdaptEpochs {
+			fmt.Fprintf(&got, "ranks=%d %d at=%s events=%d overhead=%d budget=%d demoted=%d promoted=%d dropped=%v repatchNs=%d\n",
+				ranks, ep.Seq, vtime.FormatSeconds(ep.AtNs), ep.Events, ep.OverheadNs, ep.BudgetNs,
+				len(ep.Demoted), len(ep.Promoted), ep.Dropped, ep.Report.VirtualNs)
+		}
+		fmt.Fprintf(&got, "ranks=%d final reconfigs=%d active=%d demoted=%d dropped=%d T_total=%.6fs\n",
+			ranks, res.Reconfigs, res.ActiveFuncs, len(res.DemotedFuncs), len(res.DroppedFuncs), res.TotalSeconds)
+	}
+	compareGolden(t, "testdata/epochs.golden", got.String())
+}
+
+// compareGolden fails at the first line where got differs from the file.
+func compareGolden(t *testing.T, path, got string) {
+	t.Helper()
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 	for n := range max(len(gotLines), len(wantLines)) {
 		g, w := "<end>", "<end>"
 		if n < len(gotLines) {
@@ -69,7 +103,7 @@ func TestLadderDecisionsGolden(t *testing.T) {
 			w = wantLines[n]
 		}
 		if g != w {
-			t.Fatalf("ladder decisions differ from testdata/ladder.golden at line %d:\n got %s\nwant %s", n+1, g, w)
+			t.Fatalf("%s differs at line %d:\n got %s\nwant %s", path, n+1, g, w)
 		}
 	}
 }
@@ -78,8 +112,16 @@ func TestLadderDecisionsGolden(t *testing.T) {
 // ladder in effect at the end and the SLO snapshot's per-endpoint steps.
 func writeLadder(b *strings.Builder, mode string, res *capi.RunResult, slo *capi.SLOStatus) {
 	for _, ep := range res.AdaptEpochs {
-		fmt.Fprintf(b, "%s %d rank=%d endpoint=%q demoted=%v promoted=%v dropped=%v readded=%v reconfigured=%v\n",
-			mode, ep.Seq, ep.Rank, ep.Endpoint, ep.Demoted, ep.Promoted, ep.Dropped, ep.Readded, ep.Reconfigured)
+		// Budget decisions name the collective that took them. SLO ones are
+		// taken on the request path; their column reads rank=-1, what
+		// Epoch.Rank held for them before it went, so the SLO section is
+		// unchanged.
+		at := "rank=-1"
+		if mode == "budget" {
+			at = "at=" + vtime.FormatSeconds(ep.AtNs)
+		}
+		fmt.Fprintf(b, "%s %d %s endpoint=%q demoted=%v promoted=%v dropped=%v readded=%v reconfigured=%v\n",
+			mode, ep.Seq, at, ep.Endpoint, ep.Demoted, ep.Promoted, ep.Dropped, ep.Readded, ep.Reconfigured)
 	}
 	fmt.Fprintf(b, "%s final demoted=%v dropped=%v\n", mode, res.DemotedFuncs, res.DroppedFuncs)
 	if slo == nil {
