@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"capi/internal/adapt"
@@ -146,7 +147,7 @@ type Session struct {
 	opts  SessionOptions
 	stats BuildStats
 
-	// The uninstrumented build for baselines, compiled on first use.
+	// The vanilla build (no sleds) for RunVanilla, compiled on first use.
 	vanillaOnce sync.Once
 	vanilla     *compiler.Build
 	vanillaErr  error
@@ -304,7 +305,7 @@ type RunOptions struct {
 	// Ranks is the simulated MPI world size (default 4).
 	Ranks int
 	// PatchAll patches every sled regardless of the selection (the
-	// paper's "xray full" variant).
+	// paper's "xray full" variant). Start needs it or a selection.
 	PatchAll bool
 	// EmulateTALPBug enables TALP's re-entry bug compat mode (§VI-B(b)).
 	EmulateTALPBug bool
@@ -357,8 +358,9 @@ type RunResult struct {
 	// InitSeconds is the virtual instrumentation set-up cost this phase
 	// paid before executing: the DynCaPI start-up time (Table II T_init)
 	// on an instance's first run, the accumulated live re-patch cost of
-	// Reconfigure calls on later runs. Negative when no instrumentation
-	// runtime ran.
+	// Reconfigure calls on later runs. Negative only for the "xray
+	// inactive" baseline (Session.Run without a selection), which starts no
+	// instrumentation runtime.
 	InitSeconds float64
 	// TotalSeconds is the virtual end-to-end runtime of this phase
 	// including InitSeconds (Table II T_total).
@@ -418,8 +420,8 @@ type RunResult struct {
 }
 
 // Instance is a live execution environment prepared by Session.Start: the
-// loaded process, its XRay runtime and — when instrumented — the DynCaPI
-// runtime with the measurement backend attached. It is the unit of
+// loaded process, its XRay runtime and the DynCaPI runtime with the
+// measurement backends attached. It is the unit of
 // *runtime adaptability*: the selection can be changed in place with
 // Reconfigure (only the delta sleds are re-patched) and the workload can be
 // executed repeatedly with Run, without ever rebuilding or re-initializing
@@ -471,6 +473,10 @@ type Instance struct {
 	detached      []string
 	breakerNotify func(BreakerEvent)
 
+	// closed records Close: every call that would change the instance
+	// fails with errClosed once it is set, and no TTL revert is scheduled.
+	closed atomic.Bool
+
 	// ttl is the ephemeral-probe scheduler: pending auto-reverts for TTL'd
 	// selections and sampling overrides (see ttl.go). It has its own lock;
 	// the ttl.mu → (rt locks) order matches mu's.
@@ -484,9 +490,16 @@ type Instance struct {
 
 // Start prepares a live instance: the build is loaded, the XRay runtime
 // registers every patchable object, and the selection is patched in (one
-// coalesced batch). A nil selection with RunOptions.PatchAll false prepares
-// an uninstrumented instance (the "xray inactive" baseline).
+// coalesced batch). It needs a selection or RunOptions.PatchAll: the
+// "xray inactive" baseline, which patches nothing, is Session.Run's.
 func (s *Session) Start(sel *Selection, opts RunOptions) (*Instance, error) {
+	var cfg *ic.Config
+	if sel != nil {
+		cfg = sel.IC
+	}
+	if cfg == nil && !opts.PatchAll {
+		return nil, errNoSelection
+	}
 	if opts.Ranks <= 0 {
 		opts.Ranks = 4
 	}
@@ -508,15 +521,6 @@ func (s *Session) Start(sel *Selection, opts RunOptions) (*Instance, error) {
 		return nil, err
 	}
 	inst := &Instance{s: s, opts: opts, proc: proc, xr: xr, world: world, curWorld: world, wallStart: time.Now()}
-
-	var cfg *ic.Config
-	if sel != nil {
-		cfg = sel.IC
-	}
-	if cfg == nil && !opts.PatchAll {
-		return inst, nil // uninstrumented baseline
-	}
-
 	names := opts.Backends
 	if len(names) == 0 {
 		names = []string{string(BackendNone)}
@@ -581,9 +585,6 @@ func (s *Session) Start(sel *Selection, opts RunOptions) (*Instance, error) {
 // the newest explicit selection wins, and becomes the base a later TTL'd
 // override reverts to.
 func (i *Instance) Reconfigure(sel *Selection) (ReconfigReport, error) {
-	if i.rt == nil {
-		return ReconfigReport{}, fmt.Errorf("capi: instance is not instrumented")
-	}
 	if sel == nil || sel.IC == nil {
 		return ReconfigReport{}, fmt.Errorf("capi: nil selection")
 	}
@@ -597,8 +598,12 @@ func (i *Instance) Reconfigure(sel *Selection) (ReconfigReport, error) {
 
 // applySelection re-patches to cfg and charges the virtual cost to the
 // next phase — shared by Reconfigure, ReconfigureTTL and TTL expiry (which
-// must not cancel the pending revert it is delivering).
+// must not cancel the pending revert it is delivering). After Close it
+// applies nothing.
 func (i *Instance) applySelection(cfg *ic.Config) (ReconfigReport, error) {
+	if i.closed.Load() {
+		return ReconfigReport{}, errClosed
+	}
 	rep, err := i.rt.Reconfigure(cfg)
 	if err != nil {
 		return rep, err
@@ -627,6 +632,12 @@ func (i *Instance) Retune(opts AdaptOptions) (AdaptOptions, error) {
 	return i.ctrl.Retune(opts), nil
 }
 
+// errNoSelection rejects a Start that would patch nothing.
+var errNoSelection = errors.New("capi: Start needs a selection or RunOptions.PatchAll (Session.Run without either runs the \"xray inactive\" baseline)")
+
+// errClosed refuses a call that would change a closed instance.
+var errClosed = errors.New("capi: instance is closed: Close was called")
+
 // errAsyncBudget rejects budget-mode adaptation on an async instance.
 var errAsyncBudget = errors.New("capi: Async and Adapt are incompatible: the overhead-budget controller counts each epoch's events at an MPI collective, and replayed pipeline events reach it after the collective that should have counted them")
 
@@ -654,9 +665,6 @@ func checkAdapt(o AdaptOptions) error {
 // the newest explicit table wins, and becomes the base a later TTL'd
 // override reverts to.
 func (i *Instance) SetSampling(cfg SamplingOptions) error {
-	if i.rt == nil {
-		return fmt.Errorf("capi: instance is not instrumented")
-	}
 	if err := i.applySampling(cfg); err != nil {
 		return err
 	}
@@ -666,8 +674,12 @@ func (i *Instance) SetSampling(cfg SamplingOptions) error {
 
 // applySampling installs a sampling table and re-arms the adapt ladder —
 // shared by SetSampling, SetSamplingTTL and TTL expiry (which must not
-// cancel the pending revert it is delivering).
+// cancel the pending revert it is delivering). After Close it applies
+// nothing.
 func (i *Instance) applySampling(cfg SamplingOptions) error {
+	if i.closed.Load() {
+		return errClosed
+	}
 	if err := i.rt.SetSampling(cfg); err != nil {
 		return err
 	}
@@ -685,11 +697,8 @@ func (i *Instance) applySampling(cfg SamplingOptions) error {
 // conservation counters (enters == delivered + sampledEvents +
 // suppressedPairs + collapsedCalls). Mid-phase the counters may lag the
 // hot path by up to one publication window per rank; after a completed
-// phase they are exact. Zero value for an uninstrumented instance.
+// phase they are exact.
 func (i *Instance) Sampling() SamplingSnapshot {
-	if i.rt == nil {
-		return SamplingSnapshot{}
-	}
 	return i.rt.SamplingSnapshot()
 }
 
@@ -699,9 +708,7 @@ func (i *Instance) Sampling() SamplingSnapshot {
 // stop the traffic first. Serving processes call it before reading a
 // final, exact Sampling() accounting of their request traffic.
 func (i *Instance) FlushSampling() {
-	if i.rt != nil {
-		i.rt.FlushSampling(i.rt.Ranks())
-	}
+	i.rt.FlushSampling(i.rt.Ranks())
 }
 
 // measurementBackends snapshots the attached backend set.
@@ -727,7 +734,7 @@ func (i *Instance) Reports() map[string]Report {
 }
 
 // Backends returns the names of the attached measurement backends, in
-// delivery order. Empty for an uninstrumented instance.
+// delivery order.
 func (i *Instance) Backends() []string {
 	mbs := i.measurementBackends()
 	names := make([]string, len(mbs))
@@ -746,8 +753,8 @@ func (i *Instance) Backends() []string {
 // next (or current) phase. On an adaptive instance the controller stays
 // attached, behind the new set, and keeps deciding.
 func (i *Instance) SetBackends(names []string) (BackendSwapReport, error) {
-	if i.rt == nil {
-		return BackendSwapReport{}, fmt.Errorf("capi: instance is not instrumented")
+	if i.closed.Load() {
+		return BackendSwapReport{}, errClosed
 	}
 	if len(names) == 0 {
 		return BackendSwapReport{}, fmt.Errorf("capi: empty backend list")
@@ -772,9 +779,6 @@ func (i *Instance) SetBackends(names []string) (BackendSwapReport, error) {
 // functions, sorted by packed ID; functions selected by static ID whose
 // name never resolved appear as "id:N".
 func (i *Instance) ActiveFunctionNames() []string {
-	if i.rt == nil {
-		return nil
-	}
 	funcs := i.rt.ActiveFuncs()
 	names := make([]string, 0, len(funcs))
 	for _, rf := range funcs {
@@ -811,8 +815,6 @@ type InstanceStatus struct {
 	Backends []string `json:"backends"`
 	Ranks    int      `json:"ranks"`
 	Adaptive bool     `json:"adaptive"`
-	// Instrumented is false for the "xray inactive" baseline.
-	Instrumented bool `json:"instrumented"`
 	// Runs counts completed phases; Running tells whether one is executing.
 	Runs    int  `json:"runs"`
 	Running bool `json:"running"`
@@ -820,8 +822,7 @@ type InstanceStatus struct {
 	// completed phases.
 	Events int64 `json:"events"`
 	// Snapshot is the runtime's counter block: selection size, start-up
-	// and re-patch cost, drop counters, async pipeline and sampling. Zero
-	// (sampling absent) on an uninstrumented instance.
+	// and re-patch cost, drop counters, async pipeline and sampling.
 	dyncapi.Snapshot
 	// PendingSeconds is the set-up cost the next phase will be billed.
 	PendingSeconds float64 `json:"pendingSeconds"`
@@ -859,10 +860,6 @@ func (i *Instance) Status() InstanceStatus {
 	st.Breaker, st.DetachedBackends, st.DroppedPanicked = i.breakerSnapshotLocked()
 	i.mu.Unlock()
 	st.TTL = i.ttlStatus()
-	if i.rt == nil {
-		return st
-	}
-	st.Instrumented = true
 	st.Snapshot = i.rt.Snapshot()
 	var endpoints []*adapt.Endpoint
 	st.HTTP, endpoints = i.httpSnapshot()
@@ -873,34 +870,29 @@ func (i *Instance) Status() InstanceStatus {
 }
 
 // DroppedAsync returns how many enter/exit pairs the async pipeline rejected
-// under back-pressure (0 for inline or uninstrumented instances).
+// under back-pressure (0 for inline instances).
 func (i *Instance) DroppedAsync() int64 {
-	if i.rt == nil {
-		return 0
-	}
 	return i.rt.DroppedAsync()
 }
 
 // DrainPipeline blocks until every event dispatched before the call has been
 // delivered through the backend chain — what Run does automatically at phase
 // end, exposed for mid-phase report consumers that want catch-up semantics.
-// A no-op on inline or uninstrumented instances.
+// A no-op on inline instances.
 func (i *Instance) DrainPipeline() {
-	if i.rt != nil {
-		i.rt.DrainPipeline()
-	}
+	i.rt.DrainPipeline()
 }
 
 // Close tears the instance's background machinery down: the TTL scheduler
 // is stopped (pending reverts are dropped; one being delivered finishes
 // first), then the async pipeline is drained and its consumer pool
-// stopped. Must not be called while a Run executes. A no-op for inline or
-// uninstrumented instances; safe to call more than once.
+// stopped. Close is final: Run, Reconfigure, ReconfigureTTL, SetSampling,
+// SetSamplingTTL and SetBackends fail afterwards. Must not be called while
+// a Run executes; safe to call more than once.
 func (i *Instance) Close() {
+	i.closed.Store(true)
 	i.ttlStop()
-	if i.rt != nil {
-		i.rt.Close()
-	}
+	i.rt.Close()
 }
 
 // Run executes one phase of the workload on the live instance. The first
@@ -911,6 +903,9 @@ func (i *Instance) Close() {
 func (i *Instance) Run() (*RunResult, error) {
 	i.runMu.Lock()
 	defer i.runMu.Unlock()
+	if i.closed.Load() {
+		return nil, errClosed
+	}
 
 	i.mu.Lock()
 	world := i.world
@@ -967,38 +962,28 @@ func (i *Instance) Run() (*RunResult, error) {
 	if err := eng.Run(); err != nil {
 		return nil, err
 	}
-	if i.rt != nil {
-		// The engine has joined its rank goroutines. On an async run, drain
-		// the pipeline first — events still queued in the rings have not
-		// reached the backends yet, and capturing RunResult or backend
-		// reports before they land would short-count the phase. Only then
-		// publish the exact sampling counters — but only the world's:
-		// HTTP worker ranks may still be dispatching request traffic, and
-		// their accounts are single-writer hot-path state (FlushSampling on
-		// a serving instance is the caller's call, once traffic stops).
-		i.rt.DrainPipeline()
-		i.rt.FlushSampling(i.opts.Ranks)
-	}
+	// The engine has joined its rank goroutines. On an async run, drain
+	// the pipeline first — events still queued in the rings have not
+	// reached the backends yet, and capturing RunResult or backend reports
+	// before they land would short-count the phase. Only then publish the
+	// exact sampling counters — but only the world's: HTTP worker ranks may
+	// still be dispatching request traffic, and their accounts are
+	// single-writer hot-path state (FlushSampling on a serving instance is
+	// the caller's call, once traffic stops).
+	i.rt.DrainPipeline()
+	i.rt.FlushSampling(i.opts.Ranks)
 
-	out := &RunResult{InitSeconds: -1}
 	i.mu.Lock()
-	if i.rt != nil {
-		snap := i.rt.Snapshot()
-		out.InitSeconds = float64(i.pendingNs) / 1e9
-		out.Patched = snap.Patched
-		out.ActiveFuncs = snap.ActiveFunctions
-		out.Reconfigs = snap.Reconfigs
-		out.Sampling = snap.Sampling
-		out.DroppedAsync = snap.DroppedAsync
+	snap := i.rt.Snapshot()
+	out := &RunResult{
+		InitSeconds:  float64(i.pendingNs) / 1e9,
+		Patched:      snap.Patched,
+		ActiveFuncs:  snap.ActiveFunctions,
+		Reconfigs:    snap.Reconfigs,
+		Sampling:     snap.Sampling,
+		DroppedAsync: snap.DroppedAsync,
 	}
-	for _, r := range world.Ranks() {
-		if sec := r.Clock().Seconds(); sec > out.TotalSeconds {
-			out.TotalSeconds = sec
-		}
-	}
-	if out.InitSeconds > 0 {
-		out.TotalSeconds += out.InitSeconds
-	}
+	out.TotalSeconds = world.Seconds() + out.InitSeconds
 	out.Events = eng.TotalEvents()
 	if i.ctrl != nil {
 		out.DroppedFuncs = i.ctrl.Dropped()
@@ -1026,12 +1011,20 @@ func (i *Instance) Run() (*RunResult, error) {
 }
 
 // Run executes the session's build with the selection patched in at
-// start-up, under the chosen measurement backend. A nil selection with
-// RunOptions.PatchAll false runs with inactive sleds (the "xray inactive"
-// baseline). It is Start followed by one Instance.Run and Instance.Close,
-// so an async run leaves no consumer goroutine behind.
+// start-up, under the chosen measurement backend. It is Start followed by
+// one Instance.Run and Instance.Close, so an async run leaves no consumer
+// goroutine behind. A nil selection with RunOptions.PatchAll false runs
+// the "xray inactive" baseline instead: sleds compiled in, no runtime
+// started, and a result with only TotalSeconds and a negative InitSeconds.
 func (s *Session) Run(sel *Selection, opts RunOptions) (*RunResult, error) {
 	inst, err := s.Start(sel, opts)
+	if errors.Is(err, errNoSelection) {
+		total, err := s.runBuild(s.build, opts.Ranks)
+		if err != nil {
+			return nil, err
+		}
+		return &RunResult{InitSeconds: -1, TotalSeconds: total}, nil
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -1050,10 +1043,16 @@ func (s *Session) RunVanilla(ranks int) (float64, error) {
 	if s.vanillaErr != nil {
 		return 0, s.vanillaErr
 	}
+	return s.runBuild(s.vanilla, ranks)
+}
+
+// runBuild runs b once with no sled patched, on ranks ranks (default 4)
+// under the session's RankWorkSkew, and returns its virtual runtime.
+func (s *Session) runBuild(b *compiler.Build, ranks int) (float64, error) {
 	if ranks <= 0 {
 		ranks = 4
 	}
-	return workload.RunVanilla(s.vanilla, ranks, s.opts.RankWorkSkew)
+	return workload.Run(b, ranks, s.opts.RankWorkSkew)
 }
 
 // RecompileSeconds returns the modelled wall-clock cost of a full rebuild —

@@ -101,9 +101,6 @@ func (rc *RequestContext) Exit(id int32) { rc.inst.xr.Dispatch(rc, id, xray.Exit
 // RunOptions.HTTPWorkers — each context needs the async pipeline shard
 // and sampler slot that Start sized for it.
 func (i *Instance) NewRequestContexts(n int) ([]*RequestContext, error) {
-	if i.rt == nil {
-		return nil, fmt.Errorf("capi: instance is not instrumented")
-	}
 	if n < 1 {
 		return nil, fmt.Errorf("capi: request context count %d < 1", n)
 	}
@@ -125,9 +122,6 @@ func (i *Instance) NewRequestContexts(n int) ([]*RequestContext, error) {
 // runtime's name index. Ambiguous names (several instrumented copies)
 // resolve to the lowest ID.
 func (i *Instance) ResolveFunctionName(name string) (int32, bool) {
-	if i.rt == nil {
-		return 0, false
-	}
 	funcs := i.rt.ByName(name)
 	if len(funcs) == 0 {
 		return 0, false
@@ -136,9 +130,9 @@ func (i *Instance) ResolveFunctionName(name string) (int32, bool) {
 }
 
 // FunctionActive reports whether the function is in the current
-// selection. False for uninstrumented instances and unknown IDs.
+// selection. False for unknown IDs.
 func (i *Instance) FunctionActive(id int32) bool {
-	return i.rt != nil && i.rt.Active(id)
+	return i.rt.Active(id)
 }
 
 // RegisterHTTPEndpoint declares one served endpoint and the packed IDs of

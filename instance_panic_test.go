@@ -85,7 +85,7 @@ func TestPanickingBackendPhaseSurvives(t *testing.T) {
 					default:
 					}
 					st := inst.Status()
-					if !st.Instrumented {
+					if st.Patched == 0 {
 						t.Error("status lost instrumentation mid-phase")
 						return
 					}

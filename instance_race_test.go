@@ -142,7 +142,7 @@ func TestInstanceConcurrentControlPlane(t *testing.T) {
 					default:
 					}
 					st := inst.Status()
-					if !st.Instrumented || st.Ranks != 2 {
+					if st.Patched == 0 || st.Ranks != 2 {
 						t.Errorf("status = %+v", st)
 						return
 					}

@@ -95,9 +95,6 @@ type Server struct {
 	inst    *capi.Instance
 	app     string
 	started time.Time
-	// instrumented is fixed at Start: read once here, not from a status
-	// snapshot per request.
-	instrumented bool
 
 	mux *http.ServeMux
 	hub *Hub
@@ -125,8 +122,6 @@ func New(session *capi.Session, inst *capi.Instance, app string) *Server {
 		started: time.Now(),
 		mux:     http.NewServeMux(),
 		hub:     NewHub(),
-
-		instrumented: inst.Status().Instrumented,
 	}
 	s.mux.HandleFunc("GET /v1/status", s.handleStatus)
 	s.mux.HandleFunc("GET /v1/selection", s.handleSelection)
@@ -394,10 +389,6 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	}
 	if ttl > 0 && !hasSelection {
 		WriteFieldErr(w, http.StatusBadRequest, "ttl", "ttl requires a selection to revert from (a backends swap alone cannot expire)")
-		return
-	}
-	if !s.instrumented {
-		WriteErr(w, http.StatusConflict, "instance is not instrumented")
 		return
 	}
 
@@ -744,10 +735,6 @@ func (s *Server) handleSampling(w http.ResponseWriter, r *http.Request) {
 	}
 	ttl, ok := parseTTL(w, req.TTL)
 	if !ok {
-		return
-	}
-	if !s.instrumented {
-		WriteErr(w, http.StatusConflict, "instance is not instrumented")
 		return
 	}
 	cfg := capi.SamplingOptions{Funcs: req.Functions}

@@ -134,7 +134,7 @@ func TestStatusAndSelection(t *testing.T) {
 		capi.RunOptions{Backends: []string{"talp"}, Ranks: 2})
 	var st ctl.StatusResponse
 	getJSON(t, ts.URL+"/v1/status", &st)
-	if st.App != "quickstart" || !st.Instrumented || len(st.Backends) != 1 || st.Backends[0] != "talp" || st.Ranks != 2 {
+	if st.App != "quickstart" || st.Patched == 0 || len(st.Backends) != 1 || st.Backends[0] != "talp" || st.Ranks != 2 {
 		t.Fatalf("status = %+v", st)
 	}
 	if st.ActiveFunctions != inst.Status().ActiveFunctions || st.ActiveFunctions == 0 {

@@ -33,7 +33,6 @@ func goldenStatus() StatusResponse {
 			Backends:       []string{"talp", "extrae"},
 			Ranks:          4,
 			Adaptive:       true,
-			Instrumented:   true,
 			Runs:           3,
 			Running:        true,
 			Events:         12345678901,
@@ -130,7 +129,7 @@ func TestSessionBuildSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := session.Start(nil, capi.RunOptions{Backends: []string{"talp"}, Ranks: 2})
+	inst, err := session.Start(nil, capi.RunOptions{Backends: []string{"talp"}, Ranks: 2, PatchAll: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func Table2(opts Options) ([]OverheadRow, error) {
 		}
 		rows = append(rows, OverheadRow{App: app, Backend: none, Variant: variantVanilla, InitSeconds: -1, TotalSeconds: vanilla})
 		// run measures one variant and files its row; a nil selection
-		// without PatchAll is the uninstrumented instance.
+		// without PatchAll is the "xray inactive" baseline.
 		run := func(backend, variant string, sel *capi.Selection, ro capi.RunOptions) error {
 			ro.Ranks = opts.Ranks
 			res, err := s.Run(sel, ro)

@@ -143,6 +143,15 @@ func (w *World) Rank(i int) *Rank { return w.ranks[i] }
 // Ranks returns all ranks in order.
 func (w *World) Ranks() []*Rank { return w.ranks }
 
+// Seconds returns the world's virtual runtime: the latest rank clock.
+func (w *World) Seconds() float64 {
+	var s float64
+	for _, r := range w.ranks {
+		s = max(s, r.Clock().Seconds())
+	}
+	return s
+}
+
 // abort poisons the world so blocked ranks wake up with an error.
 func (w *World) abort(err error) {
 	w.abortOnce.Do(func() {

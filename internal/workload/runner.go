@@ -6,14 +6,16 @@ import (
 	"capi/internal/compiler"
 	"capi/internal/exec"
 	"capi/internal/mpi"
+	"capi/internal/xray"
 )
 
-// RunVanilla executes a build without any instrumentation runtime and
-// returns the total virtual seconds (max over ranks) — the Table II
-// "vanilla" baseline. skew scales per-rank work as exec.Config.RankWorkSkew
-// does (nil = balanced). Instrumented runs go through capi.Session; this
-// helper serves Session.RunVanilla and the generators' smoke tests.
-func RunVanilla(b *compiler.Build, ranks int, skew []float64) (float64, error) {
+// Run executes a build once with no sled patched and returns the total
+// virtual seconds (max over ranks): the Table II "vanilla" baseline for a
+// build without sleds, "xray inactive" for one with them. An XRay runtime
+// is always attached, so each unpatched sled charges its NOP; a vanilla
+// build has no patchable image and registers nothing. skew scales per-rank
+// work as exec.Config.RankWorkSkew does (nil = balanced).
+func Run(b *compiler.Build, ranks int, skew []float64) (float64, error) {
 	proc, err := b.LoadProcess()
 	if err != nil {
 		return 0, err
@@ -22,21 +24,20 @@ func RunVanilla(b *compiler.Build, ranks int, skew []float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	eng, err := exec.New(exec.Config{Build: b, Proc: proc, World: world, RankWorkSkew: skew})
+	xr, err := xray.NewRuntime(proc)
+	if err != nil {
+		return 0, err
+	}
+	eng, err := exec.New(exec.Config{Build: b, Proc: proc, XRay: xr, World: world, RankWorkSkew: skew})
 	if err != nil {
 		return 0, err
 	}
 	if err := eng.Run(); err != nil {
 		return 0, err
 	}
-	var maxSec float64
-	for _, r := range world.Ranks() {
-		if s := r.Clock().Seconds(); s > maxSec {
-			maxSec = s
-		}
-	}
-	if maxSec == 0 {
+	sec := world.Seconds()
+	if sec == 0 {
 		return 0, fmt.Errorf("workload: run produced no virtual time")
 	}
-	return maxSec, nil
+	return sec, nil
 }

@@ -212,7 +212,7 @@ func TestOpenFOAMRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunVanilla(b, 2, nil)
+	res, err := Run(b, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,15 +255,14 @@ subtract(%mpi_comm, %excluded)
 	}
 }
 
-// RunVanilla is exercised via TestOpenFOAMRuns; keep the helper here so
-// examples/tests share it.
+// Run is exercised via TestOpenFOAMRuns too; this covers a LULESH build.
 func TestRunVanillaLulesh(t *testing.T) {
 	p := Lulesh(LuleshOptions{CGNodes: 600, Timesteps: 2})
 	b, err := compiler.Compile(p, compiler.Options{OptLevel: LuleshOptLevel})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seconds, err := RunVanilla(b, 2, nil)
+	seconds, err := Run(b, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

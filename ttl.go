@@ -63,8 +63,6 @@ type ttlState struct {
 	//capi:guardedby mu
 	pending [2]*pendingRevert // indexed by ttlKind
 	//capi:guardedby mu
-	closed bool // set by ttlStop: nothing is scheduled afterwards
-	//capi:guardedby mu
 	notify func(TTLExpiry)
 	// userIC / lastSampling are the explicit base snapshots a TTL'd
 	// override reverts to: the last selection applied through
@@ -119,9 +117,6 @@ type TTLStatus struct {
 // announced through SetTTLNotify. It fails on an instance started with
 // PatchAll and never explicitly selected (there is no base to revert to).
 func (i *Instance) ReconfigureTTL(sel *Selection, ttl time.Duration) (ReconfigReport, error) {
-	if i.rt == nil {
-		return ReconfigReport{}, fmt.Errorf("capi: instance is not instrumented")
-	}
 	if sel == nil || sel.IC == nil {
 		return ReconfigReport{}, fmt.Errorf("capi: nil selection")
 	}
@@ -150,9 +145,6 @@ func (i *Instance) ReconfigureTTL(sel *Selection, ttl time.Duration) (ReconfigRe
 // delivery — when none was ever installed). Coalescing and cancellation
 // follow ReconfigureTTL.
 func (i *Instance) SetSamplingTTL(cfg SamplingOptions, ttl time.Duration) error {
-	if i.rt == nil {
-		return fmt.Errorf("capi: instance is not instrumented")
-	}
 	if ttl <= 0 {
 		return fmt.Errorf("capi: ttl must be positive, got %v", ttl)
 	}
@@ -215,7 +207,7 @@ func (i *Instance) scheduleRevert(kind ttlKind, p *pendingRevert, ttl time.Durat
 	p.deadline = time.Now().Add(ttl)
 	i.ttl.mu.Lock()
 	defer i.ttl.mu.Unlock()
-	if i.ttl.closed {
+	if i.closed.Load() {
 		return
 	}
 	if old := i.ttl.pending[kind]; old != nil {
@@ -257,12 +249,12 @@ func (t *ttlState) cancel(kind ttlKind) {
 	}
 }
 
-// ttlStop shuts the scheduler down (Close): pending reverts are dropped
-// undelivered, nothing is scheduled afterwards, and a revert already
-// being applied has finished on return.
+// ttlStop shuts the scheduler down (Close, after it set closed): pending
+// reverts are dropped undelivered, and a revert already being applied has
+// finished on return. A scheduleRevert that saw closed unset installed its
+// revert before this takes the lock, so it is dropped here too.
 func (i *Instance) ttlStop() {
 	i.ttl.mu.Lock()
-	i.ttl.closed = true
 	for kind, p := range i.ttl.pending {
 		if p != nil {
 			p.timer.Stop()

@@ -232,20 +232,18 @@ func TestReconfigureTTLNeedsBase(t *testing.T) {
 }
 
 // TestTTLAfterCloseNeverFires: Close drops a pending revert undelivered,
-// and a TTL'd call made after Close schedules nothing. Only wall time can
-// show that something never fires, so the test waits many TTLs.
+// and a TTL'd call made after Close is refused and schedules nothing. Only
+// wall time can show that something never fires, so the test waits many
+// TTLs.
 func TestTTLAfterCloseNeverFires(t *testing.T) {
 	f := newTTLFixture(t)
 	if _, err := f.inst.ReconfigureTTL(f.narrow, 20*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	f.inst.Close()
-	if _, err := f.inst.ReconfigureTTL(f.narrow, time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.inst.SetSamplingTTL(capi.SamplingOptions{Default: &capi.SamplingPolicy{Stride: 4}}, time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	_, err := f.inst.ReconfigureTTL(f.narrow, time.Millisecond)
+	wantClosedErr(t, "ReconfigureTTL", err)
+	wantClosedErr(t, "SetSamplingTTL", f.inst.SetSamplingTTL(capi.SamplingOptions{Default: &capi.SamplingPolicy{Stride: 4}}, time.Millisecond))
 	select {
 	case e := <-f.expiries:
 		t.Fatalf("a %q revert was delivered after Close", e.Kind)
