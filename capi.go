@@ -126,9 +126,6 @@ type SessionOptions struct {
 	// controls auto-inlining and therefore which functions lose symbols
 	// and sleds (§V-E).
 	OptLevel int
-	// XRayThreshold is the sled pre-filter ("-fxray-instruction-
-	// threshold"); the DynCaPI default of 1 prepares every function (§IV).
-	XRayThreshold int
 	// Modules resolves !import directives beyond the built-in ones.
 	Modules ModuleLoader
 	// RankWorkSkew scales per-rank work to model load imbalance; defaults
@@ -204,9 +201,8 @@ func NewSession(p *Program, opts SessionOptions) (*Session, error) {
 	}()
 	t0 := time.Now()
 	b, err := compiler.CompileValidated(p, compiler.Options{
-		XRay:          true,
-		XRayThreshold: opts.XRayThreshold,
-		OptLevel:      opts.OptLevel,
+		XRay:     true,
+		OptLevel: opts.OptLevel,
 	})
 	s.stats.CompileSeconds = time.Since(t0).Seconds()
 	<-graphed

@@ -99,10 +99,14 @@ func (rc *RequestContext) Exit(id int32) { rc.inst.xr.Dispatch(rc, id, xray.Exit
 // NewRequestContexts allocates n exclusive request contexts with rank IDs
 // directly after the MPI world. The instance-wide total is bounded by
 // RunOptions.HTTPWorkers — each context needs the async pipeline shard
-// and sampler slot that Start sized for it.
+// and sampler slot that Start sized for it. It fails after Close; a
+// context taken before Close dispatches nothing afterwards.
 func (i *Instance) NewRequestContexts(n int) ([]*RequestContext, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("capi: request context count %d < 1", n)
+	}
+	if i.closed.Load() {
+		return nil, errClosed
 	}
 	i.http.mu.Lock()
 	defer i.http.mu.Unlock()

@@ -40,6 +40,53 @@ func TestAsyncRunAfterCloseFails(t *testing.T) {
 	}
 }
 
+// TestRequestContextAfterCloseDispatchesNothing: a request context taken
+// before Close used to append to an async ring whose consumer had stopped,
+// so the next DrainPipeline never returned. Close removes the handler, so
+// the context dispatches nothing, and no new context is handed out.
+func TestRequestContextAfterCloseDispatchesNothing(t *testing.T) {
+	s := newQuickSession(t)
+	inst, err := s.Start(nil, capi.RunOptions{
+		PatchAll: true, Async: true, Ranks: 1, HTTPWorkers: 2,
+		Sampling: &capi.SamplingOptions{Default: &capi.SamplingPolicy{Stride: 1}}, // counts every enter
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, ok := inst.ResolveFunctionName(inst.ActiveFunctionNames()[0])
+	if !ok {
+		t.Fatal("active function does not resolve")
+	}
+	rcs, err := inst.NewRequestContexts(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair := func() {
+		rcs[0].Enter(id)
+		rcs[0].Advance(1000)
+		rcs[0].Exit(id)
+	}
+	pair()
+	inst.Close()
+	_, err = inst.NewRequestContexts(1)
+	wantClosedErr(t, "NewRequestContexts", err)
+	done := make(chan struct{})
+	go func() {
+		pair()
+		inst.DrainPipeline()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("DrainPipeline after a post-Close event did not return within 5s")
+	}
+	inst.FlushSampling()
+	if c := inst.Sampling().Counters; c.Enters != 1 {
+		t.Errorf("%d enters counted, want 1: the one before Close", c.Enters)
+	}
+}
+
 // TestControlCallsAfterCloseFail: every call that would change a closed
 // instance is refused and changes nothing. Before, a TTL'd select after
 // Close applied its override and scheduled no revert, so it stayed.

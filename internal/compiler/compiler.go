@@ -275,26 +275,20 @@ func buildTimeSeconds(p *prog.Program) float64 {
 	return 1.5 + 0.05*float64(len(p.TranslationUnits())) + 0.001*float64(p.TotalStatements())
 }
 
-// LoadProcess creates a process from the build: the executable is mapped
-// and every shared object is loaded through the dynamic loader (firing any
-// registered load hooks). System libraries are loaded too — they resolve
-// symbols but are not patchable.
+// LoadProcess creates a process from the build: the executable is mapped,
+// then every shared object in build order, all before any XRay runtime
+// exists. System libraries are loaded too — they resolve symbols but are
+// not patchable.
 func (b *Build) LoadProcess() (*obj.Process, error) {
 	exe := b.ExecutableImage()
 	if exe == nil {
 		return nil, fmt.Errorf("compiler: build has no executable image")
 	}
-	proc, err := obj.NewProcess(exe)
-	if err != nil {
-		return nil, err
-	}
+	var dsos []*obj.Image
 	for _, im := range b.Images {
-		if im.Exe {
-			continue
-		}
-		if _, err := proc.Load(im); err != nil {
-			return nil, err
+		if !im.Exe {
+			dsos = append(dsos, im)
 		}
 	}
-	return proc, nil
+	return obj.NewProcess(exe, dsos...)
 }

@@ -197,8 +197,8 @@ type Runtime struct {
 
 	// tables holds one dense slice of slots per XRay object ID, indexed by
 	// the object-local function ID (xray.PackID: object<<24 | fn; IDs are
-	// dense per object by construction, Fig. 4). An object that was not
-	// registered at New has a nil table, so an unknown object, an
+	// dense per object by construction, Fig. 4). An object ID the XRay
+	// runtime did not assign has a nil table, so an unknown object, an
 	// out-of-range function ID and an object ID past the last registered
 	// one all fail the same two bounds checks in slot.
 	tables [][]ResolvedFunc
@@ -522,9 +522,9 @@ func (rt *Runtime) resolve() error {
 }
 
 // slot returns the table slot of a packed ID, or nil when the runtime never
-// resolved it: an object that was not registered at New (its table is nil or
-// past the end) or a function ID beyond the object's sled count. Two bounds
-// checks and no hash — the whole lookup of the event hot path.
+// resolved it: an object ID the XRay runtime did not assign (its table is
+// nil or past the end) or a function ID beyond the object's sled count. Two
+// bounds checks and no hash — the whole lookup of the event hot path.
 func (rt *Runtime) slot(id int32) *ResolvedFunc {
 	if o := uint32(id) >> 24; o < uint32(len(rt.tables)) {
 		if t, fn := rt.tables[o], uint32(id)&xray.MaxFuncID; fn < uint32(len(t)) {
@@ -617,7 +617,7 @@ func (rt *Runtime) patch() error {
 func (rt *Runtime) dispatch(tc xray.ThreadCtx, id int32, kind xray.EntryType) {
 	rf := rt.slot(id)
 	if rf == nil {
-		return // not a function of any object registered at New
+		return // not a function of any registered object
 	}
 	if state := rf.state.Load(); state != stateActive {
 		if state == stateDeselected {
@@ -1060,10 +1060,13 @@ func (rt *Runtime) DroppedAsync() int64 {
 	return rt.pipe.dropped()
 }
 
-// Close drains and stops the async consumer pool. Like FlushSampling it
-// requires quiescence: no rank may dispatch events concurrently or after.
-// A no-op in inline mode; safe to call more than once.
+// Close removes the event handler New installed, as XRay's handler removal
+// does, so an event dispatched afterwards reaches neither a backend nor the
+// async rings; then it drains and stops the async consumer pool. Like
+// FlushSampling it requires quiescence: no rank may dispatch events
+// concurrently with it. Safe to call more than once.
 func (rt *Runtime) Close() {
+	rt.xr.SetHandler(nil)
 	if rt.pipe != nil {
 		rt.pipe.drain()
 		rt.pipe.close()

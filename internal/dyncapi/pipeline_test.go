@@ -310,3 +310,42 @@ func TestAsyncReconfigureOrdersSyntheticExitsAfterDrain(t *testing.T) {
 		t.Fatalf("synthetic exit (%d) delivered before the queued real enter (%d)", synthExit, realEnter)
 	}
 }
+
+// TestDispatchAfterCloseReachesNothing: Close removes the handler, so an
+// event dispatched afterwards reaches no backend, inline or async, and a
+// drain after it returns (it used to wait forever on a ring whose consumer
+// had stopped).
+func TestDispatchAfterCloseReachesNothing(t *testing.T) {
+	for _, async := range []bool{false, true} {
+		back := &asyncLogBackend{}
+		b := buildProg(t)
+		proc, xr := setup(t, b)
+		rt, err := New(proc, xr, ic.New("app", "test", []string{"kernel"}), back, Options{Ranks: 1, Async: async})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc := &fakeCtx{}
+		kernel := packedOf(t, b, xr, proc, "kernel")
+		xr.Dispatch(tc, kernel, xray.Entry)
+		xr.Dispatch(tc, kernel, xray.Exit)
+		rt.Close()
+		if e, x := back.enters.Load(), back.exits.Load(); e != 1 || x != 1 {
+			t.Fatalf("async=%v: %d enters / %d exits before Close, want 1 each", async, e, x)
+		}
+		done := make(chan struct{})
+		go func() {
+			xr.Dispatch(tc, kernel, xray.Entry)
+			xr.Dispatch(tc, kernel, xray.Exit)
+			rt.DrainPipeline()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("async=%v: DrainPipeline after Close did not return within 5s", async)
+		}
+		if e, x := back.enters.Load(), back.exits.Load(); e != 1 || x != 1 {
+			t.Fatalf("async=%v: backend saw %d enters / %d exits after Close, want 1 each", async, e, x)
+		}
+	}
+}

@@ -77,23 +77,6 @@ func (as *AddressSpace) Map(addr, size uint64, prot Prot) error {
 	return nil
 }
 
-// Unmap removes the pages covering [addr, addr+size). Unmapping pages that
-// are not mapped is an error.
-func (as *AddressSpace) Unmap(addr, size uint64) error {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	first, last := pageRange(addr, size)
-	for pg := first; pg <= last; pg++ {
-		if _, exists := as.pages[pg]; !exists {
-			return fmt.Errorf("mem: unmapping unmapped page %#x", pg*PageSize)
-		}
-	}
-	for pg := first; pg <= last; pg++ {
-		delete(as.pages, pg)
-	}
-	return nil
-}
-
 // Mprotect changes the protection of the pages covering [addr, addr+size).
 // All pages must be mapped. It returns the number of pages affected.
 func (as *AddressSpace) Mprotect(addr, size uint64, prot Prot) (int, error) {

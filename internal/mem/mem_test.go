@@ -21,7 +21,7 @@ func TestProtString(t *testing.T) {
 	}
 }
 
-func TestMapUnmap(t *testing.T) {
+func TestMap(t *testing.T) {
 	as := NewAddressSpace()
 	if err := as.Map(0x400000, 2*PageSize, ProtRead|ProtExec); err != nil {
 		t.Fatal(err)
@@ -31,15 +31,6 @@ func TestMapUnmap(t *testing.T) {
 	}
 	if p, ok := as.ProtAt(0x400000 + PageSize); !ok || p != ProtRead|ProtExec {
 		t.Fatalf("ProtAt = %v, %v", p, ok)
-	}
-	if err := as.Unmap(0x400000, 2*PageSize); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := as.ProtAt(0x400000); ok {
-		t.Fatal("page still mapped after unmap")
-	}
-	if err := as.Unmap(0x400000, 1); err == nil {
-		t.Fatal("unmapping unmapped page should fail")
 	}
 }
 

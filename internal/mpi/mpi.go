@@ -208,8 +208,7 @@ type Rank struct {
 
 	hooks []Hook
 
-	totalMPI  int64
-	callCount map[Op]int64
+	totalMPI int64
 }
 
 // NewReplayRank returns a detached rank that replays recorded state instead
@@ -264,14 +263,6 @@ func (r *Rank) Finalized() bool { return r.finalized }
 // inside MPI calls.
 func (r *Rank) MPITimeTotal() int64 { return r.totalMPI }
 
-// CallCount returns how many times the rank issued the given operation.
-func (r *Rank) CallCount(op Op) int64 {
-	if r.callCount == nil {
-		return 0
-	}
-	return r.callCount[op]
-}
-
 // AddHook registers a PMPI interceptor on this rank.
 func (r *Rank) AddHook(h Hook) { r.hooks = append(r.hooks, h) }
 
@@ -297,10 +288,6 @@ func (r *Rank) call(op Op, bytes int, body func() error) error {
 	}
 	elapsed := r.clk.Now() - start
 	r.totalMPI += elapsed
-	if r.callCount == nil {
-		r.callCount = map[Op]int64{}
-	}
-	r.callCount[op]++
 	for _, h := range r.hooks {
 		if h.Post != nil {
 			h.Post(r, op, bytes, elapsed)

@@ -17,6 +17,14 @@ func newTestWorld(t *testing.T, size int) *World {
 	return w
 }
 
+// countCalls counts the rank's completed calls per operation through a
+// PMPI Post hook; read it after the world has run.
+func countCalls(r *Rank) map[Op]int64 {
+	n := map[Op]int64{}
+	r.AddHook(Hook{Post: func(_ *Rank, op Op, _ int, _ int64) { n[op]++ }})
+	return n
+}
+
 func TestWorldSizeValidation(t *testing.T) {
 	if _, err := NewWorld(0, DefaultCostModel()); err == nil {
 		t.Fatal("size 0 should fail")
@@ -25,7 +33,9 @@ func TestWorldSizeValidation(t *testing.T) {
 
 func TestInitFinalizeLifecycle(t *testing.T) {
 	w := newTestWorld(t, 4)
+	counts := make([]map[Op]int64, 4)
 	err := w.Run(func(r *Rank) error {
+		counts[r.ID()] = countCalls(r)
 		if r.Initialized() {
 			t.Error("rank initialized before Init")
 		}
@@ -50,8 +60,8 @@ func TestInitFinalizeLifecycle(t *testing.T) {
 		if !r.Finalized() {
 			t.Fatal("rank not finalized")
 		}
-		if r.CallCount(OpBarrier) != 1 || r.CallCount(OpInit) != 1 {
-			t.Fatalf("call counts = %d/%d", r.CallCount(OpBarrier), r.CallCount(OpInit))
+		if n := counts[r.ID()]; n[OpBarrier] != 1 || n[OpInit] != 1 {
+			t.Fatalf("call counts = %d/%d", n[OpBarrier], n[OpInit])
 		}
 		if r.MPITimeTotal() <= 0 {
 			t.Fatal("MPI time not accounted")
@@ -191,7 +201,9 @@ func TestSendRecvInvalidRank(t *testing.T) {
 func TestSendrecvRing(t *testing.T) {
 	const n = 4
 	w := newTestWorld(t, n)
+	counts := make([]map[Op]int64, n)
 	err := w.Run(func(r *Rank) error {
+		counts[r.ID()] = countCalls(r)
 		if err := r.Init(); err != nil {
 			return err
 		}
@@ -208,8 +220,8 @@ func TestSendrecvRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range w.Ranks() {
-		if r.CallCount(OpSend) != 3 || r.CallCount(OpRecv) != 3 {
-			t.Fatalf("rank %d counts: send %d recv %d", r.ID(), r.CallCount(OpSend), r.CallCount(OpRecv))
+		if c := counts[r.ID()]; c[OpSend] != 3 || c[OpRecv] != 3 {
+			t.Fatalf("rank %d counts: send %d recv %d", r.ID(), c[OpSend], c[OpRecv])
 		}
 	}
 }

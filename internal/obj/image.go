@@ -1,9 +1,10 @@
 // Package obj models linked object files (the executable and its DSOs) and
 // running processes: symbol tables with ELF-style visibility, XRay
-// instrumentation maps (sled tables), a dynamic loader with load/unload
-// hooks, page-protected text mappings and address resolution. It is the
-// substrate on which internal/xray performs runtime patching and on which
-// DynCaPI performs its nm-based symbol mapping (§V-B, §V-C of the paper).
+// instrumentation maps (sled tables), a loader that maps the executable and
+// its DSOs once, at process start, page-protected text mappings and address
+// resolution. It is the substrate on which internal/xray performs runtime
+// patching and on which DynCaPI performs its nm-based symbol mapping (§V-B,
+// §V-C of the paper).
 package obj
 
 import (

@@ -101,60 +101,34 @@ func TestNMAndDynSyms(t *testing.T) {
 	}
 }
 
-func TestProcessLoadUnload(t *testing.T) {
-	exe := testImage("app", true)
-	p, err := NewProcess(exe)
+func TestProcessLoad(t *testing.T) {
+	exe, lib, sys, lib2 := testImage("app", true), testImage("lib.so", false), testImage("libc.so", false), testImage("lib2.so", false)
+	sys.Patchable = false
+	p, err := NewProcess(exe, lib, sys, lib2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Executable().Image != exe {
-		t.Fatal("executable mismatch")
+	if p.Executable().Image != exe || p.Executable().Base != exeBase {
+		t.Fatalf("executable = %q at %#x", p.Executable().Image.Name, p.Executable().Base)
 	}
-	var loaded, unloaded []string
-	p.OnLoad(func(lo *LoadedObject) { loaded = append(loaded, lo.Image.Name) })
-	p.OnUnload(func(lo *LoadedObject) { unloaded = append(unloaded, lo.Image.Name) })
-
-	lib := testImage("lib.so", false)
-	lo, err := p.Load(lib)
-	if err != nil {
-		t.Fatal(err)
+	// DSOs, patchable or not, are mapped in order at one stride apart.
+	for i, name := range []string{"lib.so", "libc.so", "lib2.so"} {
+		lo := p.Object(name)
+		if lo == nil {
+			t.Fatalf("Object(%q) = nil", name)
+		}
+		if want := dsoBase + uint64(i)*dsoStride; lo.Base != want {
+			t.Fatalf("%s base = %#x, want %#x", name, lo.Base, want)
+		}
+		if p.Objects()[i+1] != lo {
+			t.Fatalf("Objects()[%d] is not %s", i+1, name)
+		}
 	}
-	if lo.Base == p.Executable().Base || lo.Base == 0 {
-		t.Fatalf("bad DSO base %#x", lo.Base)
-	}
-	if len(loaded) != 1 || loaded[0] != "lib.so" {
-		t.Fatalf("load hooks = %v", loaded)
-	}
-	if p.Object("lib.so") != lo {
-		t.Fatal("Object lookup failed")
-	}
-	if len(p.Objects()) != 2 {
+	if len(p.Objects()) != 4 {
 		t.Fatalf("Objects = %d", len(p.Objects()))
 	}
-	// Second DSO gets a different base.
-	lib2 := testImage("lib2.so", false)
-	lo2, err := p.Load(lib2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo2.Base == lo.Base {
-		t.Fatal("DSO bases collide")
-	}
-
-	if err := p.Unload("lib.so"); err != nil {
-		t.Fatal(err)
-	}
-	if len(unloaded) != 1 || unloaded[0] != "lib.so" {
-		t.Fatalf("unload hooks = %v", unloaded)
-	}
-	if p.Object("lib.so") != nil {
-		t.Fatal("lib.so still present after unload")
-	}
-	if err := p.Unload("lib.so"); err == nil {
-		t.Fatal("double unload should fail")
-	}
-	if err := p.Unload("app"); err == nil {
-		t.Fatal("unloading the executable should fail")
+	if p.Object("ghost.so") != nil {
+		t.Fatal("unknown object found")
 	}
 }
 
@@ -163,16 +137,11 @@ func TestProcessLoadErrors(t *testing.T) {
 	if _, err := NewProcess(testImage("lib.so", false)); err == nil {
 		t.Fatal("NewProcess with DSO should fail")
 	}
-	p, _ := NewProcess(exe)
-	if _, err := p.Load(testImage("app2", true)); err == nil {
-		t.Fatal("dlopen of executable image should fail")
+	if _, err := NewProcess(exe, testImage("app2", true)); err == nil || !strings.Contains(err.Error(), "executable image") {
+		t.Fatalf("executable image as a DSO: err = %v", err)
 	}
-	lib := testImage("lib.so", false)
-	if _, err := p.Load(lib); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Load(lib); err == nil {
-		t.Fatal("double load should fail")
+	if _, err := NewProcess(exe, testImage("lib.so", false), testImage("lib.so", false)); err == nil || !strings.Contains(err.Error(), "already loaded") {
+		t.Fatalf("two DSOs with one name: err = %v", err)
 	}
 }
 
@@ -209,9 +178,8 @@ func TestSledPatchingRequiresWritablePages(t *testing.T) {
 }
 
 func TestResolveAddr(t *testing.T) {
-	p, _ := NewProcess(testImage("app", true))
-	lib := testImage("lib.so", false)
-	lo, _ := p.Load(lib)
+	p, _ := NewProcess(testImage("app", true), testImage("lib.so", false))
+	lo := p.Object("lib.so")
 
 	obj, sym, ok := p.ResolveAddr(p.Executable().Base + 0x45)
 	if !ok || obj != "app" || sym.Name != "f1" {

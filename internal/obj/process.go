@@ -2,7 +2,7 @@ package obj
 
 import (
 	"fmt"
-	"sync"
+	"slices"
 	"sync/atomic"
 
 	"capi/internal/mem"
@@ -60,154 +60,70 @@ func (lo *LoadedObject) NumPatched() int {
 	return n
 }
 
-// Process is a set of loaded objects sharing an address space.
+// Process is a set of loaded objects sharing an address space. It is built
+// once, by NewProcess, and its object list never changes afterwards, so it
+// is read without a lock.
 type Process struct {
 	AS *mem.AddressSpace
 
-	mu          sync.RWMutex
-	objects     []*LoadedObject
-	byName      map[string]*LoadedObject
-	loadHooks   []func(*LoadedObject)
-	unloadHooks []func(*LoadedObject)
-	nextDSO     uint64
+	objects []*LoadedObject
+	byName  map[string]*LoadedObject
 }
 
-// NewProcess creates a process with the executable image mapped read-exec.
-func NewProcess(exe *Image) (*Process, error) {
+// NewProcess maps the executable read-exec and then each DSO, in order, at
+// its base in the mmap region — the whole image the dynamic loader sets up
+// before main runs.
+func NewProcess(exe *Image, dsos ...*Image) (*Process, error) {
 	if !exe.Exe {
 		return nil, fmt.Errorf("obj: %q is not an executable image", exe.Name)
 	}
 	p := &Process{
-		AS:     mem.NewAddressSpace(),
-		byName: map[string]*LoadedObject{},
+		AS:      mem.NewAddressSpace(),
+		objects: make([]*LoadedObject, 0, 1+len(dsos)),
+		byName:  make(map[string]*LoadedObject, 1+len(dsos)),
 	}
-	if _, err := p.load(exe, exeBase); err != nil {
+	if err := p.load(exe, exeBase); err != nil {
 		return nil, err
+	}
+	for i, img := range dsos {
+		if img.Exe {
+			return nil, fmt.Errorf("obj: executable image %q passed as a DSO", img.Name)
+		}
+		if err := p.load(img, dsoBase+uint64(i)*dsoStride); err != nil {
+			return nil, err
+		}
 	}
 	return p, nil
 }
 
-// OnLoad registers a hook invoked for every subsequently loaded object
-// (and is how the xray-dso runtime registers DSO sled maps).
-func (p *Process) OnLoad(h func(*LoadedObject)) {
-	p.mu.Lock()
-	p.loadHooks = append(p.loadHooks, h)
-	p.mu.Unlock()
-}
-
-// OnUnload registers a hook invoked before an object is unloaded.
-func (p *Process) OnUnload(h func(*LoadedObject)) {
-	p.mu.Lock()
-	p.unloadHooks = append(p.unloadHooks, h)
-	p.mu.Unlock()
-}
-
-func (p *Process) load(img *Image, base uint64) (*LoadedObject, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+func (p *Process) load(img *Image, base uint64) error {
 	if _, dup := p.byName[img.Name]; dup {
-		return nil, fmt.Errorf("obj: %q already loaded", img.Name)
+		return fmt.Errorf("obj: %q already loaded", img.Name)
 	}
 	size := img.TextSize
 	if size == 0 {
 		size = 1
 	}
 	if err := p.AS.Map(base, size, mem.ProtRead|mem.ProtExec); err != nil {
-		return nil, fmt.Errorf("obj: mapping %q: %w", img.Name, err)
+		return fmt.Errorf("obj: mapping %q: %w", img.Name, err)
 	}
 	lo := &LoadedObject{Image: img, Base: base, proc: p, patched: make([]atomic.Bool, len(img.Sleds))}
 	p.objects = append(p.objects, lo)
 	p.byName[img.Name] = lo
-	return lo, nil
-}
-
-// Load maps a DSO image into the process, assigns it a base address and
-// fires the load hooks (dlopen).
-func (p *Process) Load(img *Image) (*LoadedObject, error) {
-	if img.Exe {
-		return nil, fmt.Errorf("obj: cannot dlopen executable image %q", img.Name)
-	}
-	p.mu.Lock()
-	base := dsoBase + p.nextDSO*dsoStride
-	p.nextDSO++
-	p.mu.Unlock()
-	lo, err := p.load(img, base)
-	if err != nil {
-		return nil, err
-	}
-	p.mu.RLock()
-	hooks := append([]func(*LoadedObject){}, p.loadHooks...)
-	p.mu.RUnlock()
-	for _, h := range hooks {
-		h(lo)
-	}
-	return lo, nil
-}
-
-// Unload removes a DSO from the process (dlclose), firing unload hooks
-// first.
-func (p *Process) Unload(name string) error {
-	p.mu.Lock()
-	lo, ok := p.byName[name]
-	if !ok {
-		p.mu.Unlock()
-		return fmt.Errorf("obj: %q not loaded", name)
-	}
-	if lo.Image.Exe {
-		p.mu.Unlock()
-		return fmt.Errorf("obj: cannot unload the executable")
-	}
-	hooks := append([]func(*LoadedObject){}, p.unloadHooks...)
-	p.mu.Unlock()
-	for _, h := range hooks {
-		h(lo)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	size := lo.Image.TextSize
-	if size == 0 {
-		size = 1
-	}
-	if err := p.AS.Unmap(lo.Base, size); err != nil {
-		return err
-	}
-	delete(p.byName, name)
-	for i, o := range p.objects {
-		if o == lo {
-			p.objects = append(p.objects[:i], p.objects[i+1:]...)
-			break
-		}
-	}
 	return nil
 }
 
 // Executable returns the main executable object.
-func (p *Process) Executable() *LoadedObject {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.objects[0]
-}
+func (p *Process) Executable() *LoadedObject { return p.objects[0] }
 
-// Objects returns the loaded objects, executable first.
-func (p *Process) Objects() []*LoadedObject {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	out := make([]*LoadedObject, len(p.objects))
-	copy(out, p.objects)
-	return out
-}
+// Objects returns the loaded objects in load order, executable first.
+func (p *Process) Objects() []*LoadedObject { return slices.Clone(p.objects) }
 
 // Object returns the loaded object with the given image name, or nil.
-func (p *Process) Object(name string) *LoadedObject {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.byName[name]
-}
+func (p *Process) Object(name string) *LoadedObject { return p.byName[name] }
 
 // FindObject returns the object whose mapping contains addr, or nil.
 func (p *Process) FindObject(addr uint64) *LoadedObject {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	for _, lo := range p.objects {
 		if addr >= lo.Base && addr < lo.Base+lo.Image.TextSize {
 			return lo

@@ -1,9 +1,10 @@
 // Package xray reimplements the runtime side of LLVM's XRay instrumentation
 // together with the DSO extension the paper contributes (§V-A/§V-B):
 //
-//   - a runtime registry of patchable objects — the executable is always
-//     object 0, dynamically loaded shared objects register through the
-//     xray-dso mechanism and receive IDs 1..255;
+//   - a runtime registry of patchable objects, filled once when the runtime
+//     is created — the executable is always object 0, shared objects
+//     register through the xray-dso mechanism and receive IDs 1..255 in
+//     load order;
 //   - packed function IDs (Fig. 4): 8 bits of object ID, 24 bits of
 //     object-local function ID, keeping the external 32-bit API unchanged;
 //   - sled patching under mprotect: the pages containing a function's sleds
@@ -133,14 +134,13 @@ type objectState struct {
 	trampoline Trampoline
 }
 
-// Runtime is the XRay runtime for one process.
+// Runtime is the XRay runtime for one process. Its object table is filled
+// by NewRuntime and never written again, so every lookup is a plain read.
 type Runtime struct {
 	proc *obj.Process
 
-	mu      sync.Mutex
-	objects [MaxDSOs + 1]*objectState   //capi:guardedby mu
-	objID   map[*obj.LoadedObject]uint8 //capi:guardedby mu
-	nextDSO int                         //capi:guardedby mu
+	objects [MaxDSOs + 1]*objectState
+	objID   map[*obj.LoadedObject]uint8
 
 	// patchMu serializes sled rewriting (the mprotect open/write/close
 	// dance): concurrent patch operations must not interleave their
@@ -150,103 +150,46 @@ type Runtime struct {
 	handler atomic.Value // of Handler
 }
 
-// NewRuntime creates the runtime for a process: the executable is
-// registered as object 0 (when patchable), every already-loaded patchable
-// DSO is registered, and loader hooks keep future dlopen/dlclose in sync —
-// this models the xray-dso constructor/destructor registration.
+// NewRuntime creates the runtime for a process and is the one place object
+// IDs are assigned — the xray-dso constructor registration, run once for
+// the whole process image: the executable is object 0 when patchable, and
+// each patchable DSO gets the next ID, 1..MaxDSOs, in load order. It fails
+// when an object exceeds the 24-bit function-ID space or the process has
+// more than MaxDSOs patchable DSOs.
 func NewRuntime(p *obj.Process) (*Runtime, error) {
-	rt := &Runtime{proc: p, objID: map[*obj.LoadedObject]uint8{}, nextDSO: 1}
-	exe := p.Executable()
-	if exe.Image.Patchable {
-		if exe.Image.NumFuncIDs > MaxFuncID+1 {
-			return nil, fmt.Errorf("xray: executable uses %d function IDs (limit %d)", exe.Image.NumFuncIDs, MaxFuncID+1)
-		}
-		//capi:unguarded-ok NewRuntime has not published rt to any other goroutine yet
-		rt.objects[0] = &objectState{lo: exe, trampoline: Trampoline{Object: exe.Image.Name}}
-		//capi:unguarded-ok NewRuntime has not published rt to any other goroutine yet
-		rt.objID[exe] = 0
-	}
+	rt := &Runtime{proc: p, objID: map[*obj.LoadedObject]uint8{}}
+	next := 1
 	for _, lo := range p.Objects() {
-		if lo == exe || !lo.Image.Patchable {
+		if !lo.Image.Patchable {
 			continue
 		}
-		if _, err := rt.RegisterObject(lo); err != nil {
-			return nil, err
+		if lo.Image.NumFuncIDs > MaxFuncID+1 {
+			return nil, fmt.Errorf("xray: object %q uses %d function IDs (limit %d)", lo.Image.Name, lo.Image.NumFuncIDs, MaxFuncID+1)
 		}
-	}
-	p.OnLoad(func(lo *obj.LoadedObject) {
-		if lo.Image.Patchable {
-			_, _ = rt.RegisterObject(lo)
-		}
-	})
-	p.OnUnload(func(lo *obj.LoadedObject) {
-		if id, ok := rt.ObjectID(lo); ok && id != 0 {
-			_ = rt.UnregisterObject(id)
-		}
-	})
-	return rt, nil
-}
-
-// RegisterObject registers a patchable DSO, assigning it the next object ID
-// (1..255). It returns the assigned ID. Registering more than MaxDSOs
-// objects fails, as does an object exceeding the 24-bit function-ID space.
-func (rt *Runtime) RegisterObject(lo *obj.LoadedObject) (uint8, error) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if !lo.Image.Patchable {
-		return 0, fmt.Errorf("xray: object %q is not patchable", lo.Image.Name)
-	}
-	if _, dup := rt.objID[lo]; dup {
-		return 0, fmt.Errorf("xray: object %q already registered", lo.Image.Name)
-	}
-	if lo.Image.NumFuncIDs > MaxFuncID+1 {
-		return 0, fmt.Errorf("xray: object %q uses %d function IDs (limit %d)", lo.Image.Name, lo.Image.NumFuncIDs, MaxFuncID+1)
-	}
-	// Find a free slot (IDs may have been released by dlclose).
-	for i := 0; i < MaxDSOs; i++ {
-		id := uint8((rt.nextDSO-1+i)%MaxDSOs) + 1
-		if rt.objects[id] == nil {
-			rt.objects[id] = &objectState{
-				lo:         lo,
-				trampoline: Trampoline{Object: lo.Image.Name, PositionIndependent: true},
+		id := 0
+		if !lo.Image.Exe {
+			if next > MaxDSOs {
+				return nil, fmt.Errorf("xray: object limit reached (%d DSOs)", MaxDSOs)
 			}
-			rt.objID[lo] = id
-			rt.nextDSO = int(id) + 1
-			return id, nil
+			id, next = next, next+1
 		}
+		rt.objects[id] = &objectState{
+			lo:         lo,
+			trampoline: Trampoline{Object: lo.Image.Name, PositionIndependent: !lo.Image.Exe},
+		}
+		rt.objID[lo] = uint8(id)
 	}
-	return 0, fmt.Errorf("xray: object limit reached (%d DSOs)", MaxDSOs)
-}
-
-// UnregisterObject releases a DSO's object ID (dlclose path). Its sleds are
-// gone with the mapping; no unpatching is attempted.
-func (rt *Runtime) UnregisterObject(id uint8) error {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if id == 0 {
-		return fmt.Errorf("xray: cannot unregister the main executable")
-	}
-	st := rt.objects[id]
-	if st == nil {
-		return fmt.Errorf("xray: object ID %d not registered", id)
-	}
-	delete(rt.objID, st.lo)
-	rt.objects[id] = nil
-	return nil
+	return rt, nil
 }
 
 // ObjectID returns the object ID assigned to a loaded object.
 func (rt *Runtime) ObjectID(lo *obj.LoadedObject) (uint8, bool) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	id, ok := rt.objID[lo]
 	return id, ok
 }
 
 // Object returns the loaded object registered under the given ID.
 func (rt *Runtime) Object(id uint8) (*obj.LoadedObject, bool) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	st := rt.objects[id]
 	if st == nil {
 		return nil, false
@@ -254,11 +197,8 @@ func (rt *Runtime) Object(id uint8) (*obj.LoadedObject, bool) {
 	return st.lo, true
 }
 
-// Objects returns the registered (object ID, loaded object) pairs in ID
-// order.
+// Objects returns the registered objects keyed by object ID.
 func (rt *Runtime) Objects() map[uint8]*obj.LoadedObject {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	out := make(map[uint8]*obj.LoadedObject, len(rt.objID))
 	for lo, id := range rt.objID {
 		out[id] = lo
@@ -268,8 +208,6 @@ func (rt *Runtime) Objects() map[uint8]*obj.LoadedObject {
 
 // Trampoline returns the trampoline descriptor for an object ID.
 func (rt *Runtime) Trampoline(id uint8) (Trampoline, bool) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	st := rt.objects[id]
 	if st == nil {
 		return Trampoline{}, false
@@ -282,9 +220,7 @@ func (rt *Runtime) Trampoline(id uint8) (Trampoline, bool) {
 // to cross-check its symbol mapping (§VI-B(a)).
 func (rt *Runtime) FunctionAddress(id int32) (uint64, error) {
 	objID, fn := UnpackID(id)
-	rt.mu.Lock()
 	st := rt.objects[objID]
-	rt.mu.Unlock()
 	if st == nil {
 		return 0, fmt.Errorf("xray: object %d not registered", objID)
 	}
@@ -452,9 +388,7 @@ func strictlyIncreasing(ids []int32) bool {
 
 func (rt *Runtime) objectFor(id int32) (*objectState, uint32, error) {
 	objID, fn := UnpackID(id)
-	rt.mu.Lock()
 	st := rt.objects[objID]
-	rt.mu.Unlock()
 	if st == nil {
 		return nil, 0, fmt.Errorf("xray: object %d not registered", objID)
 	}

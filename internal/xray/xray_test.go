@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -39,20 +40,26 @@ func makeImage(name string, exe bool, n int) *obj.Image {
 	return im
 }
 
+// newProc builds a process the way compiler.Build.LoadProcess does — the
+// executable and every DSO mapped first — and then its XRay runtime.
 func newProc(t *testing.T, ndsos, funcsPer int) (*obj.Process, *Runtime) {
 	t.Helper()
-	p, err := obj.NewProcess(makeImage("exe", true, funcsPer))
+	dsos := make([]*obj.Image, ndsos)
+	for i := range dsos {
+		dsos[i] = makeImage(fmt.Sprintf("lib%d.so", i), false, funcsPer)
+	}
+	return newRuntime(t, makeImage("exe", true, funcsPer), dsos...)
+}
+
+func newRuntime(t *testing.T, exe *obj.Image, dsos ...*obj.Image) (*obj.Process, *Runtime) {
+	t.Helper()
+	p, err := obj.NewProcess(exe, dsos...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rt, err := NewRuntime(p)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for i := 0; i < ndsos; i++ {
-		if _, err := p.Load(makeImage(fmt.Sprintf("lib%d.so", i), false, funcsPer)); err != nil {
-			t.Fatal(err)
-		}
 	}
 	return p, rt
 }
@@ -219,83 +226,138 @@ func TestDispatchHandler(t *testing.T) {
 	}
 }
 
-func TestUnregisterOnUnload(t *testing.T) {
-	p, rt := newProc(t, 2, 2)
-	lib := p.Object("lib0.so")
-	id, _ := rt.ObjectID(lib)
-	if err := p.Unload("lib0.so"); err != nil {
-		t.Fatal(err)
+func TestRegisterErrors(t *testing.T) {
+	// A non-patchable DSO (a system library) is mapped but gets no ID.
+	np := makeImage("plain.so", false, 0)
+	np.Patchable = false
+	p, rt := newRuntime(t, makeImage("exe", true, 1), makeImage("lib0.so", false, 1), np)
+	if _, ok := rt.ObjectID(p.Object("plain.so")); ok {
+		t.Fatal("non-patchable DSO must not be registered")
 	}
-	if _, ok := rt.Object(id); ok {
-		t.Fatal("object still registered after unload")
-	}
-	// The freed ID is reusable.
-	im := makeImage("lib9.so", false, 1)
-	lo, err := p.Load(im)
+	// An object past the 24-bit function-ID space fails NewRuntime. Only
+	// NumFuncIDs is read, so the image needs no sled table.
+	huge := &obj.Image{Name: "huge.so", Patchable: true, TextSize: 16, NumFuncIDs: MaxFuncID + 2}
+	p, err := obj.NewProcess(makeImage("exe", true, 1), huge)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := rt.ObjectID(lo); !ok {
-		t.Fatal("new DSO not registered via load hook")
+	if _, err := NewRuntime(p); err == nil || !strings.Contains(err.Error(), "function IDs") {
+		t.Fatalf("err = %v", err)
 	}
 }
 
-func TestRegisterErrors(t *testing.T) {
-	p, rt := newProc(t, 1, 1)
-	lib := p.Object("lib0.so")
-	if _, err := rt.RegisterObject(lib); err == nil || !strings.Contains(err.Error(), "already registered") {
-		t.Fatalf("err = %v", err)
-	}
-	if err := rt.UnregisterObject(0); err == nil {
-		t.Fatal("unregistering the executable should fail")
-	}
-	if err := rt.UnregisterObject(200); err == nil {
-		t.Fatal("unregistering a free ID should fail")
-	}
-	// Non-patchable object.
-	np := makeImage("plain.so", false, 0)
-	np.Patchable = false
-	lo, err := p.Load(np)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := rt.ObjectID(lo); ok {
-		t.Fatal("non-patchable DSO must not be auto-registered")
-	}
-	if _, err := rt.RegisterObject(lo); err == nil {
-		t.Fatal("registering non-patchable object should fail")
+// TestObjectIDsDenseInLoadOrder: IDs follow load order and skip nothing for
+// a system library between two patchable DSOs; a non-patchable executable
+// leaves ID 0 free and its DSOs still start at 1.
+func TestObjectIDsDenseInLoadOrder(t *testing.T) {
+	sys := makeImage("libc.so", false, 1)
+	sys.Patchable = false
+	for _, exePatchable := range []bool{true, false} {
+		exe := makeImage("exe", true, 1)
+		exe.Patchable = exePatchable
+		p, rt := newRuntime(t, exe, makeImage("a.so", false, 1), sys, makeImage("b.so", false, 1))
+		if id, ok := rt.ObjectID(p.Executable()); ok != exePatchable || id != 0 {
+			t.Fatalf("exe patchable=%v: ID %d, %v", exePatchable, id, ok)
+		}
+		for want, name := range []string{"a.so", "b.so"} {
+			lo := p.Object(name)
+			if id, ok := rt.ObjectID(lo); !ok || id != uint8(want+1) {
+				t.Fatalf("%s: ID %d, %v, want %d", name, id, ok, want+1)
+			}
+			if got, ok := rt.Object(uint8(want + 1)); !ok || got != lo {
+				t.Fatalf("Object(%d) is not %s", want+1, name)
+			}
+		}
+		want := 2
+		if exePatchable {
+			want = 3
+		}
+		if n := len(rt.Objects()); n != want {
+			t.Fatalf("exe patchable=%v: %d objects registered, want %d", exePatchable, n, want)
+		}
+		if _, ok := rt.Object(3); ok {
+			t.Fatal("ID 3 assigned with two patchable DSOs")
+		}
 	}
 }
 
 func TestDSOLimit(t *testing.T) {
-	// Exhaust the 255 DSO slots cheaply with tiny images.
-	p, err := obj.NewProcess(makeImage("exe", true, 1))
-	if err != nil {
-		t.Fatal(err)
+	// Fill the 255 DSO slots cheaply with tiny images.
+	dsos := make([]*obj.Image, MaxDSOs+1)
+	for i := range dsos {
+		dsos[i] = makeImage(fmt.Sprintf("l%d.so", i), false, 0)
 	}
-	rt, err := NewRuntime(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < MaxDSOs; i++ {
-		if _, err := p.Load(makeImage(fmt.Sprintf("l%d.so", i), false, 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	p, rt := newRuntime(t, makeImage("exe", true, 1), dsos[:MaxDSOs]...)
 	if len(rt.Objects()) != MaxDSOs+1 {
 		t.Fatalf("registered = %d", len(rt.Objects()))
 	}
-	// One more: the load succeeds but registration must fail.
-	extra := makeImage("overflow.so", false, 0)
-	lo, err := p.Load(extra)
+	if id, ok := rt.ObjectID(p.Object(fmt.Sprintf("l%d.so", MaxDSOs-1))); !ok || id != MaxDSOs {
+		t.Fatalf("last DSO ID = %d, %v", id, ok)
+	}
+	// One more: the process maps it, but the runtime must refuse it.
+	p, err := obj.NewProcess(makeImage("exe", true, 1), dsos...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := rt.ObjectID(lo); ok {
-		t.Fatal("256th DSO should not have been registered")
-	}
-	if _, err := rt.RegisterObject(lo); err == nil || !strings.Contains(err.Error(), "limit") {
+	if _, err := NewRuntime(p); err == nil || !strings.Contains(err.Error(), "limit") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestLookupsDuringPatch: the object table needs no lock, so lookups from
+// several goroutines run beside PatchBatch on one runtime (run with -race).
+func TestLookupsDuringPatch(t *testing.T) {
+	const n = 64
+	p, rt := newProc(t, 2, n)
+	libID, _ := rt.ObjectID(p.Object("lib1.so"))
+	ids := append(batchIDs(t, 0, n), batchIDs(t, libID, n)...)
+	const patchers, readers = 2, 4
+	var wg sync.WaitGroup
+	errs := make(chan error, patchers+readers) // each goroutine sends at most once
+	for w := 0; w < patchers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				if _, err := rt.PatchBatch(ids, round%2 == 0); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				for _, id := range ids {
+					object, fn := UnpackID(id)
+					lo, _ := rt.Object(object)
+					if addr, err := rt.FunctionAddress(id); err != nil || addr != lo.Base+uint64(fn)*64 {
+						errs <- fmt.Errorf("FunctionAddress(%#x) = %#x, %v", id, addr, err)
+						return
+					}
+					if got, ok := rt.ObjectID(lo); !ok || got != object {
+						errs <- fmt.Errorf("ObjectID(%s) = %d, %v", lo.Image.Name, got, ok)
+						return
+					}
+				}
+				if len(rt.Objects()) != 3 {
+					errs <- fmt.Errorf("Objects() = %d entries", len(rt.Objects()))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	// 20 rounds per patcher, alternating: every sled ends unpatched.
+	if p.Executable().NumPatched() != 0 || p.Object("lib1.so").NumPatched() != 0 {
+		t.Fatal("sleds left patched after an even number of rounds per patcher")
 	}
 }
 
