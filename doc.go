@@ -113,9 +113,9 @@
 // # The Fig. 1 loop
 //
 // NewSession prepares an application in three stages: validate once, then
-// the call graph (per TU on every core, merged in TU order) beside the XRay
-// compile. The user then iterates: Select (a spec into an IC), Run (patch at
-// start-up, measure), inspect, adjust the spec — no recompilation between:
+// the call graph (one pass, every node in one slab) beside the XRay compile.
+// The user then iterates: Select (a spec into an IC), Run (patch at start-up,
+// measure), inspect, adjust the spec — no recompilation between:
 //
 //	app := capi.Lulesh(capi.LuleshOptions{})
 //	s, _ := capi.NewSession(app, capi.SessionOptions{OptLevel: 3})

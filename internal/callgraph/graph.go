@@ -82,17 +82,12 @@ func hasEdge(from, to *Node) bool {
 
 // AddNode inserts a node with the given metadata and returns it. If the node
 // already exists it is returned unchanged (use SetMeta to replace a stub's
-// metadata during translation-unit merging).
+// metadata).
 func (g *Graph) AddNode(name string, meta Meta) *Node {
 	if n, ok := g.nodes[name]; ok {
 		return n
 	}
-	return g.newNode(name, name, meta)
-}
-
-// newNode appends a node whose name the caller has found absent.
-func (g *Graph) newNode(name, display string, meta Meta) *Node {
-	n := &Node{id: len(g.order), Name: name, Display: display, Meta: meta}
+	n := &Node{id: len(g.order), Name: name, Display: name, Meta: meta}
 	g.nodes[name] = n
 	g.order = append(g.order, n)
 	return n
@@ -159,34 +154,35 @@ func (g *Graph) MainNode() *Node {
 	return g.nodes[g.Main]
 }
 
-// Merge folds other into g: nodes are created as needed, non-empty metadata
-// from other overrides stub (zero) metadata in g, and all edges are added.
-// This implements the whole-program merge step of the MetaCG workflow
-// (Fig. 2 step 4).
-func (g *Graph) Merge(other *Graph) {
-	// Each of other's nodes is looked up by name once; its edges then go
-	// from node to node through this table, indexed by other's node IDs.
-	mine := make([]*Node, len(other.order))
-	for i, n := range other.order {
-		existing, ok := g.nodes[n.Name]
-		if !ok {
-			existing = g.newNode(n.Name, n.Display, n.Meta)
-		} else if existing.Meta == (Meta{}) && n.Meta != (Meta{}) {
-			existing.Meta = n.Meta
-			existing.Display = n.Display
-		}
-		existing.callees = slices.Grow(existing.callees, len(n.callees))
-		existing.callers = slices.Grow(existing.callers, len(n.callers))
-		mine[i] = existing
+// Edge is a caller→callee pair of node IDs, the input of Assemble.
+type Edge struct{ From, To int32 }
+
+// Assemble returns the graph whose nodes are nodes, in ID order, and whose
+// edges are edges, in insertion order: the graph that New, AddNode for each
+// node and AddEdge for each edge would build, repeated edges ignored. Each
+// node needs its Name, Display and Meta set; the graph keeps the slice as
+// its node slab and cuts all adjacency lists from one arena sized by
+// counted degrees.
+func Assemble(name, main string, nodes []Node, edges []Edge) *Graph {
+	g := &Graph{Name: name, Main: main, nodes: make(map[string]*Node, len(nodes)), order: make([]*Node, len(nodes))}
+	deg := make([]int, 2*len(nodes)) // out-degrees, then in-degrees, repeats counted
+	for _, e := range edges {
+		deg[e.From]++
+		deg[len(nodes)+int(e.To)]++
 	}
-	for i, n := range other.order {
-		for _, c := range n.callees {
-			g.addEdge(mine[i], mine[c.id])
-		}
+	arena := make([]*Node, 2*len(edges))
+	for i := range nodes {
+		n := &nodes[i]
+		n.id = i
+		g.nodes[n.Name] = n
+		g.order[i] = n
+		out, in := deg[i], deg[len(nodes)+i]
+		n.callees, n.callers, arena = arena[:0:out], arena[out:out:out+in], arena[out+in:]
 	}
-	if g.Main == "" {
-		g.Main = other.Main
+	for _, e := range edges {
+		g.addEdge(&nodes[e.From], &nodes[e.To])
 	}
+	return g
 }
 
 // Validate performs internal consistency checks and is used by tests.

@@ -2,6 +2,7 @@ package callgraph
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -86,73 +87,54 @@ func TestValidateAndMainNode(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	// TU 1 defines a (calls b); b is a stub.
-	g1 := New("tu1", 0)
-	g1.AddNode("a", Meta{Statements: 3})
-	g1.AddEdge("a", "b")
-	// TU 2 defines b (calls c).
-	g2 := New("tu2", 0)
-	g2.AddNode("b", Meta{Statements: 8})
-	g2.AddEdge("b", "c")
-	g2.Main = "b"
-
-	g1.Merge(g2)
-	if g1.Len() != 3 {
-		t.Fatalf("merged Len = %d, want 3", g1.Len())
+// TestAssembleEqualsAddEdge: Assemble builds the graph AddNode and AddEdge
+// build from the same nodes and edges — IDs, callee and caller order, repeats
+// dropped — and the arena it cuts the adjacency lists from does not leak:
+// edges added afterwards, from a hub and to a hotspot, move no other list.
+func TestAssembleEqualsAddEdge(t *testing.T) {
+	names := []string{"main", "hub", "l0", "l1", "l2", "hotspot"}
+	var edges []Edge
+	for _, e := range [][2]int32{{0, 1}, {1, 2}, {2, 5}, {1, 3}, {3, 5}, {1, 2}, {4, 5}, {1, 4}, {0, 5}, {3, 5}, {5, 0}} {
+		edges = append(edges, Edge{From: e[0], To: e[1]})
 	}
-	if g1.Node("b").Meta.Statements != 8 {
-		t.Fatal("definition should override stub metadata")
+	want := New("g", 0)
+	nodes := make([]Node, len(names))
+	for i, name := range names {
+		want.AddNode(name, Meta{Statements: i}).Display = name + "()"
+		nodes[i] = Node{Name: name, Display: name + "()", Meta: Meta{Statements: i}}
 	}
-	if !g1.HasEdge("a", "b") || !g1.HasEdge("b", "c") {
-		t.Fatal("merged edges missing")
+	for _, e := range edges {
+		want.AddEdge(names[e.From], names[e.To])
 	}
-	if g1.Main != "b" {
-		t.Fatal("Main should be taken from other when unset")
+	want.Main = "main"
+	got := Assemble("g", "main", nodes, edges)
+	same := func(what string) {
+		t.Helper()
+		if err := got.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if got.Name != want.Name || got.Main != want.Main || got.Len() != want.Len() || got.NumEdges() != want.NumEdges() {
+			t.Fatalf("%s: %q %q %d nodes %d edges, want %q %q %d %d", what, got.Name, got.Main, got.Len(), got.NumEdges(),
+				want.Name, want.Main, want.Len(), want.NumEdges())
+		}
+		for i, w := range want.Nodes() {
+			g := got.Nodes()[i]
+			if g.ID() != w.ID() || g.Name != w.Name || g.Display != w.Display || g.Meta != w.Meta ||
+				fmt.Sprint(g.Callees()) != fmt.Sprint(w.Callees()) || fmt.Sprint(g.Callers()) != fmt.Sprint(w.Callers()) {
+				t.Fatalf("%s: node %d is %d %s %v→%v→%v, want %d %s %v→%v→%v", what, i,
+					g.ID(), g.Display, g.Callers(), g, g.Callees(), w.ID(), w.Display, w.Callers(), w, w.Callees())
+			}
+		}
 	}
-	if err := g1.Validate(); err != nil {
-		t.Fatal(err)
+	same("assembled")
+	if got.NumEdges() != 9 {
+		t.Fatalf("%d edges, want 9 once the two repeats are dropped", got.NumEdges())
 	}
-}
-
-func TestMergeKeepsExistingMeta(t *testing.T) {
-	g1 := New("a", 0)
-	g1.AddNode("f", Meta{Statements: 3})
-	g2 := New("b", 0)
-	g2.AddNode("f", Meta{Statements: 99})
-	g1.Merge(g2)
-	if g1.Node("f").Meta.Statements != 3 {
-		t.Fatal("merge must not overwrite non-empty metadata")
+	for _, e := range [][2]string{{"hub", "l2"}, {"l1", "hotspot"}, {"hub", "hotspot"}, {"hotspot", "new"}, {"l0", "l1"}} {
+		got.AddEdge(e[0], e[1])
+		want.AddEdge(e[0], e[1])
 	}
-}
-
-// TestMergeTwiceAddsNothing: duplicates are found from either end of an edge
-// — a hub's callee list is long and its callees' caller lists short, a
-// hotspot's the other way round — and a second merge of the same graph
-// changes neither the edge count nor any adjacency order.
-func TestMergeTwiceAddsNothing(t *testing.T) {
-	tu := New("tu", 0)
-	for _, leaf := range []string{"l0", "l1", "l2", "l3"} {
-		tu.AddEdge("hub", leaf)     // one caller, many callees
-		tu.AddEdge(leaf, "hotspot") // many callers, one callee
-	}
-	g := New("whole", 0)
-	g.AddEdge("main", "hub")
-	g.Merge(tu)
-	callees, callers := len(g.Node("hub").Callees()), len(g.Node("hotspot").Callers())
-	g.Merge(tu)
-	g.AddEdge("hub", "l2")
-	g.AddEdge("l1", "hotspot")
-	if g.NumEdges() != 9 || len(g.Node("hub").Callees()) != callees || len(g.Node("hotspot").Callers()) != callers {
-		t.Fatalf("second merge grew the graph: %d edges, hub has %d callees, hotspot %d callers",
-			g.NumEdges(), len(g.Node("hub").Callees()), len(g.Node("hotspot").Callers()))
-	}
-	if c := g.Node("hotspot").Callers(); c[0].Name != "l0" || c[3].Name != "l3" {
-		t.Fatalf("caller order changed: %v", c)
-	}
-	if !g.HasEdge("hub", "l3") || !g.HasEdge("l3", "hotspot") || g.HasEdge("hotspot", "hub") || g.HasEdge("main", "l0") {
-		t.Fatal("HasEdge wrong")
-	}
+	same("after AddEdge")
 }
 
 func TestJSONRoundTrip(t *testing.T) {

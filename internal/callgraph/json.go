@@ -81,10 +81,7 @@ func ReadJSON(r io.Reader) (*Graph, error) {
 		if rec.Meta != nil {
 			meta = *rec.Meta
 		}
-		n := g.AddNode(name, meta)
-		if rec.Meta != nil && n.Meta == (Meta{}) {
-			n.Meta = meta
-		}
+		n := g.AddNode(name, meta) // names are unique: always a new node
 		if rec.Display != "" {
 			n.Display = rec.Display
 		}

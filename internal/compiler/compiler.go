@@ -139,10 +139,11 @@ func (b *Build) PatchableImages() []*obj.Image {
 // produces (executable = object 0, then patchable DSOs in image order).
 // This is the mapping the paper proposes shipping inside the IC so that
 // hidden DSO symbols can be instrumented without run-time name resolution
-// (§VI-B(a)). Functions without sleds are absent.
+// (§VI-B(a)). Functions without sleds are absent. Like xray.NewRuntime, it
+// fails with xray.ErrObjectLimit past xray.MaxDSOs patchable DSOs.
 func (b *Build) StaticPackedIDs() (map[string]int32, error) {
 	objID := map[string]uint8{}
-	next := uint8(1)
+	next := 1
 	for _, im := range b.Images {
 		if !im.Patchable {
 			continue
@@ -151,7 +152,10 @@ func (b *Build) StaticPackedIDs() (map[string]int32, error) {
 			objID[im.Name] = 0
 			continue
 		}
-		objID[im.Name] = next
+		if next > xray.MaxDSOs {
+			return nil, fmt.Errorf("compiler: static IDs for %s: %w", im.Name, xray.ErrObjectLimit)
+		}
+		objID[im.Name] = uint8(next)
 		next++
 	}
 	out := make(map[string]int32)

@@ -1,11 +1,14 @@
 package compiler
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"capi/internal/ic"
 	"capi/internal/obj"
 	"capi/internal/prog"
+	"capi/internal/xray"
 )
 
 // buildProg constructs a program exercising all symbol/inline/sled rules:
@@ -240,5 +243,59 @@ func TestCompileRejectsInvalidProgram(t *testing.T) {
 	p.MustAddUnit("e", prog.Executable)
 	if _, err := Compile(p, Options{}); err == nil {
 		t.Fatal("expected validation error")
+	}
+}
+
+// TestStaticPackedIDsObjectLimit: the static IDs follow xray.NewRuntime's
+// policy up to the last object ID, and past xray.MaxDSOs patchable DSOs
+// both refuse the program with xray.ErrObjectLimit — no DSO wraps to the
+// executable's object 0.
+func TestStaticPackedIDsObjectLimit(t *testing.T) {
+	compile := func(dsos int) *Build {
+		t.Helper()
+		p := prog.New("many", "main")
+		p.MustAddUnit("app.exe", prog.Executable)
+		p.MustAddFunc(&prog.Function{Name: "main", Unit: "app.exe", Statements: 50})
+		for i := range dsos {
+			unit := fmt.Sprintf("lib%d.so", i)
+			p.MustAddUnit(unit, prog.SharedObject)
+			p.MustAddFunc(&prog.Function{Name: fmt.Sprintf("f%d", i), Unit: unit, Statements: 50})
+		}
+		b, err := Compile(p, Options{XRay: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	b := compile(xray.MaxDSOs)
+	ids, err := b.StaticPackedIDs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := fmt.Sprintf("f%d", xray.MaxDSOs-1)
+	if object, _ := xray.UnpackID(ids[last]); object != xray.MaxDSOs {
+		t.Fatalf("%s has object ID %d, want %d", last, object, xray.MaxDSOs)
+	}
+	proc, err := b.LoadProcess()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := xray.NewRuntime(proc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, ok := rt.ObjectID(proc.Object(fmt.Sprintf("lib%d.so", xray.MaxDSOs-1))); !ok || id != xray.MaxDSOs {
+		t.Fatalf("the runtime gives the last DSO object ID %d (%v), want %d", id, ok, xray.MaxDSOs)
+	}
+
+	b = compile(xray.MaxDSOs + 1)
+	if ids, err := b.StaticPackedIDs(); !errors.Is(err, xray.ErrObjectLimit) {
+		t.Fatalf("%d DSOs: StaticPackedIDs returned %d IDs and error %v, want %v", xray.MaxDSOs+1, len(ids), err, xray.ErrObjectLimit)
+	}
+	if proc, err = b.LoadProcess(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := xray.NewRuntime(proc); !errors.Is(err, xray.ErrObjectLimit) {
+		t.Fatalf("%d DSOs: NewRuntime error %v, want %v", xray.MaxDSOs+1, err, xray.ErrObjectLimit)
 	}
 }

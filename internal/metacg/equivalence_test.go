@@ -10,15 +10,60 @@ import (
 	"capi/internal/workload"
 )
 
+// BuildLocalTU is MetaCG's step 1, kept here as half of the reference
+// BuildWholeProgram is held to: the translation-unit-local call graph, with
+// definition nodes for the functions defined in tu and declaration stubs and
+// edges for everything they reference. Virtual callsites produce an edge to
+// the base method only, and pointer callsites none; whole-program expansion
+// happens after the merge.
+func BuildLocalTU(p *prog.Program, tu string) *callgraph.Graph {
+	g := callgraph.New(p.Name+":"+tu, 0)
+	for _, name := range p.FunctionsInTU(tu) {
+		f := p.Func(name)
+		g.AddNode(name, metaOf(f)).Display = f.Display()
+		if name == p.Main {
+			g.Main = name
+		}
+		for _, op := range f.Ops {
+			switch {
+			case op.Kind == prog.OpCall && !op.ViaPointer:
+				g.AddEdge(name, op.Callee) // virtual: edge to base method
+			case op.Kind == prog.OpMPI:
+				g.AddEdge(name, op.MPI)
+			}
+		}
+	}
+	return g
+}
+
+// merge is MetaCG's step 2, the other half of the reference: it folds local
+// into g — nodes in local's order, a definition's metadata and display name
+// over a stub's, then every edge caller by caller.
+func merge(g, local *callgraph.Graph) {
+	for _, n := range local.Nodes() {
+		have := g.Node(n.Name)
+		if have == nil {
+			g.AddNode(n.Name, n.Meta).Display = n.Display
+		} else if have.Meta == (callgraph.Meta{}) && n.Meta != (callgraph.Meta{}) {
+			g.SetMeta(n.Name, n.Meta)
+			have.Display = n.Display
+		}
+	}
+	for _, n := range local.Nodes() {
+		for _, c := range n.Callees() {
+			g.AddEdge(n.Name, c.Name)
+		}
+	}
+}
+
 // serialWholeProgram is the reference BuildWholeProgram is held to: one
 // TU-local graph after the other, merged in TranslationUnits order, then the
-// definition, virtual and pointer passes — the serial build as it was before
-// the worker pool.
+// definition, virtual and pointer passes — MetaCG's steps one at a time.
 func serialWholeProgram(p *prog.Program) *callgraph.Graph {
 	g := callgraph.New(p.Name, 0)
 	g.Main = p.Main
 	for _, tu := range p.TranslationUnits() {
-		g.Merge(BuildLocalTU(p, tu))
+		merge(g, BuildLocalTU(p, tu))
 	}
 	for _, name := range p.Functions() {
 		f := p.Func(name)
@@ -82,7 +127,7 @@ func sameGraph(t *testing.T, what string, got, want *callgraph.Graph) {
 	}
 }
 
-// TestBuildWholeProgramEqualsSerial: for all four apps the pooled build
+// TestBuildWholeProgramEqualsSerial: for all four apps the one-pass build
 // equals the serial reference node for node and edge for edge, at one worker
 // and at four, twenty times over — scheduling must not leak into the graph.
 // CI runs it under -race.

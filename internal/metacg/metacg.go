@@ -1,5 +1,5 @@
 // Package metacg constructs whole-program call graphs from the synthetic
-// program model, mirroring the MetaCG workflow the paper builds on
+// program model. The model is the MetaCG workflow the paper builds on
 // (Fig. 2, steps 3–4):
 //
 //  1. a local call graph is constructed per translation unit,
@@ -7,12 +7,13 @@
 //  3. virtual calls are over-approximated by inserting edges to all known
 //     inheriting definitions,
 //  4. function-pointer calls are resolved statically where possible.
+//
+// BuildWholeProgram builds no local graphs: it makes one pass over the
+// program that yields the graph those steps yield — the same node IDs, and
+// callees and callers in the same order — with every node in one slab.
 package metacg
 
 import (
-	"runtime"
-	"sync/atomic"
-
 	"capi/internal/callgraph"
 	"capi/internal/prog"
 )
@@ -33,106 +34,107 @@ func metaOf(f *prog.Function) callgraph.Meta {
 	}
 }
 
-// BuildLocalTU constructs the translation-unit-local call graph: definition
-// nodes for the functions defined in tu, declaration stubs and edges for
-// everything they reference. Virtual and pointer callsites produce an edge
-// to the base method / slot placeholder only; whole-program expansion
-// happens during the merge.
-func BuildLocalTU(p *prog.Program, tu string) *callgraph.Graph {
-	var fns []*prog.Function
-	for _, name := range p.FunctionsInTU(tu) {
-		fns = append(fns, p.Func(name))
-	}
-	return buildLocal(p, prog.TU{Name: tu, Funcs: fns})
-}
-
-func buildLocal(p *prog.Program, tu prog.TU) *callgraph.Graph {
-	g := callgraph.New(p.Name+":"+tu.Name, len(tu.Funcs))
-	for _, f := range tu.Funcs {
-		n := g.AddNode(f.Name, metaOf(f))
-		n.Display = f.Display()
-		if f.Name == p.Main {
-			g.Main = f.Name
-		}
-		for _, op := range f.Ops {
-			switch op.Kind {
-			case prog.OpCall:
-				if op.ViaPointer {
-					continue // unresolved at TU scope
-				}
-				g.AddEdge(f.Name, op.Callee) // virtual: edge to base method
-			case prog.OpMPI:
-				g.AddEdge(f.Name, op.MPI)
-			}
-		}
-	}
-	return g
-}
-
-// BuildWholeProgram constructs the whole-program call graph by merging all
-// translation-unit-local graphs and applying virtual-call over-approximation
-// and static pointer resolution. The local graphs are built on up to
-// GOMAXPROCS goroutines and merged in sorted TU order as they arrive, so the
-// result — node IDs, callee and caller order — does not depend on scheduling.
-// The program must not be modified meanwhile.
+// BuildWholeProgram constructs the whole-program call graph. A node's ID is
+// its first appearance in the stream that lists, unit by unit in sorted TU
+// name order, each function and then its direct callees, virtual base
+// methods and MPI operations. A unit's edges go in in the order its
+// functions first appear there (its local graph's order); the virtual and
+// static pointer edges follow in Funcs order. Undefined names become stubs.
 func BuildWholeProgram(p *prog.Program) *callgraph.Graph {
-	g := callgraph.New(p.Name, p.NumFunctions())
-	g.Main = p.Main
-	tus := p.ByTU()
-	// One slot per TU, filled exactly once: a send never blocks, so the
-	// workers finish whether or not the merge below keeps up.
-	locals := make([]chan *callgraph.Graph, len(tus))
-	for i := range locals {
-		locals[i] = make(chan *callgraph.Graph, 1)
-	}
-	var next atomic.Int64
-	for w := min(runtime.GOMAXPROCS(0), len(tus)); w > 0; w-- {
-		go func() {
-			for i := int(next.Add(1)) - 1; i < len(tus); i = int(next.Add(1)) - 1 {
-				locals[i] <- buildLocal(p, tus[i])
-			}
-		}()
-	}
-	for _, local := range locals {
-		g.Merge(<-local)
-	}
-	// Ensure every definition has its metadata even if only seen as a stub
-	// during merging order.
-	for _, f := range p.Funcs() {
-		meta := metaOf(f)
-		n := g.AddNode(f.Name, meta)
-		if n.Meta == (callgraph.Meta{}) {
-			n.Meta = meta
+	fns := p.Funcs()
+	// node holds a function's ID + 1 (0: unseen), source a node's function
+	// (-1: a stub), stubs an undefined name's node ID.
+	node := make([]int32, len(fns))
+	source := make([]int32, 0, len(fns))
+	stubs := map[string]int32{}
+	function := func(i int) int32 {
+		if node[i] == 0 {
+			source = append(source, int32(i))
+			node[i] = int32(len(source))
 		}
-		n.Display = f.Display()
+		return node[i] - 1
 	}
-	// Virtual-call over-approximation: for every virtual callsite, insert
-	// edges to all known inheriting definitions.
-	for _, f := range p.Funcs() {
-		for _, op := range f.Ops {
-			if op.Kind != prog.OpCall || !op.Virtual {
-				continue
-			}
-			for _, impl := range p.VirtualImpls[op.Callee] {
-				g.AddEdge(f.Name, impl)
-			}
+	named := func(name string) int32 {
+		if i := p.Index(name); i >= 0 {
+			return function(i)
 		}
+		if _, ok := stubs[name]; !ok {
+			stubs[name] = int32(len(source))
+			source = append(source, -1)
+		}
+		return stubs[name]
 	}
-	// Static function-pointer resolution.
-	for _, f := range p.Funcs() {
-		for _, op := range f.Ops {
-			if op.Kind != prog.OpCall || !op.ViaPointer {
-				continue
-			}
-			if !p.StaticPointerSlots[op.Callee] {
-				continue
-			}
-			for _, tgt := range p.PointerTargets[op.Callee] {
-				g.AddEdge(f.Name, tgt)
+	calls := 0 // ops bound the local edges; the virtual and pointer ones mostly fit too
+	for _, f := range fns {
+		calls += len(f.Ops)
+	}
+	edges := make([]callgraph.Edge, 0, calls)
+	// refs holds a unit's references by node ID, function i's at span[i];
+	// callers lists the unit's functions in order of first appearance.
+	var refs []int32
+	var callers []int
+	span := make([][2]int32, len(fns))
+	listed := make([]bool, len(fns))
+	for _, tu := range p.ByTU() {
+		refs, callers = refs[:0], callers[:0]
+		list := func(id int32) {
+			if i := source[id]; i >= 0 && !listed[i] && fns[i].TU == tu.Name {
+				listed[i] = true
+				callers = append(callers, int(i))
 			}
 		}
+		for _, i := range tu.Funcs {
+			list(function(i))
+			span[i][0] = int32(len(refs))
+			for j := range fns[i].Ops {
+				op, id := &fns[i].Ops[j], int32(0)
+				switch {
+				case op.Kind == prog.OpCall && !op.ViaPointer:
+					id = named(op.Callee) // virtual: the base method
+				case op.Kind == prog.OpMPI:
+					id = named(op.MPI)
+				default:
+					continue
+				}
+				refs = append(refs, id)
+				list(id)
+			}
+			span[i][1] = int32(len(refs))
+		}
+		for _, i := range callers {
+			for _, to := range refs[span[i][0]:span[i][1]] {
+				edges = append(edges, callgraph.Edge{From: node[i] - 1, To: to})
+			}
+		}
 	}
-	return g
+	for i, f := range fns {
+		for j := range f.Ops {
+			if op := &f.Ops[j]; op.Kind == prog.OpCall && op.Virtual {
+				for _, impl := range p.VirtualImpls[op.Callee] {
+					edges = append(edges, callgraph.Edge{From: node[i] - 1, To: named(impl)})
+				}
+			}
+		}
+	}
+	for i, f := range fns {
+		for j := range f.Ops {
+			if op := &f.Ops[j]; op.Kind == prog.OpCall && op.ViaPointer && p.StaticPointerSlots[op.Callee] {
+				for _, tgt := range p.PointerTargets[op.Callee] {
+					edges = append(edges, callgraph.Edge{From: node[i] - 1, To: named(tgt)})
+				}
+			}
+		}
+	}
+	nodes := make([]callgraph.Node, len(source))
+	for id, i := range source {
+		if i >= 0 {
+			nodes[id].Name, nodes[id].Display, nodes[id].Meta = fns[i].Name, fns[i].Display(), metaOf(fns[i])
+		}
+	}
+	for name, id := range stubs {
+		nodes[id].Name, nodes[id].Display = name, name
+	}
+	return callgraph.Assemble(p.Name, p.Main, nodes, edges)
 }
 
 // CallEdge is one observed caller→callee pair from a measured profile.

@@ -1,6 +1,7 @@
 package metacg
 
 import (
+	"fmt"
 	"testing"
 
 	"capi/internal/callgraph"
@@ -125,5 +126,61 @@ func TestMetadataTranslation(t *testing.T) {
 	}
 	if got := g.Node("f").Meta; got != want {
 		t.Fatalf("meta = %+v, want %+v", got, want)
+	}
+}
+
+// TestBuildWholeProgramPinsOrder pins node IDs and adjacency order on a
+// program with the three cases the one-pass build must order as MetaCG's
+// merge does: g is called in a.cc before a.cc defines it, so its edges go in
+// before k's; ghost is an undefined direct callee and Base::run a virtual
+// base with no body, and both become stubs. The program is not valid
+// (ghost), which BuildWholeProgram does not need.
+func TestBuildWholeProgramPinsOrder(t *testing.T) {
+	p := prog.New("pins", "f")
+	p.MustAddUnit("app.exe", prog.Executable)
+	p.MustAddUnit("libmpi.so", prog.SystemLibrary)
+	p.MustAddFunc(&prog.Function{Name: "f", Unit: "app.exe", TU: "a.cc", Statements: 1,
+		Ops: []prog.Op{prog.Call("g", 1), prog.Call("h", 1), prog.VCall("Base::run", 1)}})
+	p.MustAddFunc(&prog.Function{Name: "k", Unit: "app.exe", TU: "a.cc", Statements: 2,
+		Ops: []prog.Op{prog.Call("x", 1), prog.Call("ghost", 1)}})
+	p.MustAddFunc(&prog.Function{Name: "g", Unit: "app.exe", TU: "a.cc", Statements: 3,
+		Ops: []prog.Op{prog.Call("x", 1), prog.Call("k", 1), prog.Call("x", 2)}})
+	p.MustAddFunc(&prog.Function{Name: "h", Unit: "app.exe", TU: "b.cc", Statements: 4,
+		Ops: []prog.Op{prog.Call("x", 1), prog.MPICall("MPI_Send", 8)}})
+	p.MustAddFunc(&prog.Function{Name: "x", Unit: "app.exe", TU: "b.cc", Statements: 5})
+	p.MustAddFunc(&prog.Function{Name: "Impl::run", DisplayName: "Impl::run()", Unit: "app.exe", TU: "b.cc", Virtual: true, Statements: 6})
+	p.MustAddFunc(&prog.Function{Name: "MPI_Send", Unit: "libmpi.so", TU: "mpi.c", SystemHeader: true})
+	p.RegisterVirtual("Base::run", "Impl::run")
+
+	g := BuildWholeProgram(p)
+	sameGraph(t, "pins", g, serialWholeProgram(p))
+	want := []struct {
+		name, display    string
+		statements       int
+		callees, callers string
+	}{
+		{"f", "f", 1, "[g h Base::run Impl::run]", "[]"},
+		{"g", "g", 3, "[x k]", "[f]"},
+		{"h", "h", 4, "[x MPI_Send]", "[f]"},
+		{"Base::run", "Base::run", 0, "[]", "[f]"},
+		{"k", "k", 2, "[x ghost]", "[g]"},
+		{"x", "x", 5, "[]", "[g k h]"},
+		{"ghost", "ghost", 0, "[]", "[k]"},
+		{"MPI_Send", "MPI_Send", 0, "[]", "[h]"},
+		{"Impl::run", "Impl::run()", 6, "[]", "[f]"},
+	}
+	if g.Len() != len(want) || g.NumEdges() != 10 || g.Main != "f" {
+		t.Fatalf("%d nodes %d edges main %q, want %d 10 f", g.Len(), g.NumEdges(), g.Main, len(want))
+	}
+	for id, w := range want {
+		n := g.NodeByID(id)
+		if n.Name != w.name || n.Display != w.display || n.Meta.Statements != w.statements ||
+			fmt.Sprint(n.Callees()) != w.callees || fmt.Sprint(n.Callers()) != w.callers {
+			t.Errorf("node %d is %s (%s, %d statements) callees %v callers %v, want %s (%s, %d) %s %s", id,
+				n.Name, n.Display, n.Meta.Statements, n.Callees(), n.Callers(), w.name, w.display, w.statements, w.callees, w.callers)
+		}
+	}
+	if g.Node("ghost").Meta != (callgraph.Meta{}) || g.Node("Base::run").Meta != (callgraph.Meta{}) {
+		t.Error("a stub carries metadata")
 	}
 }

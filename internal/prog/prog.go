@@ -210,9 +210,9 @@ type Program struct {
 	units     []*Unit
 	unitIndex map[string]*Unit
 
-	funcs map[string]*Function
-	order []string    // insertion order, the canonical iteration order
-	fns   []*Function // the same order, for passes that need no name lookup
+	funcs map[string]int32 // name → index into order and fns
+	order []string         // insertion order, the canonical iteration order
+	fns   []*Function      // the same order, for passes that need no name lookup
 
 	// VirtualImpls maps a virtual base method name to all overriding
 	// implementations (the base itself included when it has a body).
@@ -233,7 +233,7 @@ func New(name, main string) *Program {
 		Name:               name,
 		Main:               main,
 		unitIndex:          map[string]*Unit{},
-		funcs:              map[string]*Function{},
+		funcs:              map[string]int32{},
 		VirtualImpls:       map[string][]string{},
 		PointerTargets:     map[string][]string{},
 		StaticPointerSlots: map[string]bool{},
@@ -243,7 +243,7 @@ func New(name, main string) *Program {
 // Reserve makes room for n functions in all, so that a generator that knows
 // its size up front does not pay for growing the tables n times over.
 func (p *Program) Reserve(n int) {
-	funcs := make(map[string]*Function, n)
+	funcs := make(map[string]int32, n)
 	maps.Copy(funcs, p.funcs)
 	p.funcs = funcs
 	p.order = slices.Grow(p.order, max(0, n-len(p.order)))
@@ -283,7 +283,7 @@ func (p *Program) AddFunc(f *Function) error {
 	if !ok {
 		return fmt.Errorf("prog: function %q references unknown unit %q", f.Name, f.Unit)
 	}
-	p.funcs[f.Name] = f
+	p.funcs[f.Name] = int32(len(p.fns))
 	p.order = append(p.order, f.Name)
 	p.fns = append(p.fns, f)
 	u.Funcs = append(u.Funcs, f.Name)
@@ -300,7 +300,21 @@ func (p *Program) MustAddFunc(f *Function) *Function {
 }
 
 // Func returns the function with the given name, or nil.
-func (p *Program) Func(name string) *Function { return p.funcs[name] }
+func (p *Program) Func(name string) *Function {
+	if i, ok := p.funcs[name]; ok {
+		return p.fns[i]
+	}
+	return nil
+}
+
+// Index returns the position of the named function in Funcs and Functions,
+// or -1 if the program defines no such function.
+func (p *Program) Index(name string) int {
+	if i, ok := p.funcs[name]; ok {
+		return int(i)
+	}
+	return -1
+}
 
 // Functions returns all functions in insertion order. The returned slice is
 // shared; callers must not modify it.
@@ -343,7 +357,7 @@ func (p *Program) StaticInits(unit string) []string {
 	}
 	var out []string
 	for _, fn := range u.Funcs {
-		if p.funcs[fn].StaticInit {
+		if p.Func(fn).StaticInit {
 			out = append(out, fn)
 		}
 	}
@@ -426,11 +440,11 @@ func (p *Program) TotalStatements() int {
 	return total
 }
 
-// TU is one translation unit: its name and the functions defined in it, in
-// insertion order.
+// TU is one translation unit: its name and the positions in Funcs of the
+// functions defined in it, in insertion order.
 type TU struct {
 	Name  string
-	Funcs []*Function
+	Funcs []int
 }
 
 // ByTU groups all functions by translation unit in one pass and returns the
@@ -439,14 +453,17 @@ type TU struct {
 func (p *Program) ByTU() []TU {
 	var tus []TU
 	index := map[string]int{}
-	for _, f := range p.fns {
-		i, ok := index[f.TU]
-		if !ok {
-			i = len(tus)
-			index[f.TU] = i
-			tus = append(tus, TU{Name: f.TU})
+	t := -1
+	for i, f := range p.fns {
+		if t < 0 || f.TU != tus[t].Name { // one lookup per run of a unit's functions
+			var ok bool
+			if t, ok = index[f.TU]; !ok {
+				t = len(tus)
+				index[f.TU] = t
+				tus = append(tus, TU{Name: f.TU})
+			}
 		}
-		tus[i].Funcs = append(tus[i].Funcs, f)
+		tus[t].Funcs = append(tus[t].Funcs, i)
 	}
 	sort.Slice(tus, func(i, j int) bool { return tus[i].Name < tus[j].Name })
 	return tus

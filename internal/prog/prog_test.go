@@ -213,8 +213,8 @@ func TestByTUReadsTUAtCallTime(t *testing.T) {
 		}
 		for _, tu := range tus {
 			var names []string
-			for _, f := range tu.Funcs {
-				names = append(names, f.Name)
+			for _, i := range tu.Funcs {
+				names = append(names, p.Funcs()[i].Name)
 			}
 			if !slices.Equal(names, want[tu.Name]) || !slices.Equal(p.FunctionsInTU(tu.Name), names) {
 				t.Fatalf("unit %q holds %v (FunctionsInTU: %v), want %v", tu.Name, names, p.FunctionsInTU(tu.Name), want[tu.Name])

@@ -111,10 +111,6 @@ func OpenFOAM(opts OpenFOAMOptions) *prog.Program {
 	// calibration is independent of the call-graph Scale.
 	scaleWork(b.p, openFOAMWorkScale)
 
-	if err := b.p.Validate(); err != nil {
-		//capi:panic-ok generator invariant over static inputs; cannot trip on user data
-		panic(fmt.Sprintf("workload: openfoam generator invalid: %v", err))
-	}
 	return b.p
 }
 

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 
 	"capi/internal/compiler"
@@ -270,4 +271,31 @@ func TestRunVanillaLulesh(t *testing.T) {
 		t.Fatal("no time elapsed")
 	}
 	_ = mpi.DefaultCostModel()
+}
+
+// TestGeneratorsValid holds the generators' invariant: every program they
+// make passes prog.Validate, at every size the tests, the CLI and the repo
+// benchmark ask for (openfoam 0.05 and 0.1 are the benchmark's, 1.0 the
+// paper's). The generators do not validate their own output; NewSession
+// validates what it is given, once.
+func TestGeneratorsValid(t *testing.T) {
+	programs := map[string]func() *prog.Program{
+		"quickstart": Quickstart,
+		"webservice": Webservice,
+	}
+	for _, o := range []LuleshOptions{{}, {CGNodes: 500, Timesteps: 3}, {CGNodes: 600, Timesteps: 2}, {CGNodes: 800, Timesteps: 3}} {
+		programs[fmt.Sprintf("lulesh %+v", o)] = func() *prog.Program { return Lulesh(o) }
+	}
+	scales := []float64{0.01, 0.02, 0.05, 0.1}
+	if !testing.Short() {
+		scales = append(scales, 1.0)
+	}
+	for _, scale := range scales {
+		programs[fmt.Sprintf("openfoam@%v", scale)] = func() *prog.Program { return OpenFOAM(OpenFOAMOptions{Scale: scale}) }
+	}
+	for name, generate := range programs {
+		if err := generate().Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
 }

@@ -48,6 +48,10 @@ const (
 	MaxFuncID = 1<<24 - 1
 )
 
+// ErrObjectLimit is the error for a process with more than MaxDSOs patchable
+// DSOs: the 256th would need an object ID that aliases the executable's.
+var ErrObjectLimit = fmt.Errorf("xray: object limit reached (%d DSOs)", MaxDSOs)
+
 // PackID combines an object ID and an object-local function ID into the
 // packed 32-bit ID passed to handlers. The main executable is object 0, so
 // its packed IDs equal its function IDs — preserving backwards
@@ -169,7 +173,7 @@ func NewRuntime(p *obj.Process) (*Runtime, error) {
 		id := 0
 		if !lo.Image.Exe {
 			if next > MaxDSOs {
-				return nil, fmt.Errorf("xray: object limit reached (%d DSOs)", MaxDSOs)
+				return nil, ErrObjectLimit
 			}
 			id, next = next, next+1
 		}

@@ -1,6 +1,7 @@
 package xray
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -299,7 +300,7 @@ func TestDSOLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewRuntime(p); err == nil || !strings.Contains(err.Error(), "limit") {
+	if _, err := NewRuntime(p); !errors.Is(err, ErrObjectLimit) {
 		t.Fatalf("err = %v", err)
 	}
 }
