@@ -73,14 +73,15 @@ func collective(c *Controller, tcs ...*fakeCtx) {
 
 func packedOf(t *testing.T, b *compiler.Build, xr *xray.Runtime, proc *obj.Process, name string) int32 {
 	t.Helper()
-	lay := b.Layout[name]
+	lay := b.LayoutOf(name)
 	if lay == nil || !lay.HasSleds {
 		t.Fatalf("%s has no sleds", name)
 	}
-	lo := proc.Object(lay.Unit)
+	unit := b.Prog.Func(name).Unit
+	lo := proc.Object(unit)
 	objID, ok := xr.ObjectID(lo)
 	if !ok {
-		t.Fatalf("object %s not registered", lay.Unit)
+		t.Fatalf("object %s not registered", unit)
 	}
 	id, err := xray.PackID(objID, lay.FuncID)
 	if err != nil {

@@ -14,13 +14,14 @@ import (
 )
 
 // Meta is the per-function static metadata carried by a node. It mirrors the
-// annotation set MetaCG attaches to call-graph nodes.
+// annotation set MetaCG attaches to call-graph nodes. The counts are int32:
+// a graph keeps one Meta per function for the life of a session.
 type Meta struct {
-	Statements   int    `json:"numStatements"`
-	LOC          int    `json:"loc"`
-	Flops        int    `json:"numFlops"`
-	LoopDepth    int    `json:"loopDepth"`
-	Cyclomatic   int    `json:"cyclomatic"`
+	Statements   int32  `json:"numStatements"`
+	LOC          int32  `json:"loc"`
+	Flops        int32  `json:"numFlops"`
+	LoopDepth    int32  `json:"loopDepth"`
+	Cyclomatic   int32  `json:"cyclomatic"`
 	Inline       bool   `json:"inline"`
 	SystemHeader bool   `json:"systemHeader"`
 	Virtual      bool   `json:"virtual"`

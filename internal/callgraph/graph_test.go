@@ -100,8 +100,8 @@ func TestAssembleEqualsAddEdge(t *testing.T) {
 	want := New("g", 0)
 	nodes := make([]Node, len(names))
 	for i, name := range names {
-		want.AddNode(name, Meta{Statements: i}).Display = name + "()"
-		nodes[i] = Node{Name: name, Display: name + "()", Meta: Meta{Statements: i}}
+		want.AddNode(name, Meta{Statements: int32(i)}).Display = name + "()"
+		nodes[i] = Node{Name: name, Display: name + "()", Meta: Meta{Statements: int32(i)}}
 	}
 	for _, e := range edges {
 		want.AddEdge(names[e.From], names[e.To])

@@ -72,17 +72,17 @@ func InstructionCount(f *prog.Function) int {
 }
 
 // FuncLayout describes where (and whether) a function landed in the build.
+// It names neither the function nor its unit: Build.Layout is indexed by
+// program position, and the Function at that position holds both.
 type FuncLayout struct {
-	Name        string
-	Unit        string
-	Inlined     bool   // inlined at every call site; no standalone code runs
-	HasSymbol   bool   // a symbol for the function exists in some image
 	EntryOffset uint64 // offset of the function within its image (if emitted)
 	Size        uint64
-	HasSleds    bool
 	FuncID      uint32 // XRay function ID within its image (if HasSleds)
-	EntrySled   int    // sled indexes within the image (if HasSleds)
-	ExitSled    int
+	EntrySled   int32  // sled indexes within the image (if HasSleds)
+	ExitSled    int32
+	Inlined     bool // inlined at every call site; no standalone code runs
+	HasSymbol   bool // a symbol for the function exists in some image
+	HasSleds    bool
 	StaticInstr bool // compiled-in measurement hooks (static mode)
 }
 
@@ -93,19 +93,29 @@ type Build struct {
 	// Images holds one image per link unit, in program unit order (the
 	// executable first if the program declared it first).
 	Images []*obj.Image
-	// Layout maps every function name to its placement.
-	Layout map[string]*FuncLayout
+	// Layout holds every function's placement at its position in
+	// Prog.Funcs(); LayoutOf finds one by name.
+	Layout []FuncLayout
 	// CompileSeconds is the modelled wall-clock duration of the build.
 	CompileSeconds float64
 
 	imageByName map[string]*obj.Image
 }
 
+// LayoutOf returns the placement of the named function, or nil if the
+// program defines no such function.
+func (b *Build) LayoutOf(name string) *FuncLayout {
+	if i := b.Prog.Index(name); i >= 0 {
+		return &b.Layout[i]
+	}
+	return nil
+}
+
 // HasSymbol implements core.SymbolOracle over all images' full symbol
 // tables (the `nm` view CaPI's inlining compensation uses, §V-E).
 func (b *Build) HasSymbol(name string) bool {
-	l, ok := b.Layout[name]
-	return ok && l.HasSymbol
+	l := b.LayoutOf(name)
+	return l != nil && l.HasSymbol
 }
 
 // Image returns the image built for the named link unit, or nil.
@@ -159,19 +169,20 @@ func (b *Build) StaticPackedIDs() (map[string]int32, error) {
 		next++
 	}
 	out := make(map[string]int32)
-	for name, lay := range b.Layout {
+	for i, f := range b.Prog.Funcs() {
+		lay := &b.Layout[i]
 		if !lay.HasSleds {
 			continue
 		}
-		oid, ok := objID[lay.Unit]
+		oid, ok := objID[f.Unit]
 		if !ok {
 			continue
 		}
 		packed, err := xray.PackID(oid, lay.FuncID)
 		if err != nil {
-			return nil, fmt.Errorf("compiler: static ID for %s: %w", name, err)
+			return nil, fmt.Errorf("compiler: static ID for %s: %w", f.Name, err)
 		}
-		out[name] = packed
+		out[f.Name] = packed
 	}
 	return out, nil
 }
@@ -194,10 +205,14 @@ func CompileValidated(p *prog.Program, opts Options) (*Build, error) {
 	b := &Build{
 		Prog:        p,
 		Options:     opts,
-		Layout:      make(map[string]*FuncLayout, p.NumFunctions()),
+		Layout:      make([]FuncLayout, p.NumFunctions()),
 		imageByName: map[string]*obj.Image{},
 	}
 	autoInline := autoInlineMaxStatements(opts.OptLevel)
+	fns := p.Funcs()
+	// The build-time model counts the distinct translation units on the
+	// way, looking one up once per run of a unit's functions.
+	tus, lastTU := map[string]struct{}{}, ""
 
 	// Per-unit code generation.
 	for _, u := range p.Units() {
@@ -207,15 +222,15 @@ func CompileValidated(p *prog.Program, opts Options) (*Build, error) {
 			Patchable: opts.XRay && u.Kind != prog.SystemLibrary,
 		}
 		var off uint64
-		lays := make([]FuncLayout, len(u.Funcs)) // one allocation per unit
-		for i, name := range u.Funcs {
-			f := p.Func(name)
+		for _, at := range u.Funcs {
+			f, lay := fns[at], &b.Layout[at]
+			name := f.Name
+			if len(tus) == 0 || f.TU != lastTU {
+				tus[f.TU], lastTU = struct{}{}, f.TU
+			}
 			// The inlining decision comes before sled insertion, as in LLVM.
-			inlined := (f.Inline || f.Statements <= autoInline) &&
+			lay.Inlined = (f.Inline || f.Statements <= autoInline) &&
 				u.Kind != prog.SystemLibrary && !f.StaticInit && !f.Virtual && !f.AddressTaken && name != p.Main
-			lay := &lays[i]
-			*lay = FuncLayout{Name: name, Unit: u.Name, Inlined: inlined}
-			b.Layout[name] = lay
 
 			// An inlined function keeps an out-of-line copy (and hence a
 			// symbol) only when it is exported from a DSO and is not a
@@ -246,9 +261,9 @@ func CompileValidated(p *prog.Program, opts Options) (*Build, error) {
 				im.NumFuncIDs++
 				lay.HasSleds = true
 				lay.FuncID = id
-				lay.EntrySled = len(im.Sleds)
+				lay.EntrySled = int32(len(im.Sleds))
 				im.Sleds = append(im.Sleds, obj.Sled{Offset: off, FuncID: id, Kind: obj.SledEntry})
-				lay.ExitSled = len(im.Sleds)
+				lay.ExitSled = int32(len(im.Sleds))
 				im.Sleds = append(im.Sleds, obj.Sled{Offset: off + size - obj.SledBytes, FuncID: id, Kind: obj.SledExit})
 			}
 			if opts.StaticIC != nil && !lay.Inlined && u.Kind != prog.SystemLibrary && opts.StaticIC.Contains(name) {
@@ -267,7 +282,7 @@ func CompileValidated(p *prog.Program, opts Options) (*Build, error) {
 		b.imageByName[u.Name] = im
 	}
 
-	b.CompileSeconds = buildTimeSeconds(p)
+	b.CompileSeconds = buildTimeSeconds(len(tus), p.TotalStatements())
 	return b, nil
 }
 
@@ -275,8 +290,8 @@ func CompileValidated(p *prog.Program, opts Options) (*Build, error) {
 // per-TU constant plus a per-statement cost. Calibrated so that LULESH
 // rebuilds in tens of seconds and full-scale OpenFOAM in ~50 minutes
 // (§VII-A).
-func buildTimeSeconds(p *prog.Program) float64 {
-	return 1.5 + 0.05*float64(len(p.TranslationUnits())) + 0.001*float64(p.TotalStatements())
+func buildTimeSeconds(tus, statements int) float64 {
+	return 1.5 + 0.05*float64(tus) + 0.001*float64(statements)
 }
 
 // LoadProcess creates a process from the build: the executable is mapped,

@@ -47,23 +47,23 @@ func TestCompileInliningAndSymbols(t *testing.T) {
 		t.Fatal(err)
 	}
 	// main: never inlined.
-	if b.Layout["main"].Inlined || !b.HasSymbol("main") {
+	if b.LayoutOf("main").Inlined || !b.HasSymbol("main") {
 		t.Fatal("main must not be inlined")
 	}
 	// tiny: auto-inlined in the exe -> no symbol.
-	if !b.Layout["tiny"].Inlined || b.HasSymbol("tiny") {
-		t.Fatalf("tiny layout = %+v", b.Layout["tiny"])
+	if !b.LayoutOf("tiny").Inlined || b.HasSymbol("tiny") {
+		t.Fatalf("tiny layout = %+v", b.LayoutOf("tiny"))
 	}
 	// marked: inline keyword wins regardless of size -> inlined, no symbol.
-	if !b.Layout["marked"].Inlined || b.HasSymbol("marked") {
+	if !b.LayoutOf("marked").Inlined || b.HasSymbol("marked") {
 		t.Fatal("marked should be inlined away")
 	}
 	// taken: address-taken suppresses inlining.
-	if b.Layout["taken"].Inlined {
+	if b.LayoutOf("taken").Inlined {
 		t.Fatal("address-taken function must not be inlined")
 	}
 	// exported_inline: inlined but the DSO keeps an out-of-line copy.
-	ei := b.Layout["exported_inline"]
+	ei := b.LayoutOf("exported_inline")
 	if !ei.Inlined || !ei.HasSymbol {
 		t.Fatalf("exported_inline layout = %+v", ei)
 	}
@@ -98,7 +98,7 @@ func TestCompileSleds(t *testing.T) {
 	}
 	// Every emitted exe function gets sleds at threshold 1.
 	for _, name := range []string{"main", "looper", "taken"} {
-		lay := b.Layout[name]
+		lay := b.LayoutOf(name)
 		if !lay.HasSleds {
 			t.Fatalf("%s should have sleds", name)
 		}
@@ -134,13 +134,13 @@ func TestCompileThresholdPreFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Layout["taken"].HasSleds {
+	if b.LayoutOf("taken").HasSleds {
 		t.Fatal("small loop-free function should be pre-filtered")
 	}
-	if !b.Layout["looper"].HasSleds {
+	if !b.LayoutOf("looper").HasSleds {
 		t.Fatal("function with a loop must be instrumented regardless of size")
 	}
-	if !b.Layout["main"].HasSleds { // 50*3+8 = 158 >= 100
+	if !b.LayoutOf("main").HasSleds { // 50*3+8 = 158 >= 100
 		t.Fatal("large function should pass the pre-filter")
 	}
 }
@@ -163,11 +163,11 @@ func TestCompileStaticIC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !b.Layout["main"].StaticInstr || !b.Layout["dso_fn"].StaticInstr {
+	if !b.LayoutOf("main").StaticInstr || !b.LayoutOf("dso_fn").StaticInstr {
 		t.Fatal("static instrumentation flags missing")
 	}
 	// tiny is inlined: static instrumentation cannot hook it.
-	if b.Layout["tiny"].StaticInstr {
+	if b.LayoutOf("tiny").StaticInstr {
 		t.Fatal("inlined function must not be statically instrumented")
 	}
 }
@@ -230,10 +230,10 @@ func TestOptLevelInlining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b2.Layout["mid"].Inlined {
+	if b2.LayoutOf("mid").Inlined {
 		t.Fatal("O2 should not inline an 8-statement function")
 	}
-	if !b3.Layout["mid"].Inlined {
+	if !b3.LayoutOf("mid").Inlined {
 		t.Fatal("O3 should inline an 8-statement function")
 	}
 }

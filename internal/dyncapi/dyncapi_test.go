@@ -73,14 +73,15 @@ func (f *fakeCtx) MPIRank() *mpi.Rank { return f.rank }
 
 func packedOf(t *testing.T, b *compiler.Build, xr *xray.Runtime, proc *obj.Process, name string) int32 {
 	t.Helper()
-	lay := b.Layout[name]
+	lay := b.LayoutOf(name)
 	if lay == nil || !lay.HasSleds {
 		t.Fatalf("%s has no sleds", name)
 	}
-	lo := proc.Object(lay.Unit)
+	unit := b.Prog.Func(name).Unit
+	lo := proc.Object(unit)
 	objID, ok := xr.ObjectID(lo)
 	if !ok {
-		t.Fatalf("object %s not registered", lay.Unit)
+		t.Fatalf("object %s not registered", unit)
 	}
 	id, err := xray.PackID(objID, lay.FuncID)
 	if err != nil {
@@ -229,8 +230,8 @@ func TestScorePWithoutInjectionYieldsUnknown(t *testing.T) {
 	resolver := scorep.NewResolverFromExecutable(proc)
 	// Drive the measurement directly (no DynCaPI injection).
 	tc := &fakeCtx{}
-	lay := b.Layout["dso_fn"]
-	lo := proc.Object(lay.Unit)
+	lay := b.LayoutOf("dso_fn")
+	lo := proc.Object(b.Prog.Func("dso_fn").Unit)
 	m.CygEnter(tc, resolver, lo.Base+lay.EntryOffset)
 	m.CygExit(tc, resolver, lo.Base+lay.EntryOffset)
 	if m.Profile().UnknownEvents != 2 {

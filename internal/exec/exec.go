@@ -87,18 +87,17 @@ type cop struct {
 
 // cfunc is a resolved function.
 type cfunc struct {
-	name      string
-	lay       *compiler.FuncLayout
-	lo        *obj.LoadedObject
-	packed    int32
-	hasPacked bool
-	ops       []cop
+	name   string
+	lay    *compiler.FuncLayout
+	lo     *obj.LoadedObject // nil when no patchable sled of it is mapped
+	packed int32
+	ops    []cop
 }
 
 // Engine interprets one compiled program.
 type Engine struct {
 	cfg    Config
-	funcs  map[string]*cfunc
+	funcs  []cfunc // at the program positions of their functions
 	main   *cfunc
 	inits  []*cfunc
 	calls  atomic.Int64
@@ -111,37 +110,39 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("exec: Build, Proc and World are required")
 	}
 	p := cfg.Build.Prog
-	e := &Engine{cfg: cfg, funcs: make(map[string]*cfunc, p.NumFunctions())}
-
-	for _, name := range p.Functions() {
-		lay := cfg.Build.Layout[name]
-		cf := &cfunc{name: name, lay: lay}
-		if lay != nil && lay.HasSleds {
-			lo := cfg.Proc.Object(lay.Unit)
-			if lo != nil && cfg.XRay != nil {
-				if objID, ok := cfg.XRay.ObjectID(lo); ok {
-					packed, err := xray.PackID(objID, lay.FuncID)
-					if err != nil {
-						return nil, fmt.Errorf("exec: %s: %w", name, err)
-					}
-					cf.lo = lo
-					cf.packed = packed
-					cf.hasPacked = true
+	fns := p.Funcs()
+	e := &Engine{cfg: cfg, funcs: make([]cfunc, len(fns))}
+	for i, f := range fns {
+		cf := &e.funcs[i]
+		cf.name, cf.lay = f.Name, &cfg.Build.Layout[i]
+		if !cf.lay.HasSleds || cfg.XRay == nil {
+			continue
+		}
+		if lo := cfg.Proc.Object(f.Unit); lo != nil {
+			if objID, ok := cfg.XRay.ObjectID(lo); ok {
+				packed, err := xray.PackID(objID, cf.lay.FuncID)
+				if err != nil {
+					return nil, fmt.Errorf("exec: %s: %w", f.Name, err)
 				}
+				cf.lo, cf.packed = lo, packed
 			}
 		}
-		e.funcs[name] = cf
 	}
-	// Resolve bodies after all functions exist.
-	for _, name := range p.Functions() {
-		f := p.Func(name)
-		cf := e.funcs[name]
+	// Resolve bodies after all functions exist, into one slab: each
+	// function's ops follow the previous function's.
+	n := 0
+	for _, f := range fns {
+		n += len(f.Ops)
+	}
+	ops := make([]cop, 0, n)
+	for i, f := range fns {
+		start := len(ops)
 		for _, op := range f.Ops {
 			switch op.Kind {
 			case prog.OpWork:
-				cf.ops = append(cf.ops, cop{kind: prog.OpWork, work: op.Work})
+				ops = append(ops, cop{kind: prog.OpWork, work: op.Work})
 			case prog.OpMPI:
-				cf.ops = append(cf.ops, cop{kind: prog.OpMPI, mpiOp: mpi.Op(op.MPI), bytes: op.Bytes})
+				ops = append(ops, cop{kind: prog.OpMPI, mpiOp: mpi.Op(op.Callee), bytes: int(op.Bytes)})
 			case prog.OpCall:
 				target := op.Callee
 				switch {
@@ -156,21 +157,23 @@ func New(cfg Config) (*Engine, error) {
 						target = p.PointerTargets[op.Callee][0]
 					}
 				}
-				tc, ok := e.funcs[target]
-				if !ok {
-					return nil, fmt.Errorf("exec: %s calls unresolved %q", name, target)
+				at := p.Index(target)
+				if at < 0 {
+					return nil, fmt.Errorf("exec: %s calls unresolved %q", f.Name, target)
 				}
-				cf.ops = append(cf.ops, cop{kind: prog.OpCall, callee: tc, count: op.Count})
+				ops = append(ops, cop{kind: prog.OpCall, callee: &e.funcs[at], count: int(op.Count)})
 			}
 		}
+		e.funcs[i].ops = ops[start:len(ops):len(ops)]
 	}
-	e.main = e.funcs[p.Main]
-	if e.main == nil {
+	at := p.Index(p.Main)
+	if at < 0 {
 		return nil, fmt.Errorf("exec: entry point %q not compiled", p.Main)
 	}
+	e.main = &e.funcs[at]
 	for _, u := range p.Units() {
 		for _, name := range p.StaticInits(u.Name) {
-			e.inits = append(e.inits, e.funcs[name])
+			e.inits = append(e.inits, &e.funcs[p.Index(name)])
 		}
 	}
 	return e, nil
@@ -208,12 +211,12 @@ func (e *Engine) TotalEvents() int64 { return e.events.Load() }
 // firing the exit side (mirroring the sled pair).
 func (e *Engine) instrument(t *Task, fn *cfunc, kind xray.EntryType) {
 	clk := t.rank.Clock()
-	if fn.hasPacked {
+	if fn.lo != nil {
 		idx := fn.lay.EntrySled
 		if kind == xray.Exit {
 			idx = fn.lay.ExitSled
 		}
-		if fn.lo.SledPatched(idx) {
+		if fn.lo.SledPatched(int(idx)) {
 			clk.Advance(xray.DispatchCostNs)
 			t.events++
 			e.cfg.XRay.Dispatch(t, fn.packed, kind)
@@ -221,7 +224,7 @@ func (e *Engine) instrument(t *Task, fn *cfunc, kind xray.EntryType) {
 			clk.Advance(sledNopCost)
 		}
 	}
-	if fn.lay != nil && fn.lay.StaticInstr && e.cfg.StaticHook != nil {
+	if fn.lay.StaticInstr && e.cfg.StaticHook != nil {
 		clk.Advance(xray.DispatchCostNs)
 		t.events++
 		e.cfg.StaticHook(t, fn.name, kind)
@@ -238,7 +241,7 @@ func (e *Engine) call(t *Task, fn *cfunc) error {
 	clk := t.rank.Clock()
 	clk.Advance(callCost)
 
-	inlined := fn.lay != nil && fn.lay.Inlined
+	inlined := fn.lay.Inlined
 	if !inlined {
 		e.instrument(t, fn, xray.Entry)
 	}

@@ -167,7 +167,7 @@ func TestPatchedSledsDispatch(t *testing.T) {
 		tc.Clock().Advance(100)
 	})
 	// Patch only kernel.
-	lay := e.cfg.Build.Layout["kernel"]
+	lay := e.cfg.Build.LayoutOf("kernel")
 	packed, _ := xray.PackID(0, lay.FuncID)
 	if _, err := rt.PatchBatch([]int32{packed}, true); err != nil {
 		t.Fatal(err)
@@ -233,9 +233,9 @@ func TestVirtualAndPointerDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Dispatch: A twice (default), B twice (explicit), cb twice (pointer).
-	a := e.cfg.Build.Layout["A::solve"]
-	b := e.cfg.Build.Layout["B::solve"]
-	cb := e.cfg.Build.Layout["cb"]
+	a := e.cfg.Build.LayoutOf("A::solve")
+	b := e.cfg.Build.LayoutOf("B::solve")
+	cb := e.cfg.Build.LayoutOf("cb")
 	pa, _ := xray.PackID(0, a.FuncID)
 	pb, _ := xray.PackID(0, b.FuncID)
 	pc, _ := xray.PackID(0, cb.FuncID)

@@ -76,12 +76,9 @@ func GatherFacts(opts Options) (*Facts, error) {
 	}
 	f.MPIRegions = row.IC.Len()
 	for _, name := range row.IC.Include {
-		lay := build.Layout[name]
-		if lay != nil && lay.HasSymbol && !lay.HasSleds {
-			continue
-		}
-		if lay != nil && lay.HasSymbol {
-			if sym := findSymbol(build, name); sym != nil && sym.Hidden {
+		if lay := build.LayoutOf(name); lay != nil && lay.HasSymbol && lay.HasSleds {
+			// A function's symbol sits in its own unit's image.
+			if sym, _ := build.Image(build.Prog.Func(name).Unit).Symbol(name); sym.Hidden {
 				f.HiddenSelected++
 			}
 		}
@@ -104,16 +101,4 @@ func GatherFacts(opts Options) (*Facts, error) {
 	f.RecompileSeconds = ta.RecompileSeconds
 	f.PatchInitSeconds = ta.PatchInitSeconds
 	return f, nil
-}
-
-// findSymbol locates a function symbol across the build's images.
-func findSymbol(build *capi.Build, name string) *obj.Symbol {
-	for _, im := range build.Images {
-		for i := range im.Symbols {
-			if im.Symbols[i].Name == name && im.Symbols[i].Kind == obj.SymFunc {
-				return &im.Symbols[i]
-			}
-		}
-	}
-	return nil
 }

@@ -25,11 +25,8 @@ func BuildLocalTU(p *prog.Program, tu string) *callgraph.Graph {
 			g.Main = name
 		}
 		for _, op := range f.Ops {
-			switch {
-			case op.Kind == prog.OpCall && !op.ViaPointer:
-				g.AddEdge(name, op.Callee) // virtual: edge to base method
-			case op.Kind == prog.OpMPI:
-				g.AddEdge(name, op.MPI)
+			if op.Kind != prog.OpWork && !op.ViaPointer {
+				g.AddEdge(name, op.Callee) // virtual: edge to base method; MPI: the MPI function
 			}
 		}
 	}
@@ -65,28 +62,27 @@ func serialWholeProgram(p *prog.Program) *callgraph.Graph {
 	for _, tu := range p.TranslationUnits() {
 		merge(g, BuildLocalTU(p, tu))
 	}
-	for _, name := range p.Functions() {
-		f := p.Func(name)
-		n := g.AddNode(name, metaOf(f))
+	for _, f := range p.Funcs() {
+		n := g.AddNode(f.Name, metaOf(f))
 		if n.Meta == (callgraph.Meta{}) {
 			n.Meta = metaOf(f)
 		}
 		n.Display = f.Display()
 	}
-	for _, name := range p.Functions() {
-		for _, op := range p.Func(name).Ops {
+	for _, f := range p.Funcs() {
+		for _, op := range f.Ops {
 			if op.Kind == prog.OpCall && op.Virtual {
 				for _, impl := range p.VirtualImpls[op.Callee] {
-					g.AddEdge(name, impl)
+					g.AddEdge(f.Name, impl)
 				}
 			}
 		}
 	}
-	for _, name := range p.Functions() {
-		for _, op := range p.Func(name).Ops {
+	for _, f := range p.Funcs() {
+		for _, op := range f.Ops {
 			if op.Kind == prog.OpCall && op.ViaPointer && p.StaticPointerSlots[op.Callee] {
 				for _, tgt := range p.PointerTargets[op.Callee] {
-					g.AddEdge(name, tgt)
+					g.AddEdge(f.Name, tgt)
 				}
 			}
 		}

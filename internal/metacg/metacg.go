@@ -21,11 +21,11 @@ import (
 // metaOf translates the program-model metadata into call-graph annotations.
 func metaOf(f *prog.Function) callgraph.Meta {
 	return callgraph.Meta{
-		Statements:   f.Statements,
-		LOC:          f.LOC,
-		Flops:        f.Flops,
-		LoopDepth:    f.LoopDepth,
-		Cyclomatic:   f.Cyclomatic,
+		Statements:   int32(f.Statements),
+		LOC:          int32(f.LOC),
+		Flops:        int32(f.Flops),
+		LoopDepth:    int32(f.LoopDepth),
+		Cyclomatic:   int32(f.Cyclomatic),
 		Inline:       f.Inline,
 		SystemHeader: f.SystemHeader,
 		Virtual:      f.Virtual,
@@ -87,15 +87,11 @@ func BuildWholeProgram(p *prog.Program) *callgraph.Graph {
 			list(function(i))
 			span[i][0] = int32(len(refs))
 			for j := range fns[i].Ops {
-				op, id := &fns[i].Ops[j], int32(0)
-				switch {
-				case op.Kind == prog.OpCall && !op.ViaPointer:
-					id = named(op.Callee) // virtual: the base method
-				case op.Kind == prog.OpMPI:
-					id = named(op.MPI)
-				default:
+				op := &fns[i].Ops[j]
+				if op.Kind == prog.OpWork || op.ViaPointer {
 					continue
 				}
+				id := named(op.Callee) // virtual: the base method; MPI: the MPI function
 				refs = append(refs, id)
 				list(id)
 			}

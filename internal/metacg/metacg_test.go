@@ -104,9 +104,9 @@ func TestBuildWholeProgram(t *testing.T) {
 		t.Fatal("non-static pointer target must not be resolved statically")
 	}
 	// All definitions present as nodes.
-	for _, name := range p.Functions() {
-		if g.Node(name) == nil {
-			t.Fatalf("definition %s missing from whole-program graph", name)
+	for _, f := range p.Funcs() {
+		if g.Node(f.Name) == nil {
+			t.Fatalf("definition %s missing from whole-program graph", f.Name)
 		}
 	}
 }
@@ -156,7 +156,7 @@ func TestBuildWholeProgramPinsOrder(t *testing.T) {
 	sameGraph(t, "pins", g, serialWholeProgram(p))
 	want := []struct {
 		name, display    string
-		statements       int
+		statements       int32
 		callees, callers string
 	}{
 		{"f", "f", 1, "[g h Base::run Impl::run]", "[]"},

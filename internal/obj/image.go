@@ -1,10 +1,12 @@
 // Package obj models linked object files (the executable and its DSOs) and
 // running processes: symbol tables with ELF-style visibility, XRay
-// instrumentation maps (sled tables), a loader that maps the executable and
+// instrumentation maps (sled tables, with each function ID's sleds found
+// through one flat index per image), a loader that maps the executable and
 // its DSOs once, at process start, page-protected text mappings and address
 // resolution. It is the substrate on which internal/xray performs runtime
 // patching and on which DynCaPI performs its nm-based symbol mapping (§V-B,
-// §V-C of the paper).
+// §V-C of the paper). Every instrumented process keeps its images for the
+// whole run, so their indexes are dense slices, not per-ID maps.
 package obj
 
 import (
@@ -75,8 +77,9 @@ type Image struct {
 	NumFuncIDs uint32
 
 	symByName map[string]int
-	funcSleds map[uint32][]int // funcID -> sled indexes
-	sortedSym []int            // function symbols sorted by Value
+	sledAt    []int32 // function ID f's sleds are sledIdx[sledAt[f]:sledAt[f+1]]
+	sledIdx   []int32 // sled indexes grouped by function ID, in sled order
+	sortedSym []int   // function symbols sorted by Value
 }
 
 // Finalize builds the image's lookup indexes and validates internal
@@ -95,7 +98,12 @@ func (im *Image) Finalize() error {
 			return fmt.Errorf("obj %s: symbol %q beyond text end", im.Name, s.Name)
 		}
 	}
-	im.funcSleds = make(map[uint32][]int)
+	// Both sled tables share one allocation. Count each ID's sleds two
+	// slots up and sum; filling through the slot one up then moves it from
+	// the ID's first entry to the next ID's.
+	n := int(im.NumFuncIDs)
+	at := make([]int32, n+2+len(im.Sleds))
+	at, im.sledIdx = at[:n+2], at[n+2:]
 	for i, sl := range im.Sleds {
 		if sl.Offset+SledBytes > im.TextSize {
 			return fmt.Errorf("obj %s: sled %d beyond text end", im.Name, i)
@@ -103,8 +111,16 @@ func (im *Image) Finalize() error {
 		if sl.FuncID >= im.NumFuncIDs {
 			return fmt.Errorf("obj %s: sled %d references function ID %d >= %d", im.Name, i, sl.FuncID, im.NumFuncIDs)
 		}
-		im.funcSleds[sl.FuncID] = append(im.funcSleds[sl.FuncID], i)
+		at[sl.FuncID+2]++
 	}
+	for k := 2; k < len(at); k++ {
+		at[k] += at[k-1]
+	}
+	for i, sl := range im.Sleds {
+		im.sledIdx[at[sl.FuncID+1]] = int32(i)
+		at[sl.FuncID+1]++
+	}
+	im.sledAt = at[:n+1]
 	im.sortedSym = im.sortedSym[:0]
 	for i, s := range im.Symbols {
 		if s.Kind == SymFunc {
@@ -126,12 +142,19 @@ func (im *Image) Symbol(name string) (Symbol, bool) {
 	return im.Symbols[i], true
 }
 
-// FuncSleds returns the sled indexes belonging to the given function ID.
-func (im *Image) FuncSleds(funcID uint32) []int { return im.funcSleds[funcID] }
+// FuncSleds returns the sled indexes belonging to the given function ID, in
+// sled order; none for an ID the image does not use. Callers must not modify
+// the slice.
+func (im *Image) FuncSleds(funcID uint32) []int32 {
+	if funcID >= im.NumFuncIDs {
+		return nil
+	}
+	return im.sledIdx[im.sledAt[funcID]:im.sledAt[funcID+1]]
+}
 
 // FuncEntryOffset returns the entry-sled offset of the given function ID.
 func (im *Image) FuncEntryOffset(funcID uint32) (uint64, bool) {
-	for _, si := range im.funcSleds[funcID] {
+	for _, si := range im.FuncSleds(funcID) {
 		if im.Sleds[si].Kind == SledEntry {
 			return im.Sleds[si].Offset, true
 		}

@@ -64,7 +64,7 @@ const (
 )
 
 // OpKind discriminates the operations a function body may perform.
-type OpKind int
+type OpKind uint8
 
 const (
 	// OpWork advances the executing rank's virtual clock.
@@ -76,18 +76,14 @@ const (
 	OpMPI
 )
 
-// Op is one operation in a function body.
+// Op is one operation in a function body. Every function of a program keeps
+// its ops for the life of a session, so the fields are ordered for packing
+// (56 bytes an op).
 type Op struct {
-	Kind OpKind
-
-	// OpWork
-	Work int64 // virtual nanoseconds of self time
-
-	// OpCall
-	Callee     string // direct callee, virtual base method, or pointer slot
-	Count      int    // number of consecutive invocations (>= 1)
-	Virtual    bool   // virtual dispatch through base method Callee
-	ViaPointer bool   // indirect call through pointer slot Callee
+	// Callee is the function the op reaches: for OpCall the direct callee,
+	// the virtual base method or the pointer slot; for OpMPI the MPI
+	// function, e.g. "MPI_Allreduce", which also names the operation.
+	Callee string
 	// RuntimeTarget is the implementation an indirect callsite actually
 	// invokes at run time (the dynamic type / stored pointer). When empty
 	// the first registered implementation is used. The static call graph
@@ -96,9 +92,13 @@ type Op struct {
 	// graph coexist with a small dynamic footprint.
 	RuntimeTarget string
 
-	// OpMPI
-	MPI   string // MPI operation name, e.g. "MPI_Allreduce"
-	Bytes int    // payload size for the cost model
+	Work  int64 // OpWork: virtual nanoseconds of self time
+	Count int32 // OpCall: number of consecutive invocations (>= 1)
+	Bytes int32 // OpMPI: payload size for the cost model
+
+	Kind       OpKind
+	Virtual    bool // OpCall: virtual dispatch through base method Callee
+	ViaPointer bool // OpCall: indirect call through pointer slot Callee
 }
 
 // Work returns an operation advancing the clock by ns virtual nanoseconds.
@@ -106,7 +106,7 @@ func Work(ns int64) Op { return Op{Kind: OpWork, Work: ns} }
 
 // Call returns an operation invoking callee count times.
 func Call(callee string, count int) Op {
-	return Op{Kind: OpCall, Callee: callee, Count: count}
+	return Op{Kind: OpCall, Callee: callee, Count: int32(count)}
 }
 
 // StaticCall returns a call edge that is present in the source (and hence in
@@ -120,28 +120,29 @@ func StaticCall(callee string) Op {
 // VCall returns a virtual call through the base method named base; at run
 // time the first implementation registered for base is invoked.
 func VCall(base string, count int) Op {
-	return Op{Kind: OpCall, Callee: base, Count: count, Virtual: true}
+	return Op{Kind: OpCall, Callee: base, Count: int32(count), Virtual: true}
 }
 
 // VCallTo is VCall with an explicit runtime target (the dynamic type).
 func VCallTo(base, target string, count int) Op {
-	return Op{Kind: OpCall, Callee: base, Count: count, Virtual: true, RuntimeTarget: target}
+	return Op{Kind: OpCall, Callee: base, Count: int32(count), Virtual: true, RuntimeTarget: target}
 }
 
 // PtrCall returns an indirect call through the named pointer slot; at run
 // time the first registered target is invoked.
 func PtrCall(slot string, count int) Op {
-	return Op{Kind: OpCall, Callee: slot, Count: count, ViaPointer: true}
+	return Op{Kind: OpCall, Callee: slot, Count: int32(count), ViaPointer: true}
 }
 
 // PtrCallTo is PtrCall with an explicit runtime target.
 func PtrCallTo(slot, target string, count int) Op {
-	return Op{Kind: OpCall, Callee: slot, Count: count, ViaPointer: true, RuntimeTarget: target}
+	return Op{Kind: OpCall, Callee: slot, Count: int32(count), ViaPointer: true, RuntimeTarget: target}
 }
 
-// MPICall returns an MPI operation with the given payload size.
+// MPICall returns an MPI operation with the given payload size; the MPI
+// function op is its Callee.
 func MPICall(op string, bytes int) Op {
-	return Op{Kind: OpMPI, MPI: op, Bytes: bytes}
+	return Op{Kind: OpMPI, Callee: op, Bytes: int32(bytes)}
 }
 
 // Function is one function definition in the synthetic program.
@@ -183,23 +184,11 @@ func (f *Function) Display() string {
 	return f.Name
 }
 
-// DirectCallees returns the callee names of all non-virtual, non-pointer
-// call operations, in body order, without deduplication.
-func (f *Function) DirectCallees() []string {
-	var out []string
-	for _, op := range f.Ops {
-		if op.Kind == OpCall && !op.Virtual && !op.ViaPointer {
-			out = append(out, op.Callee)
-		}
-	}
-	return out
-}
-
 // Unit is a link unit (executable, DSO, or system library).
 type Unit struct {
 	Name  string
 	Kind  UnitKind
-	Funcs []string // function names in emission order
+	Funcs []int32 // positions in Program.Funcs, in emission order
 }
 
 // Program is a complete synthetic application.
@@ -210,9 +199,8 @@ type Program struct {
 	units     []*Unit
 	unitIndex map[string]*Unit
 
-	funcs map[string]int32 // name → index into order and fns
-	order []string         // insertion order, the canonical iteration order
-	fns   []*Function      // the same order, for passes that need no name lookup
+	funcs map[string]int32 // name → index into fns
+	fns   []*Function      // insertion order, the canonical iteration order
 
 	// VirtualImpls maps a virtual base method name to all overriding
 	// implementations (the base itself included when it has a body).
@@ -246,7 +234,6 @@ func (p *Program) Reserve(n int) {
 	funcs := make(map[string]int32, n)
 	maps.Copy(funcs, p.funcs)
 	p.funcs = funcs
-	p.order = slices.Grow(p.order, max(0, n-len(p.order)))
 	p.fns = slices.Grow(p.fns, max(0, n-len(p.fns)))
 }
 
@@ -283,10 +270,10 @@ func (p *Program) AddFunc(f *Function) error {
 	if !ok {
 		return fmt.Errorf("prog: function %q references unknown unit %q", f.Name, f.Unit)
 	}
-	p.funcs[f.Name] = int32(len(p.fns))
-	p.order = append(p.order, f.Name)
+	at := int32(len(p.fns))
+	p.funcs[f.Name] = at
 	p.fns = append(p.fns, f)
-	u.Funcs = append(u.Funcs, f.Name)
+	u.Funcs = append(u.Funcs, at)
 	return nil
 }
 
@@ -307,8 +294,8 @@ func (p *Program) Func(name string) *Function {
 	return nil
 }
 
-// Index returns the position of the named function in Funcs and Functions,
-// or -1 if the program defines no such function.
+// Index returns the position of the named function in Funcs, or -1 if the
+// program defines no such function.
 func (p *Program) Index(name string) int {
 	if i, ok := p.funcs[name]; ok {
 		return int(i)
@@ -316,16 +303,12 @@ func (p *Program) Index(name string) int {
 	return -1
 }
 
-// Functions returns all functions in insertion order. The returned slice is
-// shared; callers must not modify it.
-func (p *Program) Functions() []string { return p.order }
-
 // Funcs returns all function definitions in insertion order. The returned
 // slice is shared; callers must not modify it.
 func (p *Program) Funcs() []*Function { return p.fns }
 
 // NumFunctions returns the number of function definitions.
-func (p *Program) NumFunctions() int { return len(p.order) }
+func (p *Program) NumFunctions() int { return len(p.fns) }
 
 // Units returns the link units in registration order.
 func (p *Program) Units() []*Unit { return p.units }
@@ -356,9 +339,9 @@ func (p *Program) StaticInits(unit string) []string {
 		return nil
 	}
 	var out []string
-	for _, fn := range u.Funcs {
-		if p.Func(fn).StaticInit {
-			out = append(out, fn)
+	for _, i := range u.Funcs {
+		if f := p.fns[i]; f.StaticInit {
+			out = append(out, f.Name)
 		}
 	}
 	return out
@@ -383,27 +366,17 @@ func (p *Program) Validate() error {
 					return fmt.Errorf("prog %q: %s op %d: negative call count %d", p.Name, name, i, op.Count)
 				}
 				switch {
-				case op.Virtual:
-					impls := p.VirtualImpls[op.Callee]
+				case op.Virtual || op.ViaPointer:
+					via, what, impls := "virtual", "implementation", p.VirtualImpls[op.Callee]
+					if op.ViaPointer {
+						via, what, impls = "pointer slot", "target", p.PointerTargets[op.Callee]
+					}
 					if len(impls) == 0 {
-						return fmt.Errorf("prog %q: %s calls virtual %q with no implementations", p.Name, name, op.Callee)
+						return fmt.Errorf("prog %q: %s calls %s %q with no %ss", p.Name, name, via, op.Callee, what)
 					}
 					for _, impl := range impls {
 						if p.Func(impl) == nil {
-							return fmt.Errorf("prog %q: virtual %q implementation %q not defined", p.Name, op.Callee, impl)
-						}
-					}
-					if op.RuntimeTarget != "" && p.Func(op.RuntimeTarget) == nil {
-						return fmt.Errorf("prog %q: %s: runtime target %q not defined", p.Name, name, op.RuntimeTarget)
-					}
-				case op.ViaPointer:
-					targets := p.PointerTargets[op.Callee]
-					if len(targets) == 0 {
-						return fmt.Errorf("prog %q: %s calls pointer slot %q with no targets", p.Name, name, op.Callee)
-					}
-					for _, tgt := range targets {
-						if p.Func(tgt) == nil {
-							return fmt.Errorf("prog %q: pointer slot %q target %q not defined", p.Name, op.Callee, tgt)
+							return fmt.Errorf("prog %q: %s %q %s %q not defined", p.Name, via, op.Callee, what, impl)
 						}
 					}
 					if op.RuntimeTarget != "" && p.Func(op.RuntimeTarget) == nil {
@@ -415,8 +388,8 @@ func (p *Program) Validate() error {
 					}
 				}
 			case OpMPI:
-				if p.Func(op.MPI) == nil {
-					return fmt.Errorf("prog %q: %s performs MPI op %q with no declared MPI function", p.Name, name, op.MPI)
+				if p.Func(op.Callee) == nil {
+					return fmt.Errorf("prog %q: %s performs MPI op %q with no declared MPI function", p.Name, name, op.Callee)
 				}
 			case OpWork:
 				if op.Work < 0 {

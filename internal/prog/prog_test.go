@@ -175,16 +175,6 @@ func TestDisplayFallback(t *testing.T) {
 	}
 }
 
-func TestDirectCallees(t *testing.T) {
-	f := &Function{Ops: []Op{
-		Call("a", 1), VCall("v", 1), PtrCall("p", 1), Call("b", 3), Work(5),
-	}}
-	got := f.DirectCallees()
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("DirectCallees = %v", got)
-	}
-}
-
 func TestTranslationUnits(t *testing.T) {
 	p := buildValid(t)
 	tus := p.TranslationUnits()
@@ -249,7 +239,7 @@ func TestOpConstructors(t *testing.T) {
 	if op := PtrCall("s", 2); !op.ViaPointer || op.Virtual {
 		t.Fatalf("PtrCall: %+v", op)
 	}
-	if op := MPICall("MPI_Send", 64); op.Kind != OpMPI || op.MPI != "MPI_Send" || op.Bytes != 64 {
+	if op := MPICall("MPI_Send", 64); op.Kind != OpMPI || op.Callee != "MPI_Send" || op.Bytes != 64 {
 		t.Fatalf("MPICall: %+v", op)
 	}
 }

@@ -34,10 +34,10 @@ func TestQuickstartDeterministic(t *testing.T) {
 	if a.NumFunctions() != b.NumFunctions() {
 		t.Fatal("quickstart generator not deterministic")
 	}
-	fa, fb := a.Functions(), b.Functions()
+	fa, fb := a.Funcs(), b.Funcs()
 	for i := range fa {
-		if fa[i] != fb[i] {
-			t.Fatalf("function order differs at %d: %s vs %s", i, fa[i], fb[i])
+		if fa[i].Name != fb[i].Name {
+			t.Fatalf("function order differs at %d: %s vs %s", i, fa[i].Name, fb[i].Name)
 		}
 	}
 }
@@ -99,14 +99,14 @@ func TestLuleshCompilesAtO3(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Small leaf kernels are auto-inlined at -O3.
-	if !b.Layout["CalcPressureForElems"].Inlined {
+	if !b.LayoutOf("CalcPressureForElems").Inlined {
 		t.Fatal("CalcPressureForElems should be inlined at -O3")
 	}
 	if b.HasSymbol("CalcPressureForElems") {
 		t.Fatal("inlined exe function should lose its symbol")
 	}
 	// Large mids keep sleds.
-	if !b.Layout["IntegrateStressForElems"].HasSleds {
+	if !b.LayoutOf("IntegrateStressForElems").HasSleds {
 		t.Fatal("IntegrateStressForElems should carry sleds")
 	}
 }

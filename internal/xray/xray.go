@@ -350,7 +350,9 @@ func (rt *Runtime) PatchBatch(ids []int32, patch bool) (Stats, error) {
 		sleds = sleds[:0]
 		for _, id := range run.ids {
 			_, fn := UnpackID(id)
-			sleds = append(sleds, st.lo.Image.FuncSleds(fn)...)
+			for _, si := range st.lo.Image.FuncSleds(fn) {
+				sleds = append(sleds, int(si))
+			}
 		}
 		slices.SortFunc(sleds, func(a, b int) int { return cmp.Compare(st.lo.SledAddr(a), st.lo.SledAddr(b)) })
 		// Split into runs of contiguous pages: a gap of one or more whole
@@ -410,7 +412,7 @@ func (rt *Runtime) Patched(id int32) bool {
 	}
 	for _, si := range st.lo.Image.FuncSleds(fn) {
 		if st.lo.Image.Sleds[si].Kind == obj.SledEntry {
-			return st.lo.SledPatched(si)
+			return st.lo.SledPatched(int(si))
 		}
 	}
 	return false

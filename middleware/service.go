@@ -136,7 +136,7 @@ func compileRoute(inst *capi.Instance, p *capi.Program, ep capi.WebEndpoint) (*r
 				if op.Virtual || op.ViaPointer {
 					continue // webservice handler trees are direct-call only
 				}
-				for k := 0; k < op.Count; k++ {
+				for range op.Count {
 					if err := visit(op.Callee); err != nil {
 						return err
 					}

@@ -3,11 +3,16 @@ package capi_test
 import (
 	"fmt"
 	"hash/fnv"
+	"io"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	capi "capi"
+	"capi/internal/callgraph"
+	"capi/internal/compiler"
 	"capi/internal/experiments"
 	"capi/internal/prog"
 )
@@ -41,19 +46,34 @@ func graphFNV(g *capi.Graph) uint64 {
 	return h.Sum64()
 }
 
+// writeFunc renders a function field by field, its body op by op. The
+// field list is explicit so that a field that moves or goes without any
+// produced value changing leaves the hash alone; an MPI op's function is
+// rendered where a call's callee is.
+func writeFunc(w io.Writer, f *prog.Function) {
+	fmt.Fprintf(w, "%s|%s|%s|%s|%d|%d|%d|%d|%d|%t|%t|%t|%t|%t|%t|%d\n",
+		f.Name, f.DisplayName, f.TU, f.Unit, f.Statements, f.LOC, f.Flops, f.LoopDepth, f.Cyclomatic,
+		f.Inline, f.SystemHeader, f.Virtual, f.AddressTaken, f.StaticInit, f.VagueLinkage, f.Visibility)
+	for _, op := range f.Ops {
+		fmt.Fprintf(w, "  %d|%d|%s|%d|%t|%t|%s|%d\n",
+			op.Kind, op.Work, op.Callee, op.Count, op.Virtual, op.ViaPointer, op.RuntimeTarget, op.Bytes)
+	}
+}
+
 // progFNV folds the generated program — every function with its body, in
 // insertion order — into one hash.
 func progFNV(p *capi.Program) uint64 {
 	h := fnv.New64a()
-	for _, name := range p.Functions() {
-		fmt.Fprintf(h, "%+v\n", *p.Func(name))
+	for _, f := range p.Funcs() {
+		writeFunc(h, f)
 	}
 	fmt.Fprintf(h, "%v|%v|%v\n", p.VirtualImpls, p.PointerTargets, p.StaticPointerSlots)
 	return h.Sum64()
 }
 
 // buildFNV folds the compiled build — every image's symbols and sleds, and
-// the layout of every function in program order — into one hash.
+// the layout of every function in program order — into one hash. A layout
+// is rendered field by field, after the function's name and unit.
 func buildFNV(s *capi.Session) uint64 {
 	h := fnv.New64a()
 	b := s.Build()
@@ -61,18 +81,23 @@ func buildFNV(s *capi.Session) uint64 {
 	for _, im := range b.Images {
 		fmt.Fprintf(h, "%s|%v|%v|%d|%d|%+v|%+v\n", im.Name, im.Exe, im.Patchable, im.TextSize, im.NumFuncIDs, im.Symbols, im.Sleds)
 	}
-	for _, name := range s.Program().Functions() {
-		fmt.Fprintf(h, "%+v\n", *b.Layout[name])
+	for i, f := range s.Program().Funcs() {
+		l := &b.Layout[i]
+		fmt.Fprintf(h, "%s|%s|%t|%t|%d|%d|%t|%d|%d|%d|%t\n", f.Name, f.Unit,
+			l.Inlined, l.HasSymbol, l.EntryOffset, l.Size, l.HasSleds, l.FuncID, l.EntrySled, l.ExitSled, l.StaticInstr)
 	}
 	return h.Sum64()
 }
 
-// TestSessionBuildGolden pins what a session build produces to the serial
-// build of PR 21's parent commit, where these numbers were taken: the
-// generated program, the whole-program graph and the compiled build as one
-// hash each, and the builtin mpi and kernels selections as a count plus a
-// hash of the sorted IC names. A change that reorders node IDs or callees,
-// or lets scheduling into the graph, moves a hash.
+// TestSessionBuildGolden pins what a session build produces: the generated
+// program, the whole-program graph and the compiled build as one hash each,
+// and the builtin mpi and kernels selections as a count plus a hash of the
+// sorted IC names. The graph and selection values were taken from the serial
+// build before the call graph went parallel; the program and build hashes
+// were recorded with the field-by-field rendering above before Op,
+// FuncLayout and Program were packed, so they hold that packing changed no
+// produced value. A change that reorders node IDs or callees, or lets
+// scheduling into the graph, moves a hash.
 func TestSessionBuildGolden(t *testing.T) {
 	type sel struct {
 		n   int
@@ -83,13 +108,13 @@ func TestSessionBuildGolden(t *testing.T) {
 		nodes, edges       int
 		sels               map[string]sel
 	}{
-		"quickstart": {0xd31364834152085f, 0xac56ace37316c233, 0x9aeebbb1380af171, 63, 21,
+		"quickstart": {0xa45d1216117e2be3, 0xac56ace37316c233, 0xa01610458436f85, 63, 21,
 			map[string]sel{"mpi": {3, 0x2bc8a15824173429}, "kernels": {4, 0x8b60a8c6e329dba}}},
-		"lulesh": {0x181fcb50410234e4, 0xfd4e68865dbcbaa2, 0xbc9bbf2e21e1b024, 3360, 1599,
+		"lulesh": {0x198b5940827f9d5a, 0xfd4e68865dbcbaa2, 0xd16edd56310d23f2, 3360, 1599,
 			map[string]sel{"mpi": {12, 0x2e0c21f8ce55b8ea}, "kernels": {15, 0x45462589db7066b7}}},
-		"openfoam": {0xbe95b48f8885912d, 0xd1c8f13fa5f01476, 0x5f8c723fd82601e8, 20520, 29919,
+		"openfoam": {0xcd085a7eb8edd66f, 0xd1c8f13fa5f01476, 0xad0ed84d72fa550e, 20520, 29919,
 			map[string]sel{"mpi": {675, 0x5049c63165e96cb4}, "kernels": {335, 0xf9b1cf3c89d3c8a5}}},
-		"webservice": {0x28720e16377c664, 0xf4c3f02b6bf9226a, 0x4565603ff1025e40, 76, 67,
+		"webservice": {0xbf0b896e16dd074, 0xf4c3f02b6bf9226a, 0x624fc23014db1e0, 76, 67,
 			map[string]sel{"mpi": {2, 0x7782d500f2e264c3}, "kernels": {3, 0xa5a911f5d3131731}}},
 	}
 	for _, a := range buildApps {
@@ -131,13 +156,14 @@ func TestSessionBuildGolden(t *testing.T) {
 
 // TestSessionBuildBudget keeps the per-node and per-edge allocations of
 // the old per-TU build from coming back. Allocations of one openfoam@0.05
-// build stay under a ceiling 15 % above the 75,041 it makes with the
-// one-pass call graph (173,840 with per-TU graphs and a merge, 264,408
-// before that), and FunctionsInTU over all translation units hands out
-// every function exactly once, in insertion order — what the per-TU
-// reference the call graph is tested against (internal/metacg) relies on.
+// build stay under a ceiling 15 % above the 64,294 it makes with
+// position-indexed layouts and one sled table per image (75,041 with a
+// layout map, 173,840 with per-TU graphs and a merge, 264,408 before that),
+// and FunctionsInTU over all translation units hands out every function
+// exactly once, in insertion order — what the per-TU reference the call
+// graph is tested against (internal/metacg) relies on.
 func TestSessionBuildBudget(t *testing.T) {
-	const ceiling = 86_298
+	const ceiling = 73_938
 	if !raceEnabled { // the detector allocates on its own account
 		allocs := testing.AllocsPerRun(3, func() {
 			if _, err := capi.NewAppSession("openfoam", 0.05); err != nil {
@@ -150,8 +176,8 @@ func TestSessionBuildBudget(t *testing.T) {
 	}
 	p := capi.OpenFOAM(capi.OpenFOAMOptions{Scale: 0.05})
 	position := make(map[string]int, p.NumFunctions())
-	for i, name := range p.Functions() {
-		position[name] = i
+	for i, f := range p.Funcs() {
+		position[f.Name] = i
 	}
 	seen := 0
 	for _, tu := range p.TranslationUnits() {
@@ -167,6 +193,51 @@ func TestSessionBuildBudget(t *testing.T) {
 	}
 	if seen != p.NumFunctions() {
 		t.Errorf("FunctionsInTU over all TUs returned %d functions, program has %d", seen, p.NumFunctions())
+	}
+}
+
+// TestRecordSizes holds the records a session keeps one of per function
+// (or per op) to their packed sizes: at openfoam@0.1 every byte here is paid
+// 41,042 times (103,768 for an op) by every instrumented process.
+func TestRecordSizes(t *testing.T) {
+	for _, r := range []struct {
+		name      string
+		size, max uintptr
+	}{
+		{"prog.Op", unsafe.Sizeof(prog.Op{}), 56},
+		{"compiler.FuncLayout", unsafe.Sizeof(compiler.FuncLayout{}), 32},
+		{"callgraph.Node", unsafe.Sizeof(callgraph.Node{}), 144},
+	} {
+		if r.size > r.max {
+			t.Errorf("%s is %d bytes, at most %d", r.name, r.size, r.max)
+		}
+	}
+}
+
+// TestSessionFootprint bounds the heap one openfoam@0.05 session keeps live:
+// what is freed when it is released. It retained 18.38 MB with a name-keyed
+// layout map, 88-byte ops and per-function sled lists, and 13.49 MB since;
+// the ceiling is 10 % above that.
+func TestSessionFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const ceilingMB = 14.84
+	var held, released runtime.MemStats
+	s, err := capi.NewAppSession("openfoam", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&held)
+	runtime.KeepAlive(s)
+	s = nil
+	runtime.GC()
+	runtime.ReadMemStats(&released)
+	mb := (float64(held.HeapAlloc) - float64(released.HeapAlloc)) / (1 << 20)
+	t.Logf("one openfoam@0.05 session retains %.2f MB (ceiling %.2f)", mb, ceilingMB)
+	if mb > ceilingMB {
+		t.Errorf("one openfoam@0.05 session retains %.2f MB, ceiling %.2f", mb, ceilingMB)
 	}
 }
 
