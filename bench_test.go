@@ -317,9 +317,13 @@ func BenchmarkPatching(b *testing.B) {
 	}
 	xr.SetHandler(func(tc xray.ThreadCtx, id int32, kind xray.EntryType) {})
 	var ids []int32
-	for object, lo := range xr.Objects() {
+	for object := range xray.MaxDSOs + 1 {
+		lo, ok := xr.Object(uint8(object))
+		if !ok {
+			continue
+		}
 		for fn := uint32(0); fn < lo.Image.NumFuncIDs; fn++ {
-			id, err := xray.PackID(object, fn)
+			id, err := xray.PackID(uint8(object), fn)
 			if err != nil {
 				b.Fatal(err)
 			}

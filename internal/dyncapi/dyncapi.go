@@ -5,7 +5,9 @@
 //     registered object — by collecting symbol addresses (nm) and
 //     translating them via the process memory map, cross-checked against
 //     __xray_function_address; hidden symbols of DSOs cannot be resolved
-//     this way (the paper's 1,444 OpenFOAM cases, §VI-B(a));
+//     this way (the paper's 1,444 OpenFOAM cases, §VI-B(a)). Each ID's
+//     symbol is read from its image's own index (obj.Image.FuncSymbol);
+//     the nm and dynamic-table scans are charged as the real tool makes them;
 //  2. patches the sleds of the functions selected by the instrumentation
 //     configuration (or everything, for the "xray full" variant);
 //  3. bridges XRay events to a measurement backend: the discarding
@@ -176,7 +178,7 @@ type Report struct {
 	UnresolvedSelected int // of those, how many the IC asked for (0 in the paper)
 	Patched            int
 	PatchedByID        int // patched via static IDs despite unresolved name (§VI-B(a) extension)
-	SymbolsScanned     int
+	SymbolsScanned     int // function symbols the modelled nm scan reads (a DSO: dynamic ones only), counted in place
 	SymbolsInjected    int
 	InitVirtualNs      int64 // T_init
 }
@@ -232,11 +234,6 @@ type Runtime struct {
 
 	report Report
 
-	// dsoSyms records the DSO function symbols scanned at initialization;
-	// attach injects them into every arriving SymbolInjector, at New and on
-	// SwapBackend alike.
-	dsoSyms []dsoSym
-
 	// mu serializes configuration changes (Reconfigure, SwapBackend) and
 	// guards cfg and the reconfiguration counters.
 	mu         sync.Mutex
@@ -278,15 +275,10 @@ type Runtime struct {
 
 	// byName indexes the resolved functions by symbol name, each entry
 	// sorted by packed ID (one name may resolve in several objects). Built
-	// with the tables and as immutable: a selection is looked up from its
-	// ~10^3 names, not by probing it once for each of the ~10^4 functions.
+	// once, presized, with the tables and as immutable: a selection is
+	// looked up from its ~10^3 names, not by probing it once for each of the
+	// ~10^4 functions.
 	byName map[string][]*ResolvedFunc
-}
-
-// dsoSym is one scanned DSO function symbol, kept for late injection.
-type dsoSym struct {
-	addr uint64
-	name string
 }
 
 // New initializes DynCaPI: it resolves function IDs, patches according to
@@ -308,7 +300,6 @@ func New(proc *obj.Process, xr *xray.Runtime, cfg *ic.Config, backend Backend, o
 		xr:             xr,
 		cfg:            cfg,
 		opts:           opts,
-		byName:         map[string][]*ResolvedFunc{},
 		synthByBackend: map[string]int64{},
 		accounts:       make([]sampleAccount, opts.Ranks),
 	}
@@ -404,14 +395,30 @@ func (rt *Runtime) attach(arriving []leaf) (cost int64, injected int) {
 			})
 		}
 		if l.si != nil {
-			for _, s := range rt.dsoSyms {
-				l.si.InjectSymbol(s.addr, s.name)
-			}
-			injected += len(rt.dsoSyms)
+			injected += rt.injectDSOSymbols(l.si)
 		}
 		cost += l.b.InitCost(rt.report.SymbolsScanned)
 	}
 	return cost, injected
+}
+
+// injectDSOSymbols injects every registered DSO's dynamic function symbols
+// at their loaded addresses into si and returns their number.
+func (rt *Runtime) injectDSOSymbols(si SymbolInjector) int {
+	n := 0
+	for _, objID := range rt.objOrder {
+		lo, _ := rt.xr.Object(objID)
+		if lo.Image.Exe {
+			continue
+		}
+		for _, s := range lo.Image.Symbols {
+			if s.Kind == obj.SymFunc && !s.Hidden {
+				si.InjectSymbol(lo.Base+s.Value, s.Name)
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // closeDangling has every Deselector among leaves close the dangling enters
@@ -439,84 +446,83 @@ func (rt *Runtime) closeDangling(leaves []leaf, fns []*ResolvedFunc) (total int,
 	return total, byBackend
 }
 
-// resolve lays out the per-object slot tables and fills in the function-ID
-// → name mapping. The executable is resolved from its full symbol table;
-// DSOs only expose their dynamic symbols, so hidden functions stay
-// unresolved (§VI-B(a)). Objects are visited in packed-ID order, which is
-// what keeps every byName entry sorted.
+// resolve lays out the per-object slot tables and names each function ID
+// from its image's index (obj.Image.FuncSymbol). The executable is resolved
+// from its full symbol table; DSOs only expose their dynamic symbols, so
+// hidden functions stay unresolved (§VI-B(a)). The scans the real tool makes
+// are charged per symbol and per ID, with no copy made. Objects are visited
+// in packed-ID order, which is what keeps every byName entry sorted.
 func (rt *Runtime) resolve() error {
-	objects := rt.xr.Objects()
-	for objID := range objects {
-		rt.objOrder = append(rt.objOrder, objID)
+	// Objects 128 and up fill the sign bit of a packed ID and so sort first.
+	total := 0
+	for i := range xray.MaxDSOs + 1 {
+		objID := uint8(i + 128)
+		if lo, ok := rt.xr.Object(objID); ok {
+			rt.objOrder = append(rt.objOrder, objID)
+			total += int(lo.Image.NumFuncIDs)
+		}
 	}
-	slices.SortFunc(rt.objOrder, func(a, b uint8) int { return cmp.Compare(int8(a), int8(b)) })
-	if len(objects) > 0 {
+	if len(rt.objOrder) > 0 {
 		rt.tables = make([][]ResolvedFunc, int(slices.Max(rt.objOrder))+1)
 		rt.bases = make([]int, len(rt.tables))
 	}
+	// Every name first indexes a one-element window of one shared array; a
+	// name defined in several objects appends past its window's capacity.
+	rt.byName = make(map[string][]*ResolvedFunc, total)
+	named := make([]*ResolvedFunc, total)
 	base := 0
 	for _, objID := range rt.objOrder {
-		lo := objects[objID]
+		lo, _ := rt.xr.Object(objID)
+		im := lo.Image
 		rt.report.Objects++
-		var syms []obj.Symbol
-		if lo.Image.Exe {
-			syms = lo.Image.NM()
-		} else {
-			syms = lo.Image.DynSyms()
-		}
-		byOffset := make(map[uint64]string, len(syms))
-		for _, s := range syms {
-			if s.Kind != obj.SymFunc {
-				continue
-			}
-			byOffset[s.Value] = s.Name
-			rt.report.SymbolsScanned++
-			if !lo.Image.Exe {
-				rt.dsoSyms = append(rt.dsoSyms, dsoSym{addr: lo.Base + s.Value, name: s.Name})
-			}
-		}
-		// Ground truth (full symbol table) — used only to *verify* that no
-		// selected function is among the unresolvable ones, the check the
-		// paper performs in §VI-B(a). DynCaPI itself cannot use it.
-		truth := make(map[uint64]string)
-		//capi:unguarded-ok resolve runs inside New, before the runtime is published to any other goroutine
-		if rt.cfg != nil && !lo.Image.Exe {
-			for _, s := range lo.Image.NM() {
+		scanned := 0
+		for _, s := range im.Symbols {
+			if im.Exe || !s.Hidden {
+				scanned++
 				if s.Kind == obj.SymFunc {
-					truth[s.Value] = s.Name
+					rt.report.SymbolsScanned++
 				}
 			}
 		}
-		rt.report.InitVirtualNs += int64(len(syms)) * perSymbolNM
+		rt.report.InitVirtualNs += int64(scanned) * perSymbolNM
 
-		table := make([]ResolvedFunc, lo.Image.NumFuncIDs)
+		table := make([]ResolvedFunc, im.NumFuncIDs)
 		rt.tables[objID] = table
 		rt.bases[objID] = base
-		base += len(table)
 		for fn := range table {
 			packed, err := xray.PackID(objID, uint32(fn))
 			if err != nil {
-				return fmt.Errorf("dyncapi: object %q: %w", lo.Image.Name, err)
+				return fmt.Errorf("dyncapi: object %q: %w", im.Name, err)
 			}
 			addr, err := rt.xr.FunctionAddress(packed)
 			if err != nil {
-				return fmt.Errorf("dyncapi: resolving %q fn %d: %w", lo.Image.Name, fn, err)
+				return fmt.Errorf("dyncapi: resolving %q fn %d: %w", im.Name, fn, err)
 			}
 			rf := &table[fn]
 			rf.PackedID, rf.Addr = packed, addr
-			if name, ok := byOffset[addr-lo.Base]; ok {
-				rf.Name = name
-				rt.byName[name] = append(rt.byName[name], rf)
-				rt.report.FunctionsResolved++
-			} else {
-				rt.report.Unresolved++
-				//capi:unguarded-ok resolve runs inside New, before the runtime is published to any other goroutine
-				if trueName, ok := truth[addr-lo.Base]; ok && rt.cfg != nil && rt.cfg.Contains(trueName) {
-					rt.report.UnresolvedSelected++
-				}
-			}
 			rt.report.InitVirtualNs += perSledResolve
+			sym, ok := im.FuncSymbol(uint32(fn))
+			if ok && (im.Exe || !sym.Hidden) {
+				rf.Name = sym.Name
+				if fns, dup := rt.byName[sym.Name]; dup {
+					rt.byName[sym.Name] = append(fns, rf)
+				} else {
+					named[base+fn] = rf
+					rt.byName[sym.Name] = named[base+fn : base+fn+1 : base+fn+1]
+				}
+				rt.report.FunctionsResolved++
+				continue
+			}
+			rt.report.Unresolved++
+			// The hidden name is ground truth DynCaPI itself cannot see; it
+			// only verifies that the IC asks for no unresolvable function,
+			// the check the paper performs in §VI-B(a).
+			//capi:unguarded-ok resolve runs inside New, before the runtime is published to any other goroutine
+			if ok && rt.cfg != nil && rt.cfg.Contains(sym.Name) {
+				rt.report.UnresolvedSelected++
+			}
 		}
+		base += len(table)
 	}
 	return nil
 }

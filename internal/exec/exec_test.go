@@ -89,9 +89,13 @@ func setup(t *testing.T, p *prog.Program, withXRay bool, ranks int) (*Engine, *x
 func patchAll(t *testing.T, rt *xray.Runtime) {
 	t.Helper()
 	var ids []int32
-	for object, lo := range rt.Objects() {
+	for object := range xray.MaxDSOs + 1 {
+		lo, ok := rt.Object(uint8(object))
+		if !ok {
+			continue
+		}
 		for fn := uint32(0); fn < lo.Image.NumFuncIDs; fn++ {
-			id, err := xray.PackID(object, fn)
+			id, err := xray.PackID(uint8(object), fn)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,13 +4,17 @@
 // through one flat index per image), a loader that maps the executable and
 // its DSOs once, at process start, page-protected text mappings and address
 // resolution. It is the substrate on which internal/xray performs runtime
-// patching and on which DynCaPI performs its nm-based symbol mapping (§V-B,
-// §V-C of the paper). Every instrumented process keeps its images for the
-// whole run, so their indexes are dense slices, not per-ID maps.
+// patching and from which DynCaPI maps function IDs to names (§V-B, §V-C of
+// the paper): each image indexes, once, the symbol at every function ID's
+// entry sled (FuncSymbol), and every process loaded from it reads that
+// index. Every instrumented process keeps its images for the whole run, so
+// their indexes are dense slices, not per-ID maps.
 package obj
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -79,7 +83,8 @@ type Image struct {
 	symByName map[string]int
 	sledAt    []int32 // function ID f's sleds are sledIdx[sledAt[f]:sledAt[f+1]]
 	sledIdx   []int32 // sled indexes grouped by function ID, in sled order
-	sortedSym []int   // function symbols sorted by Value
+	sortedSym []int   // function symbols sorted by Value, ties in table order
+	funcSym   []int32 // function ID f's entry symbol is Symbols[funcSym[f]]; -1 for none
 }
 
 // Finalize builds the image's lookup indexes and validates internal
@@ -127,9 +132,17 @@ func (im *Image) Finalize() error {
 			im.sortedSym = append(im.sortedSym, i)
 		}
 	}
-	sort.Slice(im.sortedSym, func(a, b int) bool {
-		return im.Symbols[im.sortedSym[a]].Value < im.Symbols[im.sortedSym[b]].Value
-	})
+	// Stable: of two symbols at one address, the one declared last is found.
+	slices.SortStableFunc(im.sortedSym, func(a, b int) int { return cmp.Compare(im.Symbols[a].Value, im.Symbols[b].Value) })
+	im.funcSym = make([]int32, n)
+	for f := range im.funcSym {
+		off, ok := im.FuncEntryOffset(uint32(f))
+		if i := im.symbolIndexAt(off); ok && i >= 0 && im.Symbols[i].Value == off {
+			im.funcSym[f] = int32(i)
+		} else {
+			im.funcSym[f] = -1
+		}
+	}
 	return nil
 }
 
@@ -162,51 +175,35 @@ func (im *Image) FuncEntryOffset(funcID uint32) (uint64, bool) {
 	return 0, false
 }
 
-// symbolAt resolves an offset to the containing function symbol.
-func (im *Image) symbolAt(off uint64) (Symbol, bool) {
+// FuncSymbol returns the function symbol that starts at the given function
+// ID's entry sled, hidden or not; none for an ID without an entry sled, one
+// whose entry no symbol starts at, or one the image does not use. DynCaPI
+// decides itself which of them a DSO's dynamic table would show.
+func (im *Image) FuncSymbol(funcID uint32) (Symbol, bool) {
+	if funcID >= uint32(len(im.funcSym)) || im.funcSym[funcID] < 0 {
+		return Symbol{}, false
+	}
+	return im.Symbols[im.funcSym[funcID]], true
+}
+
+// symbolIndexAt returns the index in Symbols of the last function symbol in
+// sortedSym order starting at or below off, or -1.
+func (im *Image) symbolIndexAt(off uint64) int {
 	idx := sort.Search(len(im.sortedSym), func(i int) bool {
 		return im.Symbols[im.sortedSym[i]].Value > off
 	})
 	if idx == 0 {
-		return Symbol{}, false
+		return -1
 	}
-	s := im.Symbols[im.sortedSym[idx-1]]
-	if off < s.Value+s.Size {
-		return s, true
+	return im.sortedSym[idx-1]
+}
+
+// symbolAt resolves an offset to the containing function symbol.
+func (im *Image) symbolAt(off uint64) (Symbol, bool) {
+	if i := im.symbolIndexAt(off); i >= 0 {
+		if s := im.Symbols[i]; off < s.Value+s.Size {
+			return s, true
+		}
 	}
 	return Symbol{}, false
-}
-
-// NM returns the full symbol table sorted by value, like `nm` on an
-// unstripped object file. DynCaPI uses this output to map XRay function IDs
-// to names (§VI-B(a)).
-func (im *Image) NM() []Symbol {
-	out := make([]Symbol, len(im.Symbols))
-	copy(out, im.Symbols)
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Value != out[b].Value {
-			return out[a].Value < out[b].Value
-		}
-		return out[a].Name < out[b].Name
-	})
-	return out
-}
-
-// DynSyms returns the dynamic symbol table: the non-hidden symbols. Hidden
-// symbols are invisible here — the reason DynCaPI cannot resolve 1,444
-// OpenFOAM functions in the paper's evaluation.
-func (im *Image) DynSyms() []Symbol {
-	var out []Symbol
-	for _, s := range im.Symbols {
-		if !s.Hidden {
-			out = append(out, s)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Value != out[b].Value {
-			return out[a].Value < out[b].Value
-		}
-		return out[a].Name < out[b].Name
-	})
-	return out
 }

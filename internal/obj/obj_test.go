@@ -80,24 +80,40 @@ func TestImageLookups(t *testing.T) {
 	}
 }
 
-func TestNMAndDynSyms(t *testing.T) {
+// TestFuncSymbol: each function ID's entry sled names the symbol that starts
+// there, hidden or not; an entry no symbol starts at, an ID with no entry
+// sled and an ID the image does not use name none.
+func TestFuncSymbol(t *testing.T) {
 	im := testImage("lib.so", false)
-	nm := im.NM()
-	if len(nm) != 3 {
-		t.Fatalf("NM len = %d", len(nm))
-	}
-	// Sorted by value.
-	if nm[0].Name != "f0" || nm[1].Name != "f1" || nm[2].Name != "data0" {
-		t.Fatalf("NM order = %v", nm)
-	}
-	dyn := im.DynSyms()
-	for _, s := range dyn {
-		if s.Hidden {
-			t.Fatal("hidden symbol in dynamic table")
+	for id, want := range []struct {
+		name   string
+		hidden bool
+	}{{"f0", false}, {"f1", true}} {
+		s, ok := im.FuncSymbol(uint32(id))
+		if !ok || s.Name != want.name || s.Hidden != want.hidden || s.Kind != SymFunc {
+			t.Fatalf("FuncSymbol(%d) = %+v, %v, want %s (hidden %v)", id, s, ok, want.name, want.hidden)
 		}
 	}
-	if len(dyn) != 2 { // f0 and data0
-		t.Fatalf("DynSyms = %v", dyn)
+	if s, ok := im.FuncSymbol(99); ok {
+		t.Fatalf("FuncSymbol(99) = %+v for an ID the image does not use", s)
+	}
+
+	// ID 2's entry lies inside f1 but no symbol starts there; ID 3 has an
+	// exit sled only.
+	im.Sleds = append(im.Sleds,
+		Sled{Offset: 0x50, FuncID: 2, Kind: SledEntry},
+		Sled{Offset: 0x60, FuncID: 3, Kind: SledExit})
+	im.NumFuncIDs = 4
+	if err := im.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []uint32{2, 3} {
+		if s, ok := im.FuncSymbol(id); ok {
+			t.Fatalf("FuncSymbol(%d) = %+v, want none", id, s)
+		}
+	}
+	if s, ok := im.FuncSymbol(1); !ok || s.Name != "f1" {
+		t.Fatalf("FuncSymbol(1) = %+v, %v after re-finalizing, want f1", s, ok)
 	}
 }
 

@@ -25,7 +25,7 @@ func NewResolver() *Resolver {
 func NewResolverFromExecutable(p *obj.Process) *Resolver {
 	r := NewResolver()
 	exe := p.Executable()
-	for _, s := range exe.Image.NM() {
+	for _, s := range exe.Image.Symbols {
 		if s.Kind == obj.SymFunc {
 			r.byAddr[exe.Base+s.Value] = s.Name
 		}

@@ -201,15 +201,6 @@ func (rt *Runtime) Object(id uint8) (*obj.LoadedObject, bool) {
 	return st.lo, true
 }
 
-// Objects returns the registered objects keyed by object ID.
-func (rt *Runtime) Objects() map[uint8]*obj.LoadedObject {
-	out := make(map[uint8]*obj.LoadedObject, len(rt.objID))
-	for lo, id := range rt.objID {
-		out[id] = lo
-	}
-	return out
-}
-
 // Trampoline returns the trampoline descriptor for an object ID.
 func (rt *Runtime) Trampoline(id uint8) (Trampoline, bool) {
 	st := rt.objects[id]

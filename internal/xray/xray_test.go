@@ -107,11 +107,21 @@ func TestPackUnpackProperty(t *testing.T) {
 	}
 }
 
+// registered counts the object IDs the runtime assigned.
+func registered(rt *Runtime) int {
+	n := 0
+	for id := range MaxDSOs + 1 {
+		if _, ok := rt.Object(uint8(id)); ok {
+			n++
+		}
+	}
+	return n
+}
+
 func TestRuntimeRegistersExeAndDSOs(t *testing.T) {
 	p, rt := newProc(t, 2, 3)
-	objs := rt.Objects()
-	if len(objs) != 3 {
-		t.Fatalf("registered objects = %d, want 3", len(objs))
+	if n := registered(rt); n != 3 {
+		t.Fatalf("registered objects = %d, want 3", n)
 	}
 	if id, ok := rt.ObjectID(p.Executable()); !ok || id != 0 {
 		t.Fatalf("exe object ID = %d, %v", id, ok)
@@ -273,7 +283,7 @@ func TestObjectIDsDenseInLoadOrder(t *testing.T) {
 		if exePatchable {
 			want = 3
 		}
-		if n := len(rt.Objects()); n != want {
+		if n := registered(rt); n != want {
 			t.Fatalf("exe patchable=%v: %d objects registered, want %d", exePatchable, n, want)
 		}
 		if _, ok := rt.Object(3); ok {
@@ -289,8 +299,8 @@ func TestDSOLimit(t *testing.T) {
 		dsos[i] = makeImage(fmt.Sprintf("l%d.so", i), false, 0)
 	}
 	p, rt := newRuntime(t, makeImage("exe", true, 1), dsos[:MaxDSOs]...)
-	if len(rt.Objects()) != MaxDSOs+1 {
-		t.Fatalf("registered = %d", len(rt.Objects()))
+	if n := registered(rt); n != MaxDSOs+1 {
+		t.Fatalf("registered = %d", n)
 	}
 	if id, ok := rt.ObjectID(p.Object(fmt.Sprintf("l%d.so", MaxDSOs-1))); !ok || id != MaxDSOs {
 		t.Fatalf("last DSO ID = %d, %v", id, ok)
@@ -344,8 +354,8 @@ func TestLookupsDuringPatch(t *testing.T) {
 						return
 					}
 				}
-				if len(rt.Objects()) != 3 {
-					errs <- fmt.Errorf("Objects() = %d entries", len(rt.Objects()))
+				if n := registered(rt); n != 3 {
+					errs <- fmt.Errorf("%d objects registered", n)
 					return
 				}
 			}
