@@ -122,15 +122,15 @@ func (i *Instance) NewRequestContexts(n int) ([]*RequestContext, error) {
 	return out, nil
 }
 
-// ResolveFunctionName maps a function name to its packed XRay ID, from the
-// runtime's name index. Ambiguous names (several instrumented copies)
-// resolve to the lowest ID.
+// ResolveFunctionName maps a function name to its packed XRay ID: the ID
+// the build gave the function, when the runtime resolved that ID to the
+// same name. A hidden DSO function resolves to nothing; its ID is reachable
+// through the session's static IDs only (Session.AttachStaticIDs).
 func (i *Instance) ResolveFunctionName(name string) (int32, bool) {
-	funcs := i.rt.ByName(name)
-	if len(funcs) == 0 {
-		return 0, false
+	if rf := i.rt.ByName(name); rf != nil {
+		return rf.PackedID, true
 	}
-	return funcs[0].PackedID, true
+	return 0, false
 }
 
 // FunctionActive reports whether the function is in the current

@@ -432,9 +432,11 @@ func TestRequestContextsOwnCacheLines(t *testing.T) {
 	}
 }
 
-// TestResolveFunctionNameDuplicateSymbol: a name with instrumented copies in
-// two objects resolves — through the runtime's own name index — to the
-// lowest packed ID, and an unknown or hidden name to nothing.
+// TestResolveFunctionNameDuplicateSymbol: a DSO symbol renamed after compile
+// to a name the executable defines leaves that name resolving — through the
+// build's packed-ID table — to the executable's function only; the renamed
+// function resolves by neither name, and an unknown or hidden name to
+// nothing.
 func TestResolveFunctionNameDuplicateSymbol(t *testing.T) {
 	p := prog.New("app", "main")
 	p.MustAddUnit("app.exe", prog.Executable)
@@ -448,7 +450,7 @@ func TestResolveFunctionNameDuplicateSymbol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// lib.so's dso_fn becomes a second "kernel": one name, two objects.
+	// lib.so's dso_fn is renamed "kernel" after compile.
 	lib := session.Build().Image("lib.so")
 	for i, s := range lib.Symbols {
 		if s.Name == "dso_fn" {
@@ -464,9 +466,6 @@ func TestResolveFunctionNameDuplicateSymbol(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer inst.Close()
-	if static["kernel"] >= static["dso_fn"] {
-		t.Fatalf("fixture: the executable's kernel (%#x) should pack below lib.so's (%#x)", static["kernel"], static["dso_fn"])
-	}
 	if id, ok := inst.ResolveFunctionName("kernel"); !ok || id != static["kernel"] {
 		t.Fatalf("ResolveFunctionName(kernel) = %#x, %v; want the executable's %#x", id, ok, static["kernel"])
 	}

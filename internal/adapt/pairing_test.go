@@ -12,7 +12,7 @@ import (
 func hotSlow(t testing.TB) (*dyncapi.Runtime, *Controller, []*dyncapi.ResolvedFunc) {
 	t.Helper()
 	_, _, _, rt, c := twoFuncSetup(t, Options{Epoch: 1 << 62}, &dyncapi.CygBackend{})
-	return rt, c, []*dyncapi.ResolvedFunc{rt.ByName("hot")[0], rt.ByName("slow")[0]}
+	return rt, c, []*dyncapi.ResolvedFunc{rt.ByName("hot"), rt.ByName("slow")}
 }
 
 // TestControllerObserveAllocFree: once a function has fired, an enter/exit

@@ -9,9 +9,10 @@
 //     exported from a DSO (the paper's "symbols may be retained after
 //     inlining" caveat), and hidden-visibility functions stay out of the
 //     dynamic symbol table;
-//   - the XRay machine pass: entry/exit sleds for every remaining function
-//     whose instruction count passes the pre-filter threshold (functions
-//     containing loops are always instrumented, as in real XRay);
+//   - the XRay machine pass: entry/exit sleds for every function emitted
+//     into a patchable image (the DynCaPI workflow prepares every available
+//     function, §IV), and the packed XRay ID each such function will carry
+//     in a process loaded from the build;
 //   - a build-time model for the recompilation-turnaround comparison of
 //     §VII-A (a full OpenFOAM rebuild costs ~50 minutes).
 package compiler
@@ -27,13 +28,9 @@ import (
 
 // Options configures a build.
 type Options struct {
-	// XRay enables sled insertion ("-fxray-instrument").
+	// XRay enables sled insertion ("-fxray-instrument") with the
+	// instruction threshold at 1, so every emitted function gets sleds.
 	XRay bool
-	// XRayThreshold is the instruction-count pre-filter
-	// ("-fxray-instruction-threshold"). Functions below it get no sleds
-	// unless they contain a loop. Values <= 0 default to 1, matching the
-	// DynCaPI workflow where every available function is prepared (§IV).
-	XRayThreshold int
 	// OptLevel (2 or 3) controls the auto-inlining aggressiveness.
 	// Values outside {2,3} default to 2.
 	OptLevel int
@@ -44,9 +41,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.XRayThreshold <= 0 {
-		o.XRayThreshold = 1
-	}
 	if o.OptLevel != 3 {
 		o.OptLevel = 2
 	}
@@ -66,7 +60,7 @@ func autoInlineMaxStatements(optLevel int) int {
 const instrPerStatement = 3
 
 // InstructionCount returns the modelled post-codegen instruction count of a
-// function, the quantity the XRay pre-filter compares against.
+// function, which sizes its code.
 func InstructionCount(f *prog.Function) int {
 	return f.Statements*instrPerStatement + 8
 }
@@ -100,6 +94,10 @@ type Build struct {
 	CompileSeconds float64
 
 	imageByName map[string]*obj.Image
+	// packed holds each sled-carrying function's packed XRay ID at its
+	// program position; nil when an object got none (idErr says why).
+	packed []int32
+	idErr  error
 }
 
 // LayoutOf returns the placement of the named function, or nil if the
@@ -144,45 +142,39 @@ func (b *Build) PatchableImages() []*obj.Image {
 	return out
 }
 
-// StaticPackedIDs determines the packed XRay ID of every sled-carrying
-// function statically, assuming the deterministic load order LoadProcess
-// produces (executable = object 0, then patchable DSOs in image order).
-// This is the mapping the paper proposes shipping inside the IC so that
-// hidden DSO symbols can be instrumented without run-time name resolution
-// (§VI-B(a)). Functions without sleds are absent. Like xray.NewRuntime, it
-// fails with xray.ErrObjectLimit past xray.MaxDSOs patchable DSOs.
+// PackedIDAt returns the packed XRay ID the function at program position i
+// carries in every process loaded from the build (xray.ObjectIDs). Functions
+// without sleds have none, nor has any past xray.MaxDSOs patchable DSOs.
+func (b *Build) PackedIDAt(i int) (int32, bool) {
+	if b.packed == nil || !b.Layout[i].HasSleds {
+		return 0, false
+	}
+	return b.packed[i], true
+}
+
+// PackedID is PackedIDAt for the named function; LoadProcess hands it to
+// every process it loads as obj.Process.PackedID.
+func (b *Build) PackedID(name string) (int32, bool) {
+	if i := b.Prog.Index(name); i >= 0 {
+		return b.PackedIDAt(i)
+	}
+	return 0, false
+}
+
+// StaticPackedIDs returns the packed XRay ID of every sled-carrying
+// function by name. This is the mapping the paper proposes shipping inside
+// the IC so that hidden DSO symbols can be instrumented without run-time
+// name resolution (§VI-B(a)). Like xray.NewRuntime, it fails with
+// xray.ErrObjectLimit past xray.MaxDSOs patchable DSOs.
 func (b *Build) StaticPackedIDs() (map[string]int32, error) {
-	objID := map[string]uint8{}
-	next := 1
-	for _, im := range b.Images {
-		if !im.Patchable {
-			continue
-		}
-		if im.Exe {
-			objID[im.Name] = 0
-			continue
-		}
-		if next > xray.MaxDSOs {
-			return nil, fmt.Errorf("compiler: static IDs for %s: %w", im.Name, xray.ErrObjectLimit)
-		}
-		objID[im.Name] = uint8(next)
-		next++
+	if b.idErr != nil {
+		return nil, b.idErr
 	}
 	out := make(map[string]int32)
 	for i, f := range b.Prog.Funcs() {
-		lay := &b.Layout[i]
-		if !lay.HasSleds {
-			continue
+		if id, ok := b.PackedIDAt(i); ok {
+			out[f.Name] = id
 		}
-		oid, ok := objID[f.Unit]
-		if !ok {
-			continue
-		}
-		packed, err := xray.PackID(oid, lay.FuncID)
-		if err != nil {
-			return nil, fmt.Errorf("compiler: static ID for %s: %w", f.Name, err)
-		}
-		out[f.Name] = packed
 	}
 	return out, nil
 }
@@ -207,7 +199,9 @@ func CompileValidated(p *prog.Program, opts Options) (*Build, error) {
 		Options:     opts,
 		Layout:      make([]FuncLayout, p.NumFunctions()),
 		imageByName: map[string]*obj.Image{},
+		packed:      make([]int32, p.NumFunctions()),
 	}
+	var objectIDs xray.ObjectIDs
 	autoInline := autoInlineMaxStatements(opts.OptLevel)
 	fns := p.Funcs()
 	// The build-time model counts the distinct translation units on the
@@ -256,7 +250,7 @@ func CompileValidated(p *prog.Program, opts Options) (*Build, error) {
 				Kind:   obj.SymFunc,
 				Hidden: f.Visibility == prog.Hidden,
 			})
-			if im.Patchable && (instr >= opts.XRayThreshold || f.LoopDepth > 0) {
+			if im.Patchable {
 				id := im.NumFuncIDs
 				im.NumFuncIDs++
 				lay.HasSleds = true
@@ -278,6 +272,16 @@ func CompileValidated(p *prog.Program, opts Options) (*Build, error) {
 		if err := im.Finalize(); err != nil {
 			return nil, fmt.Errorf("compiler: finalizing %s: %w", u.Name, err)
 		}
+		// The executable's ID is fixed, so image order is load order.
+		if im.Patchable && b.idErr == nil {
+			if objID, err := objectIDs.Next(im); err != nil {
+				b.packed, b.idErr = nil, fmt.Errorf("compiler: static IDs for %s: %w", im.Name, err)
+			} else {
+				for _, at := range u.Funcs {
+					b.packed[at] = int32(uint32(objID)<<24 | b.Layout[at].FuncID)
+				}
+			}
+		}
 		b.Images = append(b.Images, im)
 		b.imageByName[u.Name] = im
 	}
@@ -297,7 +301,8 @@ func buildTimeSeconds(tus, statements int) float64 {
 // LoadProcess creates a process from the build: the executable is mapped,
 // then every shared object in build order, all before any XRay runtime
 // exists. System libraries are loaded too — they resolve symbols but are
-// not patchable.
+// not patchable. The process looks function names up in the build's
+// packed-ID table (PackedID).
 func (b *Build) LoadProcess() (*obj.Process, error) {
 	exe := b.ExecutableImage()
 	if exe == nil {
@@ -309,5 +314,10 @@ func (b *Build) LoadProcess() (*obj.Process, error) {
 			dsos = append(dsos, im)
 		}
 	}
-	return obj.NewProcess(exe, dsos...)
+	p, err := obj.NewProcess(exe, dsos...)
+	if err != nil {
+		return nil, err
+	}
+	p.PackedID = b.PackedID
+	return p, nil
 }

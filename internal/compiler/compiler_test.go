@@ -3,6 +3,7 @@ package compiler
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"capi/internal/ic"
@@ -73,9 +74,9 @@ func TestCompileInliningAndSymbols(t *testing.T) {
 	}
 	// static initializer: emitted, hidden symbol.
 	im := b.Image("lib.so")
-	s, ok := im.Symbol("_GLOBAL__sub_I_lib")
-	if !ok || !s.Hidden {
-		t.Fatalf("static init symbol = %+v, %v", s, ok)
+	i := slices.IndexFunc(im.Symbols, func(s obj.Symbol) bool { return s.Name == "_GLOBAL__sub_I_lib" })
+	if i < 0 || !im.Symbols[i].Hidden {
+		t.Fatalf("static init symbol at %d of %+v, want a hidden one", i, im.Symbols)
 	}
 	// system library: not patchable, no sleds, symbols present.
 	sys := b.Image("libmpi.so")
@@ -125,23 +126,11 @@ func TestCompileSleds(t *testing.T) {
 	if got := len(b.PatchableImages()); got != 2 {
 		t.Fatalf("patchable images = %d, want 2", got)
 	}
-}
-
-func TestCompileThresholdPreFilter(t *testing.T) {
-	// With a high threshold, small functions lose their sleds unless they
-	// contain a loop (XRay semantics).
-	b, err := Compile(buildProg(t), Options{XRay: true, XRayThreshold: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.LayoutOf("taken").HasSleds {
-		t.Fatal("small loop-free function should be pre-filtered")
-	}
-	if !b.LayoutOf("looper").HasSleds {
-		t.Fatal("function with a loop must be instrumented regardless of size")
-	}
-	if !b.LayoutOf("main").HasSleds { // 50*3+8 = 158 >= 100
-		t.Fatal("large function should pass the pre-filter")
+	// Every function emitted into a patchable image gets sleds.
+	for i, f := range b.Prog.Funcs() {
+		if lay := &b.Layout[i]; b.Image(f.Unit).Patchable && lay.HasSymbol != lay.HasSleds {
+			t.Errorf("%s: symbol %v, sleds %v in a patchable image", f.Name, lay.HasSymbol, lay.HasSleds)
+		}
 	}
 }
 
@@ -154,6 +143,9 @@ func TestCompileWithoutXRay(t *testing.T) {
 		if im.Patchable || len(im.Sleds) != 0 {
 			t.Fatalf("vanilla build has sleds in %s", im.Name)
 		}
+	}
+	if id, ok := b.PackedID("main"); ok {
+		t.Fatalf("a vanilla build gives main packed ID %#x", id)
 	}
 }
 
@@ -207,6 +199,16 @@ func TestLoadProcess(t *testing.T) {
 	}
 	if proc.Object("lib.so") == nil || proc.Object("libmpi.so") == nil {
 		t.Fatal("DSOs missing")
+	}
+	// The process looks names up in the build's packed-ID table.
+	for _, name := range []string{"main", "dso_fn", "MPI_Send", "tiny", "no_such_function"} {
+		id, ok := proc.PackedID(name)
+		if want, wok := b.PackedID(name); id != want || ok != wok {
+			t.Errorf("process looks up %s as %#x (%v), the build as %#x (%v)", name, id, ok, want, wok)
+		}
+	}
+	if _, ok := proc.PackedID("dso_fn"); !ok {
+		t.Error("dso_fn has no packed ID")
 	}
 }
 

@@ -6,7 +6,8 @@
 //     translating them via the process memory map, cross-checked against
 //     __xray_function_address; hidden symbols of DSOs cannot be resolved
 //     this way (the paper's 1,444 OpenFOAM cases, §VI-B(a)). Each ID's
-//     symbol is read from its image's own index (obj.Image.FuncSymbol);
+//     symbol is read from its image's own index (obj.Image.FuncSymbol),
+//     and a name is looked up through the build's packed-ID table (ByName);
 //     the nm and dynamic-table scans are charged as the real tool makes them;
 //  2. patches the sleds of the functions selected by the instrumentation
 //     configuration (or everything, for the "xray full" variant);
@@ -18,7 +19,6 @@
 package dyncapi
 
 import (
-	"cmp"
 	"fmt"
 	"iter"
 	"maps"
@@ -272,13 +272,6 @@ type Runtime struct {
 	// defaultSample.
 	sampleOverrides int           //capi:guardedby mu
 	sampleDefault   *SamplePolicy //capi:guardedby mu
-
-	// byName indexes the resolved functions by symbol name, each entry
-	// sorted by packed ID (one name may resolve in several objects). Built
-	// once, presized, with the tables and as immutable: a selection is
-	// looked up from its ~10^3 names, not by probing it once for each of the
-	// ~10^4 functions.
-	byName map[string][]*ResolvedFunc
 }
 
 // New initializes DynCaPI: it resolves function IDs, patches according to
@@ -286,8 +279,8 @@ type Runtime struct {
 // installs the event handler. The world has not started yet — this models
 // the patching at program start, before main runs.
 func New(proc *obj.Process, xr *xray.Runtime, cfg *ic.Config, backend Backend, opts Options) (*Runtime, error) {
-	if proc == nil || xr == nil || backend == nil {
-		return nil, fmt.Errorf("dyncapi: process, xray runtime and backend are required")
+	if proc == nil || proc.PackedID == nil || xr == nil || backend == nil {
+		return nil, fmt.Errorf("dyncapi: a process loaded from a build, its xray runtime and a backend are required")
 	}
 	if cfg == nil && !opts.PatchAll {
 		return nil, fmt.Errorf("dyncapi: an instrumentation configuration is required unless PatchAll is set")
@@ -450,26 +443,19 @@ func (rt *Runtime) closeDangling(leaves []leaf, fns []*ResolvedFunc) (total int,
 // from its image's index (obj.Image.FuncSymbol). The executable is resolved
 // from its full symbol table; DSOs only expose their dynamic symbols, so
 // hidden functions stay unresolved (§VI-B(a)). The scans the real tool makes
-// are charged per symbol and per ID, with no copy made. Objects are visited
-// in packed-ID order, which is what keeps every byName entry sorted.
+// are charged per symbol and per ID, with no copy made.
 func (rt *Runtime) resolve() error {
 	// Objects 128 and up fill the sign bit of a packed ID and so sort first.
-	total := 0
 	for i := range xray.MaxDSOs + 1 {
 		objID := uint8(i + 128)
-		if lo, ok := rt.xr.Object(objID); ok {
+		if _, ok := rt.xr.Object(objID); ok {
 			rt.objOrder = append(rt.objOrder, objID)
-			total += int(lo.Image.NumFuncIDs)
 		}
 	}
 	if len(rt.objOrder) > 0 {
 		rt.tables = make([][]ResolvedFunc, int(slices.Max(rt.objOrder))+1)
 		rt.bases = make([]int, len(rt.tables))
 	}
-	// Every name first indexes a one-element window of one shared array; a
-	// name defined in several objects appends past its window's capacity.
-	rt.byName = make(map[string][]*ResolvedFunc, total)
-	named := make([]*ResolvedFunc, total)
 	base := 0
 	for _, objID := range rt.objOrder {
 		lo, _ := rt.xr.Object(objID)
@@ -490,10 +476,7 @@ func (rt *Runtime) resolve() error {
 		rt.tables[objID] = table
 		rt.bases[objID] = base
 		for fn := range table {
-			packed, err := xray.PackID(objID, uint32(fn))
-			if err != nil {
-				return fmt.Errorf("dyncapi: object %q: %w", im.Name, err)
-			}
+			packed, _ := xray.PackID(objID, uint32(fn)) // NewRuntime bounds a registered object's IDs
 			addr, err := rt.xr.FunctionAddress(packed)
 			if err != nil {
 				return fmt.Errorf("dyncapi: resolving %q fn %d: %w", im.Name, fn, err)
@@ -504,12 +487,6 @@ func (rt *Runtime) resolve() error {
 			sym, ok := im.FuncSymbol(uint32(fn))
 			if ok && (im.Exe || !sym.Hidden) {
 				rf.Name = sym.Name
-				if fns, dup := rt.byName[sym.Name]; dup {
-					rt.byName[sym.Name] = append(fns, rf)
-				} else {
-					named[base+fn] = rf
-					rt.byName[sym.Name] = named[base+fn : base+fn+1 : base+fn+1]
-				}
 				rt.report.FunctionsResolved++
 				continue
 			}
@@ -566,18 +543,24 @@ func (rt *Runtime) wantSet(cfg *ic.Config, patchAll bool) []*ResolvedFunc {
 	if cfg == nil {
 		return nil
 	}
-	want := make([]*ResolvedFunc, 0, len(cfg.Include)+len(cfg.IncludeIDs))
+	// The IDs are sorted, not the slots: no comparison reads a slot.
+	ids := make([]int32, 0, len(cfg.Include)+len(cfg.IncludeIDs))
 	for _, name := range cfg.Include {
-		want = append(want, rt.byName[name]...)
+		if rf := rt.ByName(name); rf != nil {
+			ids = append(ids, rf.PackedID)
+		}
 	}
-	for _, id := range cfg.IncludeIDs {
+	ids = append(ids, cfg.IncludeIDs...)
+	slices.Sort(ids)
+	// A function selected by name and by ID appears twice.
+	ids = slices.Compact(ids)
+	want := make([]*ResolvedFunc, 0, len(ids))
+	for _, id := range ids {
 		if rf := rt.slot(id); rf != nil {
 			want = append(want, rf)
 		}
 	}
-	slices.SortFunc(want, func(a, b *ResolvedFunc) int { return cmp.Compare(a.PackedID, b.PackedID) })
-	// A function selected by name and by ID appears twice.
-	return slices.Compact(want)
+	return want
 }
 
 // packedIDs lists the packed IDs of a selection, in its order.
@@ -997,10 +980,17 @@ func (rt *Runtime) Index(rf *ResolvedFunc) int {
 // the length of a table indexed by rank ID.
 func (rt *Runtime) Ranks() int { return rt.opts.Ranks }
 
-// ByName returns the resolved functions carrying the symbol name, sorted by
-// packed ID — several when instrumented copies live in several objects, none
-// for an unknown name. The slice is the runtime's index: do not modify it.
-func (rt *Runtime) ByName(name string) []*ResolvedFunc { return rt.byName[name] }
+// ByName returns the resolved function of that name, or nil: the slot of the
+// build's packed ID for it (obj.Process.PackedID), if it resolved to that
+// very name. So a hidden DSO function is reachable by ID only (§VI-B(a)).
+func (rt *Runtime) ByName(name string) *ResolvedFunc {
+	if id, ok := rt.proc.PackedID(name); ok {
+		if rf := rt.slot(id); rf != nil && rf.Name == name {
+			return rf
+		}
+	}
+	return nil
+}
 
 // Config returns the currently applied instrumentation configuration (nil
 // when running under PatchAll and never reconfigured).

@@ -23,11 +23,12 @@ func goldenOf(rep ReconfigReport) reportGolden {
 
 // TestReconfigureReportGolden replays one sequence of re-selections over the
 // four-function fixture — by name, by static ID only, through a hidden DSO
-// symbol, and with one symbol name defined in two objects — against the
-// reports the map-rebuilding Reconfigure (before PR 19) produced for it.
+// symbol, and with a DSO symbol renamed after compile to a name the
+// executable defines — against reports recorded field by field.
 func TestReconfigureReportGolden(t *testing.T) {
 	b := buildProg(t)
-	// lib.so's dso_fn becomes a second "kernel": one name, two objects.
+	// lib.so's dso_fn is renamed "kernel" after compile: the name still
+	// selects the executable's kernel only.
 	for i, s := range b.Image("lib.so").Symbols {
 		if s.Name == "dso_fn" {
 			b.Image("lib.so").Symbols[i].Name = "kernel"
@@ -53,18 +54,18 @@ func TestReconfigureReportGolden(t *testing.T) {
 		cfg  *ic.Config
 		want reportGolden
 	}{
-		{"duplicate name selects both objects", ic.New("app", "s", []string{"kernel"}),
-			reportGolden{2, 1, 0, 2, []string{"kernel"}, []string{"main"}, win(4, 2, 3, 6, 2, 3, 3)}},
+		{"renamed symbol: its new name selects the executable's function only", ic.New("app", "s", []string{"kernel"}),
+			reportGolden{1, 1, 0, 1, []string{"kernel"}, []string{"main"}, win(2, 2, 2, 4, 2, 2, 2)}},
 		{"hidden symbol by name resolves to nothing", ic.New("app", "s", []string{"hidden_fn", "kernel"}),
-			reportGolden{0, 0, 2, 2, []string{"hidden_fn"}, nil, win(0, 0, 0, 0, 0, 0, 0)}},
+			reportGolden{0, 0, 1, 1, []string{"hidden_fn"}, nil, win(0, 0, 0, 0, 0, 0, 0)}},
 		{"hidden symbol by static ID", ic.New("app", "s", []string{"hidden_fn"}).WithIDs(static),
-			reportGolden{1, 2, 0, 1, nil, []string{"kernel"}, win(2, 4, 3, 6, 2, 3, 3)}},
+			reportGolden{1, 1, 0, 1, nil, []string{"kernel"}, win(2, 2, 2, 4, 2, 2, 2)}},
 		{"IDs only, unsorted, duplicated, one unknown", ic.New("app", "s", nil).WithIncludeIDs([]int32{main, hidden, main, 1 << 30}),
 			reportGolden{1, 0, 1, 2, nil, []string{"hidden_fn"}, win(2, 0, 1, 2, 1, 1, 1)}},
 		{"name and ID naming the same function", ic.New("app", "s", []string{"main", "kernel"}).WithIncludeIDs([]int32{main}),
-			reportGolden{2, 1, 1, 3, []string{"kernel", "main"}, nil, win(4, 2, 3, 6, 2, 3, 3)}},
+			reportGolden{1, 1, 1, 2, []string{"kernel", "main"}, nil, win(2, 2, 2, 4, 2, 2, 2)}},
 		{"empty IC", ic.New("app", "s", nil),
-			reportGolden{0, 3, 0, 0, nil, []string{"kernel", "main"}, win(0, 6, 2, 4, 1, 3, 2)}},
+			reportGolden{0, 2, 0, 0, nil, []string{"kernel", "main"}, win(0, 4, 1, 2, 1, 2, 1)}},
 	}
 	for i, st := range steps {
 		rep, err := rt.Reconfigure(st.cfg)

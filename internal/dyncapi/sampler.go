@@ -526,7 +526,7 @@ func (rt *Runtime) SetSampling(cfg SamplingConfig) error {
 	// guarantee rests on this.
 	var unknown []string
 	for name := range cfg.Funcs {
-		if len(rt.byName[name]) == 0 {
+		if rt.ByName(name) == nil {
 			unknown = append(unknown, name)
 		}
 	}
@@ -548,9 +548,7 @@ func (rt *Runtime) SetSampling(cfg SamplingConfig) error {
 	// allocate per-function slots for functions that never fire.
 	overrides := make(map[*ResolvedFunc]SamplePolicy)
 	for name, p := range cfg.Funcs {
-		for _, rf := range rt.byName[name] {
-			overrides[rf] = p
-		}
+		overrides[rt.ByName(name)] = p
 	}
 	for id, p := range cfg.IDs {
 		overrides[rt.slot(id)] = p

@@ -146,9 +146,12 @@ func checkSequence(t *testing.T, b *compiler.Build, initial int, seq []int) {
 	}
 }
 
-// TestNameIndexDuplicateSymbol: one symbol name defined in two objects is one
-// entry of the runtime's name index, sorted by packed ID, and that index is
-// what a by-name sampling override resolves through. Index numbers the
+// TestNameIndexDuplicateSymbol: a name is looked up through the build's
+// packed-ID table and counts only when the slot of that ID resolved to it.
+// A DSO symbol renamed after compile to a name the executable also defines
+// is not found by its new name (that name selects the executable's function
+// only) nor by its old one, and its function stays reachable by ID; a
+// by-name sampling override resolves the same way. Index numbers the
 // functions of both objects in the same packed-ID order.
 func TestNameIndexDuplicateSymbol(t *testing.T) {
 	b := buildProg(t)
@@ -162,17 +165,17 @@ func TestNameIndexDuplicateSymbol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kernels := rt.ByName("kernel")
-	if len(kernels) != 2 || kernels[0].PackedID >= kernels[1].PackedID {
-		t.Fatalf("ByName(kernel) = %v, want two functions in packed-ID order", kernels)
+	kernel, renamed := packedOf(t, b, xr, proc, "kernel"), packedOf(t, b, xr, proc, "dso_fn")
+	if rf := rt.ByName("kernel"); rf == nil || rf != rt.Resolved(kernel) || rf.Name != "kernel" {
+		t.Fatalf("ByName(kernel) = %+v, want the executable's slot %#x", rf, kernel)
 	}
-	for _, rf := range kernels {
-		if rf.Name != "kernel" || rt.Resolved(rf.PackedID) != rf {
-			t.Fatalf("ByName(kernel) holds %+v, which is not the slot of its ID", rf)
+	if rf := rt.Resolved(renamed); rf == nil || rf.Name != "kernel" || !rt.Active(renamed) {
+		t.Fatalf("slot %#x = %+v, want the renamed DSO function, patched by PatchAll", renamed, rf)
+	}
+	for _, name := range []string{"dso_fn", "hidden_fn", "nope", ""} {
+		if rf := rt.ByName(name); rf != nil {
+			t.Fatalf("ByName(%q) = %+v, want nil", name, rf)
 		}
-	}
-	if got := rt.ByName("hidden_fn"); got != nil {
-		t.Fatalf("ByName(hidden_fn) = %v: a hidden DSO symbol has no name to index", got)
 	}
 	if !slices.IsSortedFunc(rt.Funcs(), func(a, b *ResolvedFunc) int { return int(a.PackedID) - int(b.PackedID) }) {
 		t.Fatal("Funcs() is not in packed-ID order")
@@ -190,20 +193,24 @@ func TestNameIndexDuplicateSymbol(t *testing.T) {
 	if err := rt.SetSampling(SamplingConfig{Funcs: map[string]SamplePolicy{"kernel": {Stride: 4}}}); err != nil {
 		t.Fatal(err)
 	}
-	if n := rt.SamplingSnapshot().FuncPolicies; n != 2 {
-		t.Fatalf("a by-name override of a two-object symbol installed %d policies, want 2", n)
+	if n := rt.SamplingSnapshot().FuncPolicies; n != 1 {
+		t.Fatalf("a by-name override installed %d policies, want 1", n)
 	}
-	for _, rf := range kernels {
-		if got := rt.FuncStride(rf.PackedID); got != 4 {
-			t.Fatalf("stride of kernel %#x = %d, want 4", rf.PackedID, got)
-		}
+	if k, r := rt.FuncStride(kernel), rt.FuncStride(renamed); k != 4 || r != 1 {
+		t.Fatalf("strides of kernel and the renamed function = %d, %d; want 4, 1", k, r)
 	}
-	err = rt.SetSampling(SamplingConfig{Funcs: map[string]SamplePolicy{"kernel": {Stride: 2}, "nope": {}, "also_nope": {}}})
-	if err == nil || err.Error() != "dyncapi: unknown function name(s) in sampling config: also_nope, nope" {
+	err = rt.SetSampling(SamplingConfig{Funcs: map[string]SamplePolicy{"kernel": {Stride: 2}, "dso_fn": {}, "nope": {}}})
+	if err == nil || err.Error() != "dyncapi: unknown function name(s) in sampling config: dso_fn, nope" {
 		t.Fatalf("unknown names: %v", err)
 	}
-	if got := rt.FuncStride(kernels[0].PackedID); got != 4 {
+	if got := rt.FuncStride(kernel); got != 4 {
 		t.Fatalf("a rejected config changed a stride to %d", got)
+	}
+	if err := rt.SetSampling(SamplingConfig{IDs: map[int32]SamplePolicy{renamed: {Stride: 3}}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := rt.FuncStride(renamed); got != 3 {
+		t.Fatalf("stride of the renamed function set by ID = %d, want 3", got)
 	}
 }
 

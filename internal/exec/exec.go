@@ -115,15 +115,9 @@ func New(cfg Config) (*Engine, error) {
 	for i, f := range fns {
 		cf := &e.funcs[i]
 		cf.name, cf.lay = f.Name, &cfg.Build.Layout[i]
-		if !cf.lay.HasSleds || cfg.XRay == nil {
-			continue
-		}
-		if lo := cfg.Proc.Object(f.Unit); lo != nil {
-			if objID, ok := cfg.XRay.ObjectID(lo); ok {
-				packed, err := xray.PackID(objID, cf.lay.FuncID)
-				if err != nil {
-					return nil, fmt.Errorf("exec: %s: %w", f.Name, err)
-				}
+		if packed, ok := cfg.Build.PackedIDAt(i); ok && cfg.XRay != nil {
+			objID, _ := xray.UnpackID(packed)
+			if lo, ok := cfg.XRay.Object(objID); ok {
 				cf.lo, cf.packed = lo, packed
 			}
 		}

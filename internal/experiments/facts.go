@@ -3,6 +3,7 @@ package experiments
 import (
 	capi "capi"
 	"capi/internal/obj"
+	"capi/internal/prog"
 )
 
 // Facts collects the in-text evaluation numbers of §VI-B and §VII-A for the
@@ -76,11 +77,8 @@ func GatherFacts(opts Options) (*Facts, error) {
 	}
 	f.MPIRegions = row.IC.Len()
 	for _, name := range row.IC.Include {
-		if lay := build.LayoutOf(name); lay != nil && lay.HasSymbol && lay.HasSleds {
-			// A function's symbol sits in its own unit's image.
-			if sym, _ := build.Image(build.Prog.Func(name).Unit).Symbol(name); sym.Hidden {
-				f.HiddenSelected++
-			}
+		if lay := build.LayoutOf(name); lay != nil && lay.HasSymbol && lay.HasSleds && build.Prog.Func(name).Visibility == prog.Hidden {
+			f.HiddenSelected++
 		}
 	}
 	talp := string(capi.BackendTALP)

@@ -80,7 +80,6 @@ type Image struct {
 	// (the paper reports 28,687 for the largest OpenFOAM object).
 	NumFuncIDs uint32
 
-	symByName map[string]int
 	sledAt    []int32 // function ID f's sleds are sledIdx[sledAt[f]:sledAt[f+1]]
 	sledIdx   []int32 // sled indexes grouped by function ID, in sled order
 	sortedSym []int   // function symbols sorted by Value, ties in table order
@@ -90,15 +89,17 @@ type Image struct {
 // Finalize builds the image's lookup indexes and validates internal
 // consistency. It must be called once after construction.
 func (im *Image) Finalize() error {
-	im.symByName = make(map[string]int, len(im.Symbols))
+	// Names are looked up through the program, not the image; the set only
+	// keeps them unique.
+	names := make(map[string]struct{}, len(im.Symbols))
 	for i, s := range im.Symbols {
 		if s.Name == "" {
 			return fmt.Errorf("obj %s: symbol %d has empty name", im.Name, i)
 		}
-		if _, dup := im.symByName[s.Name]; dup {
+		if _, dup := names[s.Name]; dup {
 			return fmt.Errorf("obj %s: duplicate symbol %q", im.Name, s.Name)
 		}
-		im.symByName[s.Name] = i
+		names[s.Name] = struct{}{}
 		if s.Value+s.Size > im.TextSize && s.Kind == SymFunc {
 			return fmt.Errorf("obj %s: symbol %q beyond text end", im.Name, s.Name)
 		}
@@ -144,15 +145,6 @@ func (im *Image) Finalize() error {
 		}
 	}
 	return nil
-}
-
-// Symbol returns the named symbol.
-func (im *Image) Symbol(name string) (Symbol, bool) {
-	i, ok := im.symByName[name]
-	if !ok {
-		return Symbol{}, false
-	}
-	return im.Symbols[i], true
 }
 
 // FuncSleds returns the sled indexes belonging to the given function ID, in

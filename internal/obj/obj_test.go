@@ -61,13 +61,6 @@ func TestImageFinalizeErrors(t *testing.T) {
 
 func TestImageLookups(t *testing.T) {
 	im := testImage("app", true)
-	s, ok := im.Symbol("f1")
-	if !ok || !s.Hidden || s.Value != 0x40 {
-		t.Fatalf("Symbol(f1) = %+v, %v", s, ok)
-	}
-	if _, ok := im.Symbol("ghost"); ok {
-		t.Fatal("ghost symbol found")
-	}
 	if got := im.FuncSleds(0); len(got) != 2 {
 		t.Fatalf("FuncSleds(0) = %v", got)
 	}

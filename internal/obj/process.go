@@ -65,6 +65,9 @@ func (lo *LoadedObject) NumPatched() int {
 // is read without a lock.
 type Process struct {
 	AS *mem.AddressSpace
+	// PackedID maps a function name to the packed XRay ID its build gave
+	// it (compiler.Build.PackedID); nil for hand-made images.
+	PackedID func(name string) (int32, bool)
 
 	objects []*LoadedObject
 	byName  map[string]*LoadedObject

@@ -154,34 +154,47 @@ type Runtime struct {
 	handler atomic.Value // of Handler
 }
 
-// NewRuntime creates the runtime for a process and is the one place object
-// IDs are assigned — the xray-dso constructor registration, run once for
-// the whole process image: the executable is object 0 when patchable, and
-// each patchable DSO gets the next ID, 1..MaxDSOs, in load order. It fails
-// when an object exceeds the 24-bit function-ID space or the process has
-// more than MaxDSOs patchable DSOs.
+// ObjectIDs hands out object IDs to patchable images in load order, the rule
+// NewRuntime and a build's packed-ID table share: the executable is object
+// 0, each DSO the next of 1..MaxDSOs. Next fails for an image past the
+// 24-bit function-ID space and for a DSO past the last ID (ErrObjectLimit).
+type ObjectIDs struct{ dsos int }
+
+// Next returns the object ID of the next patchable image in load order.
+func (a *ObjectIDs) Next(im *obj.Image) (uint8, error) {
+	switch {
+	case im.NumFuncIDs > MaxFuncID+1:
+		return 0, fmt.Errorf("xray: object %q uses %d function IDs (limit %d)", im.Name, im.NumFuncIDs, MaxFuncID+1)
+	case im.Exe:
+		return 0, nil
+	case a.dsos == MaxDSOs:
+		return 0, ErrObjectLimit
+	}
+	a.dsos++
+	return uint8(a.dsos), nil
+}
+
+// NewRuntime creates the runtime for a process — the xray-dso constructor
+// registration, run once for the whole process image: every patchable
+// object is registered under the ID ObjectIDs gives it. It fails when an
+// object exceeds the 24-bit function-ID space or the process has more than
+// MaxDSOs patchable DSOs.
 func NewRuntime(p *obj.Process) (*Runtime, error) {
 	rt := &Runtime{proc: p, objID: map[*obj.LoadedObject]uint8{}}
-	next := 1
+	var ids ObjectIDs
 	for _, lo := range p.Objects() {
 		if !lo.Image.Patchable {
 			continue
 		}
-		if lo.Image.NumFuncIDs > MaxFuncID+1 {
-			return nil, fmt.Errorf("xray: object %q uses %d function IDs (limit %d)", lo.Image.Name, lo.Image.NumFuncIDs, MaxFuncID+1)
-		}
-		id := 0
-		if !lo.Image.Exe {
-			if next > MaxDSOs {
-				return nil, ErrObjectLimit
-			}
-			id, next = next, next+1
+		id, err := ids.Next(lo.Image)
+		if err != nil {
+			return nil, err
 		}
 		rt.objects[id] = &objectState{
 			lo:         lo,
 			trampoline: Trampoline{Object: lo.Image.Name, PositionIndependent: !lo.Image.Exe},
 		}
-		rt.objID[lo] = uint8(id)
+		rt.objID[lo] = id
 	}
 	return rt, nil
 }
