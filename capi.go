@@ -282,11 +282,17 @@ func (s *Session) AttachStaticIDs(sel *Selection) error {
 	if sel == nil || sel.IC == nil {
 		return fmt.Errorf("capi: nil selection")
 	}
-	ids, err := s.build.StaticPackedIDs()
+	static, err := s.build.StaticPackedIDs()
 	if err != nil {
 		return err
 	}
-	sel.IC = sel.IC.WithIDs(ids)
+	var ids []int32 // a function without sleds (fully inlined) has none
+	for _, name := range sel.IC.Include {
+		if id, ok := static[name]; ok {
+			ids = append(ids, id)
+		}
+	}
+	sel.IC = sel.IC.WithIncludeIDs(ids)
 	return nil
 }
 
@@ -797,6 +803,20 @@ func (i *Instance) UnknownFunctionNames(names []string) []string {
 	for _, n := range names {
 		if _, ok := i.ResolveFunctionName(n); !ok {
 			unknown = append(unknown, n)
+		}
+	}
+	return unknown
+}
+
+// UnknownFunctionIDs returns the subset of packed IDs that name no function
+// of the live process (no slot in the runtime's table). The runtime drops
+// such an ID from an IC without a word, so the control plane's include path
+// rejects it instead, as it rejects an unknown name.
+func (i *Instance) UnknownFunctionIDs(ids []int32) []int32 {
+	var unknown []int32
+	for _, id := range ids {
+		if i.rt.Resolved(id) == nil {
+			unknown = append(unknown, id)
 		}
 	}
 	return unknown

@@ -93,7 +93,6 @@ type Build struct {
 	// CompileSeconds is the modelled wall-clock duration of the build.
 	CompileSeconds float64
 
-	imageByName map[string]*obj.Image
 	// packed holds each sled-carrying function's packed XRay ID at its
 	// program position; nil when an object got none (idErr says why).
 	packed []int32
@@ -117,7 +116,14 @@ func (b *Build) HasSymbol(name string) bool {
 }
 
 // Image returns the image built for the named link unit, or nil.
-func (b *Build) Image(unit string) *obj.Image { return b.imageByName[unit] }
+func (b *Build) Image(unit string) *obj.Image {
+	for _, im := range b.Images {
+		if im.Name == unit {
+			return im
+		}
+	}
+	return nil
+}
 
 // ExecutableImage returns the image of the executable unit.
 func (b *Build) ExecutableImage() *obj.Image {
@@ -195,11 +201,10 @@ func Compile(p *prog.Program, opts Options) (*Build, error) {
 func CompileValidated(p *prog.Program, opts Options) (*Build, error) {
 	opts = opts.withDefaults()
 	b := &Build{
-		Prog:        p,
-		Options:     opts,
-		Layout:      make([]FuncLayout, p.NumFunctions()),
-		imageByName: map[string]*obj.Image{},
-		packed:      make([]int32, p.NumFunctions()),
+		Prog:    p,
+		Options: opts,
+		Layout:  make([]FuncLayout, p.NumFunctions()),
+		packed:  make([]int32, p.NumFunctions()),
 	}
 	var objectIDs xray.ObjectIDs
 	autoInline := autoInlineMaxStatements(opts.OptLevel)
@@ -283,7 +288,6 @@ func CompileValidated(p *prog.Program, opts Options) (*Build, error) {
 			}
 		}
 		b.Images = append(b.Images, im)
-		b.imageByName[u.Name] = im
 	}
 
 	b.CompileSeconds = buildTimeSeconds(len(tus), p.TotalStatements())

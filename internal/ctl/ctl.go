@@ -320,8 +320,8 @@ type SelectRequest struct {
 	// Builtin names a built-in specification ("mpi", "mpi coarse",
 	// "kernels", "kernels coarse").
 	Builtin string `json:"builtin,omitempty"`
-	// Include lists function names to instrument directly (no spec
-	// evaluation); IncludeIDs adds packed XRay IDs.
+	// Include names functions to instrument, with no spec evaluation, and
+	// IncludeIDs packed XRay IDs; an unknown name or ID is a 400.
 	Include    []string `json:"include,omitempty"`
 	IncludeIDs []int32  `json:"includeIDs,omitempty"`
 	// Backends swaps the measurement-backend set by registry name
@@ -421,11 +421,15 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 			}
 			summary = &SelectionSummary{Pre: sel.Pre, Selected: sel.Selected, Added: sel.Added, Seconds: sel.Seconds}
 		default:
-			// A typo'd name would resolve to nothing and the reconfigure would
-			// silently unpatch it — reject unknown names instead, like the spec
-			// path rejects a spec that does not compile.
+			// A typo'd name or ID would resolve to nothing and the reconfigure
+			// would silently unpatch it — reject unknown ones instead, like the
+			// spec path rejects a spec that does not compile.
 			if unknown := s.inst.UnknownFunctionNames(req.Include); len(unknown) > 0 {
 				WriteFieldErr(w, http.StatusBadRequest, "include", "unknown function name(s): %s", strings.Join(unknown, ", "))
+				return
+			}
+			if unknown := s.inst.UnknownFunctionIDs(req.IncludeIDs); len(unknown) > 0 {
+				WriteFieldErr(w, http.StatusBadRequest, "includeIDs", "unknown function ID(s): %v", unknown)
 				return
 			}
 			cfg := ic.New(s.app, "http", req.Include).WithIncludeIDs(req.IncludeIDs)

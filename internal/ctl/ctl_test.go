@@ -927,9 +927,10 @@ func TestMalformedBodyNamesBodyField(t *testing.T) {
 }
 
 // TestSelect400LeavesInstanceUntouched pins the /v1/select no-mutation
-// guarantee on *both* failure paths: a selection that fails to compile
-// must not apply an accompanying backend swap, and a backend swap that
-// fails must not apply an accompanying (valid) selection.
+// guarantee on every failure path: a selection that fails to compile
+// must not apply an accompanying backend swap, a backend swap that
+// fails must not apply an accompanying (valid) selection, and an include
+// ID that names no function applies nothing.
 func TestSelect400LeavesInstanceUntouched(t *testing.T) {
 	ts, _, inst := newServer(t, capi.Quickstart(), "quickstart",
 		capi.RunOptions{Backends: []string{"talp"}, Ranks: 2})
@@ -973,8 +974,21 @@ func TestSelect400LeavesInstanceUntouched(t *testing.T) {
 	if got := inst.Backends(); got[0] != backendsBefore[0] {
 		t.Fatalf("failed swap changed backends: %v", got)
 	}
+
+	// (c) An include ID that names no function: the runtime would drop it
+	// and unpatch the whole selection, so it is a 400 like an unknown name.
+	resp, body = postJSON(t, ts.URL+"/v1/select", ctl.SelectRequest{IncludeIDs: []int32{1 << 30}})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown include ID: %d %s", resp.StatusCode, body)
+	}
+	if got := errorField(t, body); got != "includeIDs" {
+		t.Fatalf("unknown include ID 400 names field %q, want \"includeIDs\" (body %s)", got, body)
+	}
+	if got := inst.Status().ActiveFunctions; got != activeBefore {
+		t.Fatalf("unknown include ID changed the selection: %d -> %d", activeBefore, got)
+	}
 	if inst.Status().Reconfigs != 0 {
-		t.Fatalf("reconfigs = %d after two 400s", inst.Status().Reconfigs)
+		t.Fatalf("reconfigs = %d after three 400s", inst.Status().Reconfigs)
 	}
 }
 

@@ -154,6 +154,8 @@ func FuzzControlBody(f *testing.F) {
 		{"/v1/select", `{"builtin":"mpi","ttl":"soon"}`, false},
 		{"/v1/select", `{"builtin":"mpi coarse","ttl":"2s"}`, false},
 		{"/v1/select", `{"backends":["nope"]}`, false},
+		{"/v1/select", `{"includeIDs":[1073741824]}`, false},
+		{"/v1/select", `{"includeIDs":[1073741824]}`, true},
 		{"/v1/adapt", `{"budjet":0.5}`, true},
 		{"/v1/adapt", `{"sloWindow":100000000}`, false},
 		{"/v1/run", `{"wiat":true}`, false},

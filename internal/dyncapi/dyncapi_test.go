@@ -347,7 +347,7 @@ func TestStaticIDSelection(t *testing.T) {
 		t.Fatalf("static mapping misses hidden_fn: %v", ids)
 	}
 	proc2, xr2 := setup(t, b)
-	cfg2 := ic.New("app", "", []string{"hidden_fn"}).WithIDs(ids)
+	cfg2 := ic.New("app", "", []string{"hidden_fn"}).WithIncludeIDs([]int32{ids["hidden_fn"]})
 	if len(cfg2.IncludeIDs) != 1 {
 		t.Fatalf("IncludeIDs = %v", cfg2.IncludeIDs)
 	}
@@ -377,7 +377,7 @@ func TestStaticIDsRoundTripJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := ic.New("app", "spec", []string{"hidden_fn", "kernel"}).WithIDs(ids)
+	cfg := ic.New("app", "spec", []string{"hidden_fn", "kernel"}).WithIncludeIDs([]int32{ids["hidden_fn"], ids["kernel"]})
 	var buf bytes.Buffer
 	if err := cfg.WriteJSON(&buf); err != nil {
 		t.Fatal(err)

@@ -58,7 +58,7 @@ func TestReconfigureReportGolden(t *testing.T) {
 			reportGolden{1, 1, 0, 1, []string{"kernel"}, []string{"main"}, win(2, 2, 2, 4, 2, 2, 2)}},
 		{"hidden symbol by name resolves to nothing", ic.New("app", "s", []string{"hidden_fn", "kernel"}),
 			reportGolden{0, 0, 1, 1, []string{"hidden_fn"}, nil, win(0, 0, 0, 0, 0, 0, 0)}},
-		{"hidden symbol by static ID", ic.New("app", "s", []string{"hidden_fn"}).WithIDs(static),
+		{"hidden symbol by static ID", ic.New("app", "s", []string{"hidden_fn"}).WithIncludeIDs([]int32{hidden}),
 			reportGolden{1, 1, 0, 1, nil, []string{"kernel"}, win(2, 2, 2, 4, 2, 2, 2)}},
 		{"IDs only, unsorted, duplicated, one unknown", ic.New("app", "s", nil).WithIncludeIDs([]int32{main, hidden, main, 1 << 30}),
 			reportGolden{1, 0, 1, 2, nil, []string{"hidden_fn"}, win(2, 0, 1, 2, 1, 1, 1)}},

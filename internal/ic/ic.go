@@ -14,18 +14,19 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strings"
 )
 
 // Config is an instrumentation configuration: the set of functions to
 // instrument, plus provenance for reports.
 //
-// A Config is immutable once a constructor (New, WithIDs, WithIncludeIDs,
-// ReadJSON) returned it, and therefore safe to share between goroutines —
-// one Selection may start several instances, and an instance keeps the IC
-// for its TTL revert timer while handlers read it. Do not write to Include
-// or IncludeIDs; derive a changed copy instead.
+// The two sorted, duplicate-free lists are the whole IC: Contains and
+// ContainsID search them, and no index repeats them. A Config is immutable
+// once a constructor (New, WithIncludeIDs, ReadJSON) returned it, and
+// therefore safe to share between goroutines — one Selection may start
+// several instances, and an instance keeps the IC for its TTL revert timer
+// while handlers read it. Do not write to Include or IncludeIDs; derive a
+// changed copy instead.
 type Config struct {
 	// App is the application the IC was computed for.
 	App string `json:"app,omitempty"`
@@ -38,66 +39,37 @@ type Config struct {
 	// the paper proposes for hidden DSO symbols (§VI-B(a)): the runtime can
 	// patch these without resolving any name at start-up.
 	IncludeIDs []int32 `json:"includeIDs,omitempty"`
-
-	members map[string]bool
-	idSet   map[int32]bool
 }
 
-// New returns a Config over the given function names (deduplicated, sorted).
+// New returns a Config over the given function names (deduplicated, sorted,
+// without the empty name).
 func New(app, spec string, include []string) *Config {
-	c := &Config{App: app, Spec: spec}
-	seen := make(map[string]bool, len(include))
-	for _, n := range include {
-		if n != "" && !seen[n] {
-			seen[n] = true
-			c.Include = append(c.Include, n)
-		}
+	names := slices.Compact(slices.Sorted(slices.Values(include)))
+	if len(names) > 0 && names[0] == "" {
+		names = names[1:]
 	}
-	sort.Strings(c.Include)
+	if len(names) == 0 {
+		names = nil // an empty IC encodes as "include": null
+	}
 	// Clipped, so an append by one holder cannot land in storage another
 	// holder shares.
-	c.Include = slices.Clip(c.Include)
-	c.members = seen
-	return c
-}
-
-// withIDs returns a copy of c whose IncludeIDs are ids, sorted and
-// deduplicated in place.
-func (c *Config) withIDs(ids []int32) *Config {
-	out := New(c.App, c.Spec, c.Include)
-	slices.Sort(ids)
-	out.IncludeIDs = slices.Clip(slices.Compact(ids))
-	out.idSet = make(map[int32]bool, len(out.IncludeIDs))
-	for _, id := range out.IncludeIDs {
-		out.idSet[id] = true
-	}
-	return out
+	return &Config{App: app, Spec: spec, Include: slices.Clip(names)}
 }
 
 // Len returns the number of included functions.
 func (c *Config) Len() int { return len(c.Include) }
 
 // Contains reports whether the named function is instrumented.
-func (c *Config) Contains(name string) bool { return c.members[name] }
+func (c *Config) Contains(name string) bool {
+	_, ok := slices.BinarySearch(c.Include, name)
+	return ok
+}
 
 // ContainsID reports whether the packed function ID is instrumented via
 // the static ID list.
-func (c *Config) ContainsID(id int32) bool { return c.idSet[id] }
-
-// WithIDs returns a copy of the configuration whose IncludeIDs carry the
-// packed IDs of every included function found in the static mapping
-// (typically compiler.Build.StaticPackedIDs). Functions missing from the
-// mapping (no sleds, fully inlined) are skipped. With IDs attached, the
-// DynCaPI runtime can patch hidden DSO functions it cannot resolve by
-// name — the §VI-B(a) extension.
-func (c *Config) WithIDs(ids map[string]int32) *Config {
-	var found []int32
-	for _, name := range c.Include {
-		if id, ok := ids[name]; ok {
-			found = append(found, id)
-		}
-	}
-	return c.withIDs(found)
+func (c *Config) ContainsID(id int32) bool {
+	_, ok := slices.BinarySearch(c.IncludeIDs, id)
+	return ok
 }
 
 // Diff compares two configurations by included function name. It returns
@@ -132,12 +104,15 @@ func Diff(a, b *Config) (added, removed []string) {
 }
 
 // WithIncludeIDs returns a copy of c whose IncludeIDs are exactly the given
-// packed IDs (sorted, deduplicated). Unlike WithIDs it does not consult a
-// static name→ID mapping — the adaptive controller uses it to carry the IDs
-// of functions it keeps, including ones that were only ever selected by ID
-// (hidden DSO symbols).
+// packed IDs (sorted, deduplicated); the copy shares c's Include. With IDs
+// attached, the DynCaPI runtime can patch hidden DSO functions it cannot
+// resolve by name — the §VI-B(a) extension (Session.AttachStaticIDs). The
+// adaptive controller uses it to carry the IDs of functions it keeps,
+// including ones that were only ever selected by ID.
 func (c *Config) WithIncludeIDs(ids []int32) *Config {
-	return c.withIDs(slices.Clone(ids))
+	ids = slices.Clone(ids)
+	slices.Sort(ids)
+	return &Config{App: c.App, Spec: c.Spec, Include: c.Include, IncludeIDs: slices.Clip(slices.Compact(ids))}
 }
 
 // WriteJSON serializes the configuration as JSON.
@@ -153,7 +128,7 @@ func ReadJSON(r io.Reader) (*Config, error) {
 	if err := json.NewDecoder(r).Decode(&c); err != nil {
 		return nil, fmt.Errorf("ic: parsing JSON config: %w", err)
 	}
-	return New(c.App, c.Spec, c.Include).withIDs(c.IncludeIDs), nil
+	return New(c.App, c.Spec, c.Include).WithIncludeIDs(c.IncludeIDs), nil
 }
 
 // Score-P filter file markers.

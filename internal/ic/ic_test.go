@@ -2,6 +2,8 @@ package ic
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -21,9 +23,11 @@ func TestNewDedupSort(t *testing.T) {
 }
 
 // TestConfigSharedReadOnly: every constructor returns a Config whose lookups
-// only read, so goroutines may share it (run under -race).
+// only read, so goroutines may share it (run under -race), and whose
+// Contains and ContainsID answer exactly what Include and IncludeIDs list.
 func TestConfigSharedReadOnly(t *testing.T) {
-	base := New("app", "s", []string{"x", "y"})
+	names := []string{"y", "x", "", "y", "w", "x"}
+	base := New("app", "s", names)
 	var buf bytes.Buffer
 	if err := base.WithIncludeIDs([]int32{9, 7, 9}).WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -32,25 +36,68 @@ func TestConfigSharedReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []*Config{base.WithIncludeIDs([]int32{7, 9}), base.WithIDs(map[string]int32{"x": 7, "y": 9}), read} {
+	probeNames := append([]string{"q", "a", "z"}, names...)
+	probeIDs := []int32{-1, 0, 1, 3, 7, 8, 9, 10, 1 << 30}
+	for _, c := range []*Config{
+		base,
+		New("app", "s", []string{"", ""}),
+		base.WithIncludeIDs([]int32{9, 3, 9, 7, 3}),
+		New("app", "s", nil).WithIncludeIDs([]int32{1 << 30, -1}),
+		read,
+	} {
+		if !slices.IsSorted(c.Include) || len(slices.Compact(slices.Clone(c.Include))) != len(c.Include) || slices.Contains(c.Include, "") {
+			t.Fatalf("Include %q is not sorted, duplicate-free and without \"\"", c.Include)
+		}
+		if !slices.IsSorted(c.IncludeIDs) || len(slices.Compact(slices.Clone(c.IncludeIDs))) != len(c.IncludeIDs) {
+			t.Fatalf("IncludeIDs %v are not sorted and duplicate-free", c.IncludeIDs)
+		}
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if !c.Contains("x") || c.Contains("q") || c.ContainsID(8) {
-					t.Error("Contains wrong")
+				for _, n := range probeNames {
+					if c.Contains(n) != slices.Contains(c.Include, n) {
+						t.Errorf("Contains(%q) = %v over Include %q", n, c.Contains(n), c.Include)
+					}
 				}
-				if !c.ContainsID(7) || !c.ContainsID(9) || len(c.IncludeIDs) != 2 {
-					t.Errorf("IDs wrong: %v", c.IncludeIDs)
+				for _, id := range probeIDs {
+					if c.ContainsID(id) != slices.Contains(c.IncludeIDs, id) {
+						t.Errorf("ContainsID(%d) = %v over IncludeIDs %v", id, c.ContainsID(id), c.IncludeIDs)
+					}
 				}
 			}()
 		}
 		wg.Wait()
 	}
+	if !slices.Equal(base.Include, []string{"w", "x", "y"}) {
+		t.Fatalf("New(%q).Include = %q", names, base.Include)
+	}
+	if !slices.Equal(read.Include, base.Include) || !slices.Equal(read.IncludeIDs, []int32{7, 9}) {
+		t.Fatalf("ReadJSON = %q %v", read.Include, read.IncludeIDs)
+	}
 	// An append by one holder must not reach storage another holder shares.
 	if n := New("app", "s", []string{"a", "b", "c"}); cap(n.Include) != len(n.Include) {
 		t.Fatalf("Include has spare capacity %d", cap(n.Include)-len(n.Include))
+	}
+}
+
+// TestWithIncludeIDsSharesInclude: attaching IDs copies the ID list, not
+// the names, so its cost does not grow with the IC.
+func TestWithIncludeIDsSharesInclude(t *testing.T) {
+	names := make([]string, 4096)
+	for i := range names {
+		names[i] = fmt.Sprintf("fn%05d", i)
+	}
+	c := New("app", "s", names)
+	ids := []int32{5, 3, 5, 1}
+	// The Config and the ID list.
+	const want = 2
+	if allocs := testing.AllocsPerRun(20, func() { c.WithIncludeIDs(ids) }); allocs > want {
+		t.Fatalf("WithIncludeIDs on a %d-name IC made %.0f allocations, want at most %d", c.Len(), allocs, want)
+	}
+	if out := c.WithIncludeIDs(ids); &out.Include[0] != &c.Include[0] || !slices.Equal(ids, []int32{5, 3, 5, 1}) {
+		t.Fatal("WithIncludeIDs copied Include or sorted the caller's IDs")
 	}
 }
 

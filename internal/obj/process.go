@@ -62,7 +62,8 @@ func (lo *LoadedObject) NumPatched() int {
 
 // Process is a set of loaded objects sharing an address space. It is built
 // once, by NewProcess, and its object list never changes afterwards, so it
-// is read without a lock.
+// is read without a lock. The list is the only object table: Object and
+// FindObject scan it.
 type Process struct {
 	AS *mem.AddressSpace
 	// PackedID maps a function name to the packed XRay ID its build gave
@@ -70,7 +71,6 @@ type Process struct {
 	PackedID func(name string) (int32, bool)
 
 	objects []*LoadedObject
-	byName  map[string]*LoadedObject
 }
 
 // NewProcess maps the executable read-exec and then each DSO, in order, at
@@ -83,7 +83,6 @@ func NewProcess(exe *Image, dsos ...*Image) (*Process, error) {
 	p := &Process{
 		AS:      mem.NewAddressSpace(),
 		objects: make([]*LoadedObject, 0, 1+len(dsos)),
-		byName:  make(map[string]*LoadedObject, 1+len(dsos)),
 	}
 	if err := p.load(exe, exeBase); err != nil {
 		return nil, err
@@ -100,7 +99,7 @@ func NewProcess(exe *Image, dsos ...*Image) (*Process, error) {
 }
 
 func (p *Process) load(img *Image, base uint64) error {
-	if _, dup := p.byName[img.Name]; dup {
+	if p.Object(img.Name) != nil {
 		return fmt.Errorf("obj: %q already loaded", img.Name)
 	}
 	size := img.TextSize
@@ -112,7 +111,6 @@ func (p *Process) load(img *Image, base uint64) error {
 	}
 	lo := &LoadedObject{Image: img, Base: base, proc: p, patched: make([]atomic.Bool, len(img.Sleds))}
 	p.objects = append(p.objects, lo)
-	p.byName[img.Name] = lo
 	return nil
 }
 
@@ -123,7 +121,14 @@ func (p *Process) Executable() *LoadedObject { return p.objects[0] }
 func (p *Process) Objects() []*LoadedObject { return slices.Clone(p.objects) }
 
 // Object returns the loaded object with the given image name, or nil.
-func (p *Process) Object(name string) *LoadedObject { return p.byName[name] }
+func (p *Process) Object(name string) *LoadedObject {
+	for _, lo := range p.objects {
+		if lo.Image.Name == name {
+			return lo
+		}
+	}
+	return nil
+}
 
 // FindObject returns the object whose mapping contains addr, or nil.
 func (p *Process) FindObject(addr uint64) *LoadedObject {

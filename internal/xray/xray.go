@@ -133,18 +133,13 @@ func (s *Stats) Add(d Stats) {
 	s.BatchWindows += d.BatchWindows
 }
 
-type objectState struct {
-	lo         *obj.LoadedObject
-	trampoline Trampoline
-}
-
-// Runtime is the XRay runtime for one process. Its object table is filled
-// by NewRuntime and never written again, so every lookup is a plain read.
+// Runtime is the XRay runtime for one process. Its object table, indexed
+// by object ID, is filled by NewRuntime and never written again, so every
+// lookup is a plain read; ObjectID and Trampoline are derived from it.
 type Runtime struct {
 	proc *obj.Process
 
-	objects [MaxDSOs + 1]*objectState
-	objID   map[*obj.LoadedObject]uint8
+	objects [MaxDSOs + 1]*obj.LoadedObject
 
 	// patchMu serializes sled rewriting (the mprotect open/write/close
 	// dance): concurrent patch operations must not interleave their
@@ -180,7 +175,7 @@ func (a *ObjectIDs) Next(im *obj.Image) (uint8, error) {
 // object exceeds the 24-bit function-ID space or the process has more than
 // MaxDSOs patchable DSOs.
 func NewRuntime(p *obj.Process) (*Runtime, error) {
-	rt := &Runtime{proc: p, objID: map[*obj.LoadedObject]uint8{}}
+	rt := &Runtime{proc: p}
 	var ids ObjectIDs
 	for _, lo := range p.Objects() {
 		if !lo.Image.Patchable {
@@ -190,37 +185,33 @@ func NewRuntime(p *obj.Process) (*Runtime, error) {
 		if err != nil {
 			return nil, err
 		}
-		rt.objects[id] = &objectState{
-			lo:         lo,
-			trampoline: Trampoline{Object: lo.Image.Name, PositionIndependent: !lo.Image.Exe},
-		}
-		rt.objID[lo] = id
+		rt.objects[id] = lo
 	}
 	return rt, nil
 }
 
 // ObjectID returns the object ID assigned to a loaded object.
 func (rt *Runtime) ObjectID(lo *obj.LoadedObject) (uint8, bool) {
-	id, ok := rt.objID[lo]
-	return id, ok
+	if id := slices.Index(rt.objects[:], lo); lo != nil && id >= 0 {
+		return uint8(id), true
+	}
+	return 0, false
 }
 
 // Object returns the loaded object registered under the given ID.
 func (rt *Runtime) Object(id uint8) (*obj.LoadedObject, bool) {
-	st := rt.objects[id]
-	if st == nil {
-		return nil, false
-	}
-	return st.lo, true
+	lo := rt.objects[id]
+	return lo, lo != nil
 }
 
-// Trampoline returns the trampoline descriptor for an object ID.
+// Trampoline returns the trampoline descriptor for an object ID: a DSO's
+// is position-independent, the executable's is not.
 func (rt *Runtime) Trampoline(id uint8) (Trampoline, bool) {
-	st := rt.objects[id]
-	if st == nil {
+	lo := rt.objects[id]
+	if lo == nil {
 		return Trampoline{}, false
 	}
-	return st.trampoline, true
+	return Trampoline{Object: lo.Image.Name, PositionIndependent: !lo.Image.Exe}, true
 }
 
 // FunctionAddress returns the absolute entry address of the function with
@@ -228,15 +219,15 @@ func (rt *Runtime) Trampoline(id uint8) (Trampoline, bool) {
 // to cross-check its symbol mapping (§VI-B(a)).
 func (rt *Runtime) FunctionAddress(id int32) (uint64, error) {
 	objID, fn := UnpackID(id)
-	st := rt.objects[objID]
-	if st == nil {
+	lo := rt.objects[objID]
+	if lo == nil {
 		return 0, fmt.Errorf("xray: object %d not registered", objID)
 	}
-	off, ok := st.lo.Image.FuncEntryOffset(fn)
+	off, ok := lo.Image.FuncEntryOffset(fn)
 	if !ok {
 		return 0, fmt.Errorf("xray: object %d has no function %d", objID, fn)
 	}
-	return st.lo.Base + off, nil
+	return lo.Base + off, nil
 }
 
 // SetHandler installs the process-wide event handler (nil removes it).
@@ -256,10 +247,10 @@ func (rt *Runtime) Dispatch(tc ThreadCtx, id int32, kind EntryType) {
 
 // writeWindow opens one mprotect window spanning the given sleds of one
 // object, rewrites them, and restores the protection. Callers hold patchMu.
-func (rt *Runtime) writeWindow(st *objectState, sleds []int, patched bool) (Stats, error) {
-	lo, hi := st.lo.SledAddr(sleds[0]), st.lo.SledAddr(sleds[0])
+func (rt *Runtime) writeWindow(o *obj.LoadedObject, sleds []int, patched bool) (Stats, error) {
+	lo, hi := o.SledAddr(sleds[0]), o.SledAddr(sleds[0])
 	for _, si := range sleds {
-		a := st.lo.SledAddr(si)
+		a := o.SledAddr(si)
 		if a < lo {
 			lo = a
 		}
@@ -276,7 +267,7 @@ func (rt *Runtime) writeWindow(st *objectState, sleds []int, patched bool) (Stat
 	delta.MprotectPages += int64(pages)
 	var firstErr error
 	for _, si := range sleds {
-		if err := st.lo.WriteSled(si, patched); err != nil && firstErr == nil {
+		if err := o.WriteSled(si, patched); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		if patched {
@@ -311,13 +302,13 @@ func (rt *Runtime) PatchBatch(ids []int32, patch bool) (Stats, error) {
 	}
 	// All IDs are validated, object by object, before any sled is touched.
 	type objRun struct {
-		st  *objectState
+		lo  *obj.LoadedObject
 		ids []int32
 	}
 	var runs []objRun
 	maxSleds := 0
 	for i := 0; i < len(ids); {
-		st, _, err := rt.objectFor(ids[i])
+		lo, _, err := rt.objectFor(ids[i])
 		if err != nil {
 			return Stats{}, err
 		}
@@ -328,16 +319,16 @@ func (rt *Runtime) PatchBatch(ids []int32, patch bool) (Stats, error) {
 			if o != object {
 				break
 			}
-			if fn >= st.lo.Image.NumFuncIDs {
-				return Stats{}, fmt.Errorf("xray: object %q has no function ID %d", st.lo.Image.Name, fn)
+			if fn >= lo.Image.NumFuncIDs {
+				return Stats{}, fmt.Errorf("xray: object %q has no function ID %d", lo.Image.Name, fn)
 			}
-			n := len(st.lo.Image.FuncSleds(fn))
+			n := len(lo.Image.FuncSleds(fn))
 			if n == 0 {
-				return Stats{}, fmt.Errorf("xray: object %q has no sleds for function %d", st.lo.Image.Name, fn)
+				return Stats{}, fmt.Errorf("xray: object %q has no sleds for function %d", lo.Image.Name, fn)
 			}
 			nSleds += n
 		}
-		runs = append(runs, objRun{st, ids[i:j]})
+		runs = append(runs, objRun{lo, ids[i:j]})
 		maxSleds = max(maxSleds, nSleds)
 		i = j
 	}
@@ -350,23 +341,23 @@ func (rt *Runtime) PatchBatch(ids []int32, patch bool) (Stats, error) {
 	var firstErr error
 	sleds := make([]int, 0, maxSleds)
 	for _, run := range runs {
-		st := run.st
+		lo := run.lo
 		sleds = sleds[:0]
 		for _, id := range run.ids {
 			_, fn := UnpackID(id)
-			for _, si := range st.lo.Image.FuncSleds(fn) {
+			for _, si := range lo.Image.FuncSleds(fn) {
 				sleds = append(sleds, int(si))
 			}
 		}
-		slices.SortFunc(sleds, func(a, b int) int { return cmp.Compare(st.lo.SledAddr(a), st.lo.SledAddr(b)) })
+		slices.SortFunc(sleds, func(a, b int) int { return cmp.Compare(lo.SledAddr(a), lo.SledAddr(b)) })
 		// Split into runs of contiguous pages: a gap of one or more whole
 		// pages between consecutive sleds closes the current window, so the
 		// batch never opens write access on pages it does not rewrite.
 		for start := 0; start < len(sleds); {
 			end := start + 1
-			lastPage := (st.lo.SledAddr(sleds[start]) + obj.SledBytes - 1) / mem.PageSize
+			lastPage := (lo.SledAddr(sleds[start]) + obj.SledBytes - 1) / mem.PageSize
 			for end < len(sleds) {
-				a := st.lo.SledAddr(sleds[end])
+				a := lo.SledAddr(sleds[end])
 				if a/mem.PageSize > lastPage+1 {
 					break
 				}
@@ -375,7 +366,7 @@ func (rt *Runtime) PatchBatch(ids []int32, patch bool) (Stats, error) {
 				}
 				end++
 			}
-			d, err := rt.writeWindow(st, sleds[start:end], patch)
+			d, err := rt.writeWindow(lo, sleds[start:end], patch)
 			delta.Add(d)
 			delta.BatchWindows++
 			if err != nil && firstErr == nil {
@@ -396,27 +387,27 @@ func strictlyIncreasing(ids []int32) bool {
 	return true
 }
 
-func (rt *Runtime) objectFor(id int32) (*objectState, uint32, error) {
+func (rt *Runtime) objectFor(id int32) (*obj.LoadedObject, uint32, error) {
 	objID, fn := UnpackID(id)
-	st := rt.objects[objID]
-	if st == nil {
+	lo := rt.objects[objID]
+	if lo == nil {
 		return nil, 0, fmt.Errorf("xray: object %d not registered", objID)
 	}
-	if fn >= st.lo.Image.NumFuncIDs {
-		return nil, 0, fmt.Errorf("xray: object %q has no function ID %d", st.lo.Image.Name, fn)
+	if fn >= lo.Image.NumFuncIDs {
+		return nil, 0, fmt.Errorf("xray: object %q has no function ID %d", lo.Image.Name, fn)
 	}
-	return st, fn, nil
+	return lo, fn, nil
 }
 
 // Patched reports whether the entry sled of the given function is patched.
 func (rt *Runtime) Patched(id int32) bool {
-	st, fn, err := rt.objectFor(id)
+	lo, fn, err := rt.objectFor(id)
 	if err != nil {
 		return false
 	}
-	for _, si := range st.lo.Image.FuncSleds(fn) {
-		if st.lo.Image.Sleds[si].Kind == obj.SledEntry {
-			return st.lo.SledPatched(int(si))
+	for _, si := range lo.Image.FuncSleds(fn) {
+		if lo.Image.Sleds[si].Kind == obj.SledEntry {
+			return lo.SledPatched(int(si))
 		}
 	}
 	return false
