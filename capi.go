@@ -282,13 +282,12 @@ func (s *Session) AttachStaticIDs(sel *Selection) error {
 	if sel == nil || sel.IC == nil {
 		return fmt.Errorf("capi: nil selection")
 	}
-	static, err := s.build.StaticPackedIDs()
-	if err != nil {
+	if err := s.build.PackedIDErr(); err != nil {
 		return err
 	}
-	var ids []int32 // a function without sleds (fully inlined) has none
+	ids := make([]int32, 0, len(sel.IC.Include))
 	for _, name := range sel.IC.Include {
-		if id, ok := static[name]; ok {
+		if id, ok := s.build.PackedID(name); ok { // none without sleds (fully inlined)
 			ids = append(ids, id)
 		}
 	}

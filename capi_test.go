@@ -1,6 +1,7 @@
 package capi_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -264,6 +265,19 @@ func TestAttachStaticIDs(t *testing.T) {
 	}
 	if err := s.AttachStaticIDs(sel); err != nil {
 		t.Fatal(err)
+	}
+	static, err := s.Build().StaticPackedIDs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []int32
+	for _, name := range sel.IC.Include {
+		if id, ok := static[name]; ok {
+			want = append(want, id)
+		}
+	}
+	if slices.Sort(want); !slices.Equal(sel.IC.IncludeIDs, want) {
+		t.Fatalf("attached IDs %v, want the build's static IDs of the IC's names %v", sel.IC.IncludeIDs, want)
 	}
 	withIDs, err := s.Run(sel, capi.RunOptions{Ranks: 2})
 	if err != nil {

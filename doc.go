@@ -113,7 +113,8 @@
 // # The Fig. 1 loop
 //
 // NewSession prepares an application in three stages: validate once, then
-// the call graph (one pass, every node in one slab) beside the XRay compile.
+// the call graph (one pass into an immutable graph of 80-byte nodes, with no
+// name index) beside the XRay compile.
 // The user then iterates: Select (a spec into an IC), Run (patch at start-up,
 // measure), inspect, adjust the spec — no recompilation between:
 //

@@ -10,17 +10,21 @@ package callgraph
 // The seed nodes themselves are included.
 func (g *Graph) Reachable(from *Set, forward bool) *Set {
 	out := from.Clone()
-	stack := from.Members()
+	stack := make([]int32, 0, from.Count())
+	from.ForEach(func(n *Node) bool {
+		stack = append(stack, n.id)
+		return true
+	})
 	for len(stack) > 0 {
-		n := stack[len(stack)-1]
+		n := &g.nodes[stack[len(stack)-1]]
 		stack = stack[:len(stack)-1]
-		next := n.callees
+		next := g.Callees(n)
 		if !forward {
-			next = n.callers
+			next = g.Callers(n)
 		}
 		for _, m := range next {
-			if !out.Has(m) {
-				out.Add(m)
+			if !out.HasID(int(m)) {
+				out.AddID(int(m))
 				stack = append(stack, m)
 			}
 		}
@@ -28,18 +32,16 @@ func (g *Graph) Reachable(from *Set, forward bool) *Set {
 	return out
 }
 
-// OnCallPath returns every node that lies on some call path from the node
-// named root to any node in targets — i.e. descendants(root) ∩
-// ancestors(targets), endpoints included. This implements the paper's
-// "on a call path from main to ..." selector semantics. If root is unknown
-// the result is empty.
-func (g *Graph) OnCallPath(root string, targets *Set) *Set {
-	rn := g.Node(root)
-	if rn == nil {
+// OnCallPath returns every node that lies on some call path from root to
+// any node in targets — i.e. descendants(root) ∩ ancestors(targets),
+// endpoints included. This implements the paper's "on a call path from main
+// to ..." selector semantics. If root is nil the result is empty.
+func (g *Graph) OnCallPath(root *Node, targets *Set) *Set {
+	if root == nil {
 		return g.NewSet()
 	}
 	seed := g.NewSet()
-	seed.Add(rn)
+	seed.Add(root)
 	down := g.Reachable(seed, true)
 	up := g.Reachable(targets, false)
 	return down.Intersect(up)
@@ -84,9 +86,9 @@ func (g *Graph) SCC() (comp []int, n int) {
 				onStack[v] = true
 			}
 			advanced := false
-			callees := g.order[v].callees
+			callees := g.Callees(&g.nodes[v])
 			for f.ci < len(callees) {
-				w := callees[f.ci].id
+				w := int(callees[f.ci])
 				f.ci++
 				if index[w] == unvisited {
 					work = append(work, frame{v: w})
@@ -126,27 +128,25 @@ func (g *Graph) SCC() (comp []int, n int) {
 }
 
 // StatementAggregation computes, for every node, the maximum aggregated
-// statement count along any call chain from the node named root, where each
-// function contributes its own statement count once per chain. Cycles are
-// collapsed to their SCC: all members of a component share the component's
-// total statement count. Unreachable nodes have aggregate 0.
-func (g *Graph) StatementAggregation(root string) []int64 {
-	rn := g.Node(root)
+// statement count along any call chain from root, where each function
+// contributes its own statement count once per chain. Cycles are collapsed
+// to their SCC: all members of a component share the component's total
+// statement count. Unreachable nodes (all of them if root is nil) have
+// aggregate 0.
+func (g *Graph) StatementAggregation(root *Node) []int64 {
 	agg := make([]int64, g.Len())
-	if rn == nil {
+	if root == nil {
 		return agg
 	}
 	comp, ncomp := g.SCC()
 
 	// Total statements and membership per component.
 	compStmts := make([]int64, ncomp)
-	for _, n := range g.order {
-		compStmts[comp[n.id]] += int64(n.Meta.Statements)
-	}
 	members := make([][]int32, ncomp)
-	for _, n := range g.order {
-		c := comp[n.id]
-		members[c] = append(members[c], int32(n.id))
+	for i := range g.nodes {
+		c := comp[i]
+		compStmts[c] += int64(g.nodes[i].Statements)
+		members[c] = append(members[c], int32(i))
 	}
 	// Condensation edges: comp(u) -> comp(v) for u->v with different comps.
 	// Tarjan yields components in reverse topological order: an edge always
@@ -155,7 +155,7 @@ func (g *Graph) StatementAggregation(root string) []int64 {
 	// component itself.
 	compAgg := make([]int64, ncomp)
 	reached := make([]bool, ncomp)
-	rootComp := comp[rn.id]
+	rootComp := comp[root.id]
 	compAgg[rootComp] = compStmts[rootComp]
 	reached[rootComp] = true
 	for c := ncomp - 1; c >= 0; c-- {
@@ -163,8 +163,8 @@ func (g *Graph) StatementAggregation(root string) []int64 {
 			continue
 		}
 		for _, id := range members[c] {
-			for _, m := range g.order[id].callees {
-				mc := comp[m.id]
+			for _, m := range g.Callees(&g.nodes[id]) {
+				mc := comp[m]
 				if mc == c {
 					continue
 				}
@@ -176,41 +176,39 @@ func (g *Graph) StatementAggregation(root string) []int64 {
 			}
 		}
 	}
-	for _, n := range g.order {
-		if reached[comp[n.id]] {
-			agg[n.id] = compAgg[comp[n.id]]
+	for i, c := range comp {
+		if reached[c] {
+			agg[i] = compAgg[c]
 		}
 	}
 	return agg
 }
 
 // Coarse implements the paper's coarse selector (§V-D): traversing the call
-// graph top-down from the node named root, a callee of a selected function
-// is removed from the selection when that function is its only caller —
-// collapsing trivial single-caller call chains such as the nested OpenFOAM
-// solve() wrappers (Listing 3). The parent's selection is judged against the
-// *input* set so that removals cascade down a chain. Functions in critical
-// are always retained. The input set is not modified.
-func (g *Graph) Coarse(root string, in *Set, critical *Set) *Set {
+// graph top-down from root, a callee of a selected function is removed from
+// the selection when that function is its only caller — collapsing trivial
+// single-caller call chains such as the nested OpenFOAM solve() wrappers
+// (Listing 3). The parent's selection is judged against the *input* set so
+// that removals cascade down a chain. Functions in critical are always
+// retained. The input set is not modified; if root is nil it is returned
+// as a copy.
+func (g *Graph) Coarse(root *Node, in *Set, critical *Set) *Set {
 	out := in.Clone()
-	rn := g.Node(root)
-	if rn == nil {
+	if root == nil {
 		return out
 	}
 	visited := g.NewSet()
-	queue := []*Node{rn}
-	visited.Add(rn)
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, callee := range n.callees {
-			if in.Has(n) && in.Has(callee) && len(callee.callers) == 1 {
-				if critical == nil || !critical.Has(callee) {
-					out.Remove(callee)
-				}
+	visited.Add(root)
+	queue := append(make([]int32, 0, g.Len()), root.id) // each node is queued once at most
+	for head := 0; head < len(queue); head++ {
+		n := &g.nodes[queue[head]]
+		for _, callee := range g.Callees(n) {
+			m := &g.nodes[callee]
+			if in.Has(n) && in.Has(m) && m.nin == 1 && (critical == nil || !critical.Has(m)) {
+				out.Remove(m)
 			}
-			if !visited.Has(callee) {
-				visited.Add(callee)
+			if !visited.Has(m) {
+				visited.Add(m)
 				queue = append(queue, callee)
 			}
 		}

@@ -9,17 +9,16 @@ import (
 // diamond builds main -> {l, r} -> sink, plus an isolated node "iso" and a
 // cycle c1 <-> c2 reachable from r.
 func diamond() *Graph {
-	g := New("diamond", 0)
-	g.Main = "main"
-	g.AddEdge("main", "l")
-	g.AddEdge("main", "r")
-	g.AddEdge("l", "sink")
-	g.AddEdge("r", "sink")
-	g.AddEdge("r", "c1")
-	g.AddEdge("c1", "c2")
-	g.AddEdge("c2", "c1")
-	g.AddNode("iso", Meta{})
-	return g
+	b := NewBuilder("diamond", "main")
+	b.Edge("main", "l")
+	b.Edge("main", "r")
+	b.Edge("l", "sink")
+	b.Edge("r", "sink")
+	b.Edge("r", "c1")
+	b.Edge("c1", "c2")
+	b.Edge("c2", "c1")
+	b.Add("iso", Meta{})
+	return b.Graph()
 }
 
 func TestReachableForward(t *testing.T) {
@@ -54,7 +53,7 @@ func TestReachableBackward(t *testing.T) {
 
 func TestOnCallPath(t *testing.T) {
 	g := diamond()
-	p := g.OnCallPath("main", g.SetOf("sink"))
+	p := g.OnCallPath(g.Node("main"), g.SetOf("sink"))
 	want := map[string]bool{"main": true, "l": true, "r": true, "sink": true}
 	if p.Count() != len(want) {
 		t.Fatalf("OnCallPath = %v", p.Names())
@@ -65,18 +64,19 @@ func TestOnCallPath(t *testing.T) {
 		}
 	}
 	// Unknown root yields the empty set.
-	if !g.OnCallPath("ghost", g.SetOf("sink")).Empty() {
+	if !g.OnCallPath(g.Node("ghost"), g.SetOf("sink")).Empty() {
 		t.Fatal("unknown root should yield empty set")
 	}
 }
 
 func TestOnCallPathThroughCycle(t *testing.T) {
-	g := New("g", 0)
-	g.AddEdge("main", "a")
-	g.AddEdge("a", "b")
-	g.AddEdge("b", "a") // recursion
-	g.AddEdge("b", "target")
-	p := g.OnCallPath("main", g.SetOf("target"))
+	b := NewBuilder("g", "")
+	b.Edge("main", "a")
+	b.Edge("a", "b")
+	b.Edge("b", "a") // recursion
+	b.Edge("b", "target")
+	g := b.Graph()
+	p := g.OnCallPath(g.Node("main"), g.SetOf("target"))
 	for _, n := range []string{"main", "a", "b", "target"} {
 		if !p.HasName(n) {
 			t.Fatalf("missing %s", n)
@@ -98,9 +98,9 @@ func TestSCC(t *testing.T) {
 	}
 	// Reverse topological property: caller comp index > callee comp index.
 	for _, nd := range g.Nodes() {
-		for _, c := range nd.Callees() {
-			if comp[nd.ID()] != comp[c.ID()] && comp[nd.ID()] < comp[c.ID()] {
-				t.Fatalf("edge %s->%s violates reverse topological order", nd.Name, c.Name)
+		for _, c := range g.Callees(&nd) {
+			if comp[nd.ID()] != comp[c] && comp[nd.ID()] < comp[c] {
+				t.Fatalf("edge %s->%s violates reverse topological order", nd.Name, g.NodeByID(int(c)))
 			}
 		}
 	}
@@ -109,20 +109,21 @@ func TestSCC(t *testing.T) {
 func TestSCCRandomizedTopoProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
-		g := New("rand", 0)
+		bld := NewBuilder("rand", "")
 		n := 50
 		for i := 0; i < n; i++ {
-			g.AddNode(fmt.Sprintf("f%d", i), Meta{})
+			bld.Add(fmt.Sprintf("f%d", i), Meta{})
 		}
 		for e := 0; e < 120; e++ {
 			a, b := rng.Intn(n), rng.Intn(n)
-			g.AddEdge(fmt.Sprintf("f%d", a), fmt.Sprintf("f%d", b))
+			bld.Edge(fmt.Sprintf("f%d", a), fmt.Sprintf("f%d", b))
 		}
+		g := bld.Graph()
 		comp, _ := g.SCC()
 		for _, nd := range g.Nodes() {
-			for _, c := range nd.Callees() {
-				if comp[nd.ID()] != comp[c.ID()] && comp[nd.ID()] < comp[c.ID()] {
-					t.Fatalf("trial %d: edge %s->%s violates order", trial, nd.Name, c.Name)
+			for _, c := range g.Callees(&nd) {
+				if comp[nd.ID()] != comp[c] && comp[nd.ID()] < comp[c] {
+					t.Fatalf("trial %d: edge %s->%s violates order", trial, nd.Name, g.NodeByID(int(c)))
 				}
 			}
 		}
@@ -131,14 +132,15 @@ func TestSCCRandomizedTopoProperty(t *testing.T) {
 
 func TestStatementAggregation(t *testing.T) {
 	// main(10) -> a(5) -> b(3); main -> b directly too.
-	g := New("agg", 0)
-	g.AddNode("main", Meta{Statements: 10})
-	g.AddNode("a", Meta{Statements: 5})
-	g.AddNode("b", Meta{Statements: 3})
-	g.AddEdge("main", "a")
-	g.AddEdge("a", "b")
-	g.AddEdge("main", "b")
-	agg := g.StatementAggregation("main")
+	b := NewBuilder("agg", "")
+	b.Add("main", Meta{Statements: 10})
+	b.Add("a", Meta{Statements: 5})
+	b.Add("b", Meta{Statements: 3})
+	b.Edge("main", "a")
+	b.Edge("a", "b")
+	b.Edge("main", "b")
+	g := b.Graph()
+	agg := g.StatementAggregation(g.Node("main"))
 	if got := agg[g.Node("main").ID()]; got != 10 {
 		t.Fatalf("agg(main) = %d", got)
 	}
@@ -152,16 +154,17 @@ func TestStatementAggregation(t *testing.T) {
 }
 
 func TestStatementAggregationCycle(t *testing.T) {
-	g := New("aggc", 0)
-	g.AddNode("main", Meta{Statements: 1})
-	g.AddNode("x", Meta{Statements: 2})
-	g.AddNode("y", Meta{Statements: 4})
-	g.AddNode("leaf", Meta{Statements: 8})
-	g.AddEdge("main", "x")
-	g.AddEdge("x", "y")
-	g.AddEdge("y", "x") // cycle {x,y} counts once: 6
-	g.AddEdge("y", "leaf")
-	agg := g.StatementAggregation("main")
+	b := NewBuilder("aggc", "")
+	b.Add("main", Meta{Statements: 1})
+	b.Add("x", Meta{Statements: 2})
+	b.Add("y", Meta{Statements: 4})
+	b.Add("leaf", Meta{Statements: 8})
+	b.Edge("main", "x")
+	b.Edge("x", "y")
+	b.Edge("y", "x") // cycle {x,y} counts once: 6
+	b.Edge("y", "leaf")
+	g := b.Graph()
+	agg := g.StatementAggregation(g.Node("main"))
 	if got := agg[g.Node("x").ID()]; got != 7 {
 		t.Fatalf("agg(x) = %d, want 7", got)
 	}
@@ -172,7 +175,7 @@ func TestStatementAggregationCycle(t *testing.T) {
 		t.Fatalf("agg(leaf) = %d, want 15", got)
 	}
 	// Unreachable root.
-	zero := g.StatementAggregation("ghost")
+	zero := g.StatementAggregation(g.Node("ghost"))
 	for _, v := range zero {
 		if v != 0 {
 			t.Fatal("unknown root must yield zeros")
@@ -183,24 +186,23 @@ func TestStatementAggregationCycle(t *testing.T) {
 // listing3 builds the OpenFOAM solve chain from the paper's Listing 3:
 // a single-caller chain solve -> s1 -> s2 -> s3 -> s4 -> Amul.
 func listing3() *Graph {
-	g := New("listing3", 0)
-	g.Main = "main"
-	g.AddEdge("main", "solve")
-	g.AddEdge("solve", "s1")
-	g.AddEdge("s1", "s2")
-	g.AddEdge("s2", "s3")
-	g.AddEdge("s3", "s4")
-	g.AddEdge("s4", "Amul")
+	b := NewBuilder("listing3", "main")
+	b.Edge("main", "solve")
+	b.Edge("solve", "s1")
+	b.Edge("s1", "s2")
+	b.Edge("s2", "s3")
+	b.Edge("s3", "s4")
+	b.Edge("s4", "Amul")
 	// Give solve a second caller so it is kept regardless.
-	g.AddEdge("main", "other")
-	return g
+	b.Edge("main", "other")
+	return b.Graph()
 }
 
 func TestCoarseCollapsesChain(t *testing.T) {
 	g := listing3()
 	in := g.SetOf("solve", "s1", "s2", "s3", "s4", "Amul")
 	critical := g.SetOf("Amul")
-	out := g.Coarse("main", in, critical)
+	out := g.Coarse(g.MainNode(), in, critical)
 	if !out.HasName("solve") {
 		t.Fatal("solve (multi-caller context head) must stay")
 	}
@@ -217,21 +219,21 @@ func TestCoarseCollapsesChain(t *testing.T) {
 func TestCoarseWithoutCriticalPrunesLeaf(t *testing.T) {
 	g := listing3()
 	in := g.SetOf("solve", "s1", "s2", "s3", "s4", "Amul")
-	out := g.Coarse("main", in, nil)
+	out := g.Coarse(g.MainNode(), in, nil)
 	if out.HasName("Amul") {
 		t.Fatal("without a critical set, the sole-caller leaf is pruned too")
 	}
 }
 
 func TestCoarseKeepsMultiCallerCallees(t *testing.T) {
-	g := New("g", 0)
-	g.Main = "main"
-	g.AddEdge("main", "a")
-	g.AddEdge("main", "b")
-	g.AddEdge("a", "shared")
-	g.AddEdge("b", "shared")
+	b := NewBuilder("g", "main")
+	b.Edge("main", "a")
+	b.Edge("main", "b")
+	b.Edge("a", "shared")
+	b.Edge("b", "shared")
+	g := b.Graph()
 	in := g.SetOf("a", "b", "shared")
-	out := g.Coarse("main", in, nil)
+	out := g.Coarse(g.MainNode(), in, nil)
 	if !out.HasName("shared") {
 		t.Fatal("multi-caller callee must be retained")
 	}
@@ -241,7 +243,7 @@ func TestCoarseDoesNotMutateInput(t *testing.T) {
 	g := listing3()
 	in := g.SetOf("solve", "s1", "s2")
 	before := in.Count()
-	g.Coarse("main", in, nil)
+	g.Coarse(g.MainNode(), in, nil)
 	if in.Count() != before {
 		t.Fatal("Coarse mutated its input")
 	}
@@ -250,7 +252,7 @@ func TestCoarseDoesNotMutateInput(t *testing.T) {
 func TestCoarseUnknownRoot(t *testing.T) {
 	g := listing3()
 	in := g.SetOf("s1")
-	out := g.Coarse("ghost", in, nil)
+	out := g.Coarse(g.Node("ghost"), in, nil)
 	if !out.Equal(in) {
 		t.Fatal("unknown root should return the input unchanged")
 	}

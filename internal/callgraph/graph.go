@@ -4,18 +4,19 @@
 // call-path computation, strongly connected components and statement
 // aggregation.
 //
-// Graphs are append-only: nodes and edges are added during construction
-// (internal/metacg) and then only read. Node identity is the function name.
+// Graphs are immutable: Assemble builds one from its nodes and edges in a
+// single step (internal/metacg, ReadJSON and Builder all end in it), and it
+// is only read afterwards. A graph keeps one 80-byte Node per function in a
+// slab in ID order, its edges as int32 node IDs in one arena, and the unit
+// and TU names of its metadata once each; it keeps no name index, so Node
+// (by name) is a scan, meant for tests and SetOf.
 package callgraph
 
-import (
-	"fmt"
-	"slices"
-)
+import "slices"
 
 // Meta is the per-function static metadata carried by a node. It mirrors the
-// annotation set MetaCG attaches to call-graph nodes. The counts are int32:
-// a graph keeps one Meta per function for the life of a session.
+// annotation set MetaCG attaches to call-graph nodes. Graph.Meta rebuilds it
+// from the node's packed fields.
 type Meta struct {
 	Statements   int32  `json:"numStatements"`
 	LOC          int32  `json:"loc"`
@@ -29,119 +30,155 @@ type Meta struct {
 	TU           string `json:"tu,omitempty"`
 }
 
-// Node is one function in the call graph.
+// Node is one function in the call graph. A graph keeps one per function
+// for the life of a session, so it is packed: the metadata's counts and
+// flags as Meta has them, its unit and TU as indices into the graph's label
+// table (Graph.Meta rebuilds the whole Meta), and the edges as a window of
+// the graph's ID arena, callees then callers.
 type Node struct {
-	id      int
-	Name    string
-	Display string // demangled name for reports; may equal Name
-	Meta    Meta
+	Name                                          string
+	Display                                       string // demangled name for reports; may equal Name
+	Statements, LOC, Flops, LoopDepth, Cyclomatic int32
+	Inline, SystemHeader, Virtual                 bool
 
-	callees []*Node
-	callers []*Node
+	id, first, nout, nin, unit, tu int32 // arena[first:][:nout] are the callees, nin callers follow
 }
 
 // ID returns the node's dense index, stable for the life of the graph.
-func (n *Node) ID() int { return n.id }
-
-// Callees returns the outgoing edges. Callers must not modify the slice.
-func (n *Node) Callees() []*Node { return n.callees }
-
-// Callers returns the incoming edges. Callers must not modify the slice.
-func (n *Node) Callers() []*Node { return n.callers }
+func (n *Node) ID() int { return int(n.id) }
 
 func (n *Node) String() string { return n.Name }
 
-// Graph is a whole-program call graph.
+// Decl declares one node to Assemble: its names and metadata.
+type Decl struct {
+	Name, Display string
+	Meta          Meta
+}
+
+// Edge is a caller→callee pair of node IDs, the input of Assemble.
+type Edge struct{ From, To int32 }
+
+// Graph is a whole-program call graph. Name and Main are set by Assemble
+// and only read afterwards.
 type Graph struct {
 	Name string
 	Main string // entry-point function name ("" if unknown)
 
-	nodes map[string]*Node
-	order []*Node
-	edges int
+	main   int32    // Main's node ID, -1 if no node has that name
+	nodes  []Node   // the slab, in ID order
+	arena  []int32  // every node's callees and callers, by node ID
+	labels []string // unit and TU names; labels[0] is ""
+	edges  int
 }
 
-// New returns an empty graph with room for about nodes nodes (0: unknown).
-func New(name string, nodes int) *Graph {
-	return &Graph{
-		Name:  name,
-		nodes: make(map[string]*Node, nodes),
-		order: make([]*Node, 0, nodes),
+// Assemble returns the graph whose nodes are decls, in ID order, and whose
+// edges are edges, repeats ignored: a node's callees and callers keep the
+// order their edges first appear in.
+func Assemble(name, main string, decls []Decl, edges []Edge) *Graph {
+	n := len(decls)
+	g := &Graph{Name: name, Main: main, main: -1, nodes: make([]Node, n), labels: []string{""}}
+	label := map[string]int32{"": 0}
+	intern := func(s string) int32 {
+		if _, ok := label[s]; !ok {
+			label[s] = int32(len(g.labels))
+			g.labels = append(g.labels, s)
+		}
+		return label[s]
+	}
+	for i := range decls {
+		d, m := &decls[i], &decls[i].Meta
+		g.nodes[i] = Node{Name: d.Name, Display: d.Display, Statements: m.Statements, LOC: m.LOC, Flops: m.Flops,
+			LoopDepth: m.LoopDepth, Cyclomatic: m.Cyclomatic, Inline: m.Inline, SystemHeader: m.SystemHeader,
+			Virtual: m.Virtual, id: int32(i), unit: intern(m.Unit), tu: intern(m.TU)}
+		if g.main < 0 && main != "" && d.Name == main {
+			g.main = int32(i)
+		}
+	}
+	// Each node's window is sized by its degrees, repeats counted: callees
+	// from first, callers from first+out[i]. A repeat is looked up in the
+	// shorter of the two lists: a hub's many edges end at nodes with few
+	// callers, and the many callers of a hub have few callees.
+	out, at := make([]int32, n), make([]int32, n+1)
+	for _, e := range edges {
+		out[e.From]++
+		at[e.From+1]++
+		at[e.To+1]++
+	}
+	for i := range n {
+		at[i+1] += at[i]
+		g.nodes[i].first = at[i]
+	}
+	arena := make([]int32, at[n])
+	for _, e := range edges {
+		from, to := &g.nodes[e.From], &g.nodes[e.To]
+		list, x := arena[from.first:][:from.nout], e.To // from's callees
+		if callers := arena[to.first+out[e.To]:][:to.nin]; len(callers) < len(list) {
+			list, x = callers, e.From
+		}
+		if slices.Contains(list, x) {
+			continue
+		}
+		g.edges++
+		arena[from.first+from.nout], arena[to.first+out[e.To]+to.nin] = e.To, e.From
+		from.nout++
+		to.nin++
+	}
+	w := int32(0) // close the gaps the repeats left
+	for i := range g.nodes {
+		nd := &g.nodes[i]
+		copy(arena[w:], arena[nd.first:][:nd.nout])
+		copy(arena[w+nd.nout:], arena[nd.first+out[i]:][:nd.nin])
+		nd.first, w = w, w+nd.nout+nd.nin
+	}
+	g.arena = arena[:w:w]
+	return g
+}
+
+// Callees returns the IDs of n's callees. Callers must not modify the slice.
+func (g *Graph) Callees(n *Node) []int32 { return g.arena[n.first : n.first+n.nout] }
+
+// Callers returns the IDs of n's callers. Callers must not modify the slice.
+func (g *Graph) Callers(n *Node) []int32 {
+	return g.arena[n.first+n.nout : n.first+n.nout+n.nin]
+}
+
+// Meta returns n's metadata.
+func (g *Graph) Meta(n *Node) Meta {
+	return Meta{
+		Statements: n.Statements, LOC: n.LOC, Flops: n.Flops, LoopDepth: n.LoopDepth, Cyclomatic: n.Cyclomatic,
+		Inline: n.Inline, SystemHeader: n.SystemHeader, Virtual: n.Virtual, Unit: g.labels[n.unit], TU: g.labels[n.tu],
 	}
 }
 
-// hasEdge looks the edge up in the shorter of its two adjacency lists. No
-// edge index is kept: a hub's many edges end at nodes with few callers (and
-// the many callers of a hub have few callees), so the scan is short, and
-// over all E edges of any graph it is bounded by O(E·√E).
-func hasEdge(from, to *Node) bool {
-	if len(to.callers) < len(from.callees) {
-		return slices.Contains(to.callers, from)
+// Node returns the named node, or nil. It scans the graph.
+func (g *Graph) Node(name string) *Node {
+	for i := range g.nodes {
+		if g.nodes[i].Name == name {
+			return &g.nodes[i]
+		}
 	}
-	return slices.Contains(from.callees, to)
+	return nil
 }
-
-// AddNode inserts a node with the given metadata and returns it. If the node
-// already exists it is returned unchanged (use SetMeta to replace a stub's
-// metadata).
-func (g *Graph) AddNode(name string, meta Meta) *Node {
-	if n, ok := g.nodes[name]; ok {
-		return n
-	}
-	n := &Node{id: len(g.order), Name: name, Display: name, Meta: meta}
-	g.nodes[name] = n
-	g.order = append(g.order, n)
-	return n
-}
-
-// SetMeta replaces the metadata of an existing node. It reports whether the
-// node exists.
-func (g *Graph) SetMeta(name string, meta Meta) bool {
-	n, ok := g.nodes[name]
-	if !ok {
-		return false
-	}
-	n.Meta = meta
-	return true
-}
-
-// Node returns the named node, or nil.
-func (g *Graph) Node(name string) *Node { return g.nodes[name] }
 
 // Len returns the number of nodes.
-func (g *Graph) Len() int { return len(g.order) }
+func (g *Graph) Len() int { return len(g.nodes) }
 
-// Nodes returns all nodes in insertion order. Callers must not modify the
-// returned slice.
-func (g *Graph) Nodes() []*Node { return g.order }
+// Nodes returns all nodes in ID order. Callers must not modify the returned
+// slice.
+func (g *Graph) Nodes() []Node { return g.nodes }
 
 // NodeByID returns the node with the given dense index.
 func (g *Graph) NodeByID(id int) *Node {
-	if id < 0 || id >= len(g.order) {
+	if id < 0 || id >= len(g.nodes) {
 		return nil
 	}
-	return g.order[id]
-}
-
-// AddEdge inserts a caller→callee edge, creating missing nodes with empty
-// metadata (declaration stubs). Duplicate edges are ignored.
-func (g *Graph) AddEdge(caller, callee string) {
-	g.addEdge(g.AddNode(caller, Meta{}), g.AddNode(callee, Meta{}))
-}
-
-func (g *Graph) addEdge(from, to *Node) {
-	if hasEdge(from, to) {
-		return
-	}
-	g.edges++
-	from.callees = append(from.callees, to)
-	to.callers = append(to.callers, from)
+	return &g.nodes[id]
 }
 
 // HasEdge reports whether the caller→callee edge exists.
 func (g *Graph) HasEdge(caller, callee string) bool {
-	from, to := g.nodes[caller], g.nodes[callee]
-	return from != nil && to != nil && hasEdge(from, to)
+	from, to := g.Node(caller), g.Node(callee)
+	return from != nil && to != nil && slices.Contains(g.Callees(from), to.id)
 }
 
 // NumEdges returns the number of distinct edges.
@@ -149,55 +186,47 @@ func (g *Graph) NumEdges() int { return g.edges }
 
 // MainNode returns the entry-point node, or nil if unset/unknown.
 func (g *Graph) MainNode() *Node {
-	if g.Main == "" {
+	if g.main < 0 {
 		return nil
 	}
-	return g.nodes[g.Main]
+	return &g.nodes[g.main]
 }
 
-// Edge is a caller→callee pair of node IDs, the input of Assemble.
-type Edge struct{ From, To int32 }
+// Builder collects a graph's nodes and edges by name, for ReadJSON and for
+// graphs built by hand; Graph assembles them. A node's ID is the order of
+// its first mention; one first mentioned by an edge is a declaration stub
+// (no metadata, Display its name) until its Decl is edited.
+type Builder struct {
+	Name, Main string
+	// Decls holds the declarations by node ID; callers may edit one in
+	// place through the ID Add returns.
+	Decls []Decl
 
-// Assemble returns the graph whose nodes are nodes, in ID order, and whose
-// edges are edges, in insertion order: the graph that New, AddNode for each
-// node and AddEdge for each edge would build, repeated edges ignored. Each
-// node needs its Name, Display and Meta set; the graph keeps the slice as
-// its node slab and cuts all adjacency lists from one arena sized by
-// counted degrees.
-func Assemble(name, main string, nodes []Node, edges []Edge) *Graph {
-	g := &Graph{Name: name, Main: main, nodes: make(map[string]*Node, len(nodes)), order: make([]*Node, len(nodes))}
-	deg := make([]int, 2*len(nodes)) // out-degrees, then in-degrees, repeats counted
-	for _, e := range edges {
-		deg[e.From]++
-		deg[len(nodes)+int(e.To)]++
-	}
-	arena := make([]*Node, 2*len(edges))
-	for i := range nodes {
-		n := &nodes[i]
-		n.id = i
-		g.nodes[n.Name] = n
-		g.order[i] = n
-		out, in := deg[i], deg[len(nodes)+i]
-		n.callees, n.callers, arena = arena[:0:out], arena[out:out:out+in], arena[out+in:]
-	}
-	for _, e := range edges {
-		g.addEdge(&nodes[e.From], &nodes[e.To])
-	}
-	return g
+	index map[string]int32
+	edges []Edge
 }
 
-// Validate performs internal consistency checks and is used by tests.
-func (g *Graph) Validate() error {
-	for i, n := range g.order {
-		if n.id != i {
-			return fmt.Errorf("callgraph: node %q has id %d at position %d", n.Name, n.id, i)
-		}
-		if g.nodes[n.Name] != n {
-			return fmt.Errorf("callgraph: node %q index mismatch", n.Name)
-		}
-	}
-	if len(g.nodes) != len(g.order) {
-		return fmt.Errorf("callgraph: %d named vs %d ordered nodes", len(g.nodes), len(g.order))
-	}
-	return nil
+// NewBuilder returns an empty builder.
+func NewBuilder(name, main string) *Builder {
+	return &Builder{Name: name, Main: main, index: map[string]int32{}}
 }
+
+// Add declares the named node with the given metadata and returns its ID. A
+// node that exists is returned unchanged.
+func (b *Builder) Add(name string, meta Meta) int32 {
+	id, ok := b.index[name]
+	if !ok {
+		id = int32(len(b.Decls))
+		b.index[name] = id
+		b.Decls = append(b.Decls, Decl{Name: name, Display: name, Meta: meta})
+	}
+	return id
+}
+
+// Edge adds a caller→callee edge, adding missing nodes as stubs.
+func (b *Builder) Edge(caller, callee string) {
+	b.edges = append(b.edges, Edge{From: b.Add(caller, Meta{}), To: b.Add(callee, Meta{})})
+}
+
+// Graph assembles the graph built so far.
+func (b *Builder) Graph() *Graph { return Assemble(b.Name, b.Main, b.Decls, b.edges) }

@@ -3,57 +3,45 @@ package callgraph
 import (
 	"bytes"
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 )
 
 // chain builds a -> b -> c -> d.
-func chain(t *testing.T) *Graph {
-	t.Helper()
-	g := New("chain", 0)
-	g.Main = "a"
-	g.AddEdge("a", "b")
-	g.AddEdge("b", "c")
-	g.AddEdge("c", "d")
-	return g
+func chain() *Builder {
+	b := NewBuilder("chain", "a")
+	b.Edge("a", "b")
+	b.Edge("b", "c")
+	b.Edge("c", "d")
+	return b
 }
 
-func TestAddNodeIdempotent(t *testing.T) {
-	g := New("g", 0)
-	n1 := g.AddNode("f", Meta{Statements: 5})
-	n2 := g.AddNode("f", Meta{Statements: 99})
-	if n1 != n2 {
-		t.Fatal("AddNode should return the existing node")
+func TestBuilderAddIdempotent(t *testing.T) {
+	b := NewBuilder("g", "")
+	id1 := b.Add("f", Meta{Statements: 5})
+	id2 := b.Add("f", Meta{Statements: 99})
+	if id1 != id2 {
+		t.Fatal("Add should return the existing node")
 	}
-	if n1.Meta.Statements != 5 {
-		t.Fatalf("existing metadata must not be overwritten, got %d", n1.Meta.Statements)
+	g := b.Graph()
+	if got := g.Meta(g.Node("f")).Statements; got != 5 {
+		t.Fatalf("existing metadata must not be overwritten, got %d", got)
 	}
 	if g.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", g.Len())
 	}
 }
 
-func TestSetMeta(t *testing.T) {
-	g := New("g", 0)
-	g.AddNode("f", Meta{})
-	if !g.SetMeta("f", Meta{Flops: 7}) {
-		t.Fatal("SetMeta on existing node returned false")
-	}
-	if g.Node("f").Meta.Flops != 7 {
-		t.Fatal("SetMeta did not apply")
-	}
-	if g.SetMeta("ghost", Meta{}) {
-		t.Fatal("SetMeta on missing node returned true")
-	}
-}
-
 func TestEdgesDeduplicated(t *testing.T) {
-	g := New("g", 0)
-	g.AddEdge("a", "b")
-	g.AddEdge("a", "b")
+	b := NewBuilder("g", "")
+	b.Edge("a", "b")
+	b.Edge("a", "b")
+	g := b.Graph()
 	if g.NumEdges() != 1 {
 		t.Fatalf("NumEdges = %d, want 1", g.NumEdges())
 	}
-	if len(g.Node("a").Callees()) != 1 || len(g.Node("b").Callers()) != 1 {
+	if len(g.Callees(g.Node("a"))) != 1 || len(g.Callers(g.Node("b"))) != 1 {
 		t.Fatal("adjacency lists contain duplicates")
 	}
 	if !g.HasEdge("a", "b") || g.HasEdge("b", "a") {
@@ -62,9 +50,9 @@ func TestEdgesDeduplicated(t *testing.T) {
 }
 
 func TestNodeByID(t *testing.T) {
-	g := chain(t)
-	for _, n := range g.Nodes() {
-		if g.NodeByID(n.ID()) != n {
+	g := chain().Graph()
+	for i := range g.Nodes() {
+		if n := &g.Nodes()[i]; g.NodeByID(n.ID()) != n || n.ID() != i {
 			t.Fatalf("NodeByID(%d) mismatch", n.ID())
 		}
 	}
@@ -73,74 +61,84 @@ func TestNodeByID(t *testing.T) {
 	}
 }
 
-func TestValidateAndMainNode(t *testing.T) {
-	g := chain(t)
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
+func TestMainNode(t *testing.T) {
+	g := chain().Graph()
 	if g.MainNode() == nil || g.MainNode().Name != "a" {
 		t.Fatal("MainNode wrong")
 	}
-	g2 := New("x", 0)
-	if g2.MainNode() != nil {
+	if NewBuilder("x", "").Graph().MainNode() != nil {
 		t.Fatal("MainNode of empty graph should be nil")
+	}
+	b := chain()
+	b.Main = "ghost"
+	if b.Graph().MainNode() != nil {
+		t.Fatal("a Main no node carries has no MainNode")
 	}
 }
 
-// TestAssembleEqualsAddEdge: Assemble builds the graph AddNode and AddEdge
-// build from the same nodes and edges — IDs, callee and caller order, repeats
-// dropped — and the arena it cuts the adjacency lists from does not leak:
-// edges added afterwards, from a hub and to a hotspot, move no other list.
-func TestAssembleEqualsAddEdge(t *testing.T) {
+// TestAssembleAdjacency: Assemble numbers nodes in declaration order, keeps
+// each callee and caller list in the order its edges first appear, drops
+// repeats, and hands back every declaration's metadata — the unit and TU
+// through the graph's label table.
+func TestAssembleAdjacency(t *testing.T) {
 	names := []string{"main", "hub", "l0", "l1", "l2", "hotspot"}
 	var edges []Edge
 	for _, e := range [][2]int32{{0, 1}, {1, 2}, {2, 5}, {1, 3}, {3, 5}, {1, 2}, {4, 5}, {1, 4}, {0, 5}, {3, 5}, {5, 0}} {
 		edges = append(edges, Edge{From: e[0], To: e[1]})
 	}
-	want := New("g", 0)
-	nodes := make([]Node, len(names))
+	decls := make([]Decl, len(names))
 	for i, name := range names {
-		want.AddNode(name, Meta{Statements: int32(i)}).Display = name + "()"
-		nodes[i] = Node{Name: name, Display: name + "()", Meta: Meta{Statements: int32(i)}}
+		decls[i] = Decl{Name: name, Display: name + "()",
+			Meta: Meta{Statements: int32(i), Inline: i%2 == 0, Unit: []string{"exe", "lib.so"}[i%2], TU: fmt.Sprintf("t%d.cc", i%3)}}
 	}
+	decls[4].Meta = Meta{}
+	// The reference: each edge kept at its first appearance.
+	callees, callers := make([][]int32, len(names)), make([][]int32, len(names))
+	seen := map[Edge]bool{}
 	for _, e := range edges {
-		want.AddEdge(names[e.From], names[e.To])
-	}
-	want.Main = "main"
-	got := Assemble("g", "main", nodes, edges)
-	same := func(what string) {
-		t.Helper()
-		if err := got.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		if got.Name != want.Name || got.Main != want.Main || got.Len() != want.Len() || got.NumEdges() != want.NumEdges() {
-			t.Fatalf("%s: %q %q %d nodes %d edges, want %q %q %d %d", what, got.Name, got.Main, got.Len(), got.NumEdges(),
-				want.Name, want.Main, want.Len(), want.NumEdges())
-		}
-		for i, w := range want.Nodes() {
-			g := got.Nodes()[i]
-			if g.ID() != w.ID() || g.Name != w.Name || g.Display != w.Display || g.Meta != w.Meta ||
-				fmt.Sprint(g.Callees()) != fmt.Sprint(w.Callees()) || fmt.Sprint(g.Callers()) != fmt.Sprint(w.Callers()) {
-				t.Fatalf("%s: node %d is %d %s %v→%v→%v, want %d %s %v→%v→%v", what, i,
-					g.ID(), g.Display, g.Callers(), g, g.Callees(), w.ID(), w.Display, w.Callers(), w, w.Callees())
-			}
+		if !seen[e] {
+			seen[e] = true
+			callees[e.From] = append(callees[e.From], e.To)
+			callers[e.To] = append(callers[e.To], e.From)
 		}
 	}
-	same("assembled")
-	if got.NumEdges() != 9 {
-		t.Fatalf("%d edges, want 9 once the two repeats are dropped", got.NumEdges())
+	g := Assemble("g", "main", decls, edges)
+	if g.Name != "g" || g.Main != "main" || g.MainNode() != g.NodeByID(0) || g.Len() != len(names) || g.NumEdges() != 9 {
+		t.Fatalf("%q %q %d nodes %d edges, want \"g\" \"main\" %d 9 once the two repeats are dropped",
+			g.Name, g.Main, g.Len(), g.NumEdges(), len(names))
 	}
-	for _, e := range [][2]string{{"hub", "l2"}, {"l1", "hotspot"}, {"hub", "hotspot"}, {"hotspot", "new"}, {"l0", "l1"}} {
-		got.AddEdge(e[0], e[1])
-		want.AddEdge(e[0], e[1])
+	if len(g.arena) != 2*g.NumEdges() {
+		t.Fatalf("the arena holds %d IDs for %d edges", len(g.arena), g.NumEdges())
 	}
-	same("after AddEdge")
+	for i, d := range decls {
+		n := g.NodeByID(i)
+		if n.ID() != i || n.Name != d.Name || n.Display != d.Display || g.Meta(n) != d.Meta ||
+			!slices.Equal(g.Callees(n), callees[i]) || !slices.Equal(g.Callers(n), callers[i]) {
+			t.Fatalf("node %d is %d %s %+v %v→·→%v, want %d %s %+v %v→·→%v", i,
+				n.ID(), n.Display, g.Meta(n), g.Callers(n), g.Callees(n), i, d.Display, d.Meta, callers[i], callees[i])
+		}
+	}
+}
+
+// TestGraphKeepsNoNameIndex: an assembled graph holds its nodes in one slab
+// and nothing keyed by name — no map, and no slice of node pointers beside
+// the slab.
+func TestGraphKeepsNoNameIndex(t *testing.T) {
+	typ := reflect.TypeOf(Graph{})
+	for i := range typ.NumField() {
+		f := typ.Field(i)
+		if f.Type.Kind() == reflect.Map || f.Type == reflect.TypeOf([]*Node(nil)) {
+			t.Errorf("Graph.%s is a %s", f.Name, f.Type)
+		}
+	}
 }
 
 func TestJSONRoundTrip(t *testing.T) {
-	g := chain(t)
-	g.Node("a").Meta = Meta{Statements: 4, Flops: 12, LoopDepth: 1, Inline: true, Unit: "exe", TU: "a.cc"}
-	g.Node("b").Display = "b()"
+	b := chain()
+	a, bb := b.Add("a", Meta{}), b.Add("b", Meta{})
+	b.Decls[a].Meta = Meta{Statements: 4, Flops: 12, LoopDepth: 1, Inline: true, Unit: "exe", TU: "a.cc"}
+	b.Decls[bb].Display = "b()"
+	g := b.Graph()
 	var buf bytes.Buffer
 	if err := g.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -155,8 +153,8 @@ func TestJSONRoundTrip(t *testing.T) {
 	if g2.Main != "a" {
 		t.Fatalf("Main = %q", g2.Main)
 	}
-	if g2.Node("a").Meta != g.Node("a").Meta {
-		t.Fatalf("meta mismatch: %+v vs %+v", g2.Node("a").Meta, g.Node("a").Meta)
+	if g2.Meta(g2.Node("a")) != g.Meta(g.Node("a")) {
+		t.Fatalf("meta mismatch: %+v vs %+v", g2.Meta(g2.Node("a")), g.Meta(g.Node("a")))
 	}
 	if g2.Node("b").Display != "b()" {
 		t.Fatal("display name lost")

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 )
 
@@ -38,17 +40,18 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 		Main:   g.Main,
 		CG:     make(map[string]fileRecord, g.Len()),
 	}
-	for _, n := range g.order {
-		rec := fileRecord{Callees: make([]string, 0, len(n.callees))}
-		for _, c := range n.callees {
-			rec.Callees = append(rec.Callees, c.Name)
+	for i := range g.nodes {
+		n := &g.nodes[i]
+		callees := g.Callees(n)
+		rec := fileRecord{Callees: make([]string, 0, len(callees))}
+		for _, c := range callees {
+			rec.Callees = append(rec.Callees, g.nodes[c].Name)
 		}
 		sort.Strings(rec.Callees)
 		if n.Display != n.Name {
 			rec.Display = n.Display
 		}
-		if n.Meta != (Meta{}) {
-			m := n.Meta
+		if m := g.Meta(n); m != (Meta{}) {
 			rec.Meta = &m
 		}
 		ff.CG[n.Name] = rec
@@ -67,29 +70,24 @@ func ReadJSON(r io.Reader) (*Graph, error) {
 	if ff.MetaCG.Version == "" {
 		return nil, fmt.Errorf("callgraph: missing _MetaCG stamp")
 	}
-	g := New("", len(ff.CG))
-	g.Main = ff.Main
-	// Insert nodes in sorted name order for deterministic IDs.
-	names := make([]string, 0, len(ff.CG))
-	for name := range ff.CG {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	b := NewBuilder("", ff.Main)
+	// Declare nodes in sorted name order for deterministic IDs.
+	names := slices.Sorted(maps.Keys(ff.CG))
 	for _, name := range names {
 		rec := ff.CG[name]
 		var meta Meta
 		if rec.Meta != nil {
 			meta = *rec.Meta
 		}
-		n := g.AddNode(name, meta) // names are unique: always a new node
+		id := b.Add(name, meta) // names are unique: always a new node
 		if rec.Display != "" {
-			n.Display = rec.Display
+			b.Decls[id].Display = rec.Display
 		}
 	}
 	for _, name := range names {
 		for _, callee := range ff.CG[name].Callees {
-			g.AddEdge(name, callee)
+			b.Edge(name, callee)
 		}
 	}
-	return g, nil
+	return b.Graph(), nil
 }

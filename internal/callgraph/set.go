@@ -155,7 +155,7 @@ func (s *Set) ForEach(fn func(*Node) bool) {
 		for w != 0 {
 			bit := bits.TrailingZeros64(w)
 			w &^= 1 << uint(bit)
-			if !fn(s.g.order[wi*64+bit]) {
+			if !fn(&s.g.nodes[wi*64+bit]) {
 				return
 			}
 		}

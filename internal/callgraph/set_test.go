@@ -8,11 +8,11 @@ import (
 
 // lineGraph returns a graph with n isolated nodes named "f0".."f(n-1)".
 func lineGraph(n int) *Graph {
-	g := New("line", 0)
+	b := NewBuilder("line", "")
 	for i := 0; i < n; i++ {
-		g.AddNode(fmt.Sprintf("f%d", i), Meta{})
+		b.Add(fmt.Sprintf("f%d", i), Meta{})
 	}
-	return g
+	return b.Graph()
 }
 
 func TestUniverseSet(t *testing.T) {
@@ -23,7 +23,7 @@ func TestUniverseSet(t *testing.T) {
 			t.Fatalf("UniverseSet(%d).Count = %d", n, u.Count())
 		}
 		for _, node := range g.Nodes() {
-			if !u.Has(node) {
+			if !u.Has(&node) {
 				t.Fatalf("universe missing %s", node.Name)
 			}
 		}

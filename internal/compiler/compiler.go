@@ -62,7 +62,7 @@ const instrPerStatement = 3
 // InstructionCount returns the modelled post-codegen instruction count of a
 // function, which sizes its code.
 func InstructionCount(f *prog.Function) int {
-	return f.Statements*instrPerStatement + 8
+	return int(f.Statements)*instrPerStatement + 8
 }
 
 // FuncLayout describes where (and whether) a function landed in the build.
@@ -167,6 +167,10 @@ func (b *Build) PackedID(name string) (int32, bool) {
 	return 0, false
 }
 
+// PackedIDErr reports why the build assigned no packed IDs: an error
+// wrapping xray.ErrObjectLimit past xray.MaxDSOs patchable DSOs, else nil.
+func (b *Build) PackedIDErr() error { return b.idErr }
+
 // StaticPackedIDs returns the packed XRay ID of every sled-carrying
 // function by name. This is the mapping the paper proposes shipping inside
 // the IC so that hidden DSO symbols can be instrumented without run-time
@@ -220,16 +224,15 @@ func CompileValidated(p *prog.Program, opts Options) (*Build, error) {
 			Exe:       u.Kind == prog.Executable,
 			Patchable: opts.XRay && u.Kind != prog.SystemLibrary,
 		}
-		var off uint64
+		symbols := 0 // what is emitted is decided first: the tables are allocated once
 		for _, at := range u.Funcs {
 			f, lay := fns[at], &b.Layout[at]
-			name := f.Name
 			if len(tus) == 0 || f.TU != lastTU {
 				tus[f.TU], lastTU = struct{}{}, f.TU
 			}
 			// The inlining decision comes before sled insertion, as in LLVM.
-			lay.Inlined = (f.Inline || f.Statements <= autoInline) &&
-				u.Kind != prog.SystemLibrary && !f.StaticInit && !f.Virtual && !f.AddressTaken && name != p.Main
+			lay.Inlined = (f.Inline || int(f.Statements) <= autoInline) &&
+				u.Kind != prog.SystemLibrary && !f.StaticInit && !f.Virtual && !f.AddressTaken && f.Name != p.Main
 
 			// An inlined function keeps an out-of-line copy (and hence a
 			// symbol) only when it is exported from a DSO and is not a
@@ -237,17 +240,26 @@ func CompileValidated(p *prog.Program, opts Options) (*Build, error) {
 			// discarded when all calls were inlined. The retained-copy
 			// case is the caveat that makes the paper's symbol-absence
 			// approximation imperfect (§V-E).
-			emitCopy := !lay.Inlined ||
+			lay.HasSymbol = !lay.Inlined ||
 				(u.Kind == prog.SharedObject && f.Visibility == prog.Default && !f.VagueLinkage)
-			if !emitCopy {
+			if lay.HasSymbol {
+				symbols++
+			}
+		}
+		if im.Symbols = make([]obj.Symbol, 0, symbols); im.Patchable {
+			im.Sleds = make([]obj.Sled, 0, 2*symbols)
+		}
+		var off uint64
+		for _, at := range u.Funcs {
+			f, lay := fns[at], &b.Layout[at]
+			if !lay.HasSymbol {
 				continue
 			}
-
+			name := f.Name
 			instr := InstructionCount(f)
 			size := align16(uint64(instr)*4 + 2*obj.SledBytes)
 			lay.EntryOffset = off
 			lay.Size = size
-			lay.HasSymbol = true
 			im.Symbols = append(im.Symbols, obj.Symbol{
 				Name:   name,
 				Value:  off,

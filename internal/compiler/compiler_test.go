@@ -250,8 +250,9 @@ func TestCompileRejectsInvalidProgram(t *testing.T) {
 
 // TestStaticPackedIDsObjectLimit: the static IDs follow xray.NewRuntime's
 // policy up to the last object ID, and past xray.MaxDSOs patchable DSOs
-// both refuse the program with xray.ErrObjectLimit — no DSO wraps to the
-// executable's object 0.
+// both refuse the program with xray.ErrObjectLimit (as does PackedIDErr,
+// which Session.AttachStaticIDs checks) — no DSO wraps to the executable's
+// object 0.
 func TestStaticPackedIDsObjectLimit(t *testing.T) {
 	compile := func(dsos int) *Build {
 		t.Helper()
@@ -271,8 +272,8 @@ func TestStaticPackedIDsObjectLimit(t *testing.T) {
 	}
 	b := compile(xray.MaxDSOs)
 	ids, err := b.StaticPackedIDs()
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || b.PackedIDErr() != nil {
+		t.Fatal(err, b.PackedIDErr())
 	}
 	last := fmt.Sprintf("f%d", xray.MaxDSOs-1)
 	if object, _ := xray.UnpackID(ids[last]); object != xray.MaxDSOs {
@@ -293,6 +294,9 @@ func TestStaticPackedIDsObjectLimit(t *testing.T) {
 	b = compile(xray.MaxDSOs + 1)
 	if ids, err := b.StaticPackedIDs(); !errors.Is(err, xray.ErrObjectLimit) {
 		t.Fatalf("%d DSOs: StaticPackedIDs returned %d IDs and error %v, want %v", xray.MaxDSOs+1, len(ids), err, xray.ErrObjectLimit)
+	}
+	if err := b.PackedIDErr(); !errors.Is(err, xray.ErrObjectLimit) {
+		t.Fatalf("%d DSOs: PackedIDErr %v, want %v", xray.MaxDSOs+1, err, xray.ErrObjectLimit)
 	}
 	if proc, err = b.LoadProcess(); err != nil {
 		t.Fatal(err)

@@ -226,14 +226,15 @@ func compensateInlining(g *callgraph.Graph, sel *callgraph.Set, sym SymbolOracle
 	}
 	final = selected.Clone()
 	visited := g.NewSet()
+	var queue []*callgraph.Node
 	for _, n := range inlined {
 		// BFS up the caller edges, stopping at the first non-inlined
 		// caller on each path.
-		queue := []*callgraph.Node{n}
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			for _, caller := range cur.Callers() {
+		queue = append(queue[:0], n)
+		for head := 0; head < len(queue); head++ {
+			cur := queue[head]
+			for _, id := range g.Callers(cur) {
+				caller := g.NodeByID(int(id))
 				if visited.Has(caller) {
 					continue
 				}

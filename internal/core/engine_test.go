@@ -15,26 +15,25 @@ import (
 //	loop -> exchange -> MPI_Sendrecv
 //	main -> teardown
 func mpiGraph() *callgraph.Graph {
-	g := callgraph.New("t", 0)
-	g.Main = "main"
-	g.AddNode("main", callgraph.Meta{Statements: 20})
-	g.AddNode("init", callgraph.Meta{Statements: 5})
-	g.AddNode("loop", callgraph.Meta{Statements: 15})
-	g.AddNode("compute", callgraph.Meta{Statements: 50, Flops: 20, LoopDepth: 1})
-	g.AddNode("tiny", callgraph.Meta{Statements: 2, Inline: true})
-	g.AddNode("exchange", callgraph.Meta{Statements: 8})
-	g.AddNode("teardown", callgraph.Meta{Statements: 3})
-	g.AddNode("MPI_Init", callgraph.Meta{SystemHeader: true})
-	g.AddNode("MPI_Sendrecv", callgraph.Meta{SystemHeader: true})
-	g.AddEdge("main", "init")
-	g.AddEdge("init", "MPI_Init")
-	g.AddEdge("main", "loop")
-	g.AddEdge("loop", "compute")
-	g.AddEdge("compute", "tiny")
-	g.AddEdge("loop", "exchange")
-	g.AddEdge("exchange", "MPI_Sendrecv")
-	g.AddEdge("main", "teardown")
-	return g
+	b := callgraph.NewBuilder("t", "main")
+	b.Add("main", callgraph.Meta{Statements: 20})
+	b.Add("init", callgraph.Meta{Statements: 5})
+	b.Add("loop", callgraph.Meta{Statements: 15})
+	b.Add("compute", callgraph.Meta{Statements: 50, Flops: 20, LoopDepth: 1})
+	b.Add("tiny", callgraph.Meta{Statements: 2, Inline: true})
+	b.Add("exchange", callgraph.Meta{Statements: 8})
+	b.Add("teardown", callgraph.Meta{Statements: 3})
+	b.Add("MPI_Init", callgraph.Meta{SystemHeader: true})
+	b.Add("MPI_Sendrecv", callgraph.Meta{SystemHeader: true})
+	b.Edge("main", "init")
+	b.Edge("init", "MPI_Init")
+	b.Edge("main", "loop")
+	b.Edge("loop", "compute")
+	b.Edge("compute", "tiny")
+	b.Edge("loop", "exchange")
+	b.Edge("exchange", "MPI_Sendrecv")
+	b.Edge("main", "teardown")
+	return b.Graph()
 }
 
 type symbolSet map[string]bool
@@ -133,13 +132,13 @@ func TestInlineCompensation(t *testing.T) {
 
 func TestInlineCompensationWalksThroughInlinedCallers(t *testing.T) {
 	// main -> a (no symbol) -> b (no symbol, selected).
-	g := callgraph.New("g", 0)
-	g.Main = "main"
-	g.AddNode("main", callgraph.Meta{})
-	g.AddNode("a", callgraph.Meta{})
-	g.AddNode("b", callgraph.Meta{Flops: 99, LoopDepth: 1})
-	g.AddEdge("main", "a")
-	g.AddEdge("a", "b")
+	b := callgraph.NewBuilder("g", "main")
+	b.Add("main", callgraph.Meta{})
+	b.Add("a", callgraph.Meta{})
+	b.Add("b", callgraph.Meta{Flops: 99, LoopDepth: 1})
+	b.Edge("main", "a")
+	b.Edge("a", "b")
+	g := b.Graph()
 	syms := symbolSet{"main": true}
 	e := NewEngine(g)
 	res, err := e.RunSource("flops(\">\", 1, %%)\n", Options{Symbols: syms})

@@ -166,7 +166,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e.main = &e.funcs[at]
 	for _, u := range p.Units() {
-		for _, name := range p.StaticInits(u.Name) {
+		for _, name := range p.StaticInits(u) {
 			e.inits = append(e.inits, &e.funcs[p.Index(name)])
 		}
 	}

@@ -16,38 +16,41 @@ import (
 // the base method only, and pointer callsites none; whole-program expansion
 // happens after the merge.
 func BuildLocalTU(p *prog.Program, tu string) *callgraph.Graph {
-	g := callgraph.New(p.Name+":"+tu, 0)
+	b := callgraph.NewBuilder(p.Name+":"+tu, "")
 	for _, name := range p.FunctionsInTU(tu) {
 		f := p.Func(name)
-		g.AddNode(name, metaOf(f)).Display = f.Display()
+		id := b.Add(name, metaOf(f))
+		b.Decls[id].Display = f.Display()
 		if name == p.Main {
-			g.Main = name
+			b.Main = name
 		}
 		for _, op := range f.Ops {
 			if op.Kind != prog.OpWork && !op.ViaPointer {
-				g.AddEdge(name, op.Callee) // virtual: edge to base method; MPI: the MPI function
+				b.Edge(name, op.Callee) // virtual: edge to base method; MPI: the MPI function
 			}
 		}
 	}
-	return g
+	return b.Graph()
 }
 
 // merge is MetaCG's step 2, the other half of the reference: it folds local
-// into g — nodes in local's order, a definition's metadata and display name
+// into b — nodes in local's order, a definition's metadata and display name
 // over a stub's, then every edge caller by caller.
-func merge(g, local *callgraph.Graph) {
-	for _, n := range local.Nodes() {
-		have := g.Node(n.Name)
-		if have == nil {
-			g.AddNode(n.Name, n.Meta).Display = n.Display
-		} else if have.Meta == (callgraph.Meta{}) && n.Meta != (callgraph.Meta{}) {
-			g.SetMeta(n.Name, n.Meta)
-			have.Display = n.Display
+func merge(b *callgraph.Builder, local *callgraph.Graph) {
+	for i := range local.Nodes() {
+		n := &local.Nodes()[i]
+		meta, next := local.Meta(n), int32(len(b.Decls))
+		id := b.Add(n.Name, meta)
+		if d := &b.Decls[id]; id == next {
+			d.Display = n.Display
+		} else if d.Meta == (callgraph.Meta{}) && meta != (callgraph.Meta{}) {
+			d.Meta, d.Display = meta, n.Display
 		}
 	}
-	for _, n := range local.Nodes() {
-		for _, c := range n.Callees() {
-			g.AddEdge(n.Name, c.Name)
+	for i := range local.Nodes() {
+		n := &local.Nodes()[i]
+		for _, c := range local.Callees(n) {
+			b.Edge(n.Name, local.NodeByID(int(c)).Name)
 		}
 	}
 }
@@ -56,23 +59,23 @@ func merge(g, local *callgraph.Graph) {
 // TU-local graph after the other, merged in TranslationUnits order, then the
 // definition, virtual and pointer passes — MetaCG's steps one at a time.
 func serialWholeProgram(p *prog.Program) *callgraph.Graph {
-	g := callgraph.New(p.Name, 0)
-	g.Main = p.Main
+	b := callgraph.NewBuilder(p.Name, p.Main)
 	for _, tu := range p.TranslationUnits() {
-		merge(g, BuildLocalTU(p, tu))
+		merge(b, BuildLocalTU(p, tu))
 	}
 	for _, f := range p.Funcs() {
-		n := g.AddNode(f.Name, metaOf(f))
-		if n.Meta == (callgraph.Meta{}) {
-			n.Meta = metaOf(f)
+		id := b.Add(f.Name, metaOf(f))
+		d := &b.Decls[id]
+		if d.Meta == (callgraph.Meta{}) {
+			d.Meta = metaOf(f)
 		}
-		n.Display = f.Display()
+		d.Display = f.Display()
 	}
 	for _, f := range p.Funcs() {
 		for _, op := range f.Ops {
 			if op.Kind == prog.OpCall && op.Virtual {
 				for _, impl := range p.VirtualImpls[op.Callee] {
-					g.AddEdge(f.Name, impl)
+					b.Edge(f.Name, impl)
 				}
 			}
 		}
@@ -81,20 +84,12 @@ func serialWholeProgram(p *prog.Program) *callgraph.Graph {
 		for _, op := range f.Ops {
 			if op.Kind == prog.OpCall && op.ViaPointer && p.StaticPointerSlots[op.Callee] {
 				for _, tgt := range p.PointerTargets[op.Callee] {
-					g.AddEdge(f.Name, tgt)
+					b.Edge(f.Name, tgt)
 				}
 			}
 		}
 	}
-	return g
-}
-
-func ids(ns []*callgraph.Node) []int {
-	out := make([]int, len(ns))
-	for i, n := range ns {
-		out[i] = n.ID()
-	}
-	return out
+	return b.Graph()
 }
 
 // sameGraph compares everything a selector can observe.
@@ -104,19 +99,16 @@ func sameGraph(t *testing.T, what string, got, want *callgraph.Graph) {
 		t.Fatalf("%s: %q main %q %d nodes %d edges, want %q %q %d %d", what,
 			got.Name, got.Main, got.Len(), got.NumEdges(), want.Name, want.Main, want.Len(), want.NumEdges())
 	}
-	if err := got.Validate(); err != nil {
-		t.Fatalf("%s: %v", what, err)
-	}
-	for i, w := range want.Nodes() {
-		g := got.Nodes()[i]
-		if g.ID() != w.ID() || g.Name != w.Name || g.Display != w.Display || g.Meta != w.Meta {
+	for i := range want.Nodes() {
+		g, w := got.NodeByID(i), want.NodeByID(i)
+		if g.ID() != w.ID() || g.Name != w.Name || g.Display != w.Display || got.Meta(g) != want.Meta(w) {
 			t.Fatalf("%s: node %d is %d %q (%q) %+v, want %d %q (%q) %+v", what, i,
-				g.ID(), g.Name, g.Display, g.Meta, w.ID(), w.Name, w.Display, w.Meta)
+				g.ID(), g.Name, g.Display, got.Meta(g), w.ID(), w.Name, w.Display, want.Meta(w))
 		}
-		if gc, wc := ids(g.Callees()), ids(w.Callees()); !slices.Equal(gc, wc) {
+		if gc, wc := got.Callees(g), want.Callees(w); !slices.Equal(gc, wc) {
 			t.Fatalf("%s: callees of %q are %v, want %v", what, w.Name, gc, wc)
 		}
-		if gc, wc := ids(g.Callers()), ids(w.Callers()); !slices.Equal(gc, wc) {
+		if gc, wc := got.Callers(g), want.Callers(w); !slices.Equal(gc, wc) {
 			t.Fatalf("%s: callers of %q are %v, want %v", what, w.Name, gc, wc)
 		}
 	}

@@ -10,7 +10,7 @@
 //
 // BuildWholeProgram builds no local graphs: it makes one pass over the
 // program that yields the graph those steps yield — the same node IDs, and
-// callees and callers in the same order — with every node in one slab.
+// callees and callers in the same order — and assembles it in one step.
 package metacg
 
 import (
@@ -21,11 +21,11 @@ import (
 // metaOf translates the program-model metadata into call-graph annotations.
 func metaOf(f *prog.Function) callgraph.Meta {
 	return callgraph.Meta{
-		Statements:   int32(f.Statements),
-		LOC:          int32(f.LOC),
-		Flops:        int32(f.Flops),
-		LoopDepth:    int32(f.LoopDepth),
-		Cyclomatic:   int32(f.Cyclomatic),
+		Statements:   f.Statements,
+		LOC:          f.LOC,
+		Flops:        f.Flops,
+		LoopDepth:    f.LoopDepth,
+		Cyclomatic:   f.Cyclomatic,
 		Inline:       f.Inline,
 		SystemHeader: f.SystemHeader,
 		Virtual:      f.Virtual,
@@ -121,16 +121,16 @@ func BuildWholeProgram(p *prog.Program) *callgraph.Graph {
 			}
 		}
 	}
-	nodes := make([]callgraph.Node, len(source))
+	decls := make([]callgraph.Decl, len(source))
 	for id, i := range source {
 		if i >= 0 {
-			nodes[id].Name, nodes[id].Display, nodes[id].Meta = fns[i].Name, fns[i].Display(), metaOf(fns[i])
+			decls[id] = callgraph.Decl{Name: fns[i].Name, Display: fns[i].Display(), Meta: metaOf(fns[i])}
 		}
 	}
 	for name, id := range stubs {
-		nodes[id].Name, nodes[id].Display = name, name
+		decls[id] = callgraph.Decl{Name: name, Display: name}
 	}
-	return callgraph.Assemble(p.Name, p.Main, nodes, edges)
+	return callgraph.Assemble(p.Name, p.Main, decls, edges)
 }
 
 // CallEdge is one observed caller→callee pair from a measured profile.

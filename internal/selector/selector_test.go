@@ -15,22 +15,23 @@ import (
 //	main -> MPI_Send (system header)
 //	driver -> MPI_Send
 //	kernel -> helper (system header, inline)
-func testGraph() *callgraph.Graph {
-	g := callgraph.New("t", 0)
-	g.Main = "main"
-	g.AddNode("main", callgraph.Meta{Statements: 10, Unit: "exe", TU: "main.cc"})
-	g.AddNode("driver", callgraph.Meta{Statements: 6, Unit: "exe", TU: "drv.cc"})
-	g.AddNode("kernel", callgraph.Meta{Statements: 40, Flops: 20, LoopDepth: 2, Cyclomatic: 5, LOC: 60, Unit: "libk.so", TU: "k.cc"})
-	g.AddNode("util", callgraph.Meta{Statements: 2, Inline: true, Unit: "exe", TU: "u.h"})
-	g.AddNode("MPI_Send", callgraph.Meta{SystemHeader: true, Unit: "libmpi.so"})
-	g.AddNode("helper", callgraph.Meta{SystemHeader: true, Inline: true, Unit: "libk.so"})
-	g.AddEdge("main", "driver")
-	g.AddEdge("driver", "kernel")
-	g.AddEdge("main", "util")
-	g.AddEdge("main", "MPI_Send")
-	g.AddEdge("driver", "MPI_Send")
-	g.AddEdge("kernel", "helper")
-	return g
+func testGraph() *callgraph.Graph { return testBuilder().Graph() }
+
+func testBuilder() *callgraph.Builder {
+	b := callgraph.NewBuilder("t", "main")
+	b.Add("main", callgraph.Meta{Statements: 10, Unit: "exe", TU: "main.cc"})
+	b.Add("driver", callgraph.Meta{Statements: 6, Unit: "exe", TU: "drv.cc"})
+	b.Add("kernel", callgraph.Meta{Statements: 40, Flops: 20, LoopDepth: 2, Cyclomatic: 5, LOC: 60, Unit: "libk.so", TU: "k.cc"})
+	b.Add("util", callgraph.Meta{Statements: 2, Inline: true, Unit: "exe", TU: "u.h"})
+	b.Add("MPI_Send", callgraph.Meta{SystemHeader: true, Unit: "libmpi.so"})
+	b.Add("helper", callgraph.Meta{SystemHeader: true, Inline: true, Unit: "libk.so"})
+	b.Edge("main", "driver")
+	b.Edge("driver", "kernel")
+	b.Edge("main", "util")
+	b.Edge("main", "MPI_Send")
+	b.Edge("driver", "MPI_Send")
+	b.Edge("kernel", "helper")
+	return b
 }
 
 func eval(t *testing.T, name string, args ...Value) *callgraph.Set {
@@ -203,8 +204,9 @@ func TestCallPathTo(t *testing.T) {
 }
 
 func TestCallPathToNoMain(t *testing.T) {
-	g := testGraph()
-	g.Main = ""
+	b := testBuilder()
+	b.Main = ""
+	g := b.Graph()
 	_, err := NewRegistry().Lookup("callPathTo").Eval(&Context{Graph: g}, []Value{g.SetOf("kernel")})
 	if err == nil {
 		t.Fatal("expected error without entry point")

@@ -44,9 +44,9 @@ func LuleshRankSkew(ranks int) []float64 {
 // kernels it drives.
 type luleshMid struct {
 	name   string
-	stmts  int
-	flops  int
-	loops  int
+	stmts  int32
+	flops  int32
+	loops  int32
 	leaves []string
 	reps   int // invocations of each leaf per call
 }
@@ -67,8 +67,8 @@ func Lulesh(opts LuleshOptions) *prog.Program {
 	// --- leaf kernels: small (auto-inlined at -O3), flops-heavy, loops ---
 	leafKernels := []struct {
 		name  string
-		stmts int
-		flops int
+		stmts int32
+		flops int32
 	}{
 		{"CalcElemShapeFunctionDerivatives", 10, 48},
 		{"CalcElemNodeNormals", 9, 32},
@@ -135,7 +135,7 @@ func Lulesh(opts LuleshOptions) *prog.Program {
 		ops = append(ops, prog.Call(templates[i%len(templates)], 1))
 		b.fn(&prog.Function{
 			Name: workers[i], Unit: exe, TU: "lulesh.cc",
-			Statements: b.between(12, 24), Flops: b.between(2, 8), LoopDepth: i % 2,
+			Statements: b.between(12, 24), Flops: b.between(2, 8), LoopDepth: int32(i % 2),
 			Ops: ops,
 		})
 	}
@@ -159,7 +159,7 @@ func Lulesh(opts LuleshOptions) *prog.Program {
 		ops = append(ops, accAt(i*11, 2)...)
 		b.fn(&prog.Function{
 			Name: lk.name, Unit: exe, TU: "lulesh.cc",
-			Statements: lk.stmts, Flops: lk.flops, LoopDepth: 1 + i%2, Cyclomatic: 3,
+			Statements: lk.stmts, Flops: lk.flops, LoopDepth: int32(1 + i%2), Cyclomatic: 3,
 			Ops: ops,
 		})
 	}
@@ -196,7 +196,7 @@ func Lulesh(opts LuleshOptions) *prog.Program {
 	}
 
 	// --- communication ---
-	smallHelper := func(name string, stmts int) {
+	smallHelper := func(name string, stmts int32) {
 		b.fn(&prog.Function{
 			Name: name, Unit: exe, TU: "lulesh-comm.cc",
 			Statements: stmts, Ops: []prog.Op{prog.Work(600)},
@@ -213,7 +213,7 @@ func Lulesh(opts LuleshOptions) *prog.Program {
 	// into CommSend/CommRecv/TimeIncrement and drops their symbols. These
 	// are the functions the inlining-compensation pass removes again —
 	// the paper's lulesh/mpi row shrinks from 19 pre to 12 post this way.
-	mpiWrapper := func(name string, stmts int, op prog.Op) {
+	mpiWrapper := func(name string, stmts int32, op prog.Op) {
 		b.fn(&prog.Function{
 			Name: name, Unit: exe, TU: "lulesh-comm.cc",
 			Statements: stmts, Ops: []prog.Op{prog.Work(300), op},

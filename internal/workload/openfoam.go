@@ -197,7 +197,7 @@ func buildOFCore(b *builder, opts OpenFOAMOptions) *ofCore {
 		c.workers[i] = fmt.Sprintf("Foam::Field_op_%03d", i)
 		fn(&prog.Function{
 			Name: c.workers[i], Unit: lofoam, TU: "Field.C",
-			Statements: b.between(12, 22), Flops: b.between(2, 8), LoopDepth: i % 2,
+			Statements: b.between(12, 22), Flops: b.between(2, 8), LoopDepth: int32(i % 2),
 			Ops: []prog.Op{prog.Work(int64(b.between(700, 1100)))},
 		})
 	}
@@ -533,11 +533,16 @@ func buildOFModule(b *builder, c *ofCore, unit string, idx int, hiddenLeft int) 
 	for i := 0; i < ofModuleLeaves; i++ {
 		name := numbered(leafPrefix, i, 3)
 		leafNames = append(leafNames, name)
-		f := &prog.Function{Name: name, Unit: unit, TU: tu,
-			Ops: []prog.Op{prog.Work(int64(b.between(100, 600)))}}
+		work := prog.Work(int64(b.between(100, 600)))
 		r := b.rng.Float64()
+		mpi := isComm && r < ofMPILeafFrac
+		n := 1
+		if mpi {
+			n = 2
+		}
+		f := &prog.Function{Name: name, Unit: unit, TU: tu, Ops: append(b.body(n), work)}
 		switch {
-		case isComm && r < ofMPILeafFrac:
+		case mpi:
 			// On the MPI path; vague-linkage and small → inlined away.
 			f.Statements = b.between(3, 6)
 			f.VagueLinkage = true
@@ -547,7 +552,7 @@ func buildOFModule(b *builder, c *ofCore, unit string, idx int, hiddenLeft int) 
 			// Kernel-like: flops + loops. 75% are small template bodies
 			// that the -O2 build inlines away.
 			f.Flops = b.between(12, 80)
-			f.LoopDepth = 1 + b.rng.Intn(2)
+			f.LoopDepth = int32(1 + b.rng.Intn(2))
 			f.Cyclomatic = b.between(2, 6)
 			if b.rng.Float64() < 0.75 {
 				f.Statements = b.between(4, 6)
@@ -578,7 +583,7 @@ func buildOFModule(b *builder, c *ofCore, unit string, idx int, hiddenLeft int) 
 			// Worker-style leaves (emitted).
 			f.Statements = b.between(12, 22)
 			f.Flops = b.between(2, 8)
-			f.LoopDepth = b.rng.Intn(2)
+			f.LoopDepth = int32(b.rng.Intn(2))
 		default:
 			// Cold code (emitted).
 			f.Statements = b.between(15, 35)
@@ -599,7 +604,7 @@ func buildOFModule(b *builder, c *ofCore, unit string, idx int, hiddenLeft int) 
 		midNames = append(midNames, name)
 		work := prog.Work(int64(b.between(1000, 4000)))
 		// Shared helpers from the neighbouring mid's range, drawn before the
-		// body is built so that it is allocated once, at its size.
+		// body is cut so that it is cut once, at its size.
 		var shared [ofLeavesPerMid]bool
 		nShared := 0
 		for l := range shared {
@@ -607,7 +612,7 @@ func buildOFModule(b *builder, c *ofCore, unit string, idx int, hiddenLeft int) 
 				nShared++
 			}
 		}
-		ops := append(make([]prog.Op, 0, 1+ofLeavesPerMid+nShared), work)
+		ops := append(b.body(1+ofLeavesPerMid+nShared), work)
 		for l := 0; l < ofLeavesPerMid; l++ {
 			ops = append(ops, prog.Call(leafNames[m*ofLeavesPerMid+l], 1))
 		}

@@ -36,6 +36,19 @@ var libcFunctions = []string{
 type builder struct {
 	p   *prog.Program
 	rng *rand.Rand
+	ops []prog.Op // the program's op arena, grown 4,096 ops at a time
+}
+
+// body returns an empty function body with room for n ops, cut from the op
+// arena, so that a body allocates nothing of its own. An append past n
+// moves that body out of the arena.
+func (b *builder) body(n int) []prog.Op {
+	if cap(b.ops)-len(b.ops) < n {
+		b.ops = make([]prog.Op, 0, max(n, 1<<12))
+	}
+	at := len(b.ops)
+	b.ops = b.ops[:at+n]
+	return b.ops[at : at : at+n]
 }
 
 func newBuilder(name, main string, seed int64) *builder {
@@ -72,12 +85,13 @@ func (b *builder) addSystemLibs(cpp bool) {
 	}
 }
 
-// between returns a deterministic value in [lo, hi].
-func (b *builder) between(lo, hi int) int {
+// between returns a deterministic value in [lo, hi], typed for the
+// function metadata it mostly fills.
+func (b *builder) between(lo, hi int32) int32 {
 	if hi <= lo {
 		return lo
 	}
-	return lo + b.rng.Intn(hi-lo+1)
+	return lo + int32(b.rng.Intn(int(hi-lo+1)))
 }
 
 // scaleWork multiplies every OpWork duration in the program by factor. The
