@@ -82,31 +82,11 @@ func (s *Set) Count() int {
 	return n
 }
 
-// Empty reports whether the set has no members.
-func (s *Set) Empty() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Clone returns an independent copy.
 func (s *Set) Clone() *Set {
 	c := &Set{g: s.g, words: make([]uint64, len(s.words))}
 	copy(c.words, s.words)
 	return c
-}
-
-// Union returns s ∪ o as a new set.
-func (s *Set) Union(o *Set) *Set {
-	s.check(o)
-	r := s.Clone()
-	for i, w := range o.words {
-		r.words[i] |= w
-	}
-	return r
 }
 
 // Subtract returns s \ o as a new set.

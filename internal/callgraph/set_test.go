@@ -6,6 +6,13 @@ import (
 	"testing/quick"
 )
 
+// union returns a ∪ b as a new set; sets of two graphs panic.
+func union(a, b *Set) *Set {
+	r := a.Clone()
+	r.UnionWith(b)
+	return r
+}
+
 // lineGraph returns a graph with n isolated nodes named "f0".."f(n-1)".
 func lineGraph(n int) *Graph {
 	b := NewBuilder("line", "")
@@ -33,7 +40,7 @@ func TestUniverseSet(t *testing.T) {
 func TestSetBasics(t *testing.T) {
 	g := lineGraph(100)
 	s := g.NewSet()
-	if !s.Empty() {
+	if s.Count() != 0 {
 		t.Fatal("new set not empty")
 	}
 	n42 := g.Node("f42")
@@ -59,7 +66,7 @@ func TestSetAlgebra(t *testing.T) {
 	a := g.SetOf("f1", "f2", "f3")
 	b := g.SetOf("f3", "f4")
 
-	if got := a.Union(b).Names(); len(got) != 4 {
+	if got := union(a, b).Names(); len(got) != 4 {
 		t.Fatalf("Union = %v", got)
 	}
 	if got := a.Subtract(b).Names(); len(got) != 2 || got[0] != "f1" || got[1] != "f2" {
@@ -94,7 +101,7 @@ func TestCrossGraphPanics(t *testing.T) {
 			t.Fatal("expected panic for cross-graph set op")
 		}
 	}()
-	g1.NewSet().Union(g2.NewSet())
+	union(g1.NewSet(), g2.NewSet())
 }
 
 func TestForEachEarlyStop(t *testing.T) {
@@ -144,7 +151,7 @@ func TestSetAlgebraProperties(t *testing.T) {
 	t.Run("DeMorgan-ish: (a∪b)\\b ⊆ a", func(t *testing.T) {
 		f := func(ab, bb []bool) bool {
 			a, b := setFromBools(g, trim(ab)), setFromBools(g, trim(bb))
-			diff := a.Union(b).Subtract(b)
+			diff := union(a, b).Subtract(b)
 			ok := true
 			diff.ForEach(func(n *Node) bool {
 				if !a.Has(n) {
@@ -163,7 +170,7 @@ func TestSetAlgebraProperties(t *testing.T) {
 	t.Run("union count = |a|+|b|-|a∩b|", func(t *testing.T) {
 		f := func(ab, bb []bool) bool {
 			a, b := setFromBools(g, trim(ab)), setFromBools(g, trim(bb))
-			return a.Union(b).Count() == a.Count()+b.Count()-a.Intersect(b).Count()
+			return union(a, b).Count() == a.Count()+b.Count()-a.Intersect(b).Count()
 		}
 		if err := quick.Check(f, nil); err != nil {
 			t.Fatal(err)
@@ -173,7 +180,7 @@ func TestSetAlgebraProperties(t *testing.T) {
 	t.Run("subtract then intersect is empty", func(t *testing.T) {
 		f := func(ab, bb []bool) bool {
 			a, b := setFromBools(g, trim(ab)), setFromBools(g, trim(bb))
-			return a.Subtract(b).Intersect(b).Empty()
+			return a.Subtract(b).Intersect(b).Count() == 0
 		}
 		if err := quick.Check(f, nil); err != nil {
 			t.Fatal(err)

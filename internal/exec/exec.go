@@ -134,19 +134,19 @@ func New(cfg Config) (*Engine, error) {
 		for _, op := range f.Ops {
 			switch op.Kind {
 			case prog.OpWork:
-				ops = append(ops, cop{kind: prog.OpWork, work: op.Work})
+				ops = append(ops, cop{kind: prog.OpWork, work: op.Work()})
 			case prog.OpMPI:
-				ops = append(ops, cop{kind: prog.OpMPI, mpiOp: mpi.Op(op.Callee), bytes: int(op.Bytes)})
+				ops = append(ops, cop{kind: prog.OpMPI, mpiOp: mpi.Op(op.Callee), bytes: op.Bytes()})
 			case prog.OpCall:
 				target := op.Callee
 				switch {
 				case op.Virtual:
-					target = op.RuntimeTarget
+					target = p.RuntimeTarget(op)
 					if target == "" {
 						target = p.VirtualImpls[op.Callee][0]
 					}
 				case op.ViaPointer:
-					target = op.RuntimeTarget
+					target = p.RuntimeTarget(op)
 					if target == "" {
 						target = p.PointerTargets[op.Callee][0]
 					}
@@ -155,7 +155,7 @@ func New(cfg Config) (*Engine, error) {
 				if at < 0 {
 					return nil, fmt.Errorf("exec: %s calls unresolved %q", f.Name, target)
 				}
-				ops = append(ops, cop{kind: prog.OpCall, callee: &e.funcs[at], count: int(op.Count)})
+				ops = append(ops, cop{kind: prog.OpCall, callee: &e.funcs[at], count: op.Count()})
 			}
 		}
 		e.funcs[i].ops = ops[start:len(ops):len(ops)]
@@ -192,10 +192,6 @@ func (e *Engine) Run() error {
 		return err
 	})
 }
-
-// TotalCalls returns the number of simulated function calls executed across
-// all ranks of the last Run.
-func (e *Engine) TotalCalls() int64 { return e.calls.Load() }
 
 // TotalEvents returns the number of instrumentation events dispatched
 // across all ranks of the last Run.

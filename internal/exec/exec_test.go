@@ -125,8 +125,8 @@ func TestVanillaRun(t *testing.T) {
 		t.Fatalf("vanilla run dispatched %d events", e.TotalEvents())
 	}
 	// main + init + 3*step + 6*kernel + 12*tiny = 23 calls per rank.
-	if e.TotalCalls() != 2*23 {
-		t.Fatalf("TotalCalls = %d, want 46", e.TotalCalls())
+	if calls := e.calls.Load(); calls != 2*23 {
+		t.Fatalf("%d calls, want 46", calls)
 	}
 }
 
@@ -211,9 +211,9 @@ func TestVirtualAndPointerDispatch(t *testing.T) {
 	p.MustAddUnit("e", prog.Executable)
 	p.MustAddFunc(&prog.Function{Name: "main", Unit: "e", Statements: 20,
 		Ops: []prog.Op{
-			prog.VCall("Base::solve", 2),               // defaults to A::solve
-			prog.VCallTo("Base::solve", "B::solve", 2), // explicit dynamic type
-			prog.PtrCallTo("hook", "cb", 2),
+			prog.VCall("Base::solve", 2),            // defaults to A::solve
+			p.VCallTo("Base::solve", "B::solve", 2), // explicit dynamic type
+			p.PtrCallTo("hook", "cb", 2),
 		}})
 	p.MustAddFunc(&prog.Function{Name: "A::solve", Unit: "e", Virtual: true, Statements: 20, Ops: []prog.Op{prog.Work(10)}})
 	p.MustAddFunc(&prog.Function{Name: "B::solve", Unit: "e", Virtual: true, Statements: 20, Ops: []prog.Op{prog.Work(20)}})

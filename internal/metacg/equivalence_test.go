@@ -17,8 +17,11 @@ import (
 // happens after the merge.
 func BuildLocalTU(p *prog.Program, tu string) *callgraph.Graph {
 	b := callgraph.NewBuilder(p.Name+":"+tu, "")
-	for _, name := range p.FunctionsInTU(tu) {
-		f := p.Func(name)
+	for _, f := range p.Funcs() {
+		if f.TU != tu {
+			continue
+		}
+		name := f.Name
 		id := b.Add(name, metaOf(f))
 		b.Decls[id].Display = f.Display()
 		if name == p.Main {
@@ -56,12 +59,12 @@ func merge(b *callgraph.Builder, local *callgraph.Graph) {
 }
 
 // serialWholeProgram is the reference BuildWholeProgram is held to: one
-// TU-local graph after the other, merged in TranslationUnits order, then the
+// TU-local graph after the other, merged in sorted TU order, then the
 // definition, virtual and pointer passes — MetaCG's steps one at a time.
 func serialWholeProgram(p *prog.Program) *callgraph.Graph {
 	b := callgraph.NewBuilder(p.Name, p.Main)
-	for _, tu := range p.TranslationUnits() {
-		merge(b, BuildLocalTU(p, tu))
+	for _, tu := range p.ByTU() {
+		merge(b, BuildLocalTU(p, tu.Name))
 	}
 	for _, f := range p.Funcs() {
 		id := b.Add(f.Name, metaOf(f))

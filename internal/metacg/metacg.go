@@ -132,9 +132,3 @@ func BuildWholeProgram(p *prog.Program) *callgraph.Graph {
 	}
 	return callgraph.Assemble(p.Name, p.Main, decls, edges)
 }
-
-// CallEdge is one observed caller→callee pair from a measured profile.
-type CallEdge struct {
-	Caller string
-	Callee string
-}

@@ -12,6 +12,12 @@
 //     virtual nanoseconds, calls to other functions, MPI operations) that
 //     the execution engine interprets.
 //
+// A session keeps its program for life, so an Op is 32 bytes: the callee,
+// one operand its kind reads (Work, Count or Bytes), and a handle into the
+// program's side table of the rare runtime targets (Program.RuntimeTarget).
+// Names resolve through an open-addressed table of 4-byte slots, two a
+// function, compared against the functions' own names: no map keyed by name.
+//
 // The compiler (internal/compiler) lowers a Program into object images with
 // symbol tables and XRay sleds; MetaCG (internal/metacg) constructs the
 // whole-program call graph from it.
@@ -19,7 +25,8 @@ package prog
 
 import (
 	"fmt"
-	"maps"
+	"hash/maphash"
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -76,73 +83,95 @@ const (
 	OpMPI
 )
 
-// Op is one operation in a function body. Every function of a program keeps
-// its ops for the life of a session, so the fields are ordered for packing
-// (56 bytes an op).
+// Op is one operation in a function body, 32 bytes (see the package doc).
 type Op struct {
 	// Callee is the function the op reaches: for OpCall the direct callee,
 	// the virtual base method or the pointer slot; for OpMPI the MPI
 	// function, e.g. "MPI_Allreduce", which also names the operation.
 	Callee string
-	// RuntimeTarget is the implementation an indirect callsite actually
-	// invokes at run time (the dynamic type / stored pointer). When empty
-	// the first registered implementation is used. The static call graph
-	// over-approximates with edges to all implementations regardless —
-	// the gap between the two is what makes OpenFOAM's 410k-node static
-	// graph coexist with a small dynamic footprint.
-	RuntimeTarget string
 
-	Work  int64 // OpWork: virtual nanoseconds of self time
-	Count int32 // OpCall: number of consecutive invocations (>= 1)
-	Bytes int32 // OpMPI: payload size for the cost model
+	n      int64 // the kind's operand: Work, Count or Bytes
+	target int32 // 1 + index into the program's runtime targets; 0 for none
 
 	Kind       OpKind
 	Virtual    bool // OpCall: virtual dispatch through base method Callee
 	ViaPointer bool // OpCall: indirect call through pointer slot Callee
 }
 
+// Work returns an OpWork's virtual nanoseconds of self time, else 0.
+func (op Op) Work() int64 { return op.operand(OpWork) }
+
+// Count returns an OpCall's number of consecutive invocations, else 0.
+func (op Op) Count() int { return int(op.operand(OpCall)) }
+
+// Bytes returns an OpMPI's payload size for the cost model, else 0.
+func (op Op) Bytes() int { return int(op.operand(OpMPI)) }
+
+func (op Op) operand(k OpKind) int64 {
+	if op.Kind != k {
+		return 0
+	}
+	return op.n
+}
+
 // Work returns an operation advancing the clock by ns virtual nanoseconds.
-func Work(ns int64) Op { return Op{Kind: OpWork, Work: ns} }
+func Work(ns int64) Op { return Op{Kind: OpWork, n: ns} }
 
 // Call returns an operation invoking callee count times.
 func Call(callee string, count int) Op {
-	return Op{Kind: OpCall, Callee: callee, Count: int32(count)}
+	return Op{Kind: OpCall, Callee: callee, n: int64(count)}
 }
 
 // StaticCall returns a call edge that is present in the source (and hence in
 // the static call graph) but never taken at run time — a call under a branch
 // the workload does not exercise. Count is zero, so the execution engine
 // skips it while MetaCG still records the edge.
-func StaticCall(callee string) Op {
-	return Op{Kind: OpCall, Callee: callee, Count: 0}
-}
+func StaticCall(callee string) Op { return Call(callee, 0) }
 
 // VCall returns a virtual call through the base method named base; at run
 // time the first implementation registered for base is invoked.
 func VCall(base string, count int) Op {
-	return Op{Kind: OpCall, Callee: base, Count: int32(count), Virtual: true}
-}
-
-// VCallTo is VCall with an explicit runtime target (the dynamic type).
-func VCallTo(base, target string, count int) Op {
-	return Op{Kind: OpCall, Callee: base, Count: int32(count), Virtual: true, RuntimeTarget: target}
+	return Op{Kind: OpCall, Callee: base, n: int64(count), Virtual: true}
 }
 
 // PtrCall returns an indirect call through the named pointer slot; at run
 // time the first registered target is invoked.
 func PtrCall(slot string, count int) Op {
-	return Op{Kind: OpCall, Callee: slot, Count: int32(count), ViaPointer: true}
-}
-
-// PtrCallTo is PtrCall with an explicit runtime target.
-func PtrCallTo(slot, target string, count int) Op {
-	return Op{Kind: OpCall, Callee: slot, Count: int32(count), ViaPointer: true, RuntimeTarget: target}
+	return Op{Kind: OpCall, Callee: slot, n: int64(count), ViaPointer: true}
 }
 
 // MPICall returns an MPI operation with the given payload size; the MPI
 // function op is its Callee.
 func MPICall(op string, bytes int) Op {
-	return Op{Kind: OpMPI, Callee: op, Bytes: int32(bytes)}
+	return Op{Kind: OpMPI, Callee: op, n: int64(bytes)}
+}
+
+// VCallTo is VCall with an explicit runtime target (the dynamic type). p's
+// side table keeps the target, so the op names it only for p.
+func (p *Program) VCallTo(base, target string, count int) Op {
+	return p.withTarget(VCall(base, count), target)
+}
+
+// PtrCallTo is PtrCall with an explicit runtime target, kept as VCallTo's.
+func (p *Program) PtrCallTo(slot, target string, count int) Op {
+	return p.withTarget(PtrCall(slot, count), target)
+}
+
+func (p *Program) withTarget(op Op, target string) Op {
+	p.targets = append(p.targets, target)
+	op.target = int32(len(p.targets))
+	return op
+}
+
+// RuntimeTarget returns the function an indirect call op of p invokes at
+// run time, or "" for the first registered one. The static call graph has
+// edges to every implementation regardless — the gap between the two is what
+// makes OpenFOAM's 410k-node graph coexist with a small dynamic footprint.
+func (p *Program) RuntimeTarget(op Op) string {
+	if op.target == 0 || int(op.target) > len(p.targets) {
+		return ""
+	}
+	return p.targets[op.target-1]
 }
 
 // Function is one function definition in the synthetic program. A session
@@ -200,8 +229,17 @@ type Program struct {
 
 	units []*Unit // a handful per program: scanned, not indexed
 
-	funcs map[string]int32 // name → index into fns
-	fns   []*Function      // insertion order, the canonical iteration order
+	fns []*Function // insertion order, the canonical iteration order
+
+	// names is the name index: linear probing over twice as many slots as
+	// fns has room for, from a slot picked by seed's hash of the name. A
+	// slot is 0 when empty, else 1 + a position in the bits under posMask
+	// and the hash's low bits above, so a probe seldom reads a wrong name.
+	names   []uint32
+	posMask uint32
+	seed    maphash.Seed
+
+	targets []string // runtime targets of indirect call ops (Op.target)
 
 	// VirtualImpls maps a virtual base method name to all overriding
 	// implementations (the base itself included when it has a body).
@@ -221,7 +259,9 @@ func New(name, main string) *Program {
 	return &Program{
 		Name:               name,
 		Main:               main,
-		funcs:              map[string]int32{},
+		names:              make([]uint32, 16), // rehash(8)'s table, no function in it
+		posMask:            15,
+		seed:               maphash.MakeSeed(),
 		VirtualImpls:       map[string][]string{},
 		PointerTargets:     map[string][]string{},
 		StaticPointerSlots: map[string]bool{},
@@ -231,10 +271,40 @@ func New(name, main string) *Program {
 // Reserve makes room for n functions in all, so that a generator that knows
 // its size up front does not pay for growing the tables n times over.
 func (p *Program) Reserve(n int) {
-	funcs := make(map[string]int32, n)
-	maps.Copy(funcs, p.funcs)
-	p.funcs = funcs
 	p.fns = slices.Grow(p.fns, max(0, n-len(p.fns)))
+	if 2*n > len(p.names) {
+		p.rehash(n)
+	}
+}
+
+// rehash sizes the name index for n functions at a load of one half and
+// enters every function added so far.
+func (p *Program) rehash(n int) {
+	p.names = make([]uint32, 2*n)
+	p.posMask = 1<<bits.Len(uint(n)) - 1
+	for i, f := range p.fns {
+		at, tag := p.probe(f.Name)
+		*at = tag | uint32(i+1)
+	}
+}
+
+// probe returns the name index slot that holds name's position, or the
+// empty slot where it would go, and the hash bits a slot of name carries
+// above its position. The table is never full, so the probe ends.
+func (p *Program) probe(name string) (*uint32, uint32) {
+	h := maphash.String(p.seed, name)
+	size := uint64(len(p.names))
+	i, _ := bits.Mul64(h, size) // the hash scaled to [0, size)
+	tag := uint32(h) &^ p.posMask
+	for {
+		at := &p.names[i]
+		if *at == 0 || *at&^p.posMask == tag && p.fns[*at&p.posMask-1].Name == name {
+			return at, tag
+		}
+		if i++; i == size {
+			i = 0
+		}
+	}
 }
 
 // AddUnit registers a link unit. Adding a unit twice is an error.
@@ -262,7 +332,7 @@ func (p *Program) AddFunc(f *Function) error {
 	if f.Name == "" {
 		return fmt.Errorf("prog: function with empty name")
 	}
-	if _, dup := p.funcs[f.Name]; dup {
+	if p.Index(f.Name) >= 0 {
 		return fmt.Errorf("prog: duplicate function %q", f.Name)
 	}
 	unit := slices.IndexFunc(p.units, func(u *Unit) bool { return u.Name == f.Unit })
@@ -270,8 +340,12 @@ func (p *Program) AddFunc(f *Function) error {
 		return fmt.Errorf("prog: function %q references unknown unit %q", f.Name, f.Unit)
 	}
 	at := int32(len(p.fns))
-	p.funcs[f.Name] = at
+	if 2*(len(p.fns)+1) > len(p.names) {
+		p.rehash(2 * len(p.fns))
+	}
 	p.fns = append(p.fns, f)
+	slot, tag := p.probe(f.Name)
+	*slot = tag | uint32(at+1)
 	p.units[unit].Funcs = append(p.units[unit].Funcs, at)
 	return nil
 }
@@ -287,7 +361,7 @@ func (p *Program) MustAddFunc(f *Function) *Function {
 
 // Func returns the function with the given name, or nil.
 func (p *Program) Func(name string) *Function {
-	if i, ok := p.funcs[name]; ok {
+	if i := p.Index(name); i >= 0 {
 		return p.fns[i]
 	}
 	return nil
@@ -296,10 +370,8 @@ func (p *Program) Func(name string) *Function {
 // Index returns the position of the named function in Funcs, or -1 if the
 // program defines no such function.
 func (p *Program) Index(name string) int {
-	if i, ok := p.funcs[name]; ok {
-		return int(i)
-	}
-	return -1
+	at, _ := p.probe(name)
+	return int(*at&p.posMask) - 1
 }
 
 // Funcs returns all function definitions in insertion order. The returned
@@ -354,8 +426,8 @@ func (p *Program) Validate() error {
 		for i, op := range f.Ops {
 			switch op.Kind {
 			case OpCall:
-				if op.Count < 0 {
-					return fmt.Errorf("prog %q: %s op %d: negative call count %d", p.Name, name, i, op.Count)
+				if op.Count() < 0 {
+					return fmt.Errorf("prog %q: %s op %d: negative call count %d", p.Name, name, i, op.Count())
 				}
 				switch {
 				case op.Virtual || op.ViaPointer:
@@ -371,8 +443,11 @@ func (p *Program) Validate() error {
 							return fmt.Errorf("prog %q: %s %q %s %q not defined", p.Name, via, op.Callee, what, impl)
 						}
 					}
-					if op.RuntimeTarget != "" && p.Func(op.RuntimeTarget) == nil {
-						return fmt.Errorf("prog %q: %s: runtime target %q not defined", p.Name, name, op.RuntimeTarget)
+					if int(op.target) > len(p.targets) {
+						return fmt.Errorf("prog %q: %s op %d: runtime target recorded by another program", p.Name, name, i)
+					}
+					if target := p.RuntimeTarget(op); target != "" && p.Func(target) == nil {
+						return fmt.Errorf("prog %q: %s: runtime target %q not defined", p.Name, name, target)
 					}
 				default:
 					if p.Func(op.Callee) == nil {
@@ -384,7 +459,7 @@ func (p *Program) Validate() error {
 					return fmt.Errorf("prog %q: %s performs MPI op %q with no declared MPI function", p.Name, name, op.Callee)
 				}
 			case OpWork:
-				if op.Work < 0 {
+				if op.Work() < 0 {
 					return fmt.Errorf("prog %q: %s op %d: negative work", p.Name, name, i)
 				}
 			default:
@@ -432,27 +507,4 @@ func (p *Program) ByTU() []TU {
 	}
 	sort.Slice(tus, func(i, j int) bool { return tus[i].Name < tus[j].Name })
 	return tus
-}
-
-// TranslationUnits returns the sorted set of TU names present in the program.
-func (p *Program) TranslationUnits() []string {
-	tus := p.ByTU()
-	out := make([]string, len(tus))
-	for i := range tus {
-		out[i] = tus[i].Name
-	}
-	return out
-}
-
-// FunctionsInTU returns the functions defined in the given translation unit,
-// in insertion order. Callers that want every unit use ByTU: one pass there,
-// one pass per unit here.
-func (p *Program) FunctionsInTU(tu string) []string {
-	var out []string
-	for _, f := range p.fns {
-		if f.TU == tu {
-			out = append(out, f.Name)
-		}
-	}
-	return out
 }

@@ -123,6 +123,47 @@ func TestValidateVirtual(t *testing.T) {
 	}
 }
 
+// TestRuntimeTargets: a runtime target lives in the side table of the
+// program whose VCallTo or PtrCallTo made the op, Validate checks it names a
+// defined function, and an op carrying another program's target is refused.
+func TestRuntimeTargets(t *testing.T) {
+	p := New("app", "main")
+	p.MustAddUnit("u", Executable)
+	p.MustAddFunc(&Function{Name: "A::solve", Unit: "u", Virtual: true})
+	p.MustAddFunc(&Function{Name: "B::solve", Unit: "u", Virtual: true})
+	p.MustAddFunc(&Function{Name: "cb", Unit: "u"})
+	p.RegisterVirtual("Base::solve", "A::solve")
+	p.RegisterVirtual("Base::solve", "B::solve")
+	p.RegisterPointerTarget("hook", "cb", true)
+	vcall, pcall := p.VCallTo("Base::solve", "B::solve", 2), p.PtrCallTo("hook", "cb", 3)
+	if !vcall.Virtual || vcall.Count() != 2 || p.RuntimeTarget(vcall) != "B::solve" {
+		t.Fatalf("VCallTo: %+v, target %q", vcall, p.RuntimeTarget(vcall))
+	}
+	if !pcall.ViaPointer || pcall.Count() != 3 || p.RuntimeTarget(pcall) != "cb" {
+		t.Fatalf("PtrCallTo: %+v, target %q", pcall, p.RuntimeTarget(pcall))
+	}
+	if got := p.RuntimeTarget(VCall("Base::solve", 1)); got != "" {
+		t.Fatalf("VCall has runtime target %q", got)
+	}
+	main := p.MustAddFunc(&Function{Name: "main", Unit: "u", Ops: []Op{vcall, pcall}})
+	if err := p.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	main.Ops = append(main.Ops, p.VCallTo("Base::solve", "Phantom::solve", 1))
+	if err := p.Validate(); err == nil || !strings.Contains(err.Error(), "Phantom") {
+		t.Fatalf("expected undefined runtime target error, got %v", err)
+	}
+
+	other := New("other", "main")
+	other.MustAddUnit("u", Executable)
+	other.MustAddFunc(&Function{Name: "A::solve", Unit: "u", Virtual: true})
+	other.RegisterVirtual("Base::solve", "A::solve")
+	other.MustAddFunc(&Function{Name: "main", Unit: "u", Ops: []Op{main.Ops[2]}})
+	if err := other.Validate(); err == nil || !strings.Contains(err.Error(), "another program") {
+		t.Fatalf("expected foreign runtime target error, got %v", err)
+	}
+}
+
 func TestValidatePointerSlot(t *testing.T) {
 	p := New("app", "main")
 	p.MustAddUnit("u", Executable)
@@ -179,19 +220,18 @@ func TestDisplayFallback(t *testing.T) {
 
 func TestTranslationUnits(t *testing.T) {
 	p := buildValid(t)
-	tus := p.TranslationUnits()
-	if len(tus) != 3 { // "", foo.cc, main.cc
-		t.Fatalf("TranslationUnits = %v", tus)
+	tus := p.ByTU()
+	if len(tus) != 3 || tus[0].Name != "" || tus[1].Name != "foo.cc" || tus[2].Name != "main.cc" {
+		t.Fatalf("ByTU = %v, want the units \"\", foo.cc and main.cc", tus)
 	}
-	if fns := p.FunctionsInTU("foo.cc"); len(fns) != 1 || fns[0] != "compute" {
-		t.Fatalf("FunctionsInTU(foo.cc) = %v", fns)
+	if fns := tus[1].Funcs; len(fns) != 1 || p.Funcs()[fns[0]].Name != "compute" {
+		t.Fatalf("foo.cc holds positions %v, want compute's alone", fns)
 	}
 }
 
 // TestByTUReadsTUAtCallTime: the grouping is sorted by unit name, keeps
-// insertion order inside a unit, agrees with FunctionsInTU, follows a TU a
-// generator sets after AddFunc, and survives Reserve on a program that
-// already has functions.
+// insertion order inside a unit, follows a TU a generator sets after
+// AddFunc, and survives Reserve on a program that already has functions.
 func TestByTUReadsTUAtCallTime(t *testing.T) {
 	p := buildValid(t)
 	p.Reserve(16)
@@ -208,8 +248,8 @@ func TestByTUReadsTUAtCallTime(t *testing.T) {
 			for _, i := range tu.Funcs {
 				names = append(names, p.Funcs()[i].Name)
 			}
-			if !slices.Equal(names, want[tu.Name]) || !slices.Equal(p.FunctionsInTU(tu.Name), names) {
-				t.Fatalf("unit %q holds %v (FunctionsInTU: %v), want %v", tu.Name, names, p.FunctionsInTU(tu.Name), want[tu.Name])
+			if !slices.Equal(names, want[tu.Name]) {
+				t.Fatalf("unit %q holds %v, want %v", tu.Name, names, want[tu.Name])
 			}
 		}
 	}
@@ -229,10 +269,10 @@ func TestTotalStatements(t *testing.T) {
 }
 
 func TestOpConstructors(t *testing.T) {
-	if op := Work(7); op.Kind != OpWork || op.Work != 7 {
+	if op := Work(7); op.Kind != OpWork || op.Work() != 7 || op.Count() != 0 || op.Bytes() != 0 {
 		t.Fatalf("Work: %+v", op)
 	}
-	if op := Call("f", 3); op.Kind != OpCall || op.Callee != "f" || op.Count != 3 || op.Virtual || op.ViaPointer {
+	if op := Call("f", 3); op.Kind != OpCall || op.Callee != "f" || op.Count() != 3 || op.Work() != 0 || op.Virtual || op.ViaPointer {
 		t.Fatalf("Call: %+v", op)
 	}
 	if op := VCall("b", 2); !op.Virtual || op.ViaPointer {
@@ -241,7 +281,7 @@ func TestOpConstructors(t *testing.T) {
 	if op := PtrCall("s", 2); !op.ViaPointer || op.Virtual {
 		t.Fatalf("PtrCall: %+v", op)
 	}
-	if op := MPICall("MPI_Send", 64); op.Kind != OpMPI || op.Callee != "MPI_Send" || op.Bytes != 64 {
+	if op := MPICall("MPI_Send", 64); op.Kind != OpMPI || op.Callee != "MPI_Send" || op.Bytes() != 64 || op.Count() != 0 {
 		t.Fatalf("MPICall: %+v", op)
 	}
 }

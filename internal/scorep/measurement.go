@@ -85,7 +85,6 @@ type rankState struct {
 	nodes    []cnode
 	stack    []int
 	rootKids map[int]int
-	edges    map[[2]int]struct{}
 
 	// lastNs is the rank clock value after its most recent recorded event —
 	// the timestamp synthetic exits close dangling regions at (the rank's
@@ -121,7 +120,6 @@ func New(opts Options) (*Measurement, error) {
 	for i := 0; i < opts.Ranks; i++ {
 		m.ranks = append(m.ranks, &rankState{
 			rootKids: map[int]int{},
-			edges:    map[[2]int]struct{}{},
 		})
 	}
 	m.unknownRegion = m.RegionHandle("UNKNOWN")
@@ -274,14 +272,10 @@ func (m *Measurement) countUnknown(tc ThreadCtx) {
 }
 
 func (m *Measurement) push(rs *rankState, region int, now int64) {
-	var parent, parentRegion int
-	kids := rs.rootKids
-	parent = -1
-	parentRegion = -1
+	parent, kids := -1, rs.rootKids
 	if len(rs.stack) > 0 {
 		parent = rs.stack[len(rs.stack)-1]
 		kids = rs.nodes[parent].children
-		parentRegion = rs.nodes[parent].region
 	}
 	idx, ok := kids[region]
 	if !ok {
@@ -297,9 +291,6 @@ func (m *Measurement) push(rs *rankState, region int, now int64) {
 	n.visits++
 	n.enterTime = now
 	rs.stack = append(rs.stack, idx)
-	if parentRegion >= 0 {
-		rs.edges[[2]int{parentRegion, region}] = struct{}{}
-	}
 }
 
 // pop closes the exiting region's frame. The top of the stack matches on

@@ -1,11 +1,12 @@
 package scorep
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
-	"capi/internal/metacg"
 	"capi/internal/vtime"
 )
 
@@ -26,12 +27,15 @@ type CallTreeNode struct {
 	Inclusive int64
 }
 
+// CallEdge is one observed caller→callee pair from a measured profile.
+type CallEdge struct{ Caller, Callee string }
+
 // Profile is the aggregated measurement result.
 type Profile struct {
 	Ranks          int
 	Regions        []RegionProfile
 	CallTree       []CallTreeNode
-	Edges          []metacg.CallEdge // observed caller→callee pairs
+	Edges          []CallEdge // observed caller→callee pairs: the call trees' parent→child links
 	UnknownEvents  int64
 	FilteredEvents int64
 
@@ -42,15 +46,14 @@ type Profile struct {
 func (p *Profile) Region(name string) *RegionProfile { return p.byName[name] }
 
 // Profile aggregates the per-rank call trees into a flat profile, a call
-// tree and the observed call-edge list. It must be called after the
-// measured run completed.
+// tree and the observed call-edge list: every parent→child link of a rank's
+// call tree, by region. It must be called after the measured run completed.
 func (m *Measurement) Profile() *Profile {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	p := &Profile{Ranks: len(m.ranks), byName: map[string]*RegionProfile{}}
 
 	flat := map[int]*RegionProfile{}
-	edgeSet := map[[2]int]struct{}{}
 	for _, rs := range m.ranks {
 		rs.mu.Lock()
 		p.UnknownEvents += rs.unknownEvents
@@ -70,9 +73,9 @@ func (m *Measurement) Profile() *Profile {
 				excl -= rs.nodes[ci].inclusive
 			}
 			rp.Exclusive += excl
-		}
-		for e := range rs.edges {
-			edgeSet[e] = struct{}{}
+			if n.parent >= 0 {
+				p.Edges = append(p.Edges, CallEdge{m.regions[rs.nodes[n.parent].region], m.regions[n.region]})
+			}
 		}
 		rs.mu.Unlock()
 	}
@@ -88,15 +91,10 @@ func (m *Measurement) Profile() *Profile {
 	for i := range p.Regions {
 		p.byName[p.Regions[i].Name] = &p.Regions[i]
 	}
-	for e := range edgeSet {
-		p.Edges = append(p.Edges, metacg.CallEdge{Caller: m.regions[e[0]], Callee: m.regions[e[1]]})
-	}
-	sort.Slice(p.Edges, func(i, j int) bool {
-		if p.Edges[i].Caller != p.Edges[j].Caller {
-			return p.Edges[i].Caller < p.Edges[j].Caller
-		}
-		return p.Edges[i].Callee < p.Edges[j].Callee
+	slices.SortFunc(p.Edges, func(a, b CallEdge) int {
+		return cmp.Or(cmp.Compare(a.Caller, b.Caller), cmp.Compare(a.Callee, b.Callee))
 	})
+	p.Edges = slices.Compact(p.Edges) // each caller→callee pair once
 
 	// Call tree from rank 0.
 	rs := m.ranks[0]

@@ -266,7 +266,7 @@ func buildOFCore(b *builder, opts OpenFOAMOptions) *ofCore {
 	// --- the Listing 3 solve chain (thin vague-linkage wrappers) ---
 	fn(&prog.Function{Name: "Foam::fvMatrix::solveSegregated", Unit: lfv, TU: "fvMatrixSolve.C",
 		Statements: 6, VagueLinkage: true,
-		Ops: []prog.Op{prog.VCallTo(vbase, "Foam::PCG::scalarSolve", 1)}})
+		Ops: []prog.Op{b.p.VCallTo(vbase, "Foam::PCG::scalarSolve", 1)}})
 	fn(&prog.Function{Name: "Foam::fvMatrix::solveSegregatedOrCoupled", Unit: lfv, TU: "fvMatrixSolve.C",
 		Statements: 5, VagueLinkage: true,
 		Ops: []prog.Op{prog.Call("Foam::fvMatrix::solveSegregated", 1)}})
@@ -316,7 +316,7 @@ func buildOFCore(b *builder, opts OpenFOAMOptions) *ofCore {
 	b.p.RegisterVirtual(c.foBase, "Foam::fieldMinMax::execute")
 	fn(&prog.Function{Name: "Foam::functionObjectList::execute", Unit: lofoam, TU: "functionObjectList.C",
 		Statements: 20,
-		Ops:        []prog.Op{prog.VCallTo(c.foBase, "Foam::fieldMinMax::execute", 1)}})
+		Ops:        []prog.Op{b.p.VCallTo(c.foBase, "Foam::fieldMinMax::execute", 1)}})
 
 	// --- setup: argList with pre-MPI_Init helpers (§VI-B(b)) ---
 	var argOps []prog.Op
@@ -329,7 +329,7 @@ func buildOFCore(b *builder, opts OpenFOAMOptions) *ofCore {
 				// Static pointer edge to Pstream::exchange (so the mpi
 				// selection picks these up), but the runtime target is a
 				// harmless probe: nothing is sent before MPI_Init.
-				prog.PtrCallTo("of::commsSlot", "Foam::UPstream::commsProbe", 1),
+				b.p.PtrCallTo("of::commsSlot", "Foam::UPstream::commsProbe", 1),
 			}})
 		argOps = append(argOps, prog.Call(name, 1))
 	}
@@ -482,7 +482,7 @@ func buildOFModules(b *builder, opts OpenFOAMOptions, c *ofCore) {
 	// event volume (none of them is on an MPI or kernel path).
 	fol := b.p.Func("Foam::functionObjectList::execute")
 	for i := 0; i < ofExecutedModules && i < len(plainRoots); i++ {
-		fol.Ops = append(fol.Ops, prog.VCallTo(c.foBase, plainRoots[i], 1))
+		fol.Ops = append(fol.Ops, b.p.VCallTo(c.foBase, plainRoots[i], 1))
 	}
 }
 

@@ -107,7 +107,7 @@ func scaleWork(p *prog.Program, factor float64) {
 	for _, f := range p.Funcs() {
 		for i := range f.Ops {
 			if f.Ops[i].Kind == prog.OpWork {
-				f.Ops[i].Work = int64(float64(f.Ops[i].Work) * factor)
+				f.Ops[i] = prog.Work(int64(float64(f.Ops[i].Work()) * factor))
 			}
 		}
 	}

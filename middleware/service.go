@@ -35,7 +35,6 @@ type route struct {
 	steps   []step
 	slots   int     // enter steps in the script (scratch size)
 	pairs   int     // instrumented enter/exit pairs per request
-	baseNs  int64   // sum of unscaled work steps
 	funcIDs []int32 // unique instrumented IDs, sorted
 }
 
@@ -130,13 +129,12 @@ func compileRoute(inst *capi.Instance, p *capi.Program, ep capi.WebEndpoint) (*r
 		for _, op := range fn.Ops {
 			switch op.Kind {
 			case prog.OpWork:
-				rt.steps = append(rt.steps, step{kind: stepWork, ns: op.Work})
-				rt.baseNs += op.Work
+				rt.steps = append(rt.steps, step{kind: stepWork, ns: op.Work()})
 			case prog.OpCall:
 				if op.Virtual || op.ViaPointer {
 					continue // webservice handler trees are direct-call only
 				}
-				for range op.Count {
+				for range op.Count() {
 					if err := visit(op.Callee); err != nil {
 						return err
 					}
@@ -229,15 +227,6 @@ func (wk *worker) multiplier(ep capi.WebEndpoint) float64 {
 func (s *Service) EventPairs(routeName string) int {
 	if rt := s.routes[routeName]; rt != nil {
 		return rt.pairs
-	}
-	return 0
-}
-
-// BaseWorkNs returns the route's unscaled self-time sum: the request
-// latency floor with instrumentation fully deselected and multiplier 1.
-func (s *Service) BaseWorkNs(routeName string) int64 {
-	if rt := s.routes[routeName]; rt != nil {
-		return rt.baseNs
 	}
 	return 0
 }

@@ -50,17 +50,18 @@ func graphFNV(g *capi.Graph) uint64 {
 	return h.Sum64()
 }
 
-// writeFunc renders a function field by field, its body op by op. The
+// writeFunc renders a function of p field by field, its body op by op. The
 // field list is explicit so that a field that moves or goes without any
 // produced value changing leaves the hash alone; an MPI op's function is
-// rendered where a call's callee is.
-func writeFunc(w io.Writer, f *prog.Function) {
+// rendered where a call's callee is, and each kind's operand and an
+// indirect call's runtime target where the op's own fields once held them.
+func writeFunc(w io.Writer, p *prog.Program, f *prog.Function) {
 	fmt.Fprintf(w, "%s|%s|%s|%s|%d|%d|%d|%d|%d|%t|%t|%t|%t|%t|%t|%d\n",
 		f.Name, f.DisplayName, f.TU, f.Unit, f.Statements, f.LOC, f.Flops, f.LoopDepth, f.Cyclomatic,
 		f.Inline, f.SystemHeader, f.Virtual, f.AddressTaken, f.StaticInit, f.VagueLinkage, f.Visibility)
 	for _, op := range f.Ops {
 		fmt.Fprintf(w, "  %d|%d|%s|%d|%t|%t|%s|%d\n",
-			op.Kind, op.Work, op.Callee, op.Count, op.Virtual, op.ViaPointer, op.RuntimeTarget, op.Bytes)
+			op.Kind, op.Work(), op.Callee, op.Count(), op.Virtual, op.ViaPointer, p.RuntimeTarget(op), op.Bytes())
 	}
 }
 
@@ -69,7 +70,7 @@ func writeFunc(w io.Writer, f *prog.Function) {
 func progFNV(p *capi.Program) uint64 {
 	h := fnv.New64a()
 	for _, f := range p.Funcs() {
-		writeFunc(h, f)
+		writeFunc(h, p, f)
 	}
 	fmt.Fprintf(h, "%v|%v|%v\n", p.VirtualImpls, p.PointerTargets, p.StaticPointerSlots)
 	return h.Sum64()
@@ -200,15 +201,15 @@ func TestGraphJSONRoundTrip(t *testing.T) {
 
 // TestSessionBuildBudget keeps the per-node and per-edge allocations of
 // the old per-TU build from coming back. Allocations of one openfoam@0.05
-// build stay under a ceiling 15 % above the 44,808 it makes with one op
-// arena per program and each image's tables sized once (64,270 with an op
-// slice per function, 75,041 with a layout map, 173,840 with per-TU graphs
-// and a merge, 264,408 before that),
-// and FunctionsInTU over all translation units hands out every function
-// exactly once, in insertion order — what the per-TU reference the call
-// graph is tested against (internal/metacg) relies on.
+// build stay under a ceiling 15 % above the 44,748 it makes with one op
+// arena per program, each image's tables sized once and no name map
+// (44,808 with one, 64,270 with an op slice per function, 75,041 with a
+// layout map, 173,840 with per-TU graphs and a merge, 264,408 before that),
+// and ByTU hands out every function exactly once, in insertion order
+// within its translation unit — what the per-TU reference the call graph
+// is tested against (internal/metacg) relies on.
 func TestSessionBuildBudget(t *testing.T) {
-	const ceiling = 51_529
+	const ceiling = 51_460
 	if !raceEnabled { // the detector allocates on its own account
 		allocs := testing.AllocsPerRun(3, func() {
 			if _, err := capi.NewAppSession("openfoam", 0.05); err != nil {
@@ -220,24 +221,19 @@ func TestSessionBuildBudget(t *testing.T) {
 		}
 	}
 	p := capi.OpenFOAM(capi.OpenFOAMOptions{Scale: 0.05})
-	position := make(map[string]int, p.NumFunctions())
-	for i, f := range p.Funcs() {
-		position[f.Name] = i
-	}
 	seen := 0
-	for _, tu := range p.TranslationUnits() {
+	for _, tu := range p.ByTU() {
 		last := -1
-		for _, name := range p.FunctionsInTU(tu) {
-			at, ok := position[name]
-			if !ok || at <= last || p.Func(name).TU != tu {
-				t.Fatalf("FunctionsInTU(%q) returns %q out of place (position %d after %d)", tu, name, at, last)
+		for _, at := range tu.Funcs {
+			if at <= last || p.Funcs()[at].TU != tu.Name {
+				t.Fatalf("ByTU unit %q holds position %d out of place (after %d)", tu.Name, at, last)
 			}
 			last = at
 			seen++
 		}
 	}
 	if seen != p.NumFunctions() {
-		t.Errorf("FunctionsInTU over all TUs returned %d functions, program has %d", seen, p.NumFunctions())
+		t.Errorf("ByTU returned %d functions, program has %d", seen, p.NumFunctions())
 	}
 }
 
@@ -245,13 +241,14 @@ func TestSessionBuildBudget(t *testing.T) {
 // (or per op) to their packed sizes: at openfoam@0.1 every byte here is paid
 // 41,042 times (103,768 for an op) by every instrumented process. A node was
 // 144 bytes with its metadata's strings and two pointer slices for edges,
-// and a function 144 with int counts.
+// a function 144 with int counts, and an op 56 with a field per kind's
+// operand and a runtime target of its own.
 func TestRecordSizes(t *testing.T) {
 	for _, r := range []struct {
 		name      string
 		size, max uintptr
 	}{
-		{"prog.Op", unsafe.Sizeof(prog.Op{}), 56},
+		{"prog.Op", unsafe.Sizeof(prog.Op{}), 32},
 		{"compiler.FuncLayout", unsafe.Sizeof(compiler.FuncLayout{}), 32},
 		{"callgraph.Node", unsafe.Sizeof(callgraph.Node{}), 80},
 		{"prog.Function", unsafe.Sizeof(prog.Function{}), 128},
@@ -265,13 +262,14 @@ func TestRecordSizes(t *testing.T) {
 // TestSessionFootprint bounds the heap one openfoam@0.05 session keeps live:
 // what is freed when it is released. It retained 18.38 MB with a name-keyed
 // layout map, 88-byte ops and per-function sled lists, 13.40 MB with a
-// call graph of 144-byte nodes, a name map and pointer adjacency, and
-// 10.42 MB since; the ceiling is 10 % above that.
+// call graph of 144-byte nodes, a name map and pointer adjacency, 10.42 MB
+// with 56-byte ops and a name-keyed map in the program, and 8.51 MB since;
+// the ceiling is 10 % above that.
 func TestSessionFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
-	const ceilingMB = 11.46
+	const ceilingMB = 9.36
 	var held, released runtime.MemStats
 	s, err := capi.NewAppSession("openfoam", 0.05)
 	if err != nil {
