@@ -47,7 +47,7 @@ func (c *callClocks) StartPhase(w *capi.World) error {
 		r.AddHook(mpi.Hook{
 			Pre: func(rk *mpi.Rank, _ mpi.Op, _ int) { arrive = rk.Clock().Now() },
 			Post: func(rk *mpi.Rank, op mpi.Op, bytes int, _ int64) {
-				if !op.IsCollective() {
+				if !isCollective(op) {
 					return
 				}
 				c.mu.Lock()
@@ -156,4 +156,13 @@ func TestSyntheticExitsInsideCollective(t *testing.T) {
 	if synth["talp"] != ranks || synth["scorep"] != ranks {
 		t.Fatalf("synthetic exits %v, want %d each from talp and scorep", synth, ranks)
 	}
+}
+
+// isCollective reports whether the MPI operation synchronizes all ranks.
+func isCollective(op mpi.Op) bool {
+	switch op {
+	case mpi.OpBarrier, mpi.OpAllreduce, mpi.OpReduce, mpi.OpBcast, mpi.OpAllgather, mpi.OpInit, mpi.OpFinalize:
+		return true
+	}
+	return false
 }

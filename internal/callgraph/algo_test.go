@@ -23,48 +23,48 @@ func diamond() *Graph {
 
 func TestReachableForward(t *testing.T) {
 	g := diamond()
-	r := g.Reachable(g.SetOf("main"), true)
+	r := g.Reachable(setOf(g, "main"), true)
 	want := []string{"main", "l", "r", "sink", "c1", "c2"}
 	if r.Count() != len(want) {
 		t.Fatalf("Reachable = %v", r.Names())
 	}
 	for _, n := range want {
-		if !r.HasName(n) {
+		if !hasName(r, n) {
 			t.Fatalf("missing %s", n)
 		}
 	}
-	if r.HasName("iso") {
+	if hasName(r, "iso") {
 		t.Fatal("iso must be unreachable")
 	}
 }
 
 func TestReachableBackward(t *testing.T) {
 	g := diamond()
-	r := g.Reachable(g.SetOf("sink"), false)
+	r := g.Reachable(setOf(g, "sink"), false)
 	for _, n := range []string{"sink", "l", "r", "main"} {
-		if !r.HasName(n) {
+		if !hasName(r, n) {
 			t.Fatalf("missing ancestor %s", n)
 		}
 	}
-	if r.HasName("c1") || r.HasName("c2") {
+	if hasName(r, "c1") || hasName(r, "c2") {
 		t.Fatal("cycle nodes are not ancestors of sink")
 	}
 }
 
 func TestOnCallPath(t *testing.T) {
 	g := diamond()
-	p := g.OnCallPath(g.Node("main"), g.SetOf("sink"))
+	p := g.OnCallPath(g.Node("main"), setOf(g, "sink"))
 	want := map[string]bool{"main": true, "l": true, "r": true, "sink": true}
 	if p.Count() != len(want) {
 		t.Fatalf("OnCallPath = %v", p.Names())
 	}
 	for n := range want {
-		if !p.HasName(n) {
+		if !hasName(p, n) {
 			t.Fatalf("missing %s", n)
 		}
 	}
 	// Unknown root yields the empty set.
-	if g.OnCallPath(g.Node("ghost"), g.SetOf("sink")).Count() != 0 {
+	if g.OnCallPath(g.Node("ghost"), setOf(g, "sink")).Count() != 0 {
 		t.Fatal("unknown root should yield empty set")
 	}
 }
@@ -76,9 +76,9 @@ func TestOnCallPathThroughCycle(t *testing.T) {
 	b.Edge("b", "a") // recursion
 	b.Edge("b", "target")
 	g := b.Graph()
-	p := g.OnCallPath(g.Node("main"), g.SetOf("target"))
+	p := g.OnCallPath(g.Node("main"), setOf(g, "target"))
 	for _, n := range []string{"main", "a", "b", "target"} {
-		if !p.HasName(n) {
+		if !hasName(p, n) {
 			t.Fatalf("missing %s", n)
 		}
 	}
@@ -200,27 +200,27 @@ func listing3() *Graph {
 
 func TestCoarseCollapsesChain(t *testing.T) {
 	g := listing3()
-	in := g.SetOf("solve", "s1", "s2", "s3", "s4", "Amul")
-	critical := g.SetOf("Amul")
+	in := setOf(g, "solve", "s1", "s2", "s3", "s4", "Amul")
+	critical := setOf(g, "Amul")
 	out := g.Coarse(g.MainNode(), in, critical)
-	if !out.HasName("solve") {
+	if !hasName(out, "solve") {
 		t.Fatal("solve (multi-caller context head) must stay")
 	}
 	for _, mid := range []string{"s1", "s2", "s3", "s4"} {
-		if out.HasName(mid) {
+		if hasName(out, mid) {
 			t.Fatalf("%s should be pruned by coarse", mid)
 		}
 	}
-	if !out.HasName("Amul") {
+	if !hasName(out, "Amul") {
 		t.Fatal("critical Amul must be retained")
 	}
 }
 
 func TestCoarseWithoutCriticalPrunesLeaf(t *testing.T) {
 	g := listing3()
-	in := g.SetOf("solve", "s1", "s2", "s3", "s4", "Amul")
+	in := setOf(g, "solve", "s1", "s2", "s3", "s4", "Amul")
 	out := g.Coarse(g.MainNode(), in, nil)
-	if out.HasName("Amul") {
+	if hasName(out, "Amul") {
 		t.Fatal("without a critical set, the sole-caller leaf is pruned too")
 	}
 }
@@ -232,16 +232,16 @@ func TestCoarseKeepsMultiCallerCallees(t *testing.T) {
 	b.Edge("a", "shared")
 	b.Edge("b", "shared")
 	g := b.Graph()
-	in := g.SetOf("a", "b", "shared")
+	in := setOf(g, "a", "b", "shared")
 	out := g.Coarse(g.MainNode(), in, nil)
-	if !out.HasName("shared") {
+	if !hasName(out, "shared") {
 		t.Fatal("multi-caller callee must be retained")
 	}
 }
 
 func TestCoarseDoesNotMutateInput(t *testing.T) {
 	g := listing3()
-	in := g.SetOf("solve", "s1", "s2")
+	in := setOf(g, "solve", "s1", "s2")
 	before := in.Count()
 	g.Coarse(g.MainNode(), in, nil)
 	if in.Count() != before {
@@ -251,7 +251,7 @@ func TestCoarseDoesNotMutateInput(t *testing.T) {
 
 func TestCoarseUnknownRoot(t *testing.T) {
 	g := listing3()
-	in := g.SetOf("s1")
+	in := setOf(g, "s1")
 	out := g.Coarse(g.Node("ghost"), in, nil)
 	if !out.Equal(in) {
 		t.Fatal("unknown root should return the input unchanged")

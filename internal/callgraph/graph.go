@@ -9,7 +9,7 @@
 // is only read afterwards. A graph keeps one 80-byte Node per function in a
 // slab in ID order, its edges as int32 node IDs in one arena, and the unit
 // and TU names of its metadata once each; it keeps no name index, so Node
-// (by name) is a scan, meant for tests and SetOf.
+// (by name) is a scan, meant for tests.
 package callgraph
 
 import "slices"

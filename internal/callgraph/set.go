@@ -32,17 +32,6 @@ func (g *Graph) UniverseSet() *Set {
 	return s
 }
 
-// SetOf builds a set from the named nodes; unknown names are ignored.
-func (g *Graph) SetOf(names ...string) *Set {
-	s := g.NewSet()
-	for _, name := range names {
-		if n := g.Node(name); n != nil {
-			s.Add(n)
-		}
-	}
-	return s
-}
-
 // Graph returns the graph this set is bound to.
 func (s *Set) Graph() *Graph { return s.g }
 
@@ -69,9 +58,6 @@ func (s *Set) Has(n *Node) bool {
 
 // HasID reports membership by dense index.
 func (s *Set) HasID(id int) bool { return s.words[id>>6]&(1<<uint(id&63)) != 0 }
-
-// HasName reports membership by node name.
-func (s *Set) HasName(name string) bool { return s.Has(s.g.Node(name)) }
 
 // Count returns the number of members.
 func (s *Set) Count() int {

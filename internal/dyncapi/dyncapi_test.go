@@ -2,6 +2,7 @@ package dyncapi
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"capi/internal/compiler"
@@ -390,7 +391,7 @@ func TestStaticIDsRoundTripJSON(t *testing.T) {
 		t.Fatalf("IDs lost: %v vs %v", back.IncludeIDs, cfg.IncludeIDs)
 	}
 	for _, id := range cfg.IncludeIDs {
-		if !back.ContainsID(id) {
+		if !slices.Contains(back.IncludeIDs, id) {
 			t.Fatalf("id %d lost in round trip", id)
 		}
 	}

@@ -6,6 +6,10 @@
 // execution (the paper confirms XRay's inactive overhead is negligible,
 // §VI-C), and fully inlined functions execute their bodies inside the
 // caller without any instrumentation points (§V-E).
+//
+// The engine runs the program's own ops (prog.Function.Ops) in place. A phase
+// resolves, per function, only what the ops do not say: its layout, its sled
+// object and packed XRay ID, and the function each of its call ops reaches.
 package exec
 
 import (
@@ -73,25 +77,16 @@ func (t *Task) Clock() *vtime.Clock { return t.rank.Clock() }
 // MPIRank returns the simulated MPI rank executing this task.
 func (t *Task) MPIRank() *mpi.Rank { return t.rank }
 
-// cop is a resolved body operation. Indirect calls are resolved to their
-// single runtime target here; the static over-approximation lives only in
-// the call graph.
-type cop struct {
-	kind   prog.OpKind
-	work   int64
-	callee *cfunc
-	count  int
-	mpiOp  mpi.Op
-	bytes  int
-}
-
-// cfunc is a resolved function.
+// cfunc is a resolved function: the program's function with its layout,
+// sled object and packed ID, and the target of each of its call ops in op
+// order. Indirect calls are resolved to their single runtime target here;
+// the static over-approximation lives only in the call graph.
 type cfunc struct {
-	name   string
-	lay    *compiler.FuncLayout
-	lo     *obj.LoadedObject // nil when no patchable sled of it is mapped
-	packed int32
-	ops    []cop
+	f       *prog.Function
+	lay     *compiler.FuncLayout
+	lo      *obj.LoadedObject // nil when no patchable sled of it is mapped
+	packed  int32
+	callees []*cfunc
 }
 
 // Engine interprets one compiled program.
@@ -112,53 +107,51 @@ func New(cfg Config) (*Engine, error) {
 	p := cfg.Build.Prog
 	fns := p.Funcs()
 	e := &Engine{cfg: cfg, funcs: make([]cfunc, len(fns))}
+	n := 0
 	for i, f := range fns {
 		cf := &e.funcs[i]
-		cf.name, cf.lay = f.Name, &cfg.Build.Layout[i]
+		cf.f, cf.lay = f, &cfg.Build.Layout[i]
 		if packed, ok := cfg.Build.PackedIDAt(i); ok && cfg.XRay != nil {
 			objID, _ := xray.UnpackID(packed)
 			if lo, ok := cfg.XRay.Object(objID); ok {
 				cf.lo, cf.packed = lo, packed
 			}
 		}
-	}
-	// Resolve bodies after all functions exist, into one slab: each
-	// function's ops follow the previous function's.
-	n := 0
-	for _, f := range fns {
-		n += len(f.Ops)
-	}
-	ops := make([]cop, 0, n)
-	for i, f := range fns {
-		start := len(ops)
 		for _, op := range f.Ops {
-			switch op.Kind {
-			case prog.OpWork:
-				ops = append(ops, cop{kind: prog.OpWork, work: op.Work()})
-			case prog.OpMPI:
-				ops = append(ops, cop{kind: prog.OpMPI, mpiOp: mpi.Op(op.Callee), bytes: op.Bytes()})
-			case prog.OpCall:
-				target := op.Callee
-				switch {
-				case op.Virtual:
-					target = p.RuntimeTarget(op)
-					if target == "" {
-						target = p.VirtualImpls[op.Callee][0]
-					}
-				case op.ViaPointer:
-					target = p.RuntimeTarget(op)
-					if target == "" {
-						target = p.PointerTargets[op.Callee][0]
-					}
-				}
-				at := p.Index(target)
-				if at < 0 {
-					return nil, fmt.Errorf("exec: %s calls unresolved %q", f.Name, target)
-				}
-				ops = append(ops, cop{kind: prog.OpCall, callee: &e.funcs[at], count: op.Count()})
+			if op.Kind == prog.OpCall {
+				n++
 			}
 		}
-		e.funcs[i].ops = ops[start:len(ops):len(ops)]
+	}
+	// Resolve call targets after all functions exist, into one slab: each
+	// function's callees follow the previous function's.
+	slab := make([]*cfunc, 0, n)
+	for i, f := range fns {
+		start := len(slab)
+		for _, op := range f.Ops {
+			if op.Kind != prog.OpCall {
+				continue
+			}
+			target := op.Callee
+			switch {
+			case op.Virtual:
+				target = p.RuntimeTarget(op)
+				if target == "" {
+					target = p.VirtualImpls[op.Callee][0]
+				}
+			case op.ViaPointer:
+				target = p.RuntimeTarget(op)
+				if target == "" {
+					target = p.PointerTargets[op.Callee][0]
+				}
+			}
+			at := p.Index(target)
+			if at < 0 {
+				return nil, fmt.Errorf("exec: %s calls unresolved %q", f.Name, target)
+			}
+			slab = append(slab, &e.funcs[at])
+		}
+		e.funcs[i].callees = slab[start:len(slab):len(slab)]
 	}
 	at := p.Index(p.Main)
 	if at < 0 {
@@ -166,8 +159,10 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e.main = &e.funcs[at]
 	for _, u := range p.Units() {
-		for _, name := range p.StaticInits(u) {
-			e.inits = append(e.inits, &e.funcs[p.Index(name)])
+		for _, i := range u.Funcs {
+			if e.funcs[i].f.StaticInit {
+				e.inits = append(e.inits, &e.funcs[i])
+			}
 		}
 	}
 	return e, nil
@@ -197,8 +192,7 @@ func (e *Engine) Run() error {
 // across all ranks of the last Run.
 func (e *Engine) TotalEvents() int64 { return e.events.Load() }
 
-// enter fires the entry-side instrumentation of fn, returning a function
-// firing the exit side (mirroring the sled pair).
+// instrument fires fn's entry or exit sled (by kind) and its static hook.
 func (e *Engine) instrument(t *Task, fn *cfunc, kind xray.EntryType) {
 	clk := t.rank.Clock()
 	if fn.lo != nil {
@@ -217,14 +211,14 @@ func (e *Engine) instrument(t *Task, fn *cfunc, kind xray.EntryType) {
 	if fn.lay.StaticInstr && e.cfg.StaticHook != nil {
 		clk.Advance(xray.DispatchCostNs)
 		t.events++
-		e.cfg.StaticHook(t, fn.name, kind)
+		e.cfg.StaticHook(t, fn.f.Name, kind)
 	}
 }
 
 // call executes one function invocation.
 func (e *Engine) call(t *Task, fn *cfunc) error {
 	if t.depth >= maxDepth {
-		return fmt.Errorf("exec: call depth %d exceeded at %s", maxDepth, fn.name)
+		return fmt.Errorf("exec: call depth %d exceeded at %s", maxDepth, fn.f.Name)
 	}
 	t.depth++
 	t.calls++
@@ -235,23 +229,26 @@ func (e *Engine) call(t *Task, fn *cfunc) error {
 	if !inlined {
 		e.instrument(t, fn, xray.Entry)
 	}
-	for i := range fn.ops {
-		op := &fn.ops[i]
-		switch op.kind {
+	next := 0 // fn.callees[next] is the next call op's target
+	for i := range fn.f.Ops {
+		op := &fn.f.Ops[i]
+		switch op.Kind {
 		case prog.OpWork:
 			if t.skew != 1 {
-				clk.Advance(int64(float64(op.work) * t.skew))
+				clk.Advance(int64(float64(op.Work()) * t.skew))
 			} else {
-				clk.Advance(op.work)
+				clk.Advance(op.Work())
 			}
 		case prog.OpCall:
-			for c := 0; c < op.count; c++ {
-				if err := e.call(t, op.callee); err != nil {
+			callee := fn.callees[next]
+			next++
+			for c := op.Count(); c > 0; c-- {
+				if err := e.call(t, callee); err != nil {
 					return err
 				}
 			}
 		case prog.OpMPI:
-			if err := e.mpiOp(t, op); err != nil {
+			if err := e.mpiOp(t, mpi.Op(op.Callee), op.Bytes()); err != nil {
 				return err
 			}
 		}
@@ -266,12 +263,12 @@ func (e *Engine) call(t *Task, fn *cfunc) error {
 // mpiOp performs a simulated MPI operation. Point-to-point operations use a
 // ring pattern: sends go to the right neighbour, receives come from the
 // left, which is deadlock-free with buffered sends.
-func (e *Engine) mpiOp(t *Task, op *cop) error {
+func (e *Engine) mpiOp(t *Task, op mpi.Op, bytes int) error {
 	r := t.rank
 	size := r.WorldSize()
 	right := (r.ID() + 1) % size
 	left := (r.ID() + size - 1) % size
-	switch op.mpiOp {
+	switch op {
 	case mpi.OpInit:
 		return r.Init()
 	case mpi.OpFinalize:
@@ -279,24 +276,24 @@ func (e *Engine) mpiOp(t *Task, op *cop) error {
 	case mpi.OpBarrier:
 		return r.Barrier()
 	case mpi.OpAllreduce:
-		return r.Allreduce(op.bytes)
+		return r.Allreduce(bytes)
 	case mpi.OpReduce:
-		return r.Reduce(op.bytes)
+		return r.Reduce(bytes)
 	case mpi.OpBcast:
-		return r.Bcast(op.bytes)
+		return r.Bcast(bytes)
 	case mpi.OpAllgather:
-		return r.Allgather(op.bytes)
+		return r.Allgather(bytes)
 	case mpi.OpSend:
-		return r.Send(right, 0, op.bytes)
+		return r.Send(right, 0, bytes)
 	case mpi.OpRecv:
-		return r.Recv(left, 0, op.bytes)
+		return r.Recv(left, 0, bytes)
 	case mpi.OpIrecv:
-		return r.Irecv(left, 0, op.bytes)
+		return r.Irecv(left, 0, bytes)
 	case mpi.OpWaitall:
 		return r.Waitall()
 	case mpi.OpSendrecv:
-		return r.Sendrecv(right, left, 0, op.bytes)
+		return r.Sendrecv(right, left, 0, bytes)
 	default:
-		return fmt.Errorf("exec: unsupported MPI operation %q", op.mpiOp)
+		return fmt.Errorf("exec: unsupported MPI operation %q", op)
 	}
 }

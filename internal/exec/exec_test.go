@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -155,18 +157,13 @@ func TestPatchedSledsDispatch(t *testing.T) {
 	var mu sync.Mutex
 	counts := map[string]int{}
 	rt.SetHandler(func(tc xray.ThreadCtx, id int32, kind xray.EntryType) {
-		addr, err := rt.FunctionAddress(id)
+		name, err := dispatchedName(rt, id)
 		if err != nil {
-			t.Errorf("FunctionAddress: %v", err)
-			return
-		}
-		_, sym, ok := e.cfg.Proc.ResolveAddr(addr)
-		if !ok {
-			t.Error("cannot resolve dispatched function")
+			t.Error(err)
 			return
 		}
 		mu.Lock()
-		counts[sym.Name+":"+kind.String()]++
+		counts[name+":"+kind.String()]++
 		mu.Unlock()
 		tc.Clock().Advance(100)
 	})
@@ -303,30 +300,54 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
+// TestStaticInitsRunBeforeMain: a unit's static initializers run before
+// main, in emission order, and a function between them that is not one
+// does not run with them.
 func TestStaticInitsRunBeforeMain(t *testing.T) {
 	p := testProgram()
-	p.MustAddFunc(&prog.Function{
-		Name: "_GLOBAL__sub_I_x", Unit: "app.exe", Statements: 10,
-		StaticInit: true, Visibility: prog.Hidden,
-		Ops: []prog.Op{prog.Work(50)},
-	})
+	for _, f := range []*prog.Function{
+		{Name: "_GLOBAL__sub_I_x", StaticInit: true, Visibility: prog.Hidden},
+		{Name: "helper"},
+		{Name: "_GLOBAL__sub_I_y", StaticInit: true, Visibility: prog.Hidden},
+	} {
+		f.Unit, f.Statements, f.Ops = "app.exe", 10, []prog.Op{prog.Work(50)}
+		p.MustAddFunc(f)
+	}
 	e, rt, _ := setup(t, p, true, 1)
 	var order []string
 	rt.SetHandler(func(tc xray.ThreadCtx, id int32, kind xray.EntryType) {
 		if kind != xray.Entry {
 			return
 		}
-		addr, _ := rt.FunctionAddress(id)
-		_, sym, _ := e.cfg.Proc.ResolveAddr(addr)
-		order = append(order, sym.Name)
+		name, err := dispatchedName(rt, id)
+		if err != nil {
+			t.Error(err)
+		}
+		order = append(order, name)
 	})
 	patchAll(t, rt)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(order) == 0 || order[0] != "_GLOBAL__sub_I_x" {
-		t.Fatalf("static init not first: %v", order)
+	if want := []string{"_GLOBAL__sub_I_x", "_GLOBAL__sub_I_y", "main"}; len(order) < 3 || !slices.Equal(order[:3], want) {
+		t.Fatalf("entry order %v, want %v first", order, want)
 	}
+}
+
+// dispatchedName names the function a dispatched packed ID enters: the
+// entry symbol at the address XRay gives the ID.
+func dispatchedName(rt *xray.Runtime, id int32) (string, error) {
+	addr, err := rt.FunctionAddress(id)
+	if err != nil {
+		return "", err
+	}
+	objID, fn := xray.UnpackID(id)
+	lo, _ := rt.Object(objID)
+	sym, ok := lo.Image.FuncSymbol(fn)
+	if !ok || lo.Base+sym.Value != addr {
+		return "", fmt.Errorf("no entry symbol at %#x for ID %d", addr, id)
+	}
+	return sym.Name, nil
 }
 
 func TestRecursionDepthGuard(t *testing.T) {

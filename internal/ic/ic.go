@@ -20,8 +20,8 @@ import (
 // Config is an instrumentation configuration: the set of functions to
 // instrument, plus provenance for reports.
 //
-// The two sorted, duplicate-free lists are the whole IC: Contains and
-// ContainsID search them, and no index repeats them. A Config is immutable
+// The two sorted, duplicate-free lists are the whole IC: Contains
+// searches Include, and no index repeats them. A Config is immutable
 // once a constructor (New, WithIncludeIDs, ReadJSON) returned it, and
 // therefore safe to share between goroutines — one Selection may start
 // several instances, and an instance keeps the IC for its TTL revert timer
@@ -62,13 +62,6 @@ func (c *Config) Len() int { return len(c.Include) }
 // Contains reports whether the named function is instrumented.
 func (c *Config) Contains(name string) bool {
 	_, ok := slices.BinarySearch(c.Include, name)
-	return ok
-}
-
-// ContainsID reports whether the packed function ID is instrumented via
-// the static ID list.
-func (c *Config) ContainsID(id int32) bool {
-	_, ok := slices.BinarySearch(c.IncludeIDs, id)
 	return ok
 }
 

@@ -24,7 +24,7 @@ func TestNewDedupSort(t *testing.T) {
 
 // TestConfigSharedReadOnly: every constructor returns a Config whose lookups
 // only read, so goroutines may share it (run under -race), and whose
-// Contains and ContainsID answer exactly what Include and IncludeIDs list.
+// Contains answers exactly what Include lists.
 func TestConfigSharedReadOnly(t *testing.T) {
 	names := []string{"y", "x", "", "y", "w", "x"}
 	base := New("app", "s", names)
@@ -37,7 +37,6 @@ func TestConfigSharedReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	probeNames := append([]string{"q", "a", "z"}, names...)
-	probeIDs := []int32{-1, 0, 1, 3, 7, 8, 9, 10, 1 << 30}
 	for _, c := range []*Config{
 		base,
 		New("app", "s", []string{"", ""}),
@@ -59,11 +58,6 @@ func TestConfigSharedReadOnly(t *testing.T) {
 				for _, n := range probeNames {
 					if c.Contains(n) != slices.Contains(c.Include, n) {
 						t.Errorf("Contains(%q) = %v over Include %q", n, c.Contains(n), c.Include)
-					}
-				}
-				for _, id := range probeIDs {
-					if c.ContainsID(id) != slices.Contains(c.IncludeIDs, id) {
-						t.Errorf("ContainsID(%d) = %v over IncludeIDs %v", id, c.ContainsID(id), c.IncludeIDs)
 					}
 				}
 			}()
@@ -173,9 +167,6 @@ func TestWithIncludeIDs(t *testing.T) {
 	out := c.WithIncludeIDs([]int32{9, 3, 9, 1})
 	if len(out.IncludeIDs) != 3 || out.IncludeIDs[0] != 1 || out.IncludeIDs[1] != 3 || out.IncludeIDs[2] != 9 {
 		t.Fatalf("IncludeIDs = %v", out.IncludeIDs)
-	}
-	if !out.ContainsID(3) || out.ContainsID(5) {
-		t.Fatal("ContainsID wrong")
 	}
 	if out.Len() != 2 || !out.Contains("f") {
 		t.Fatal("names not preserved")

@@ -38,15 +38,6 @@ const (
 	OpWaitall   Op = "MPI_Waitall"
 )
 
-// IsCollective reports whether the operation synchronizes all ranks.
-func (o Op) IsCollective() bool {
-	switch o {
-	case OpBarrier, OpAllreduce, OpReduce, OpBcast, OpAllgather, OpInit, OpFinalize:
-		return true
-	}
-	return false
-}
-
 // CostModel holds the virtual-time costs of MPI operations.
 type CostModel struct {
 	// PerCall is the software overhead of any MPI call.

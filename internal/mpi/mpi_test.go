@@ -389,12 +389,3 @@ func TestDeterministicVirtualTime(t *testing.T) {
 		}
 	}
 }
-
-func TestIsCollective(t *testing.T) {
-	if !OpBarrier.IsCollective() || !OpInit.IsCollective() {
-		t.Fatal("collectives misclassified")
-	}
-	if OpSend.IsCollective() || OpRecv.IsCollective() {
-		t.Fatal("p2p misclassified")
-	}
-}

@@ -80,10 +80,9 @@ type Image struct {
 	// (the paper reports 28,687 for the largest OpenFOAM object).
 	NumFuncIDs uint32
 
-	sledAt    []int32 // function ID f's sleds are sledIdx[sledAt[f]:sledAt[f+1]]
-	sledIdx   []int32 // sled indexes grouped by function ID, in sled order
-	sortedSym []int   // function symbols sorted by Value, ties in table order
-	funcSym   []int32 // function ID f's entry symbol is Symbols[funcSym[f]]; -1 for none
+	sledAt  []int32 // function ID f's sleds are sledIdx[sledAt[f]:sledAt[f+1]]
+	sledIdx []int32 // sled indexes grouped by function ID, in sled order
+	funcSym []int32 // function ID f's entry symbol is Symbols[funcSym[f]]; -1 for none
 }
 
 // Finalize builds the image's lookup indexes and validates internal
@@ -127,21 +126,23 @@ func (im *Image) Finalize() error {
 		at[sl.FuncID+1]++
 	}
 	im.sledAt = at[:n+1]
-	im.sortedSym = im.sortedSym[:0]
+	// A function ID's entry symbol is the function symbol starting at its
+	// entry sled, binary-searched in address order. The sort is stable, so
+	// of two symbols at one address the one declared last is found.
+	var sorted []int32
 	for i, s := range im.Symbols {
 		if s.Kind == SymFunc {
-			im.sortedSym = append(im.sortedSym, i)
+			sorted = append(sorted, int32(i))
 		}
 	}
-	// Stable: of two symbols at one address, the one declared last is found.
-	slices.SortStableFunc(im.sortedSym, func(a, b int) int { return cmp.Compare(im.Symbols[a].Value, im.Symbols[b].Value) })
+	slices.SortStableFunc(sorted, func(a, b int32) int { return cmp.Compare(im.Symbols[a].Value, im.Symbols[b].Value) })
 	im.funcSym = make([]int32, n)
 	for f := range im.funcSym {
+		im.funcSym[f] = -1
 		off, ok := im.FuncEntryOffset(uint32(f))
-		if i := im.symbolIndexAt(off); ok && i >= 0 && im.Symbols[i].Value == off {
-			im.funcSym[f] = int32(i)
-		} else {
-			im.funcSym[f] = -1
+		at := sort.Search(len(sorted), func(k int) bool { return im.Symbols[sorted[k]].Value > off })
+		if ok && at > 0 && im.Symbols[sorted[at-1]].Value == off {
+			im.funcSym[f] = sorted[at-1]
 		}
 	}
 	return nil
@@ -176,26 +177,4 @@ func (im *Image) FuncSymbol(funcID uint32) (Symbol, bool) {
 		return Symbol{}, false
 	}
 	return im.Symbols[im.funcSym[funcID]], true
-}
-
-// symbolIndexAt returns the index in Symbols of the last function symbol in
-// sortedSym order starting at or below off, or -1.
-func (im *Image) symbolIndexAt(off uint64) int {
-	idx := sort.Search(len(im.sortedSym), func(i int) bool {
-		return im.Symbols[im.sortedSym[i]].Value > off
-	})
-	if idx == 0 {
-		return -1
-	}
-	return im.sortedSym[idx-1]
-}
-
-// symbolAt resolves an offset to the containing function symbol.
-func (im *Image) symbolAt(off uint64) (Symbol, bool) {
-	if i := im.symbolIndexAt(off); i >= 0 {
-		if s := im.Symbols[i]; off < s.Value+s.Size {
-			return s, true
-		}
-	}
-	return Symbol{}, false
 }

@@ -171,7 +171,7 @@ func TestSledPatchingRequiresWritablePages(t *testing.T) {
 	if err := exe.WriteSled(0, true); err != nil {
 		t.Fatal(err)
 	}
-	if !exe.SledPatched(0) || exe.NumPatched() != 1 {
+	if !exe.SledPatched(0) || numPatched(exe) != 1 {
 		t.Fatal("sled should be patched")
 	}
 	// Restore protection; unpatching now faults again.
@@ -186,27 +186,13 @@ func TestSledPatchingRequiresWritablePages(t *testing.T) {
 	}
 }
 
-func TestResolveAddr(t *testing.T) {
-	p, _ := NewProcess(testImage("app", true), testImage("lib.so", false))
-	lo := p.Object("lib.so")
-
-	obj, sym, ok := p.ResolveAddr(p.Executable().Base + 0x45)
-	if !ok || obj != "app" || sym.Name != "f1" {
-		t.Fatalf("ResolveAddr = %q %+v %v", obj, sym, ok)
+// numPatched counts lo's patched sleds.
+func numPatched(lo *LoadedObject) int {
+	n := 0
+	for i := range lo.Image.Sleds {
+		if lo.SledPatched(i) {
+			n++
+		}
 	}
-	obj, sym, ok = p.ResolveAddr(lo.Base + 0x10)
-	if !ok || obj != "lib.so" || sym.Name != "f0" {
-		t.Fatalf("ResolveAddr DSO = %q %+v %v", obj, sym, ok)
-	}
-	// Gap between symbols resolves to nothing.
-	if _, _, ok := p.ResolveAddr(p.Executable().Base + 0x90); ok {
-		t.Fatal("gap address should not resolve")
-	}
-	if _, _, ok := p.ResolveAddr(0xdead); ok {
-		t.Fatal("unmapped address should not resolve")
-	}
-
-	if p.FindObject(lo.Base+1) != lo {
-		t.Fatal("FindObject wrong")
-	}
+	return n
 }

@@ -49,21 +49,10 @@ func (lo *LoadedObject) WriteSled(i int, patched bool) error {
 	return nil
 }
 
-// NumPatched returns the number of currently patched sleds.
-func (lo *LoadedObject) NumPatched() int {
-	n := 0
-	for i := range lo.patched {
-		if lo.patched[i].Load() {
-			n++
-		}
-	}
-	return n
-}
-
 // Process is a set of loaded objects sharing an address space. It is built
 // once, by NewProcess, and its object list never changes afterwards, so it
-// is read without a lock. The list is the only object table: Object and
-// FindObject scan it.
+// is read without a lock. The list is the only object table: Object scans
+// it.
 type Process struct {
 	AS *mem.AddressSpace
 	// PackedID maps a function name to the packed XRay ID its build gave
@@ -128,24 +117,4 @@ func (p *Process) Object(name string) *LoadedObject {
 		}
 	}
 	return nil
-}
-
-// FindObject returns the object whose mapping contains addr, or nil.
-func (p *Process) FindObject(addr uint64) *LoadedObject {
-	for _, lo := range p.objects {
-		if addr >= lo.Base && addr < lo.Base+lo.Image.TextSize {
-			return lo
-		}
-	}
-	return nil
-}
-
-// ResolveAddr resolves an absolute address to (object name, symbol).
-func (p *Process) ResolveAddr(addr uint64) (objName string, sym Symbol, ok bool) {
-	lo := p.FindObject(addr)
-	if lo == nil {
-		return "", Symbol{}, false
-	}
-	s, ok := lo.Image.symbolAt(addr - lo.Base)
-	return lo.Image.Name, s, ok
 }

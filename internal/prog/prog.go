@@ -399,18 +399,6 @@ func (p *Program) RegisterPointerTarget(slot, target string, static bool) {
 	}
 }
 
-// StaticInits returns the static initializer functions of u, one of the
-// program's units, in emission order.
-func (p *Program) StaticInits(u *Unit) []string {
-	var out []string
-	for _, i := range u.Funcs {
-		if f := p.fns[i]; f.StaticInit {
-			out = append(out, f.Name)
-		}
-	}
-	return out
-}
-
 // Validate checks referential integrity: the entry point exists, every call
 // target resolves (directly, via virtual implementations, or via pointer
 // targets), and every MPI operation names a declared function.

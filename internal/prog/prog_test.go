@@ -190,23 +190,6 @@ func TestValidateMPIRequiresDeclaredFunction(t *testing.T) {
 	}
 }
 
-func TestStaticInits(t *testing.T) {
-	p := New("app", "main")
-	lib := p.MustAddUnit("lib.so", SharedObject)
-	exe := p.MustAddUnit("app", Executable)
-	p.MustAddFunc(&Function{Name: "init1", Unit: "lib.so", StaticInit: true, Visibility: Hidden})
-	p.MustAddFunc(&Function{Name: "work", Unit: "lib.so"})
-	p.MustAddFunc(&Function{Name: "main", Unit: "app"})
-	p.MustAddFunc(&Function{Name: "init2", Unit: "lib.so", StaticInit: true, Visibility: Hidden})
-	got := p.StaticInits(lib)
-	if len(got) != 2 || got[0] != "init1" || got[1] != "init2" {
-		t.Fatalf("StaticInits = %v", got)
-	}
-	if p.StaticInits(exe) != nil {
-		t.Fatal("StaticInits of a unit without initializers should be nil")
-	}
-}
-
 func TestDisplayFallback(t *testing.T) {
 	f := &Function{Name: "_Z4Amulv"}
 	if f.Display() != "_Z4Amulv" {

@@ -38,12 +38,18 @@ type Profile struct {
 	Edges          []CallEdge // observed caller→callee pairs: the call trees' parent→child links
 	UnknownEvents  int64
 	FilteredEvents int64
-
-	byName map[string]*RegionProfile
 }
 
-// Region returns the flat profile of the named region, or nil.
-func (p *Profile) Region(name string) *RegionProfile { return p.byName[name] }
+// Region returns the flat profile of the named region, or nil. It scans
+// Regions: a profile keeps no index of its own.
+func (p *Profile) Region(name string) *RegionProfile {
+	for i := range p.Regions {
+		if p.Regions[i].Name == name {
+			return &p.Regions[i]
+		}
+	}
+	return nil
+}
 
 // Profile aggregates the per-rank call trees into a flat profile, a call
 // tree and the observed call-edge list: every parent→child link of a rank's
@@ -51,7 +57,7 @@ func (p *Profile) Region(name string) *RegionProfile { return p.byName[name] }
 func (m *Measurement) Profile() *Profile {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	p := &Profile{Ranks: len(m.ranks), byName: map[string]*RegionProfile{}}
+	p := &Profile{Ranks: len(m.ranks)}
 
 	flat := map[int]*RegionProfile{}
 	for _, rs := range m.ranks {
@@ -88,9 +94,6 @@ func (m *Measurement) Profile() *Profile {
 		}
 		return p.Regions[i].Name < p.Regions[j].Name
 	})
-	for i := range p.Regions {
-		p.byName[p.Regions[i].Name] = &p.Regions[i]
-	}
 	slices.SortFunc(p.Edges, func(a, b CallEdge) int {
 		return cmp.Or(cmp.Compare(a.Caller, b.Caller), cmp.Compare(a.Callee, b.Callee))
 	})

@@ -8,7 +8,6 @@ package selector
 import (
 	"fmt"
 	"regexp"
-	"sort"
 	"strings"
 
 	"capi/internal/callgraph"
@@ -28,7 +27,8 @@ type Func func(ctx *Context, args []Value) (*callgraph.Set, error)
 // Def describes a registered selector type.
 type Def struct {
 	Name string
-	// Doc is a one-line description shown by `capi -list-selectors`.
+	// Doc is a one-line description of the selector type. It documents the
+	// registration; no command prints it.
 	Doc  string
 	Eval Func
 }
@@ -56,16 +56,6 @@ func (r *Registry) Register(d *Def) error {
 
 // Lookup returns the definition of the named selector type, or nil.
 func (r *Registry) Lookup(name string) *Def { return r.defs[name] }
-
-// Names returns all registered selector type names, sorted.
-func (r *Registry) Names() []string {
-	out := make([]string, 0, len(r.defs))
-	for name := range r.defs {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // ---- argument helpers ----
 

@@ -1,7 +1,9 @@
 package selector
 
 import (
+	"maps"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -61,7 +63,7 @@ func wantMembers(t *testing.T, s *callgraph.Set, want ...string) {
 		t.Fatalf("got %v, want %v", s.Names(), want)
 	}
 	for _, n := range want {
-		if !s.HasName(n) {
+		if !hasName(s, n) {
 			t.Fatalf("got %v, missing %s", s.Names(), n)
 		}
 	}
@@ -69,7 +71,7 @@ func wantMembers(t *testing.T, s *callgraph.Set, want ...string) {
 
 func TestRegistryNamesAndDocs(t *testing.T) {
 	r := NewRegistry()
-	names := r.Names()
+	names := slices.Sorted(maps.Keys(r.defs))
 	if len(names) < 15 {
 		t.Fatalf("only %d selectors registered: %v", len(names), names)
 	}
@@ -160,8 +162,8 @@ func TestJoinSubtractIntersect(t *testing.T) {
 	g := testGraph()
 	ctx := &Context{Graph: g}
 	r := NewRegistry()
-	a := g.SetOf("main", "driver")
-	b := g.SetOf("driver", "kernel")
+	a := setOf(g, "main", "driver")
+	b := setOf(g, "driver", "kernel")
 
 	out, err := r.Lookup("join").Eval(ctx, []Value{a, b})
 	if err != nil {
@@ -195,7 +197,7 @@ func TestJoinNoArgs(t *testing.T) {
 func TestCallPathTo(t *testing.T) {
 	g := testGraph()
 	ctx := &Context{Graph: g}
-	targets := g.SetOf("MPI_Send")
+	targets := setOf(g, "MPI_Send")
 	out, err := NewRegistry().Lookup("callPathTo").Eval(ctx, []Value{targets})
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +209,7 @@ func TestCallPathToNoMain(t *testing.T) {
 	b := testBuilder()
 	b.Main = ""
 	g := b.Graph()
-	_, err := NewRegistry().Lookup("callPathTo").Eval(&Context{Graph: g}, []Value{g.SetOf("kernel")})
+	_, err := NewRegistry().Lookup("callPathTo").Eval(&Context{Graph: g}, []Value{setOf(g, "kernel")})
 	if err == nil {
 		t.Fatal("expected error without entry point")
 	}
@@ -215,7 +217,7 @@ func TestCallPathToNoMain(t *testing.T) {
 
 func TestCallPathFrom(t *testing.T) {
 	g := testGraph()
-	out, err := NewRegistry().Lookup("callPathFrom").Eval(&Context{Graph: g}, []Value{g.SetOf("driver")})
+	out, err := NewRegistry().Lookup("callPathFrom").Eval(&Context{Graph: g}, []Value{setOf(g, "driver")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,13 +228,13 @@ func TestCallersCallees(t *testing.T) {
 	g := testGraph()
 	ctx := &Context{Graph: g}
 	r := NewRegistry()
-	out, err := r.Lookup("callers").Eval(ctx, []Value{g.SetOf("MPI_Send")})
+	out, err := r.Lookup("callers").Eval(ctx, []Value{setOf(g, "MPI_Send")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantMembers(t, out, "main", "driver")
 
-	out, err = r.Lookup("callees").Eval(ctx, []Value{g.SetOf("main")})
+	out, err = r.Lookup("callees").Eval(ctx, []Value{setOf(g, "main")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +244,7 @@ func TestCallersCallees(t *testing.T) {
 func TestCoarseSelector(t *testing.T) {
 	g := testGraph()
 	ctx := &Context{Graph: g}
-	in := g.SetOf("driver", "kernel")
+	in := setOf(g, "driver", "kernel")
 	// kernel's only caller is driver -> pruned without a critical set.
 	out, err := NewRegistry().Lookup("coarse").Eval(ctx, []Value{in})
 	if err != nil {
@@ -250,7 +252,7 @@ func TestCoarseSelector(t *testing.T) {
 	}
 	wantMembers(t, out, "driver")
 	// With kernel marked critical it stays.
-	out, err = NewRegistry().Lookup("coarse").Eval(ctx, []Value{in, g.SetOf("kernel")})
+	out, err = NewRegistry().Lookup("coarse").Eval(ctx, []Value{in, setOf(g, "kernel")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,3 +292,17 @@ func TestArgumentTypeErrors(t *testing.T) {
 		}
 	}
 }
+
+// setOf builds a set of the named nodes; unknown names are ignored.
+func setOf(g *callgraph.Graph, names ...string) *callgraph.Set {
+	s := g.NewSet()
+	for _, name := range names {
+		if n := g.Node(name); n != nil {
+			s.Add(n)
+		}
+	}
+	return s
+}
+
+// hasName reports membership by node name.
+func hasName(s *callgraph.Set, name string) bool { return s.Has(s.Graph().Node(name)) }

@@ -304,8 +304,9 @@ func (m *Monitor) CloseOpen(name string) int {
 	return closed
 }
 
-// OpenCount returns the number of regions currently open on a rank (used
-// by tests and the overhead analysis).
+// OpenCount returns the number of regions currently open on a rank. Only
+// tests read it, in this package and in dyncapi's: it is their one view of
+// a rank's open-region stack.
 func (m *Monitor) OpenCount(rank int) int {
 	rs := m.perRank[rank]
 	rs.mu.Lock()

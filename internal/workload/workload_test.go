@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"capi/internal/callgraph"
 	"capi/internal/compiler"
 	"capi/internal/core"
 	"capi/internal/metacg"
@@ -247,11 +248,11 @@ subtract(%mpi_comm, %excluded)
 		t.Fatalf("mpi post = %d of pre %d", post, pre)
 	}
 	for _, want := range []string{"main", "CommSBN", "CommSend", "CommRecv"} {
-		if !res.Pre.HasName(want) {
+		if !hasName(res.Pre, want) {
 			t.Fatalf("mpi selection missing %s", want)
 		}
 	}
-	if res.Pre.HasName("IntegrateStressForElems") {
+	if hasName(res.Pre, "IntegrateStressForElems") {
 		t.Fatal("pure compute kernel must not be in the mpi selection")
 	}
 }
@@ -299,3 +300,6 @@ func TestGeneratorsValid(t *testing.T) {
 		}
 	}
 }
+
+// hasName reports membership by node name.
+func hasName(s *callgraph.Set, name string) bool { return s.Has(s.Graph().Node(name)) }

@@ -201,10 +201,10 @@ func TestFunctionAddress(t *testing.T) {
 	if addr != lib.Base+64 {
 		t.Fatalf("addr = %#x, want %#x", addr, lib.Base+64)
 	}
-	// The resolved symbol matches.
-	_, sym, ok := p.ResolveAddr(addr)
-	if !ok || sym.Name != "lib0.so_f1" {
-		t.Fatalf("resolve = %+v, %v", sym, ok)
+	// The function's entry symbol starts there.
+	sym, ok := lib.Image.FuncSymbol(1)
+	if !ok || sym.Name != "lib0.so_f1" || lib.Base+sym.Value != addr {
+		t.Fatalf("entry symbol = %+v, %v", sym, ok)
 	}
 	if _, err := rt.FunctionAddress(int32(uint32(9)<<24 | 0)); err == nil {
 		t.Fatal("unregistered object address lookup should fail")
@@ -367,7 +367,7 @@ func TestLookupsDuringPatch(t *testing.T) {
 		t.Error(err)
 	}
 	// 20 rounds per patcher, alternating: every sled ends unpatched.
-	if p.Executable().NumPatched() != 0 || p.Object("lib1.so").NumPatched() != 0 {
+	if numPatched(p.Executable()) != 0 || numPatched(p.Object("lib1.so")) != 0 {
 		t.Fatal("sleds left patched after an even number of rounds per patcher")
 	}
 }
@@ -435,7 +435,7 @@ func TestPatchBatchRoundTripRestoresPristineSleds(t *testing.T) {
 	ids := append(batchIDs(t, 0, n), batchIDs(t, libID, n)...)
 
 	exe := p.Executable()
-	pristineExe, pristineLib := exe.NumPatched(), lib.NumPatched()
+	pristineExe, pristineLib := numPatched(exe), numPatched(lib)
 	if pristineExe != 0 || pristineLib != 0 {
 		t.Fatalf("fresh objects have patched sleds: %d/%d", pristineExe, pristineLib)
 	}
@@ -443,15 +443,15 @@ func TestPatchBatchRoundTripRestoresPristineSleds(t *testing.T) {
 	if _, err := rt.PatchBatch(ids, true); err != nil {
 		t.Fatal(err)
 	}
-	if exe.NumPatched() != 2*n || lib.NumPatched() != 2*n {
-		t.Fatalf("after patch: %d/%d sleds, want %d each", exe.NumPatched(), lib.NumPatched(), 2*n)
+	if numPatched(exe) != 2*n || numPatched(lib) != 2*n {
+		t.Fatalf("after patch: %d/%d sleds, want %d each", numPatched(exe), numPatched(lib), 2*n)
 	}
 	if _, err := rt.PatchBatch(ids, false); err != nil {
 		t.Fatal(err)
 	}
 	// Unpatch restores the pristine image: every sled byte back to NOP.
-	if exe.NumPatched() != 0 || lib.NumPatched() != 0 {
-		t.Fatalf("after unpatch: %d/%d sleds still patched", exe.NumPatched(), lib.NumPatched())
+	if numPatched(exe) != 0 || numPatched(lib) != 0 {
+		t.Fatalf("after unpatch: %d/%d sleds still patched", numPatched(exe), numPatched(lib))
 	}
 	for _, id := range ids {
 		if rt.Patched(id) {
@@ -461,8 +461,8 @@ func TestPatchBatchRoundTripRestoresPristineSleds(t *testing.T) {
 	if _, err := rt.PatchBatch(ids, true); err != nil {
 		t.Fatal(err)
 	}
-	if exe.NumPatched() != 2*n || lib.NumPatched() != 2*n {
-		t.Fatalf("re-patch: %d/%d sleds, want %d each", exe.NumPatched(), lib.NumPatched(), 2*n)
+	if numPatched(exe) != 2*n || numPatched(lib) != 2*n {
+		t.Fatalf("re-patch: %d/%d sleds, want %d each", numPatched(exe), numPatched(lib), 2*n)
 	}
 	// Text protection is read-exec again after the batch windows closed.
 	if err := exe.WriteSled(0, true); err == nil {
@@ -530,8 +530,8 @@ func TestPatchBatchAnyOrder(t *testing.T) {
 	if !reflect.DeepEqual(ids, passed) {
 		t.Fatal("PatchBatch reordered the caller's slice")
 	}
-	if p.Executable().NumPatched() != 2*n || p.Object("lib0.so").NumPatched() != 2*n {
-		t.Fatalf("patched %d/%d sleds, want %d each", p.Executable().NumPatched(), p.Object("lib0.so").NumPatched(), 2*n)
+	if numPatched(p.Executable()) != 2*n || numPatched(p.Object("lib0.so")) != 2*n {
+		t.Fatalf("patched %d/%d sleds, want %d each", numPatched(p.Executable()), numPatched(p.Object("lib0.so")), 2*n)
 	}
 }
 
@@ -539,4 +539,15 @@ func TestEntryTypeString(t *testing.T) {
 	if Entry.String() != "entry" || Exit.String() != "exit" {
 		t.Fatal("EntryType strings wrong")
 	}
+}
+
+// numPatched counts lo's patched sleds.
+func numPatched(lo *obj.LoadedObject) int {
+	n := 0
+	for i := range lo.Image.Sleds {
+		if lo.SledPatched(i) {
+			n++
+		}
+	}
+	return n
 }
